@@ -18,15 +18,6 @@ cargo fmt --all --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> deprecation gate (no in-tree caller uses the legacy entry points)"
-# The session facade is the one scheduling surface; the legacy free
-# functions (schedule_links, schedule_mst, schedule_sharded[_with]) survive
-# only as #[deprecated] forwarders for downstream code. Building the whole
-# workspace with deprecation warnings promoted to errors proves nothing
-# internal still calls them (differential tests opt back in with
-# #[allow(deprecated)] — that is their job).
-RUSTFLAGS="${RUSTFLAGS:-} -D deprecated" cargo check --workspace --all-targets
-
 echo "==> serial build (--no-default-features: parallel kernels and obs instrumentation off)"
 cargo build --workspace --no-default-features
 
@@ -67,6 +58,9 @@ if [[ "$MODE" != "quick" ]]; then
 
   echo "==> workspace tests (incl. wagg-partition shard-invariance properties)"
   cargo test -q --workspace
+
+  echo "==> perfbench tests (the benchmark package builds against the public API)"
+  CARGO_TARGET_DIR=.bench_build/serial cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
   echo "==> chrome-trace smoke test (partition_profile --trace emits valid trace_event JSON)"
   TRACE_DIR="$(mktemp -d)"

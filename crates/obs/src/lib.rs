@@ -16,8 +16,8 @@
 //!   [`Counter`] once; increments are lock-free atomic adds, safe from
 //!   inside `rayon` worker closures (the shim's or crates.io's). The
 //!   repair path splits its warm-state commits into
-//!   `repair.warm_patched` (incremental in-place patch from the outcome's
-//!   per-link deltas) vs `repair.warm_recaptured` (full from-scratch
+//!   `repair.warm_patched` (a repair the kernel committed by editing the
+//!   warm state in place) vs `repair.warm_recaptured` (full from-scratch
 //!   re-anchor on cold starts and watermark breaches), so a session that
 //!   silently stops taking the O(dirty) fast path shows up in telemetry.
 //! * **Histograms** — [`Recorder::observe`] feeds a log₂-bucketed

@@ -119,36 +119,6 @@ impl From<ShardedReport> for SolveReport {
     }
 }
 
-/// Schedules `links` under `config` across roughly `target_shards` spatial
-/// shards.
-#[deprecated(
-    since = "0.2.0",
-    note = "schedule through `wagg_core::session::Session` (explicit `Backend::Sharded` reproduces \
-            this entry point slot for slot); the session backend itself wraps `solve_sharded`"
-)]
-pub fn schedule_sharded(
-    links: &[Link],
-    config: SchedulerConfig,
-    target_shards: usize,
-) -> ShardedReport {
-    solve_sharded(links, config, target_shards, VerifierStrategy::default())
-}
-
-/// [`schedule_sharded`] with an explicit far-field [`VerifierStrategy`].
-#[deprecated(
-    since = "0.2.0",
-    note = "schedule through `wagg_core::session::Session` (configure the strategy with \
-            `SessionBuilder::verifier`); the session backend itself wraps `solve_sharded`"
-)]
-pub fn schedule_sharded_with(
-    links: &[Link],
-    config: SchedulerConfig,
-    target_shards: usize,
-    strategy: VerifierStrategy,
-) -> ShardedReport {
-    solve_sharded(links, config, target_shards, strategy)
-}
-
 /// The sharded scheduling pipeline: tiles the link set by [`PartitionLayout`],
 /// schedules each shard independently (see the [crate docs](self)), stitches,
 /// and verifies the stitched schedule slot by slot with the given far-field

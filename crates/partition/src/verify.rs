@@ -313,7 +313,7 @@ impl<'a> AffectanceVerifier<'a> {
     /// it already lands within `1/β` and the exact sum otherwise, so on a
     /// feasible slot every budget is finite and within threshold. This is
     /// the near-linear capture half of the warm-start repair contract
-    /// (`wagg_schedule::solve_repair`'s `prev_budgets`): conservative
+    /// (`wagg_schedule::solve_repair`'s warm `budgets`): conservative
     /// upper bounds are sound — they only make repair fall back earlier.
     pub fn budgets(&self, members: &[usize]) -> Vec<f64> {
         if members.len() <= 1 {

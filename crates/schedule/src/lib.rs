@@ -31,13 +31,11 @@ pub mod scheduler;
 
 pub use power_mode::PowerMode;
 pub use repair::{
-    capture_budgets, solve_repair, solve_repair_traced, CacheJudge, RepairDecision, RepairOutcome,
-    RepairPlacement, RepairStats, SlotJudge,
+    capture_budgets, solve_repair, CacheJudge, RepairDecision, RepairOutcome, RepairStats,
+    SlotJudge,
 };
 pub use report::{BackendKind, ShardingStats, SolveReport};
 pub use schedule::Schedule;
-#[allow(deprecated)]
-pub use scheduler::{schedule_links, schedule_mst};
 pub use scheduler::{
     schedule_prebuilt, schedule_prebuilt_traced, solve_static, solve_static_traced,
     split_class_into_feasible, ScheduleReport, SchedulerConfig,

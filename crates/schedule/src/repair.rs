@@ -3,12 +3,14 @@
 //! Every backend used to recolor from scratch per solve — PRs 2–5 made the
 //! conflict graph, the path-loss cache and the per-shard state incremental,
 //! but the *slot assignment* itself was discarded per event. This module
-//! closes that gap: [`solve_repair`] takes the previous coloring (keyed by
-//! vertex position, `None` marking the links an event batch dirtied), keeps
-//! every clean link in its slot, re-verifies only the slots whose affectance
-//! budget may have changed, and first-fits the dirty links into the lowest
-//! feasible slot — microseconds-to-milliseconds per event batch instead of a
-//! full recolor.
+//! closes that gap: [`solve_repair`] works on the caller's warm state — the
+//! previous coloring and affectance budgets, keyed by vertex position, with
+//! `None` marking the links an event batch dirtied — and edits it in place:
+//! it keeps every clean link in its slot, re-verifies only the slots whose
+//! affectance budget may have changed, and first-fits the dirty links into
+//! the lowest feasible slot — microseconds-to-milliseconds per event batch
+//! instead of a full recolor. What it leaves behind is the next repair's
+//! warm state; nothing needs replaying on top.
 //!
 //! The module is backend-agnostic: callers supply the conflict neighbourhood
 //! (`neighbors`, e.g. the engine's incrementally maintained adjacency rows)
@@ -263,39 +265,8 @@ impl SlotJudge for CacheJudge<'_> {
     }
 }
 
-/// One re-placed link in a [`RepairOutcome`]: where it landed and the
-/// budget it closed with. Slot indices are in the *final* (compacted)
-/// numbering of [`RepairOutcome::report`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepairPlacement {
-    /// The re-placed link's vertex position.
-    pub pos: usize,
-    /// Its slot index in the repaired schedule.
-    pub slot: usize,
-    /// Its final affectance budget (zero for non-additive judges).
-    pub budget: f64,
-}
-
-/// What one [`solve_repair`] call produced: the repaired report, the
-/// re-placement accounting, the per-vertex budgets to warm-start the
-/// *next* repair with (see the budget contract on [`solve_repair`]), and
-/// the per-link deltas that let a caller patch its warm state in place —
-/// O(replaced) instead of an O(n) re-capture of the whole assignment.
-///
-/// Replaying the deltas onto the previous warm state reproduces the full
-/// vectors exactly (the capture-equivalence contract, asserted by the
-/// session backends in debug builds):
-///
-/// 1. when [`RepairOutcome::slot_remap`] is `Some`, map every surviving
-///    previous color through it (empty slots were dropped, so every color
-///    after the first dropped one shifted down);
-/// 2. add each [`RepairOutcome::increments`] entry to the stored budget at
-///    that position, in order (they replay the kernel's own additions, so
-///    the result is bit-identical);
-/// 3. set each [`RepairOutcome::placements`] entry's color and budget
-///    (placements overwrite, so steps 2–3 commute per position only in
-///    this order — a re-placed link may also appear as an increment
-///    target).
+/// What one [`solve_repair`] call produced besides the edits it made to the
+/// caller's warm state: the repaired report and the re-placement accounting.
 #[derive(Debug, Clone)]
 pub struct RepairOutcome {
     /// The repaired schedule report.
@@ -304,22 +275,6 @@ pub struct RepairOutcome {
     pub replaced: usize,
     /// How many of the replaced links the re-verification sweep evicted.
     pub evicted: usize,
-    /// Per-vertex affectance budgets after the repair — each an upper bound
-    /// on the exact affectance total the link sees inside its slot. All
-    /// zeros for non-additive judges (the opaque probe path keeps no
-    /// budgets).
-    pub budgets: Vec<f64>,
-    /// Every re-placed link (the dirty set plus sweep evictions) with its
-    /// final slot and budget, in placement order.
-    pub placements: Vec<RepairPlacement>,
-    /// Budget increments the additive admissions applied to already-placed
-    /// slot members, `(position, increment)` in application order. Empty
-    /// for non-additive judges.
-    pub increments: Vec<(usize, f64)>,
-    /// `Some(old → new)` when the repair left slots empty and the result
-    /// compacted them away (`usize::MAX` marks a dropped color); `None`
-    /// when every previous slot index survived unchanged.
-    pub slot_remap: Option<Vec<usize>>,
 }
 
 /// Exact per-vertex budgets for a warm assignment, summed through the
@@ -352,22 +307,25 @@ pub fn capture_budgets(judge: &dyn SlotJudge, colors: &[Option<usize>]) -> Vec<f
 }
 
 /// Repairs a previous slot assignment after an event batch instead of
-/// recoloring from scratch.
+/// recoloring from scratch, editing the caller's warm state in place.
 ///
-/// * `prev_colors[i]` is link `i`'s slot in the previous schedule, `None`
-///   for dirty links (inserted, relocated, re-seated — anything whose
-///   conflict neighbourhood changed). Colors need not be contiguous; empty
-///   slots are dropped from the result.
-/// * `prev_budgets[i]` must **upper-bound** the exact affectance total link
-///   `i` sees inside its previous slot (exact values, a certified
-///   hierarchical bound, or `f64::INFINITY` when unknown — conservative
-///   always errs toward eviction/rejection, never toward an infeasible
-///   admission). Entries for dirty links are ignored. Only consulted for
-///   additive judges; pass the previous [`RepairOutcome::budgets`], or
-///   [`capture_budgets`] after a full recolor. Budgets are deliberately
-///   *not* decreased on departures (that would need the departed geometry);
-///   the stored bounds just grow conservative until the drift watermark
-///   forces a re-anchoring recolor.
+/// * `colors[i]` is link `i`'s slot in the previous schedule, `None` for
+///   dirty links (inserted, relocated, re-seated — anything whose conflict
+///   neighbourhood changed). Colors need not be contiguous; empty slots are
+///   dropped from the result. On return `colors` is the repaired schedule's
+///   slot map.
+/// * `budgets[i]` must **upper-bound** the exact affectance total link `i`
+///   sees inside its previous slot (exact values, a certified hierarchical
+///   bound, or `f64::INFINITY` when unknown — conservative always errs
+///   toward eviction/rejection, never toward an infeasible admission).
+///   Entries for dirty links are ignored. Only consulted for additive
+///   judges; seed them with [`capture_budgets`] (or a certified capture)
+///   after a full recolor. On return they bound the repaired schedule the
+///   same way, ready for the next repair; re-placed links of a non-additive
+///   repair read zero. Budgets are deliberately *not* decreased on
+///   departures (that would need the departed geometry); the stored bounds
+///   just grow conservative until the drift watermark forces a
+///   re-anchoring recolor.
 /// * `neighbors(i)` must yield `i`'s *current* conflict neighbours (vertex
 ///   positions) — e.g. the engine's incrementally maintained adjacency row.
 /// * `check` lists links whose slots must be re-verified even though the
@@ -386,42 +344,21 @@ pub fn capture_budgets(judge: &dyn SlotJudge, colors: &[Option<usize>]) -> Vec<f
 /// budget accumulates while every slotmate's budget is checked against the
 /// threshold with the new contribution added — instead of the O(|slot|²)
 /// whole-slot re-verification the opaque path needs.
+///
+/// Records a `repair` span with `sweep` (stale-slot re-verification) and
+/// `place` (first-fit re-placement) children on `rec`, plus the
+/// `repair.dirty` / `repair.evicted` / `repair.admissions` /
+/// `repair.rejections` / `repair.fresh_slots` counters (accumulated
+/// locally — one atomic add per counter per call, nothing in the probe
+/// loops). Pass [`Recorder::disabled`] to record nothing.
+#[allow(clippy::too_many_arguments)]
 pub fn solve_repair<J: SlotJudge + ?Sized>(
     links: &[Link],
     neighbors: &dyn Fn(usize) -> Vec<usize>,
     judge: &J,
     config: &SchedulerConfig,
-    prev_colors: &[Option<usize>],
-    prev_budgets: &[f64],
-    check: &[usize],
-) -> RepairOutcome {
-    solve_repair_traced(
-        links,
-        neighbors,
-        judge,
-        config,
-        prev_colors,
-        prev_budgets,
-        check,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`solve_repair`] with phase instrumentation: records a `repair` span with
-/// `sweep` (stale-slot re-verification) and `place` (first-fit re-placement)
-/// children on `rec`, plus the `repair.dirty` / `repair.evicted` /
-/// `repair.admissions` / `repair.rejections` / `repair.fresh_slots` counters
-/// (accumulated locally — one atomic add per counter per call, nothing in the
-/// probe loops). With the workspace `obs` feature off, or with a disabled
-/// recorder, this is exactly [`solve_repair`].
-#[allow(clippy::too_many_arguments)]
-pub fn solve_repair_traced<J: SlotJudge + ?Sized>(
-    links: &[Link],
-    neighbors: &dyn Fn(usize) -> Vec<usize>,
-    judge: &J,
-    config: &SchedulerConfig,
-    prev_colors: &[Option<usize>],
-    prev_budgets: &[f64],
+    colors: &mut [Option<usize>],
+    budgets: &mut [f64],
     check: &[usize],
     rec: &Recorder,
 ) -> RepairOutcome {
@@ -430,33 +367,22 @@ pub fn solve_repair_traced<J: SlotJudge + ?Sized>(
     // inline instead of going through the vtable.
     let root = rec.span("repair");
     let n = links.len();
-    assert_eq!(prev_colors.len(), n, "one previous color per link");
-    assert_eq!(prev_budgets.len(), n, "one previous budget per link");
+    assert_eq!(colors.len(), n, "one warm color per link");
+    assert_eq!(budgets.len(), n, "one warm budget per link");
     let additive = config.verify_slots && judge.additive();
     let threshold = judge.threshold();
 
-    let num_colors = prev_colors
-        .iter()
-        .flatten()
-        .copied()
-        .max()
-        .map_or(0, |c| c + 1);
+    let num_colors = colors.iter().flatten().copied().max().map_or(0, |c| c + 1);
     // Pre-counted capacities: the membership scatter below touches every
     // link, so growth reallocations on the slot vectors would double the
     // traffic of this O(n) setup pass.
     let mut counts = vec![0usize; num_colors];
-    for &c in prev_colors.iter().flatten() {
+    for &c in colors.iter().flatten() {
         counts[c] += 1;
     }
     let mut slots: Vec<Vec<usize>> = counts.iter().map(|&k| Vec::with_capacity(k)).collect();
-    let mut color_of: Vec<Option<usize>> = prev_colors.to_vec();
-    let mut budgets: Vec<f64> = if additive {
-        prev_budgets.to_vec()
-    } else {
-        vec![0.0; n]
-    };
     let mut pending: Vec<usize> = Vec::new();
-    for (i, &color) in prev_colors.iter().enumerate() {
+    for (i, &color) in colors.iter().enumerate() {
         match color {
             Some(c) => slots[c].push(i),
             None => {
@@ -480,25 +406,26 @@ pub fn solve_repair_traced<J: SlotJudge + ?Sized>(
             // O(1) per checked link: its stored budget is an upper bound,
             // so within-threshold links are certainly still feasible.
             for &v in &checked {
-                let Some(c) = color_of[v] else { continue };
+                let Some(c) = colors[v] else { continue };
                 if budgets[v] > threshold {
                     let k = slots[c].iter().position(|&m| m == v).expect("colored");
                     slots[c].remove(k);
-                    color_of[v] = None;
+                    colors[v] = None;
                     budgets[v] = 0.0;
                     evicted_total += 1;
                     pending.push(v);
                 }
             }
         } else {
-            let mut stale: Vec<usize> = checked.iter().filter_map(|&i| color_of[i]).collect();
+            let mut stale: Vec<usize> = checked.iter().filter_map(|&i| colors[i]).collect();
             stale.sort_unstable();
             stale.dedup();
             for c in stale {
                 let (kept, evicted) = judge.evict(&slots[c]);
                 if !evicted.is_empty() {
                     for &i in &evicted {
-                        color_of[i] = None;
+                        colors[i] = None;
+                        budgets[i] = 0.0;
                     }
                     evicted_total += evicted.len();
                     pending.extend(evicted);
@@ -514,7 +441,6 @@ pub fn solve_repair_traced<J: SlotJudge + ?Sized>(
     let mut admissions = 0u64;
     let mut rejections = 0u64;
     let mut fresh_slots = 0u64;
-    let mut increments: Vec<(usize, f64)> = Vec::new();
     // First-fit placement in non-increasing length order (ties by link id —
     // the static kernel's split order, for determinism).
     pending.sort_by(|&a, &b| {
@@ -529,7 +455,7 @@ pub fn solve_repair_traced<J: SlotJudge + ?Sized>(
     let mut added: Vec<f64> = Vec::new();
     for (step, &i) in pending.iter().enumerate() {
         for j in neighbors(i) {
-            if let Some(c) = color_of[j] {
+            if let Some(c) = colors[j] {
                 mark[c] = step;
             }
         }
@@ -564,7 +490,6 @@ pub fn solve_repair_traced<J: SlotJudge + ?Sized>(
                 }
                 for (&m, &on_m) in slot.iter().zip(&added) {
                     budgets[m] += on_m;
-                    increments.push((m, on_m));
                 }
                 budgets[i] = own;
             } else if config.verify_slots {
@@ -589,7 +514,7 @@ pub fn solve_repair_traced<J: SlotJudge + ?Sized>(
             slots.len() - 1
         });
         slots[c].push(i);
-        color_of[i] = Some(c);
+        colors[i] = Some(c);
     }
     place_span.finish();
     rec.add("repair.dirty", dirty as u64);
@@ -598,26 +523,21 @@ pub fn solve_repair_traced<J: SlotJudge + ?Sized>(
     rec.add("repair.rejections", rejections);
     rec.add("repair.fresh_slots", fresh_slots);
 
-    // Compact empty slots, remembering the renumbering so callers can
-    // shift their warm colors without re-reading the whole schedule.
-    let mut remap = vec![usize::MAX; slots.len()];
-    let mut next = 0usize;
+    // Compact empty slots away: only the members of slots whose index
+    // shifts down are renumbered.
+    let mut kept = 0usize;
     for (c, slot) in slots.iter().enumerate() {
-        if !slot.is_empty() {
-            remap[c] = next;
-            next += 1;
+        if slot.is_empty() {
+            continue;
         }
+        if c != kept {
+            for &m in slot {
+                colors[m] = Some(kept);
+            }
+        }
+        kept += 1;
     }
-    let compacted = next != slots.len();
-    let placements: Vec<RepairPlacement> = pending
-        .iter()
-        .map(|&i| RepairPlacement {
-            pos: i,
-            slot: remap[color_of[i].expect("every pending link was placed")],
-            budget: budgets[i],
-        })
-        .collect();
-    let slots: Vec<Vec<usize>> = slots.into_iter().filter(|s| !s.is_empty()).collect();
+    slots.retain(|s| !s.is_empty());
     let diversity = link_diversity(links).unwrap_or(1.0);
     let report = ScheduleReport {
         verified_slots: slots.len(),
@@ -633,10 +553,6 @@ pub fn solve_repair_traced<J: SlotJudge + ?Sized>(
         report,
         replaced,
         evicted: evicted_total,
-        budgets,
-        placements,
-        increments,
-        slot_remap: compacted.then_some(remap),
     }
 }
 
@@ -681,6 +597,31 @@ mod tests {
         colors
     }
 
+    /// Repairs a copy of `prev`, warm-started from exact captured budgets;
+    /// returns the outcome and the warm colors and budgets it left behind.
+    fn repair<J: SlotJudge>(
+        links: &[Link],
+        graph: &ConflictGraph,
+        judge: &J,
+        config: &SchedulerConfig,
+        prev: &[Option<usize>],
+        check: &[usize],
+    ) -> (RepairOutcome, Vec<Option<usize>>, Vec<f64>) {
+        let mut colors = prev.to_vec();
+        let mut budgets = capture_budgets(judge, prev);
+        let outcome = solve_repair(
+            links,
+            &|i| graph.neighbors(i).to_vec(),
+            judge,
+            config,
+            &mut colors,
+            &mut budgets,
+            check,
+            &Recorder::disabled(),
+        );
+        (outcome, colors, budgets)
+    }
+
     #[test]
     fn no_dirt_reproduces_the_previous_schedule() {
         let links = chain(24, 5.0);
@@ -689,18 +630,11 @@ mod tests {
         let prev = colors_of(&full, links.len());
         let (graph, cache) = harness(&links, config);
         let judge = CacheJudge::new(&links, config, cache.as_ref());
-        let outcome = solve_repair(
-            &links,
-            &|i| graph.neighbors(i).to_vec(),
-            &judge,
-            &config,
-            &prev,
-            &capture_budgets(&judge, &prev),
-            &[],
-        );
+        let (outcome, colors, _) = repair(&links, &graph, &judge, &config, &prev, &[]);
         assert_eq!(outcome.replaced, 0);
         assert_eq!(outcome.evicted, 0);
         assert_eq!(outcome.report.schedule, full.schedule);
+        assert_eq!(colors, prev);
     }
 
     #[test]
@@ -718,21 +652,10 @@ mod tests {
             let full = solve_static(&links, config);
             let mut prev = colors_of(&full, links.len());
             prev[20] = None;
-            let dirty_neighbors: Vec<usize> = {
-                let (graph, _) = harness(&links, config);
-                graph.neighbors(20).to_vec()
-            };
             let (graph, cache) = harness(&links, config);
             let judge = CacheJudge::new(&links, config, cache.as_ref());
-            let outcome = solve_repair(
-                &links,
-                &|i| graph.neighbors(i).to_vec(),
-                &judge,
-                &config,
-                &prev,
-                &capture_budgets(&judge, &prev),
-                &dirty_neighbors,
-            );
+            let check = graph.neighbors(20).to_vec();
+            let (outcome, _, _) = repair(&links, &graph, &judge, &config, &prev, &check);
             assert!(outcome.replaced >= 1, "{mode}");
             assert!(outcome.report.schedule.is_partition(links.len()), "{mode}");
             assert!(
@@ -758,15 +681,7 @@ mod tests {
         let prev = vec![Some(0), Some(0), Some(1)];
         let (graph, cache) = harness(&links, config);
         let judge = CacheJudge::new(&links, config, cache.as_ref());
-        let outcome = solve_repair(
-            &links,
-            &|i| graph.neighbors(i).to_vec(),
-            &judge,
-            &config,
-            &prev,
-            &capture_budgets(&judge, &prev),
-            &[0],
-        );
+        let (outcome, _, _) = repair(&links, &graph, &judge, &config, &prev, &[0]);
         assert!(outcome.evicted >= 1, "the stale slot must shed a member");
         assert_eq!(outcome.replaced, outcome.evicted);
         assert!(outcome.report.schedule.is_partition(links.len()));
@@ -784,15 +699,7 @@ mod tests {
         let prev = vec![Some(0), Some(5), Some(9)];
         let (graph, cache) = harness(&links, config);
         let judge = CacheJudge::new(&links, config, cache.as_ref());
-        let outcome = solve_repair(
-            &links,
-            &|i| graph.neighbors(i).to_vec(),
-            &judge,
-            &config,
-            &prev,
-            &capture_budgets(&judge, &prev),
-            &[],
-        );
+        let (outcome, _, _) = repair(&links, &graph, &judge, &config, &prev, &[]);
         assert_eq!(outcome.report.schedule.len(), 3);
         assert!(outcome.report.schedule.is_partition(3));
     }
@@ -806,15 +713,7 @@ mod tests {
         prev[7] = None;
         let (graph, _) = harness(&links, config);
         let judge = CacheJudge::new(&links, config, None);
-        let outcome = solve_repair(
-            &links,
-            &|i| graph.neighbors(i).to_vec(),
-            &judge,
-            &config,
-            &prev,
-            &capture_budgets(&judge, &prev),
-            &[],
-        );
+        let (outcome, _, _) = repair(&links, &graph, &judge, &config, &prev, &[]);
         assert_eq!(outcome.replaced, 1);
         assert!(outcome.report.schedule.is_partition(links.len()));
         // Proper coloring: no slot holds two conflicting links.
@@ -835,15 +734,7 @@ mod tests {
         let prev = vec![Some(0), Some(0), Some(0), Some(0), None];
         let (graph, cache) = harness(&links, config);
         let judge = CacheJudge::new(&links, config, cache.as_ref());
-        let outcome = solve_repair(
-            &links,
-            &|i| graph.neighbors(i).to_vec(),
-            &judge,
-            &config,
-            &prev,
-            &capture_budgets(&judge, &prev),
-            &[],
-        );
+        let (outcome, _, _) = repair(&links, &graph, &judge, &config, &prev, &[]);
         assert!(outcome.report.schedule.is_partition(links.len()));
         let slot_of_degenerate = outcome
             .report
@@ -855,125 +746,60 @@ mod tests {
         assert_eq!(slot_of_degenerate.len(), 1);
     }
 
-    /// Replays an outcome's deltas onto the previous warm state — the
-    /// in-place patch the session backends perform, kept here as the
-    /// reference implementation the delta contract is tested against.
-    fn replay_deltas(
-        prev_colors: &[Option<usize>],
-        prev_budgets: &[f64],
-        outcome: &RepairOutcome,
-    ) -> (Vec<Option<usize>>, Vec<f64>) {
-        let mut colors = prev_colors.to_vec();
-        let mut budgets = prev_budgets.to_vec();
-        if let Some(remap) = &outcome.slot_remap {
-            for c in colors.iter_mut().flatten() {
-                *c = remap[*c];
-            }
-        }
-        for &(pos, inc) in &outcome.increments {
-            budgets[pos] += inc;
-        }
-        for p in &outcome.placements {
-            colors[p.pos] = Some(p.slot);
-            budgets[p.pos] = p.budget;
-        }
-        (colors, budgets)
-    }
-
     #[test]
-    fn deltas_replay_to_a_from_scratch_capture() {
-        // Same dense-cluster setup as the feasibility test: one dirty link,
-        // neighbours checked. Replaying the emitted deltas onto the previous
-        // warm state must reproduce the repaired assignment and the full
-        // budget vector exactly, for additive and opaque judges alike.
-        let mut links = chain(20, 40.0);
-        links.push(Link::new(20, Point::new(0.3, 0.4), Point::new(1.3, 0.4)));
+    fn warm_state_is_edited_into_the_repaired_schedule() {
+        // The dense cluster with one dirty link and its neighbours checked,
+        // under every power mode, plus a wasteful 0/5/9 coloring that must
+        // compact. The edited colors must be the report's slot map, and
+        // every additive budget must bound the exact in-slot affectance
+        // from above while staying within the admission threshold.
+        let mut cluster = chain(20, 40.0);
+        cluster.push(Link::new(20, Point::new(0.3, 0.4), Point::new(1.3, 0.4)));
+        let mut cases = Vec::new();
         for mode in [
             PowerMode::Uniform,
             PowerMode::mean_oblivious(),
             PowerMode::GlobalControl,
         ] {
             let config = SchedulerConfig::new(mode);
-            let full = solve_static(&links, config);
-            let mut prev = colors_of(&full, links.len());
+            let mut prev = colors_of(&solve_static(&cluster, config), cluster.len());
             prev[20] = None;
+            cases.push((cluster.clone(), config, prev));
+        }
+        let sparse = vec![Some(0), Some(5), Some(9)];
+        cases.push((
+            chain(3, 100.0),
+            SchedulerConfig::new(PowerMode::Uniform),
+            sparse,
+        ));
+        for (links, config, prev) in cases {
+            let case = format!("{} over {} links", config.mode, links.len());
             let (graph, cache) = harness(&links, config);
             let judge = CacheJudge::new(&links, config, cache.as_ref());
-            let prev_budgets = capture_budgets(&judge, &prev);
-            let check: Vec<usize> = graph.neighbors(20).to_vec();
-            let outcome = solve_repair(
-                &links,
-                &|i| graph.neighbors(i).to_vec(),
-                &judge,
-                &config,
-                &prev,
-                &prev_budgets,
-                &check,
-            );
-            assert_eq!(
-                outcome.placements.len(),
-                outcome.replaced,
-                "{mode}: one placement per re-placed link"
-            );
-            let (colors, budgets) = replay_deltas(&prev, &prev_budgets, &outcome);
+            let check: Vec<usize> = (0..links.len())
+                .filter(|&i| prev[i].is_none())
+                .flat_map(|i| graph.neighbors(i).to_vec())
+                .collect();
+            let (outcome, colors, budgets) = repair(&links, &graph, &judge, &config, &prev, &check);
             assert_eq!(
                 colors,
                 colors_of(&outcome.report, links.len()),
-                "{mode}: replayed colors must match the repaired schedule"
+                "{case}: edited colors must be the repaired slot map"
             );
-            assert_eq!(
-                budgets, outcome.budgets,
-                "{mode}: replayed budgets must be bit-identical"
-            );
-            if !judge.additive() {
-                assert!(
-                    outcome.increments.is_empty(),
-                    "{mode}: opaque judges add nothing"
-                );
+            if judge.additive() {
+                let exact = capture_budgets(&judge, &colors);
+                for (i, (&stored, &e)) in budgets.iter().zip(&exact).enumerate() {
+                    assert!(
+                        e <= stored + 1e-9,
+                        "{case}: budget {stored} under exact affectance {e} at {i}"
+                    );
+                    assert!(
+                        stored <= judge.threshold() + 1e-9,
+                        "{case}: budget {stored} past the threshold at {i}"
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn compaction_emits_a_slot_remap() {
-        let links = chain(3, 100.0);
-        let config = SchedulerConfig::new(PowerMode::Uniform);
-        // Previous schedule wastefully used colors 0, 5 and 9 — the result
-        // compacts to three slots, so clean colors shift and the remap says
-        // how.
-        let prev = vec![Some(0), Some(5), Some(9)];
-        let (graph, cache) = harness(&links, config);
-        let judge = CacheJudge::new(&links, config, cache.as_ref());
-        let prev_budgets = capture_budgets(&judge, &prev);
-        let outcome = solve_repair(
-            &links,
-            &|i| graph.neighbors(i).to_vec(),
-            &judge,
-            &config,
-            &prev,
-            &prev_budgets,
-            &[],
-        );
-        let remap = outcome.slot_remap.as_ref().expect("empty slots compacted");
-        assert_eq!(remap[0], 0);
-        assert_eq!(remap[5], 1);
-        assert_eq!(remap[9], 2);
-        assert_eq!(remap[1], usize::MAX, "dropped colors are unmapped");
-        let (colors, _) = replay_deltas(&prev, &prev_budgets, &outcome);
-        assert_eq!(colors, colors_of(&outcome.report, links.len()));
-        // A no-dirt repair of an already-compact schedule emits no remap.
-        let compact: Vec<Option<usize>> = colors;
-        let again = solve_repair(
-            &links,
-            &|i| graph.neighbors(i).to_vec(),
-            &judge,
-            &config,
-            &compact,
-            &capture_budgets(&judge, &compact),
-            &[],
-        );
-        assert!(again.slot_remap.is_none());
-        assert!(again.placements.is_empty());
     }
 
     #[test]

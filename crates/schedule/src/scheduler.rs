@@ -5,7 +5,6 @@ use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use wagg_conflict::{greedy_color, ConflictGraph};
 use wagg_geometry::logmath::{log_log2, log_star};
-use wagg_mst::MstError;
 use wagg_obs::Recorder;
 use wagg_sinr::link::link_diversity;
 use wagg_sinr::{Link, PathLossCache, SinrModel};
@@ -130,16 +129,6 @@ pub fn solve_static_traced(
     schedule_prebuilt_traced(&graph, None, config, rec)
 }
 
-/// Schedules an arbitrary link set under the given configuration.
-#[deprecated(
-    since = "0.2.0",
-    note = "schedule through `wagg_core::session::Session` (explicit `Backend::Static` reproduces \
-            this entry point slot for slot); substrate crates below the facade use `solve_static`"
-)]
-pub fn schedule_links(links: &[Link], config: SchedulerConfig) -> ScheduleReport {
-    solve_static(links, config)
-}
-
 /// Schedules the links of an already-built conflict graph, optionally reusing
 /// an already-built path-loss cache for the slot probes.
 ///
@@ -148,7 +137,7 @@ pub fn schedule_links(links: &[Link], config: SchedulerConfig) -> ScheduleReport
 /// they materialise their patched adjacency into a [`ConflictGraph`] snapshot
 /// and lend their patched per-link path-loss state as `cache`, so rescheduling
 /// performs no geometric work beyond the coloring and the slot probes
-/// themselves. [`schedule_links`] is exactly `schedule_prebuilt(&build(..),
+/// themselves. [`solve_static`] is exactly `schedule_prebuilt(&build(..),
 /// None, config)`.
 ///
 /// When `cache` is `None` and the power mode has a fixed assignment (and the
@@ -335,28 +324,6 @@ pub fn split_class_into_feasible(
     sub_slots
 }
 
-/// Schedules the MST of a pointset, oriented towards `sink`, under the given
-/// configuration — the full pipeline of Theorem 1.
-///
-/// # Errors
-///
-/// Propagates [`MstError`] if the pointset is degenerate (fewer than two points,
-/// duplicates) or the sink index is invalid.
-#[deprecated(
-    since = "0.2.0",
-    note = "build the MST links (`wagg_mst::euclidean_mst` + `try_orient_towards`, or \
-            `wagg_core::AggregationProblem`) and schedule through `wagg_core::session::Session`"
-)]
-pub fn schedule_mst(
-    points: &[wagg_geometry::Point],
-    sink: usize,
-    config: SchedulerConfig,
-) -> Result<ScheduleReport, MstError> {
-    let tree = wagg_mst::euclidean_mst(points)?;
-    let links = tree.try_orient_towards(sink)?;
-    Ok(solve_static(&links, config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,17 +447,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn schedule_mst_end_to_end() {
         let points: Vec<Point> = (0..15)
             .map(|i| Point::new(i as f64, ((i * 3) % 5) as f64))
             .collect();
-        let report = schedule_mst(
-            &points,
-            7,
-            SchedulerConfig::new(PowerMode::mean_oblivious()),
-        )
-        .unwrap();
+        let links = wagg_mst::euclidean_mst(&points)
+            .unwrap()
+            .try_orient_towards(7)
+            .unwrap();
+        let report = solve_static(&links, SchedulerConfig::new(PowerMode::mean_oblivious()));
         assert_eq!(report.num_links, 14);
         assert!(report.schedule.is_partition(14));
         assert!(report.rate() > 0.0);
@@ -534,11 +499,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn schedule_mst_propagates_errors() {
-        assert!(schedule_mst(&[], 0, SchedulerConfig::default()).is_err());
+        // Degenerate pointsets fail at the MST step, before any scheduling.
+        assert!(wagg_mst::euclidean_mst(&[]).is_err());
         let dup = vec![Point::origin(), Point::origin()];
-        assert!(schedule_mst(&dup, 0, SchedulerConfig::default()).is_err());
+        assert!(wagg_mst::euclidean_mst(&dup).is_err());
     }
 
     #[test]

@@ -17,13 +17,14 @@
 //!   routing events through a [`PartitionedEngine`] whose per-shard state is
 //!   maintained incrementally.
 //!
-//! The repair-capable backends keep their warm state **position-indexed**
-//! and patch it in place from the kernel's per-link deltas
-//! ([`wagg_schedule::RepairOutcome`]): a repair-path solve costs O(dirty
-//! neighbourhood), not an O(n) re-capture. Full recolors (cold starts,
-//! watermark breaches) still re-anchor through [`WarmSchedule::capture`],
-//! which stays the correctness oracle — debug builds assert the patched
-//! state equals a from-scratch capture after every repair commit.
+//! The repair-capable backends keep one position-indexed [`WarmState`]
+//! inside a solve-order mirror (`SolveMirror`) that every event splices in
+//! lockstep with the links and their path-loss parts. The repair kernel
+//! ([`wagg_schedule::solve_repair`]) edits that warm state in place, so a
+//! repair-path solve commits with no copy, replay or re-capture. Full
+//! recolors (cold starts, watermark breaches) re-anchor through
+//! `WarmState::capture`, which stays the correctness oracle — debug builds
+//! assert the committed colors equal a capture of the repaired report.
 
 use crate::state::{self, BackendState, EventCounts, KeyedLink, RestoreError, WarmState};
 use crate::{RepairPolicy, SessionError, SessionStats};
@@ -36,10 +37,10 @@ use wagg_partition::{
     VerifierStrategy,
 };
 use wagg_schedule::{
-    solve_static_traced, BackendKind, CacheJudge, RepairDecision, RepairOutcome, RepairStats,
-    ScheduleReport, SchedulerConfig, SolveReport,
+    solve_static_traced, BackendKind, CacheJudge, RepairDecision, RepairStats, SchedulerConfig,
+    SolveReport,
 };
-use wagg_sinr::{Link, LinkId, NodeId, PathLossCache};
+use wagg_sinr::{Link, LinkId, NodeId, PathLossCache, PowerAssignment};
 
 /// One execution strategy behind the [`Session`](crate::Session) facade: a
 /// mutable link universe plus a way to schedule it.
@@ -137,12 +138,12 @@ pub trait SchedulerBackend: std::fmt::Debug {
         let _ = recorder;
     }
 
-    /// Snapshot of the incremental warm repair state, by vertex position in
-    /// the backend's solve order — `None` for backends without warm state,
-    /// or before the first repair-enabled solve. Test-only introspection
-    /// for the warm-state invariant suite; not a public contract.
+    /// The live warm repair state, by vertex position in the backend's
+    /// solve order — `None` for backends without warm state, or before the
+    /// first repair-enabled solve. Test-only introspection for the
+    /// warm-state invariant suite; not a public contract.
     #[doc(hidden)]
-    fn warm_state(&self) -> Option<WarmStateView> {
+    fn warm_state(&self) -> Option<&WarmState> {
         None
     }
 
@@ -156,131 +157,92 @@ pub trait SchedulerBackend: std::fmt::Debug {
     fn capture_state(&self) -> BackendState;
 }
 
-/// Position-indexed snapshot of a backend's warm repair state, exposed
-/// through [`SchedulerBackend::warm_state`] for the warm-state invariant
-/// suite in `tests/repair.rs`.
-#[doc(hidden)]
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmStateView {
-    /// Vertex position → committed slot (`None` marks a link dirtied since
-    /// the last repair-committed schedule).
-    pub colors: Vec<Option<usize>>,
-    /// Vertex position → warm affectance budget.
-    pub budgets: Vec<f64>,
-    /// Schedule length of the last full recolor.
-    pub baseline_slots: usize,
-}
-
-/// Warm-start state a repair-capable backend carries between solves: the
-/// last committed assignment and budgets, **indexed by vertex position** in
-/// the backend's solve order. The backends keep their key↔position mirrors
-/// alive across solves and splice these vectors in lockstep as the universe
-/// churns, so positions stay current without any per-solve rebuild — and
-/// there is no keyed side table to leak stale entries (removal drops the
-/// color and the budget in one splice, structurally).
+/// The solve-order mirror a repair-capable backend keeps beside its own
+/// incremental index: position `i` holds the `i`-th live link in solve order
+/// (id relabeled to `i`), its path-loss parts and, once a repair-enabled
+/// solve anchored it, its warm entry. Every splice moves all of them in
+/// lockstep, so positions stay current without any per-solve rebuild, and a
+/// removal drops a link's color and budget together — no stale warm entry
+/// can outlive its link.
 #[derive(Debug)]
-struct WarmSchedule {
-    /// Position → slot index in the last committed schedule; `None` marks a
-    /// link dirtied since (inserted, relocated, re-seated) — exactly the
-    /// `prev_colors` contract of [`wagg_schedule::solve_repair`].
-    colors: Vec<Option<usize>>,
-    /// Position → upper bound on the link's affectance total inside its
-    /// slot (the additive-repair budget contract of
-    /// [`wagg_schedule::solve_repair`]). Zero-filled when the config has no
-    /// additive kernel (noise, global power control) — the opaque probe
-    /// path never reads them.
-    budgets: Vec<f64>,
-    /// Schedule length of the last full recolor.
-    baseline_slots: usize,
-    /// `(max_owned, mean_owned, ghost_fraction)` from the last full
-    /// sharded solve. The warm repair fast path touches only the dirty
-    /// set and cannot re-derive per-shard occupancy, so it carries the
-    /// last full-solve skew forward instead of zeroing it — the drift
-    /// signals downstream stay real across repairs. `None` for backends
-    /// without sharding accounting (engine warm state).
-    skew: Option<(usize, f64, f64)>,
+struct SolveMirror {
+    /// The live links in solve order, ids relabeled to positions, node
+    /// annotations preserved.
+    links: Vec<Link>,
+    /// Per-link path-loss parts in solve order (`None` where no assignment
+    /// is pinned — see [`pinned_assignment`]).
+    powers: Vec<Option<f64>>,
+    weights: Vec<Option<f64>>,
+    /// The warm repair state (`None` before the first repair-enabled
+    /// solve).
+    warm: Option<WarmState>,
 }
 
-impl WarmSchedule {
-    /// Captures `report`'s assignment from scratch, position `i` carrying
-    /// warm budget `budgets[i]`. This is the re-anchoring path (cold
-    /// starts, watermark breaches) and the correctness oracle the
-    /// incremental patches are checked against in debug builds.
-    fn capture(report: &ScheduleReport, baseline: usize, budgets: Vec<f64>) -> Self {
-        debug_assert_eq!(budgets.len(), report.num_links, "one budget per link");
-        let mut colors = vec![None; report.num_links];
-        for (t, slot) in report.schedule.slots().iter().enumerate() {
-            for &i in slot {
-                colors[i] = Some(t);
-            }
-        }
-        WarmSchedule {
-            colors,
-            budgets,
-            baseline_slots: baseline,
-            skew: None,
-        }
-    }
-
-    /// Patches the warm state in place from a repair's per-link deltas —
-    /// O(replaced) instead of the O(n) re-capture this path used to run.
-    /// The three steps follow the replay contract documented on
-    /// [`RepairOutcome`]: remap surviving colors through the compaction
-    /// (if any), replay the admission budget increments in order, then let
-    /// the placements overwrite — a re-placed link's stale color/budget
-    /// may transiently hold garbage between steps, but its placement
-    /// carries the final values.
-    fn patch(&mut self, outcome: &RepairOutcome) {
-        if let Some(remap) = &outcome.slot_remap {
-            for c in self.colors.iter_mut().flatten() {
-                *c = remap[*c];
-            }
-        }
-        for &(pos, inc) in &outcome.increments {
-            self.budgets[pos] += inc;
-        }
-        for p in &outcome.placements {
-            self.colors[p.pos] = Some(p.slot);
-            self.budgets[p.pos] = p.budget;
-        }
-        // `capture` stays the correctness oracle: in debug builds (i.e.
-        // every test solve) the patched state must equal a from-scratch
-        // capture of the same outcome, bit for bit.
-        if cfg!(debug_assertions) {
-            let oracle = WarmSchedule::capture(
-                &outcome.report,
-                self.baseline_slots,
-                outcome.budgets.clone(),
-            );
-            assert_eq!(
-                self.colors, oracle.colors,
-                "patched colors diverge from capture"
-            );
-            assert_eq!(
-                self.budgets, oracle.budgets,
-                "patched budgets diverge from capture"
-            );
+impl SolveMirror {
+    /// A mirror over `links` in solve order, each priced independently
+    /// under `config` (see [`link_parts`]), with no warm state yet.
+    fn priced(config: &SchedulerConfig, links: impl IntoIterator<Item = Link>) -> Self {
+        let links: Vec<Link> = links
+            .into_iter()
+            .enumerate()
+            .map(|(pos, mut link)| {
+                link.id = LinkId(pos);
+                link
+            })
+            .collect();
+        let (powers, weights) = links.iter().map(|l| link_parts(config, l)).unzip();
+        SolveMirror {
+            links,
+            powers,
+            weights,
+            warm: None,
         }
     }
 
-    /// Splices a fresh (dirty, unscheduled) entry in at `pos`.
-    fn insert_at(&mut self, pos: usize) {
-        self.colors.insert(pos, None);
-        self.budgets.insert(pos, 0.0);
+    fn len(&self) -> usize {
+        self.links.len()
     }
 
-    /// Drops the entry at `pos`. The budget goes with the color: under
-    /// incremental capture a leaked budget entry would outlive its link
-    /// forever (the old per-solve rebuild scrubbed the leak by accident).
-    fn remove_at(&mut self, pos: usize) {
-        self.colors.remove(pos);
-        self.budgets.remove(pos);
+    /// Splices `link` in at `pos` as a dirty warm entry (positions at and
+    /// after it shift up by one).
+    fn insert(&mut self, pos: usize, link: Link, (power, weight): (Option<f64>, Option<f64>)) {
+        self.links.insert(pos, link);
+        self.powers.insert(pos, power);
+        self.weights.insert(pos, weight);
+        if let Some(warm) = &mut self.warm {
+            warm.insert_at(pos);
+        }
+        self.relabel(pos);
     }
 
-    /// Marks the entry at `pos` dirty (geometry changed in place).
-    fn mark_dirty(&mut self, pos: usize) {
-        self.colors[pos] = None;
-        self.budgets[pos] = 0.0;
+    /// Drops position `pos` (positions after it shift down by one).
+    fn remove(&mut self, pos: usize) {
+        self.links.remove(pos);
+        self.powers.remove(pos);
+        self.weights.remove(pos);
+        if let Some(warm) = &mut self.warm {
+            warm.remove_at(pos);
+        }
+        self.relabel(pos);
+    }
+
+    /// Re-seats position `pos` as `link` with fresh path-loss parts and
+    /// dirties its warm entry.
+    fn reseat(&mut self, pos: usize, mut link: Link, (power, weight): (Option<f64>, Option<f64>)) {
+        link.id = LinkId(pos);
+        self.links[pos] = link;
+        self.powers[pos] = power;
+        self.weights[pos] = weight;
+        if let Some(warm) = &mut self.warm {
+            warm.mark_dirty(pos);
+        }
+    }
+
+    /// Re-derives the relabeled ids from `from` onward after a splice.
+    fn relabel(&mut self, from: usize) {
+        for (pos, link) in self.links.iter_mut().enumerate().skip(from) {
+            link.id = LinkId(pos);
+        }
     }
 }
 
@@ -305,18 +267,23 @@ fn recolor_budgets(
     budgets
 }
 
+/// The power assignment `config`'s mode pins under a noise-free model —
+/// when the additive judges (and the path-loss parts they read) apply.
+/// `None` otherwise: the opaque judge path never reads the parts.
+fn pinned_assignment(config: &SchedulerConfig) -> Option<PowerAssignment> {
+    (config.model.noise() == 0.0)
+        .then(|| config.mode.assignment())
+        .flatten()
+}
+
 /// The `(power, weight)` entry [`PathLossCache::new`] would compute for
 /// `link` under `config`'s pinned assignment. The cache computes entries
 /// per link independently, so one event can refresh one mirror entry
 /// without touching the rest — the same single-link trick the
-/// interference engine's event maintenance uses. `(None, None)` when the
-/// mode pins no assignment or the model has noise: the opaque judge path
-/// never reads the parts.
+/// interference engine's event maintenance uses. `(None, None)` when no
+/// assignment is pinned.
 fn link_parts(config: &SchedulerConfig, link: &Link) -> (Option<f64>, Option<f64>) {
-    match (config.model.noise() == 0.0)
-        .then(|| config.mode.assignment())
-        .flatten()
-    {
+    match pinned_assignment(config) {
         Some(assignment) => {
             let (p, w) = PathLossCache::new(&config.model, std::slice::from_ref(link), &assignment)
                 .into_parts();
@@ -380,36 +347,35 @@ fn re_seat(old: &Link, sender: Point, receiver: Point) -> Link {
     moved
 }
 
-/// Updates the endpoints of every link in `links` annotated with `node`,
-/// returning the touched count — the map-backed backends' shared
-/// `move_node`.
-fn move_node_in_map(links: &mut BTreeMap<u64, Link>, node: usize, to: Point) -> Vec<u64> {
-    let node = NodeId(node);
-    let touched: Vec<u64> = links
-        .iter()
-        .filter(|(_, l)| l.sender_node == Some(node) || l.receiver_node == Some(node))
-        .map(|(&k, _)| k)
-        .collect();
-    for &key in &touched {
-        let old = links[&key];
-        let sender = if old.sender_node == Some(node) {
-            to
-        } else {
-            old.sender
-        };
-        let receiver = if old.receiver_node == Some(node) {
-            to
-        } else {
-            old.receiver
-        };
-        links.insert(key, re_seat(&old, sender, receiver));
+/// `link` re-seated with every endpoint annotated with `node` moved to
+/// `to`; `None` when neither endpoint is (a half-annotated link follows its
+/// one annotated endpoint).
+fn follow_node(link: &Link, node: usize, to: Point) -> Option<Link> {
+    let node = Some(NodeId(node));
+    let (at_sender, at_receiver) = (link.sender_node == node, link.receiver_node == node);
+    (at_sender || at_receiver).then(|| {
+        let sender = if at_sender { to } else { link.sender };
+        let receiver = if at_receiver { to } else { link.receiver };
+        re_seat(link, sender, receiver)
+    })
+}
+
+/// Moves `node` in a key-ordered link map, returning the touched count —
+/// the map-backed backends' shared `move_node`.
+fn move_node_in_map(links: &mut BTreeMap<u64, Link>, node: usize, to: Point) -> usize {
+    let mut touched = 0;
+    for link in links.values_mut() {
+        if let Some(moved) = follow_node(link, node, to) {
+            *link = moved;
+            touched += 1;
+        }
     }
     touched
 }
 
 /// The from-scratch strategy: a key-ordered link map, scheduled by the
-/// static kernel per solve. Matches the legacy `schedule_links` entry point
-/// slot for slot (the differential suite pins this).
+/// static kernel per solve. Matches `wagg_schedule::solve_static` slot for
+/// slot (the differential suite pins this).
 #[derive(Debug)]
 pub struct StaticBackend {
     scheduler: SchedulerConfig,
@@ -513,7 +479,7 @@ impl SchedulerBackend for StaticBackend {
     }
 
     fn move_node(&mut self, node: usize, to: Point) -> usize {
-        let touched = move_node_in_map(&mut self.links, node, to).len();
+        let touched = move_node_in_map(&mut self.links, node, to);
         self.moves += 1;
         touched
     }
@@ -549,120 +515,91 @@ impl SchedulerBackend for StaticBackend {
     }
 }
 
-/// The engine backend's persistent repair state: the solve-order mirrors
-/// that used to be rebuilt per solve — live-slot order, its inverse, the
-/// relabeled links and their path-loss parts — plus the warm schedule, all
-/// spliced per event instead. Built lazily by the first repair-enabled
-/// solve; stays `None` forever on repair-disabled sessions, so the event
-/// path pays nothing there.
+/// The engine backend's repair state: its slot↔position index over the
+/// engine's live slots plus the shared solve-order mirror, both spliced per
+/// event. Built lazily by the first repair-enabled solve; stays `None`
+/// forever on repair-disabled sessions, so the event path pays nothing
+/// there.
 #[derive(Debug)]
-struct EngineWarm {
+struct EngineMirror {
     /// Vertex position → engine slot, ascending (the engine's solve order).
     live: Vec<usize>,
     /// Engine slot → vertex position (`usize::MAX` for dead slots).
     pos_of: Vec<usize>,
-    /// The live links in solve order, ids relabeled to positions — what
-    /// `InterferenceEngine::links` would collect.
-    links: Vec<Link>,
-    /// The engine's maintained per-link path-loss parts in solve order —
-    /// what `InterferenceEngine::cache_parts` would collect.
-    powers: Vec<Option<f64>>,
-    weights: Vec<Option<f64>>,
-    sched: WarmSchedule,
+    /// What `InterferenceEngine::links` and `cache_parts` would collect,
+    /// plus the warm state.
+    mirror: SolveMirror,
 }
 
-impl EngineWarm {
-    /// Collects the mirrors from the engine's current state — the one O(n)
-    /// collection left on the repair path, run only when a full recolor
-    /// re-anchors a cold session. The placeholder warm schedule is
-    /// replaced by the caller's `capture`.
+impl EngineMirror {
+    /// Collects the index and the mirror from the engine's current state —
+    /// the one O(n) collection left on the repair path, run only when a
+    /// full recolor re-anchors a cold session. The caller attaches the
+    /// warm state.
     fn build(engine: &InterferenceEngine) -> Self {
         let live = engine.live_slots();
-        let links = engine.links();
-        let (powers, weights) = engine.cache_parts();
         let mut pos_of = vec![usize::MAX; engine.capacity()];
         for (pos, &slot) in live.iter().enumerate() {
             pos_of[slot] = pos;
         }
-        EngineWarm {
+        let (powers, weights) = engine.cache_parts();
+        EngineMirror {
             live,
             pos_of,
-            links,
-            powers,
-            weights,
-            sched: WarmSchedule {
-                colors: Vec::new(),
-                budgets: Vec::new(),
-                baseline_slots: 0,
-                skew: None,
+            mirror: SolveMirror {
+                links: engine.links(),
+                powers,
+                weights,
+                warm: None,
             },
         }
     }
 
-    /// Splices a freshly inserted engine slot into the mirrors (positions
-    /// at and after it shift up by one).
+    /// Splices a freshly inserted engine slot in.
     fn insert_slot(&mut self, engine: &InterferenceEngine, slot: usize) {
         let pos = self.live.partition_point(|&s| s < slot);
-        let link = *engine.link(slot).expect("slot was just inserted");
-        let (p, w) = engine.cache_entry(slot);
         self.live.insert(pos, slot);
-        self.links.insert(pos, link);
-        self.powers.insert(pos, p);
-        self.weights.insert(pos, w);
-        self.sched.insert_at(pos);
         if self.pos_of.len() < engine.capacity() {
             self.pos_of.resize(engine.capacity(), usize::MAX);
         }
-        self.refit(pos);
+        self.reindex(pos);
+        let link = *engine.link(slot).expect("slot was just inserted");
+        self.mirror.insert(pos, link, engine.cache_entry(slot));
     }
 
-    /// Drops a removed engine slot from the mirrors (positions after it
-    /// shift down by one). The warm budget entry leaves with the color
-    /// entry — see [`WarmSchedule::remove_at`].
+    /// Drops a removed engine slot.
     fn remove_slot(&mut self, slot: usize) {
-        let pos = self.pos_of[slot];
+        let pos = std::mem::replace(&mut self.pos_of[slot], usize::MAX);
         debug_assert_ne!(pos, usize::MAX, "removing a dead slot");
         self.live.remove(pos);
-        self.links.remove(pos);
-        self.powers.remove(pos);
-        self.weights.remove(pos);
-        self.sched.remove_at(pos);
-        self.pos_of[slot] = usize::MAX;
-        self.refit(pos);
+        self.reindex(pos);
+        self.mirror.remove(pos);
     }
 
-    /// Re-derives positions and relabeled ids from `from` onward after a
-    /// splice — a plain index fix-up pass over the shifted tail.
-    fn refit(&mut self, from: usize) {
-        for pos in from..self.live.len() {
-            self.pos_of[self.live[pos]] = pos;
-            self.links[pos].id = LinkId(pos);
+    /// Refreshes a re-seated slot (the engine re-seats moved links in their
+    /// own slots, so the position is unchanged).
+    fn reseat_slot(&mut self, engine: &InterferenceEngine, slot: usize) {
+        let link = *engine.link(slot).expect("re-seated slot is live");
+        self.mirror
+            .reseat(self.pos_of[slot], link, engine.cache_entry(slot));
+    }
+
+    /// Re-derives `pos_of` from `from` onward after a splice.
+    fn reindex(&mut self, from: usize) {
+        for (pos, &slot) in self.live.iter().enumerate().skip(from) {
+            self.pos_of[slot] = pos;
         }
     }
 
-    /// Refreshes a re-seated slot's mirrored geometry and path-loss parts
-    /// and dirties its warm entry (the engine re-seats moved links in
-    /// their own slots, so the position is unchanged).
-    fn reseat_slot(&mut self, engine: &InterferenceEngine, slot: usize) {
-        let pos = self.pos_of[slot];
-        let mut link = *engine.link(slot).expect("re-seated slot is live");
-        link.id = LinkId(pos);
-        self.links[pos] = link;
-        let (p, w) = engine.cache_entry(slot);
-        self.powers[pos] = p;
-        self.weights[pos] = w;
-        self.sched.mark_dirty(pos);
-    }
-
-    /// Debug-only: the event-spliced mirrors must equal what a from-scratch
+    /// Debug-only: the event-spliced mirror must equal what a from-scratch
     /// collection from the engine would produce.
     fn assert_matches_engine(&self, engine: &InterferenceEngine) {
         if cfg!(debug_assertions) {
             assert_eq!(self.live, engine.live_slots(), "live mirror diverged");
-            assert_eq!(self.links, engine.links(), "link mirror diverged");
+            assert_eq!(self.mirror.links, engine.links(), "link mirror diverged");
             let (powers, weights) = engine.cache_parts();
-            assert_eq!(self.powers, powers, "power mirror diverged");
-            assert_eq!(self.weights, weights, "weight mirror diverged");
+            assert_eq!(self.mirror.powers, powers, "power mirror diverged");
+            assert_eq!(self.mirror.weights, weights, "weight mirror diverged");
         }
     }
 }
@@ -683,7 +620,7 @@ pub struct EngineBackend {
     /// Keys dirtied (inserted / relocated / re-seated) since the last
     /// repair-committed schedule.
     dirty: BTreeSet<u64>,
-    warm: Option<EngineWarm>,
+    mirror: Option<EngineMirror>,
 }
 
 impl EngineBackend {
@@ -695,7 +632,7 @@ impl EngineBackend {
             key_of: HashMap::new(),
             next_key: 0,
             dirty: BTreeSet::new(),
-            warm: None,
+            mirror: None,
         }
     }
 
@@ -708,7 +645,7 @@ impl EngineBackend {
             next_key: links.len() as u64,
             engine,
             dirty: BTreeSet::new(),
-            warm: None,
+            mirror: None,
         }
     }
 
@@ -738,25 +675,20 @@ impl EngineBackend {
             state::check_warm(links, w)?;
         }
         let bare: Vec<Link> = links.iter().map(|k| k.link).collect();
-        let mut backend = EngineBackend {
-            engine: InterferenceEngine::with_links(config, &bare),
+        let engine = InterferenceEngine::with_links(config, &bare);
+        let mirror = warm.map(|w| {
+            let mut em = EngineMirror::build(&engine);
+            em.mirror.warm = Some(w.clone());
+            em
+        });
+        Ok(EngineBackend {
+            engine,
             slot_of: links.iter().enumerate().map(|(i, k)| (k.key, i)).collect(),
             key_of: links.iter().enumerate().map(|(i, k)| (i, k.key)).collect(),
             next_key,
             dirty: dirty.iter().copied().collect(),
-            warm: None,
-        };
-        if let Some(w) = warm {
-            let mut ew = EngineWarm::build(&backend.engine);
-            ew.sched = WarmSchedule {
-                colors: w.colors.clone(),
-                budgets: w.budgets.clone(),
-                baseline_slots: w.baseline_slots,
-                skew: w.skew,
-            };
-            backend.warm = Some(ew);
-        }
-        Ok(backend)
+            mirror,
+        })
     }
 
     /// Recolors from scratch, re-anchors the warm baseline and wraps the
@@ -773,30 +705,28 @@ impl EngineBackend {
         let report = self.engine.schedule();
         let slots = report.schedule.len();
         let config = self.engine.config().scheduler;
-        // Re-anchor: the mirrors are collected once here (events splice
-        // them current afterwards) and the warm schedule is re-captured
-        // from the recolored report — `capture` stays the correctness
-        // oracle the incremental patches are checked against.
-        if self.warm.is_none() {
-            self.warm = Some(EngineWarm::build(&self.engine));
-        }
-        let warm = self.warm.as_mut().expect("anchored above");
-        warm.assert_matches_engine(&self.engine);
+        // Re-anchor: the mirror is collected once here (events splice it
+        // current afterwards) and the warm state is re-captured from the
+        // recolored report, overwriting whatever a breaching repair left.
+        let em = self
+            .mirror
+            .get_or_insert_with(|| EngineMirror::build(&self.engine));
+        em.assert_matches_engine(&self.engine);
+        let mirror = &mut em.mirror;
         let budgets = if config.verify_slots
-            && config.model.noise() == 0.0
-            && config.mode.assignment().as_ref() == Some(&self.engine.config().power)
+            && pinned_assignment(&config).as_ref() == Some(&self.engine.config().power)
         {
             recolor_budgets(
                 &config,
-                &warm.links,
-                &warm.powers,
-                &warm.weights,
+                &mirror.links,
+                &mirror.powers,
+                &mirror.weights,
                 &report.schedule,
             )
         } else {
             vec![0.0; report.num_links]
         };
-        warm.sched = WarmSchedule::capture(&report, slots, budgets);
+        mirror.warm = Some(WarmState::capture(&report, budgets, None));
         self.dirty.clear();
         self.engine.recorder().add("repair.warm_recaptured", 1);
         let replaced = report.num_links;
@@ -842,8 +772,8 @@ impl SchedulerBackend for EngineBackend {
         self.slot_of.insert(key, slot);
         self.key_of.insert(slot, key);
         self.dirty.insert(key);
-        if let Some(warm) = &mut self.warm {
-            warm.insert_slot(&self.engine, slot);
+        if let Some(em) = &mut self.mirror {
+            em.insert_slot(&self.engine, slot);
         }
         key
     }
@@ -858,8 +788,8 @@ impl SchedulerBackend for EngineBackend {
         // Departures are monotone-safe: the survivors of the vacated slot
         // stay feasible, so nothing else needs dirtying.
         self.dirty.remove(&key);
-        if let Some(warm) = &mut self.warm {
-            warm.remove_slot(slot);
+        if let Some(em) = &mut self.mirror {
+            em.remove_slot(slot);
         }
         Ok(())
     }
@@ -878,16 +808,16 @@ impl SchedulerBackend for EngineBackend {
         self.slot_of.insert(key, slot);
         self.key_of.insert(slot, key);
         self.dirty.insert(key);
-        if let Some(warm) = &mut self.warm {
+        if let Some(em) = &mut self.mirror {
             // The engine's free list is LIFO, so the remove/insert pair
             // lands back in the same slot and the mirror update degenerates
             // to an in-place refresh; the guard keeps the mirror honest
             // should that engine detail ever change.
             if slot == old_slot {
-                warm.reseat_slot(&self.engine, slot);
+                em.reseat_slot(&self.engine, slot);
             } else {
-                warm.remove_slot(old_slot);
-                warm.insert_slot(&self.engine, slot);
+                em.remove_slot(old_slot);
+                em.insert_slot(&self.engine, slot);
             }
         }
         Ok(())
@@ -901,9 +831,9 @@ impl SchedulerBackend for EngineBackend {
             self.dirty.insert(self.key_of[&slot]);
         }
         let count = self.engine.move_node(node, to);
-        if let Some(warm) = &mut self.warm {
+        if let Some(em) = &mut self.mirror {
             for &slot in &touched {
-                warm.reseat_slot(&self.engine, slot);
+                em.reseat_slot(&self.engine, slot);
             }
         }
         count
@@ -915,55 +845,64 @@ impl SchedulerBackend for EngineBackend {
 
     fn solve_repair(&mut self, policy: &RepairPolicy) -> Option<SolveReport> {
         let dirty_links = self.dirty.len();
-        if self.warm.is_none() {
+        let Some(em) = &mut self.mirror else {
             return Some(self.full_recolor(RepairDecision::ColdStart, policy, dirty_links, 0.0));
-        }
-        let config = self.engine.config().scheduler;
-        let (outcome, baseline) = {
-            let warm = self.warm.as_ref().expect("anchored above");
-            warm.assert_matches_engine(&self.engine);
-            let baseline = warm.sched.baseline_slots;
-            // Slots of the dirty links' conflict neighbours get one re-verify
-            // sweep (their affectance budget is what the events perturbed).
-            let mut check: Vec<usize> = self
-                .dirty
-                .iter()
-                .filter_map(|key| self.slot_of.get(key))
-                .flat_map(|&slot| self.engine.neighbors(slot))
-                .map(|w| warm.pos_of[w])
-                .collect();
-            check.sort_unstable();
-            check.dedup();
-            let lend_cache = config.model.noise() == 0.0
-                && config.mode.assignment().as_ref() == Some(&self.engine.config().power);
-            let cache = lend_cache.then(|| {
-                PathLossCache::from_borrowed_parts(
-                    &config.model,
-                    &warm.links,
-                    &warm.powers,
-                    &warm.weights,
-                )
-            });
-            let judge = CacheJudge::new(&warm.links, config, cache.as_ref());
-            let neighbors = |i: usize| -> Vec<usize> {
-                self.engine
-                    .neighbors(warm.live[i])
-                    .into_iter()
-                    .map(|w| warm.pos_of[w])
-                    .collect()
-            };
-            let outcome = wagg_schedule::solve_repair_traced(
-                &warm.links,
-                &neighbors,
-                &judge,
-                &config,
-                &warm.sched.colors,
-                &warm.sched.budgets,
-                &check,
-                self.engine.recorder(),
-            );
-            (outcome, baseline)
         };
+        em.assert_matches_engine(&self.engine);
+        let config = self.engine.config().scheduler;
+        let EngineMirror {
+            live,
+            pos_of,
+            mirror,
+        } = em;
+        let warm = mirror
+            .warm
+            .as_mut()
+            .expect("the full recolor that builds the mirror anchors it");
+        let baseline = warm.baseline_slots;
+        // Slots of the dirty links' conflict neighbours get one re-verify
+        // sweep (their affectance budget is what the events perturbed).
+        let mut check: Vec<usize> = self
+            .dirty
+            .iter()
+            .filter_map(|key| self.slot_of.get(key))
+            .flat_map(|&slot| self.engine.neighbors(slot))
+            .map(|w| pos_of[w])
+            .collect();
+        check.sort_unstable();
+        check.dedup();
+        let lend_cache = pinned_assignment(&config).as_ref() == Some(&self.engine.config().power);
+        let cache = lend_cache.then(|| {
+            PathLossCache::from_borrowed_parts(
+                &config.model,
+                &mirror.links,
+                &mirror.powers,
+                &mirror.weights,
+            )
+        });
+        let judge = CacheJudge::new(&mirror.links, config, cache.as_ref());
+        let neighbors = |i: usize| -> Vec<usize> {
+            self.engine
+                .neighbors(live[i])
+                .into_iter()
+                .map(|w| pos_of[w])
+                .collect()
+        };
+        let outcome = wagg_schedule::solve_repair(
+            &mirror.links,
+            &neighbors,
+            &judge,
+            &config,
+            &mut warm.colors,
+            &mut warm.budgets,
+            &check,
+            self.engine.recorder(),
+        );
+        debug_assert_eq!(
+            warm.colors,
+            state::slot_map(&outcome.report),
+            "repaired warm colors diverge from capture"
+        );
         let drift = drift_vs(outcome.report.schedule.len(), baseline);
         if drift > policy.max_drift {
             return Some(self.full_recolor(
@@ -973,13 +912,6 @@ impl SchedulerBackend for EngineBackend {
                 drift,
             ));
         }
-        // Commit by O(replaced) in-place patch — the O(n) post-solve
-        // `capture` this path used to run is gone.
-        self.warm
-            .as_mut()
-            .expect("anchored above")
-            .sched
-            .patch(&outcome);
         self.dirty.clear();
         self.engine.recorder().add("repair.warm_patched", 1);
         Some(
@@ -998,12 +930,8 @@ impl SchedulerBackend for EngineBackend {
         self.engine.set_recorder(recorder);
     }
 
-    fn warm_state(&self) -> Option<WarmStateView> {
-        self.warm.as_ref().map(|w| WarmStateView {
-            colors: w.sched.colors.clone(),
-            budgets: w.sched.budgets.clone(),
-            baseline_slots: w.sched.baseline_slots,
-        })
+    fn warm_state(&self) -> Option<&WarmState> {
+        self.mirror.as_ref()?.mirror.warm.as_ref()
     }
 
     fn stats(&self) -> SessionStats {
@@ -1036,12 +964,7 @@ impl SchedulerBackend for EngineBackend {
                 .collect(),
             next_key: self.next_key,
             dirty: self.dirty.iter().copied().collect(),
-            warm: self.warm.as_ref().map(|w| WarmState {
-                colors: w.sched.colors.clone(),
-                budgets: w.sched.budgets.clone(),
-                baseline_slots: w.sched.baseline_slots,
-                skew: w.sched.skew,
-            }),
+            warm: self.warm_state().cloned(),
             counts: EventCounts {
                 inserts: s.inserts,
                 removals: s.removals,
@@ -1057,15 +980,11 @@ enum ShardedInner {
     /// No partition hints: keep the links in a map and re-tile per solve.
     Rebuild { links: BTreeMap<u64, Link> },
     /// Partition hints declared: per-shard engines maintained incrementally.
-    /// The session-side mirrors are position-indexed vectors maintained per
-    /// event — session keys and engine keys are both minted monotonically,
-    /// so ascending-key order is ascending-position order for both, the
+    /// Session keys and engine keys are both minted monotonically, so
+    /// ascending-key order is ascending-position order for both: the key
     /// vectors stay sorted with append-only inserts, and position `i` holds
-    /// `skeys[i]` / `ekeys[i]` / `links[i]` — exactly the universe
-    /// `PartitionedEngine::schedule` indexes. This is the **one** key
-    /// collection the repair path has: built at event time, reused by the
-    /// solve and the warm-state commit (the old per-solve rebuild collected
-    /// the keys once before the solve and then a second time after it).
+    /// `skeys[i]` / `ekeys[i]` / `mirror.links[i]` — exactly the universe
+    /// `PartitionedEngine::schedule` indexes.
     Engine {
         engine: Box<PartitionedEngine>,
         /// Position → session key (sorted; binary-searchable).
@@ -1075,20 +994,16 @@ enum ShardedInner {
         /// index; a position-valued hash map would need an O(n) re-index
         /// every time a removal shifts the tail).
         ekeys: Vec<u64>,
-        /// The live links in solve order, ids relabeled to positions, node
-        /// annotations preserved (the engine itself does not track them).
-        links: Vec<Link>,
-        /// Per-link path-loss parts under the scheduler's pinned assignment
-        /// (`None`-filled when the mode pins none or the model has noise —
-        /// the opaque judge path never reads them).
-        powers: Vec<Option<f64>>,
-        weights: Vec<Option<f64>>,
+        /// The links (the engine itself does not track node annotations),
+        /// their parts under the scheduler's pinned assignment, and the
+        /// warm state.
+        mirror: SolveMirror,
     },
 }
 
 /// The sharded strategy: conflict-radius tiling, independent per-shard
-/// colorings, boundary stitching and certified verification. Matches the
-/// legacy `schedule_sharded_with` entry point (rebuild mode) and
+/// colorings, boundary stitching and certified verification. Matches
+/// `wagg_partition::solve_sharded` (rebuild mode) and
 /// `PartitionedEngine::schedule` (hinted mode) slot for slot.
 #[derive(Debug)]
 pub struct ShardedBackend {
@@ -1103,7 +1018,6 @@ pub struct ShardedBackend {
     /// Keys dirtied since the last repair-committed schedule (hinted engine
     /// mode only — rebuild mode has no incremental state to repair).
     dirty: BTreeSet<u64>,
-    warm: Option<WarmSchedule>,
     recorder: Recorder,
 }
 
@@ -1127,7 +1041,6 @@ impl ShardedBackend {
             removals: 0,
             moves: 0,
             dirty: BTreeSet::new(),
-            warm: None,
             recorder: Recorder::disabled(),
         }
     }
@@ -1137,33 +1050,23 @@ impl ShardedBackend {
     /// bounds come from the session's partition hints).
     pub fn with_partitioned_engine(config: PartitionedEngineConfig) -> Self {
         ShardedBackend {
-            scheduler: config.scheduler,
-            strategy: config.verifier,
-            target_shards: config.target_shards,
             inner: ShardedInner::Engine {
                 engine: Box::new(PartitionedEngine::new(config)),
                 skeys: Vec::new(),
                 ekeys: Vec::new(),
-                links: Vec::new(),
-                powers: Vec::new(),
-                weights: Vec::new(),
+                mirror: SolveMirror::priced(&config.scheduler, []),
             },
-            next_key: 0,
-            inserts: 0,
-            removals: 0,
-            moves: 0,
-            dirty: BTreeSet::new(),
-            warm: None,
-            recorder: Recorder::disabled(),
+            ..ShardedBackend::new(config.scheduler, config.verifier, config.target_shards)
         }
     }
 
-    /// Seeds the universe with `links` (keys `0..n` in input order).
+    /// Seeds the universe with `links` (keys `0..n` in input order, node
+    /// annotations kept exactly as given).
     ///
     /// On a fresh hinted (engine-mode) backend this routes through
     /// [`PartitionedEngine::with_links`] — one grid-accelerated build per
     /// shard instead of `n` incremental conflict-row recomputations —
-    /// producing the exact state (keys, mirrors, dirty set) the per-event
+    /// producing the exact state (keys, mirror, dirty set) the per-event
     /// path would have built. Million-link sessions construct in seconds
     /// where sequential insertion costs minutes.
     ///
@@ -1172,58 +1075,59 @@ impl ShardedBackend {
     /// In hinted (engine) mode, panics when a link's length falls outside
     /// the declared bounds — the tiling's halo margin is sized from them.
     pub fn seeded(mut self, links: &[Link]) -> Self {
-        if self.next_key == 0 && !links.is_empty() {
-            if let ShardedInner::Engine {
-                engine,
-                skeys,
-                ekeys,
-                links: mirror,
-                powers,
-                weights,
-            } = &mut self.inner
-            {
-                let config = *engine.config();
-                **engine = PartitionedEngine::with_links(config, links);
-                *skeys = (0..links.len() as u64).collect();
-                *ekeys = (0..links.len() as u64).collect();
-                // The sequential path drops partial node annotations (a
-                // link follows move-node events only when both endpoints
-                // are annotated); the bulk mirror must normalise the same
-                // way.
-                *mirror = links
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, l)| {
-                        let mut staged = make_link(
-                            l.sender,
-                            l.receiver,
-                            match (l.sender_node, l.receiver_node) {
-                                (Some(s), Some(r)) => Some((s, r)),
-                                _ => None,
-                            },
-                        );
-                        staged.id = LinkId(pos);
-                        staged
-                    })
-                    .collect();
-                (*powers, *weights) = mirror
-                    .iter()
-                    .map(|l| link_parts(&self.scheduler, l))
-                    .unzip();
-                self.dirty = (0..links.len() as u64).collect();
-                self.next_key = links.len() as u64;
+        if let ShardedInner::Engine {
+            engine,
+            skeys,
+            ekeys,
+            mirror,
+        } = &mut self.inner
+        {
+            if self.next_key == 0 && !links.is_empty() {
+                let n = links.len() as u64;
+                *mirror = SolveMirror::priced(&self.scheduler, links.iter().copied());
+                **engine = PartitionedEngine::with_links(*engine.config(), &mirror.links);
+                *skeys = (0..n).collect();
+                *ekeys = (0..n).collect();
+                self.dirty = (0..n).collect();
+                self.next_key = n;
                 self.inserts = links.len();
                 return self;
             }
         }
-        for link in links {
-            let nodes = match (link.sender_node, link.receiver_node) {
-                (Some(s), Some(r)) => Some((s, r)),
-                _ => None,
-            };
-            self.insert(link.sender, link.receiver, nodes);
+        for &link in links {
+            self.insert_link(link);
         }
         self
+    }
+
+    /// Inserts `link` as given — node annotations included, partial ones
+    /// too — returning its key.
+    fn insert_link(&mut self, link: Link) -> u64 {
+        let key = self.next_key;
+        self.next_key += 1;
+        match &mut self.inner {
+            ShardedInner::Rebuild { links } => {
+                links.insert(key, link);
+            }
+            ShardedInner::Engine {
+                engine,
+                skeys,
+                ekeys,
+                mirror,
+            } => {
+                let ekey = engine.insert_link(link.sender, link.receiver);
+                // Monotone mints on both sides: appending keeps the vectors
+                // sorted and the new link's position is the tail.
+                debug_assert!(skeys.last().is_none_or(|&k| k < key));
+                debug_assert!(ekeys.last().is_none_or(|&k| k < ekey));
+                skeys.push(key);
+                ekeys.push(ekey);
+                mirror.insert(mirror.len(), link, link_parts(&self.scheduler, &link));
+                self.dirty.insert(key);
+            }
+        }
+        self.inserts += 1;
+        key
     }
 
     /// Rebuilds a re-tiling (hint-less) backend from captured state (see
@@ -1239,9 +1143,6 @@ impl ShardedBackend {
         state::check_ascending(links)?;
         state::check_next_key(links, next_key)?;
         Ok(ShardedBackend {
-            scheduler,
-            strategy,
-            target_shards,
             inner: ShardedInner::Rebuild {
                 links: links.iter().map(|k| (k.key, k.link)).collect(),
             },
@@ -1249,9 +1150,7 @@ impl ShardedBackend {
             inserts: counts.inserts,
             removals: counts.removals,
             moves: counts.moves,
-            dirty: BTreeSet::new(),
-            warm: None,
-            recorder: Recorder::disabled(),
+            ..ShardedBackend::new(scheduler, strategy, target_shards)
         })
     }
 
@@ -1286,44 +1185,21 @@ impl ShardedBackend {
                 return Err(RestoreError::LengthOutOfBounds { key: k.key, length });
             }
         }
-        let mirror: Vec<Link> = links
-            .iter()
-            .enumerate()
-            .map(|(pos, k)| {
-                let mut l = k.link;
-                l.id = LinkId(pos);
-                l
-            })
-            .collect();
-        let engine = PartitionedEngine::with_links(config, &mirror);
-        let (powers, weights) = mirror
-            .iter()
-            .map(|l| link_parts(&config.scheduler, l))
-            .unzip();
+        let mut mirror = SolveMirror::priced(&config.scheduler, links.iter().map(|k| k.link));
+        mirror.warm = warm.cloned();
         Ok(ShardedBackend {
-            scheduler: config.scheduler,
-            strategy: config.verifier,
-            target_shards: config.target_shards,
             inner: ShardedInner::Engine {
-                engine: Box::new(engine),
+                engine: Box::new(PartitionedEngine::with_links(config, &mirror.links)),
                 skeys: links.iter().map(|k| k.key).collect(),
                 ekeys: (0..links.len() as u64).collect(),
-                links: mirror,
-                powers,
-                weights,
+                mirror,
             },
             next_key,
             inserts: counts.inserts,
             removals: counts.removals,
             moves: counts.moves,
             dirty: dirty.iter().copied().collect(),
-            warm: warm.map(|w| WarmSchedule {
-                colors: w.colors.clone(),
-                budgets: w.budgets.clone(),
-                baseline_slots: w.baseline_slots,
-                skew: w.skew,
-            }),
-            recorder: Recorder::disabled(),
+            ..ShardedBackend::new(config.scheduler, config.verifier, config.target_shards)
         })
     }
 
@@ -1336,43 +1212,35 @@ impl ShardedBackend {
         dirty_links: usize,
         drift: f64,
     ) -> SolveReport {
-        let (solve, budgets): (SolveReport, Vec<f64>) = match &self.inner {
-            ShardedInner::Engine {
-                engine,
-                links,
-                powers,
-                weights,
-                ..
-            } => {
-                let solve: SolveReport = engine.schedule().into();
-                let config = self.scheduler;
-                let budgets = match (config.model.noise() == 0.0)
-                    .then(|| config.mode.assignment())
-                    .flatten()
-                {
-                    Some(_) if config.verify_slots => {
-                        // Parts come from the persistent mirror — maintained
-                        // per link at event time, equal to a from-scratch
-                        // `PathLossCache::new` (pinned by the debug oracle
-                        // on the repair path).
-                        recolor_budgets(&config, links, powers, weights, &solve.report.schedule)
-                    }
-                    _ => vec![0.0; solve.report.num_links],
-                };
-                (solve, budgets)
-            }
-            ShardedInner::Rebuild { .. } => unreachable!("hinted repair requires engine mode"),
+        let ShardedInner::Engine { engine, mirror, .. } = &mut self.inner else {
+            unreachable!("hinted repair requires engine mode");
         };
-        let slots = solve.report.schedule.len();
-        let mut warm = WarmSchedule::capture(&solve.report, slots, budgets);
-        // Remember this full solve's occupancy skew so subsequent
-        // repair-path reports can carry it forward.
-        warm.skew = solve
+        let solve: SolveReport = engine.schedule().into();
+        let config = self.scheduler;
+        let budgets = if config.verify_slots && pinned_assignment(&config).is_some() {
+            // Parts come from the persistent mirror — maintained per link
+            // at event time, equal to a from-scratch `PathLossCache::new`
+            // (pinned by the debug oracle on the repair path).
+            recolor_budgets(
+                &config,
+                &mirror.links,
+                &mirror.powers,
+                &mirror.weights,
+                &solve.report.schedule,
+            )
+        } else {
+            vec![0.0; solve.report.num_links]
+        };
+        // Re-anchor on the recolored report, overwriting whatever a
+        // breaching repair left, and remember this full solve's occupancy
+        // skew so subsequent repair-path reports can carry it forward.
+        let skew = solve
             .sharding
             .map(|s| (s.max_owned, s.mean_owned, s.ghost_fraction));
-        self.warm = Some(warm);
+        mirror.warm = Some(WarmState::capture(&solve.report, budgets, skew));
         self.dirty.clear();
         self.recorder.add("repair.warm_recaptured", 1);
+        let slots = solve.report.schedule.len();
         let replaced = solve.report.num_links;
         solve.with_repair(RepairStats {
             decision,
@@ -1400,9 +1268,8 @@ impl SchedulerBackend for ShardedBackend {
     fn links(&self) -> Vec<Link> {
         match &self.inner {
             ShardedInner::Rebuild { links } => relabeled(links),
-            // The mirror is already in solve order with relabeled ids (see
-            // `ShardedInner::Engine`).
-            ShardedInner::Engine { links, .. } => links.clone(),
+            // The mirror is already in solve order with relabeled ids.
+            ShardedInner::Engine { mirror, .. } => mirror.links.clone(),
         }
     }
 
@@ -1414,42 +1281,7 @@ impl SchedulerBackend for ShardedBackend {
     }
 
     fn insert(&mut self, sender: Point, receiver: Point, nodes: Option<(NodeId, NodeId)>) -> u64 {
-        let key = self.next_key;
-        self.next_key += 1;
-        let link = make_link(sender, receiver, nodes);
-        match &mut self.inner {
-            ShardedInner::Rebuild { links } => {
-                links.insert(key, link);
-            }
-            ShardedInner::Engine {
-                engine,
-                skeys,
-                ekeys,
-                links,
-                powers,
-                weights,
-            } => {
-                let ekey = engine.insert_link(sender, receiver);
-                // Monotone mints on both sides: appending keeps the vectors
-                // sorted and the new link's position is the tail.
-                debug_assert!(skeys.last().is_none_or(|&k| k < key));
-                debug_assert!(ekeys.last().is_none_or(|&k| k < ekey));
-                let mut l = link;
-                l.id = LinkId(links.len());
-                let (p, w) = link_parts(&self.scheduler, &l);
-                skeys.push(key);
-                ekeys.push(ekey);
-                links.push(l);
-                powers.push(p);
-                weights.push(w);
-                if let Some(warm) = &mut self.warm {
-                    warm.insert_at(warm.colors.len());
-                }
-                self.dirty.insert(key);
-            }
-        }
-        self.inserts += 1;
-        key
+        self.insert_link(make_link(sender, receiver, nodes))
     }
 
     fn remove(&mut self, key: u64) -> Result<(), SessionError> {
@@ -1461,9 +1293,7 @@ impl SchedulerBackend for ShardedBackend {
                 engine,
                 skeys,
                 ekeys,
-                links,
-                powers,
-                weights,
+                mirror,
             } => {
                 let pos = skeys
                     .binary_search(&key)
@@ -1471,19 +1301,9 @@ impl SchedulerBackend for ShardedBackend {
                 engine.remove_link(ekeys[pos])?;
                 skeys.remove(pos);
                 ekeys.remove(pos);
-                links.remove(pos);
-                powers.remove(pos);
-                weights.remove(pos);
-                for (i, l) in links.iter_mut().enumerate().skip(pos) {
-                    l.id = LinkId(i);
-                }
                 // Departures are monotone-safe; drop every trace of the key.
-                // The warm budget entry leaves with the color entry (one
-                // splice drops both — see `WarmSchedule::remove_at`).
+                mirror.remove(pos);
                 self.dirty.remove(&key);
-                if let Some(warm) = &mut self.warm {
-                    warm.remove_at(pos);
-                }
             }
         }
         self.removals += 1;
@@ -1500,22 +1320,14 @@ impl SchedulerBackend for ShardedBackend {
                 engine,
                 skeys,
                 ekeys,
-                links,
-                powers,
-                weights,
+                mirror,
             } => {
                 let pos = skeys
                     .binary_search(&key)
                     .map_err(|_| SessionError::UnknownKey { key })?;
                 engine.relocate_link(ekeys[pos], sender, receiver)?;
-                let moved = re_seat(&links[pos], sender, receiver);
-                let (p, w) = link_parts(&self.scheduler, &moved);
-                links[pos] = moved;
-                powers[pos] = p;
-                weights[pos] = w;
-                if let Some(warm) = &mut self.warm {
-                    warm.mark_dirty(pos);
-                }
+                let moved = re_seat(&mirror.links[pos], sender, receiver);
+                mirror.reseat(pos, moved, link_parts(&self.scheduler, &moved));
                 self.dirty.insert(key);
             }
         }
@@ -1525,50 +1337,26 @@ impl SchedulerBackend for ShardedBackend {
 
     fn move_node(&mut self, node: usize, to: Point) -> usize {
         let touched = match &mut self.inner {
-            ShardedInner::Rebuild { links } => move_node_in_map(links, node, to).len(),
+            ShardedInner::Rebuild { links } => move_node_in_map(links, node, to),
             ShardedInner::Engine {
                 engine,
                 skeys,
                 ekeys,
-                links,
-                powers,
-                weights,
+                mirror,
             } => {
-                let node_id = NodeId(node);
-                let touched: Vec<usize> = links
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| {
-                        l.sender_node == Some(node_id) || l.receiver_node == Some(node_id)
-                    })
-                    .map(|(pos, _)| pos)
-                    .collect();
-                for &pos in &touched {
-                    let old = links[pos];
-                    let sender = if old.sender_node == Some(node_id) {
-                        to
-                    } else {
-                        old.sender
-                    };
-                    let receiver = if old.receiver_node == Some(node_id) {
-                        to
-                    } else {
-                        old.receiver
+                let mut touched = 0;
+                for pos in 0..mirror.len() {
+                    let Some(moved) = follow_node(&mirror.links[pos], node, to) else {
+                        continue;
                     };
                     engine
-                        .relocate_link(ekeys[pos], sender, receiver)
+                        .relocate_link(ekeys[pos], moved.sender, moved.receiver)
                         .expect("mirrored engine key is live");
-                    let moved = re_seat(&old, sender, receiver);
-                    let (p, w) = link_parts(&self.scheduler, &moved);
-                    links[pos] = moved;
-                    powers[pos] = p;
-                    weights[pos] = w;
-                    if let Some(warm) = &mut self.warm {
-                        warm.mark_dirty(pos);
-                    }
+                    mirror.reseat(pos, moved, link_parts(&self.scheduler, &moved));
                     self.dirty.insert(skeys[pos]);
+                    touched += 1;
                 }
-                touched.len()
+                touched
             }
         };
         self.moves += 1;
@@ -1598,102 +1386,107 @@ impl SchedulerBackend for ShardedBackend {
 
     fn solve_repair(&mut self, policy: &RepairPolicy) -> Option<SolveReport> {
         // Rebuild mode re-tiles per solve — no stable state to repair.
-        if matches!(self.inner, ShardedInner::Rebuild { .. }) {
+        let ShardedInner::Engine {
+            engine,
+            skeys,
+            ekeys,
+            mirror,
+        } = &mut self.inner
+        else {
             return None;
-        }
+        };
         let dirty_links = self.dirty.len();
-        if self.warm.is_none() {
+        let Some(warm) = mirror.warm.as_mut() else {
             return Some(self.full_recolor_hinted(
                 RepairDecision::ColdStart,
                 policy,
                 dirty_links,
                 0.0,
             ));
-        }
+        };
         let config = self.scheduler;
-        let (outcome, baseline, shards, radius, boundary) = {
-            let warm = self.warm.as_ref().expect("anchored above");
-            let baseline = warm.baseline_slots;
-            let ShardedInner::Engine {
-                engine,
-                skeys,
-                ekeys,
-                links,
-                powers,
-                weights,
-            } = &self.inner
-            else {
-                unreachable!("rebuild mode handled above");
-            };
-            debug_assert_eq!(warm.colors.len(), links.len(), "warm state out of lockstep");
-            let neighbors = |i: usize| -> Vec<usize> {
-                engine
-                    .neighbor_keys(ekeys[i])
-                    .expect("mirrored engine key is live")
-                    .into_iter()
-                    .map(|ekey| ekeys.binary_search(&ekey).expect("live neighbour"))
-                    .collect()
-            };
-            let mut check: Vec<usize> = self
-                .dirty
-                .iter()
-                .filter_map(|key| skeys.binary_search(key).ok())
-                .flat_map(&neighbors)
-                .collect();
-            check.sort_unstable();
-            check.dedup();
-            // Judge through the certified verifier (hierarchical far-field
-            // aggregation) when the mode pins a power assignment under a
-            // noise-free model — the exact judge the stitched pipeline's
-            // verification pass uses; otherwise the kernel's slot probes.
-            // Either way the per-link parts come from the persistent mirror,
-            // not a per-solve `PathLossCache` rebuild.
-            let additive = (config.model.noise() == 0.0)
-                .then(|| config.mode.assignment())
-                .flatten()
-                .is_some();
-            if cfg!(debug_assertions) && additive {
+        let baseline = warm.baseline_slots;
+        let links = &mirror.links;
+        debug_assert_eq!(warm.colors.len(), links.len(), "warm state out of lockstep");
+        let neighbors = |i: usize| -> Vec<usize> {
+            engine
+                .neighbor_keys(ekeys[i])
+                .expect("mirrored engine key is live")
+                .into_iter()
+                .map(|ekey| ekeys.binary_search(&ekey).expect("live neighbour"))
+                .collect()
+        };
+        let mut check: Vec<usize> = self
+            .dirty
+            .iter()
+            .filter_map(|key| skeys.binary_search(key).ok())
+            .flat_map(&neighbors)
+            .collect();
+        check.sort_unstable();
+        check.dedup();
+        // Judge through the certified verifier (hierarchical far-field
+        // aggregation) when the mode pins a power assignment under a
+        // noise-free model — the exact judge the stitched pipeline's
+        // verification pass uses; otherwise the kernel's slot probes.
+        // Either way the per-link parts come from the persistent mirror,
+        // not a per-solve `PathLossCache` rebuild.
+        let assignment = pinned_assignment(&config);
+        if cfg!(debug_assertions) {
+            if let Some(assignment) = &assignment {
                 // Pin the single-link-maintenance == batch-collection
                 // contract the mirror parts rely on.
-                let assignment = config.mode.assignment().expect("additive implies pinned");
-                let (p, w) = PathLossCache::new(&config.model, links, &assignment).into_parts();
-                assert_eq!(powers, &p, "power mirror diverged");
-                assert_eq!(weights, &w, "weight mirror diverged");
+                let (p, w) = PathLossCache::new(&config.model, links, assignment).into_parts();
+                assert_eq!(mirror.powers, p, "power mirror diverged");
+                assert_eq!(mirror.weights, w, "weight mirror diverged");
             }
-            let out = if additive {
-                let judge = AffectanceVerifier::new(&config.model, links, powers, weights)
+        }
+        let (colors, budgets) = (&mut warm.colors, &mut warm.budgets);
+        let outcome = if assignment.is_some() {
+            let judge =
+                AffectanceVerifier::new(&config.model, links, &mirror.powers, &mirror.weights)
                     .with_strategy(self.strategy)
                     .with_recorder(&self.recorder);
-                wagg_schedule::solve_repair_traced(
-                    links,
-                    &neighbors,
-                    &judge,
-                    &config,
-                    &warm.colors,
-                    &warm.budgets,
-                    &check,
-                    &self.recorder,
-                )
-            } else {
-                let judge = CacheJudge::new(links, config, None);
-                wagg_schedule::solve_repair_traced(
-                    links,
-                    &neighbors,
-                    &judge,
-                    &config,
-                    &warm.colors,
-                    &warm.budgets,
-                    &check,
-                    &self.recorder,
-                )
-            };
-            (
-                out,
-                baseline,
-                engine.shard_count(),
-                engine.radius(),
-                engine.boundary_link_count(),
+            wagg_schedule::solve_repair(
+                links,
+                &neighbors,
+                &judge,
+                &config,
+                colors,
+                budgets,
+                &check,
+                &self.recorder,
             )
+        } else {
+            let judge = CacheJudge::new(links, config, None);
+            wagg_schedule::solve_repair(
+                links,
+                &neighbors,
+                &judge,
+                &config,
+                colors,
+                budgets,
+                &check,
+                &self.recorder,
+            )
+        };
+        debug_assert_eq!(
+            warm.colors,
+            state::slot_map(&outcome.report),
+            "repaired warm colors diverge from capture"
+        );
+        // The warm repair path touches only the dirty set; per-shard
+        // occupancy is not re-derived here, so the last full solve's skew
+        // is carried forward (ownership shifts only at full recolors).
+        let (max_owned, mean_owned, ghost_fraction) = warm.skew.unwrap_or((0, 0.0, 0.0));
+        let sharding = wagg_schedule::ShardingStats {
+            shards: engine.shard_count(),
+            radius: engine.radius(),
+            boundary_links: engine.boundary_link_count(),
+            repaired_links: outcome.replaced,
+            evicted_links: outcome.evicted,
+            max_owned,
+            mean_owned,
+            ghost_fraction,
         };
         let drift = drift_vs(outcome.report.schedule.len(), baseline);
         if drift > policy.max_drift {
@@ -1704,47 +1497,26 @@ impl SchedulerBackend for ShardedBackend {
                 drift,
             ));
         }
-        // Commit by O(replaced) in-place patch — the O(n) post-solve
-        // `capture` (and the second walk over the mirror's keys it needed)
-        // is gone; the carried baseline and occupancy skew stay put.
-        let warm = self.warm.as_mut().expect("anchored above");
-        warm.patch(&outcome);
-        let carried_skew = warm.skew;
         self.dirty.clear();
         self.recorder.add("repair.warm_patched", 1);
-        let replaced = outcome.replaced;
         let mut solve =
             SolveReport::new(outcome.report, BackendKind::Sharded).with_repair(RepairStats {
                 decision: RepairDecision::Repaired,
                 dirty_links,
-                replaced_links: replaced,
+                replaced_links: outcome.replaced,
                 baseline_slots: baseline,
                 drift,
                 watermark: policy.max_drift,
             });
-        // The warm repair path touches only the dirty set; per-shard
-        // occupancy is not re-derived here, so the last full solve's skew
-        // is carried forward (ownership shifts only at full recolors).
-        let (max_owned, mean_owned, ghost_fraction) = carried_skew.unwrap_or((0, 0.0, 0.0));
-        solve.sharding = Some(wagg_schedule::ShardingStats {
-            shards,
-            radius,
-            boundary_links: boundary,
-            repaired_links: replaced,
-            evicted_links: outcome.evicted,
-            max_owned,
-            mean_owned,
-            ghost_fraction,
-        });
+        solve.sharding = Some(sharding);
         Some(solve)
     }
 
-    fn warm_state(&self) -> Option<WarmStateView> {
-        self.warm.as_ref().map(|w| WarmStateView {
-            colors: w.colors.clone(),
-            budgets: w.budgets.clone(),
-            baseline_slots: w.baseline_slots,
-        })
+    fn warm_state(&self) -> Option<&WarmState> {
+        match &self.inner {
+            ShardedInner::Rebuild { .. } => None,
+            ShardedInner::Engine { mirror, .. } => mirror.warm.as_ref(),
+        }
     }
 
     fn stats(&self) -> SessionStats {
@@ -1770,22 +1542,17 @@ impl SchedulerBackend for ShardedBackend {
                 counts,
             },
             // The engine keys are not captured: restore mints fresh ones
-            // `0..n`, which preserves every invariant the mirrors rely on
+            // `0..n`, which preserves every invariant the mirror relies on
             // (see `ShardedBackend::restore_engine`).
-            ShardedInner::Engine { skeys, links, .. } => BackendState::ShardedEngine {
+            ShardedInner::Engine { skeys, mirror, .. } => BackendState::ShardedEngine {
                 links: skeys
                     .iter()
-                    .zip(links)
+                    .zip(&mirror.links)
                     .map(|(&key, &link)| KeyedLink { key, link })
                     .collect(),
                 next_key: self.next_key,
                 dirty: self.dirty.iter().copied().collect(),
-                warm: self.warm.as_ref().map(|w| WarmState {
-                    colors: w.colors.clone(),
-                    budgets: w.budgets.clone(),
-                    baseline_slots: w.baseline_slots,
-                    skew: w.skew,
-                }),
+                warm: mirror.warm.clone(),
                 counts,
             },
         }

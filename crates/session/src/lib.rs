@@ -71,7 +71,7 @@
 mod backend;
 pub mod state;
 
-pub use backend::{EngineBackend, SchedulerBackend, ShardedBackend, StaticBackend, WarmStateView};
+pub use backend::{EngineBackend, SchedulerBackend, ShardedBackend, StaticBackend};
 pub use state::{RestoreError, SessionState};
 pub use wagg_obs::{
     FlightRecorder, HealthConfig, HealthReport, HealthSignal, Metrics, Recorder, SeriesKind,
@@ -601,11 +601,12 @@ impl Session {
         self.backend.stats()
     }
 
-    /// Snapshot of the backend's incremental warm repair state (`None` for
-    /// backends without one, or before the first repair-enabled solve).
-    /// Test-only introspection for the warm-state invariant suite.
+    /// The backend's live warm repair state, by vertex position in solve
+    /// order (`None` for backends without one, or before the first
+    /// repair-enabled solve). Test-only introspection for the warm-state
+    /// invariant suite.
     #[doc(hidden)]
-    pub fn warm_state(&self) -> Option<WarmStateView> {
+    pub fn warm_state(&self) -> Option<&state::WarmState> {
         self.backend.warm_state()
     }
 
@@ -1114,13 +1115,25 @@ mod tests {
 
     #[test]
     fn seeded_sessions_schedule_their_universe() {
-        let links = grid_links(48, 7.0);
-        for backend in [Backend::Static, Backend::Engine, Backend::Sharded] {
-            let mut session = Session::builder()
+        let mut links = grid_links(48, 7.0);
+        // Half-annotated: only the sender follows node 7.
+        let mut half = Link::new(48, Point::new(3.0, 52.0), Point::new(4.0, 52.0));
+        half.sender_node = Some(NodeId(7));
+        links.push(half);
+        let configs = [
+            Session::builder().backend(Backend::Static),
+            Session::builder().backend(Backend::Engine),
+            Session::builder().backend(Backend::Sharded),
+            Session::builder()
+                .backend(Backend::Sharded)
+                .partition_hints(BoundingBox::new(0.0, 0.0, 60.0, 60.0), (0.5, 2.0)),
+        ];
+        for builder in configs {
+            let mut session = builder
                 .scheduler(SchedulerConfig::new(PowerMode::mean_oblivious()))
-                .backend(backend)
                 .links(&links)
                 .build();
+            let kind = session.backend_kind();
             assert_eq!(session.len(), links.len());
             let report = session.solve();
             assert!(report.schedule().is_partition(links.len()));
@@ -1130,6 +1143,16 @@ mod tests {
                 &session.config().scheduler.model,
                 session.config().scheduler.mode
             ));
+
+            let to = Point::new(3.2, 52.3);
+            assert_eq!(session.move_node(7, to), 1, "{kind}");
+            let moved = session
+                .links()
+                .into_iter()
+                .find(|l| l.sender_node == Some(NodeId(7)))
+                .expect("the half-annotation survives seeding");
+            assert_eq!(moved.sender, to, "{kind}");
+            assert_eq!(moved.receiver, Point::new(4.0, 52.0), "{kind}");
         }
     }
 

@@ -31,6 +31,7 @@ use std::error::Error;
 use std::fmt;
 
 use wagg_obs::telemetry::TelemetryConfig;
+use wagg_schedule::ScheduleReport;
 use wagg_sinr::Link;
 
 use crate::SessionConfig;
@@ -65,18 +66,78 @@ pub struct EventCounts {
 /// A backend's warm repair state (see `wagg_schedule::solve_repair`):
 /// position-indexed colors and budgets, the re-anchoring baseline, and the
 /// occupancy skew carried by hinted sharded backends.
+///
+/// This is the live state, not a copy of it: a repair-capable backend keeps
+/// one beside its solve-order mirror, splices it per event, lets the repair
+/// kernel edit its vectors in place, and re-captures it on every full
+/// recolor. A snapshot clones it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmState {
     /// Position → committed slot; `None` marks a link dirtied since the
     /// last repair-committed schedule.
     pub colors: Vec<Option<usize>>,
-    /// Position → warm affectance budget.
+    /// Position → upper bound on the link's affectance total inside its
+    /// slot (the additive budget contract of `wagg_schedule::solve_repair`).
+    /// Zero-filled when the config has no additive kernel (noise, global
+    /// power control) — the opaque probe path never reads them.
     pub budgets: Vec<f64>,
     /// Schedule length of the last full recolor.
     pub baseline_slots: usize,
     /// `(max_owned, mean_owned, ghost_fraction)` of the last full sharded
-    /// solve; `None` for engine warm state.
+    /// solve; `None` for engine warm state. The repair path cannot
+    /// re-derive per-shard occupancy, so repaired reports carry this
+    /// forward instead of zeroing it.
     pub skew: Option<(usize, f64, f64)>,
+}
+
+impl WarmState {
+    /// Captures `report`'s assignment from scratch, position `i` carrying
+    /// warm budget `budgets[i]` and the report's length as the baseline —
+    /// the re-anchoring step of every full recolor.
+    pub(crate) fn capture(
+        report: &ScheduleReport,
+        budgets: Vec<f64>,
+        skew: Option<(usize, f64, f64)>,
+    ) -> Self {
+        debug_assert_eq!(budgets.len(), report.num_links, "one budget per link");
+        WarmState {
+            colors: slot_map(report),
+            budgets,
+            baseline_slots: report.schedule.len(),
+            skew,
+        }
+    }
+
+    /// Splices a fresh (dirty, unscheduled) entry in at `pos`.
+    pub(crate) fn insert_at(&mut self, pos: usize) {
+        self.colors.insert(pos, None);
+        self.budgets.insert(pos, 0.0);
+    }
+
+    /// Drops the entry at `pos`. The budget goes with the color, so no
+    /// stale budget can outlive its link.
+    pub(crate) fn remove_at(&mut self, pos: usize) {
+        self.colors.remove(pos);
+        self.budgets.remove(pos);
+    }
+
+    /// Marks the entry at `pos` dirty (geometry changed in place).
+    pub(crate) fn mark_dirty(&mut self, pos: usize) {
+        self.colors[pos] = None;
+        self.budgets[pos] = 0.0;
+    }
+}
+
+/// Position → slot map of `report`'s schedule: the colors a from-scratch
+/// capture records, and the oracle committed repairs are checked against.
+pub(crate) fn slot_map(report: &ScheduleReport) -> Vec<Option<usize>> {
+    let mut colors = vec![None; report.num_links];
+    for (t, slot) in report.schedule.slots().iter().enumerate() {
+        for &i in slot {
+            colors[i] = Some(t);
+        }
+    }
+    colors
 }
 
 /// The backend-specific half of a [`SessionState`]: which strategy was
@@ -251,9 +312,6 @@ pub enum RestoreError {
         /// Live links.
         links: usize,
     },
-    /// Warm or dirty state on a backend that has none (static, sharded
-    /// rebuild).
-    UnexpectedWarmState,
     /// A hinted sharded state without partition hints in the config.
     MissingPartitionHints,
     /// The partition hints cannot size a tiling (non-finite extent,
@@ -312,9 +370,6 @@ impl fmt::Display for RestoreError {
                 f,
                 "warm baseline {baseline} exceeds the universe size {links}"
             ),
-            RestoreError::UnexpectedWarmState => {
-                write!(f, "warm/dirty state on a backend that has none")
-            }
             RestoreError::MissingPartitionHints => {
                 write!(
                     f,

@@ -1,15 +1,14 @@
 //! The facade differential suite: a [`Session`] with each **explicit**
-//! backend is slot-for-slot identical to the legacy entry point it wraps —
+//! backend is slot-for-slot identical to the lower-level entry point it wraps —
 //! not merely "both feasible", but equal reports:
 //!
-//! * `Backend::Static`  ≡ `wagg_schedule::schedule_links` (the deprecated
-//!   free function, exercised here under `#[allow(deprecated)]` exactly so
-//!   the forwarders stay pinned),
+//! * `Backend::Static`  ≡ `wagg_schedule::solve_static`, the from-scratch
+//!   kernel,
 //! * `Backend::Engine`  ≡ `InterferenceEngine::{with_links, schedule}`,
 //!   including after arbitrary churn traces replayed through
 //!   `Session::apply_trace` on one side and `wagg_engine::run_trace` on the
 //!   other,
-//! * `Backend::Sharded` ≡ `wagg_partition::schedule_sharded_with` across
+//! * `Backend::Sharded` ≡ `wagg_partition::solve_sharded` across
 //!   shard counts and verifier strategies, and — with partition hints — the
 //!   session's event routing reproduces a hand-driven
 //!   `PartitionedEngine::schedule` exactly.
@@ -50,10 +49,10 @@ fn modes() -> [PowerMode; 3] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Static backend ≡ the legacy `schedule_links` free function, for every
-    /// power mode — the whole report, not just the schedule.
+    /// Static backend ≡ the `solve_static` kernel, for every power mode —
+    /// the whole report, not just the schedule.
     #[test]
-    fn static_backend_reproduces_schedule_links(
+    fn static_backend_reproduces_solve_static(
         raw in proptest::collection::vec(
             (0.0f64..150.0, 0.0f64..150.0, 0.0f64..std::f64::consts::TAU, 0.5f64..5.0),
             5..60,
@@ -62,8 +61,7 @@ proptest! {
         let links = decode_links(&raw);
         for mode in modes() {
             let config = SchedulerConfig::new(mode);
-            #[allow(deprecated)]
-            let legacy = wagg_schedule::schedule_links(&links, config);
+            let legacy = wagg_schedule::solve_static(&links, config);
             let mut session = Session::builder()
                 .scheduler(config)
                 .backend(Backend::Static)
@@ -71,7 +69,7 @@ proptest! {
                 .build();
             let solve = session.solve();
             prop_assert_eq!(solve.backend, BackendKind::Static);
-            prop_assert_eq!(&solve.report, &legacy, "{} diverged from schedule_links", mode);
+            prop_assert_eq!(&solve.report, &legacy, "{} diverged from solve_static", mode);
         }
     }
 
@@ -102,10 +100,10 @@ proptest! {
         prop_assert_eq!(session.links(), legacy.links());
     }
 
-    /// Sharded backend ≡ the legacy `schedule_sharded_with` entry point,
+    /// Sharded backend ≡ the `solve_sharded` pipeline,
     /// across shard counts and both verifier strategies.
     #[test]
-    fn sharded_backend_reproduces_schedule_sharded(
+    fn sharded_backend_reproduces_solve_sharded(
         raw in proptest::collection::vec(
             (0.0f64..200.0, 0.0f64..200.0, 0.0f64..std::f64::consts::TAU, 0.5f64..4.0),
             20..80,
@@ -115,8 +113,7 @@ proptest! {
         let links = decode_links(&raw);
         let config = SchedulerConfig::new(PowerMode::mean_oblivious());
         for strategy in [VerifierStrategy::Flat, VerifierStrategy::default()] {
-            #[allow(deprecated)]
-            let legacy = wagg_partition::schedule_sharded_with(&links, config, shards, strategy);
+            let legacy = wagg_partition::solve_sharded(&links, config, shards, strategy);
             let mut session = Session::builder()
                 .scheduler(config)
                 .backend(Backend::Sharded)
@@ -203,8 +200,7 @@ fn static_backend_matches_legacy_under_noise() {
     let model = SinrModel::new(3.0, 1.0, 1e-9).expect("valid model");
     for mode in modes() {
         let config = SchedulerConfig::new(mode).with_model(model);
-        #[allow(deprecated)]
-        let legacy = wagg_schedule::schedule_links(&links, config);
+        let legacy = wagg_schedule::solve_static(&links, config);
         let solve = Session::builder()
             .scheduler(config)
             .backend(Backend::Static)

@@ -32,6 +32,7 @@ use proptest::prelude::*;
 use wagg_engine::{churn_trace, run_trace, EngineConfig, EngineTrace, InterferenceEngine};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_instances::mobility::{random_waypoint, WaypointConfig};
+use wagg_partition::{PartitionedEngine, PartitionedEngineConfig, VerifierStrategy};
 use wagg_schedule::{
     capture_budgets, BackendKind, CacheJudge, PowerMode, RepairDecision, SchedulerConfig,
     SlotJudge, SolveReport,
@@ -314,49 +315,86 @@ proptest! {
 }
 
 /// A zero-tolerance watermark provably falls back: the inflating repair is
-/// rejected and the committed report equals the legacy from-scratch engine
-/// schedule bit for bit.
+/// rejected and the committed report equals the from-scratch schedule bit
+/// for bit, on both repair-capable backends. The breaching repair already
+/// edited the warm state in place, so the re-anchored warm state must match
+/// a capture of the fallback — and keep matching through the next repair.
 #[test]
 fn watermark_breach_falls_back_to_the_full_recolor() {
     let config = SchedulerConfig::new(PowerMode::mean_oblivious());
-    let mut session = Session::builder()
+    let extent = BoundingBox::new(-10.0, -10.0, 70.0, 70.0);
+    let bounds = (0.5, 2.0);
+    let policy = RepairPolicy::enabled().with_max_drift(0.0);
+    let engine = Session::builder()
         .scheduler(config)
         .backend(Backend::Engine)
-        .repair(RepairPolicy::enabled().with_max_drift(0.0))
+        .repair(policy)
+        .build();
+    let sharded = Session::builder()
+        .scheduler(config)
+        .backend(Backend::Sharded)
+        .target_shards(4)
+        .partition_hints(extent, bounds)
+        .repair(policy)
         .build();
 
     // Two far-apart unit links share one slot: the warm baseline.
     let a = (Point::new(0.0, 0.0), Point::new(1.0, 0.0));
     let c = (Point::new(60.0, 0.0), Point::new(61.0, 0.0));
-    session.insert(a.0, a.1);
-    session.insert(c.0, c.1);
-    let cold = session.solve();
-    let cold_stats = cold.repair.expect("engine repair solves carry stats");
-    assert_eq!(cold_stats.decision, RepairDecision::ColdStart);
-    assert_eq!(cold.slots(), 1, "far links must share a slot");
-
     // A link parked on top of `a`'s receiver cannot join slot 0; the repair
     // would open a second slot — drift 1.0 > 0.0 — so it must be rejected.
     let b = (Point::new(0.9, 0.05), Point::new(1.9, 0.05));
-    session.insert(b.0, b.1);
-    let solve = session.solve();
-    let stats = solve.repair.expect("engine repair solves carry stats");
-    assert_eq!(stats.decision, RepairDecision::WatermarkBreach);
-    assert!(
-        stats.drift > 0.0,
-        "the rejected repair's measured drift is recorded, got {}",
-        stats.drift
-    );
+    for mut session in [engine, sharded] {
+        let kind = session.backend_kind();
+        session.insert(a.0, a.1);
+        session.insert(c.0, c.1);
+        let cold = session.solve();
+        let cold_stats = cold.repair.expect("repair solves carry stats");
+        assert_eq!(cold_stats.decision, RepairDecision::ColdStart, "{kind}");
+        assert_eq!(cold.slots(), 1, "{kind}: far links must share a slot");
 
-    let mut legacy = InterferenceEngine::new(EngineConfig::for_scheduler(config));
-    for &(s, r) in &[a, c, b] {
-        legacy.insert_link(s, r);
+        session.insert(b.0, b.1);
+        let solve = session.solve();
+        let stats = solve.repair.expect("repair solves carry stats");
+        assert_eq!(stats.decision, RepairDecision::WatermarkBreach, "{kind}");
+        assert!(
+            stats.drift > 0.0,
+            "{kind}: the rejected repair's measured drift is recorded, got {}",
+            stats.drift
+        );
+        let reference = match kind {
+            BackendKind::Engine => {
+                let mut legacy = InterferenceEngine::new(EngineConfig::for_scheduler(config));
+                for &(s, r) in &[a, c, b] {
+                    legacy.insert_link(s, r);
+                }
+                legacy.schedule()
+            }
+            _ => {
+                let mut legacy = PartitionedEngine::new(
+                    PartitionedEngineConfig::new(config, extent, bounds, 4)
+                        .with_verifier(VerifierStrategy::default()),
+                );
+                for &(s, r) in &[a, c, b] {
+                    legacy.insert_link(s, r);
+                }
+                legacy.schedule().report
+            }
+        };
+        assert_eq!(
+            solve.report, reference,
+            "{kind}: breach fallback diverged from the from-scratch schedule"
+        );
+        assert_warm_matches_capture(&session, &solve, config, "after the breach");
+
+        // A far arrival fits an existing slot: a plain repair on top of the
+        // re-anchored warm state.
+        session.insert(Point::new(30.0, 40.0), Point::new(31.0, 40.0));
+        let solve = session.solve();
+        let stats = solve.repair.expect("repair solves carry stats");
+        assert_eq!(stats.decision, RepairDecision::Repaired, "{kind}");
+        assert_warm_matches_capture(&session, &solve, config, "repair after the breach");
     }
-    assert_eq!(
-        solve.report,
-        legacy.schedule(),
-        "breach fallback diverged from the from-scratch engine schedule"
-    );
 }
 
 /// The static backend keeps no incremental state: asking it to repair is
