@@ -87,6 +87,10 @@ fn main() {
         solve_ns as f64 / 1e6 / iters as f64
     );
     let after = rec.metrics();
+    let loop_nanos = |path: &str| {
+        let now = after.phase(path).map_or(0, |p| p.nanos);
+        now - before.phase(path).map_or(0, |p| p.nanos)
+    };
     for p in &after.phases {
         let prev = before.phase(&p.path).map_or((0, 0), |q| (q.nanos, q.count));
         let nanos = p.nanos - prev.0;
@@ -100,5 +104,26 @@ fn main() {
                 nanos as f64 / 1e6 / count as f64
             );
         }
+    }
+    // How much of the `repair` span its direct children account for: the
+    // rest is work no span names.
+    let repair = loop_nanos("repair");
+    let children: u64 = after
+        .phases
+        .iter()
+        .filter(|p| {
+            p.path
+                .strip_prefix("repair/")
+                .is_some_and(|c| !c.contains('/'))
+        })
+        .map(|p| loop_nanos(&p.path))
+        .sum();
+    if repair > 0 {
+        eprintln!(
+            "  repair child coverage: {:.3} of {:.3} ms ({:.1}%)",
+            children as f64 / 1e6,
+            repair as f64 / 1e6,
+            100.0 * children as f64 / repair as f64
+        );
     }
 }

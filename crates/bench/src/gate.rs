@@ -373,14 +373,19 @@ pub fn compare(baseline: &BenchRun, fresh: &BenchRun, tolerance_pct: f64) -> Gat
 ///
 /// * `gate/static/2000` — the from-scratch kernel;
 /// * `gate/sharded/20000` — the sharded pipeline, 4 shards;
-/// * `gate/repair/20000` — warm-started slot repair after a relocation
-///   burst on the sharded backend (cold seeding solve included — the row
-///   gates the whole churn round-trip);
+/// * `gate/repair/20000` — a repair-enabled session on the re-tiling
+///   sharded backend (no partition hints): a cold solve, a 32-link
+///   relocation burst and a second solve. That backend keeps no warm
+///   state, so both solves are full recolors (`RepairDecision::Unsupported`)
+///   — the row gates the hint-less churn round trip, not slot repair;
 /// * `gate/repair_event/20000` — sustained churn on the engine backend:
 ///   the session and its cold anchor live outside the timing, each sample
 ///   is one single-event relocate + warm repair round-trip against the
 ///   persistent mirrors, min-of-samples — the µs–ms O(dirty) repair floor,
 ///   gated like every other hot path;
+/// * `gate/sharded_event/20000` — the same single-event round trip on the
+///   hinted sharded backend (partition hints declared, 4 shards), whose
+///   warm solves repair through the certified verifier;
 /// * `gate/service_event/20000` — the same sustained churn loop through a
 ///   one-worker [`SchedulerService`]: each sample is one net-zero event
 ///   batch plus a warm solve as two request/response round trips, so the
@@ -469,6 +474,44 @@ pub fn run_gate_workloads(samples: u32) -> BenchRun {
                 let dx = if flip { 0.3 } else { 0.0 };
                 session
                     .relocate(7, wagg_geometry::Point::new(home.x + dx, home.y), receiver)
+                    .expect("seeded key is live");
+                session.solve().slots()
+            },
+        ));
+    }
+
+    {
+        let links = uniform_unit_links(20_000, 42);
+        let side = (links.len() as f64).sqrt() * 4.0;
+        let mut session = Session::builder()
+            .scheduler(scheduler)
+            .backend(Backend::Sharded)
+            .target_shards(4)
+            .partition_hints(
+                wagg_geometry::BoundingBox::new(-1.5, -1.5, side + 1.5, side + 1.5),
+                (0.9, 1.1),
+            )
+            .repair(RepairPolicy::enabled())
+            .links(&links)
+            .build();
+        session.solve(); // cold start anchors the warm state and mirrors
+        let (home, receiver) = (links[7].sender, links[7].receiver);
+        let mut flip = false;
+        run.benchmarks.push(time_workload(
+            "gate",
+            "sharded_event/20000",
+            samples,
+            move || {
+                flip = !flip;
+                // Both endpoints move, so the length stays within the
+                // declared bounds.
+                let dx = if flip { 0.3 } else { 0.0 };
+                session
+                    .relocate(
+                        7,
+                        wagg_geometry::Point::new(home.x + dx, home.y),
+                        wagg_geometry::Point::new(receiver.x + dx, receiver.y),
+                    )
                     .expect("seeded key is live");
                 session.solve().slots()
             },
@@ -654,7 +697,7 @@ mod tests {
     #[test]
     fn gate_workloads_produce_comparable_rows() {
         let run = run_gate_workloads(1);
-        assert_eq!(run.benchmarks.len(), 6);
+        assert_eq!(run.benchmarks.len(), 7);
         for r in &run.benchmarks {
             assert!(r.min_ns > 0.0, "{} measured nothing", r.key());
             assert!(r.min_ns <= r.mean_ns + 1e-9);

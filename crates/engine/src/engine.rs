@@ -360,10 +360,7 @@ impl InterferenceEngine {
 
     /// Inserts a link between two positions, returning its slot.
     pub fn insert_link(&mut self, sender: Point, receiver: Point) -> usize {
-        let slot = self.alloc_slot();
-        let link = Link::new(slot, sender, receiver);
-        self.attach(slot, link);
-        slot
+        self.insert_annotated(sender, receiver, None, None)
     }
 
     /// Inserts a link that records the pointset nodes it connects (required
@@ -375,10 +372,25 @@ impl InterferenceEngine {
         sender_node: NodeId,
         receiver_node: NodeId,
     ) -> usize {
+        self.insert_annotated(sender, receiver, Some(sender_node), Some(receiver_node))
+    }
+
+    /// Inserts a link with whatever node annotations it carries — both, one
+    /// or none, exactly as [`InterferenceEngine::with_links`] seeds them. An
+    /// annotated endpoint follows [`InterferenceEngine::move_node`] events;
+    /// a half-annotated link follows its one annotated endpoint.
+    pub fn insert_annotated(
+        &mut self,
+        sender: Point,
+        receiver: Point,
+        sender_node: Option<NodeId>,
+        receiver_node: Option<NodeId>,
+    ) -> usize {
         let slot = self.alloc_slot();
-        let link = Link::with_nodes(slot, sender, receiver, sender_node, receiver_node);
+        let mut link = Link::new(slot, sender, receiver);
+        link.sender_node = sender_node;
+        link.receiver_node = receiver_node;
         self.attach(slot, link);
-        let link = self.links[slot].expect("just attached");
         Self::register_node_links(&mut self.node_links, &link, slot);
         slot
     }

@@ -155,6 +155,9 @@ pub struct PartitionedEngine {
     /// Key → placement; BTreeMap so iteration (and thus scheduling) is
     /// deterministic.
     sites: BTreeMap<u64, LinkSites>,
+    /// Sites with at least one ghost copy, counted where sites are placed
+    /// and removed.
+    boundary: usize,
     next_key: u64,
     /// Instrumentation sink (disabled by default — see `wagg-obs`).
     recorder: Recorder,
@@ -182,6 +185,7 @@ impl PartitionedEngine {
             engines,
             meta,
             sites: BTreeMap::new(),
+            boundary: 0,
             next_key: 0,
             recorder: Recorder::disabled(),
         }
@@ -227,6 +231,7 @@ impl PartitionedEngine {
                 staged[t].push(bare);
                 staged_meta[t].push(Some((key, false)));
             }
+            engine.boundary += usize::from(!ghosts.is_empty());
             engine.sites.insert(
                 key,
                 LinkSites {
@@ -295,9 +300,15 @@ impl PartitionedEngine {
         self.radius
     }
 
-    /// Links currently ghosted into at least one neighbouring shard.
+    /// Links currently ghosted into at least one neighbouring shard — a
+    /// counter kept current per event, not a scan.
     pub fn boundary_link_count(&self) -> usize {
-        self.sites.values().filter(|s| !s.ghosts.is_empty()).count()
+        debug_assert_eq!(
+            self.boundary,
+            self.sites.values().filter(|s| !s.ghosts.is_empty()).count(),
+            "boundary counter diverged from the sites"
+        );
+        self.boundary
     }
 
     /// The keys of every live link conflicting with `key`, ascending, or
@@ -379,6 +390,7 @@ impl PartitionedEngine {
             let slot = self.place(t, sender, receiver, key, false);
             ghosts.push((t as u32, slot as u32));
         }
+        self.boundary += usize::from(!ghosts.is_empty());
         self.sites.insert(
             key,
             LinkSites {
@@ -436,6 +448,7 @@ impl PartitionedEngine {
             .sites
             .remove(&key)
             .ok_or(EngineError::UnknownTraceKey { key })?;
+        self.boundary -= usize::from(!sites.ghosts.is_empty());
         self.engines[sites.owner_shard as usize].remove_link(sites.owner_slot as usize)?;
         self.meta[sites.owner_shard as usize][sites.owner_slot as usize] = None;
         for &(shard, slot) in &sites.ghosts {
@@ -692,6 +705,66 @@ mod tests {
         let k2 = bulk.insert_link(Point::new(60.0, 60.0), Point::new(61.0, 60.0));
         assert_eq!(k1, k2);
         assert_eq!(bulk.schedule(), seq.schedule());
+    }
+
+    #[test]
+    fn boundary_counter_matches_the_pipeline_through_churn() {
+        let config = PartitionedEngineConfig::new(
+            SchedulerConfig::new(PowerMode::mean_oblivious()),
+            BoundingBox::new(0.0, 0.0, 120.0, 120.0),
+            (1.0, 1.5),
+            16,
+        );
+        let links: Vec<Link> = (0..150)
+            .map(|i| {
+                let x = (i % 15) as f64 * 8.0 + 0.5;
+                let y = (i / 15) as f64 * 12.0 + 0.5;
+                Link::new(i, Point::new(x, y), Point::new(x + 1.2, y))
+            })
+            .collect();
+        let mut e = PartitionedEngine::with_links(config, &links);
+        let check = |e: &PartitionedEngine, context: &str| {
+            let scan = e.sites.values().filter(|s| !s.ghosts.is_empty()).count();
+            assert_eq!(e.boundary, scan, "{context}: counter vs sites");
+            assert_eq!(
+                e.boundary_link_count(),
+                e.schedule().boundary_links,
+                "{context}: counter vs pipeline"
+            );
+        };
+        check(&e, "after with_links");
+        assert!(
+            e.boundary_link_count() > 0,
+            "the seed straddles tile borders"
+        );
+        let tile = e.tiles.tile_size();
+        // Even steps straddle a tile border, odd ones sit mid-tile.
+        let at = |step: u64| {
+            let k = (step % 3 + 1) as f64;
+            let y = 5.0 + (step * 7 % 100) as f64;
+            let x = if step.is_multiple_of(2) {
+                k * tile - 0.6
+            } else {
+                (k - 0.5) * tile
+            };
+            (Point::new(x, y), Point::new(x + 1.2, y))
+        };
+        let mut keys: Vec<u64> = (0..links.len() as u64).collect();
+        for step in 0..90u64 {
+            let (sender, receiver) = at(step);
+            match step % 3 {
+                0 => keys.push(e.insert_link(sender, receiver)),
+                1 => {
+                    let key = keys.remove((step as usize * 7) % keys.len());
+                    e.remove_link(key).unwrap();
+                }
+                _ => {
+                    let key = keys[(step as usize * 11) % keys.len()];
+                    e.relocate_link(key, sender, receiver).unwrap();
+                }
+            }
+            check(&e, &format!("step {step}"));
+        }
     }
 
     #[test]

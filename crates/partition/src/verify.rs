@@ -47,11 +47,14 @@
 //! feasible slot — keep the passing targets, evict the failing ones — and
 //! the evicted links are re-packed first-fit by
 //! [`AffectanceVerifier::pack_first_fit`]. The grid-shape state (the sender
-//! extent every slot grid is anchored to) is hoisted into the verifier at
-//! construction, so the repack loop's repeated feasibility probes and the
-//! query path share one layout instead of re-deriving it per call.
+//! extent every slot grid is anchored to) is folded once per verifier, on
+//! the first slot grid built, so the repack loop's repeated feasibility
+//! probes and the query path share one layout instead of re-deriving it per
+//! call — and a verifier that never builds a grid (the warm repair path's
+//! additive probes) never pays for the fold.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use wagg_geometry::pyramid::GridPyramid;
 use wagg_geometry::{BoundingBox, Point};
 use wagg_obs::{Counter, Recorder};
@@ -132,10 +135,12 @@ pub struct AffectanceVerifier<'a> {
     pow: AlphaPow,
     inv_beta: f64,
     strategy: VerifierStrategy,
-    /// Bounding box of every sender in the universe, computed once at
-    /// construction — the shared grid anchor for every slot query and every
-    /// repack probe (`None` only for an empty universe).
-    sender_extent: Option<BoundingBox>,
+    /// Bounding box of every sender in the universe — the shared grid
+    /// anchor for every slot query and every repack probe (`None` only for
+    /// an empty universe). Folded on first use: only slot pyramids read it,
+    /// and a verifier that only prices additive repair probes never builds
+    /// one, so it never pays the O(n) fold.
+    sender_extent: OnceLock<Option<BoundingBox>>,
     /// `verifier.expansions`: pyramid nodes opened during certify descents
     /// (accumulated locally per target, one atomic add per certify call).
     expansions: Counter,
@@ -164,19 +169,6 @@ impl<'a> AffectanceVerifier<'a> {
     ) -> Self {
         assert_eq!(powers.len(), links.len(), "one power per link");
         assert_eq!(weights.len(), links.len(), "one weight per link");
-        let mut sender_extent: Option<BoundingBox> = None;
-        for link in links {
-            let s = link.sender;
-            sender_extent = Some(match sender_extent {
-                None => BoundingBox::new(s.x, s.y, s.x, s.y),
-                Some(e) => BoundingBox::new(
-                    e.min_x.min(s.x),
-                    e.min_y.min(s.y),
-                    e.max_x.max(s.x),
-                    e.max_y.max(s.y),
-                ),
-            });
-        }
         AffectanceVerifier {
             links,
             powers,
@@ -184,7 +176,7 @@ impl<'a> AffectanceVerifier<'a> {
             pow: AlphaPow::new(model.alpha()),
             inv_beta: 1.0 / model.beta(),
             strategy: VerifierStrategy::default(),
-            sender_extent,
+            sender_extent: OnceLock::new(),
             expansions: Counter::default(),
             exact_fallbacks: Counter::default(),
             evictions: Counter::default(),
@@ -216,6 +208,26 @@ impl<'a> AffectanceVerifier<'a> {
     /// The configured far-field strategy.
     pub fn strategy(&self) -> VerifierStrategy {
         self.strategy
+    }
+
+    /// The bounding box of every sender, folded on the first call.
+    fn sender_extent(&self) -> Option<BoundingBox> {
+        *self.sender_extent.get_or_init(|| {
+            let mut extent: Option<BoundingBox> = None;
+            for link in self.links {
+                let s = link.sender;
+                extent = Some(match extent {
+                    None => BoundingBox::new(s.x, s.y, s.x, s.y),
+                    Some(e) => BoundingBox::new(
+                        e.min_x.min(s.x),
+                        e.min_y.min(s.y),
+                        e.max_x.max(s.x),
+                        e.max_y.max(s.y),
+                    ),
+                });
+            }
+            extent
+        })
     }
 
     /// The exact affectance total on `members[k]` from the rest of the
@@ -499,7 +511,7 @@ impl<'v, 'a> SlotPyramid<'v, 'a> {
         members: &'v [usize],
         requested_depth: usize,
     ) -> Option<Self> {
-        let extent = v.sender_extent?;
+        let extent = v.sender_extent()?;
         let width = extent.width().max(0.0);
         let height = extent.height().max(0.0);
         if width == 0.0 && height == 0.0 {
@@ -923,8 +935,8 @@ mod tests {
 
     #[test]
     fn repack_is_deterministic_across_instances_and_input_order() {
-        // Regression for the hoisted grid-shape state: the repack path and
-        // the query path share one layout anchored at construction, so
+        // Regression for the shared grid-shape state: the repack path and
+        // the query path share one layout anchored once per verifier, so
         // packing the same evicted *set* — in any input order, from any
         // identically constructed verifier — yields identical slots.
         let model = SinrModel::default();

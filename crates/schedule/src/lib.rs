@@ -32,7 +32,7 @@ pub mod scheduler;
 pub use power_mode::PowerMode;
 pub use repair::{
     capture_budgets, solve_repair, CacheJudge, RepairDecision, RepairOutcome, RepairStats,
-    SlotJudge,
+    SlotIndex, SlotJudge,
 };
 pub use report::{BackendKind, ShardingStats, SolveReport};
 pub use schedule::Schedule;

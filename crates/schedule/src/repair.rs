@@ -10,7 +10,10 @@
 //! affectance budget may have changed, and first-fits the dirty links into
 //! the lowest feasible slot — microseconds-to-milliseconds per event batch
 //! instead of a full recolor. What it leaves behind is the next repair's
-//! warm state; nothing needs replaying on top.
+//! warm state; nothing needs replaying on top. The caller also carries the
+//! coloring's slot membership (a [`SlotIndex`]) and the universe's length
+//! diversity from event to event, so no part of a repair walks the whole
+//! universe except the copy of the schedule into its report.
 //!
 //! The module is backend-agnostic: callers supply the conflict neighbourhood
 //! (`neighbors`, e.g. the engine's incrementally maintained adjacency rows)
@@ -45,7 +48,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use wagg_geometry::logmath::{log_log2, log_star};
 use wagg_obs::Recorder;
-use wagg_sinr::link::link_diversity;
 use wagg_sinr::{Link, PathLossCache};
 
 /// How a repair-enabled solve produced its schedule.
@@ -265,6 +267,114 @@ impl SlotJudge for CacheJudge<'_> {
     }
 }
 
+/// Slot membership of a warm coloring, kept current between repairs so
+/// [`solve_repair`] never scatters the whole universe into slot vectors.
+///
+/// Slot `c` lists, ascending, the positions whose warm color is `Some(c)`;
+/// the unassigned list holds, ascending, the positions whose color is
+/// `None` (the dirty links). Trailing empty slots are dropped, interior ones
+/// are kept until the next repair compacts them — so an index kept in
+/// lockstep with a warm coloring always equals
+/// [`SlotIndex::from_colors`] of it. The splice methods move positions the
+/// way a position-indexed warm state moves under the same event.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SlotIndex {
+    slots: Vec<Vec<usize>>,
+    unassigned: Vec<usize>,
+}
+
+impl SlotIndex {
+    /// The membership of `colors` built from scratch: every position pushed
+    /// in ascending order into its slot (or the unassigned list), one slot
+    /// per color up to the largest one in use.
+    pub fn from_colors(colors: &[Option<usize>]) -> Self {
+        let num_colors = colors.iter().flatten().copied().max().map_or(0, |c| c + 1);
+        // Pre-counted capacities: growth reallocations would double the
+        // traffic of this O(n) pass.
+        let mut counts = vec![0usize; num_colors];
+        for &c in colors.iter().flatten() {
+            counts[c] += 1;
+        }
+        let mut slots: Vec<Vec<usize>> = counts.iter().map(|&k| Vec::with_capacity(k)).collect();
+        let mut unassigned = Vec::new();
+        for (i, &color) in colors.iter().enumerate() {
+            match color {
+                Some(c) => slots[c].push(i),
+                None => unassigned.push(i),
+            }
+        }
+        SlotIndex { slots, unassigned }
+    }
+
+    /// Splices a fresh, unassigned position in at `pos`; positions at and
+    /// after it shift up by one.
+    pub fn insert(&mut self, pos: usize) {
+        for list in self.lists() {
+            let k = list.partition_point(|&m| m < pos);
+            for m in &mut list[k..] {
+                *m += 1;
+            }
+        }
+        let k = self.unassigned.partition_point(|&m| m < pos);
+        self.unassigned.insert(k, pos);
+    }
+
+    /// Drops position `pos`, whose warm color is `color`; positions after
+    /// it shift down by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pos` is not indexed under `color`.
+    pub fn remove(&mut self, pos: usize, color: Option<usize>) {
+        let list = match color {
+            Some(c) => &mut self.slots[c],
+            None => &mut self.unassigned,
+        };
+        let k = list
+            .binary_search(&pos)
+            .expect("position indexed under its color");
+        list.remove(k);
+        for list in self.lists() {
+            let k = list.partition_point(|&m| m < pos);
+            for m in &mut list[k..] {
+                *m -= 1;
+            }
+        }
+        self.trim();
+    }
+
+    /// Moves position `pos` from slot `color` to the unassigned list (its
+    /// link was dirtied in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pos` is not a member of slot `color`.
+    pub fn unassign(&mut self, pos: usize, color: usize) {
+        let slot = &mut self.slots[color];
+        let k = slot
+            .binary_search(&pos)
+            .expect("position indexed under its color");
+        slot.remove(k);
+        let k = self.unassigned.partition_point(|&m| m < pos);
+        self.unassigned.insert(k, pos);
+        self.trim();
+    }
+
+    /// Every position list: the slots, then the unassigned list.
+    fn lists(&mut self) -> impl Iterator<Item = &mut Vec<usize>> {
+        self.slots
+            .iter_mut()
+            .chain(std::iter::once(&mut self.unassigned))
+    }
+
+    /// Drops trailing empty slots (what [`SlotIndex::from_colors`] sizes to).
+    fn trim(&mut self) {
+        while self.slots.last().is_some_and(Vec::is_empty) {
+            self.slots.pop();
+        }
+    }
+}
+
 /// What one [`solve_repair`] call produced besides the edits it made to the
 /// caller's warm state: the repaired report and the re-placement accounting.
 #[derive(Debug, Clone)]
@@ -326,6 +436,15 @@ pub fn capture_budgets(judge: &dyn SlotJudge, colors: &[Option<usize>]) -> Vec<f
 ///   departures (that would need the departed geometry); the stored bounds
 ///   just grow conservative until the drift watermark forces a
 ///   re-anchoring recolor.
+/// * `index` is the [`SlotIndex`] of `colors`: the caller keeps it in
+///   lockstep with the warm state between repairs (debug builds assert it
+///   equals [`SlotIndex::from_colors`] on entry and exit), so the kernel
+///   reads slot membership instead of scattering every link. On return it
+///   indexes the repaired `colors`.
+/// * `diversity` is the report's length diversity,
+///   `link_diversity(links).unwrap_or(1.0)` — a whole-universe aggregate
+///   the caller maintains per event instead of the kernel re-folding every
+///   length per solve.
 /// * `neighbors(i)` must yield `i`'s *current* conflict neighbours (vertex
 ///   positions) — e.g. the engine's incrementally maintained adjacency row.
 /// * `check` lists links whose slots must be re-verified even though the
@@ -343,10 +462,15 @@ pub fn capture_budgets(judge: &dyn SlotJudge, colors: &[Option<usize>]) -> Vec<f
 /// admission probe is O(|slot|) with early exit — the new member's own
 /// budget accumulates while every slotmate's budget is checked against the
 /// threshold with the new contribution added — instead of the O(|slot|²)
-/// whole-slot re-verification the opaque path needs.
+/// whole-slot re-verification the opaque path needs. Admitted links append
+/// to their slot, so later probes of the same call visit slotmates in
+/// ascending position order followed by this call's admissions; the report
+/// lists members in that order too, and only then are the touched slots
+/// put back in ascending order for the next repair.
 ///
-/// Records a `repair` span with `sweep` (stale-slot re-verification) and
-/// `place` (first-fit re-placement) children on `rec`, plus the
+/// Records a `repair` span with `sweep` (stale-slot re-verification),
+/// `place` (first-fit re-placement) and `commit` (compaction, the report
+/// copy and the index re-sort) children on `rec`, plus the
 /// `repair.dirty` / `repair.evicted` / `repair.admissions` /
 /// `repair.rejections` / `repair.fresh_slots` counters (accumulated
 /// locally — one atomic add per counter per call, nothing in the probe
@@ -359,6 +483,8 @@ pub fn solve_repair<J: SlotJudge + ?Sized>(
     config: &SchedulerConfig,
     colors: &mut [Option<usize>],
     budgets: &mut [f64],
+    index: &mut SlotIndex,
+    diversity: f64,
     check: &[usize],
     rec: &Recorder,
 ) -> RepairOutcome {
@@ -369,27 +495,17 @@ pub fn solve_repair<J: SlotJudge + ?Sized>(
     let n = links.len();
     assert_eq!(colors.len(), n, "one warm color per link");
     assert_eq!(budgets.len(), n, "one warm budget per link");
+    debug_assert!(
+        *index == SlotIndex::from_colors(colors),
+        "slot index diverged from the warm colors"
+    );
     let additive = config.verify_slots && judge.additive();
     let threshold = judge.threshold();
 
-    let num_colors = colors.iter().flatten().copied().max().map_or(0, |c| c + 1);
-    // Pre-counted capacities: the membership scatter below touches every
-    // link, so growth reallocations on the slot vectors would double the
-    // traffic of this O(n) setup pass.
-    let mut counts = vec![0usize; num_colors];
-    for &c in colors.iter().flatten() {
-        counts[c] += 1;
-    }
-    let mut slots: Vec<Vec<usize>> = counts.iter().map(|&k| Vec::with_capacity(k)).collect();
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, &color) in colors.iter().enumerate() {
-        match color {
-            Some(c) => slots[c].push(i),
-            None => {
-                budgets[i] = 0.0;
-                pending.push(i);
-            }
-        }
+    let SlotIndex { slots, unassigned } = index;
+    let mut pending = std::mem::take(unassigned);
+    for &i in &pending {
+        budgets[i] = 0.0;
     }
 
     let dirty = pending.len();
@@ -408,7 +524,7 @@ pub fn solve_repair<J: SlotJudge + ?Sized>(
             for &v in &checked {
                 let Some(c) = colors[v] else { continue };
                 if budgets[v] > threshold {
-                    let k = slots[c].iter().position(|&m| m == v).expect("colored");
+                    let k = slots[c].binary_search(&v).expect("indexed under its color");
                     slots[c].remove(k);
                     colors[v] = None;
                     budgets[v] = 0.0;
@@ -523,6 +639,7 @@ pub fn solve_repair<J: SlotJudge + ?Sized>(
     rec.add("repair.rejections", rejections);
     rec.add("repair.fresh_slots", fresh_slots);
 
+    let commit_span = root.child("commit");
     // Compact empty slots away: only the members of slots whose index
     // shifts down are renumbered.
     let mut kept = 0usize;
@@ -538,17 +655,41 @@ pub fn solve_repair<J: SlotJudge + ?Sized>(
         kept += 1;
     }
     slots.retain(|s| !s.is_empty());
-    let diversity = link_diversity(links).unwrap_or(1.0);
     let report = ScheduleReport {
         verified_slots: slots.len(),
         coloring_slots: slots.len(),
-        schedule: Schedule::new(slots),
+        schedule: Schedule::new(slots.clone()),
         diversity,
         log_star_diversity: log_star(diversity),
         log_log_diversity: log_log2(diversity),
         mode: config.mode,
         num_links: n,
     };
+    // The report keeps admission order; the index goes back to ascending
+    // positions, the order the next repair's probes must visit. A slot's
+    // admissions are its tail (appended after its ascending clean
+    // members), so each one moves into place with one binary search —
+    // O(|slot|) per admission, where a sort would be O(|slot| log |slot|).
+    let mut admitted: Vec<(usize, usize)> = pending
+        .iter()
+        .map(|&i| (colors[i].expect("placed"), i))
+        .collect();
+    admitted.sort_unstable();
+    for run in admitted.chunk_by(|a, b| a.0 == b.0) {
+        let slot = &mut slots[run[0].0];
+        slot.truncate(slot.len() - run.len());
+        for &(_, i) in run {
+            let k = slot.partition_point(|&m| m < i);
+            slot.insert(k, i);
+        }
+    }
+    pending.clear();
+    *unassigned = pending;
+    commit_span.finish();
+    debug_assert!(
+        *index == SlotIndex::from_colors(colors),
+        "slot index diverged from the repaired colors"
+    );
     RepairOutcome {
         report,
         replaced,
@@ -563,6 +704,7 @@ mod tests {
     use crate::scheduler::solve_static;
     use wagg_conflict::ConflictGraph;
     use wagg_geometry::Point;
+    use wagg_sinr::link::link_diversity;
     use wagg_sinr::Link;
 
     fn chain(n: usize, spacing: f64) -> Vec<Link> {
@@ -609,6 +751,7 @@ mod tests {
     ) -> (RepairOutcome, Vec<Option<usize>>, Vec<f64>) {
         let mut colors = prev.to_vec();
         let mut budgets = capture_budgets(judge, prev);
+        let mut index = SlotIndex::from_colors(prev);
         let outcome = solve_repair(
             links,
             &|i| graph.neighbors(i).to_vec(),
@@ -616,9 +759,12 @@ mod tests {
             config,
             &mut colors,
             &mut budgets,
+            &mut index,
+            link_diversity(links).unwrap_or(1.0),
             check,
             &Recorder::disabled(),
         );
+        assert_eq!(index, SlotIndex::from_colors(&colors));
         (outcome, colors, budgets)
     }
 
@@ -800,6 +946,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn slot_index_splices_track_a_rebuild() {
+        // Random inserts, removals and re-seats on a warm coloring: after
+        // every splice the carried index equals one built from scratch.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut colors: Vec<Option<usize>> =
+            (0..40).map(|i| (i % 5 != 0).then_some(i % 7)).collect();
+        let mut index = SlotIndex::from_colors(&colors);
+        for _ in 0..600 {
+            match next(3) {
+                0 => {
+                    let pos = next(colors.len() + 1);
+                    colors.insert(pos, None);
+                    index.insert(pos);
+                }
+                1 if !colors.is_empty() => {
+                    let pos = next(colors.len());
+                    index.remove(pos, colors[pos]);
+                    colors.remove(pos);
+                }
+                _ if !colors.is_empty() => {
+                    let pos = next(colors.len());
+                    match colors[pos] {
+                        Some(c) => {
+                            index.unassign(pos, c);
+                            colors[pos] = None;
+                        }
+                        // Re-color an unassigned entry the way a repair
+                        // would, rebuilding (repairs own that transition).
+                        None => {
+                            colors[pos] = Some(next(8));
+                            index = SlotIndex::from_colors(&colors);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            assert_eq!(index, SlotIndex::from_colors(&colors));
+        }
+        // Emptying the top slot trims it, as a rebuild would.
+        let colors = vec![Some(0), Some(2), None];
+        let mut index = SlotIndex::from_colors(&colors);
+        index.unassign(1, 2);
+        assert_eq!(index, SlotIndex::from_colors(&[Some(0), None, None]));
+    }
+
+    #[test]
+    fn report_keeps_admission_order_and_the_index_ascends() {
+        // Link 0 is dirty and fits the far-apart slot of links 1 and 2: the
+        // report lists it after its slotmates (admission order), while the
+        // carried index equals the ascending rebuild (the helper asserts
+        // that after every repair).
+        let links = chain(3, 100.0);
+        let config = SchedulerConfig::new(PowerMode::Uniform);
+        let prev = vec![None, Some(0), Some(0)];
+        let (graph, cache) = harness(&links, config);
+        let judge = CacheJudge::new(&links, config, cache.as_ref());
+        let (outcome, colors, _) = repair(&links, &graph, &judge, &config, &prev, &[]);
+        assert_eq!(outcome.report.schedule.slots(), &[vec![1, 2, 0]]);
+        assert_eq!(colors, vec![Some(0); 3]);
     }
 
     #[test]

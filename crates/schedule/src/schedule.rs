@@ -2,7 +2,6 @@
 
 use crate::power_mode::PowerMode;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 use wagg_sinr::{Link, SinrModel};
 
@@ -91,17 +90,19 @@ impl Schedule {
     /// Whether every link index in `0..num_links` appears in at least one slot and no
     /// slot references an out-of-range index or repeats an index within a slot.
     pub fn covers_all(&self, num_links: usize) -> bool {
-        let mut seen = vec![false; num_links];
-        for slot in &self.slots {
-            let mut in_slot = HashSet::new();
+        // `last_slot[idx]` is one past the last slot `idx` appeared in (0:
+        // never), so a repeat inside one slot meets its own stamp.
+        let mut last_slot = vec![0usize; num_links];
+        for (t, slot) in self.slots.iter().enumerate() {
+            let stamp = t + 1;
             for &idx in slot {
-                if idx >= num_links || !in_slot.insert(idx) {
+                if idx >= num_links || last_slot[idx] == stamp {
                     return false;
                 }
-                seen[idx] = true;
+                last_slot[idx] = stamp;
             }
         }
-        seen.into_iter().all(|s| s)
+        last_slot.into_iter().all(|s| s != 0)
     }
 
     /// Whether the schedule is a *partition* of `0..num_links`: covers everything and
@@ -217,6 +218,15 @@ mod tests {
         assert!(!repeated_in_slot.covers_all(2));
         let out_of_range = Schedule::new(vec![vec![0, 5]]);
         assert!(!out_of_range.covers_all(2));
+        // A repeat across slots still covers; only the partition count
+        // rejects it.
+        let across = Schedule::new(vec![vec![0, 1], vec![1]]);
+        assert!(across.covers_all(2));
+        assert!(!across.is_partition(2));
+        // A repeat inside a later slot is caught after an earlier slot
+        // already used the index.
+        let later_repeat = Schedule::new(vec![vec![1], vec![0, 1, 1]]);
+        assert!(!later_repeat.covers_all(2));
     }
 
     #[test]

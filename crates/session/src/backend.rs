@@ -19,9 +19,11 @@
 //!
 //! The repair-capable backends keep one position-indexed [`WarmState`]
 //! inside a solve-order mirror (`SolveMirror`) that every event splices in
-//! lockstep with the links and their path-loss parts. The repair kernel
-//! ([`wagg_schedule::solve_repair`]) edits that warm state in place, so a
-//! repair-path solve commits with no copy, replay or re-capture. Full
+//! lockstep with the links, their path-loss parts, the warm coloring's
+//! [`SlotIndex`] and the universe's extreme link lengths. The repair kernel
+//! ([`wagg_schedule::solve_repair`]) reads those aggregates and edits the
+//! warm state and index in place, so a repair-path solve commits with no
+//! copy, replay or re-capture, and walks no link the events left alone. Full
 //! recolors (cold starts, watermark breaches) re-anchor through
 //! `WarmState::capture`, which stays the correctness oracle — debug builds
 //! assert the committed colors equal a capture of the repaired report.
@@ -38,8 +40,9 @@ use wagg_partition::{
 };
 use wagg_schedule::{
     solve_static_traced, BackendKind, CacheJudge, RepairDecision, RepairStats, SchedulerConfig,
-    SolveReport,
+    SlotIndex, SolveReport,
 };
+use wagg_sinr::link::link_diversity;
 use wagg_sinr::{Link, LinkId, NodeId, PathLossCache, PowerAssignment};
 
 /// One execution strategy behind the [`Session`](crate::Session) facade: a
@@ -160,10 +163,15 @@ pub trait SchedulerBackend: std::fmt::Debug {
 /// The solve-order mirror a repair-capable backend keeps beside its own
 /// incremental index: position `i` holds the `i`-th live link in solve order
 /// (id relabeled to `i`), its path-loss parts and, once a repair-enabled
-/// solve anchored it, its warm entry. Every splice moves all of them in
-/// lockstep, so positions stay current without any per-solve rebuild, and a
-/// removal drops a link's color and budget together — no stale warm entry
-/// can outlive its link.
+/// solve anchored it, its warm entry and its place in the warm coloring's
+/// [`SlotIndex`]. Every splice moves all of them in lockstep, so positions
+/// stay current without any per-solve rebuild, and a removal drops a link's
+/// color, budget and slot membership together — no stale warm entry can
+/// outlive its link.
+///
+/// It also keeps the universe's extreme link lengths current per splice,
+/// so a warm solve states the length diversity without re-folding every
+/// link.
 #[derive(Debug)]
 struct SolveMirror {
     /// The live links in solve order, ids relabeled to positions, node
@@ -173,12 +181,30 @@ struct SolveMirror {
     /// is pinned — see [`pinned_assignment`]).
     powers: Vec<Option<f64>>,
     weights: Vec<Option<f64>>,
+    /// The extreme lengths of `links` (the report's diversity).
+    lengths: LengthRange,
     /// The warm repair state (`None` before the first repair-enabled
     /// solve).
     warm: Option<WarmState>,
+    /// Slot membership of `warm`'s colors (empty while `warm` is `None`);
+    /// installed by [`SolveMirror::anchor`], spliced per event after that.
+    index: SlotIndex,
 }
 
 impl SolveMirror {
+    /// A mirror over `links` (solve order, ids relabeled) and their parts,
+    /// with no warm state yet.
+    fn new(links: Vec<Link>, powers: Vec<Option<f64>>, weights: Vec<Option<f64>>) -> Self {
+        SolveMirror {
+            lengths: LengthRange::of(&links),
+            links,
+            powers,
+            weights,
+            warm: None,
+            index: SlotIndex::default(),
+        }
+    }
+
     /// A mirror over `links` in solve order, each priced independently
     /// under `config` (see [`link_parts`]), with no warm state yet.
     fn priced(config: &SchedulerConfig, links: impl IntoIterator<Item = Link>) -> Self {
@@ -191,50 +217,78 @@ impl SolveMirror {
             })
             .collect();
         let (powers, weights) = links.iter().map(|l| link_parts(config, l)).unzip();
-        SolveMirror {
-            links,
-            powers,
-            weights,
-            warm: None,
-        }
+        SolveMirror::new(links, powers, weights)
     }
 
     fn len(&self) -> usize {
         self.links.len()
     }
 
+    /// Installs `warm` — a full recolor's capture or a restored snapshot —
+    /// and builds its slot index (the one O(n) index build, once per
+    /// anchoring).
+    fn anchor(&mut self, warm: WarmState) {
+        self.index = SlotIndex::from_colors(&warm.colors);
+        self.warm = Some(warm);
+    }
+
+    /// The universe's length diversity as the report states it
+    /// (`link_diversity(links)`, 1 when undefined), from the maintained
+    /// extremes.
+    fn diversity(&self) -> f64 {
+        debug_assert_eq!(
+            self.lengths.diversity(),
+            link_diversity(&self.links),
+            "length extremes diverged from the links"
+        );
+        self.lengths.diversity().unwrap_or(1.0)
+    }
+
     /// Splices `link` in at `pos` as a dirty warm entry (positions at and
     /// after it shift up by one).
     fn insert(&mut self, pos: usize, link: Link, (power, weight): (Option<f64>, Option<f64>)) {
+        self.lengths.add(link.length());
         self.links.insert(pos, link);
         self.powers.insert(pos, power);
         self.weights.insert(pos, weight);
         if let Some(warm) = &mut self.warm {
             warm.insert_at(pos);
+            self.index.insert(pos);
         }
         self.relabel(pos);
     }
 
     /// Drops position `pos` (positions after it shift down by one).
     fn remove(&mut self, pos: usize) {
-        self.links.remove(pos);
+        let link = self.links.remove(pos);
         self.powers.remove(pos);
         self.weights.remove(pos);
         if let Some(warm) = &mut self.warm {
+            self.index.remove(pos, warm.colors[pos]);
             warm.remove_at(pos);
         }
         self.relabel(pos);
+        if self.lengths.remove(link.length()) {
+            self.lengths = LengthRange::of(&self.links);
+        }
     }
 
     /// Re-seats position `pos` as `link` with fresh path-loss parts and
     /// dirties its warm entry.
     fn reseat(&mut self, pos: usize, mut link: Link, (power, weight): (Option<f64>, Option<f64>)) {
         link.id = LinkId(pos);
-        self.links[pos] = link;
+        let old = std::mem::replace(&mut self.links[pos], link);
         self.powers[pos] = power;
         self.weights[pos] = weight;
         if let Some(warm) = &mut self.warm {
+            if let Some(color) = warm.colors[pos] {
+                self.index.unassign(pos, color);
+            }
             warm.mark_dirty(pos);
+        }
+        self.lengths.add(link.length());
+        if self.lengths.remove(old.length()) {
+            self.lengths = LengthRange::of(&self.links);
         }
     }
 
@@ -243,6 +297,73 @@ impl SolveMirror {
         for (pos, link) in self.links.iter_mut().enumerate().skip(from) {
             link.id = LinkId(pos);
         }
+    }
+}
+
+/// The shortest and longest link length of a universe and how many links
+/// hold each — what `link_diversity` folds, kept current per splice. Only
+/// the departure of an extreme's last holder needs a re-fold.
+#[derive(Debug, Clone, Copy)]
+struct LengthRange {
+    min: f64,
+    min_count: usize,
+    max: f64,
+    max_count: usize,
+}
+
+impl LengthRange {
+    /// The extremes of `links`, folded from scratch.
+    fn of(links: &[Link]) -> Self {
+        let mut range = LengthRange {
+            min: f64::INFINITY,
+            min_count: 0,
+            max: f64::NEG_INFINITY,
+            max_count: 0,
+        };
+        for link in links {
+            range.add(link.length());
+        }
+        range
+    }
+
+    /// Counts a link of this length in.
+    fn add(&mut self, length: f64) {
+        // `link_diversity`'s `f64::min`/`max` fold skips NaN; so does this.
+        if length.is_nan() {
+            return;
+        }
+        if length < self.min {
+            (self.min, self.min_count) = (length, 1);
+        } else if length == self.min {
+            self.min_count += 1;
+        }
+        if length > self.max {
+            (self.max, self.max_count) = (length, 1);
+        } else if length == self.max {
+            self.max_count += 1;
+        }
+    }
+
+    /// Counts a link of this length out; `true` when an extreme lost its
+    /// last holder and the caller must re-fold.
+    fn remove(&mut self, length: f64) -> bool {
+        let mut stale = false;
+        if length == self.min {
+            self.min_count -= 1;
+            stale |= self.min_count == 0;
+        }
+        if length == self.max {
+            self.max_count -= 1;
+            stale |= self.max_count == 0;
+        }
+        stale
+    }
+
+    /// `link_diversity` of the counted links: `max / min`, `None` for an
+    /// empty universe or a non-positive or non-finite extreme.
+    fn diversity(&self) -> Option<f64> {
+        (self.min > 0.0 && self.min.is_finite() && self.max.is_finite())
+            .then(|| self.max / self.min)
     }
 }
 
@@ -546,12 +667,7 @@ impl EngineMirror {
         EngineMirror {
             live,
             pos_of,
-            mirror: SolveMirror {
-                links: engine.links(),
-                powers,
-                weights,
-                warm: None,
-            },
+            mirror: SolveMirror::new(engine.links(), powers, weights),
         }
     }
 
@@ -678,7 +794,7 @@ impl EngineBackend {
         let engine = InterferenceEngine::with_links(config, &bare);
         let mirror = warm.map(|w| {
             let mut em = EngineMirror::build(&engine);
-            em.mirror.warm = Some(w.clone());
+            em.mirror.anchor(w.clone());
             em
         });
         Ok(EngineBackend {
@@ -726,7 +842,7 @@ impl EngineBackend {
         } else {
             vec![0.0; report.num_links]
         };
-        mirror.warm = Some(WarmState::capture(&report, budgets, None));
+        mirror.anchor(WarmState::capture(&report, budgets, None));
         self.dirty.clear();
         self.engine.recorder().add("repair.warm_recaptured", 1);
         let replaced = report.num_links;
@@ -801,10 +917,9 @@ impl SchedulerBackend for EngineBackend {
             .ok_or(SessionError::UnknownKey { key })?;
         let old = self.engine.remove_link(old_slot)?;
         self.key_of.remove(&old_slot);
-        let slot = match (old.sender_node, old.receiver_node) {
-            (Some(s), Some(r)) => self.engine.insert_link_with_nodes(sender, receiver, s, r),
-            _ => self.engine.insert_link(sender, receiver),
-        };
+        let slot =
+            self.engine
+                .insert_annotated(sender, receiver, old.sender_node, old.receiver_node);
         self.slot_of.insert(key, slot);
         self.key_of.insert(slot, key);
         self.dirty.insert(key);
@@ -855,6 +970,7 @@ impl SchedulerBackend for EngineBackend {
             pos_of,
             mirror,
         } = em;
+        let diversity = mirror.diversity();
         let warm = mirror
             .warm
             .as_mut()
@@ -895,6 +1011,8 @@ impl SchedulerBackend for EngineBackend {
             &config,
             &mut warm.colors,
             &mut warm.budgets,
+            &mut mirror.index,
+            diversity,
             &check,
             self.engine.recorder(),
         );
@@ -997,7 +1115,7 @@ enum ShardedInner {
         /// The links (the engine itself does not track node annotations),
         /// their parts under the scheduler's pinned assignment, and the
         /// warm state.
-        mirror: SolveMirror,
+        mirror: Box<SolveMirror>,
     },
 }
 
@@ -1054,7 +1172,7 @@ impl ShardedBackend {
                 engine: Box::new(PartitionedEngine::new(config)),
                 skeys: Vec::new(),
                 ekeys: Vec::new(),
-                mirror: SolveMirror::priced(&config.scheduler, []),
+                mirror: Box::new(SolveMirror::priced(&config.scheduler, [])),
             },
             ..ShardedBackend::new(config.scheduler, config.verifier, config.target_shards)
         }
@@ -1084,7 +1202,7 @@ impl ShardedBackend {
         {
             if self.next_key == 0 && !links.is_empty() {
                 let n = links.len() as u64;
-                *mirror = SolveMirror::priced(&self.scheduler, links.iter().copied());
+                **mirror = SolveMirror::priced(&self.scheduler, links.iter().copied());
                 **engine = PartitionedEngine::with_links(*engine.config(), &mirror.links);
                 *skeys = (0..n).collect();
                 *ekeys = (0..n).collect();
@@ -1185,8 +1303,13 @@ impl ShardedBackend {
                 return Err(RestoreError::LengthOutOfBounds { key: k.key, length });
             }
         }
-        let mut mirror = SolveMirror::priced(&config.scheduler, links.iter().map(|k| k.link));
-        mirror.warm = warm.cloned();
+        let mut mirror = Box::new(SolveMirror::priced(
+            &config.scheduler,
+            links.iter().map(|k| k.link),
+        ));
+        if let Some(w) = warm {
+            mirror.anchor(w.clone());
+        }
         Ok(ShardedBackend {
             inner: ShardedInner::Engine {
                 engine: Box::new(PartitionedEngine::with_links(config, &mirror.links)),
@@ -1237,7 +1360,7 @@ impl ShardedBackend {
         let skew = solve
             .sharding
             .map(|s| (s.max_owned, s.mean_owned, s.ghost_fraction));
-        mirror.warm = Some(WarmState::capture(&solve.report, budgets, skew));
+        mirror.anchor(WarmState::capture(&solve.report, budgets, skew));
         self.dirty.clear();
         self.recorder.add("repair.warm_recaptured", 1);
         let slots = solve.report.schedule.len();
@@ -1396,6 +1519,7 @@ impl SchedulerBackend for ShardedBackend {
             return None;
         };
         let dirty_links = self.dirty.len();
+        let diversity = mirror.diversity();
         let Some(warm) = mirror.warm.as_mut() else {
             return Some(self.full_recolor_hinted(
                 RepairDecision::ColdStart,
@@ -1440,7 +1564,7 @@ impl SchedulerBackend for ShardedBackend {
                 assert_eq!(mirror.weights, w, "weight mirror diverged");
             }
         }
-        let (colors, budgets) = (&mut warm.colors, &mut warm.budgets);
+        let (colors, budgets, index) = (&mut warm.colors, &mut warm.budgets, &mut mirror.index);
         let outcome = if assignment.is_some() {
             let judge =
                 AffectanceVerifier::new(&config.model, links, &mirror.powers, &mirror.weights)
@@ -1453,6 +1577,8 @@ impl SchedulerBackend for ShardedBackend {
                 &config,
                 colors,
                 budgets,
+                index,
+                diversity,
                 &check,
                 &self.recorder,
             )
@@ -1465,6 +1591,8 @@ impl SchedulerBackend for ShardedBackend {
                 &config,
                 colors,
                 budgets,
+                index,
+                diversity,
                 &check,
                 &self.recorder,
             )
@@ -1555,6 +1683,240 @@ impl SchedulerBackend for ShardedBackend {
                 warm: mirror.warm.clone(),
                 counts,
             },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wagg_geometry::BoundingBox;
+    use wagg_schedule::PowerMode;
+
+    /// Receiver nodes are numbered from here; sender node `k` is seeded link
+    /// `k`'s own.
+    const RECEIVER_NODES: usize = 10_000;
+    const PAIRS: usize = 90;
+    const LENGTHS: (f64, f64) = (0.5, 2.0);
+
+    /// Pairs of unit links on a 3-unit grid, each pair sharing its receiver
+    /// point and receiver node, so one node move re-seats two links.
+    fn paired_links() -> Vec<Link> {
+        let mut links = Vec::new();
+        for j in 0..PAIRS {
+            let r = Point::new((j % 10) as f64 * 3.0, (j / 10) as f64 * 3.0);
+            for (k, s) in [Point::new(r.x + 1.0, r.y), Point::new(r.x, r.y + 1.0)]
+                .into_iter()
+                .enumerate()
+            {
+                let i = 2 * j + k;
+                links.push(Link::with_nodes(
+                    i,
+                    s,
+                    r,
+                    NodeId(i),
+                    NodeId(RECEIVER_NODES + j),
+                ));
+            }
+        }
+        links
+    }
+
+    /// A seeded xorshift stream: `next(bound)` is uniform-ish in `0..bound`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % bound as u64) as usize
+        }
+
+        fn offset(&mut self) -> f64 {
+            (self.next(41) as f64 - 20.0) / 100.0
+        }
+    }
+
+    /// One solve of a script: the report, then the warm colors and the
+    /// budgets' bit patterns it left behind.
+    type Solve = (SolveReport, Vec<Option<usize>>, Vec<u64>);
+
+    /// Runs a seeded event script against `backend`: batches of arrivals,
+    /// departures from mid-positions, relocations and node moves, each
+    /// batch followed by a repair solve, with a forced watermark breach
+    /// every 20 solves. `before_solve` runs ahead of every solve.
+    fn run_script<B: SchedulerBackend>(
+        mut backend: B,
+        seed: u64,
+        before_solve: impl Fn(&mut B),
+    ) -> Vec<Solve> {
+        let mut rng = Rng(seed);
+        let links = paired_links();
+        let mut geometry: BTreeMap<u64, (Point, Point)> = links
+            .iter()
+            .enumerate()
+            .map(|(key, l)| (key as u64, (l.sender, l.receiver)))
+            .collect();
+        let in_bounds = |s: Point, r: Point| {
+            let d = s.distance(r);
+            d >= LENGTHS.0 && d <= LENGTHS.1
+        };
+        let mut solves = Vec::new();
+        for step in 0..60 {
+            for _ in 0..1 + rng.next(3) {
+                let keys: Vec<u64> = geometry.keys().copied().collect();
+                match rng.next(4) {
+                    0 => {
+                        let key = keys[rng.next(keys.len())];
+                        let (s, r) = geometry[&key];
+                        let (dx, dy) = (rng.offset(), rng.offset());
+                        let to = (
+                            Point::new(s.x + dx, s.y + dy),
+                            Point::new(r.x + dx, r.y + dy),
+                        );
+                        backend.relocate(key, to.0, to.1).unwrap();
+                        geometry.insert(key, to);
+                    }
+                    1 => {
+                        let s =
+                            Point::new(rng.next(300) as f64 / 10.0, rng.next(270) as f64 / 10.0);
+                        let r = Point::new(s.x + 0.8, s.y + 0.6);
+                        let key = backend.insert(s, r, None);
+                        geometry.insert(key, (s, r));
+                    }
+                    2 => {
+                        // Never the tail: departures shift later positions.
+                        let key = keys[rng.next(keys.len() - 1)];
+                        backend.remove(key).unwrap();
+                        geometry.remove(&key);
+                    }
+                    _ => {
+                        // Move a pair's shared receiver node next to where
+                        // its first live member's receiver is, when every
+                        // follower stays within the declared lengths.
+                        let j = rng.next(PAIRS);
+                        let members: Vec<u64> = [2 * j as u64, 2 * j as u64 + 1]
+                            .into_iter()
+                            .filter(|k| geometry.contains_key(k))
+                            .collect();
+                        let Some(&first) = members.first() else {
+                            continue;
+                        };
+                        let r = geometry[&first].1;
+                        let to = Point::new(r.x + rng.offset(), r.y + rng.offset());
+                        if members.iter().all(|k| in_bounds(geometry[k].0, to)) {
+                            let moved = backend.move_node(RECEIVER_NODES + j, to);
+                            assert_eq!(moved, members.len(), "node move followers");
+                            for k in &members {
+                                geometry.get_mut(k).unwrap().1 = to;
+                            }
+                        }
+                    }
+                }
+            }
+            let policy = RepairPolicy {
+                // A negative watermark forces the breach path.
+                max_drift: if step % 20 == 13 { -1.0 } else { 0.25 },
+                ..RepairPolicy::enabled()
+            };
+            before_solve(&mut backend);
+            let report = backend.solve_repair(&policy).expect("repair-capable");
+            let warm = backend.warm_state().expect("anchored by the first solve");
+            solves.push((
+                report,
+                warm.colors.clone(),
+                warm.budgets.iter().map(|b| b.to_bits()).collect(),
+            ));
+        }
+        solves
+    }
+
+    /// The script run twice — carrying the slot index forward, and
+    /// rebuilding it from the warm colors before every solve — must agree
+    /// report for report (slot member order included) and budget bit for
+    /// budget bit.
+    fn assert_index_is_exact<B: SchedulerBackend>(
+        make: impl Fn() -> B,
+        rebuild: impl Fn(&mut B),
+        context: &str,
+    ) {
+        for seed in [3u64, 17, 101] {
+            let carried = run_script(make(), seed, |_| {});
+            let rebuilt = run_script(make(), seed, &rebuild);
+            assert!(
+                carried.iter().any(|(r, _, _)| r
+                    .repair
+                    .is_some_and(|r| r.decision == RepairDecision::WatermarkBreach)),
+                "{context}: the script forces a breach"
+            );
+            for (t, (a, b)) in carried.iter().zip(&rebuilt).enumerate() {
+                assert_eq!(a.0, b.0, "{context} seed {seed}: report {t} diverged");
+                assert_eq!(a.1, b.1, "{context} seed {seed}: colors {t} diverged");
+                assert_eq!(a.2, b.2, "{context} seed {seed}: budgets {t} diverged");
+            }
+        }
+    }
+
+    fn rebuild_mirror_index(mirror: &mut SolveMirror) {
+        if let Some(warm) = &mirror.warm {
+            mirror.index = SlotIndex::from_colors(&warm.colors);
+        }
+    }
+
+    /// An additive configuration (oblivious power, noise-free: budgets are
+    /// carried) and an opaque one (noise: every probe materialises the
+    /// slot, and the sweep runs `SlotJudge::evict`).
+    fn schedulers() -> [SchedulerConfig; 2] {
+        let model = wagg_sinr::SinrModel::default();
+        let noisy =
+            wagg_sinr::SinrModel::new(model.alpha(), model.beta(), 1e-3).expect("valid model");
+        [
+            SchedulerConfig::new(PowerMode::mean_oblivious()),
+            SchedulerConfig::new(PowerMode::Uniform).with_model(noisy),
+        ]
+    }
+
+    #[test]
+    fn carried_slot_index_matches_a_rebuild_on_the_engine_backend() {
+        for scheduler in schedulers() {
+            let mode = scheduler.mode;
+            assert_index_is_exact(
+                || {
+                    EngineBackend::with_links(
+                        EngineConfig::for_scheduler(scheduler),
+                        &paired_links(),
+                    )
+                },
+                |b: &mut EngineBackend| {
+                    if let Some(em) = &mut b.mirror {
+                        rebuild_mirror_index(&mut em.mirror);
+                    }
+                },
+                &format!("engine {mode}"),
+            );
+        }
+    }
+
+    #[test]
+    fn carried_slot_index_matches_a_rebuild_on_the_hinted_sharded_backend() {
+        for scheduler in schedulers() {
+            let mode = scheduler.mode;
+            let config = PartitionedEngineConfig::new(
+                scheduler,
+                BoundingBox::new(-5.0, -5.0, 40.0, 40.0),
+                LENGTHS,
+                4,
+            );
+            assert_index_is_exact(
+                || ShardedBackend::with_partitioned_engine(config).seeded(&paired_links()),
+                |b: &mut ShardedBackend| {
+                    if let ShardedInner::Engine { mirror, .. } = &mut b.inner {
+                        rebuild_mirror_index(mirror);
+                    }
+                },
+                &format!("hinted sharded {mode}"),
+            );
         }
     }
 }

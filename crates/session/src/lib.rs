@@ -1144,15 +1144,21 @@ mod tests {
                 session.config().scheduler.mode
             ));
 
+            // A relocation re-seats the link; its one annotation must
+            // survive that too, or the node move below misses it.
+            let receiver = Point::new(4.1, 52.1);
+            session
+                .relocate(links.len() as u64 - 1, Point::new(3.1, 52.1), receiver)
+                .unwrap();
             let to = Point::new(3.2, 52.3);
             assert_eq!(session.move_node(7, to), 1, "{kind}");
             let moved = session
                 .links()
                 .into_iter()
                 .find(|l| l.sender_node == Some(NodeId(7)))
-                .expect("the half-annotation survives seeding");
+                .expect("the half-annotation survives seeding and relocation");
             assert_eq!(moved.sender, to, "{kind}");
-            assert_eq!(moved.receiver, Point::new(4.0, 52.0), "{kind}");
+            assert_eq!(moved.receiver, receiver, "{kind}");
         }
     }
 
@@ -1285,6 +1291,7 @@ mod tests {
             let m = report.metrics.expect("instrumented solve carries metrics");
             assert!(m.phase("repair").is_some());
             assert!(m.phase("repair/place").is_some());
+            assert!(m.phase("repair/commit").is_some());
             assert_eq!(m.counter("repair.dirty"), Some(1));
         }
         #[cfg(not(feature = "obs"))]
