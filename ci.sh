@@ -81,6 +81,16 @@ if [[ "$MODE" != "quick" ]]; then
   # accidental O(s^2) fallback, instrumentation that stopped being free),
   # not scheduler noise on a shared box.
   cargo run --release -q -p wagg-bench --bin bench_gate -- --check BENCH_gate.json --tolerance 150 --samples 2
+
+  echo "==> non-test src lines per crate (each file's lines before its first column-0 #[cfg(test)])"
+  total=0
+  for crate in crates/*/; do
+    lines=$(find "$crate/src" -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile} {n++} END{print n+0}' {} \; \
+      | awk '{s+=$1} END{print s+0}')
+    printf '%-14s %6d\n' "$(basename "$crate")" "$lines"
+    total=$((total + lines))
+  done
+  printf '%-14s %6d\n' "total" "$total"
 fi
 
 echo "CI gate passed."

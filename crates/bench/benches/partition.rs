@@ -97,7 +97,13 @@ fn bench_partition(c: &mut Criterion) {
             }
         }
         if n <= 200_000 {
-            let flat = sharded_session(&links, config, 16, VerifierStrategy::Flat).solve();
+            let flat = sharded_session(
+                &links,
+                config,
+                16,
+                VerifierStrategy::Hierarchical { depth: Some(1) },
+            )
+            .solve();
             assert_eq!(
                 flat.report, gate.report,
                 "flat and hierarchical verifiers must schedule identically"
@@ -114,7 +120,12 @@ fn bench_partition(c: &mut Criterion) {
                 b.iter(|| black_box(session.solve().slots()))
             });
         }
-        let mut session = sharded_session(&links, config, 16, VerifierStrategy::Flat);
+        let mut session = sharded_session(
+            &links,
+            config,
+            16,
+            VerifierStrategy::Hierarchical { depth: Some(1) },
+        );
         group.bench_function(BenchmarkId::new("flat_shards16", n), |b| {
             b.iter(|| black_box(session.solve().slots()))
         });

@@ -52,7 +52,7 @@ fn main() {
     eprintln!("generating n={n} links...");
     let links = uniform_unit_links(n, n as u64);
     for (label, strategy) in [
-        ("flat", VerifierStrategy::Flat),
+        ("flat", VerifierStrategy::Hierarchical { depth: Some(1) }),
         ("hierarchical", VerifierStrategy::default()),
     ] {
         // A fresh recorder per run keeps each trace single-rooted.

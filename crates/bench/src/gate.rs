@@ -4,10 +4,10 @@
 //! layer landed, but nothing *checked* them — a regression only surfaced
 //! when someone re-ran a sweep by hand and eyeballed the numbers. This
 //! module closes the loop: it parses the criterion-shim JSON the bench
-//! harness writes (see `shims/criterion`), runs a small fixed workload
-//! suite ([`run_gate_workloads`], seconds not minutes), and diffs fresh
-//! numbers against a committed baseline with a percentage tolerance
-//! ([`compare`]).
+//! harness writes (see `shims/criterion`) with the shared
+//! [`wagg_obs::json`] reader, runs a small fixed workload suite
+//! ([`run_gate_workloads`], seconds not minutes), and diffs fresh numbers
+//! against a committed baseline with a percentage tolerance ([`compare`]).
 //!
 //! Comparisons use `min_ns`, not `mean_ns`: the minimum over samples is the
 //! classic noise-robust statistic for a shared CI box (the mean absorbs
@@ -17,6 +17,7 @@ use std::fmt;
 use std::time::Instant;
 
 use wagg_engine::EngineEvent;
+use wagg_obs::json::Cursor;
 use wagg_schedule::{PowerMode, SchedulerConfig};
 use wagg_service::{SchedulerService, ServiceConfig};
 use wagg_session::{Backend, RepairPolicy, Session, SessionConfig};
@@ -102,17 +103,11 @@ fn escape(s: &str) -> String {
 /// A human-readable message when the text is not a criterion-shim document
 /// (wrong `harness` tag, malformed JSON, missing fields).
 pub fn parse(text: &str) -> Result<BenchRun, String> {
-    let mut c = Cursor {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    c.expect(b'{')?;
+    let mut c = Cursor::new(text);
     let mut harness_seen = false;
     let mut run = BenchRun::default();
-    loop {
-        let key = c.string()?;
-        c.expect(b':')?;
-        match key.as_str() {
+    c.object(|c, key| {
+        match key {
             "harness" => {
                 let tag = c.string()?;
                 if tag != "criterion-shim" {
@@ -120,28 +115,15 @@ pub fn parse(text: &str) -> Result<BenchRun, String> {
                 }
                 harness_seen = true;
             }
-            "benchmarks" => {
-                c.expect(b'[')?;
-                if !c.eat(b']') {
-                    loop {
-                        run.benchmarks.push(record(&mut c)?);
-                        if !c.eat(b',') {
-                            break;
-                        }
-                    }
-                    c.expect(b']')?;
-                }
-            }
+            "benchmarks" => c.array(|c| {
+                run.benchmarks.push(record(c)?);
+                Ok(())
+            })?,
             other => return Err(format!("unexpected key {other:?}")),
         }
-        if !c.eat(b',') {
-            break;
-        }
-    }
-    c.expect(b'}')?;
-    if !c.at_end() {
-        return Err("trailing content after document".to_string());
-    }
+        Ok(())
+    })?;
+    c.end()?;
     if !harness_seen {
         return Err("missing \"harness\" tag".to_string());
     }
@@ -149,30 +131,24 @@ pub fn parse(text: &str) -> Result<BenchRun, String> {
 }
 
 fn record(c: &mut Cursor<'_>) -> Result<GateRecord, String> {
-    c.expect(b'{')?;
     let mut group = None;
     let mut id = None;
     let mut mean_ns = None;
     let mut min_ns = None;
     let mut iters = None;
     let mut samples = None;
-    loop {
-        let key = c.string()?;
-        c.expect(b':')?;
-        match key.as_str() {
-            "group" => group = Some(c.string()?),
-            "id" => id = Some(c.string()?),
-            "mean_ns" => mean_ns = Some(c.number()?),
-            "min_ns" => min_ns = Some(c.number()?),
-            "iters" => iters = Some(c.number()? as u64),
-            "samples" => samples = Some(c.number()? as u64),
+    c.object(|c, key| {
+        match key {
+            "group" => group = Some(c.string()?.into_owned()),
+            "id" => id = Some(c.string()?.into_owned()),
+            "mean_ns" => mean_ns = Some(c.f64()?),
+            "min_ns" => min_ns = Some(c.f64()?),
+            "iters" => iters = Some(c.u64()?),
+            "samples" => samples = Some(c.u64()?),
             other => return Err(format!("unexpected benchmark key {other:?}")),
         }
-        if !c.eat(b',') {
-            break;
-        }
-    }
-    c.expect(b'}')?;
+        Ok(())
+    })?;
     match (group, id, mean_ns, min_ns) {
         (Some(group), Some(id), Some(mean_ns), Some(min_ns)) => Ok(GateRecord {
             group,
@@ -183,93 +159,6 @@ fn record(c: &mut Cursor<'_>) -> Result<GateRecord, String> {
             samples: samples.unwrap_or(0),
         }),
         _ => Err("benchmark row missing group/id/mean_ns/min_ns".to_string()),
-    }
-}
-
-/// Minimal byte cursor over the shim's JSON subset (strings with `\"` and
-/// `\\` escapes, plain numbers, no nested containers beyond the fixed
-/// shape).
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.ws();
-        self.pos == self.bytes.len()
-    }
-
-    fn eat(&mut self, byte: u8) -> bool {
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(&b) if b == b'"' || b == b'\\' => {
-                            out.push(b as char);
-                            self.pos += 1;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
     }
 }
 
@@ -386,12 +275,14 @@ pub fn compare(baseline: &BenchRun, fresh: &BenchRun, tolerance_pct: f64) -> Gat
 /// * `gate/sharded_event/20000` — the same single-event round trip on the
 ///   hinted sharded backend (partition hints declared, 4 shards), whose
 ///   warm solves repair through the certified verifier;
-/// * `gate/service_event/20000` — the same sustained churn loop through a
-///   one-worker [`SchedulerService`]: each sample is one net-zero event
-///   batch plus a warm solve as two request/response round trips, so the
-///   delta against `gate/repair_event/20000` is the serving overhead
-///   (routing, bounded queue, reply channel) and a regression in either
-///   layer trips it;
+/// * `gate/service_event/20000` — warm churn on the engine backend hosted
+///   by a one-worker [`SchedulerService`]: each sample is one net-zero
+///   batch (a fresh link arrives at `y = 200` and departs again) plus a
+///   warm solve, sent as two request/response round trips. Its event
+///   differs from `gate/repair_event/20000`'s relocation of a seeded link,
+///   so the two rows time different work and do not subtract to a serving
+///   overhead (the recorded baseline has this row's min below the repair
+///   row's); each gates its own path;
 /// * `gate/telemetry/20000` — `gate/sharded/20000` with a `Recorder` and
 ///   a `FlightRecorder` installed, so instrumentation overhead is itself a
 ///   gated quantity.
@@ -666,6 +557,30 @@ mod tests {
         );
         let good = sample_run().to_json();
         assert!(parse(&format!("{good} trailing")).is_err());
+    }
+
+    #[test]
+    fn counts_must_be_plain_integers() {
+        let row = |iters: &str| {
+            format!(
+                "{{\"harness\": \"criterion-shim\", \"benchmarks\": [{{\"group\": \"g\", \
+                 \"id\": \"x\", \"mean_ns\": 1.0, \"min_ns\": 1.0, \"iters\": {iters}, \
+                 \"samples\": 2}}]}}"
+            )
+        };
+        assert_eq!(parse(&row("3")).unwrap().benchmarks[0].iters, 3);
+        for bad in ["1.5", "1e300", "-1"] {
+            assert!(parse(&row(bad)).is_err(), "iters {bad} was accepted");
+        }
+    }
+
+    #[test]
+    fn non_ascii_ids_round_trip_and_match() {
+        let mut run = sample_run();
+        run.benchmarks[1].id = "latency/µs \"quoted\"".into();
+        let parsed = parse(&run.to_json()).expect("round-trip parses");
+        assert_eq!(parsed, run);
+        assert!(compare(&run, &parsed, 0.0).missing.is_empty());
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! the zero-sized no-op recorder (the decode errors still surface, so
 //! log validation works in every build).
 
+use crate::json::Cursor;
 use crate::telemetry::{
     BackendTag, FlightRecorder, RepairSample, RepairTag, SeriesKind, ShardSample, SolveSample,
     TelemetryConfig,
@@ -61,203 +62,66 @@ pub fn encode_sample(s: &SolveSample) -> String {
     )
 }
 
-/// A minimal JSON cursor for the fixed sample shape — no allocation
-/// beyond key/token strings, no external dependencies.
-struct Cursor<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Cursor {
-            b: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {} of sample line",
-                c as char, self.i
-            ))
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Parses a `"token"` string; the codec never emits escapes, so a
-    /// backslash is an error.
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i] != b'"' {
-            if self.b[self.i] == b'\\' {
-                return Err("unexpected escape in sample line".to_string());
-            }
-            self.i += 1;
-        }
-        if self.i >= self.b.len() {
-            return Err("unterminated string in sample line".to_string());
-        }
-        let s = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| "invalid utf-8 in sample line".to_string())?
-            .to_string();
-        self.i += 1;
-        Ok(s)
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.ws();
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(format!("expected a number at byte {start} of sample line"));
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .ok_or_else(|| format!("malformed number at byte {start} of sample line"))
-    }
-
-    fn u64_field(&mut self, key: &str) -> Result<u64, String> {
-        let v = self.number()?;
-        if v < 0.0 {
-            return Err(format!("field '{key}' must be non-negative, got {v}"));
-        }
-        Ok(v as u64)
-    }
-
-    fn literal_null(&mut self) -> bool {
-        self.ws();
-        if self.b[self.i..].starts_with(b"null") {
-            self.i += 4;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.ws();
-        self.i >= self.b.len()
-    }
-}
-
-fn decode_repair(cur: &mut Cursor) -> Result<Option<RepairSample>, String> {
-    if cur.literal_null() {
-        return Ok(None);
-    }
-    cur.expect(b'{')?;
+fn decode_repair(c: &mut Cursor<'_>) -> Result<RepairSample, String> {
     let mut out = RepairSample::default();
-    loop {
-        let key = cur.string()?;
-        cur.expect(b':')?;
-        match key.as_str() {
+    c.object(|c, key| {
+        match key {
             "decision" => {
-                let tok = cur.string()?;
+                let tok = c.string()?;
                 out.decision = RepairTag::parse_token(&tok)
                     .ok_or_else(|| format!("unknown repair decision '{tok}'"))?;
             }
-            "dirty" => out.dirty = cur.u64_field("dirty")?,
-            "replaced" => out.replaced = cur.u64_field("replaced")?,
-            "drift" => out.drift = cur.number()?,
+            "dirty" => out.dirty = c.u64()?,
+            "replaced" => out.replaced = c.u64()?,
+            "drift" => out.drift = c.f64()?,
             other => return Err(format!("unknown repair key '{other}'")),
         }
-        if !cur.eat(b',') {
-            break;
-        }
-    }
-    cur.expect(b'}')?;
-    Ok(Some(out))
+        Ok(())
+    })?;
+    Ok(out)
 }
 
-fn decode_sharding(cur: &mut Cursor) -> Result<Option<ShardSample>, String> {
-    if cur.literal_null() {
-        return Ok(None);
-    }
-    cur.expect(b'{')?;
+fn decode_sharding(c: &mut Cursor<'_>) -> Result<ShardSample, String> {
     let mut out = ShardSample::default();
-    loop {
-        let key = cur.string()?;
-        cur.expect(b':')?;
-        match key.as_str() {
-            "max_owned" => out.max_owned = cur.u64_field("max_owned")?,
-            "mean_owned" => out.mean_owned = cur.number()?,
-            "ghost_fraction" => out.ghost_fraction = cur.number()?,
+    c.object(|c, key| {
+        match key {
+            "max_owned" => out.max_owned = c.u64()?,
+            "mean_owned" => out.mean_owned = c.f64()?,
+            "ghost_fraction" => out.ghost_fraction = c.f64()?,
             other => return Err(format!("unknown sharding key '{other}'")),
         }
-        if !cur.eat(b',') {
-            break;
-        }
-    }
-    cur.expect(b'}')?;
-    Ok(Some(out))
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Decodes one JSONL line back into a [`SolveSample`] — the exact
 /// inverse of [`encode_sample`]. Unknown keys and malformed values are
-/// errors, so a corrupt log is detected rather than silently skewed.
+/// errors (integers must be plain digits), so a corrupt log is detected
+/// rather than silently skewed.
 pub fn decode_sample(line: &str) -> Result<SolveSample, String> {
-    let mut cur = Cursor::new(line);
-    cur.expect(b'{')?;
+    let mut c = Cursor::new(line);
     let mut out = SolveSample::default();
-    loop {
-        let key = cur.string()?;
-        cur.expect(b':')?;
-        match key.as_str() {
-            "seq" => out.seq = cur.u64_field("seq")?,
-            "wall_ns" => out.wall_nanos = cur.u64_field("wall_ns")?,
+    c.object(|c, key| {
+        match key {
+            "seq" => out.seq = c.u64()?,
+            "wall_ns" => out.wall_nanos = c.u64()?,
             "backend" => {
-                let tok = cur.string()?;
+                let tok = c.string()?;
                 out.backend = BackendTag::parse_token(&tok)
                     .ok_or_else(|| format!("unknown backend '{tok}'"))?;
             }
-            "links" => out.links = cur.u64_field("links")?,
-            "slots" => out.slots = cur.u64_field("slots")?,
-            "exact_fallbacks" => out.exact_fallbacks = cur.u64_field("exact_fallbacks")?,
-            "evictions" => out.evictions = cur.u64_field("evictions")?,
-            "repair" => out.repair = decode_repair(&mut cur)?,
-            "sharding" => out.sharding = decode_sharding(&mut cur)?,
+            "links" => out.links = c.u64()?,
+            "slots" => out.slots = c.u64()?,
+            "exact_fallbacks" => out.exact_fallbacks = c.u64()?,
+            "evictions" => out.evictions = c.u64()?,
+            "repair" => out.repair = (!c.null()).then(|| decode_repair(c)).transpose()?,
+            "sharding" => out.sharding = (!c.null()).then(|| decode_sharding(c)).transpose()?,
             other => return Err(format!("unknown sample key '{other}'")),
         }
-        if !cur.eat(b',') {
-            break;
-        }
-    }
-    cur.expect(b'}')?;
-    if !cur.at_end() {
-        return Err("trailing bytes after sample object".to_string());
-    }
+        Ok(())
+    })?;
+    c.end()?;
     Ok(out)
 }
 
@@ -445,6 +309,15 @@ mod tests {
         assert!(decode_sample("{\"repair\":{\"decision\":\"maybe\"}}").is_err());
         let full = encode_sample(&full_sample());
         assert!(decode_sample(&full[..full.len() - 5]).is_err());
+    }
+
+    #[test]
+    fn integer_fields_are_plain_digits() {
+        assert!(decode_sample("{\"seq\":1.5}").is_err());
+        assert!(decode_sample("{\"wall_ns\":1e300}").is_err());
+        assert!(decode_sample("{\"links\":18446744073709551616}").is_err());
+        let max = decode_sample("{\"wall_ns\":18446744073709551615}").unwrap();
+        assert_eq!(max.wall_nanos, u64::MAX);
     }
 
     #[test]

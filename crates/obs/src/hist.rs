@@ -115,7 +115,7 @@ impl Histogram {
     }
 
     /// The non-empty buckets as ascending `(bucket, count)` pairs — the
-    /// sparse form the report codec serialises.
+    /// sparse form the wire's report frame carries.
     pub fn bucket_counts(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
@@ -127,18 +127,18 @@ impl Histogram {
 
     /// Rebuilds a histogram from a recorded `sum` and sparse
     /// `(bucket, count)` pairs — the inverse of
-    /// [`Histogram::bucket_counts`]. Pairs with `bucket > 64` are
-    /// ignored; the count is recomputed from the pairs.
-    pub fn from_parts(sum: u64, buckets: &[(usize, u64)]) -> Histogram {
+    /// [`Histogram::bucket_counts`]. The count is recomputed from the
+    /// pairs; `None` when a bucket index exceeds 64 or the counts add up
+    /// past `u64::MAX`.
+    pub fn from_parts(sum: u64, buckets: &[(usize, u64)]) -> Option<Histogram> {
         let mut h = Histogram::new();
         h.sum = sum;
         for &(b, n) in buckets {
-            if b <= 64 {
-                h.buckets[b] += n;
-                h.count += n;
-            }
+            h.count = h.count.checked_add(n)?;
+            // A bucket never holds more than the total, so it cannot overflow.
+            *h.buckets.get_mut(b)? += n;
         }
-        h
+        Some(h)
     }
 
     /// Folds another histogram's samples into this one.
@@ -250,12 +250,15 @@ mod tests {
         let sparse = h.bucket_counts();
         assert_eq!(sparse, vec![(0, 1), (1, 1), (3, 2), (10, 1), (64, 1)]);
         let back = Histogram::from_parts(h.sum(), &sparse);
-        assert_eq!(back, h);
-        // Out-of-range buckets are dropped, not panicked on.
-        let odd = Histogram::from_parts(10, &[(2, 3), (65, 9), (usize::MAX, 1)]);
-        assert_eq!(odd.count(), 3);
-        assert_eq!(odd.sum(), 10);
-        assert_eq!(Histogram::from_parts(0, &[]), Histogram::new());
+        assert_eq!(back, Some(h));
+        // Out-of-range buckets and overflowing counts are refused, not
+        // panicked on or wrapped.
+        assert_eq!(Histogram::from_parts(10, &[(2, 3), (65, 9)]), None);
+        assert_eq!(Histogram::from_parts(10, &[(usize::MAX, 1)]), None);
+        assert_eq!(Histogram::from_parts(0, &[(1, u64::MAX), (2, 1)]), None);
+        let full = Histogram::from_parts(0, &[(1, u64::MAX - 1), (1, 1)]).unwrap();
+        assert_eq!(full.count(), u64::MAX);
+        assert_eq!(Histogram::from_parts(0, &[]), Some(Histogram::new()));
     }
 
     #[test]

@@ -34,7 +34,9 @@
 //! to every report. The [`export`] module reads that state back out: a
 //! Prometheus text exposition (`FlightRecorder::expose_text`) and a JSONL
 //! event-log codec ([`export::replay`]) that reproduces recorder state
-//! losslessly, truncated tails included.
+//! losslessly, truncated tails included. Every text format read back here
+//! (JSONL samples, chrome traces) and the perf gate's bench results parse
+//! with the one [`json`] reader.
 //!
 //! # Feature gating
 //!
@@ -42,8 +44,9 @@
 //! on). With `--no-default-features` the handle types compile to
 //! **zero-sized no-ops** — `size_of::<Recorder>() == 0`, every method an
 //! empty body the optimiser deletes — while the snapshot types
-//! ([`Metrics`], [`Histogram`], the [`trace`] validator) stay real, so
-//! call sites and signatures are identical in both builds.
+//! ([`Metrics`], [`Histogram`], the [`trace`] validator, the [`json`]
+//! reader) stay real, so call sites and signatures are identical in both
+//! builds.
 //!
 //! # Thread-safety model
 //!
@@ -77,6 +80,7 @@
 
 pub mod export;
 mod hist;
+pub mod json;
 pub mod telemetry;
 pub mod trace;
 
@@ -129,9 +133,9 @@ pub struct HistogramMetric {
 /// the observation histograms.
 ///
 /// This is plain data in both feature configurations — it is the type the
-/// session facade embeds into `SolveReport` and round-trips through the
-/// report's JSON codec. Phases, counters and histograms are sorted by
-/// path/name, so two equal recordings compare equal.
+/// session facade embeds into `SolveReport`, and `wagg-wire`'s report frame
+/// carries it field for field. Phases, counters and histograms are sorted
+/// by path/name, so two equal recordings compare equal.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Metrics {
     /// The aggregated phase tree, sorted by path.

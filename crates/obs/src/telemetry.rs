@@ -358,22 +358,12 @@ impl SignalKind {
     /// Every detector, in report order.
     pub const ALL: [SignalKind; 3] = [SignalKind::Skew, SignalKind::Drift, SignalKind::Latency];
 
-    /// The stable lowercase token used in report JSON and exposition.
+    /// The stable lowercase token used in the Prometheus exposition.
     pub fn token(self) -> &'static str {
         match self {
             SignalKind::Skew => "skew",
             SignalKind::Drift => "drift",
             SignalKind::Latency => "latency",
-        }
-    }
-
-    /// Parses a [`SignalKind::token`] back.
-    pub fn parse_token(s: &str) -> Option<SignalKind> {
-        match s {
-            "skew" => Some(SignalKind::Skew),
-            "drift" => Some(SignalKind::Drift),
-            "latency" => Some(SignalKind::Latency),
-            _ => None,
         }
     }
 }
@@ -1015,12 +1005,8 @@ mod tests {
         ] {
             assert_eq!(RepairTag::parse_token(tag.token()), Some(tag));
         }
-        for kind in SignalKind::ALL {
-            assert_eq!(SignalKind::parse_token(kind.token()), Some(kind));
-        }
         assert_eq!(BackendTag::parse_token("nope"), None);
         assert_eq!(RepairTag::parse_token(""), None);
-        assert_eq!(SignalKind::parse_token("skews"), None);
     }
 
     #[test]

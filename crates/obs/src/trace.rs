@@ -5,10 +5,12 @@
 //! (`"ph":"X"`) events with microsecond timestamps — which
 //! `chrome://tracing`, Perfetto and speedscope all open directly. This
 //! module is the matching consumer-side check: [`validate`] parses a
-//! document without any external JSON dependency and returns the
+//! document with the shared [`json`](crate::json) reader and returns the
 //! aggregate [`TraceStats`] the profiling binaries assert on (the CI
 //! smoke test and the `partition_profile --trace` wall-clock
 //! cross-check).
+
+use crate::json::Cursor;
 
 /// Aggregates of a validated trace document.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -33,161 +35,47 @@ pub struct TraceStats {
 /// Describes the first malformed token, missing required key, or
 /// non-`"X"` phase.
 pub fn validate(text: &str) -> Result<TraceStats, String> {
-    let mut p = Cursor::new(text);
-    p.expect('[')?;
+    let mut c = Cursor::new(text);
     let mut stats = TraceStats::default();
-    if p.peek()? == b']' {
-        p.pos += 1;
-        p.expect_end()?;
-        return Ok(stats);
-    }
-    loop {
-        let (dur, ph) = p.event()?;
-        if ph != "X" {
-            return Err(format!("unsupported event phase {ph:?} (expected \"X\")"));
-        }
+    c.array(|c| {
+        let dur = event(c)?;
         stats.events += 1;
         stats.total_dur_us += dur;
         stats.max_dur_us = stats.max_dur_us.max(dur);
-        if !p.comma_or_end(']')? {
-            break;
-        }
-    }
-    p.expect_end()?;
+        Ok(())
+    })?;
+    c.end()?;
     Ok(stats)
 }
 
-/// A minimal cursor over the JSON subset the exporter emits (flat objects
-/// with string and number values, no escapes).
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
+/// One event object; checks the required keys and the `"X"` phase and
+/// returns the duration.
+fn event(c: &mut Cursor<'_>) -> Result<f64, String> {
+    let (mut name, mut ph, mut ts, mut dur, mut pid, mut tid) =
+        (None, None, None, None, None, None);
+    c.object(|c, key| {
+        match key {
+            "name" => name = Some(c.string()?),
+            "cat" => drop(c.string()?),
+            "ph" => ph = Some(c.string()?),
+            "ts" => ts = Some(c.f64()?),
+            "dur" => dur = Some(c.f64()?),
+            "pid" => pid = Some(c.f64()?),
+            "tid" => tid = Some(c.f64()?),
+            other => return Err(format!("unknown event key {other:?}")),
         }
+        Ok(())
+    })?;
+    name.ok_or("event missing \"name\"")?;
+    ts.ok_or("event missing \"ts\"")?;
+    pid.ok_or("event missing \"pid\"")?;
+    tid.ok_or("event missing \"tid\"")?;
+    let dur = dur.ok_or("event missing \"dur\"")?;
+    let ph = ph.ok_or("event missing \"ph\"")?;
+    if ph != "X" {
+        return Err(format!("unsupported event phase {ph:?} (expected \"X\")"));
     }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.peek()? == c as u8 {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at byte {}", self.pos))
-        }
-    }
-
-    fn expect_end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing content at byte {}", self.pos))
-        }
-    }
-
-    fn comma_or_end(&mut self, end: char) -> Result<bool, String> {
-        let got = self.peek()?;
-        self.pos += 1;
-        if got == b',' {
-            Ok(true)
-        } else if got == end as u8 {
-            Ok(false)
-        } else {
-            Err(format!("expected ',' or {end:?} at byte {}", self.pos - 1))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|&b| b != b'"') {
-            if self.bytes[self.pos] == b'\\' {
-                return Err(format!("escape sequences unsupported at byte {}", self.pos));
-            }
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 string")?
-            .to_string();
-        self.expect('"')?;
-        Ok(s)
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?
-            .parse()
-            .map_err(|e| format!("bad number: {e}"))
-    }
-
-    /// One event object; returns `(dur, ph)` and checks the required keys.
-    fn event(&mut self) -> Result<(f64, String), String> {
-        self.expect('{')?;
-        let (mut name, mut ph, mut ts, mut dur, mut pid, mut tid) =
-            (None, None, None, None, None, None);
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            match key.as_str() {
-                "name" => name = Some(self.string()?),
-                "cat" => {
-                    self.string()?;
-                }
-                "ph" => ph = Some(self.string()?),
-                "ts" => ts = Some(self.number()?),
-                "dur" => dur = Some(self.number()?),
-                "pid" => pid = Some(self.number()?),
-                "tid" => tid = Some(self.number()?),
-                other => return Err(format!("unknown event key {other:?}")),
-            }
-            if !self.comma_or_end('}')? {
-                break;
-            }
-        }
-        name.ok_or("event missing \"name\"")?;
-        ts.ok_or("event missing \"ts\"")?;
-        pid.ok_or("event missing \"pid\"")?;
-        tid.ok_or("event missing \"tid\"")?;
-        Ok((
-            dur.ok_or("event missing \"dur\"")?,
-            ph.ok_or("event missing \"ph\"")?,
-        ))
-    }
+    Ok(dur)
 }
 
 #[cfg(test)]

@@ -131,7 +131,7 @@ impl From<ShardedReport> for SolveReport {
 /// The strategy only changes how the verifier *prices* slots — accept/evict
 /// decisions (and with them the final schedule) match
 /// `is_feasible_by_affectance` under every strategy, which the differential
-/// test battery pins; [`VerifierStrategy::Flat`] is the PR-3 baseline, the
+/// test battery pins; a pyramid depth of 1 is the flat-grid baseline, the
 /// default descends the aggregation pyramid.
 ///
 /// This is the primitive `wagg_core::session::Session`'s sharded backend

@@ -30,8 +30,8 @@
 //!    re-verifies every slot by affectance anyway.)
 //! 4. **Verify globally**: every stitched slot passes through the
 //!    [`AffectanceVerifier`] (certified bounds — hierarchical far-field
-//!    aggregation by default, the flat grid under
-//!    [`VerifierStrategy::Flat`] — with exact fallback) and failing
+//!    aggregation by default, the flat grid at pyramid depth 1 — with
+//!    exact fallback) and failing
 //!    members are evicted and re-packed — so each final slot passes
 //!    `is_feasible_by_affectance`. Power modes without a fixed assignment
 //!    (global control) and noisy models use

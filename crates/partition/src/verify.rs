@@ -18,19 +18,19 @@
 //!   **upper bound** on its members' total contribution, costing `O(1)` per
 //!   aggregate.
 //!
-//! Two strategies share that contract (see [`VerifierStrategy`]):
+//! Every pyramid depth shares that contract (see [`VerifierStrategy`]):
 //!
-//! * **Flat** — one coarse level (`Θ(√m)` cells, `~m^(1/4)` per axis), every
-//!   cell priced per target: the PR-3 verifier, kept as the differential
+//! * **Depth 1** — one coarse level (`Θ(√m)` cells, `~m^(1/4)` per axis),
+//!   every cell priced per target: the flat grid, kept as the differential
 //!   baseline.
-//! * **Hierarchical** (the default) — a fine grid (a few members per cell)
-//!   under a [`GridPyramid`] of super-cells, each aggregating its children's
-//!   power sum and tight box. A target query descends from the top: a node
-//!   whose tight box lies at distance `d ≥ 2 · side(level)` is accepted as
-//!   one aggregate term, anything closer is expanded; finest-level cells
-//!   within the gate are summed exactly. Per-target cost drops from the flat
-//!   grid's `Θ(√m)` to `O(log m)` opened nodes, and a depth of 1 collapses
-//!   to the flat strategy byte for byte.
+//! * **Deeper** (the adaptive default for large slots) — a fine grid (a few
+//!   members per cell) under a [`GridPyramid`] of super-cells, each
+//!   aggregating its children's power sum and tight box. A target query
+//!   descends from the top: a node whose tight box lies at distance
+//!   `d ≥ 2 · side(level)` is accepted as one aggregate term, anything
+//!   closer is expanded; finest-level cells within the gate are summed
+//!   exactly. Per-target cost drops from the flat grid's `Θ(√m)` to
+//!   `O(log m)` opened nodes.
 //!
 //! If `exact_near + bound_far ≤ 1/β` the target is certified feasible (the
 //! true sum can only be smaller). Otherwise the target's sum is recomputed
@@ -82,10 +82,6 @@ const PYRAMID_CUTOFF: usize = 8192;
 /// How the verifier prices the far field of a target query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum VerifierStrategy {
-    /// The single-level grid of PR 3: `~m^(1/4)` cells per axis, exact sums
-    /// over the 3×3 cell neighbourhood of the target, one aggregate term per
-    /// far cell. Per-target far-field cost `Θ(√m)`.
-    Flat,
     /// Fine cells (a few members each) under a cell → super-cell aggregation
     /// pyramid; target queries descend the pyramid and expand only nodes too
     /// close for their aggregate bound. Per-target cost `O(log m)`-ish.
@@ -93,8 +89,10 @@ pub enum VerifierStrategy {
         /// Number of pyramid levels, or `None` for the adaptive default:
         /// flat below [`PYRAMID_CUTOFF`] members, the naturally deep
         /// pyramid above it (always clamped to
-        /// [`GridPyramid::natural_depth`]). An explicit depth of 1 collapses
-        /// to the [`VerifierStrategy::Flat`] code path exactly.
+        /// [`GridPyramid::natural_depth`]). A depth of 1 is the flat grid:
+        /// `~m^(1/4)` cells per axis, exact sums over the 3×3 cell
+        /// neighbourhood of the target, one aggregate term per far cell,
+        /// per-target far-field cost `Θ(√m)`.
         depth: Option<usize>,
     },
 }
@@ -111,7 +109,6 @@ impl VerifierStrategy {
     /// (1 means the flat path).
     fn requested_depth(self, m: usize) -> usize {
         match self {
-            VerifierStrategy::Flat => 1,
             VerifierStrategy::Hierarchical { depth: Some(d) } => d.max(1),
             VerifierStrategy::Hierarchical { depth: None } => {
                 if m < PYRAMID_CUTOFF {
@@ -813,7 +810,6 @@ mod tests {
 
     fn strategies() -> Vec<VerifierStrategy> {
         vec![
-            VerifierStrategy::Flat,
             VerifierStrategy::Hierarchical { depth: Some(1) },
             VerifierStrategy::Hierarchical { depth: Some(2) },
             VerifierStrategy::Hierarchical { depth: Some(4) },
@@ -875,35 +871,6 @@ mod tests {
                         ));
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn depth_one_matches_the_flat_strategy_exactly() {
-        let model = SinrModel::default();
-        let power = PowerAssignment::mean();
-        for &(n, spacing) in &[(400usize, 2.5), (400, 6.0), (625, 4.0)] {
-            let links = field(n, spacing);
-            let cache = PathLossCache::new(&model, &links, &power);
-            let (powers, weights) = cache.into_parts();
-            let members: Vec<usize> = (0..n).collect();
-            let flat = AffectanceVerifier::new(&model, &links, &powers, &weights)
-                .with_strategy(VerifierStrategy::Flat);
-            let depth1 = AffectanceVerifier::new(&model, &links, &powers, &weights)
-                .with_strategy(VerifierStrategy::Hierarchical { depth: Some(1) });
-            assert_eq!(
-                flat.evict_infeasible(&members),
-                depth1.evict_infeasible(&members),
-                "depth-1 accept/evict diverged from flat at n={n} spacing={spacing}"
-            );
-            // The depth-1 bound is the flat bound, term for term.
-            for k in (0..n).step_by(37) {
-                assert_eq!(
-                    flat.hierarchical_bound(&members, k, 1),
-                    depth1.hierarchical_bound(&members, k, 1),
-                    "bound mismatch at target {k}"
-                );
             }
         }
     }

@@ -1,9 +1,9 @@
 //! `PartitionedEngine` churn coverage: arbitrary churn-then-`schedule()`
 //! traces routed through the (hierarchical) certified verifier stay
 //! `is_feasible_by_affectance`-clean, including traces that force ghost
-//! re-ownership at tile boundaries — and the flat and hierarchical verifier
-//! strategies produce the identical stitched schedule at every point of a
-//! trace.
+//! re-ownership at tile boundaries — and the flat (depth-1) and adaptive
+//! verifier strategies produce the identical stitched schedule at every
+//! point of a trace.
 
 use proptest::prelude::*;
 use wagg_geometry::{BoundingBox, Point};
@@ -71,7 +71,7 @@ proptest! {
         shards in prop_oneof![Just(4usize), Just(9usize), Just(16usize)],
     ) {
         let mut hier = engine(shards, VerifierStrategy::default());
-        let mut flat = engine(shards, VerifierStrategy::Flat);
+        let mut flat = engine(shards, VerifierStrategy::Hierarchical { depth: Some(1) });
         let mut keys: Vec<u64> = Vec::new();
         for (step, &(op, x, y, angle, len)) in ops.iter().enumerate() {
             let (sender, receiver) = geometry(x, y, angle, len);

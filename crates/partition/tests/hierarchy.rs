@@ -4,14 +4,13 @@
 //!   hierarchical per-target bound at *every* pyramid depth upper-bounds the
 //!   exact affectance sum (`ci.sh` runs this suite serial and parallel, so
 //!   both configurations are certified);
-//! * **Differential scheduling** — full sharded scheduling with the
-//!   hierarchical verifier vs the flat verifier produces schedules that are
+//! * **Differential scheduling** — full sharded scheduling with deeper
+//!   pyramids vs the flat (depth-1) verifier produces schedules that are
 //!   both partitions and slot-for-slot SINR-feasible, across shard counts
 //!   and pyramid depths. Stronger still: because a bound-certified target is
 //!   also exact-feasible and a failed bound falls back to the exact kernel,
-//!   accept/evict decisions are *identical* under every strategy — the
-//!   reports are asserted equal, and depth 1 must equal the flat path's
-//!   decisions exactly (it is the same code path, pinned here).
+//!   accept/evict decisions are *identical* at every depth — the reports are
+//!   asserted equal.
 
 use proptest::prelude::*;
 use wagg_geometry::Point;
@@ -34,12 +33,13 @@ fn decode_links(raw: &[(f64, f64, f64, f64)]) -> Vec<Link> {
         .collect()
 }
 
-/// The strategy matrix the differential battery sweeps: the flat baseline
-/// plus pyramid depths 1 (must collapse to flat), shallow, and natural.
+/// The flat grid: a one-level pyramid.
+const FLAT: VerifierStrategy = VerifierStrategy::Hierarchical { depth: Some(1) };
+
+/// The strategy matrix the differential battery sweeps against [`FLAT`]:
+/// shallow, deeper and natural pyramid depths.
 fn strategy_matrix() -> Vec<VerifierStrategy> {
     vec![
-        VerifierStrategy::Flat,
-        VerifierStrategy::Hierarchical { depth: Some(1) },
         VerifierStrategy::Hierarchical { depth: Some(2) },
         VerifierStrategy::Hierarchical { depth: Some(3) },
         VerifierStrategy::Hierarchical { depth: None },
@@ -100,7 +100,7 @@ proptest! {
         let config = SchedulerConfig::new(PowerMode::mean_oblivious());
         let assignment = config.mode.assignment().expect("fixed mode");
         for shards in [1usize, 4, 9] {
-            let flat = solve_sharded(&links, config, shards, VerifierStrategy::Flat);
+            let flat = solve_sharded(&links, config, shards, FLAT);
             prop_assert!(flat.report.schedule.is_partition(links.len()));
             for slot in flat.report.schedule.slots() {
                 let slot_links: Vec<Link> = slot.iter().map(|&i| links[i]).collect();
@@ -135,7 +135,7 @@ fn dense_grid_instance_schedules_identically_across_the_matrix() {
     let config = SchedulerConfig::new(PowerMode::mean_oblivious());
     let assignment = config.mode.assignment().expect("fixed mode");
     for shards in [1usize, 4, 16] {
-        let flat = solve_sharded(&links, config, shards, VerifierStrategy::Flat);
+        let flat = solve_sharded(&links, config, shards, FLAT);
         assert!(flat.report.schedule.is_partition(links.len()));
         for slot in flat.report.schedule.slots() {
             let slot_links: Vec<Link> = slot.iter().map(|&i| links[i]).collect();
@@ -153,42 +153,4 @@ fn dense_grid_instance_schedules_identically_across_the_matrix() {
             );
         }
     }
-}
-
-/// Depth-1 bounds are the flat grid's bounds term for term (same cells, same
-/// order), on a slot big enough to exercise the certified path. (The
-/// `verify.rs` unit suite pins the same equality across a spacing sweep;
-/// this copy covers the *public* `hierarchical_bound` surface on a
-/// non-square field.)
-#[test]
-fn depth_one_bound_equals_the_flat_bound() {
-    let links: Vec<Link> = (0..500)
-        .map(|i| {
-            let x = (i % 25) as f64 * 3.1;
-            let y = (i / 25) as f64 * 2.9;
-            Link::new(i, Point::new(x, y), Point::new(x + 1.0, y))
-        })
-        .collect();
-    let model = SinrModel::default();
-    let assignment = PowerMode::mean_oblivious()
-        .assignment()
-        .expect("fixed mode");
-    let cache = PathLossCache::new(&model, &links, &assignment);
-    let (powers, weights) = cache.into_parts();
-    let flat = AffectanceVerifier::new(&model, &links, &powers, &weights)
-        .with_strategy(VerifierStrategy::Flat);
-    let hier = AffectanceVerifier::new(&model, &links, &powers, &weights)
-        .with_strategy(VerifierStrategy::Hierarchical { depth: Some(1) });
-    let members: Vec<usize> = (0..links.len()).collect();
-    for k in 0..members.len() {
-        assert_eq!(
-            flat.hierarchical_bound(&members, k, 1),
-            hier.hierarchical_bound(&members, k, 1),
-            "flat vs depth-1 bound diverged at target {k}"
-        );
-    }
-    assert_eq!(
-        flat.evict_infeasible(&members),
-        hier.evict_infeasible(&members)
-    );
 }

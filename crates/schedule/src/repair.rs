@@ -67,28 +67,13 @@ pub enum RepairDecision {
 }
 
 impl RepairDecision {
-    /// The round-trippable token ([`Display`](fmt::Display) prints the same).
+    /// The stable lowercase token ([`Display`](fmt::Display) prints the same).
     pub fn token(&self) -> &'static str {
         match self {
             RepairDecision::Repaired => "repaired",
             RepairDecision::ColdStart => "cold-start",
             RepairDecision::WatermarkBreach => "watermark-breach",
             RepairDecision::Unsupported => "unsupported",
-        }
-    }
-
-    /// Parses a token produced by [`RepairDecision::token`].
-    ///
-    /// # Errors
-    ///
-    /// Describes the unknown token.
-    pub fn parse_token(token: &str) -> Result<Self, String> {
-        match token {
-            "repaired" => Ok(RepairDecision::Repaired),
-            "cold-start" => Ok(RepairDecision::ColdStart),
-            "watermark-breach" => Ok(RepairDecision::WatermarkBreach),
-            "unsupported" => Ok(RepairDecision::Unsupported),
-            other => Err(format!("unknown repair decision {other:?}")),
         }
     }
 }
@@ -1017,16 +1002,14 @@ mod tests {
     }
 
     #[test]
-    fn decision_tokens_round_trip() {
+    fn decision_display_is_the_token() {
         for d in [
             RepairDecision::Repaired,
             RepairDecision::ColdStart,
             RepairDecision::WatermarkBreach,
             RepairDecision::Unsupported,
         ] {
-            assert_eq!(RepairDecision::parse_token(d.token()), Ok(d));
             assert_eq!(d.to_string(), d.token());
         }
-        assert!(RepairDecision::parse_token("quantum").is_err());
     }
 }

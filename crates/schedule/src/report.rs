@@ -19,21 +19,16 @@
 //!   [`ShardingStats`]).
 //!
 //! [`SolveReport::summary`] renders the one-line report format every bench
-//! and profiling binary prints, and [`SolveReport::to_json`] /
-//! [`SolveReport::from_json`] round-trip the report through a self-contained
-//! JSON encoding (the offline `serde` shim is a no-op, so the round-trip is
-//! implemented here and unit-tested against itself).
+//! and profiling binary prints. The report's persisted form is
+//! `wagg-wire`'s `Frame::Report`, a native binary encoding of every field
+//! here; the wire crate's tests pin its round trip.
 
-use crate::power_mode::PowerMode;
 use crate::repair::{RepairDecision, RepairStats};
 use crate::schedule::Schedule;
 use crate::scheduler::ScheduleReport;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use wagg_obs::{
-    BackendTag, CounterMetric, HealthReport, HealthSignal, Histogram, HistogramMetric, Metrics,
-    PhaseMetric, RepairTag, SignalKind,
-};
+use wagg_obs::{BackendTag, HealthReport, Metrics, RepairTag};
 
 /// Which execution strategy produced a [`SolveReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -155,8 +150,8 @@ impl SolveReport {
     /// Attaches an instrumentation snapshot (builder-style; the session
     /// facade calls this with `Recorder::metrics()` when a recorder is
     /// installed). Empty snapshots are dropped — an obs-off build records
-    /// nothing, and `None` keeps the JSON encoding identical to an
-    /// uninstrumented run.
+    /// nothing, and `None` keeps the report identical to an uninstrumented
+    /// run's.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
         self.metrics = if metrics.is_empty() {
             None
@@ -169,8 +164,7 @@ impl SolveReport {
     /// Attaches the flight recorder's health report (builder-style; the
     /// session facade calls this when a flight recorder is installed).
     /// Empty reports are dropped, mirroring [`SolveReport::with_metrics`]:
-    /// an obs-off or recorder-less solve keeps `health: None` and a
-    /// byte-identical JSON encoding.
+    /// an obs-off or recorder-less solve keeps `health: None`.
     pub fn with_health(mut self, health: HealthReport) -> Self {
         self.health = if health.is_empty() {
             None
@@ -263,223 +257,6 @@ impl SolveReport {
         }
         line
     }
-
-    /// Serialises the report to a self-contained JSON document. The format
-    /// is lossless — [`SolveReport::from_json`] parses it back to an equal
-    /// value — and stable enough for benches to archive next to the
-    /// `BENCH_*.json` files.
-    pub fn to_json(&self) -> String {
-        let r = &self.report;
-        let mut out = String::with_capacity(256 + 8 * r.num_links);
-        out.push_str(&format!(
-            "{{\"backend\":\"{}\",\"mode\":\"{}\",\"num_links\":{},\"coloring_slots\":{},\
-             \"verified_slots\":{},\"diversity\":{},\"log_star_diversity\":{},\"log_log_diversity\":{}",
-            self.backend,
-            mode_token(r.mode),
-            r.num_links,
-            r.coloring_slots,
-            r.verified_slots,
-            r.diversity,
-            r.log_star_diversity,
-            r.log_log_diversity,
-        ));
-        match &self.sharding {
-            None => out.push_str(",\"sharding\":null"),
-            Some(s) => out.push_str(&format!(
-                ",\"sharding\":{{\"shards\":{},\"radius\":{},\"boundary_links\":{},\
-                 \"repaired_links\":{},\"evicted_links\":{},\"max_owned\":{},\
-                 \"mean_owned\":{},\"ghost_fraction\":{}}}",
-                s.shards,
-                s.radius,
-                s.boundary_links,
-                s.repaired_links,
-                s.evicted_links,
-                s.max_owned,
-                s.mean_owned,
-                s.ghost_fraction
-            )),
-        }
-        match &self.repair {
-            None => out.push_str(",\"repair\":null"),
-            Some(r) => out.push_str(&format!(
-                ",\"repair\":{{\"decision\":\"{}\",\"dirty_links\":{},\"replaced_links\":{},\
-                 \"baseline_slots\":{},\"drift\":{},\"watermark\":{}}}",
-                r.decision.token(),
-                r.dirty_links,
-                r.replaced_links,
-                r.baseline_slots,
-                r.drift,
-                r.watermark
-            )),
-        }
-        match &self.metrics {
-            None => out.push_str(",\"metrics\":null"),
-            Some(m) => {
-                out.push_str(",\"metrics\":{\"phases\":[");
-                for (i, p) in m.phases.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"path\":\"{}\",\"nanos\":{},\"count\":{}}}",
-                        p.path, p.nanos, p.count
-                    ));
-                }
-                out.push_str("],\"counters\":[");
-                for (i, c) in m.counters.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"name\":\"{}\",\"value\":{}}}",
-                        c.name, c.value
-                    ));
-                }
-                // Histograms serialise sparsely: the non-empty log2
-                // buckets as [index, count] pairs plus the sample sum.
-                out.push_str("],\"hists\":[");
-                for (i, h) in m.hists.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"name\":\"{}\",\"sum\":{},\"buckets\":[",
-                        h.name,
-                        h.hist.sum()
-                    ));
-                    for (k, (b, n)) in h.hist.bucket_counts().into_iter().enumerate() {
-                        if k > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("[{b},{n}]"));
-                    }
-                    out.push_str("]}");
-                }
-                out.push_str("]}");
-            }
-        }
-        match &self.health {
-            None => out.push_str(",\"health\":null"),
-            Some(h) => {
-                out.push_str(&format!(
-                    ",\"health\":{{\"solves\":{},\"signals\":[",
-                    h.solves
-                ));
-                for (i, s) in h.signals.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"kind\":\"{}\",\"active\":{},\"value\":{},\"fire\":{},\
-                         \"clear\":{},\"fired\":{},\"cleared\":{},\"since\":{}}}",
-                        s.kind.token(),
-                        s.active,
-                        s.value,
-                        s.fire_threshold,
-                        s.clear_threshold,
-                        s.fired,
-                        s.cleared,
-                        s.since
-                    ));
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push_str(",\"slots\":[");
-        for (t, slot) in r.schedule.slots().iter().enumerate() {
-            if t > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (k, idx) in slot.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&idx.to_string());
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses a document produced by [`SolveReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed token. Only the schema
-    /// `to_json` emits is supported (this is a round-trip codec, not a
-    /// general JSON parser).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let mut p = Parser::new(text);
-        p.expect('{')?;
-        let mut backend: Option<BackendKind> = None;
-        let mut mode: Option<PowerMode> = None;
-        let mut num_links: Option<usize> = None;
-        let mut coloring_slots: Option<usize> = None;
-        let mut verified_slots: Option<usize> = None;
-        let mut diversity: Option<f64> = None;
-        let mut log_star_diversity: Option<u32> = None;
-        let mut log_log_diversity: Option<f64> = None;
-        let mut sharding: Option<Option<ShardingStats>> = None;
-        // Pre-repair documents have no "repair" key; default to `None`
-        // instead of rejecting them so archived reports stay parseable.
-        let mut repair: Option<RepairStats> = None;
-        // Same for pre-observability documents and "metrics", and for
-        // pre-telemetry documents and "health".
-        let mut metrics: Option<Metrics> = None;
-        let mut health: Option<HealthReport> = None;
-        let mut slots: Option<Vec<Vec<usize>>> = None;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "backend" => {
-                    backend = Some(match p.string()?.as_str() {
-                        "static" => BackendKind::Static,
-                        "engine" => BackendKind::Engine,
-                        "sharded" => BackendKind::Sharded,
-                        other => return Err(format!("unknown backend {other:?}")),
-                    })
-                }
-                "mode" => mode = Some(parse_mode_token(&p.string()?)?),
-                "num_links" => num_links = Some(p.integer()?),
-                "coloring_slots" => coloring_slots = Some(p.integer()?),
-                "verified_slots" => verified_slots = Some(p.integer()?),
-                "diversity" => diversity = Some(p.number()?),
-                "log_star_diversity" => log_star_diversity = Some(p.integer()? as u32),
-                "log_log_diversity" => log_log_diversity = Some(p.number()?),
-                "sharding" => sharding = Some(p.sharding()?),
-                "repair" => repair = p.repair()?,
-                "metrics" => metrics = p.metrics()?,
-                "health" => health = p.health()?,
-                "slots" => slots = Some(p.slots()?),
-                other => return Err(format!("unknown key {other:?}")),
-            }
-            if !p.comma_or_end('}')? {
-                break;
-            }
-        }
-        let slots = slots.ok_or("missing slots")?;
-        let report = ScheduleReport {
-            schedule: Schedule::new(slots),
-            coloring_slots: coloring_slots.ok_or("missing coloring_slots")?,
-            verified_slots: verified_slots.ok_or("missing verified_slots")?,
-            diversity: diversity.ok_or("missing diversity")?,
-            log_star_diversity: log_star_diversity.ok_or("missing log_star_diversity")?,
-            log_log_diversity: log_log_diversity.ok_or("missing log_log_diversity")?,
-            mode: mode.ok_or("missing mode")?,
-            num_links: num_links.ok_or("missing num_links")?,
-        };
-        Ok(SolveReport {
-            report,
-            backend: backend.ok_or("missing backend")?,
-            sharding: sharding.ok_or("missing sharding")?,
-            repair,
-            metrics,
-            health,
-        })
-    }
 }
 
 impl From<ScheduleReport> for SolveReport {
@@ -490,465 +267,15 @@ impl From<ScheduleReport> for SolveReport {
     }
 }
 
-/// The round-trippable token for a power mode (`Display` is prose).
-fn mode_token(mode: PowerMode) -> String {
-    match mode {
-        PowerMode::Uniform => "uniform".into(),
-        PowerMode::Linear => "linear".into(),
-        PowerMode::Oblivious { tau } => format!("oblivious:{tau}"),
-        PowerMode::GlobalControl => "global".into(),
-    }
-}
-
-fn parse_mode_token(token: &str) -> Result<PowerMode, String> {
-    match token {
-        "uniform" => Ok(PowerMode::Uniform),
-        "linear" => Ok(PowerMode::Linear),
-        "global" => Ok(PowerMode::GlobalControl),
-        other => match other.strip_prefix("oblivious:") {
-            Some(tau) => tau
-                .parse()
-                .map(|tau| PowerMode::Oblivious { tau })
-                .map_err(|e| format!("bad tau in {other:?}: {e}")),
-            None => Err(format!("unknown power mode {other:?}")),
-        },
-    }
-}
-
-/// A minimal cursor over the JSON subset [`SolveReport::to_json`] emits.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        let got = self.peek()?;
-        if got == c as u8 {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at byte {}", self.pos))
-        }
-    }
-
-    /// Consumes `,` (returning `true`) or the closing delimiter (`false`).
-    fn comma_or_end(&mut self, end: char) -> Result<bool, String> {
-        let got = self.peek()?;
-        self.pos += 1;
-        if got == b',' {
-            Ok(true)
-        } else if got == end as u8 {
-            Ok(false)
-        } else {
-            Err(format!("expected ',' or {end:?} at byte {}", self.pos - 1))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|&b| b != b'"') {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 string")?
-            .to_string();
-        self.expect('"')?;
-        Ok(s)
-    }
-
-    fn number_str(&mut self) -> Result<&'a str, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "non-utf8 number".into())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let s = self.number_str()?;
-        // `{}` on f64 prints `inf`/`NaN` for non-finite values; the reports
-        // only carry finite numbers, so reject anything else.
-        s.parse().map_err(|e| format!("bad number {s:?}: {e}"))
-    }
-
-    fn integer(&mut self) -> Result<usize, String> {
-        let s = self.number_str()?;
-        s.parse().map_err(|e| format!("bad integer {s:?}: {e}"))
-    }
-
-    fn sharding(&mut self) -> Result<Option<ShardingStats>, String> {
-        if self.peek()? == b'n' {
-            // `null`
-            if self.bytes[self.pos..].starts_with(b"null") {
-                self.pos += 4;
-                return Ok(None);
-            }
-            return Err(format!("expected null at byte {}", self.pos));
-        }
-        self.expect('{')?;
-        // Occupancy keys default to zero so documents archived before the
-        // imbalance accounting existed keep parsing.
-        let mut stats = ShardingStats {
-            shards: 0,
-            radius: 0.0,
-            boundary_links: 0,
-            repaired_links: 0,
-            evicted_links: 0,
-            max_owned: 0,
-            mean_owned: 0.0,
-            ghost_fraction: 0.0,
-        };
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            match key.as_str() {
-                "shards" => stats.shards = self.integer()?,
-                "radius" => stats.radius = self.number()?,
-                "boundary_links" => stats.boundary_links = self.integer()?,
-                "repaired_links" => stats.repaired_links = self.integer()?,
-                "evicted_links" => stats.evicted_links = self.integer()?,
-                "max_owned" => stats.max_owned = self.integer()?,
-                "mean_owned" => stats.mean_owned = self.number()?,
-                "ghost_fraction" => stats.ghost_fraction = self.number()?,
-                other => return Err(format!("unknown sharding key {other:?}")),
-            }
-            if !self.comma_or_end('}')? {
-                break;
-            }
-        }
-        Ok(Some(stats))
-    }
-
-    fn repair(&mut self) -> Result<Option<RepairStats>, String> {
-        if self.peek()? == b'n' {
-            // `null`
-            if self.bytes[self.pos..].starts_with(b"null") {
-                self.pos += 4;
-                return Ok(None);
-            }
-            return Err(format!("expected null at byte {}", self.pos));
-        }
-        self.expect('{')?;
-        let mut stats = RepairStats {
-            decision: RepairDecision::Unsupported,
-            dirty_links: 0,
-            replaced_links: 0,
-            baseline_slots: 0,
-            drift: 0.0,
-            watermark: 0.0,
-        };
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            match key.as_str() {
-                "decision" => stats.decision = RepairDecision::parse_token(&self.string()?)?,
-                "dirty_links" => stats.dirty_links = self.integer()?,
-                "replaced_links" => stats.replaced_links = self.integer()?,
-                "baseline_slots" => stats.baseline_slots = self.integer()?,
-                "drift" => stats.drift = self.number()?,
-                "watermark" => stats.watermark = self.number()?,
-                other => return Err(format!("unknown repair key {other:?}")),
-            }
-            if !self.comma_or_end('}')? {
-                break;
-            }
-        }
-        Ok(Some(stats))
-    }
-
-    fn metrics(&mut self) -> Result<Option<Metrics>, String> {
-        if self.peek()? == b'n' {
-            // `null`
-            if self.bytes[self.pos..].starts_with(b"null") {
-                self.pos += 4;
-                return Ok(None);
-            }
-            return Err(format!("expected null at byte {}", self.pos));
-        }
-        self.expect('{')?;
-        let mut metrics = Metrics::default();
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            match key.as_str() {
-                "phases" => {
-                    self.objects(|p, obj: &mut PhaseMetric, key| {
-                        match key {
-                            "path" => obj.path = p.string()?,
-                            "nanos" => obj.nanos = p.integer()? as u64,
-                            "count" => obj.count = p.integer()? as u64,
-                            other => return Err(format!("unknown phase key {other:?}")),
-                        }
-                        Ok(())
-                    })
-                    .map(|phases| metrics.phases = phases)?;
-                }
-                "counters" => {
-                    self.objects(|p, obj: &mut CounterMetric, key| {
-                        match key {
-                            "name" => obj.name = p.string()?,
-                            "value" => obj.value = p.integer()? as u64,
-                            other => return Err(format!("unknown counter key {other:?}")),
-                        }
-                        Ok(())
-                    })
-                    .map(|counters| metrics.counters = counters)?;
-                }
-                "hists" => metrics.hists = self.hists()?,
-                other => return Err(format!("unknown metrics key {other:?}")),
-            }
-            if !self.comma_or_end('}')? {
-                break;
-            }
-        }
-        Ok(Some(metrics))
-    }
-
-    /// Parses the sparse histogram array:
-    /// `[{"name":"...","sum":N,"buckets":[[b,n],...]},...]`.
-    fn hists(&mut self) -> Result<Vec<HistogramMetric>, String> {
-        self.expect('[')?;
-        let mut hists = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(hists);
-        }
-        loop {
-            self.expect('{')?;
-            let mut name = String::new();
-            let mut sum = 0u64;
-            let mut buckets: Vec<(usize, u64)> = Vec::new();
-            loop {
-                let key = self.string()?;
-                self.expect(':')?;
-                match key.as_str() {
-                    "name" => name = self.string()?,
-                    "sum" => sum = self.integer()? as u64,
-                    "buckets" => {
-                        self.expect('[')?;
-                        if self.peek()? == b']' {
-                            self.pos += 1;
-                        } else {
-                            loop {
-                                self.expect('[')?;
-                                let b = self.integer()?;
-                                self.expect(',')?;
-                                let n = self.integer()? as u64;
-                                self.expect(']')?;
-                                if b > 64 {
-                                    return Err(format!("histogram bucket {b} out of range"));
-                                }
-                                buckets.push((b, n));
-                                if !self.comma_or_end(']')? {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    other => return Err(format!("unknown histogram key {other:?}")),
-                }
-                if !self.comma_or_end('}')? {
-                    break;
-                }
-            }
-            hists.push(HistogramMetric {
-                name,
-                hist: Histogram::from_parts(sum, &buckets),
-            });
-            if !self.comma_or_end(']')? {
-                break;
-            }
-        }
-        Ok(hists)
-    }
-
-    fn boolean(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.bytes[self.pos..].starts_with(b"false") {
-            self.pos += 5;
-            Ok(false)
-        } else {
-            Err(format!("expected a boolean at byte {}", self.pos))
-        }
-    }
-
-    fn health(&mut self) -> Result<Option<HealthReport>, String> {
-        if self.peek()? == b'n' {
-            // `null`
-            if self.bytes[self.pos..].starts_with(b"null") {
-                self.pos += 4;
-                return Ok(None);
-            }
-            return Err(format!("expected null at byte {}", self.pos));
-        }
-        self.expect('{')?;
-        let mut report = HealthReport::default();
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            match key.as_str() {
-                "solves" => report.solves = self.integer()? as u64,
-                "signals" => {
-                    self.expect('[')?;
-                    if self.peek()? == b']' {
-                        self.pos += 1;
-                    } else {
-                        loop {
-                            self.expect('{')?;
-                            let mut sig = HealthSignal {
-                                kind: SignalKind::Skew,
-                                active: false,
-                                value: 0.0,
-                                fire_threshold: 0.0,
-                                clear_threshold: 0.0,
-                                fired: 0,
-                                cleared: 0,
-                                since: 0,
-                            };
-                            loop {
-                                let key = self.string()?;
-                                self.expect(':')?;
-                                match key.as_str() {
-                                    "kind" => {
-                                        let tok = self.string()?;
-                                        sig.kind =
-                                            SignalKind::parse_token(&tok).ok_or_else(|| {
-                                                format!("unknown signal kind {tok:?}")
-                                            })?;
-                                    }
-                                    "active" => sig.active = self.boolean()?,
-                                    "value" => sig.value = self.number()?,
-                                    "fire" => sig.fire_threshold = self.number()?,
-                                    "clear" => sig.clear_threshold = self.number()?,
-                                    "fired" => sig.fired = self.integer()? as u64,
-                                    "cleared" => sig.cleared = self.integer()? as u64,
-                                    "since" => sig.since = self.integer()? as u64,
-                                    other => return Err(format!("unknown signal key {other:?}")),
-                                }
-                                if !self.comma_or_end('}')? {
-                                    break;
-                                }
-                            }
-                            report.signals.push(sig);
-                            if !self.comma_or_end(']')? {
-                                break;
-                            }
-                        }
-                    }
-                }
-                other => return Err(format!("unknown health key {other:?}")),
-            }
-            if !self.comma_or_end('}')? {
-                break;
-            }
-        }
-        Ok(Some(report))
-    }
-
-    /// Parses `[{...},{...}]` where each object's fields are handled by
-    /// `field` against a default-initialised `T`.
-    fn objects<T: Default>(
-        &mut self,
-        mut field: impl FnMut(&mut Self, &mut T, &str) -> Result<(), String>,
-    ) -> Result<Vec<T>, String> {
-        self.expect('[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(items);
-        }
-        loop {
-            self.expect('{')?;
-            let mut item = T::default();
-            loop {
-                let key = self.string()?;
-                self.expect(':')?;
-                field(self, &mut item, &key)?;
-                if !self.comma_or_end('}')? {
-                    break;
-                }
-            }
-            items.push(item);
-            if !self.comma_or_end(']')? {
-                break;
-            }
-        }
-        Ok(items)
-    }
-
-    fn slots(&mut self) -> Result<Vec<Vec<usize>>, String> {
-        self.expect('[')?;
-        let mut slots = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(slots);
-        }
-        loop {
-            self.expect('[')?;
-            let mut slot = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-            } else {
-                loop {
-                    slot.push(self.integer()?);
-                    if !self.comma_or_end(']')? {
-                        break;
-                    }
-                }
-            }
-            slots.push(slot);
-            if !self.comma_or_end(']')? {
-                break;
-            }
-        }
-        Ok(slots)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheduler::solve_static;
     use crate::SchedulerConfig;
     use wagg_geometry::Point;
+    use wagg_obs::{
+        CounterMetric, HealthSignal, Histogram, HistogramMetric, PhaseMetric, SignalKind,
+    };
     use wagg_sinr::Link;
 
     fn sample_links() -> Vec<Link> {
@@ -1025,199 +352,12 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_every_mode_and_provenance() {
-        let links = sample_links();
-        for mode in [
-            PowerMode::Uniform,
-            PowerMode::Linear,
-            PowerMode::Oblivious { tau: 0.5 },
-            PowerMode::GlobalControl,
-        ] {
-            let report = solve_static(&links, SchedulerConfig::new(mode));
-            for solve in [
-                SolveReport::new(report.clone(), BackendKind::Static),
-                SolveReport::new(report.clone(), BackendKind::Engine),
-                SolveReport::new(report.clone(), BackendKind::Engine).with_repair(RepairStats {
-                    decision: RepairDecision::Repaired,
-                    dirty_links: 2,
-                    replaced_links: 4,
-                    baseline_slots: 6,
-                    drift: 0.125,
-                    watermark: 0.25,
-                }),
-                SolveReport::new(report.clone(), BackendKind::Static).with_repair(RepairStats {
-                    decision: RepairDecision::Unsupported,
-                    dirty_links: 0,
-                    replaced_links: report.num_links,
-                    baseline_slots: report.schedule.len(),
-                    drift: 0.0,
-                    watermark: 0.25,
-                }),
-                SolveReport {
-                    report: report.clone(),
-                    backend: BackendKind::Sharded,
-                    sharding: Some(ShardingStats {
-                        shards: 16,
-                        radius: 42.25,
-                        boundary_links: 7,
-                        repaired_links: 2,
-                        evicted_links: 1,
-                        max_owned: 1501,
-                        mean_owned: 1250.5,
-                        ghost_fraction: 0.0625,
-                    }),
-                    repair: Some(RepairStats {
-                        decision: RepairDecision::WatermarkBreach,
-                        dirty_links: 9,
-                        replaced_links: report.num_links,
-                        baseline_slots: report.schedule.len(),
-                        drift: 0.5,
-                        watermark: 0.25,
-                    }),
-                    metrics: Some(Metrics {
-                        phases: vec![
-                            PhaseMetric {
-                                path: "partition".into(),
-                                nanos: 3_200_000,
-                                count: 1,
-                            },
-                            PhaseMetric {
-                                path: "partition/build/shard".into(),
-                                nanos: 1_000_000,
-                                count: 16,
-                            },
-                        ],
-                        counters: vec![
-                            CounterMetric {
-                                name: "partition.owned_links".into(),
-                                value: 20008,
-                            },
-                            CounterMetric {
-                                name: "verifier.expansions".into(),
-                                value: 731,
-                            },
-                        ],
-                        hists: vec![HistogramMetric {
-                            name: "session.solve_ns".into(),
-                            hist: {
-                                let mut h = Histogram::new();
-                                for v in [1_200_000u64, 1_900_000, 2_400_000, 75_000_000] {
-                                    h.observe(v);
-                                }
-                                h
-                            },
-                        }],
-                    }),
-                    health: Some(HealthReport {
-                        solves: 12,
-                        signals: vec![
-                            HealthSignal {
-                                kind: SignalKind::Skew,
-                                active: true,
-                                value: 2.5,
-                                fire_threshold: 2.0,
-                                clear_threshold: 1.5,
-                                fired: 2,
-                                cleared: 1,
-                                since: 9,
-                            },
-                            HealthSignal {
-                                kind: SignalKind::Latency,
-                                active: false,
-                                value: 1.0625,
-                                fire_threshold: 2.0,
-                                clear_threshold: 1.25,
-                                fired: 0,
-                                cleared: 0,
-                                since: 0,
-                            },
-                        ],
-                    }),
-                },
-            ] {
-                let json = solve.to_json();
-                let back = SolveReport::from_json(&json).expect("round-trip parses");
-                assert_eq!(back, solve, "round-trip drifted for {mode}");
-            }
-        }
-    }
-
-    #[test]
-    fn json_round_trips_empty_schedules() {
-        let report = solve_static(&[], SchedulerConfig::default());
-        let solve: SolveReport = report.into();
-        let back = SolveReport::from_json(&solve.to_json()).unwrap();
-        assert_eq!(back, solve);
-    }
-
-    #[test]
-    fn malformed_json_is_rejected() {
-        assert!(SolveReport::from_json("").is_err());
-        assert!(SolveReport::from_json("{}").is_err());
-        assert!(SolveReport::from_json("{\"backend\":\"quantum\"}").is_err());
-        let good =
-            SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default())).to_json();
-        assert!(SolveReport::from_json(&good[..good.len() - 1]).is_err());
-        let bad_repair = good.replace("\"repair\":null", "\"repair\":{\"decision\":\"quantum\"}");
-        assert!(SolveReport::from_json(&bad_repair).is_err());
-    }
-
-    #[test]
-    fn pre_repair_documents_still_parse() {
-        // Reports archived before the repair field existed carry no
-        // "repair" key; they must keep parsing (as `repair: None`).
-        let solve = SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()));
-        let legacy = solve.to_json().replace(",\"repair\":null", "");
-        let back = SolveReport::from_json(&legacy).expect("legacy document parses");
-        assert_eq!(back, solve);
-    }
-
-    #[test]
-    fn pre_observability_documents_still_parse() {
-        // Reports archived before the metrics field and the occupancy keys
-        // existed must keep parsing: "metrics" defaults to `None`, the
-        // occupancy stats to zero.
-        let mut solve =
-            SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()));
-        solve.backend = BackendKind::Sharded;
-        solve.sharding = Some(ShardingStats {
-            shards: 4,
-            radius: 10.0,
-            boundary_links: 5,
-            repaired_links: 1,
-            evicted_links: 0,
-            max_owned: 0,
-            mean_owned: 0.0,
-            ghost_fraction: 0.0,
-        });
-        let legacy = solve
-            .to_json()
-            .replace(",\"metrics\":null", "")
-            .replace(",\"max_owned\":0,\"mean_owned\":0,\"ghost_fraction\":0", "");
-        assert!(!legacy.contains("max_owned"), "replace must have fired");
-        let back = SolveReport::from_json(&legacy).expect("legacy document parses");
-        assert_eq!(back, solve);
-    }
-
-    #[test]
-    fn pre_telemetry_documents_still_parse() {
-        // Reports archived before the flight recorder existed carry no
-        // "health" key; they must keep parsing (as `health: None`).
-        let solve = SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()));
-        let legacy = solve.to_json().replace(",\"health\":null", "");
-        assert!(!legacy.contains("health"), "replace must have fired");
-        let back = SolveReport::from_json(&legacy).expect("legacy document parses");
-        assert_eq!(back, solve);
-    }
-
-    #[test]
     fn empty_health_reports_are_dropped() {
-        // A recorder-less session attaches the empty report; the result —
-        // and its JSON — must be identical to a flight-recorder-off run.
+        // A recorder-less session attaches the empty report; the result
+        // must be identical to a flight-recorder-off run.
         let solve = SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()));
         let attached = solve.clone().with_health(HealthReport::default());
         assert_eq!(attached, solve);
-        assert_eq!(attached.to_json(), solve.to_json());
     }
 
     #[test]
@@ -1275,16 +415,15 @@ mod tests {
     #[test]
     fn empty_metrics_are_dropped() {
         // An obs-off (or disabled-recorder) run yields an empty snapshot;
-        // attaching it must leave the report — and its JSON — identical to
-        // an uninstrumented run.
+        // attaching it must leave the report identical to an
+        // uninstrumented run.
         let solve = SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()));
         let attached = solve.clone().with_metrics(Metrics::default());
         assert_eq!(attached, solve);
-        assert_eq!(attached.to_json(), solve.to_json());
     }
 
     #[test]
-    fn metrics_json_round_trips() {
+    fn attached_metrics_are_kept_and_summarised() {
         let metrics = Metrics {
             phases: vec![
                 PhaseMetric {
@@ -1315,9 +454,7 @@ mod tests {
         let solve = SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()))
             .with_metrics(metrics.clone());
         assert_eq!(solve.metrics.as_ref(), Some(&metrics));
-        let back = SolveReport::from_json(&solve.to_json()).expect("round-trip parses");
-        assert_eq!(back, solve);
-        let m = back.metrics.expect("metrics survive the round trip");
+        let m = solve.metrics.as_ref().expect("non-empty metrics are kept");
         assert_eq!(m.phase("static/color").unwrap().nanos, 17_500);
         assert_eq!(m.counter("static.coloring_slots"), Some(7));
         let line = solve.summary();

@@ -415,7 +415,9 @@ fn link_parts(config: &SchedulerConfig, link: &Link) -> (Option<f64>, Option<f64
 }
 
 /// Relative schedule-length drift vs. the baseline, finite even for an empty
-/// baseline (so it survives the report codec).
+/// baseline: the flight recorder's JSONL log writes it as decimal text,
+/// which has no spelling for NaN or infinity, so a non-finite drift would
+/// make the logged sample unreadable on restore.
 fn drift_vs(slots: usize, baseline: usize) -> f64 {
     (slots as f64 - baseline as f64) / baseline.max(1) as f64
 }

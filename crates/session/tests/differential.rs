@@ -101,7 +101,8 @@ proptest! {
     }
 
     /// Sharded backend ≡ the `solve_sharded` pipeline,
-    /// across shard counts and both verifier strategies.
+    /// across shard counts and both the flat (depth-1) and adaptive
+    /// verifier.
     #[test]
     fn sharded_backend_reproduces_solve_sharded(
         raw in proptest::collection::vec(
@@ -112,7 +113,10 @@ proptest! {
     ) {
         let links = decode_links(&raw);
         let config = SchedulerConfig::new(PowerMode::mean_oblivious());
-        for strategy in [VerifierStrategy::Flat, VerifierStrategy::default()] {
+        for strategy in [
+            VerifierStrategy::Hierarchical { depth: Some(1) },
+            VerifierStrategy::default(),
+        ] {
             let legacy = wagg_partition::solve_sharded(&links, config, shards, strategy);
             let mut session = Session::builder()
                 .scheduler(config)

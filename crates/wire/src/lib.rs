@@ -12,9 +12,12 @@
 //! ```
 //!
 //! Integers are fixed-width little-endian, floats are IEEE-754 bit patterns,
-//! sequences carry a `u32` length prefix. The codec is hand-rolled (the
-//! workspace is offline; `serde` is a no-op shim) and deliberately boring:
-//! no varints, no compression, no schema evolution beyond the version byte.
+//! sequences carry a `u32` length prefix, enums a tag byte, optional values
+//! a `0`/`1` presence byte. The codec is hand-rolled (the workspace is
+//! offline; `serde` is a no-op shim) and deliberately boring: no varints, no
+//! compression, no schema evolution beyond the version byte. It is the one
+//! persistence format; the JSON text formats elsewhere in the workspace are
+//! tooling output (traces, telemetry logs, bench results).
 //!
 //! # Hostile bytes
 //!
@@ -40,8 +43,10 @@
 //! Encode∘decode is the identity for every frame: a round-tripped
 //! [`SessionState`] restores to a session whose next solve is byte-identical
 //! to the original's (see `wagg-session`'s snapshot contract). The
-//! [`SolveReport`] frame wraps the report's canonical JSON form
-//! ([`SolveReport::to_json`]), which is lossless by the report's own tests.
+//! [`SolveReport`] frame encodes every field of the report natively — the
+//! schedule's slots, the analysis scalars, and the sharding, repair,
+//! metrics and health sections — with floats as raw bit patterns, so even a
+//! non-finite measurement survives unchanged.
 
 use std::error::Error;
 use std::fmt;
@@ -49,7 +54,14 @@ use std::fmt;
 use wagg_engine::{EngineEvent, EngineTrace};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_obs::telemetry::{HealthConfig, TelemetryConfig};
-use wagg_schedule::{PowerMode, SchedulerConfig, SolveReport};
+use wagg_obs::{
+    CounterMetric, HealthReport, HealthSignal, Histogram, HistogramMetric, Metrics, PhaseMetric,
+    SignalKind,
+};
+use wagg_schedule::{
+    BackendKind, PowerMode, RepairDecision, RepairStats, Schedule, ScheduleReport, SchedulerConfig,
+    ShardingStats, SolveReport,
+};
 use wagg_session::state::{BackendState, EventCounts, KeyedLink, TelemetryState, WarmState};
 use wagg_session::VerifierStrategy;
 use wagg_session::{Backend, PartitionHints, RepairPolicy, SessionConfig, SessionState};
@@ -59,7 +71,7 @@ use wagg_sinr::{Link, NodeId, SinrModel};
 pub const MAGIC: [u8; 4] = *b"WAGG";
 
 /// The wire-format version this build speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Frame kind discriminants (the byte after the version).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,15 +128,10 @@ impl Frame {
         buf.push(VERSION);
         buf.push(self.kind() as u8);
         match self {
-            Frame::Links(links) => {
-                put_len(&mut buf, links.len(), "links")?;
-                for link in links {
-                    put_link(&mut buf, link)?;
-                }
-            }
+            Frame::Links(links) => put_seq(&mut buf, links, "links", put_link)?,
             Frame::Trace(trace) => put_trace(&mut buf, trace)?,
             Frame::Config(config) => put_config(&mut buf, config)?,
-            Frame::Report(report) => put_str(&mut buf, &report.to_json(), "report json")?,
+            Frame::Report(report) => put_report(&mut buf, report)?,
             Frame::Snapshot(state) => put_state(&mut buf, state)?,
         }
         Ok(buf)
@@ -146,20 +153,10 @@ impl Frame {
         }
         let kind = r.u8()?;
         let frame = match kind {
-            1 => {
-                let n = r.seq_len("links", LINK_MIN_BYTES)?;
-                let mut links = Vec::with_capacity(n);
-                for _ in 0..n {
-                    links.push(get_link(&mut r)?);
-                }
-                Frame::Links(links)
-            }
+            1 => Frame::Links(r.seq("links", LINK_MIN_BYTES, get_link)?),
             2 => Frame::Trace(get_trace(&mut r)?),
             3 => Frame::Config(get_config(&mut r)?),
-            4 => {
-                let json = r.str("report json")?;
-                Frame::Report(SolveReport::from_json(&json).map_err(DecodeError::InvalidReport)?)
-            }
+            4 => Frame::Report(get_report(&mut r)?),
             5 => Frame::Snapshot(get_state(&mut r)?),
             kind => return Err(DecodeError::UnknownFrameKind { kind }),
         };
@@ -281,8 +278,9 @@ pub enum DecodeError {
     },
     /// The SINR model parameters fail [`SinrModel::new`]'s validation.
     InvalidModel(String),
-    /// The report JSON fails [`SolveReport::from_json`].
-    InvalidReport(String),
+    /// A histogram's sparse buckets name an index above 64, or their counts
+    /// add up past `u64::MAX`.
+    InvalidHistogram,
     /// A `u64` field does not fit this platform's `usize`.
     IntOutOfRange {
         /// The field being decoded.
@@ -330,7 +328,9 @@ impl fmt::Display for DecodeError {
                 write!(f, "oblivious power exponent {tau} outside (0, 1)")
             }
             DecodeError::InvalidModel(e) => write!(f, "invalid SINR model: {e}"),
-            DecodeError::InvalidReport(e) => write!(f, "invalid report JSON: {e}"),
+            DecodeError::InvalidHistogram => {
+                write!(f, "histogram bucket index above 64 or counts overflow u64")
+            }
             DecodeError::IntOutOfRange { what, value } => {
                 write!(f, "{what} value {value} does not fit usize")
             }
@@ -391,6 +391,27 @@ fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
             put_u64(buf, v);
         }
     }
+}
+
+/// A length prefix, then each element through `put`.
+fn put_seq<T>(
+    buf: &mut Vec<u8>,
+    items: &[T],
+    what: &'static str,
+    mut put: impl FnMut(&mut Vec<u8>, &T) -> Result<(), EncodeError>,
+) -> Result<(), EncodeError> {
+    put_len(buf, items.len(), what)?;
+    items.iter().try_for_each(|item| put(buf, item))
+}
+
+/// A presence byte, then the value through `put` when there is one.
+fn put_opt<T>(
+    buf: &mut Vec<u8>,
+    value: Option<&T>,
+    put: impl FnOnce(&mut Vec<u8>, &T) -> Result<(), EncodeError>,
+) -> Result<(), EncodeError> {
+    put_bool(buf, value.is_some());
+    value.map_or(Ok(()), |v| put(buf, v))
 }
 
 // ---------------------------------------------------------------------------
@@ -480,10 +501,36 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::InvalidUtf8 { what })
     }
 
-    fn opt_u64(&mut self, what: &'static str) -> Result<Option<u64>, DecodeError> {
+    /// A sequence written by `put_seq`; `min_elem` caps the length
+    /// prefix (see [`Reader::seq_len`]).
+    fn seq<T>(
+        &mut self,
+        what: &'static str,
+        min_elem: usize,
+        mut get: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.seq_len(what, min_elem)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(get(self)?);
+        }
+        Ok(items)
+    }
+
+    /// An optional `usize` written by `put_opt_u64`.
+    fn opt_usize(&mut self, what: &'static str) -> Result<Option<usize>, DecodeError> {
+        self.opt(what, |r| r.usize(what))
+    }
+
+    /// An optional value written by `put_opt`.
+    fn opt<T>(
+        &mut self,
+        what: &'static str,
+        get: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Option<T>, DecodeError> {
         match self.u8()? {
             0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
+            1 => get(self).map(Some),
             tag => Err(DecodeError::UnknownTag { what, tag }),
         }
     }
@@ -520,27 +567,9 @@ fn get_link(r: &mut Reader<'_>) -> Result<Link, DecodeError> {
     let id = r.usize("link id")?;
     let sender = get_point(r, "link sender")?;
     let receiver = get_point(r, "link receiver")?;
-    let sender_node = r.opt_u64("link sender node")?;
-    let receiver_node = r.opt_u64("link receiver node")?;
     let mut link = Link::new(id, sender, receiver);
-    link.sender_node = match sender_node {
-        Some(n) => Some(NodeId(usize::try_from(n).map_err(|_| {
-            DecodeError::IntOutOfRange {
-                what: "link sender node",
-                value: n,
-            }
-        })?)),
-        None => None,
-    };
-    link.receiver_node = match receiver_node {
-        Some(n) => Some(NodeId(usize::try_from(n).map_err(|_| {
-            DecodeError::IntOutOfRange {
-                what: "link receiver node",
-                value: n,
-            }
-        })?)),
-        None => None,
-    };
+    link.sender_node = r.opt_usize("link sender node")?.map(NodeId);
+    link.receiver_node = r.opt_usize("link receiver node")?.map(NodeId);
     Ok(link)
 }
 
@@ -612,36 +641,6 @@ fn get_scheduler(r: &mut Reader<'_>) -> Result<SchedulerConfig, DecodeError> {
     })
 }
 
-fn put_verifier(buf: &mut Vec<u8>, strategy: VerifierStrategy) {
-    match strategy {
-        VerifierStrategy::Flat => buf.push(0),
-        VerifierStrategy::Hierarchical { depth } => {
-            buf.push(1);
-            put_opt_u64(buf, depth.map(|d| d as u64));
-        }
-    }
-}
-
-fn get_verifier(r: &mut Reader<'_>) -> Result<VerifierStrategy, DecodeError> {
-    match r.u8()? {
-        0 => Ok(VerifierStrategy::Flat),
-        1 => {
-            let depth = match r.opt_u64("verifier depth")? {
-                None => None,
-                Some(d) => Some(usize::try_from(d).map_err(|_| DecodeError::IntOutOfRange {
-                    what: "verifier depth",
-                    value: d,
-                })?),
-            };
-            Ok(VerifierStrategy::Hierarchical { depth })
-        }
-        tag => Err(DecodeError::UnknownTag {
-            what: "verifier strategy",
-            tag,
-        }),
-    }
-}
-
 fn put_bbox(buf: &mut Vec<u8>, b: BoundingBox) -> Result<(), EncodeError> {
     put_finite(buf, b.min_x, "extent min_x")?;
     put_finite(buf, b.min_y, "extent min_y")?;
@@ -681,17 +680,14 @@ fn put_config(buf: &mut Vec<u8>, config: &SessionConfig) -> Result<(), EncodeErr
         Backend::Sharded => 3,
     });
     put_bool(buf, config.expect_churn);
-    put_verifier(buf, config.verifier);
+    let VerifierStrategy::Hierarchical { depth } = config.verifier;
+    put_opt_u64(buf, depth.map(|d| d as u64));
     put_u64(buf, config.target_shards as u64);
-    match config.partition {
-        None => buf.push(0),
-        Some(hints) => {
-            buf.push(1);
-            put_bbox(buf, hints.extent)?;
-            put_finite(buf, hints.length_bounds.0, "length bound min")?;
-            put_finite(buf, hints.length_bounds.1, "length bound max")?;
-        }
-    }
+    put_opt(buf, config.partition.as_ref(), |buf, hints| {
+        put_bbox(buf, hints.extent)?;
+        put_finite(buf, hints.length_bounds.0, "length bound min")?;
+        put_finite(buf, hints.length_bounds.1, "length bound max")
+    })?;
     put_finite(buf, config.grid_slack, "grid slack")?;
     put_finite(buf, config.compact_slack, "compact slack")?;
     put_bool(buf, config.repair.enabled);
@@ -714,26 +710,17 @@ fn get_config(r: &mut Reader<'_>) -> Result<SessionConfig, DecodeError> {
         }
     };
     let expect_churn = r.bool()?;
-    let verifier = get_verifier(r)?;
+    let depth = r.opt_usize("verifier depth")?;
     let target_shards = r.usize("target shards")?;
-    let partition = match r.u8()? {
-        0 => None,
-        1 => {
-            let extent = get_bbox(r)?;
-            let lo = r.finite_f64("length bound min")?;
-            let hi = r.finite_f64("length bound max")?;
-            Some(PartitionHints {
-                extent,
-                length_bounds: (lo, hi),
-            })
-        }
-        tag => {
-            return Err(DecodeError::UnknownTag {
-                what: "partition hints",
-                tag,
-            })
-        }
-    };
+    let partition = r.opt("partition hints", |r| {
+        let extent = get_bbox(r)?;
+        let lo = r.finite_f64("length bound min")?;
+        let hi = r.finite_f64("length bound max")?;
+        Ok(PartitionHints {
+            extent,
+            length_bounds: (lo, hi),
+        })
+    })?;
     let grid_slack = positive(r, "grid slack")?;
     let compact_slack = positive(r, "compact slack")?;
     let enabled = r.bool()?;
@@ -742,13 +729,251 @@ fn get_config(r: &mut Reader<'_>) -> Result<SessionConfig, DecodeError> {
         scheduler,
         backend,
         expect_churn,
-        verifier,
+        verifier: VerifierStrategy::Hierarchical { depth },
         target_shards,
         partition,
         grid_slack,
         compact_slack,
         repair: RepairPolicy { enabled, max_drift },
     })
+}
+
+// ---------------------------------------------------------------------------
+// Solve reports
+// ---------------------------------------------------------------------------
+
+// Minimum encoded sizes of the report's sequence elements: a slot is its
+// length prefix; a phase a name prefix, nanos and count; a counter a name
+// prefix and value; a histogram a name prefix, sum and bucket prefix; a
+// bucket its index byte and count; a health signal its fixed fields.
+const SLOT_MIN_BYTES: usize = 4;
+const PHASE_MIN_BYTES: usize = 4 + 8 + 8;
+const COUNTER_MIN_BYTES: usize = 4 + 8;
+const HIST_MIN_BYTES: usize = 4 + 8 + 4;
+const BUCKET_BYTES: usize = 1 + 8;
+const SIGNAL_BYTES: usize = 1 + 1 + 3 * 8 + 3 * 8;
+
+fn put_report(buf: &mut Vec<u8>, report: &SolveReport) -> Result<(), EncodeError> {
+    buf.push(match report.backend {
+        BackendKind::Static => 0,
+        BackendKind::Engine => 1,
+        BackendKind::Sharded => 2,
+    });
+    let r = &report.report;
+    put_power_mode(buf, r.mode)?;
+    put_u64(buf, r.num_links as u64);
+    put_u64(buf, r.coloring_slots as u64);
+    put_u64(buf, r.verified_slots as u64);
+    put_f64(buf, r.diversity);
+    put_u32(buf, r.log_star_diversity);
+    put_f64(buf, r.log_log_diversity);
+    put_seq(buf, r.schedule.slots(), "report slots", |buf, slot| {
+        put_seq(buf, slot, "report slot", |buf, &link| {
+            put_u64(buf, link as u64);
+            Ok(())
+        })
+    })?;
+    put_opt(buf, report.sharding.as_ref(), |buf, s| {
+        put_u64(buf, s.shards as u64);
+        put_f64(buf, s.radius);
+        put_u64(buf, s.boundary_links as u64);
+        put_u64(buf, s.repaired_links as u64);
+        put_u64(buf, s.evicted_links as u64);
+        put_u64(buf, s.max_owned as u64);
+        put_f64(buf, s.mean_owned);
+        put_f64(buf, s.ghost_fraction);
+        Ok(())
+    })?;
+    put_opt(buf, report.repair.as_ref(), |buf, s| {
+        buf.push(match s.decision {
+            RepairDecision::Repaired => 0,
+            RepairDecision::ColdStart => 1,
+            RepairDecision::WatermarkBreach => 2,
+            RepairDecision::Unsupported => 3,
+        });
+        put_u64(buf, s.dirty_links as u64);
+        put_u64(buf, s.replaced_links as u64);
+        put_u64(buf, s.baseline_slots as u64);
+        put_f64(buf, s.drift);
+        put_f64(buf, s.watermark);
+        Ok(())
+    })?;
+    put_opt(buf, report.metrics.as_ref(), put_metrics)?;
+    put_opt(buf, report.health.as_ref(), put_health)
+}
+
+fn get_report(r: &mut Reader<'_>) -> Result<SolveReport, DecodeError> {
+    let backend = match r.u8()? {
+        0 => BackendKind::Static,
+        1 => BackendKind::Engine,
+        2 => BackendKind::Sharded,
+        tag => {
+            return Err(DecodeError::UnknownTag {
+                what: "report backend",
+                tag,
+            })
+        }
+    };
+    let report = ScheduleReport {
+        mode: get_power_mode(r)?,
+        num_links: r.usize("report links")?,
+        coloring_slots: r.usize("coloring slots")?,
+        verified_slots: r.usize("verified slots")?,
+        diversity: r.f64()?,
+        log_star_diversity: r.u32()?,
+        log_log_diversity: r.f64()?,
+        schedule: Schedule::new(r.seq("report slots", SLOT_MIN_BYTES, |r| {
+            r.seq("report slot", 8, |r| r.usize("slot member"))
+        })?),
+    };
+    let sharding = r.opt("sharding stats", |r| {
+        Ok(ShardingStats {
+            shards: r.usize("shards")?,
+            radius: r.f64()?,
+            boundary_links: r.usize("boundary links")?,
+            repaired_links: r.usize("repaired links")?,
+            evicted_links: r.usize("evicted links")?,
+            max_owned: r.usize("max owned")?,
+            mean_owned: r.f64()?,
+            ghost_fraction: r.f64()?,
+        })
+    })?;
+    let repair = r.opt("repair stats", |r| {
+        let decision = match r.u8()? {
+            0 => RepairDecision::Repaired,
+            1 => RepairDecision::ColdStart,
+            2 => RepairDecision::WatermarkBreach,
+            3 => RepairDecision::Unsupported,
+            tag => {
+                return Err(DecodeError::UnknownTag {
+                    what: "repair decision",
+                    tag,
+                })
+            }
+        };
+        Ok(RepairStats {
+            decision,
+            dirty_links: r.usize("dirty links")?,
+            replaced_links: r.usize("replaced links")?,
+            baseline_slots: r.usize("baseline slots")?,
+            drift: r.f64()?,
+            watermark: r.f64()?,
+        })
+    })?;
+    Ok(SolveReport {
+        report,
+        backend,
+        sharding,
+        repair,
+        metrics: r.opt("metrics", get_metrics)?,
+        health: r.opt("health report", get_health)?,
+    })
+}
+
+fn put_metrics(buf: &mut Vec<u8>, m: &Metrics) -> Result<(), EncodeError> {
+    put_seq(buf, &m.phases, "phases", |buf, p| {
+        put_str(buf, &p.path, "phase path")?;
+        put_u64(buf, p.nanos);
+        put_u64(buf, p.count);
+        Ok(())
+    })?;
+    put_seq(buf, &m.counters, "counters", |buf, c| {
+        put_str(buf, &c.name, "counter name")?;
+        put_u64(buf, c.value);
+        Ok(())
+    })?;
+    put_seq(buf, &m.hists, "histograms", |buf, h| {
+        put_str(buf, &h.name, "histogram name")?;
+        put_u64(buf, h.hist.sum());
+        // Bucket indices are at most 64, so each fits its byte.
+        put_seq(
+            buf,
+            &h.hist.bucket_counts(),
+            "histogram buckets",
+            |buf, &(b, n)| {
+                buf.push(b as u8);
+                put_u64(buf, n);
+                Ok(())
+            },
+        )
+    })
+}
+
+fn get_metrics(r: &mut Reader<'_>) -> Result<Metrics, DecodeError> {
+    let phases = r.seq("phases", PHASE_MIN_BYTES, |r| {
+        Ok(PhaseMetric {
+            path: r.str("phase path")?,
+            nanos: r.u64()?,
+            count: r.u64()?,
+        })
+    })?;
+    let counters = r.seq("counters", COUNTER_MIN_BYTES, |r| {
+        Ok(CounterMetric {
+            name: r.str("counter name")?,
+            value: r.u64()?,
+        })
+    })?;
+    let hists = r.seq("histograms", HIST_MIN_BYTES, |r| {
+        let name = r.str("histogram name")?;
+        let sum = r.u64()?;
+        let buckets = r.seq("histogram buckets", BUCKET_BYTES, |r| {
+            Ok((usize::from(r.u8()?), r.u64()?))
+        })?;
+        let hist = Histogram::from_parts(sum, &buckets).ok_or(DecodeError::InvalidHistogram)?;
+        Ok(HistogramMetric { name, hist })
+    })?;
+    Ok(Metrics {
+        phases,
+        counters,
+        hists,
+    })
+}
+
+fn put_health(buf: &mut Vec<u8>, h: &HealthReport) -> Result<(), EncodeError> {
+    put_u64(buf, h.solves);
+    put_seq(buf, &h.signals, "health signals", |buf, s| {
+        buf.push(match s.kind {
+            SignalKind::Skew => 0,
+            SignalKind::Drift => 1,
+            SignalKind::Latency => 2,
+        });
+        put_bool(buf, s.active);
+        put_f64(buf, s.value);
+        put_f64(buf, s.fire_threshold);
+        put_f64(buf, s.clear_threshold);
+        put_u64(buf, s.fired);
+        put_u64(buf, s.cleared);
+        put_u64(buf, s.since);
+        Ok(())
+    })
+}
+
+fn get_health(r: &mut Reader<'_>) -> Result<HealthReport, DecodeError> {
+    let solves = r.u64()?;
+    let signals = r.seq("health signals", SIGNAL_BYTES, |r| {
+        let kind = match r.u8()? {
+            0 => SignalKind::Skew,
+            1 => SignalKind::Drift,
+            2 => SignalKind::Latency,
+            tag => {
+                return Err(DecodeError::UnknownTag {
+                    what: "signal kind",
+                    tag,
+                })
+            }
+        };
+        Ok(HealthSignal {
+            kind,
+            active: r.bool()?,
+            value: r.f64()?,
+            fire_threshold: r.f64()?,
+            clear_threshold: r.f64()?,
+            fired: r.u64()?,
+            cleared: r.u64()?,
+            since: r.u64()?,
+        })
+    })?;
+    Ok(HealthReport { solves, signals })
 }
 
 // ---------------------------------------------------------------------------
@@ -789,32 +1014,13 @@ fn put_event(buf: &mut Vec<u8>, event: &EngineEvent) -> Result<(), EncodeError> 
 
 fn get_event(r: &mut Reader<'_>) -> Result<EngineEvent, DecodeError> {
     match r.u8()? {
-        0 => {
-            let key = r.u64()?;
-            let sender = get_point(r, "event sender")?;
-            let receiver = get_point(r, "event receiver")?;
-            let sender_node = match r.opt_u64("event sender node")? {
-                None => None,
-                Some(n) => Some(usize::try_from(n).map_err(|_| DecodeError::IntOutOfRange {
-                    what: "event sender node",
-                    value: n,
-                })?),
-            };
-            let receiver_node = match r.opt_u64("event receiver node")? {
-                None => None,
-                Some(n) => Some(usize::try_from(n).map_err(|_| DecodeError::IntOutOfRange {
-                    what: "event receiver node",
-                    value: n,
-                })?),
-            };
-            Ok(EngineEvent::Insert {
-                key,
-                sender,
-                receiver,
-                sender_node,
-                receiver_node,
-            })
-        }
+        0 => Ok(EngineEvent::Insert {
+            key: r.u64()?,
+            sender: get_point(r, "event sender")?,
+            receiver: get_point(r, "event receiver")?,
+            sender_node: r.opt_usize("event sender node")?,
+            receiver_node: r.opt_usize("event receiver node")?,
+        }),
         1 => Ok(EngineEvent::Remove { key: r.u64()? }),
         2 => {
             let node = r.usize("event move node")?;
@@ -830,20 +1036,12 @@ fn get_event(r: &mut Reader<'_>) -> Result<EngineEvent, DecodeError> {
 
 fn put_trace(buf: &mut Vec<u8>, trace: &EngineTrace) -> Result<(), EncodeError> {
     put_str(buf, &trace.name, "trace name")?;
-    put_len(buf, trace.events.len(), "trace events")?;
-    for event in &trace.events {
-        put_event(buf, event)?;
-    }
-    Ok(())
+    put_seq(buf, &trace.events, "trace events", put_event)
 }
 
 fn get_trace(r: &mut Reader<'_>) -> Result<EngineTrace, DecodeError> {
     let name = r.str("trace name")?;
-    let n = r.seq_len("trace events", EVENT_MIN_BYTES)?;
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        events.push(get_event(r)?);
-    }
+    let events = r.seq("trace events", EVENT_MIN_BYTES, get_event)?;
     Ok(EngineTrace { name, events })
 }
 
@@ -855,23 +1053,19 @@ fn get_trace(r: &mut Reader<'_>) -> Result<EngineTrace, DecodeError> {
 const KEYED_LINK_MIN_BYTES: usize = 8 + LINK_MIN_BYTES;
 
 fn put_keyed_links(buf: &mut Vec<u8>, links: &[KeyedLink]) -> Result<(), EncodeError> {
-    put_len(buf, links.len(), "snapshot links")?;
-    for kl in links {
+    put_seq(buf, links, "snapshot links", |buf, kl| {
         put_u64(buf, kl.key);
-        put_link(buf, &kl.link)?;
-    }
-    Ok(())
+        put_link(buf, &kl.link)
+    })
 }
 
 fn get_keyed_links(r: &mut Reader<'_>) -> Result<Vec<KeyedLink>, DecodeError> {
-    let n = r.seq_len("snapshot links", KEYED_LINK_MIN_BYTES)?;
-    let mut links = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = r.u64()?;
-        let link = get_link(r)?;
-        links.push(KeyedLink { key, link });
-    }
-    Ok(links)
+    r.seq("snapshot links", KEYED_LINK_MIN_BYTES, |r| {
+        Ok(KeyedLink {
+            key: r.u64()?,
+            link: get_link(r)?,
+        })
+    })
 }
 
 fn put_counts(buf: &mut Vec<u8>, counts: EventCounts) {
@@ -889,102 +1083,54 @@ fn get_counts(r: &mut Reader<'_>) -> Result<EventCounts, DecodeError> {
 }
 
 fn put_dirty(buf: &mut Vec<u8>, dirty: &[u64]) -> Result<(), EncodeError> {
-    put_len(buf, dirty.len(), "dirty keys")?;
-    for &k in dirty {
+    put_seq(buf, dirty, "dirty keys", |buf, &k| {
         put_u64(buf, k);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 fn get_dirty(r: &mut Reader<'_>) -> Result<Vec<u64>, DecodeError> {
-    let n = r.seq_len("dirty keys", 8)?;
-    let mut dirty = Vec::with_capacity(n);
-    for _ in 0..n {
-        dirty.push(r.u64()?);
-    }
-    Ok(dirty)
+    r.seq("dirty keys", 8, Reader::u64)
 }
 
 /// Warm budgets are decoded as raw bit patterns: finiteness is a *semantic*
 /// property [`wagg_session::RestoreError::BudgetNotFinite`] owns — the wire
 /// layer only guarantees the structure parses without panicking.
 fn put_warm(buf: &mut Vec<u8>, warm: Option<&WarmState>) -> Result<(), EncodeError> {
-    let Some(w) = warm else {
-        buf.push(0);
-        return Ok(());
-    };
-    buf.push(1);
-    put_len(buf, w.colors.len(), "warm colors")?;
-    for c in &w.colors {
-        put_opt_u64(buf, c.map(|c| c as u64));
-    }
-    put_len(buf, w.budgets.len(), "warm budgets")?;
-    for &b in &w.budgets {
-        put_f64(buf, b);
-    }
-    put_u64(buf, w.baseline_slots as u64);
-    match w.skew {
-        None => buf.push(0),
-        Some((max_owned, mean_owned, ghost_fraction)) => {
-            buf.push(1);
-            put_u64(buf, max_owned as u64);
-            put_f64(buf, mean_owned);
-            put_f64(buf, ghost_fraction);
-        }
-    }
-    Ok(())
+    put_opt(buf, warm, |buf, w| {
+        put_seq(buf, &w.colors, "warm colors", |buf, c| {
+            put_opt_u64(buf, c.map(|c| c as u64));
+            Ok(())
+        })?;
+        put_seq(buf, &w.budgets, "warm budgets", |buf, &b| {
+            put_f64(buf, b);
+            Ok(())
+        })?;
+        put_u64(buf, w.baseline_slots as u64);
+        put_opt(
+            buf,
+            w.skew.as_ref(),
+            |buf, &(max_owned, mean_owned, ghost_fraction)| {
+                put_u64(buf, max_owned as u64);
+                put_f64(buf, mean_owned);
+                put_f64(buf, ghost_fraction);
+                Ok(())
+            },
+        )
+    })
 }
 
 fn get_warm(r: &mut Reader<'_>) -> Result<Option<WarmState>, DecodeError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => {
-            let n = r.seq_len("warm colors", 1)?;
-            let mut colors = Vec::with_capacity(n);
-            for _ in 0..n {
-                colors.push(match r.opt_u64("warm color")? {
-                    None => None,
-                    Some(c) => {
-                        Some(usize::try_from(c).map_err(|_| DecodeError::IntOutOfRange {
-                            what: "warm color",
-                            value: c,
-                        })?)
-                    }
-                });
-            }
-            let m = r.seq_len("warm budgets", 8)?;
-            let mut budgets = Vec::with_capacity(m);
-            for _ in 0..m {
-                budgets.push(r.f64()?);
-            }
-            let baseline_slots = r.usize("warm baseline")?;
-            let skew = match r.u8()? {
-                0 => None,
-                1 => {
-                    let max_owned = r.usize("skew max owned")?;
-                    let mean_owned = r.f64()?;
-                    let ghost_fraction = r.f64()?;
-                    Some((max_owned, mean_owned, ghost_fraction))
-                }
-                tag => {
-                    return Err(DecodeError::UnknownTag {
-                        what: "warm skew",
-                        tag,
-                    })
-                }
-            };
-            Ok(Some(WarmState {
-                colors,
-                budgets,
-                baseline_slots,
-                skew,
-            }))
-        }
-        tag => Err(DecodeError::UnknownTag {
-            what: "warm state",
-            tag,
-        }),
-    }
+    r.opt("warm state", |r| {
+        Ok(WarmState {
+            colors: r.seq("warm colors", 1, |r| r.opt_usize("warm color"))?,
+            budgets: r.seq("warm budgets", 8, Reader::f64)?,
+            baseline_slots: r.usize("warm baseline")?,
+            skew: r.opt("warm skew", |r| {
+                Ok((r.usize("skew max owned")?, r.f64()?, r.f64()?))
+            })?,
+        })
+    })
 }
 
 fn put_backend_state(buf: &mut Vec<u8>, state: &BackendState) -> Result<(), EncodeError> {
@@ -1075,95 +1221,67 @@ fn get_backend_state(r: &mut Reader<'_>) -> Result<BackendState, DecodeError> {
 }
 
 fn put_telemetry(buf: &mut Vec<u8>, telemetry: Option<&TelemetryState>) -> Result<(), EncodeError> {
-    let Some(t) = telemetry else {
-        buf.push(0);
-        return Ok(());
-    };
-    buf.push(1);
-    put_u64(buf, t.config.window as u64);
-    put_finite(buf, t.config.ewma_alpha, "telemetry ewma alpha")?;
-    put_finite(buf, t.config.fast_alpha, "telemetry fast alpha")?;
-    put_finite(buf, t.config.slow_alpha, "telemetry slow alpha")?;
-    put_u64(buf, t.config.health.min_samples);
-    put_finite(buf, t.config.health.skew_fire, "health skew fire")?;
-    put_finite(buf, t.config.health.skew_clear, "health skew clear")?;
-    put_finite(buf, t.config.health.drift_fire, "health drift fire")?;
-    put_finite(buf, t.config.health.drift_clear, "health drift clear")?;
-    put_finite(buf, t.config.health.latency_fire, "health latency fire")?;
-    put_finite(buf, t.config.health.latency_clear, "health latency clear")?;
-    put_str(buf, &t.log, "telemetry log")?;
-    Ok(())
+    put_opt(buf, telemetry, |buf, t| {
+        put_u64(buf, t.config.window as u64);
+        put_finite(buf, t.config.ewma_alpha, "telemetry ewma alpha")?;
+        put_finite(buf, t.config.fast_alpha, "telemetry fast alpha")?;
+        put_finite(buf, t.config.slow_alpha, "telemetry slow alpha")?;
+        put_u64(buf, t.config.health.min_samples);
+        put_finite(buf, t.config.health.skew_fire, "health skew fire")?;
+        put_finite(buf, t.config.health.skew_clear, "health skew clear")?;
+        put_finite(buf, t.config.health.drift_fire, "health drift fire")?;
+        put_finite(buf, t.config.health.drift_clear, "health drift clear")?;
+        put_finite(buf, t.config.health.latency_fire, "health latency fire")?;
+        put_finite(buf, t.config.health.latency_clear, "health latency clear")?;
+        put_str(buf, &t.log, "telemetry log")
+    })
 }
 
 fn get_telemetry(r: &mut Reader<'_>) -> Result<Option<TelemetryState>, DecodeError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => {
-            let window = r.usize("telemetry window")?;
-            let ewma_alpha = r.finite_f64("telemetry ewma alpha")?;
-            let fast_alpha = r.finite_f64("telemetry fast alpha")?;
-            let slow_alpha = r.finite_f64("telemetry slow alpha")?;
-            let min_samples = r.u64()?;
-            let skew_fire = r.finite_f64("health skew fire")?;
-            let skew_clear = r.finite_f64("health skew clear")?;
-            let drift_fire = r.finite_f64("health drift fire")?;
-            let drift_clear = r.finite_f64("health drift clear")?;
-            let latency_fire = r.finite_f64("health latency fire")?;
-            let latency_clear = r.finite_f64("health latency clear")?;
-            let log = r.str("telemetry log")?;
-            Ok(Some(TelemetryState {
-                config: TelemetryConfig {
-                    window,
-                    ewma_alpha,
-                    fast_alpha,
-                    slow_alpha,
-                    health: HealthConfig {
-                        min_samples,
-                        skew_fire,
-                        skew_clear,
-                        drift_fire,
-                        drift_clear,
-                        latency_fire,
-                        latency_clear,
-                    },
+    r.opt("telemetry state", |r| {
+        Ok(TelemetryState {
+            config: TelemetryConfig {
+                window: r.usize("telemetry window")?,
+                ewma_alpha: r.finite_f64("telemetry ewma alpha")?,
+                fast_alpha: r.finite_f64("telemetry fast alpha")?,
+                slow_alpha: r.finite_f64("telemetry slow alpha")?,
+                health: HealthConfig {
+                    min_samples: r.u64()?,
+                    skew_fire: r.finite_f64("health skew fire")?,
+                    skew_clear: r.finite_f64("health skew clear")?,
+                    drift_fire: r.finite_f64("health drift fire")?,
+                    drift_clear: r.finite_f64("health drift clear")?,
+                    latency_fire: r.finite_f64("health latency fire")?,
+                    latency_clear: r.finite_f64("health latency clear")?,
                 },
-                log,
-            }))
-        }
-        tag => Err(DecodeError::UnknownTag {
-            what: "telemetry state",
-            tag,
-        }),
-    }
+            },
+            log: r.str("telemetry log")?,
+        })
+    })
 }
 
 fn put_state(buf: &mut Vec<u8>, state: &SessionState) -> Result<(), EncodeError> {
     put_config(buf, &state.config)?;
     put_backend_state(buf, &state.backend)?;
-    put_len(buf, state.trace_keys.len(), "trace keys")?;
-    for &(trace, session) in &state.trace_keys {
-        put_u64(buf, trace);
-        put_u64(buf, session);
-    }
+    put_seq(
+        buf,
+        &state.trace_keys,
+        "trace keys",
+        |buf, &(trace, session)| {
+            put_u64(buf, trace);
+            put_u64(buf, session);
+            Ok(())
+        },
+    )?;
     put_telemetry(buf, state.telemetry.as_ref())
 }
 
 fn get_state(r: &mut Reader<'_>) -> Result<SessionState, DecodeError> {
-    let config = get_config(r)?;
-    let backend = get_backend_state(r)?;
-    let n = r.seq_len("trace keys", 16)?;
-    let mut trace_keys = Vec::with_capacity(n);
-    for _ in 0..n {
-        let trace = r.u64()?;
-        let session = r.u64()?;
-        trace_keys.push((trace, session));
-    }
-    let telemetry = get_telemetry(r)?;
     Ok(SessionState {
-        config,
-        backend,
-        trace_keys,
-        telemetry,
+        config: get_config(r)?,
+        backend: get_backend_state(r)?,
+        trace_keys: r.seq("trace keys", 16, |r| Ok((r.u64()?, r.u64()?)))?,
+        telemetry: get_telemetry(r)?,
     })
 }
 
@@ -1273,6 +1391,48 @@ mod tests {
         assert_eq!(
             Frame::decode(&bad),
             Err(DecodeError::TrailingBytes { remaining: 1 })
+        );
+    }
+
+    #[test]
+    fn unknown_report_tags_are_typed() {
+        let config = SchedulerConfig::default();
+        let report = SolveReport::from(wagg_schedule::solve_static(&sample_links(), config));
+        let mut plain = Frame::Report(report.clone()).encode().unwrap();
+        // The backend tag is the first payload byte.
+        plain[6] = 3;
+        assert_eq!(
+            Frame::decode(&plain),
+            Err(DecodeError::UnknownTag {
+                what: "report backend",
+                tag: 3
+            })
+        );
+        plain[6] = 0;
+        // The repair section's presence byte is where the two encodings
+        // first differ; its decision tag follows.
+        let mut repaired = Frame::Report(report.with_repair(RepairStats {
+            decision: RepairDecision::Repaired,
+            dirty_links: 1,
+            replaced_links: 1,
+            baseline_slots: 1,
+            drift: 0.0,
+            watermark: 0.25,
+        }))
+        .encode()
+        .unwrap();
+        let at = plain
+            .iter()
+            .zip(&repaired)
+            .position(|(a, b)| a != b)
+            .unwrap();
+        repaired[at + 1] = 9;
+        assert_eq!(
+            Frame::decode(&repaired),
+            Err(DecodeError::UnknownTag {
+                what: "repair decision",
+                tag: 9
+            })
         );
     }
 

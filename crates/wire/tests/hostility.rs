@@ -15,7 +15,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use proptest::prelude::*;
 use wagg_engine::{EngineEvent, EngineTrace};
 use wagg_geometry::{BoundingBox, Point};
-use wagg_schedule::{PowerMode, SchedulerConfig};
+use wagg_obs::{
+    CounterMetric, HealthReport, HealthSignal, Histogram, HistogramMetric, Metrics, PhaseMetric,
+    SignalKind,
+};
+use wagg_schedule::{
+    solve_static, BackendKind, PowerMode, RepairDecision, RepairStats, ScheduleReport,
+    SchedulerConfig, ShardingStats, SolveReport,
+};
 use wagg_session::{Backend, RepairPolicy, Session, SessionConfig, VerifierStrategy};
 use wagg_sinr::{Link, NodeId, SinrModel};
 use wagg_wire::{DecodeError, Frame, MAGIC, VERSION};
@@ -127,7 +134,93 @@ fn snapshot_corpus() -> Vec<Frame> {
     ]
 }
 
-/// Every frame kind once, for the corruption sweeps.
+/// `report` carrying every optional section: sharded provenance, repair
+/// accounting, metrics with a histogram, and health signals.
+fn rich_report(report: ScheduleReport) -> SolveReport {
+    let (num_links, slots) = (report.num_links, report.schedule.len());
+    let mut hist = Histogram::new();
+    for v in [0u64, 1_200_000, 1_900_000, 2_400_000, 75_000_000] {
+        hist.observe(v);
+    }
+    SolveReport {
+        report,
+        backend: BackendKind::Sharded,
+        sharding: Some(ShardingStats {
+            shards: 16,
+            radius: 42.25,
+            boundary_links: 7,
+            repaired_links: 2,
+            evicted_links: 1,
+            max_owned: 1501,
+            mean_owned: 1250.5,
+            ghost_fraction: 0.0625,
+        }),
+        repair: Some(RepairStats {
+            decision: RepairDecision::WatermarkBreach,
+            dirty_links: 9,
+            replaced_links: num_links,
+            baseline_slots: slots,
+            drift: 0.5,
+            watermark: 0.25,
+        }),
+        metrics: Some(Metrics {
+            phases: vec![
+                PhaseMetric {
+                    path: "partition".into(),
+                    nanos: 3_200_000,
+                    count: 1,
+                },
+                PhaseMetric {
+                    path: "partition/build/shard".into(),
+                    nanos: 1_000_000,
+                    count: 16,
+                },
+            ],
+            counters: vec![
+                CounterMetric {
+                    name: "partition.owned_links".into(),
+                    value: 20008,
+                },
+                CounterMetric {
+                    name: "verifier.expansions".into(),
+                    value: 731,
+                },
+            ],
+            hists: vec![HistogramMetric {
+                name: "session.solve_ns".into(),
+                hist,
+            }],
+        }),
+        health: Some(HealthReport {
+            solves: 12,
+            signals: vec![
+                HealthSignal {
+                    kind: SignalKind::Skew,
+                    active: true,
+                    value: 2.5,
+                    fire_threshold: 2.0,
+                    clear_threshold: 1.5,
+                    fired: 2,
+                    cleared: 1,
+                    since: 9,
+                },
+                HealthSignal {
+                    kind: SignalKind::Latency,
+                    active: false,
+                    value: 1.0625,
+                    fire_threshold: 2.0,
+                    clear_threshold: 1.25,
+                    fired: 0,
+                    cleared: 0,
+                    since: 0,
+                },
+            ],
+        }),
+    }
+}
+
+/// Every frame kind once (reports twice: plain, and with every optional
+/// section), for the corruption sweeps.
 fn corpus() -> Vec<Frame> {
     let links = grid_links(12);
     let report = Session::builder()
@@ -143,10 +236,11 @@ fn corpus() -> Vec<Frame> {
         }),
         Frame::Config(SessionConfig {
             backend: Backend::Sharded,
-            verifier: VerifierStrategy::Flat,
+            verifier: VerifierStrategy::Hierarchical { depth: Some(1) },
             target_shards: 5,
             ..SessionConfig::default()
         }),
+        Frame::Report(rich_report(report.report.clone())),
         Frame::Report(report),
     ];
     frames.extend(snapshot_corpus());
@@ -210,12 +304,8 @@ proptest! {
                 _ => Backend::Sharded,
             },
             expect_churn: flags & 2 != 0,
-            verifier: if depth == 0 {
-                VerifierStrategy::Flat
-            } else {
-                VerifierStrategy::Hierarchical {
-                    depth: (depth > 1).then_some(depth),
-                }
+            verifier: VerifierStrategy::Hierarchical {
+                depth: (depth > 0).then_some(depth),
             },
             target_shards: shards,
             partition: (flags & 4 != 0).then_some(wagg_session::PartitionHints {
@@ -233,7 +323,7 @@ proptest! {
         prop_assert_eq!(Frame::decode(&bytes).expect("valid bytes decode"), frame);
     }
 
-    /// Report frames round-trip through the canonical JSON wrap.
+    /// Report frames of real solves round-trip exactly.
     #[test]
     fn report_frames_round_trip(
         raw in proptest::collection::vec(
@@ -298,6 +388,86 @@ fn snapshots_round_trip_to_identical_solves() {
             original.solve(),
             "solve diverged after a wire round-trip"
         );
+    }
+}
+
+/// Report frames round-trip every power mode and provenance: static and
+/// engine reports, a repaired and an unsupported repair section, a report
+/// with every optional section, and the empty schedule.
+#[test]
+fn report_frames_round_trip_every_mode_and_provenance() {
+    let links = grid_links(24);
+    let mut reports = vec![SolveReport::from(solve_static(
+        &[],
+        SchedulerConfig::default(),
+    ))];
+    for mode in [
+        PowerMode::Uniform,
+        PowerMode::Linear,
+        PowerMode::Oblivious { tau: 0.5 },
+        PowerMode::GlobalControl,
+    ] {
+        let report = solve_static(&links, SchedulerConfig::new(mode));
+        let (num_links, slots) = (report.num_links, report.schedule.len());
+        reports.extend([
+            SolveReport::new(report.clone(), BackendKind::Static),
+            SolveReport::new(report.clone(), BackendKind::Engine),
+            SolveReport::new(report.clone(), BackendKind::Engine).with_repair(RepairStats {
+                decision: RepairDecision::Repaired,
+                dirty_links: 2,
+                replaced_links: 4,
+                baseline_slots: 6,
+                drift: 0.125,
+                watermark: 0.25,
+            }),
+            SolveReport::new(report.clone(), BackendKind::Static).with_repair(RepairStats {
+                decision: RepairDecision::Unsupported,
+                dirty_links: 0,
+                replaced_links: num_links,
+                baseline_slots: slots,
+                drift: 0.0,
+                watermark: 0.25,
+            }),
+            rich_report(report),
+        ]);
+    }
+    for report in reports {
+        let frame = Frame::Report(report);
+        let bytes = frame.encode().expect("report encodes");
+        assert_eq!(Frame::decode(&bytes).expect("valid bytes decode"), frame);
+    }
+}
+
+/// A histogram whose bucket counts add up past `u64::MAX`, or whose bucket
+/// index is out of range, is a typed error — not an overflow panic (debug)
+/// or a wrapped count (release).
+#[test]
+fn hostile_histograms_are_typed_errors() {
+    let mut report = rich_report(solve_static(&grid_links(12), SchedulerConfig::default()));
+    let hist = Histogram::from_parts(0, &[(1, u64::MAX - 1), (2, 1)]).expect("counts fit u64");
+    report
+        .metrics
+        .as_mut()
+        .expect("rich report has metrics")
+        .hists = vec![HistogramMetric {
+        name: "hostile".into(),
+        hist,
+    }];
+    let bytes = Frame::Report(report).encode().expect("report encodes");
+    // Buckets are (index byte, u64 count) pairs: find the first count, then
+    // rewrite the second pair's count or index.
+    let at = bytes
+        .windows(8)
+        .position(|w| w == (u64::MAX - 1).to_le_bytes())
+        .expect("the first bucket count is in the frame");
+    let mut overflow = bytes.clone();
+    overflow[at + 9..at + 17].copy_from_slice(&2u64.to_le_bytes());
+    let mut out_of_range = bytes;
+    out_of_range[at + 8] = 65;
+    for hostile in [overflow, out_of_range] {
+        let decoded = catch_unwind(AssertUnwindSafe(|| Frame::decode(&hostile)))
+            .expect("decode must not panic");
+        assert_eq!(decoded, Err(DecodeError::InvalidHistogram));
     }
 }
 

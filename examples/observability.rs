@@ -15,8 +15,8 @@
 //! 1. the uniform `SolveReport::summary()` line, which now appends the
 //!    per-shard occupancy skew and a metrics digest;
 //! 2. the aggregated phase tree and work counters
-//!    ([`SolveReport::metrics`], also JSON round-trippable through
-//!    `SolveReport::to_json`);
+//!    (`SolveReport::metrics`, which travel with the report through the
+//!    binary `Frame::Report` wire encoding);
 //! 3. a Chrome `trace_event` export ([`Recorder::chrome_trace`]) that
 //!    `chrome://tracing`, Perfetto and speedscope open directly.
 //!
@@ -35,8 +35,8 @@ use wireless_aggregation::geometry::{BoundingBox, Point};
 use wireless_aggregation::obs::export::{encode_sample, replay};
 use wireless_aggregation::obs::trace;
 use wireless_aggregation::{
-    Backend, FlightRecorder, HealthConfig, Link, PowerMode, Recorder, RepairPolicy,
-    SchedulerConfig, Session, SolveReport, TelemetryConfig,
+    Backend, FlightRecorder, Frame, HealthConfig, Link, PowerMode, Recorder, RepairPolicy,
+    SchedulerConfig, Session, TelemetryConfig,
 };
 
 fn main() {
@@ -94,12 +94,16 @@ fn main() {
         println!("  {:<28} {:>12}", counter.name, counter.value);
     }
 
-    // The metrics section survives the report's JSON codec, so archived
-    // bench reports carry their own profile.
-    let json = report.to_json();
-    let parsed = SolveReport::from_json(&json).expect("report JSON round-trips");
-    assert_eq!(parsed.metrics.as_ref(), Some(metrics));
-    println!("\nJSON round-trip: {} bytes, metrics intact", json.len());
+    // The metrics section survives the report's wire frame, so a report
+    // shipped to a client carries its own profile.
+    let bytes = Frame::Report(report.clone())
+        .encode()
+        .expect("report encodes");
+    let Ok(Frame::Report(decoded)) = Frame::decode(&bytes) else {
+        panic!("report frame round-trips");
+    };
+    assert_eq!(decoded.metrics.as_ref(), Some(metrics));
+    println!("\nWire round-trip: {} bytes, metrics intact", bytes.len());
 
     // And the same recording exports as a flamegraph-ready chrome trace.
     let chrome = recorder.chrome_trace();
