@@ -18,6 +18,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (warnings are errors: broken or private intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> serial build (--no-default-features: parallel kernels and obs instrumentation off)"
 cargo build --workspace --no-default-features
 

@@ -20,8 +20,8 @@
 //!   selection queries),
 //! * [`median`] — exact median / k-th smallest computation by binary search
 //!   over counting convergecasts, with round and slot accounting,
-//! * [`quantile`] — arbitrary quantiles and rank queries on top of
-//!   [`median`],
+//! * [`quantile`](mod@quantile) — arbitrary quantiles and rank queries on
+//!   top of [`median`],
 //! * [`histogram`] — fixed-bucket histograms, the classic partially
 //!   compressible aggregate, with packet-size accounting.
 //!

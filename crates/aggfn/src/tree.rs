@@ -7,7 +7,7 @@ use wagg_sinr::Link;
 
 /// A convergecast tree reconstructed from a set of links oriented towards a
 /// sink (for example the output of
-/// [`SpanningTree::orient_towards`](wagg_mst::SpanningTree::orient_towards)).
+/// `wagg_mst::SpanningTree::orient_towards`).
 ///
 /// The tree stores, for every non-sink node, its parent and the index of the
 /// link it transmits on, plus a bottom-up evaluation order (children before

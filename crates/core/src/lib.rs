@@ -106,8 +106,8 @@ pub use wagg_service::{
     Request, Response, SchedulerService, ServiceConfig, ServiceError, ServiceHealth, SessionId,
 };
 pub use wagg_session::{
-    Backend, PartitionHints, RepairPolicy, SchedulerBackend, Session, SessionBuilder,
-    SessionConfig, SessionError, SessionStats,
+    Backend, PartitionHints, RepairPolicy, Session, SessionBuilder, SessionConfig, SessionError,
+    SessionStats,
 };
 pub use wagg_sinr::{Link, PowerAssignment, SinrModel};
 pub use wagg_wire::{DecodeError, EncodeError, Frame, FrameKind};

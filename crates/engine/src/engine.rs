@@ -497,14 +497,11 @@ impl InterferenceEngine {
                     receiver_node,
                 } => {
                     let slot = self.alloc_slot();
-                    let link = match (sender_node, receiver_node) {
-                        (Some(s), Some(r)) => Link::with_nodes(slot, sender, receiver, s, r),
-                        _ => Link::new(slot, sender, receiver),
-                    };
+                    let mut link = Link::new(slot, sender, receiver);
+                    link.sender_node = sender_node;
+                    link.receiver_node = receiver_node;
                     self.attach_core(slot, link);
-                    if link.sender_node.is_some() || link.receiver_node.is_some() {
-                        Self::register_node_links(&mut self.node_links, &link, slot);
-                    }
+                    Self::register_node_links(&mut self.node_links, &link, slot);
                     dirty.insert(slot);
                     inserted.push(slot);
                 }

@@ -255,12 +255,12 @@ impl TraceBinding {
                     sender_node,
                     receiver_node,
                 } => {
-                    let slot = match (sender_node, receiver_node) {
-                        (Some(s), Some(r)) => {
-                            engine.insert_link_with_nodes(sender, receiver, NodeId(s), NodeId(r))
-                        }
-                        _ => engine.insert_link(sender, receiver),
-                    };
+                    let slot = engine.insert_annotated(
+                        sender,
+                        receiver,
+                        sender_node.map(NodeId),
+                        receiver_node.map(NodeId),
+                    );
                     self.slot_of.insert(key, slot);
                 }
                 EngineEvent::Remove { key } => {
@@ -416,6 +416,31 @@ mod tests {
         assert_eq!(outcome.applied, 70);
         assert_eq!(outcome.final_links, 40); // 15 removes, 15 inserts
         assert_eq!(e.len(), 40);
+    }
+
+    #[test]
+    fn trace_binding_keeps_a_lone_annotation() {
+        let mut e = engine();
+        let events = [
+            EngineEvent::Insert {
+                key: 3,
+                sender: Point::new(0.0, 0.0),
+                receiver: Point::new(1.0, 0.0),
+                sender_node: Some(7),
+                receiver_node: None,
+            },
+            EngineEvent::MoveNode {
+                node: 7,
+                to: Point::new(0.2, 0.1),
+            },
+        ];
+        TraceBinding::new().apply(&mut e, &events).unwrap();
+        let slot = e.node_slots(7);
+        assert_eq!(slot.len(), 1, "the sender annotation binds node 7");
+        let link = *e.link(slot[0]).unwrap();
+        assert_eq!(link.sender, Point::new(0.2, 0.1));
+        assert_eq!(link.receiver, Point::new(1.0, 0.0));
+        assert_eq!(link.receiver_node, None);
     }
 
     #[test]

@@ -74,6 +74,8 @@ enum Op {
         angle: f64,
         len: f64,
         node: usize,
+        /// Annotate the sender alone (no receiver node).
+        half: bool,
     },
     Remove {
         pick: usize,
@@ -88,7 +90,8 @@ enum Op {
 fn decode(ops: &[(u8, f64, f64, f64, f64, u16)]) -> Vec<Op> {
     ops.iter()
         .map(|&(kind, x, y, angle, len, sel)| match kind % 4 {
-            // Two insert variants so traces grow on average.
+            // Two insert variants so traces grow on average; the second
+            // annotates the sender alone.
             0 | 1 => Op::Insert {
                 x,
                 y,
@@ -97,6 +100,7 @@ fn decode(ops: &[(u8, f64, f64, f64, f64, u16)]) -> Vec<Op> {
                 // A small node pool so several links share nodes and moves
                 // re-seat more than one link.
                 node: sel as usize % 12,
+                half: kind % 4 == 1,
             },
             2 => Op::Remove { pick: sel as usize },
             _ => Op::Move {
@@ -108,6 +112,15 @@ fn decode(ops: &[(u8, f64, f64, f64, f64, u16)]) -> Vec<Op> {
         .collect()
 }
 
+/// The insert's node annotations: the sender's node, and — unless `half` —
+/// a receiver node from a disjoint pool.
+fn nodes(node: usize, half: bool) -> (Option<NodeId>, Option<NodeId>) {
+    (
+        Some(NodeId(node)),
+        (!half).then_some(NodeId((node + 1) % 12 + 12)),
+    )
+}
+
 fn apply(engine: &mut InterferenceEngine, op: Op) {
     match op {
         Op::Insert {
@@ -116,15 +129,12 @@ fn apply(engine: &mut InterferenceEngine, op: Op) {
             angle,
             len,
             node,
+            half,
         } => {
             let sender = Point::new(x, y);
             let receiver = Point::new(x + len * angle.cos(), y + len * angle.sin());
-            engine.insert_link_with_nodes(
-                sender,
-                receiver,
-                NodeId(node),
-                NodeId((node + 1) % 12 + 12), // receiver nodes from a disjoint pool
-            );
+            let (s, r) = nodes(node, half);
+            engine.insert_annotated(sender, receiver, s, r);
         }
         Op::Remove { pick } => {
             let live = engine.live_slots();
@@ -193,16 +203,16 @@ proptest! {
             let mut batch_ops = Vec::new();
             for &op in chunk {
                 match op {
-                    Op::Insert { x, y, angle, len, node } => {
+                    Op::Insert { x, y, angle, len, node, half } => {
                         let sender = Point::new(x, y);
                         let receiver = Point::new(x + len * angle.cos(), y + len * angle.sin());
-                        let (s, r) = (NodeId(node), NodeId((node + 1) % 12 + 12));
-                        scout.insert_link_with_nodes(sender, receiver, s, r);
+                        let (s, r) = nodes(node, half);
+                        scout.insert_annotated(sender, receiver, s, r);
                         batch_ops.push(BatchOp::Insert {
                             sender,
                             receiver,
-                            sender_node: Some(s),
-                            receiver_node: Some(r),
+                            sender_node: s,
+                            receiver_node: r,
                         });
                     }
                     Op::Remove { pick } => {

@@ -5,7 +5,7 @@
 //! * the **exponential chain** (gaps growing by a constant factor) is the classic
 //!   instance on which uniform power / the protocol model need `Θ(n)` slots, while
 //!   power control schedules it in a near-constant number of slots — the separation
-//!   motivating the whole paper (related work, [21]);
+//!   motivating the whole paper (related work, \[21\]);
 //! * the **doubly-exponential chain** of Fig. 2 (gaps `x^{(1/τ')^t}`) admits *no two*
 //!   `P_τ`-compatible links, so every oblivious power scheme is stuck at rate
 //!   `Θ(1/ log log Δ)` — Proposition 1.

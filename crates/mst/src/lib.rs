@@ -6,7 +6,7 @@
 //!
 //! * [`euclidean`] — MST construction over planar pointsets (Prim `O(n²)`,
 //!   Kruskal, and a specialised linear-time routine for points on a line),
-//! * [`tree`] — the [`SpanningTree`](tree::SpanningTree) type, orientation towards
+//! * [`tree`] — the [`SpanningTree`] type, orientation towards
 //!   a sink into a set of convergecast [`Link`](wagg_sinr::Link)s, and structural
 //!   statistics (depth, degrees),
 //! * [`sparsity`] — the MST sparsity measure `I(i, T_i^+)` of the paper's Lemma 1,

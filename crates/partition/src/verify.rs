@@ -87,7 +87,7 @@ pub enum VerifierStrategy {
     /// close for their aggregate bound. Per-target cost `O(log m)`-ish.
     Hierarchical {
         /// Number of pyramid levels, or `None` for the adaptive default:
-        /// flat below [`PYRAMID_CUTOFF`] members, the naturally deep
+        /// flat below `PYRAMID_CUTOFF` (8 192) members, the naturally deep
         /// pyramid above it (always clamped to
         /// [`GridPyramid::natural_depth`]). A depth of 1 is the flat grid:
         /// `~m^(1/4)` cells per axis, exact sums over the 3×3 cell

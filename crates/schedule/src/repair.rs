@@ -345,6 +345,11 @@ impl SlotIndex {
         self.trim();
     }
 
+    /// The unassigned positions, ascending.
+    pub fn unassigned(&self) -> &[usize] {
+        &self.unassigned
+    }
+
     /// Every position list: the slots, then the unassigned list.
     fn lists(&mut self) -> impl Iterator<Item = &mut Vec<usize>> {
         self.slots

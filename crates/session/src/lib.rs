@@ -9,14 +9,14 @@
 //! execution strategy at the call site. This crate folds them behind **one**
 //! surface:
 //!
-//! * [`Session`] — a mutable link universe with a uniform event API
+//! * [`Session`] — one mutable link universe with a uniform event API
 //!   (insert / remove / relocate / move-node, plus replayable
 //!   [`EngineTrace`]s) and a single [`Session::solve`] producing the unified
-//!   [`SolveReport`], regardless of backend;
-//! * [`SchedulerBackend`] — the strategy trait with three implementations
-//!   ([`StaticBackend`], [`EngineBackend`], [`ShardedBackend`]), each
-//!   reproducing its legacy entry point slot for slot (pinned by the
-//!   differential test suite);
+//!   [`SolveReport`], regardless of backend. The session owns the only copy
+//!   of the universe — stable keys, the links in solve order, the event
+//!   accounting and the warm repair state — and every backend is a solver
+//!   plus its own incremental index beside it, reproducing its legacy entry
+//!   point slot for slot (pinned by the differential test suite);
 //! * [`SessionBuilder`] / [`SessionConfig`] — one layered configuration
 //!   folding `SchedulerConfig`, the engine maintenance slacks, the sharded
 //!   pipeline's `VerifierStrategy` / shard count and the optional
@@ -71,7 +71,6 @@
 mod backend;
 pub mod state;
 
-pub use backend::{EngineBackend, SchedulerBackend, ShardedBackend, StaticBackend};
 pub use state::{RestoreError, SessionState};
 pub use wagg_obs::{
     FlightRecorder, HealthConfig, HealthReport, HealthSignal, Metrics, Recorder, SeriesKind,
@@ -82,14 +81,18 @@ pub use wagg_schedule::{
     BackendKind, RepairDecision, RepairStats, SchedulerConfig, ShardingStats, SolveReport,
 };
 
+use backend::{EngineBackend, HintedBackend, ShardedBackend, Solver, StaticBackend};
 use serde::{Deserialize, Serialize};
+use state::{EventCounts, KeyedLink, WarmState};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use wagg_engine::{EngineConfig, EngineError, EngineEvent, EngineTrace};
+use wagg_engine::{EngineConfig, EngineEvent, EngineTrace};
 use wagg_geometry::{BoundingBox, Point};
-use wagg_partition::PartitionedEngineConfig;
-use wagg_sinr::{Link, NodeId};
+use wagg_partition::{AffectanceVerifier, PartitionedEngineConfig};
+use wagg_schedule::SlotIndex;
+use wagg_sinr::link::link_diversity;
+use wagg_sinr::{Link, LinkId, NodeId, PathLossCache, PowerAssignment};
 
 /// At and above this many links, [`Backend::Auto`] picks the sharded
 /// pipeline. Derived from the `BENCH_partition.json` trajectory: at the
@@ -112,11 +115,15 @@ pub enum Backend {
     /// churn is expected ([`SessionBuilder::expect_churn`]), static
     /// otherwise. Resolved once, when the session is built.
     Auto,
-    /// Always the from-scratch kernel ([`StaticBackend`]).
+    /// Always the from-scratch kernel: every solve runs
+    /// `wagg_schedule::solve_static` over the session's links.
     Static,
-    /// Always the incremental engine ([`EngineBackend`]).
+    /// Always the incremental engine: a `wagg_engine::InterferenceEngine`
+    /// patched per event; solve order is the engine's slot order.
     Engine,
-    /// Always the sharded pipeline ([`ShardedBackend`]).
+    /// Always the sharded pipeline: `wagg_partition::solve_sharded` per
+    /// solve, or — with [`PartitionHints`] — a
+    /// `wagg_partition::PartitionedEngine` maintained per event.
     Sharded,
 }
 
@@ -256,13 +263,12 @@ impl SessionConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SessionError {
-    /// No live link has this session key.
+    /// No live link has this session key (or, from
+    /// [`Session::apply_trace`], no live link is bound to this trace key).
     UnknownKey {
         /// The offending key.
         key: u64,
     },
-    /// An underlying engine rejected the operation.
-    Engine(EngineError),
 }
 
 impl fmt::Display for SessionError {
@@ -271,39 +277,27 @@ impl fmt::Display for SessionError {
             SessionError::UnknownKey { key } => {
                 write!(f, "session key {key} does not name a live link")
             }
-            SessionError::Engine(e) => write!(f, "engine rejected the event: {e}"),
         }
     }
 }
 
-impl Error for SessionError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            SessionError::Engine(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl Error for SessionError {}
 
-impl From<EngineError> for SessionError {
-    fn from(e: EngineError) -> Self {
-        SessionError::Engine(e)
-    }
-}
-
-/// Event accounting across the session surface, uniform over backends.
+/// Event accounting across the session surface. The session's universe
+/// counts, so every backend reports the same numbers for the same events,
+/// and the counts survive snapshot and restore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
     /// The backend the session resolved to.
     pub backend: BackendKind,
     /// Live links.
     pub links: usize,
-    /// Insert events applied (backends count re-seats of moved links as the
-    /// engine layer always has).
+    /// Seeded links plus inserts.
     pub inserts: usize,
-    /// Remove events applied.
+    /// Removals.
     pub removals: usize,
-    /// Move/relocate events applied.
+    /// Relocations plus node moves (one per [`Session::move_node`] call,
+    /// however many links follow).
     pub moves: usize,
 }
 
@@ -457,7 +451,11 @@ impl SessionBuilder {
 #[derive(Debug)]
 pub struct Session {
     config: SessionConfig,
-    backend: Box<dyn SchedulerBackend>,
+    /// The one copy of the link universe: keys, links in solve order, event
+    /// accounting and warm repair state.
+    universe: Universe,
+    /// The resolved strategy and its incremental index.
+    backend: Box<dyn Solver>,
     /// Trace key → session key, persistent across [`Session::apply_trace`]
     /// calls (traces replayed in pieces keep their bindings).
     trace_keys: HashMap<u64, u64>,
@@ -493,40 +491,59 @@ impl Session {
     ///
     /// Same contract as [`SessionBuilder::build`].
     pub fn with_links(config: SessionConfig, links: &[Link]) -> Self {
-        let backend: Box<dyn SchedulerBackend> = match config.resolved_backend(links.len()) {
-            BackendKind::Static => Box::new(StaticBackend::with_links(config.scheduler, links)),
-            BackendKind::Engine => {
+        let kind = config.resolved_backend(links.len());
+        let universe = Universe::seeded(config.scheduler, links);
+        Session::assemble(
+            config,
+            kind,
+            universe,
+            HashMap::new(),
+            FlightRecorder::disabled(),
+        )
+    }
+
+    /// The one construction path behind seeding and restoring: the backend
+    /// `kind` resolves to under `config`, built from `universe`'s links in
+    /// solve order.
+    fn assemble(
+        config: SessionConfig,
+        kind: BackendKind,
+        universe: Universe,
+        trace_keys: HashMap<u64, u64>,
+        flight: FlightRecorder,
+    ) -> Self {
+        let backend: Box<dyn Solver> = match (kind, config.partition) {
+            (BackendKind::Static, _) => Box::new(StaticBackend {
+                scheduler: config.scheduler,
+            }),
+            (BackendKind::Engine, _) => {
                 let engine_config = EngineConfig::for_scheduler(config.scheduler)
                     .with_slacks(config.grid_slack, config.compact_slack);
-                Box::new(EngineBackend::with_links(engine_config, links))
+                Box::new(EngineBackend::new(engine_config, &universe))
             }
-            BackendKind::Sharded => match config.partition {
-                Some(hints) => {
-                    let pconfig = PartitionedEngineConfig::new(
-                        config.scheduler,
-                        hints.extent,
-                        hints.length_bounds,
-                        config.effective_shards(),
-                    )
-                    .with_verifier(config.verifier);
-                    Box::new(ShardedBackend::with_partitioned_engine(pconfig).seeded(links))
-                }
-                None => Box::new(
-                    ShardedBackend::new(
-                        config.scheduler,
-                        config.verifier,
-                        config.effective_shards(),
-                    )
-                    .seeded(links),
-                ),
-            },
+            (BackendKind::Sharded, Some(hints)) => {
+                let pconfig = PartitionedEngineConfig::new(
+                    config.scheduler,
+                    hints.extent,
+                    hints.length_bounds,
+                    config.effective_shards(),
+                )
+                .with_verifier(config.verifier);
+                Box::new(HintedBackend::new(pconfig, &universe))
+            }
+            (BackendKind::Sharded, None) => Box::new(ShardedBackend {
+                scheduler: config.scheduler,
+                strategy: config.verifier,
+                shards: config.effective_shards(),
+            }),
         };
         Session {
             config,
+            universe,
             backend,
-            trace_keys: HashMap::new(),
+            trace_keys,
             recorder: Recorder::disabled(),
-            flight: FlightRecorder::disabled(),
+            flight,
             flight_fallbacks: 0,
             flight_evictions: 0,
         }
@@ -573,12 +590,12 @@ impl Session {
 
     /// Number of live links.
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.universe.len()
     }
 
     /// Whether no links are live.
     pub fn is_empty(&self) -> bool {
-        self.backend.len() == 0
+        self.universe.len() == 0
     }
 
     /// The live links in the backend's solve order — the universe
@@ -588,26 +605,33 @@ impl Session {
     /// a recycled slot can place a newer link before an older one), exactly
     /// like the legacy engine path.
     pub fn links(&self) -> Vec<Link> {
-        self.backend.links()
+        self.universe.links().to_vec()
     }
 
     /// Whether `key` names a live link.
     pub fn contains(&self, key: u64) -> bool {
-        self.backend.contains(key)
+        self.backend.position(&self.universe, key).is_some()
     }
 
     /// Event accounting.
     pub fn stats(&self) -> SessionStats {
-        self.backend.stats()
+        let counts = self.universe.counts;
+        SessionStats {
+            backend: self.backend.kind(),
+            links: self.universe.len(),
+            inserts: counts.inserts,
+            removals: counts.removals,
+            moves: counts.moves,
+        }
     }
 
-    /// The backend's live warm repair state, by vertex position in solve
-    /// order (`None` for backends without one, or before the first
+    /// The live warm repair state, by vertex position in solve order
+    /// (`None` for backends without one, or before the first
     /// repair-enabled solve). Test-only introspection for the warm-state
     /// invariant suite.
     #[doc(hidden)]
     pub fn warm_state(&self) -> Option<&state::WarmState> {
-        self.backend.warm_state()
+        self.universe.warm()
     }
 
     /// Inserts a link, returning its session key.
@@ -617,7 +641,8 @@ impl Session {
     /// With [`PartitionHints`], panics when the link's length falls outside
     /// the declared bounds (they size the tiling's halo margin).
     pub fn insert(&mut self, sender: Point, receiver: Point) -> u64 {
-        self.backend.insert(sender, receiver, None)
+        self.universe
+            .insert(self.backend.as_mut(), Link::new(0, sender, receiver))
     }
 
     /// Inserts a link that records the pointset nodes it connects, so it
@@ -633,8 +658,8 @@ impl Session {
         sender_node: NodeId,
         receiver_node: NodeId,
     ) -> u64 {
-        self.backend
-            .insert(sender, receiver, Some((sender_node, receiver_node)))
+        let link = Link::with_nodes(0, sender, receiver, sender_node, receiver_node);
+        self.universe.insert(self.backend.as_mut(), link)
     }
 
     /// Removes the link under `key`.
@@ -643,7 +668,7 @@ impl Session {
     ///
     /// [`SessionError::UnknownKey`] when no live link has this key.
     pub fn remove(&mut self, key: u64) -> Result<(), SessionError> {
-        self.backend.remove(key)
+        self.universe.remove(self.backend.as_mut(), key)
     }
 
     /// Moves the link under `key` to a new geometry (key and node
@@ -663,11 +688,13 @@ impl Session {
         sender: Point,
         receiver: Point,
     ) -> Result<(), SessionError> {
-        self.backend.relocate(key, sender, receiver)
+        self.universe
+            .relocate(self.backend.as_mut(), key, sender, receiver)
     }
 
-    /// Moves a pointset node: every live link inserted with matching node
-    /// annotations follows. Returns the number of links touched.
+    /// Moves a pointset node: every live link inserted with a matching node
+    /// annotation follows (a half-annotated link follows its one annotated
+    /// endpoint). Returns the number of links touched.
     ///
     /// # Panics
     ///
@@ -676,21 +703,23 @@ impl Session {
     /// before the offending one stay moved (declared-bounds violations are
     /// programmer errors, not recoverable events).
     pub fn move_node(&mut self, node: usize, to: Point) -> usize {
-        self.backend.move_node(node, to)
+        self.universe.move_node(self.backend.as_mut(), node, to)
     }
 
     /// Replays an [`EngineTrace`] through the session's event API, binding
     /// trace keys to session keys. The binding persists across calls, so a
     /// trace can be replayed in pieces (e.g. one mobility step at a time,
     /// solving in between) — the pattern `wagg_engine::TraceBinding`
-    /// established, now uniform over every backend. Returns the number of
-    /// events applied.
+    /// established, now uniform over every backend. Node annotations are
+    /// kept as given, a lone one included. Returns the number of events
+    /// applied.
     ///
     /// # Errors
     ///
-    /// [`SessionError::UnknownKey`] when a `Remove` names a trace key that
-    /// is not live (including double-removes); backend errors are
-    /// propagated. Events before the failing one stay applied.
+    /// [`SessionError::UnknownKey`] carrying the trace key when a `Remove`
+    /// names a trace key that is not live (including double-removes, and
+    /// bindings whose session key [`Session::remove`] already removed).
+    /// Events before the failing one stay applied.
     pub fn apply_trace(&mut self, trace: &EngineTrace) -> Result<usize, SessionError> {
         self.apply_events(&trace.events)
     }
@@ -710,22 +739,20 @@ impl Session {
                     sender_node,
                     receiver_node,
                 } => {
-                    let nodes = match (sender_node, receiver_node) {
-                        (Some(s), Some(r)) => Some((NodeId(s), NodeId(r))),
-                        _ => None,
-                    };
-                    let session_key = self.backend.insert(sender, receiver, nodes);
+                    let mut link = Link::new(0, sender, receiver);
+                    link.sender_node = sender_node.map(NodeId);
+                    link.receiver_node = receiver_node.map(NodeId);
+                    let session_key = self.universe.insert(self.backend.as_mut(), link);
                     self.trace_keys.insert(key, session_key);
                 }
                 EngineEvent::Remove { key } => {
-                    let session_key = self
-                        .trace_keys
+                    self.trace_keys
                         .remove(&key)
+                        .and_then(|bound| self.remove(bound).ok())
                         .ok_or(SessionError::UnknownKey { key })?;
-                    self.backend.remove(session_key)?;
                 }
                 EngineEvent::MoveNode { node, to } => {
-                    self.backend.move_node(node, to);
+                    self.move_node(node, to);
                 }
             }
         }
@@ -737,10 +764,11 @@ impl Session {
         self.trace_keys.get(&key).copied()
     }
 
-    /// Materialises the session's full state — config, universe with stable
-    /// keys, backend internals (dirty set, warm repair state), trace-key
-    /// bindings, and the flight-recorder ring as its JSONL fold — into a
-    /// plain-data [`SessionState`] (see [`state`]). The inverse is
+    /// Materialises the session's full state — config, backend kind, the
+    /// universe with stable keys in solve order, key counter, event
+    /// accounting, warm repair state, trace-key bindings, and the
+    /// flight-recorder ring as its JSONL fold — into a plain-data
+    /// [`SessionState`] (see [`state`]). The inverse is
     /// [`Session::restore_state`]; `wagg-wire` carries the state as the
     /// snapshot frame.
     pub fn capture_state(&self) -> SessionState {
@@ -748,27 +776,26 @@ impl Session {
             self.trace_keys.iter().map(|(&t, &s)| (t, s)).collect();
         trace_keys.sort_unstable();
         SessionState {
-            config: self.config,
-            backend: self.backend.capture_state(),
             trace_keys,
             telemetry: self.flight.is_enabled().then(|| state::TelemetryState {
                 config: self.flight.config(),
                 log: self.flight.to_jsonl(),
             }),
+            ..self.universe.capture(self.config, self.backend.kind())
         }
     }
 
-    /// Rebuilds a live session from captured state. Engines are
+    /// Rebuilds a live session from captured state: the universe first,
+    /// then the backend from its links in solve order. Engines are
     /// re-materialised through the bulk seeding paths
     /// (`InterferenceEngine::with_links`, `PartitionedEngine::with_links`)
     /// and the warm repair state is re-attached, so the restored session's
     /// next [`Session::solve`] is **byte-identical** to the solve the
     /// captured session would have produced — restart in seconds, not
-    /// re-solve. The flight-recorder ring is replayed from its JSONL fold
-    /// (when the build carries the `obs` feature; without it telemetry
-    /// restoration is a no-op). Not restored: installed [`Recorder`]s
-    /// (install a fresh one), and the engine backend's event counters
-    /// (the rebuilt engine owns them — they restart at zero).
+    /// re-solve. The event accounting carries over. The flight-recorder
+    /// ring is replayed from its JSONL fold (when the build carries the
+    /// `obs` feature; without it telemetry restoration is a no-op). Not
+    /// restored: installed [`Recorder`]s (install a fresh one).
     ///
     /// # Errors
     ///
@@ -776,75 +803,7 @@ impl Session {
     /// state was hand-built or decoded from hostile bytes — restoration
     /// validates everything up front and never panics.
     pub fn restore_state(state: &SessionState) -> Result<Self, RestoreError> {
-        let config = state.config;
-        let backend: Box<dyn SchedulerBackend> = match &state.backend {
-            state::BackendState::Static {
-                links,
-                next_key,
-                counts,
-            } => Box::new(StaticBackend::restore(
-                config.scheduler,
-                links,
-                *next_key,
-                *counts,
-            )?),
-            state::BackendState::Engine {
-                links,
-                next_key,
-                dirty,
-                warm,
-                ..
-            } => {
-                let engine_config = EngineConfig::for_scheduler(config.scheduler)
-                    .with_slacks(config.grid_slack, config.compact_slack);
-                Box::new(EngineBackend::restore(
-                    engine_config,
-                    links,
-                    *next_key,
-                    dirty,
-                    warm.as_ref(),
-                )?)
-            }
-            state::BackendState::ShardedRebuild {
-                links,
-                next_key,
-                counts,
-            } => Box::new(ShardedBackend::restore_rebuild(
-                config.scheduler,
-                config.verifier,
-                config.effective_shards(),
-                links,
-                *next_key,
-                *counts,
-            )?),
-            state::BackendState::ShardedEngine {
-                links,
-                next_key,
-                dirty,
-                warm,
-                counts,
-            } => {
-                let hints = config
-                    .partition
-                    .ok_or(RestoreError::MissingPartitionHints)?;
-                check_hints(&hints)?;
-                let pconfig = PartitionedEngineConfig::new(
-                    config.scheduler,
-                    hints.extent,
-                    hints.length_bounds,
-                    config.effective_shards(),
-                )
-                .with_verifier(config.verifier);
-                Box::new(ShardedBackend::restore_engine(
-                    pconfig,
-                    links,
-                    *next_key,
-                    dirty,
-                    warm.as_ref(),
-                    *counts,
-                )?)
-            }
-        };
+        state::check(state)?;
         let flight = match &state.telemetry {
             Some(t) => {
                 let (flight, _stats) =
@@ -853,15 +812,13 @@ impl Session {
             }
             None => FlightRecorder::disabled(),
         };
-        Ok(Session {
-            config,
-            backend,
-            trace_keys: state.trace_keys.iter().copied().collect(),
-            recorder: Recorder::disabled(),
+        Ok(Session::assemble(
+            state.config,
+            state.backend,
+            Universe::restore(state),
+            state.trace_keys.iter().copied().collect(),
             flight,
-            flight_fallbacks: 0,
-            flight_evictions: 0,
-        })
+        ))
     }
 
     /// Schedules the current link universe with the resolved backend and
@@ -870,8 +827,8 @@ impl Session {
     ///
     /// With [`RepairPolicy::enabled`] in the config, repair-capable backends
     /// warm-start: the previous assignment is kept and only the links the
-    /// event batch dirtied are re-placed (see [`RepairStats`] on the report
-    /// for the decision and accounting). Backends without incremental state
+    /// events unplaced are re-placed (see [`RepairStats`] on the report for
+    /// the decision and accounting). Backends without incremental state
     /// recolor as always, tagged [`RepairDecision::Unsupported`].
     ///
     /// With a [`Recorder`] installed ([`SessionBuilder::recorder`]), the
@@ -887,26 +844,15 @@ impl Session {
         // reads entirely on the bare path.
         let t0 =
             (self.recorder.is_enabled() || self.flight.is_enabled()).then(std::time::Instant::now);
-        let report = if !self.config.repair.enabled {
-            self.backend.solve()
+        let report = if self.config.repair.enabled {
+            backend::solve_repair(
+                &mut self.universe,
+                self.backend.as_ref(),
+                &self.config.repair,
+                &self.recorder,
+            )
         } else {
-            let policy = self.config.repair;
-            match self.backend.solve_repair(&policy) {
-                Some(report) => report,
-                None => {
-                    let report = self.backend.solve();
-                    let baseline = report.slots();
-                    let num_links = report.num_links();
-                    report.with_repair(RepairStats {
-                        decision: RepairDecision::Unsupported,
-                        dirty_links: 0,
-                        replaced_links: num_links,
-                        baseline_slots: baseline,
-                        drift: 0.0,
-                        watermark: policy.max_drift,
-                    })
-                }
-            }
+            self.backend.solve(&self.universe, &self.recorder)
         };
         let wall_nanos = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         // The wall histogram must land before the snapshot so the metrics
@@ -950,28 +896,420 @@ impl Session {
     }
 }
 
-/// Pre-validates [`PartitionHints`] against the asserts
-/// `PartitionedEngineConfig::new` would fire, so a hostile snapshot's
-/// restore returns a typed error instead of panicking.
-fn check_hints(hints: &PartitionHints) -> Result<(), RestoreError> {
-    let (lo, hi) = hints.length_bounds;
-    if !(lo > 0.0 && lo <= hi && hi.is_finite()) {
-        return Err(RestoreError::InvalidPartitionHints {
-            reason: "length bounds must satisfy 0 < min <= max < inf",
+/// The session's one link universe: the stable session keys and the live
+/// links in the backend's **solve order** (ids relabeled to positions), the
+/// key counter, the event accounting and — once a repair-enabled solve
+/// anchors it — the warm repair state. Every event splices all of them in
+/// lockstep, so positions stay current without any per-solve rebuild; the
+/// backend hears of each event at a position the universe already resolved.
+#[derive(Debug)]
+struct Universe {
+    /// The scheduler core the path-loss parts are priced under.
+    scheduler: SchedulerConfig,
+    /// Position → session key, in solve order.
+    keys: Vec<u64>,
+    /// The live links in solve order, ids relabeled to positions, node
+    /// annotations preserved.
+    links: Vec<Link>,
+    /// The key the next insert mints; keys are never reused.
+    next_key: u64,
+    counts: EventCounts,
+    /// The warm repair state, from the first full recolor of a
+    /// repair-enabled solve (or a restored snapshot) on.
+    repair: Option<RepairState>,
+}
+
+/// The anchored repair state, position-indexed like the universe's links.
+/// A removal drops a link's parts, color, budget and slot membership
+/// together, so no stale entry can outlive its link.
+#[derive(Debug)]
+struct RepairState {
+    /// Per-link path-loss parts (`None` where no assignment is pinned —
+    /// see [`pinned_assignment`]).
+    powers: Vec<Option<f64>>,
+    weights: Vec<Option<f64>>,
+    /// The extreme link lengths (the report's diversity).
+    lengths: LengthRange,
+    warm: WarmState,
+    /// Slot membership of `warm`'s colors; its unassigned list is the set
+    /// of links the last commit has not placed.
+    index: SlotIndex,
+}
+
+impl Universe {
+    /// A universe seeded with `links` (keys `0..n` in input order, node
+    /// annotations kept exactly as given).
+    fn seeded(scheduler: SchedulerConfig, links: &[Link]) -> Self {
+        let n = links.len();
+        Universe::new(
+            scheduler,
+            (0..n as u64).collect(),
+            links.to_vec(),
+            n as u64,
+            EventCounts {
+                inserts: n,
+                ..EventCounts::default()
+            },
+        )
+    }
+
+    /// The universe a validated (see [`state::check`]) snapshot describes,
+    /// its warm state re-anchored.
+    fn restore(state: &SessionState) -> Self {
+        let mut universe = Universe::new(
+            state.config.scheduler,
+            state.links.iter().map(|k| k.key).collect(),
+            state.links.iter().map(|k| k.link).collect(),
+            state.next_key,
+            state.counts,
+        );
+        if let Some(warm) = &state.warm {
+            let (powers, weights) = priced(&universe.scheduler, &universe.links);
+            universe.install(powers, weights, warm.clone());
+        }
+        universe
+    }
+
+    fn new(
+        scheduler: SchedulerConfig,
+        keys: Vec<u64>,
+        links: Vec<Link>,
+        next_key: u64,
+        counts: EventCounts,
+    ) -> Self {
+        let mut universe = Universe {
+            scheduler,
+            keys,
+            links,
+            next_key,
+            counts,
+            repair: None,
+        };
+        universe.relabel(0);
+        universe
+    }
+
+    /// Number of live links.
+    fn len(&self) -> usize {
+        self.links.len()
+    }
+
+    /// The live links in solve order, ids relabeled to positions.
+    fn links(&self) -> &[Link] {
+        &self.links
+    }
+
+    /// The anchored warm state, if any.
+    fn warm(&self) -> Option<&WarmState> {
+        self.repair.as_ref().map(|state| &state.warm)
+    }
+
+    /// The universe as snapshot data for a `backend` session under
+    /// `config` (no trace bindings or telemetry — the session adds those).
+    fn capture(&self, config: SessionConfig, backend: BackendKind) -> SessionState {
+        SessionState {
+            config,
+            backend,
+            links: self
+                .keys
+                .iter()
+                .zip(&self.links)
+                .map(|(&key, &link)| KeyedLink { key, link })
+                .collect(),
+            next_key: self.next_key,
+            counts: self.counts,
+            warm: self.warm().cloned(),
+            trace_keys: Vec::new(),
+            telemetry: None,
+        }
+    }
+
+    /// Inserts `link` (annotations as given), returning its key.
+    fn insert(&mut self, backend: &mut dyn Solver, mut link: Link) -> u64 {
+        let key = self.next_key;
+        let pos = backend.insert(self, key, &link);
+        self.next_key += 1;
+        self.counts.inserts += 1;
+        link.id = LinkId(pos);
+        self.keys.insert(pos, key);
+        self.links.insert(pos, link);
+        self.relabel(pos + 1);
+        if let Some(state) = &mut self.repair {
+            let (power, weight) = link_parts(&self.scheduler, &link);
+            state.powers.insert(pos, power);
+            state.weights.insert(pos, weight);
+            state.lengths.add(link.length());
+            state.warm.insert_at(pos);
+            state.index.insert(pos);
+        }
+        key
+    }
+
+    /// Removes the link under `key`.
+    fn remove(&mut self, backend: &mut dyn Solver, key: u64) -> Result<(), SessionError> {
+        let pos = self.position(backend, key)?;
+        backend.remove(self, pos);
+        self.counts.removals += 1;
+        self.keys.remove(pos);
+        let link = self.links.remove(pos);
+        self.relabel(pos);
+        if let Some(state) = &mut self.repair {
+            // Departures are monotone-safe: no other link needs re-placing.
+            state.index.remove(pos, state.warm.colors[pos]);
+            state.warm.remove_at(pos);
+            state.powers.remove(pos);
+            state.weights.remove(pos);
+            if state.lengths.remove(link.length()) {
+                state.lengths = LengthRange::of(&self.links);
+            }
+        }
+        Ok(())
+    }
+
+    /// Moves the link under `key` to a new geometry (key and node
+    /// annotations are preserved).
+    fn relocate(
+        &mut self,
+        backend: &mut dyn Solver,
+        key: u64,
+        sender: Point,
+        receiver: Point,
+    ) -> Result<(), SessionError> {
+        let pos = self.position(backend, key)?;
+        self.reseat(backend, pos, sender, receiver);
+        self.counts.moves += 1;
+        Ok(())
+    }
+
+    /// Moves a pointset node: every live link with an endpoint annotated
+    /// `node` follows (a half-annotated link follows its one annotated
+    /// endpoint). Returns the number of links touched.
+    fn move_node(&mut self, backend: &mut dyn Solver, node: usize, to: Point) -> usize {
+        let followers = backend.followers(self, node);
+        let follow = |annotation, at| {
+            if annotation == Some(NodeId(node)) {
+                to
+            } else {
+                at
+            }
+        };
+        for &pos in &followers {
+            let old = self.links[pos];
+            let sender = follow(old.sender_node, old.sender);
+            let receiver = follow(old.receiver_node, old.receiver);
+            self.reseat(backend, pos, sender, receiver);
+        }
+        self.counts.moves += 1;
+        followers.len()
+    }
+
+    /// The solve-order position of `key`.
+    fn position(&self, backend: &dyn Solver, key: u64) -> Result<usize, SessionError> {
+        backend
+            .position(self, key)
+            .ok_or(SessionError::UnknownKey { key })
+    }
+
+    /// Re-seats position `pos` at a new geometry — id and annotations
+    /// preserved — and unplaces its warm entry.
+    fn reseat(&mut self, backend: &mut dyn Solver, pos: usize, sender: Point, receiver: Point) {
+        let old = self.links[pos];
+        let mut link = Link::new(pos, sender, receiver);
+        link.sender_node = old.sender_node;
+        link.receiver_node = old.receiver_node;
+        backend.reseat(self, pos, &link);
+        self.links[pos] = link;
+        if let Some(state) = &mut self.repair {
+            (state.powers[pos], state.weights[pos]) = link_parts(&self.scheduler, &link);
+            if let Some(color) = state.warm.colors[pos] {
+                state.index.unassign(pos, color);
+            }
+            state.warm.mark_dirty(pos);
+            state.lengths.add(link.length());
+            if state.lengths.remove(old.length()) {
+                state.lengths = LengthRange::of(&self.links);
+            }
+        }
+    }
+
+    /// Positions of the links with an endpoint annotated `node`, found by
+    /// scanning every link.
+    fn followers(&self, node: usize) -> Vec<usize> {
+        let node = Some(NodeId(node));
+        (0..self.links.len())
+            .filter(|&pos| {
+                let link = &self.links[pos];
+                link.sender_node == node || link.receiver_node == node
+            })
+            .collect()
+    }
+
+    /// Re-derives the relabeled ids from `from` onward after a splice.
+    fn relabel(&mut self, from: usize) {
+        for (pos, link) in self.links.iter_mut().enumerate().skip(from) {
+            link.id = LinkId(pos);
+        }
+    }
+
+    /// Anchors `warm` over the current links with their path-loss parts,
+    /// building the length extremes and the slot index (the one O(n) index
+    /// build, once per anchoring).
+    fn install(&mut self, powers: Vec<Option<f64>>, weights: Vec<Option<f64>>, warm: WarmState) {
+        self.repair = Some(RepairState {
+            powers,
+            weights,
+            lengths: LengthRange::of(&self.links),
+            index: SlotIndex::from_colors(&warm.colors),
+            warm,
         });
     }
-    let e = hints.extent;
-    if !(e.min_x.is_finite() && e.min_y.is_finite() && e.max_x.is_finite() && e.max_y.is_finite()) {
-        return Err(RestoreError::InvalidPartitionHints {
-            reason: "extent must be finite",
-        });
+
+    /// Re-anchors the warm state on a full recolor's report, overwriting
+    /// whatever a breaching repair left. Budgets come from the certified
+    /// verifier when the slots are verified under a pinned assignment;
+    /// a sharded solve's occupancy skew is carried along.
+    fn anchor(&mut self, solve: &SolveReport) {
+        let config = self.scheduler;
+        let (powers, weights) = match self.repair.take() {
+            Some(state) => (state.powers, state.weights),
+            None => priced(&config, &self.links),
+        };
+        let budgets = if config.verify_slots && pinned_assignment(&config).is_some() {
+            recolor_budgets(&config, &self.links, &powers, &weights, solve)
+        } else {
+            vec![0.0; self.links.len()]
+        };
+        let skew = solve
+            .sharding
+            .map(|s| (s.max_owned, s.mean_owned, s.ghost_fraction));
+        self.install(
+            powers,
+            weights,
+            WarmState::capture(&solve.report, budgets, skew),
+        );
     }
-    if e.max_x < e.min_x || e.max_y < e.min_y {
-        return Err(RestoreError::InvalidPartitionHints {
-            reason: "extent is inverted",
-        });
+}
+
+/// The shortest and longest link length of a universe and how many links
+/// hold each — what `link_diversity` folds, kept current per splice. Only
+/// the departure of an extreme's last holder needs a re-fold.
+#[derive(Debug, Clone, Copy)]
+struct LengthRange {
+    min: f64,
+    min_count: usize,
+    max: f64,
+    max_count: usize,
+}
+
+impl LengthRange {
+    /// The extremes of `links`, folded from scratch.
+    fn of(links: &[Link]) -> Self {
+        let mut range = LengthRange {
+            min: f64::INFINITY,
+            min_count: 0,
+            max: f64::NEG_INFINITY,
+            max_count: 0,
+        };
+        for link in links {
+            range.add(link.length());
+        }
+        range
     }
-    Ok(())
+
+    /// Counts a link of this length in.
+    fn add(&mut self, length: f64) {
+        // `link_diversity`'s `f64::min`/`max` fold skips NaN; so does this.
+        if length.is_nan() {
+            return;
+        }
+        if length < self.min {
+            (self.min, self.min_count) = (length, 1);
+        } else if length == self.min {
+            self.min_count += 1;
+        }
+        if length > self.max {
+            (self.max, self.max_count) = (length, 1);
+        } else if length == self.max {
+            self.max_count += 1;
+        }
+    }
+
+    /// Counts a link of this length out; `true` when an extreme lost its
+    /// last holder and the caller must re-fold.
+    fn remove(&mut self, length: f64) -> bool {
+        let mut stale = false;
+        if length == self.min {
+            self.min_count -= 1;
+            stale |= self.min_count == 0;
+        }
+        if length == self.max {
+            self.max_count -= 1;
+            stale |= self.max_count == 0;
+        }
+        stale
+    }
+
+    /// The universe's length diversity as the report states it
+    /// (`link_diversity(links)`, 1 when undefined).
+    fn diversity(&self, links: &[Link]) -> f64 {
+        let diversity = (self.min > 0.0 && self.min.is_finite() && self.max.is_finite())
+            .then(|| self.max / self.min);
+        debug_assert_eq!(
+            diversity,
+            link_diversity(links),
+            "length extremes diverged from the links"
+        );
+        diversity.unwrap_or(1.0)
+    }
+}
+
+/// Per-vertex warm budgets for a freshly recolored schedule, captured
+/// through the certified hierarchical verifier (near-linear per slot —
+/// certified upper bounds are exactly what the additive repair contract
+/// wants, and on a just-verified schedule every budget lands within `1/β`).
+fn recolor_budgets(
+    config: &SchedulerConfig,
+    links: &[Link],
+    powers: &[Option<f64>],
+    weights: &[Option<f64>],
+    solve: &SolveReport,
+) -> Vec<f64> {
+    let verifier = AffectanceVerifier::new(&config.model, links, powers, weights);
+    let mut budgets = vec![0.0f64; links.len()];
+    for slot in solve.schedule().slots() {
+        for (&i, b) in slot.iter().zip(verifier.budgets(slot)) {
+            budgets[i] = b;
+        }
+    }
+    budgets
+}
+
+/// The power assignment `config`'s mode pins under a noise-free model —
+/// when the additive judges (and the path-loss parts they read) apply.
+/// `None` otherwise: the opaque judge path never reads the parts.
+fn pinned_assignment(config: &SchedulerConfig) -> Option<PowerAssignment> {
+    (config.model.noise() == 0.0)
+        .then(|| config.mode.assignment())
+        .flatten()
+}
+
+/// The `(powers, weights)` parts [`PathLossCache::new`] computes for
+/// `links` under `config`'s pinned assignment (all `None` when none is
+/// pinned).
+fn priced(config: &SchedulerConfig, links: &[Link]) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
+    match pinned_assignment(config) {
+        Some(assignment) => PathLossCache::new(&config.model, links, &assignment).into_parts(),
+        None => (vec![None; links.len()], vec![None; links.len()]),
+    }
+}
+
+/// One link's entry of [`priced`]. The cache computes entries per link
+/// independently, so one event can refresh one entry without touching the
+/// rest — the same single-link trick the interference engine's event
+/// maintenance uses.
+fn link_parts(config: &SchedulerConfig, link: &Link) -> (Option<f64>, Option<f64>) {
+    let (powers, weights) = priced(config, std::slice::from_ref(link));
+    (powers[0], weights[0])
 }
 
 #[cfg(test)]
@@ -1105,11 +1443,19 @@ mod tests {
             assert!(report.schedule().is_partition(2), "{kind}");
             assert_eq!(report.sharding.is_some(), kind == BackendKind::Sharded);
 
-            let stats = session.stats();
-            assert_eq!(stats.backend, kind);
-            assert_eq!(stats.links, 2, "{kind}");
-            assert!(stats.inserts >= 3, "{kind}");
-            assert!(stats.removals >= 1, "{kind}");
+            // One accounting on every backend: 3 inserts, 1 removal, and
+            // 3 moves (two node moves, one of them touching nothing, plus
+            // one relocation).
+            assert_eq!(
+                session.stats(),
+                SessionStats {
+                    backend: kind,
+                    links: 2,
+                    inserts: 3,
+                    removals: 1,
+                    moves: 3,
+                }
+            );
         }
     }
 
@@ -1204,6 +1550,43 @@ mod tests {
             assert_eq!(
                 session.apply_trace(&bad),
                 Err(SessionError::UnknownKey { key: 999_999 })
+            );
+
+            // A lone sender annotation survives replay: the link follows
+            // its node, and only its sender moves.
+            let (node, key) = (5_000, 1_000_000);
+            session
+                .apply_events(&[
+                    EngineEvent::Insert {
+                        key,
+                        sender: Point::new(90.0, 90.0),
+                        receiver: Point::new(91.0, 90.0),
+                        sender_node: Some(node),
+                        receiver_node: None,
+                    },
+                    EngineEvent::MoveNode {
+                        node,
+                        to: Point::new(90.2, 90.3),
+                    },
+                ])
+                .unwrap();
+            let half = session
+                .links()
+                .into_iter()
+                .find(|l| l.sender_node == Some(NodeId(node)))
+                .expect("the lone annotation survives replay");
+            assert_eq!(half.sender, Point::new(90.2, 90.3), "{backend:?}");
+            assert_eq!(half.receiver, Point::new(91.0, 90.0), "{backend:?}");
+            assert_eq!(half.receiver_node, None, "{backend:?}");
+            assert_eq!(session.move_node(node, Point::new(90.1, 90.1)), 1);
+
+            // A binding whose session key was removed directly is stale:
+            // the error names the trace key, not the session key.
+            let bound = session.trace_key(key).expect("bound by the insert");
+            session.remove(bound).unwrap();
+            assert_eq!(
+                session.apply_events(&[EngineEvent::Remove { key }]),
+                Err(SessionError::UnknownKey { key })
             );
         }
     }
@@ -1303,8 +1686,5 @@ mod tests {
         let err = SessionError::UnknownKey { key: 4 };
         assert!(err.to_string().contains("key 4"));
         assert!(err.source().is_none());
-        let err: SessionError = EngineError::EmptySlot { slot: 2 }.into();
-        assert!(err.to_string().contains("no live link"));
-        assert!(err.source().is_some());
     }
 }

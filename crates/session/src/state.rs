@@ -3,46 +3,49 @@
 //! requests.
 //!
 //! [`Session::capture_state`](crate::Session::capture_state) materialises
-//! everything a session accumulated — the link universe **with its stable
-//! session keys**, the backend's internal ordering, the warm repair state
-//! (colors, budgets, baseline, carried skew), the dirty set, the persistent
-//! trace-key bindings and the flight-recorder ring (as its JSONL fold, see
-//! `wagg_obs::export`) — into [`SessionState`], a tree of plain data with no
-//! engines inside. [`Session::restore_state`](crate::Session::restore_state)
-//! rebuilds a live session from it: engines are re-materialised through the
-//! bulk seeding paths (`InterferenceEngine::with_links`,
-//! `PartitionedEngine::with_links`) and the warm state is re-attached, so
-//! the restored session's next solve is **byte-identical** to the solve the
-//! original session would have produced — without re-running the full
-//! recolor the warm state stands for.
+//! everything a session accumulated into [`SessionState`], one flat record
+//! of plain data with no engines inside: the configuration, the backend
+//! kind, the link universe **with its stable session keys** in solve order,
+//! the key counter, the event accounting, the warm repair state (colors,
+//! budgets, baseline, carried skew), the persistent trace-key bindings and
+//! the flight-recorder ring (as its JSONL fold, see `wagg_obs::export`).
+//! Every backend captures the same shape. A link the last committed
+//! schedule has not placed is exactly one whose warm color is `None`, so no
+//! separate dirty list is kept.
+//!
+//! [`Session::restore_state`](crate::Session::restore_state) rebuilds a
+//! live session from it: the universe first, then the backend from the
+//! universe's links in solve order — engines through the bulk seeding paths
+//! (`InterferenceEngine::with_links`, `PartitionedEngine::with_links`) —
+//! and the warm state is re-attached, so the restored session's next solve
+//! is **byte-identical** to the solve the original session would have
+//! produced, without re-running the full recolor the warm state stands for.
+//! The event accounting survives restore on every backend.
 //!
 //! What is *not* captured: installed [`Recorder`](wagg_obs::Recorder)s
 //! (metrics are cumulative per recorder — install a fresh one after
-//! restore), and, for engine-backed sessions only, the event accounting
-//! (`SessionStats` counters restart at zero; the engine owns them and the
-//! bulk rebuild starts them fresh).
+//! restore).
 //!
 //! Restoration validates before it builds: a [`SessionState`] decoded from
 //! hostile bytes comes back as a typed [`RestoreError`], never a panic —
 //! the contract the `wagg-wire` hostility suite leans on.
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
 use wagg_obs::telemetry::TelemetryConfig;
-use wagg_schedule::ScheduleReport;
+use wagg_schedule::{BackendKind, ScheduleReport};
 use wagg_sinr::Link;
 
-use crate::SessionConfig;
+use crate::{PartitionHints, SessionConfig};
 
-/// One link of a backend's universe, paired with its stable session key.
+/// One link of the session's universe, paired with its stable session key.
 ///
-/// The order of these entries inside [`BackendState`] is the backend's
-/// internal order and is load-bearing: map-backed backends list ascending
-/// keys, the engine backend lists ascending engine slots (a recycled slot
-/// can place a newer link before an older one), and the warm state's
-/// vectors index positions in exactly this order.
+/// The order of these entries inside [`SessionState::links`] is the
+/// backend's solve order and is load-bearing: the static and sharded
+/// backends list ascending keys, the engine backend lists ascending engine
+/// slots (a recycled slot can place a newer link before an older one), and
+/// the warm state's vectors index positions in exactly this order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyedLink {
     /// The stable session key ([`crate::Session::insert`]'s handle).
@@ -55,26 +58,26 @@ pub struct KeyedLink {
 /// [`crate::SessionStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EventCounts {
-    /// Insert events applied.
+    /// Seeded links plus insert events.
     pub inserts: usize,
-    /// Remove events applied.
+    /// Remove events.
     pub removals: usize,
-    /// Move/relocate events applied.
+    /// Relocate calls plus node-move calls.
     pub moves: usize,
 }
 
-/// A backend's warm repair state (see `wagg_schedule::solve_repair`):
+/// The session's warm repair state (see `wagg_schedule::solve_repair`):
 /// position-indexed colors and budgets, the re-anchoring baseline, and the
 /// occupancy skew carried by hinted sharded backends.
 ///
-/// This is the live state, not a copy of it: a repair-capable backend keeps
-/// one beside its solve-order mirror, splices it per event, lets the repair
-/// kernel edit its vectors in place, and re-captures it on every full
-/// recolor. A snapshot clones it.
+/// This is the live state, not a copy of it: the session's universe keeps
+/// one beside its links once a repair-enabled solve anchored it, splices it
+/// per event, lets the repair kernel edit its vectors in place, and
+/// re-captures it on every full recolor. A snapshot clones it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmState {
-    /// Position → committed slot; `None` marks a link dirtied since the
-    /// last repair-committed schedule.
+    /// Position → committed slot; `None` marks a link the last committed
+    /// schedule has not placed (inserted, relocated or re-seated since).
     pub colors: Vec<Option<usize>>,
     /// Position → upper bound on the link's affectance total inside its
     /// slot (the additive budget contract of `wagg_schedule::solve_repair`).
@@ -108,7 +111,7 @@ impl WarmState {
         }
     }
 
-    /// Splices a fresh (dirty, unscheduled) entry in at `pos`.
+    /// Splices a fresh (unplaced) entry in at `pos`.
     pub(crate) fn insert_at(&mut self, pos: usize) {
         self.colors.insert(pos, None);
         self.budgets.insert(pos, 0.0);
@@ -121,7 +124,7 @@ impl WarmState {
         self.budgets.remove(pos);
     }
 
-    /// Marks the entry at `pos` dirty (geometry changed in place).
+    /// Unplaces the entry at `pos` (geometry changed in place).
     pub(crate) fn mark_dirty(&mut self, pos: usize) {
         self.colors[pos] = None;
         self.budgets[pos] = 0.0;
@@ -138,85 +141,6 @@ pub(crate) fn slot_map(report: &ScheduleReport) -> Vec<Option<usize>> {
         }
     }
     colors
-}
-
-/// The backend-specific half of a [`SessionState`]: which strategy was
-/// live, its universe in internal order, and its incremental state.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BackendState {
-    /// [`crate::StaticBackend`] — a key-ordered link map.
-    Static {
-        /// The universe, ascending by key.
-        links: Vec<KeyedLink>,
-        /// The next key an insert would mint.
-        next_key: u64,
-        /// Event accounting.
-        counts: EventCounts,
-    },
-    /// [`crate::EngineBackend`] — the incremental interference engine.
-    Engine {
-        /// The universe in ascending engine-slot order (the engine's solve
-        /// order; slots recycle, so this is not key order).
-        links: Vec<KeyedLink>,
-        /// The next key an insert would mint.
-        next_key: u64,
-        /// Keys dirtied since the last repair-committed schedule,
-        /// ascending.
-        dirty: Vec<u64>,
-        /// Warm repair state (`None` before the first repair-enabled
-        /// solve).
-        warm: Option<WarmState>,
-        /// Event accounting (informational: the engine re-derives its own
-        /// counters, so these do not survive a restore).
-        counts: EventCounts,
-    },
-    /// [`crate::ShardedBackend`] in re-tiling mode (no partition hints).
-    ShardedRebuild {
-        /// The universe, ascending by key.
-        links: Vec<KeyedLink>,
-        /// The next key an insert would mint.
-        next_key: u64,
-        /// Event accounting.
-        counts: EventCounts,
-    },
-    /// [`crate::ShardedBackend`] over an incrementally maintained
-    /// `PartitionedEngine` (partition hints declared).
-    ShardedEngine {
-        /// The universe, ascending by key (the mirror's position order).
-        links: Vec<KeyedLink>,
-        /// The next key an insert would mint.
-        next_key: u64,
-        /// Keys dirtied since the last repair-committed schedule,
-        /// ascending.
-        dirty: Vec<u64>,
-        /// Warm repair state (`None` before the first repair-enabled
-        /// solve).
-        warm: Option<WarmState>,
-        /// Event accounting.
-        counts: EventCounts,
-    },
-}
-
-impl BackendState {
-    /// The number of live links in the captured universe.
-    pub fn len(&self) -> usize {
-        self.links().len()
-    }
-
-    /// Whether the captured universe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.links().is_empty()
-    }
-
-    /// The captured universe in backend order.
-    pub fn links(&self) -> &[KeyedLink] {
-        match self {
-            BackendState::Static { links, .. }
-            | BackendState::Engine { links, .. }
-            | BackendState::ShardedRebuild { links, .. }
-            | BackendState::ShardedEngine { links, .. } => links,
-        }
-    }
 }
 
 /// The flight-recorder half of a snapshot: the telemetry tuning plus the
@@ -237,8 +161,19 @@ pub struct TelemetryState {
 pub struct SessionState {
     /// The session's layered configuration.
     pub config: SessionConfig,
-    /// The resolved backend and its internal state.
-    pub backend: BackendState,
+    /// The backend the session resolved to. A sharded session is hinted
+    /// (incrementally maintained) exactly when `config` declares partition
+    /// hints.
+    pub backend: BackendKind,
+    /// The universe in solve order (see [`KeyedLink`]).
+    pub links: Vec<KeyedLink>,
+    /// The next key an insert would mint.
+    pub next_key: u64,
+    /// Event accounting.
+    pub counts: EventCounts,
+    /// Warm repair state (`None` before the first repair-enabled solve, and
+    /// always on the static and hint-less sharded backends).
+    pub warm: Option<WarmState>,
     /// Persistent trace-key → session-key bindings
     /// ([`crate::Session::apply_trace`]), ascending by trace key.
     pub trace_keys: Vec<(u64, u64)>,
@@ -259,7 +194,7 @@ pub enum RestoreError {
         /// The offending key.
         key: u64,
     },
-    /// A map-backed universe's keys are not strictly ascending.
+    /// A key-ordered universe's keys are not strictly ascending.
     KeyOrder {
         /// The first out-of-order key.
         key: u64,
@@ -271,15 +206,11 @@ pub enum RestoreError {
         /// The largest live key.
         max_key: u64,
     },
-    /// A dirty entry names no live link.
-    UnknownDirtyKey {
-        /// The offending key.
-        key: u64,
-    },
-    /// The dirty list is not strictly ascending.
-    DirtyOrder {
-        /// The first out-of-order key.
-        key: u64,
+    /// Warm repair state on a backend that keeps none (static, or sharded
+    /// without partition hints).
+    UnexpectedWarmState {
+        /// The captured backend.
+        backend: BackendKind,
     },
     /// Warm vectors are not in lockstep with the universe.
     WarmLength {
@@ -312,8 +243,6 @@ pub enum RestoreError {
         /// Live links.
         links: usize,
     },
-    /// A hinted sharded state without partition hints in the config.
-    MissingPartitionHints,
     /// The partition hints cannot size a tiling (non-finite extent,
     /// degenerate length bounds, zero shards).
     InvalidPartitionHints {
@@ -345,12 +274,10 @@ impl fmt::Display for RestoreError {
                 f,
                 "next_key {next_key} would re-mint a live key (max live key {max_key})"
             ),
-            RestoreError::UnknownDirtyKey { key } => {
-                write!(f, "dirty key {key} names no live link")
-            }
-            RestoreError::DirtyOrder { key } => {
-                write!(f, "dirty keys are not strictly ascending at key {key}")
-            }
+            RestoreError::UnexpectedWarmState { backend } => write!(
+                f,
+                "warm repair state on a {backend} backend that keeps none"
+            ),
             RestoreError::WarmLength {
                 links,
                 colors,
@@ -370,12 +297,6 @@ impl fmt::Display for RestoreError {
                 f,
                 "warm baseline {baseline} exceeds the universe size {links}"
             ),
-            RestoreError::MissingPartitionHints => {
-                write!(
-                    f,
-                    "hinted sharded state but the config declares no partition hints"
-                )
-            }
             RestoreError::InvalidPartitionHints { reason } => {
                 write!(f, "partition hints cannot size a tiling: {reason}")
             }
@@ -390,64 +311,66 @@ impl fmt::Display for RestoreError {
 
 impl Error for RestoreError {}
 
-/// Shared validation: keys strictly ascending (map-backed universes).
-pub(crate) fn check_ascending(links: &[KeyedLink]) -> Result<(), RestoreError> {
-    for w in links.windows(2) {
-        if w[1].key <= w[0].key {
-            return Err(if w[1].key == w[0].key {
-                RestoreError::DuplicateKey { key: w[1].key }
-            } else {
-                RestoreError::KeyOrder { key: w[1].key }
+/// Validates everything the rebuild relies on: keys unique (and ascending
+/// where the backend orders by key), `next_key` past every live key, warm
+/// state only where a backend keeps it and in lockstep with the universe,
+/// and — for a hinted sharded session — hints that can size a tiling and
+/// links inside their length bounds.
+pub(crate) fn check(state: &SessionState) -> Result<(), RestoreError> {
+    let links = &state.links;
+    if state.backend == BackendKind::Engine {
+        // Slot order: keys need not ascend.
+        let mut keys: Vec<u64> = links.iter().map(|k| k.key).collect();
+        keys.sort_unstable();
+        if let Some(w) = keys.windows(2).find(|w| w[0] == w[1]) {
+            return Err(RestoreError::DuplicateKey { key: w[0] });
+        }
+    } else if let Some(w) = links.windows(2).find(|w| w[1].key <= w[0].key) {
+        return Err(if w[1].key == w[0].key {
+            RestoreError::DuplicateKey { key: w[1].key }
+        } else {
+            RestoreError::KeyOrder { key: w[1].key }
+        });
+    }
+    if let Some(max_key) = links.iter().map(|k| k.key).max() {
+        if state.next_key <= max_key {
+            return Err(RestoreError::NextKeyTooSmall {
+                next_key: state.next_key,
+                max_key,
             });
         }
     }
-    Ok(())
-}
-
-/// Shared validation: keys unique (slot-ordered universes, where keys need
-/// not ascend).
-pub(crate) fn check_unique(links: &[KeyedLink]) -> Result<(), RestoreError> {
-    let mut keys: Vec<u64> = links.iter().map(|k| k.key).collect();
-    keys.sort_unstable();
-    for w in keys.windows(2) {
-        if w[0] == w[1] {
-            return Err(RestoreError::DuplicateKey { key: w[0] });
+    // A sharded session is hinted exactly when its config declares hints.
+    let hints = state
+        .config
+        .partition
+        .filter(|_| state.backend == BackendKind::Sharded);
+    if let Some(warm) = &state.warm {
+        if state.backend != BackendKind::Engine && hints.is_none() {
+            return Err(RestoreError::UnexpectedWarmState {
+                backend: state.backend,
+            });
+        }
+        check_warm(links.len(), warm)?;
+    }
+    if let Some(hints) = hints {
+        check_hints(&hints)?;
+        // The engine's insert path asserts the declared bounds; NaN lengths
+        // fail the range test and land here too.
+        let (lo, hi) = hints.length_bounds;
+        for k in links {
+            let length = k.link.length();
+            if !(length >= lo && length <= hi) {
+                return Err(RestoreError::LengthOutOfBounds { key: k.key, length });
+            }
         }
     }
     Ok(())
 }
 
-/// Shared validation: `next_key` past every live key.
-pub(crate) fn check_next_key(links: &[KeyedLink], next_key: u64) -> Result<(), RestoreError> {
-    if let Some(max_key) = links.iter().map(|k| k.key).max() {
-        if next_key <= max_key {
-            return Err(RestoreError::NextKeyTooSmall { next_key, max_key });
-        }
-    }
-    Ok(())
-}
-
-/// Shared validation: the dirty list is strictly ascending and every entry
-/// names a live key.
-pub(crate) fn check_dirty(links: &[KeyedLink], dirty: &[u64]) -> Result<(), RestoreError> {
-    for w in dirty.windows(2) {
-        if w[1] <= w[0] {
-            return Err(RestoreError::DirtyOrder { key: w[1] });
-        }
-    }
-    let live: HashSet<u64> = links.iter().map(|k| k.key).collect();
-    for &key in dirty {
-        if !live.contains(&key) {
-            return Err(RestoreError::UnknownDirtyKey { key });
-        }
-    }
-    Ok(())
-}
-
-/// Shared validation: warm vectors in lockstep, colors and baseline
-/// bounded, budgets finite.
-pub(crate) fn check_warm(links: &[KeyedLink], warm: &WarmState) -> Result<(), RestoreError> {
-    let n = links.len();
+/// Warm vectors in lockstep with `n` links, colors and baseline bounded,
+/// budgets finite.
+fn check_warm(n: usize, warm: &WarmState) -> Result<(), RestoreError> {
     if warm.colors.len() != n || warm.budgets.len() != n {
         return Err(RestoreError::WarmLength {
             links: n,
@@ -466,15 +389,35 @@ pub(crate) fn check_warm(links: &[KeyedLink], warm: &WarmState) -> Result<(), Re
             }
         }
     }
-    for (pos, b) in warm.budgets.iter().enumerate() {
-        if !b.is_finite() {
-            return Err(RestoreError::BudgetNotFinite { pos });
-        }
+    if let Some(pos) = warm.budgets.iter().position(|b| !b.is_finite()) {
+        return Err(RestoreError::BudgetNotFinite { pos });
     }
     if warm.baseline_slots > n {
         return Err(RestoreError::BaselineOutOfRange {
             baseline: warm.baseline_slots,
             links: n,
+        });
+    }
+    Ok(())
+}
+
+/// The asserts `PartitionedEngineConfig::new` would fire, as typed errors.
+fn check_hints(hints: &PartitionHints) -> Result<(), RestoreError> {
+    let (lo, hi) = hints.length_bounds;
+    if !(lo > 0.0 && lo <= hi && hi.is_finite()) {
+        return Err(RestoreError::InvalidPartitionHints {
+            reason: "length bounds must satisfy 0 < min <= max < inf",
+        });
+    }
+    let e = hints.extent;
+    if !(e.min_x.is_finite() && e.min_y.is_finite() && e.max_x.is_finite() && e.max_y.is_finite()) {
+        return Err(RestoreError::InvalidPartitionHints {
+            reason: "extent must be finite",
+        });
+    }
+    if e.max_x < e.min_x || e.max_y < e.min_y {
+        return Err(RestoreError::InvalidPartitionHints {
+            reason: "extent is inverted",
         });
     }
     Ok(())

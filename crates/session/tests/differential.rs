@@ -5,7 +5,7 @@
 //! * `Backend::Static`  ≡ `wagg_schedule::solve_static`, the from-scratch
 //!   kernel,
 //! * `Backend::Engine`  ≡ `InterferenceEngine::{with_links, schedule}`,
-//!   including after arbitrary churn traces replayed through
+//!   including after arbitrary churn and mobility traces replayed through
 //!   `Session::apply_trace` on one side and `wagg_engine::run_trace` on the
 //!   other,
 //! * `Backend::Sharded` ≡ `wagg_partition::solve_sharded` across
@@ -16,8 +16,9 @@
 //! `ci.sh` runs this suite in both the serial and the parallel build.
 
 use proptest::prelude::*;
-use wagg_engine::{churn_trace, run_trace, EngineConfig, InterferenceEngine};
+use wagg_engine::{churn_trace, run_trace, EngineConfig, EngineTrace, InterferenceEngine};
 use wagg_geometry::{BoundingBox, Point};
+use wagg_instances::mobility::{random_waypoint, WaypointConfig};
 use wagg_partition::{PartitionedEngine, PartitionedEngineConfig, VerifierStrategy};
 use wagg_schedule::{BackendKind, PowerMode, SchedulerConfig, SolveReport};
 use wagg_session::{Backend, Session};
@@ -97,6 +98,37 @@ proptest! {
         let solve = session.solve();
         prop_assert_eq!(solve.backend, BackendKind::Engine);
         prop_assert_eq!(&solve.report, &legacy_report, "engine path diverged after churn");
+        prop_assert_eq!(session.links(), legacy.links());
+    }
+
+    /// Engine backend ≡ the legacy engine path under node mobility: the
+    /// session re-seats each follower of a moved node in its own slot where
+    /// `InterferenceEngine::move_node` moves them in one call.
+    #[test]
+    fn engine_backend_reproduces_the_engine_path_under_mobility(
+        seed in 0u64..5000,
+        nodes in 4usize..24,
+        steps in 1usize..8,
+    ) {
+        let config = SchedulerConfig::new(PowerMode::mean_oblivious());
+        let mobility = random_waypoint(&WaypointConfig {
+            nodes,
+            side: 40.0,
+            speed: 3.0,
+            steps,
+            seed,
+        });
+        let trace = EngineTrace::from_mobility(&mobility);
+
+        let mut legacy = InterferenceEngine::new(EngineConfig::for_scheduler(config));
+        run_trace(&mut legacy, &trace).expect("mobility traces are replayable");
+
+        let mut session = Session::builder()
+            .scheduler(config)
+            .backend(Backend::Engine)
+            .build();
+        session.apply_trace(&trace).expect("mobility traces are replayable");
+        prop_assert_eq!(&session.solve().report, &legacy.schedule(), "engine path diverged under mobility");
         prop_assert_eq!(session.links(), legacy.links());
     }
 

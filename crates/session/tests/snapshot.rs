@@ -9,8 +9,8 @@
 //! `ci.sh` runs this suite in both the serial and the parallel build.
 
 use wagg_geometry::{BoundingBox, Point};
-use wagg_schedule::{PowerMode, RepairDecision};
-use wagg_session::state::{BackendState, SessionState, TelemetryState, WarmState};
+use wagg_schedule::{BackendKind, PowerMode, RepairDecision};
+use wagg_session::state::{SessionState, TelemetryState, WarmState};
 use wagg_session::{Backend, FlightRecorder, RepairPolicy, RestoreError, Session, TelemetryConfig};
 use wagg_sinr::Link;
 
@@ -50,15 +50,6 @@ fn churn(session: &mut Session, round: u64) {
         .expect("seed key 0 is live");
 }
 
-/// Event counts on the engine backend restart at restore (the rebuilt
-/// engine owns them — documented); canonical-capture comparisons zero them.
-fn counts_normalized(mut s: SessionState) -> SessionState {
-    if let BackendState::Engine { counts, .. } = &mut s.backend {
-        *counts = Default::default();
-    }
-    s
-}
-
 /// Capture → restore → the next solve and all subsequent behaviour is
 /// identical; shared driver for the per-backend tests.
 fn assert_round_trip(mut original: Session) {
@@ -94,17 +85,12 @@ fn assert_round_trip(mut original: Session) {
         );
     }
 
-    // Capture is canonical: capture → restore → capture is identity
-    // (modulo the engine backend's restarting event counters).
+    // Capture is canonical: capture → restore → capture is identity.
     let state2 = original.capture_state();
     let recaptured = Session::restore_state(&state2)
         .expect("re-captured state restores")
         .capture_state();
-    assert_eq!(
-        counts_normalized(recaptured),
-        counts_normalized(state2),
-        "capture is not canonical"
-    );
+    assert_eq!(recaptured, state2, "capture is not canonical");
 }
 
 #[test]
@@ -160,7 +146,7 @@ fn engine_backend_with_warm_repair_round_trips() {
         .links(&links(40))
         .build();
     // Anchor the warm state with a cold solve, then dirty some links so the
-    // capture carries a live warm schedule *and* a non-empty dirty set.
+    // capture carries a live warm schedule *and* unplaced warm entries.
     let cold = session.solve();
     assert_eq!(
         cold.repair.as_ref().expect("repair-enabled").decision,
@@ -235,15 +221,25 @@ fn trace_key_bindings_survive_restore() {
 }
 
 #[test]
-fn event_counts_survive_restore_on_map_backed_backends() {
-    for backend in [Backend::Static, Backend::Sharded] {
-        let mut original = Session::builder()
-            .backend(backend)
-            .links(&links(10))
-            .build();
+fn event_counts_survive_restore_on_every_backend() {
+    let builders = [
+        Session::builder().backend(Backend::Static),
+        Session::builder().backend(Backend::Engine),
+        Session::builder().backend(Backend::Sharded),
+        Session::builder()
+            .backend(Backend::Sharded)
+            .partition_hints(BoundingBox::new(0.0, 0.0, 95.0, 95.0), (1.0, 2.0)),
+    ];
+    for builder in builders {
+        let mut original = builder.links(&links(10)).build();
         churn(&mut original, 1);
         let restored = Session::restore_state(&original.capture_state()).expect("restores");
-        assert_eq!(restored.stats(), original.stats(), "{backend:?}");
+        assert_eq!(
+            restored.stats(),
+            original.stats(),
+            "{}",
+            original.backend_kind()
+        );
     }
 }
 
@@ -295,9 +291,7 @@ fn captured() -> SessionState {
 fn tampered_states_return_typed_errors_not_panics() {
     // Duplicate key.
     let mut dup = captured();
-    if let BackendState::Engine { links, .. } = &mut dup.backend {
-        links[1].key = links[0].key;
-    }
+    dup.links[1].key = dup.links[0].key;
     assert!(matches!(
         Session::restore_state(&dup),
         Err(RestoreError::DuplicateKey { .. })
@@ -305,29 +299,20 @@ fn tampered_states_return_typed_errors_not_panics() {
 
     // next_key re-minting a live key.
     let mut stale = captured();
-    if let BackendState::Engine { next_key, .. } = &mut stale.backend {
-        *next_key = 3;
-    }
+    stale.next_key = 3;
     assert!(matches!(
         Session::restore_state(&stale),
         Err(RestoreError::NextKeyTooSmall { .. })
     ));
 
-    // Dirty entry naming no live link.
-    let mut ghost = captured();
-    if let BackendState::Engine { dirty, .. } = &mut ghost.backend {
-        dirty.push(10_000);
-    }
-    assert!(matches!(
-        Session::restore_state(&ghost),
-        Err(RestoreError::UnknownDirtyKey { key: 10_000 })
-    ));
-
     // Warm vectors out of lockstep.
     let mut short = captured();
-    if let BackendState::Engine { warm, .. } = &mut short.backend {
-        warm.as_mut().expect("repair-enabled capture").colors.pop();
-    }
+    short
+        .warm
+        .as_mut()
+        .expect("repair-enabled capture")
+        .colors
+        .pop();
     assert!(matches!(
         Session::restore_state(&short),
         Err(RestoreError::WarmLength { .. })
@@ -335,9 +320,7 @@ fn tampered_states_return_typed_errors_not_panics() {
 
     // Impossible warm color.
     let mut loud = captured();
-    if let BackendState::Engine { warm, .. } = &mut loud.backend {
-        warm.as_mut().expect("repair-enabled capture").colors[0] = Some(9_999);
-    }
+    loud.warm.as_mut().expect("repair-enabled capture").colors[0] = Some(9_999);
     assert!(matches!(
         Session::restore_state(&loud),
         Err(RestoreError::ColorOutOfRange { .. })
@@ -345,9 +328,7 @@ fn tampered_states_return_typed_errors_not_panics() {
 
     // Non-finite warm budget.
     let mut nan = captured();
-    if let BackendState::Engine { warm, .. } = &mut nan.backend {
-        warm.as_mut().expect("repair-enabled capture").budgets[0] = f64::NAN;
-    }
+    nan.warm.as_mut().expect("repair-enabled capture").budgets[0] = f64::NAN;
     assert!(matches!(
         Session::restore_state(&nan),
         Err(RestoreError::BudgetNotFinite { pos: 0 })
@@ -355,28 +336,46 @@ fn tampered_states_return_typed_errors_not_panics() {
 
     // Baseline past the universe.
     let mut deep = captured();
-    if let BackendState::Engine { warm, .. } = &mut deep.backend {
-        warm.as_mut()
-            .expect("repair-enabled capture")
-            .baseline_slots = 9_999;
-    }
+    deep.warm
+        .as_mut()
+        .expect("repair-enabled capture")
+        .baseline_slots = 9_999;
     assert!(matches!(
         Session::restore_state(&deep),
         Err(RestoreError::BaselineOutOfRange { .. })
     ));
 
-    // A hinted sharded state whose config lost its hints.
-    let mut hinted = Session::builder()
-        .backend(Backend::Sharded)
-        .partition_hints(BoundingBox::new(0.0, 0.0, 95.0, 95.0), (1.0, 2.0))
+    // Warm state on a backend that keeps none: a static session, and a
+    // hinted sharded session whose config lost its hints (without hints a
+    // sharded state is a re-tiling one).
+    let mut static_warm = Session::builder()
+        .backend(Backend::Static)
         .links(&links(12))
         .build()
         .capture_state();
+    static_warm.warm = captured().warm;
+    assert_eq!(
+        Session::restore_state(&static_warm).err(),
+        Some(RestoreError::UnexpectedWarmState {
+            backend: BackendKind::Static
+        })
+    );
+    let mut hinted = Session::builder()
+        .backend(Backend::Sharded)
+        .partition_hints(BoundingBox::new(0.0, 0.0, 95.0, 95.0), (1.0, 2.0))
+        .repair(RepairPolicy::enabled())
+        .links(&links(12))
+        .build();
+    hinted.solve();
+    let mut hinted = hinted.capture_state();
+    assert!(hinted.warm.is_some(), "repair-enabled capture");
     hinted.config.partition = None;
-    assert!(matches!(
-        Session::restore_state(&hinted),
-        Err(RestoreError::MissingPartitionHints)
-    ));
+    assert_eq!(
+        Session::restore_state(&hinted).err(),
+        Some(RestoreError::UnexpectedWarmState {
+            backend: BackendKind::Sharded
+        })
+    );
 
     // Hints that cannot size a tiling must not reach the constructor's
     // assert.
@@ -402,9 +401,7 @@ fn tampered_states_return_typed_errors_not_panics() {
         .links(&links(12))
         .build()
         .capture_state();
-    if let BackendState::ShardedEngine { links, .. } = &mut long.backend {
-        links[0].link = Link::new(0, Point::new(0.0, 0.0), Point::new(50.0, 0.0));
-    }
+    long.links[0].link = Link::new(0, Point::new(0.0, 0.0), Point::new(50.0, 0.0));
     assert!(matches!(
         Session::restore_state(&long),
         Err(RestoreError::LengthOutOfBounds { .. })
@@ -423,40 +420,26 @@ fn tampered_states_return_typed_errors_not_panics() {
         Err(RestoreError::Telemetry(_))
     ));
 
-    // Out-of-order keys on a map-backed universe.
+    // Out-of-order keys on a key-ordered universe.
     let mut unsorted = Session::builder()
         .backend(Backend::Static)
         .links(&links(12))
         .build()
         .capture_state();
-    if let BackendState::Static { links, .. } = &mut unsorted.backend {
-        links.swap(0, 1);
-    }
+    unsorted.links.swap(0, 1);
     assert!(matches!(
         Session::restore_state(&unsorted),
         Err(RestoreError::KeyOrder { .. })
     ));
 
-    // Dirty list out of order.
-    let mut shuffled = captured();
-    if let BackendState::Engine { dirty, .. } = &mut shuffled.backend {
-        *dirty = vec![5, 3];
-    }
-    assert!(matches!(
-        Session::restore_state(&shuffled),
-        Err(RestoreError::DirtyOrder { key: 3 })
-    ));
-
     // And a WarmState built from thin air on a fresh universe still
     // restores when it is structurally consistent.
     let mut synthetic = captured();
-    if let BackendState::Engine { warm, links, .. } = &mut synthetic.backend {
-        *warm = Some(WarmState {
-            colors: vec![None; links.len()],
-            budgets: vec![0.0; links.len()],
-            baseline_slots: 0,
-            skew: None,
-        });
-    }
+    synthetic.warm = Some(WarmState {
+        colors: vec![None; synthetic.links.len()],
+        budgets: vec![0.0; synthetic.links.len()],
+        baseline_slots: 0,
+        skew: None,
+    });
     assert!(Session::restore_state(&synthetic).is_ok());
 }

@@ -34,7 +34,7 @@
 //! layer validates *structure* (framing, tags, UTF-8, finite geometry, model
 //! and slack parameters that constructors downstream would assert on), while
 //! [`Session::restore_state`](wagg_session::Session::restore_state)
-//! validates *semantics* (key order, dirty sets, warm-state lockstep). A
+//! validates *semantics* (key order, warm-state lockstep, partition bounds). A
 //! decoded snapshot can therefore still be rejected by restore — but neither
 //! layer can be made to panic from bytes alone.
 //!
@@ -62,7 +62,7 @@ use wagg_schedule::{
     BackendKind, PowerMode, RepairDecision, RepairStats, Schedule, ScheduleReport, SchedulerConfig,
     ShardingStats, SolveReport,
 };
-use wagg_session::state::{BackendState, EventCounts, KeyedLink, TelemetryState, WarmState};
+use wagg_session::state::{EventCounts, KeyedLink, TelemetryState, WarmState};
 use wagg_session::VerifierStrategy;
 use wagg_session::{Backend, PartitionHints, RepairPolicy, SessionConfig, SessionState};
 use wagg_sinr::{Link, NodeId, SinrModel};
@@ -71,7 +71,7 @@ use wagg_sinr::{Link, NodeId, SinrModel};
 pub const MAGIC: [u8; 4] = *b"WAGG";
 
 /// The wire-format version this build speaks.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// Frame kind discriminants (the byte after the version).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -753,12 +753,25 @@ const HIST_MIN_BYTES: usize = 4 + 8 + 4;
 const BUCKET_BYTES: usize = 1 + 8;
 const SIGNAL_BYTES: usize = 1 + 1 + 3 * 8 + 3 * 8;
 
-fn put_report(buf: &mut Vec<u8>, report: &SolveReport) -> Result<(), EncodeError> {
-    buf.push(match report.backend {
+fn put_backend(buf: &mut Vec<u8>, backend: BackendKind) {
+    buf.push(match backend {
         BackendKind::Static => 0,
         BackendKind::Engine => 1,
         BackendKind::Sharded => 2,
     });
+}
+
+fn get_backend(r: &mut Reader<'_>, what: &'static str) -> Result<BackendKind, DecodeError> {
+    match r.u8()? {
+        0 => Ok(BackendKind::Static),
+        1 => Ok(BackendKind::Engine),
+        2 => Ok(BackendKind::Sharded),
+        tag => Err(DecodeError::UnknownTag { what, tag }),
+    }
+}
+
+fn put_report(buf: &mut Vec<u8>, report: &SolveReport) -> Result<(), EncodeError> {
+    put_backend(buf, report.backend);
     let r = &report.report;
     put_power_mode(buf, r.mode)?;
     put_u64(buf, r.num_links as u64);
@@ -803,17 +816,7 @@ fn put_report(buf: &mut Vec<u8>, report: &SolveReport) -> Result<(), EncodeError
 }
 
 fn get_report(r: &mut Reader<'_>) -> Result<SolveReport, DecodeError> {
-    let backend = match r.u8()? {
-        0 => BackendKind::Static,
-        1 => BackendKind::Engine,
-        2 => BackendKind::Sharded,
-        tag => {
-            return Err(DecodeError::UnknownTag {
-                what: "report backend",
-                tag,
-            })
-        }
-    };
+    let backend = get_backend(r, "report backend")?;
     let report = ScheduleReport {
         mode: get_power_mode(r)?,
         num_links: r.usize("report links")?,
@@ -1082,17 +1085,6 @@ fn get_counts(r: &mut Reader<'_>) -> Result<EventCounts, DecodeError> {
     })
 }
 
-fn put_dirty(buf: &mut Vec<u8>, dirty: &[u64]) -> Result<(), EncodeError> {
-    put_seq(buf, dirty, "dirty keys", |buf, &k| {
-        put_u64(buf, k);
-        Ok(())
-    })
-}
-
-fn get_dirty(r: &mut Reader<'_>) -> Result<Vec<u64>, DecodeError> {
-    r.seq("dirty keys", 8, Reader::u64)
-}
-
 /// Warm budgets are decoded as raw bit patterns: finiteness is a *semantic*
 /// property [`wagg_session::RestoreError::BudgetNotFinite`] owns — the wire
 /// layer only guarantees the structure parses without panicking.
@@ -1131,93 +1123,6 @@ fn get_warm(r: &mut Reader<'_>) -> Result<Option<WarmState>, DecodeError> {
             })?,
         })
     })
-}
-
-fn put_backend_state(buf: &mut Vec<u8>, state: &BackendState) -> Result<(), EncodeError> {
-    match state {
-        BackendState::Static {
-            links,
-            next_key,
-            counts,
-        } => {
-            buf.push(0);
-            put_keyed_links(buf, links)?;
-            put_u64(buf, *next_key);
-            put_counts(buf, *counts);
-        }
-        BackendState::Engine {
-            links,
-            next_key,
-            dirty,
-            warm,
-            counts,
-        } => {
-            buf.push(1);
-            put_keyed_links(buf, links)?;
-            put_u64(buf, *next_key);
-            put_dirty(buf, dirty)?;
-            put_warm(buf, warm.as_ref())?;
-            put_counts(buf, *counts);
-        }
-        BackendState::ShardedRebuild {
-            links,
-            next_key,
-            counts,
-        } => {
-            buf.push(2);
-            put_keyed_links(buf, links)?;
-            put_u64(buf, *next_key);
-            put_counts(buf, *counts);
-        }
-        BackendState::ShardedEngine {
-            links,
-            next_key,
-            dirty,
-            warm,
-            counts,
-        } => {
-            buf.push(3);
-            put_keyed_links(buf, links)?;
-            put_u64(buf, *next_key);
-            put_dirty(buf, dirty)?;
-            put_warm(buf, warm.as_ref())?;
-            put_counts(buf, *counts);
-        }
-    }
-    Ok(())
-}
-
-fn get_backend_state(r: &mut Reader<'_>) -> Result<BackendState, DecodeError> {
-    match r.u8()? {
-        0 => Ok(BackendState::Static {
-            links: get_keyed_links(r)?,
-            next_key: r.u64()?,
-            counts: get_counts(r)?,
-        }),
-        1 => Ok(BackendState::Engine {
-            links: get_keyed_links(r)?,
-            next_key: r.u64()?,
-            dirty: get_dirty(r)?,
-            warm: get_warm(r)?,
-            counts: get_counts(r)?,
-        }),
-        2 => Ok(BackendState::ShardedRebuild {
-            links: get_keyed_links(r)?,
-            next_key: r.u64()?,
-            counts: get_counts(r)?,
-        }),
-        3 => Ok(BackendState::ShardedEngine {
-            links: get_keyed_links(r)?,
-            next_key: r.u64()?,
-            dirty: get_dirty(r)?,
-            warm: get_warm(r)?,
-            counts: get_counts(r)?,
-        }),
-        tag => Err(DecodeError::UnknownTag {
-            what: "backend state",
-            tag,
-        }),
-    }
 }
 
 fn put_telemetry(buf: &mut Vec<u8>, telemetry: Option<&TelemetryState>) -> Result<(), EncodeError> {
@@ -1262,7 +1167,11 @@ fn get_telemetry(r: &mut Reader<'_>) -> Result<Option<TelemetryState>, DecodeErr
 
 fn put_state(buf: &mut Vec<u8>, state: &SessionState) -> Result<(), EncodeError> {
     put_config(buf, &state.config)?;
-    put_backend_state(buf, &state.backend)?;
+    put_backend(buf, state.backend);
+    put_keyed_links(buf, &state.links)?;
+    put_u64(buf, state.next_key);
+    put_counts(buf, state.counts);
+    put_warm(buf, state.warm.as_ref())?;
     put_seq(
         buf,
         &state.trace_keys,
@@ -1279,7 +1188,11 @@ fn put_state(buf: &mut Vec<u8>, state: &SessionState) -> Result<(), EncodeError>
 fn get_state(r: &mut Reader<'_>) -> Result<SessionState, DecodeError> {
     Ok(SessionState {
         config: get_config(r)?,
-        backend: get_backend_state(r)?,
+        backend: get_backend(r, "snapshot backend")?,
+        links: get_keyed_links(r)?,
+        next_key: r.u64()?,
+        counts: get_counts(r)?,
+        warm: get_warm(r)?,
         trace_keys: r.seq("trace keys", 16, |r| Ok((r.u64()?, r.u64()?)))?,
         telemetry: get_telemetry(r)?,
     })

@@ -3,7 +3,7 @@
 //! restore to byte-identical solves), and [`Frame::decode`] is total over
 //! arbitrary bytes — truncations at every offset, single bit flips at every
 //! position, wrong magic/version/kind and random garbage all come back as
-//! typed [`DecodeError`]s, never panics. For map-backed snapshots the
+//! typed [`DecodeError`]s, never panics. For static snapshots the
 //! no-panic guarantee is pushed one layer further: whatever a flipped
 //! snapshot decodes to, [`Session::restore_state`] returns `Ok` or a typed
 //! [`RestoreError`], never a panic.
@@ -83,7 +83,8 @@ fn grid_links(n: usize) -> Vec<Link> {
         .collect()
 }
 
-/// Some churn so captured snapshots carry dirty sets and non-trivial keys.
+/// Some churn so captured snapshots carry unplaced warm entries and
+/// non-trivial keys.
 fn churn(session: &mut Session) {
     let k = session.insert(Point::new(40.0, 41.0), Point::new(41.2, 41.0));
     session.insert(Point::new(12.0, 70.0), Point::new(13.1, 70.0));
@@ -127,10 +128,18 @@ fn snapshot_corpus() -> Vec<Frame> {
     sharded_session.solve();
     churn(&mut sharded_session);
 
+    let mut rebuild_session = Session::builder()
+        .backend(Backend::Sharded)
+        .target_shards(4)
+        .links(&grid_links(30))
+        .build();
+    churn(&mut rebuild_session);
+
     vec![
         Frame::Snapshot(static_session.capture_state()),
         Frame::Snapshot(engine_session.capture_state()),
         Frame::Snapshot(sharded_session.capture_state()),
+        Frame::Snapshot(rebuild_session.capture_state()),
     ]
 }
 
@@ -518,11 +527,11 @@ fn every_bit_flip_never_panics() {
     }
 }
 
-/// For the map-backed snapshot the guarantee extends through restore:
+/// For the static snapshot the guarantee extends through restore:
 /// whatever a flipped frame decodes to, `Session::restore_state` returns
 /// `Ok` or a typed `RestoreError` — never a panic. (Engine-building
 /// restores are exercised by the session suite's tampered-state tests;
-/// here the map-backed flavour keeps the flip sweep allocation-safe.)
+/// here the static flavour keeps the flip sweep allocation-safe.)
 #[test]
 fn bit_flipped_snapshots_restore_or_reject_without_panic() {
     let mut session = Session::builder()

@@ -248,7 +248,7 @@ pub mod collection {
     use std::hash::Hash;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specifications accepted by [`vec`] and [`hash_set`]: a fixed
+    /// Length specifications accepted by [`vec()`] and [`hash_set`]: a fixed
     /// `usize`, `lo..hi`, or `lo..=hi`.
     pub trait SizeRange {
         /// Draws a concrete length.

@@ -380,7 +380,7 @@ impl<'a, T: Sync> ParSliceIter<'a, T> {
     }
 
     /// Whether `p` holds for every element, with cooperative short-circuiting
-    /// on the first failure (see [`par_all_indexed`]).
+    /// on the first failure (see `par_all_indexed`).
     pub fn all<P>(self, p: P) -> bool
     where
         P: Fn(&'a T) -> bool + Sync,
@@ -447,7 +447,7 @@ impl ParRangeIter {
     }
 
     /// Whether `p` holds for every index, with cooperative short-circuiting
-    /// on the first failure (see [`par_all_indexed`]).
+    /// on the first failure (see `par_all_indexed`).
     pub fn all<P>(self, p: P) -> bool
     where
         P: Fn(usize) -> bool + Sync,
