@@ -5,8 +5,9 @@
 #
 # The tier-1 contract is `cargo build --release && cargo test -q`; everything
 # else here is defence in depth (style, lints, the serial/no-default-features
-# configuration, and the full workspace test sweep including every crate's
-# unit, doc and property tests).
+# configuration — parallel kernels off, the one perfbench measures — and the
+# full workspace test sweep including every crate's unit, doc and property
+# tests).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -21,13 +22,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> rustdoc (warnings are errors: broken or private intra-doc links fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> serial build (--no-default-features: parallel kernels and obs instrumentation off)"
+echo "==> serial build (--no-default-features turns off only the parallel kernels; this is the configuration perfbench measures)"
 cargo build --workspace --no-default-features
 
-echo "==> serial kernel tests (incl. the sharded-scheduling sweep, the session differential + repair + telemetry suites, and the zero-sized no-op recorders)"
+echo "==> serial kernel tests, the configuration perfbench measures (incl. the sharded-scheduling sweep, the session differential + repair + telemetry suites, and the wagg-obs recorders)"
 cargo test -q --no-default-features -p wagg-sinr -p wagg-conflict -p wagg-fading -p wagg-engine -p wagg-partition -p wagg-session -p wagg-obs
 
-echo "==> wire codec hostility + service differential suites, serial build"
+echo "==> wire codec hostility + service differential suites, serial build (the configuration perfbench measures)"
 cargo test -q --no-default-features -p wagg-wire -p wagg-service
 
 echo "==> session differential + warm-start repair + telemetry suites, parallel build"
@@ -35,9 +36,6 @@ cargo test -q -p wagg-session
 
 echo "==> wire codec hostility + service differential suites, parallel build"
 cargo test -q -p wagg-wire -p wagg-service
-
-echo "==> wagg-obs suite, parallel build (active recorder, span tree, trace exporter, flight recorder + JSONL/Prometheus exports)"
-cargo test -q -p wagg-obs
 
 # The serial wagg-partition run above already covers the hierarchical-verifier
 # battery (bound soundness + flat/hier differential across the pyramid-depth

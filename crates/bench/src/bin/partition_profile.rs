@@ -100,7 +100,7 @@ fn export_trace(rec: &Recorder, path: &str, wall_secs: f64) {
     let root_secs = stats.max_dur_us / 1e6;
     let deviation = (wall_secs - root_secs).abs() / wall_secs.max(1e-9);
     if stats.events == 0 {
-        eprintln!("trace in {path} is empty (obs feature off?)");
+        eprintln!("trace in {path} is empty");
         std::process::exit(1);
     }
     if deviation > 0.10 {

@@ -17,7 +17,7 @@ use std::fmt;
 use std::time::Instant;
 
 use wagg_engine::EngineEvent;
-use wagg_obs::json::Cursor;
+use wagg_obs::json::{escape, Cursor};
 use wagg_schedule::{PowerMode, SchedulerConfig};
 use wagg_service::{SchedulerService, ServiceConfig};
 use wagg_session::{Backend, RepairPolicy, Session, SessionConfig};
@@ -89,10 +89,6 @@ impl BenchRun {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Parses a criterion-shim JSON file ([`BenchRun::to_json`] /

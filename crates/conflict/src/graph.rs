@@ -101,8 +101,8 @@ impl ConflictGraph {
 
     /// [`ConflictGraph::build`] with phase instrumentation: records a
     /// `conflict` span with `bucket` / `grids` / `rows` / `csr` children on
-    /// `rec` (see `wagg-obs`). With the workspace `obs` feature off, or with a
-    /// disabled recorder, this is exactly `build`.
+    /// `rec` (see `wagg-obs`). With a disabled recorder, this is exactly
+    /// `build`.
     pub fn build_traced(links: &[Link], relation: ConflictRelation, rec: &Recorder) -> Self {
         let root = rec.span("conflict");
         if links.len() < GRID_BUILD_CUTOFF {

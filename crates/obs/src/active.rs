@@ -1,5 +1,6 @@
-//! The real recorder (compiled when the `obs` feature is on).
+//! The recorder, its span guards and counter handles.
 
+use crate::json::escape;
 use crate::{CounterMetric, Histogram, HistogramMetric, Metrics, PhaseMetric};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,8 +80,7 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    /// Whether this handle records anything. With the `obs` feature off
-    /// this is always `false`.
+    /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
@@ -213,7 +213,7 @@ impl Recorder {
             out.push_str(&format!(
                 "\n{{\"name\":\"{}\",\"cat\":\"wagg\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\
                  \"ts\":{:.3},\"dur\":{:.3}}}",
-                ev.path,
+                escape(&ev.path),
                 ev.tid,
                 ev.start_ns as f64 / 1e3,
                 ev.dur_ns as f64 / 1e3,
@@ -428,14 +428,17 @@ mod tests {
             let solve = rec.span("solve");
             let _a = solve.child("build");
             let _b = solve.child("verify");
+            let _c = solve.child(r#"load "site-7" C:\data"#);
         }
         let doc = rec.chrome_trace();
         let stats = trace::validate(&doc).expect("export validates");
-        assert_eq!(stats.events, 3);
+        assert_eq!(stats.events, 4);
         // The root span dominates: children are contained in it.
         let root_us = rec.metrics().phase("solve").unwrap().nanos as f64 / 1e3;
         assert!(stats.max_dur_us <= root_us + 1.0);
         assert!(doc.contains("\"name\":\"solve/build\""));
+        // Quotes and backslashes in span names are escaped, not pasted.
+        assert!(doc.contains(r#""name":"solve/load \"site-7\" C:\\data""#));
     }
 
     #[test]
@@ -453,6 +456,7 @@ mod tests {
         assert_eq!(rec.counter("c").get(), 0);
         assert!(rec.metrics().is_empty());
         assert_eq!(rec.chrome_trace(), "[]");
+        assert_eq!(trace::validate(&rec.chrome_trace()).unwrap().events, 0);
         assert!(rec.histogram("h").is_none());
         // Cloning an enabled recorder shares the registry.
         let live = Recorder::new();

@@ -140,15 +140,6 @@ impl Histogram {
         }
         Some(h)
     }
-
-    /// Folds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -273,22 +264,5 @@ mod tests {
         // Out-of-range q clamps instead of panicking.
         assert_eq!(h.quantile(-3.0), 0);
         assert_eq!(h.quantile(7.5), u64::MAX);
-    }
-
-    #[test]
-    fn merge_is_sample_union() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut c = Histogram::new();
-        for v in [5u64, 80, 300] {
-            a.observe(v);
-            c.observe(v);
-        }
-        for v in [7u64, 9000] {
-            b.observe(v);
-            c.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, c);
     }
 }

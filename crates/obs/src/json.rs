@@ -6,13 +6,25 @@
 //! the perf gate compares. Each keeps its schema in its own module; this
 //! [`Cursor`] is the shared lexer they walk. It reads the subset those
 //! writers emit: objects, arrays, strings with `\"` and `\\` escapes,
-//! numbers and `null`. Persistence formats do not go through JSON at all —
-//! they are `wagg-wire` frames.
+//! numbers and `null`; [`escape`] is the matching writer-side helper.
+//! Persistence formats do not go through JSON at all — they are
+//! `wagg-wire` frames.
 //!
 //! Strings borrow from the input unless they carry an escape, so decoding
 //! a long log costs no allocation per key.
 
 use std::borrow::Cow;
+
+/// Escapes `s` for a JSON string body: `\` becomes `\\` and `"` becomes
+/// `\"`, the two escapes [`Cursor::string`] reads back. Borrows when there
+/// is nothing to escape.
+pub fn escape(s: &str) -> Cow<'_, str> {
+    if s.contains(['"', '\\']) {
+        Cow::Owned(s.replace('\\', "\\\\").replace('"', "\\\""))
+    } else {
+        Cow::Borrowed(s)
+    }
+}
 
 /// A position in one JSON document. Every read skips leading whitespace;
 /// errors name the byte offset they hit.
@@ -205,6 +217,11 @@ mod tests {
         assert!(Cursor::new(r#""bad \n""#).string().is_err());
         assert!(Cursor::new(r#""open"#).string().is_err());
         assert!(Cursor::new(r#""open\"#).string().is_err());
+        // `escape` writes exactly what `string` reads back.
+        assert!(matches!(escape("plain"), Cow::Borrowed("plain")));
+        let raw = r#"load "site-7" C:\data\"#;
+        let quoted = format!("\"{}\"", escape(raw));
+        assert_eq!(Cursor::new(&quoted).string().unwrap(), raw);
     }
 
     #[test]

@@ -38,15 +38,10 @@
 //! (JSONL samples, chrome traces) and the perf gate's bench results parse
 //! with the one [`json`] reader.
 //!
-//! # Feature gating
+//! # Disabled handles
 //!
-//! Everything above is behind the workspace-wide `obs` feature (default
-//! on). With `--no-default-features` the handle types compile to
-//! **zero-sized no-ops** — `size_of::<Recorder>() == 0`, every method an
-//! empty body the optimiser deletes — while the snapshot types
-//! ([`Metrics`], [`Histogram`], the [`trace`] validator, the [`json`]
-//! reader) stay real, so call sites and signatures are identical in both
-//! builds.
+//! [`Recorder::disabled`] and [`FlightRecorder::disabled`] (also `Default`)
+//! record nothing; each call on them costs one `Option` branch.
 //!
 //! # Thread-safety model
 //!
@@ -69,9 +64,7 @@
 //!     rec.counter("edges").add(42);
 //! }
 //! let m = rec.metrics();
-//! # #[cfg(feature = "obs")]
 //! assert!(m.phase("solve/build").is_some());
-//! # #[cfg(feature = "obs")]
 //! assert_eq!(m.counter("edges"), Some(42));
 //! ```
 
@@ -86,8 +79,8 @@ pub mod trace;
 
 pub use hist::Histogram;
 pub use telemetry::{
-    BackendTag, FlightRecorder, HealthConfig, HealthReport, HealthSignal, RepairSample, RepairTag,
-    SeriesKind, SeriesStats, ShardSample, SignalKind, SolveSample, TelemetryConfig,
+    BackendKind, FlightRecorder, HealthConfig, HealthReport, HealthSignal, RepairDecision,
+    RepairSample, SeriesKind, SeriesStats, ShardSample, SignalKind, SolveSample, TelemetryConfig,
 };
 
 /// One aggregated phase of the span tree: every [`Span`] recorded under
@@ -132,10 +125,10 @@ pub struct HistogramMetric {
 /// the phase tree (span durations summed per path), the counters, and
 /// the observation histograms.
 ///
-/// This is plain data in both feature configurations — it is the type the
-/// session facade embeds into `SolveReport`, and `wagg-wire`'s report frame
-/// carries it field for field. Phases, counters and histograms are sorted
-/// by path/name, so two equal recordings compare equal.
+/// This is plain data — the type the session facade embeds into
+/// `SolveReport`, and `wagg-wire`'s report frame carries it field for
+/// field. Phases, counters and histograms are sorted by path/name, so two
+/// equal recordings compare equal.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Metrics {
     /// The aggregated phase tree, sorted by path.
@@ -182,15 +175,8 @@ impl Metrics {
     }
 }
 
-#[cfg(feature = "obs")]
 mod active;
-#[cfg(feature = "obs")]
 pub use active::{Counter, Recorder, Span};
-
-#[cfg(not(feature = "obs"))]
-mod noop;
-#[cfg(not(feature = "obs"))]
-pub use noop::{Counter, Recorder, Span};
 
 #[cfg(test)]
 mod tests {
@@ -235,35 +221,5 @@ mod tests {
         // Only the top-level phase counts towards the root total.
         assert_eq!(m.root_nanos(), 2_000_000);
         assert!(Metrics::default().is_empty());
-    }
-
-    /// The obs-off acceptance criterion: the recorder handle is literally
-    /// zero-sized, so threading it through every layer costs nothing.
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn disabled_recorder_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<Recorder>(), 0);
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-        assert_eq!(std::mem::size_of::<Span>(), 0);
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let rec = Recorder::new();
-        assert!(!rec.is_enabled());
-        let span = rec.span("solve");
-        let child = span.child("build");
-        assert_eq!(child.finish(), std::time::Duration::ZERO);
-        drop(span);
-        rec.counter("edges").add(3);
-        rec.add("edges", 4);
-        rec.record_max("peak", 9);
-        rec.observe("lat", 1_000);
-        assert_eq!(rec.counter("edges").get(), 0);
-        assert!(rec.metrics().is_empty());
-        assert_eq!(rec.chrome_trace(), "[]");
-        assert!(rec.histogram("lat").is_none());
-        assert!(trace::validate(&rec.chrome_trace()).unwrap().events == 0);
     }
 }

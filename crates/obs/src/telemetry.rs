@@ -15,11 +15,6 @@
 //!   (a fast-vs-slow EWMA ratio), the same fire/clear margin pattern
 //!   the fading layer uses for `handover_events`.
 //!
-//! All sample and report types here are plain data in both feature
-//! configurations; only the [`FlightRecorder`] handle itself is gated —
-//! with `obs` off it is a zero-sized no-op, `record` is an empty body,
-//! and [`HealthReport`]s are simply empty.
-//!
 //! # Hysteresis
 //!
 //! Each signal holds a `fire_threshold > clear_threshold` pair: it
@@ -30,77 +25,97 @@
 //! `cleared`) and stamped with the sample sequence number (`since`).
 
 use crate::Histogram;
+use std::collections::VecDeque;
+use std::fmt;
+use std::sync::{Arc, Mutex};
 
-/// Which scheduling backend produced a solve — the flight recorder's
-/// own mirror of the report-layer backend kind (`wagg-obs` sits below
-/// `wagg-schedule`, so it cannot name that type).
+/// Which execution strategy produced a solve. `wagg-schedule` re-exports
+/// it as the provenance of every `SolveReport`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendTag {
-    /// The one-shot static kernel.
+pub enum BackendKind {
+    /// One global conflict graph, built and colored from scratch.
     #[default]
     Static,
-    /// The incremental engine.
+    /// The incrementally maintained interference engine.
     Engine,
-    /// The sharded partition pipeline.
+    /// The spatially sharded pipeline (tiling, per-shard coloring,
+    /// stitching, certified verification).
     Sharded,
 }
 
-impl BackendTag {
-    /// The stable lowercase token used by the JSONL codec.
+impl BackendKind {
+    /// The stable lowercase token the JSONL codec writes
+    /// ([`Display`](fmt::Display) prints the same).
     pub fn token(self) -> &'static str {
         match self {
-            BackendTag::Static => "static",
-            BackendTag::Engine => "engine",
-            BackendTag::Sharded => "sharded",
+            BackendKind::Static => "static",
+            BackendKind::Engine => "engine",
+            BackendKind::Sharded => "sharded",
         }
     }
 
-    /// Parses a [`BackendTag::token`] back.
-    pub fn parse_token(s: &str) -> Option<BackendTag> {
+    /// Parses a [`BackendKind::token`] back.
+    pub fn parse_token(s: &str) -> Option<BackendKind> {
         match s {
-            "static" => Some(BackendTag::Static),
-            "engine" => Some(BackendTag::Engine),
-            "sharded" => Some(BackendTag::Sharded),
+            "static" => Some(BackendKind::Static),
+            "engine" => Some(BackendKind::Engine),
+            "sharded" => Some(BackendKind::Sharded),
             _ => None,
         }
     }
 }
 
-/// How a warm-start solve was resolved — mirrors the session layer's
-/// repair decision.
+impl fmt::Display for BackendKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.token())
+    }
+}
+
+/// How a repair-enabled solve produced its schedule. `wagg-schedule`
+/// re-exports it as the decision in every `RepairStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepairTag {
-    /// The dirty set was repaired in place.
+pub enum RepairDecision {
+    /// The previous assignment was repaired in place (the fast path).
     #[default]
     Repaired,
-    /// The repair policy fell back to a cold solve.
+    /// No warm state yet (first solve, or the first solve after a reset):
+    /// a full recolor ran and seeded the warm state.
     ColdStart,
-    /// Accumulated drift breached the watermark; full re-solve.
+    /// Repair succeeded but the schedule length drifted past the watermark;
+    /// a full recolor ran instead and re-anchored the baseline.
     WatermarkBreach,
-    /// The backend does not support warm repair.
+    /// The backend has no incremental state to repair from (static backend,
+    /// sharded backend without partition hints); every solve recolors.
     Unsupported,
 }
 
-impl RepairTag {
-    /// The stable lowercase token used by the JSONL codec.
+impl RepairDecision {
+    /// The stable lowercase token the JSONL codec writes
+    /// ([`Display`](fmt::Display) prints the same).
     pub fn token(self) -> &'static str {
         match self {
-            RepairTag::Repaired => "repaired",
-            RepairTag::ColdStart => "cold-start",
-            RepairTag::WatermarkBreach => "watermark-breach",
-            RepairTag::Unsupported => "unsupported",
+            RepairDecision::Repaired => "repaired",
+            RepairDecision::ColdStart => "cold-start",
+            RepairDecision::WatermarkBreach => "watermark-breach",
+            RepairDecision::Unsupported => "unsupported",
         }
     }
 
-    /// Parses a [`RepairTag::token`] back.
-    pub fn parse_token(s: &str) -> Option<RepairTag> {
+    /// Parses a [`RepairDecision::token`] back.
+    pub fn parse_token(s: &str) -> Option<RepairDecision> {
         match s {
-            "repaired" => Some(RepairTag::Repaired),
-            "cold-start" => Some(RepairTag::ColdStart),
-            "watermark-breach" => Some(RepairTag::WatermarkBreach),
-            "unsupported" => Some(RepairTag::Unsupported),
+            "repaired" => Some(RepairDecision::Repaired),
+            "cold-start" => Some(RepairDecision::ColdStart),
+            "watermark-breach" => Some(RepairDecision::WatermarkBreach),
+            "unsupported" => Some(RepairDecision::Unsupported),
             _ => None,
         }
+    }
+}
+
+impl fmt::Display for RepairDecision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.token())
     }
 }
 
@@ -109,7 +124,7 @@ impl RepairTag {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RepairSample {
     /// How the warm solve was resolved.
-    pub decision: RepairTag,
+    pub decision: RepairDecision,
     /// Links invalidated by the churn batch.
     pub dirty: u64,
     /// Links actually recolored.
@@ -157,7 +172,7 @@ pub struct SolveSample {
     /// Wall-clock nanoseconds for the whole `Session::solve` call.
     pub wall_nanos: u64,
     /// Which backend solved.
-    pub backend: BackendTag,
+    pub backend: BackendKind,
     /// Links in the instance at solve time.
     pub links: u64,
     /// Schedule length produced.
@@ -246,7 +261,6 @@ impl SeriesKind {
     /// Fractional series are scaled by `1e6` ("micro-units") before
     /// entering the integer log₂ histogram; [`FlightRecorder::quantile`]
     /// divides back out.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     pub(crate) fn scale(self) -> f64 {
         match self {
             SeriesKind::Skew | SeriesKind::Drift | SeriesKind::GhostFraction => 1e6,
@@ -445,517 +459,409 @@ impl HealthReport {
     }
 }
 
-#[cfg(feature = "obs")]
-mod imp {
-    use super::*;
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
+/// Cumulative state for one series.
+#[derive(Debug, Clone, PartialEq)]
+struct SeriesState {
+    count: u64,
+    last: f64,
+    ewma: f64,
+    hist: Histogram,
+}
 
-    /// Cumulative state for one series.
-    #[derive(Debug, Clone, PartialEq)]
-    struct SeriesState {
-        count: u64,
-        last: f64,
-        ewma: f64,
-        hist: Histogram,
+impl SeriesState {
+    fn new() -> Self {
+        SeriesState {
+            count: 0,
+            last: 0.0,
+            ewma: 0.0,
+            hist: Histogram::new(),
+        }
     }
 
-    impl SeriesState {
-        fn new() -> Self {
-            SeriesState {
-                count: 0,
-                last: 0.0,
-                ewma: 0.0,
-                hist: Histogram::new(),
+    fn push(&mut self, v: f64, alpha: f64, scale: f64) {
+        self.last = v;
+        self.ewma = if self.count == 0 {
+            v
+        } else {
+            self.ewma + alpha * (v - self.ewma)
+        };
+        self.count += 1;
+        let scaled = (v * scale).round();
+        self.hist
+            .observe(if scaled > 0.0 { scaled as u64 } else { 0 });
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct SignalState {
+    active: bool,
+    value: f64,
+    fired: u64,
+    cleared: u64,
+    since: u64,
+}
+
+impl SignalState {
+    /// The hysteresis step: fire strictly above `fire`, clear
+    /// strictly below `clear`, never flap inside the margin.
+    fn step(&mut self, value: f64, fire: f64, clear: f64, seq: u64) {
+        self.value = value;
+        if !self.active && value > fire {
+            self.active = true;
+            self.fired += 1;
+            self.since = seq;
+        } else if self.active && value < clear {
+            self.active = false;
+            self.cleared += 1;
+            self.since = seq;
+        }
+    }
+}
+
+#[derive(Debug, PartialEq)]
+struct FlightState {
+    config: TelemetryConfig,
+    solves: u64,
+    ring: VecDeque<SolveSample>,
+    series: Vec<SeriesState>,
+    wall_fast: f64,
+    wall_slow: f64,
+    drift_abs_ewma: f64,
+    drift_abs_count: u64,
+    signals: [SignalState; 3],
+}
+
+impl FlightState {
+    fn new(mut config: TelemetryConfig) -> Self {
+        config.window = config.window.max(1);
+        FlightState {
+            config,
+            solves: 0,
+            ring: VecDeque::new(),
+            series: SeriesKind::ALL.iter().map(|_| SeriesState::new()).collect(),
+            wall_fast: 0.0,
+            wall_slow: 0.0,
+            drift_abs_ewma: 0.0,
+            drift_abs_count: 0,
+            signals: [SignalState::default(); 3],
+        }
+    }
+
+    fn record(&mut self, mut sample: SolveSample) -> u64 {
+        sample.seq = self.solves;
+        self.solves += 1;
+        if self.ring.len() == self.config.window {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(sample);
+
+        for (i, kind) in SeriesKind::ALL.iter().enumerate() {
+            if let Some(v) = kind.value_of(&sample) {
+                self.series[i].push(v, self.config.ewma_alpha, kind.scale());
             }
         }
 
-        fn push(&mut self, v: f64, alpha: f64, scale: f64) {
-            self.last = v;
-            self.ewma = if self.count == 0 {
-                v
+        let w = sample.wall_nanos as f64;
+        if self.solves == 1 {
+            self.wall_fast = w;
+            self.wall_slow = w;
+        } else {
+            self.wall_fast += self.config.fast_alpha * (w - self.wall_fast);
+            self.wall_slow += self.config.slow_alpha * (w - self.wall_slow);
+        }
+        if let Some(r) = sample.repair {
+            self.drift_abs_ewma = if self.drift_abs_count == 0 {
+                r.drift.abs()
             } else {
-                self.ewma + alpha * (v - self.ewma)
+                self.drift_abs_ewma + self.config.ewma_alpha * (r.drift.abs() - self.drift_abs_ewma)
             };
-            self.count += 1;
-            let scaled = (v * scale).round();
-            self.hist
-                .observe(if scaled > 0.0 { scaled as u64 } else { 0 });
-        }
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Default)]
-    struct SignalState {
-        active: bool,
-        value: f64,
-        fired: u64,
-        cleared: u64,
-        since: u64,
-    }
-
-    impl SignalState {
-        /// The hysteresis step: fire strictly above `fire`, clear
-        /// strictly below `clear`, never flap inside the margin.
-        fn step(&mut self, value: f64, fire: f64, clear: f64, seq: u64) {
-            self.value = value;
-            if !self.active && value > fire {
-                self.active = true;
-                self.fired += 1;
-                self.since = seq;
-            } else if self.active && value < clear {
-                self.active = false;
-                self.cleared += 1;
-                self.since = seq;
-            }
-        }
-    }
-
-    #[derive(Debug, PartialEq)]
-    struct FlightState {
-        config: TelemetryConfig,
-        solves: u64,
-        ring: VecDeque<SolveSample>,
-        series: Vec<SeriesState>,
-        wall_fast: f64,
-        wall_slow: f64,
-        drift_abs_ewma: f64,
-        drift_abs_count: u64,
-        signals: [SignalState; 3],
-    }
-
-    impl FlightState {
-        fn new(mut config: TelemetryConfig) -> Self {
-            config.window = config.window.max(1);
-            FlightState {
-                config,
-                solves: 0,
-                ring: VecDeque::new(),
-                series: SeriesKind::ALL.iter().map(|_| SeriesState::new()).collect(),
-                wall_fast: 0.0,
-                wall_slow: 0.0,
-                drift_abs_ewma: 0.0,
-                drift_abs_count: 0,
-                signals: [SignalState::default(); 3],
-            }
+            self.drift_abs_count += 1;
         }
 
-        fn record(&mut self, mut sample: SolveSample) -> u64 {
-            sample.seq = self.solves;
-            self.solves += 1;
-            if self.ring.len() == self.config.window {
-                self.ring.pop_front();
+        let h = self.config.health;
+        let seq = sample.seq;
+        if let Some(sh) = sample.sharding {
+            if self.series[skew_idx()].count >= h.min_samples {
+                self.signals[0].step(sh.skew(), h.skew_fire, h.skew_clear, seq);
             }
-            self.ring.push_back(sample);
+        }
+        if self.drift_abs_count >= h.min_samples {
+            self.signals[1].step(self.drift_abs_ewma, h.drift_fire, h.drift_clear, seq);
+        }
+        if self.solves >= h.min_samples && self.wall_slow > 0.0 {
+            self.signals[2].step(
+                self.wall_fast / self.wall_slow,
+                h.latency_fire,
+                h.latency_clear,
+                seq,
+            );
+        }
+        seq
+    }
 
-            for (i, kind) in SeriesKind::ALL.iter().enumerate() {
-                if let Some(v) = kind.value_of(&sample) {
-                    self.series[i].push(v, self.config.ewma_alpha, kind.scale());
-                }
-            }
-
-            let w = sample.wall_nanos as f64;
-            if self.solves == 1 {
-                self.wall_fast = w;
-                self.wall_slow = w;
-            } else {
-                self.wall_fast += self.config.fast_alpha * (w - self.wall_fast);
-                self.wall_slow += self.config.slow_alpha * (w - self.wall_slow);
-            }
-            if let Some(r) = sample.repair {
-                self.drift_abs_ewma = if self.drift_abs_count == 0 {
-                    r.drift.abs()
+    fn series_stats(&self, kind: SeriesKind) -> SeriesStats {
+        let idx = SeriesKind::ALL.iter().position(|k| *k == kind).unwrap();
+        let st = &self.series[idx];
+        let mut out = SeriesStats {
+            count: st.count,
+            last: st.last,
+            ewma: st.ewma,
+            ..SeriesStats::default()
+        };
+        let mut sum = 0.0;
+        for s in &self.ring {
+            if let Some(v) = kind.value_of(s) {
+                if out.win_count == 0 {
+                    out.win_min = v;
+                    out.win_max = v;
                 } else {
-                    self.drift_abs_ewma
-                        + self.config.ewma_alpha * (r.drift.abs() - self.drift_abs_ewma)
-                };
-                self.drift_abs_count += 1;
-            }
-
-            let h = self.config.health;
-            let seq = sample.seq;
-            if let Some(sh) = sample.sharding {
-                if self.series[skew_idx()].count >= h.min_samples {
-                    self.signals[0].step(sh.skew(), h.skew_fire, h.skew_clear, seq);
+                    out.win_min = out.win_min.min(v);
+                    out.win_max = out.win_max.max(v);
                 }
-            }
-            if self.drift_abs_count >= h.min_samples {
-                self.signals[1].step(self.drift_abs_ewma, h.drift_fire, h.drift_clear, seq);
-            }
-            if self.solves >= h.min_samples && self.wall_slow > 0.0 {
-                self.signals[2].step(
-                    self.wall_fast / self.wall_slow,
-                    h.latency_fire,
-                    h.latency_clear,
-                    seq,
-                );
-            }
-            seq
-        }
-
-        fn series_stats(&self, kind: SeriesKind) -> SeriesStats {
-            let idx = SeriesKind::ALL.iter().position(|k| *k == kind).unwrap();
-            let st = &self.series[idx];
-            let mut out = SeriesStats {
-                count: st.count,
-                last: st.last,
-                ewma: st.ewma,
-                ..SeriesStats::default()
-            };
-            let mut sum = 0.0;
-            for s in &self.ring {
-                if let Some(v) = kind.value_of(s) {
-                    if out.win_count == 0 {
-                        out.win_min = v;
-                        out.win_max = v;
-                    } else {
-                        out.win_min = out.win_min.min(v);
-                        out.win_max = out.win_max.max(v);
-                    }
-                    out.win_count += 1;
-                    sum += v;
-                }
-            }
-            if out.win_count > 0 {
-                out.win_mean = sum / out.win_count as f64;
-            }
-            out
-        }
-
-        fn health(&self) -> HealthReport {
-            let h = self.config.health;
-            let thresholds = [
-                (h.skew_fire, h.skew_clear),
-                (h.drift_fire, h.drift_clear),
-                (h.latency_fire, h.latency_clear),
-            ];
-            HealthReport {
-                solves: self.solves,
-                signals: SignalKind::ALL
-                    .iter()
-                    .zip(self.signals.iter().zip(thresholds.iter()))
-                    .map(|(kind, (s, &(fire, clear)))| HealthSignal {
-                        kind: *kind,
-                        active: s.active,
-                        value: s.value,
-                        fire_threshold: fire,
-                        clear_threshold: clear,
-                        fired: s.fired,
-                        cleared: s.cleared,
-                        since: s.since,
-                    })
-                    .collect(),
+                out.win_count += 1;
+                sum += v;
             }
         }
+        if out.win_count > 0 {
+            out.win_mean = sum / out.win_count as f64;
+        }
+        out
     }
 
-    fn skew_idx() -> usize {
-        SeriesKind::ALL
-            .iter()
-            .position(|k| *k == SeriesKind::Skew)
-            .unwrap()
-    }
-
-    /// The session flight recorder: a bounded longitudinal trace of
-    /// [`SolveSample`]s with rolling statistics and health detectors.
-    ///
-    /// Cheap to clone (an `Arc`); [`FlightRecorder::disabled`] (also
-    /// `Default`) is an inert handle that records nothing, so the
-    /// session can hold one unconditionally. Two recorders compare
-    /// equal when their entire accumulated state is equal — the
-    /// property the JSONL replay tests pin.
-    #[derive(Debug, Clone, Default)]
-    pub struct FlightRecorder {
-        inner: Option<Arc<Mutex<FlightState>>>,
-    }
-
-    impl FlightRecorder {
-        /// An enabled flight recorder with the default
-        /// [`TelemetryConfig`].
-        pub fn new() -> Self {
-            FlightRecorder::with_config(TelemetryConfig::default())
-        }
-
-        /// An enabled flight recorder with explicit tuning.
-        pub fn with_config(config: TelemetryConfig) -> Self {
-            FlightRecorder {
-                inner: Some(Arc::new(Mutex::new(FlightState::new(config)))),
-            }
-        }
-
-        /// An inert handle: `record` drops samples, every query answers
-        /// the empty value.
-        pub fn disabled() -> Self {
-            FlightRecorder { inner: None }
-        }
-
-        /// Whether samples are being retained.
-        pub fn is_enabled(&self) -> bool {
-            self.inner.is_some()
-        }
-
-        /// The active configuration (default when disabled).
-        pub fn config(&self) -> TelemetryConfig {
-            match &self.inner {
-                Some(inner) => inner.lock().expect("flight recorder poisoned").config,
-                None => TelemetryConfig::default(),
-            }
-        }
-
-        /// Records one solve: assigns the sample's sequence number,
-        /// folds it into every series, and steps the health detectors.
-        /// Returns the assigned sequence number (0 when disabled).
-        pub fn record(&self, sample: SolveSample) -> u64 {
-            match &self.inner {
-                Some(inner) => inner
-                    .lock()
-                    .expect("flight recorder poisoned")
-                    .record(sample),
-                None => 0,
-            }
-        }
-
-        /// Total solves recorded over the recorder's lifetime.
-        pub fn solves(&self) -> u64 {
-            match &self.inner {
-                Some(inner) => inner.lock().expect("flight recorder poisoned").solves,
-                None => 0,
-            }
-        }
-
-        /// Samples currently retained (`min(solves, capacity)`).
-        pub fn len(&self) -> usize {
-            match &self.inner {
-                Some(inner) => inner.lock().expect("flight recorder poisoned").ring.len(),
-                None => 0,
-            }
-        }
-
-        /// Whether nothing is retained.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// The ring capacity (0 when disabled).
-        pub fn capacity(&self) -> usize {
-            match &self.inner {
-                Some(inner) => {
-                    inner
-                        .lock()
-                        .expect("flight recorder poisoned")
-                        .config
-                        .window
-                }
-                None => 0,
-            }
-        }
-
-        /// The most recent sample, if any.
-        pub fn last(&self) -> Option<SolveSample> {
-            match &self.inner {
-                Some(inner) => inner
-                    .lock()
-                    .expect("flight recorder poisoned")
-                    .ring
-                    .back()
-                    .copied(),
-                None => None,
-            }
-        }
-
-        /// A snapshot of the retained window, oldest first.
-        pub fn samples(&self) -> Vec<SolveSample> {
-            match &self.inner {
-                Some(inner) => inner
-                    .lock()
-                    .expect("flight recorder poisoned")
-                    .ring
-                    .iter()
-                    .copied()
-                    .collect(),
-                None => Vec::new(),
-            }
-        }
-
-        /// Rolling statistics for one series (all zeros when disabled
-        /// or never observed).
-        pub fn series(&self, kind: SeriesKind) -> SeriesStats {
-            match &self.inner {
-                Some(inner) => inner
-                    .lock()
-                    .expect("flight recorder poisoned")
-                    .series_stats(kind),
-                None => SeriesStats::default(),
-            }
-        }
-
-        /// The `q`-quantile of a series over the recorder's full
-        /// history, answered from its log₂ histogram (fractional series
-        /// are descaled back from micro-units). `0.0` when disabled or
-        /// empty.
-        pub fn quantile(&self, kind: SeriesKind, q: f64) -> f64 {
-            match &self.inner {
-                Some(inner) => {
-                    let state = inner.lock().expect("flight recorder poisoned");
-                    let idx = SeriesKind::ALL.iter().position(|k| *k == kind).unwrap();
-                    let st = &state.series[idx];
-                    if st.count == 0 {
-                        0.0
-                    } else {
-                        st.hist.quantile(q) as f64 / kind.scale()
-                    }
-                }
-                None => 0.0,
-            }
-        }
-
-        /// The series histogram itself (`None` when disabled or the
-        /// series never observed a value). Fractional series are in
-        /// micro-units.
-        pub fn histogram(&self, kind: SeriesKind) -> Option<Histogram> {
-            match &self.inner {
-                Some(inner) => {
-                    let state = inner.lock().expect("flight recorder poisoned");
-                    let idx = SeriesKind::ALL.iter().position(|k| *k == kind).unwrap();
-                    let st = &state.series[idx];
-                    if st.count == 0 {
-                        None
-                    } else {
-                        Some(st.hist.clone())
-                    }
-                }
-                None => None,
-            }
-        }
-
-        /// The current health report (empty when disabled).
-        pub fn health(&self) -> HealthReport {
-            match &self.inner {
-                Some(inner) => inner.lock().expect("flight recorder poisoned").health(),
-                None => HealthReport::default(),
-            }
-        }
-    }
-
-    impl PartialEq for FlightRecorder {
-        /// State equality: two recorders are equal when their entire
-        /// accumulated state (config, ring, series, detectors) is
-        /// equal. Disabled handles are all equal to each other.
-        fn eq(&self, other: &Self) -> bool {
-            match (&self.inner, &other.inner) {
-                (None, None) => true,
-                (Some(a), Some(b)) => {
-                    if Arc::ptr_eq(a, b) {
-                        return true;
-                    }
-                    let ga = a.lock().expect("flight recorder poisoned");
-                    let gb = b.lock().expect("flight recorder poisoned");
-                    *ga == *gb
-                }
-                _ => false,
-            }
+    fn health(&self) -> HealthReport {
+        let h = self.config.health;
+        let thresholds = [
+            (h.skew_fire, h.skew_clear),
+            (h.drift_fire, h.drift_clear),
+            (h.latency_fire, h.latency_clear),
+        ];
+        HealthReport {
+            solves: self.solves,
+            signals: SignalKind::ALL
+                .iter()
+                .zip(self.signals.iter().zip(thresholds.iter()))
+                .map(|(kind, (s, &(fire, clear)))| HealthSignal {
+                    kind: *kind,
+                    active: s.active,
+                    value: s.value,
+                    fire_threshold: fire,
+                    clear_threshold: clear,
+                    fired: s.fired,
+                    cleared: s.cleared,
+                    since: s.since,
+                })
+                .collect(),
         }
     }
 }
 
-#[cfg(not(feature = "obs"))]
-mod imp {
-    use super::*;
+fn skew_idx() -> usize {
+    SeriesKind::ALL
+        .iter()
+        .position(|k| *k == SeriesKind::Skew)
+        .unwrap()
+}
 
-    /// The no-op flight recorder (the `obs` feature is off):
-    /// zero-sized, records nothing, every query answers the empty
-    /// value.
-    #[derive(Debug, Clone, Copy, PartialEq, Default)]
-    pub struct FlightRecorder;
+/// The session flight recorder: a bounded longitudinal trace of
+/// [`SolveSample`]s with rolling statistics and health detectors.
+///
+/// Cheap to clone (an `Arc`); [`FlightRecorder::disabled`] (also
+/// `Default`) is an inert handle that records nothing, so the
+/// session can hold one unconditionally. Two recorders compare
+/// equal when their entire accumulated state is equal — the
+/// property the JSONL replay tests pin.
+#[derive(Debug, Clone, Default)]
+pub struct FlightRecorder {
+    inner: Option<Arc<Mutex<FlightState>>>,
+}
 
-    impl FlightRecorder {
-        /// A no-op flight recorder.
-        pub fn new() -> Self {
-            FlightRecorder
+impl FlightRecorder {
+    /// An enabled flight recorder with the default
+    /// [`TelemetryConfig`].
+    pub fn new() -> Self {
+        FlightRecorder::with_config(TelemetryConfig::default())
+    }
+
+    /// An enabled flight recorder with explicit tuning.
+    pub fn with_config(config: TelemetryConfig) -> Self {
+        FlightRecorder {
+            inner: Some(Arc::new(Mutex::new(FlightState::new(config)))),
         }
+    }
 
-        /// A no-op flight recorder.
-        pub fn with_config(config: TelemetryConfig) -> Self {
-            let _ = config;
-            FlightRecorder
+    /// An inert handle: `record` drops samples, every query answers
+    /// the empty value.
+    pub fn disabled() -> Self {
+        FlightRecorder { inner: None }
+    }
+
+    /// Whether samples are being retained.
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    /// The active configuration (default when disabled).
+    pub fn config(&self) -> TelemetryConfig {
+        match &self.inner {
+            Some(inner) => inner.lock().expect("flight recorder poisoned").config,
+            None => TelemetryConfig::default(),
         }
+    }
 
-        /// A no-op flight recorder.
-        pub fn disabled() -> Self {
-            FlightRecorder
+    /// Records one solve: assigns the sample's sequence number,
+    /// folds it into every series, and steps the health detectors.
+    /// Returns the assigned sequence number (0 when disabled).
+    pub fn record(&self, sample: SolveSample) -> u64 {
+        match &self.inner {
+            Some(inner) => inner
+                .lock()
+                .expect("flight recorder poisoned")
+                .record(sample),
+            None => 0,
         }
+    }
 
-        /// Always `false` with the `obs` feature off.
-        pub fn is_enabled(&self) -> bool {
-            false
+    /// Total solves recorded over the recorder's lifetime.
+    pub fn solves(&self) -> u64 {
+        match &self.inner {
+            Some(inner) => inner.lock().expect("flight recorder poisoned").solves,
+            None => 0,
         }
+    }
 
-        /// Always the default configuration.
-        pub fn config(&self) -> TelemetryConfig {
-            TelemetryConfig::default()
+    /// Samples currently retained (`min(solves, capacity)`).
+    pub fn len(&self) -> usize {
+        match &self.inner {
+            Some(inner) => inner.lock().expect("flight recorder poisoned").ring.len(),
+            None => 0,
         }
+    }
 
-        /// Drops the sample; always `0`.
-        pub fn record(&self, sample: SolveSample) -> u64 {
-            let _ = sample;
-            0
+    /// Whether nothing is retained.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The ring capacity (0 when disabled).
+    pub fn capacity(&self) -> usize {
+        match &self.inner {
+            Some(inner) => {
+                inner
+                    .lock()
+                    .expect("flight recorder poisoned")
+                    .config
+                    .window
+            }
+            None => 0,
         }
+    }
 
-        /// Always `0`.
-        pub fn solves(&self) -> u64 {
-            0
+    /// The most recent sample, if any.
+    pub fn last(&self) -> Option<SolveSample> {
+        match &self.inner {
+            Some(inner) => inner
+                .lock()
+                .expect("flight recorder poisoned")
+                .ring
+                .back()
+                .copied(),
+            None => None,
         }
+    }
 
-        /// Always `0`.
-        pub fn len(&self) -> usize {
-            0
+    /// A snapshot of the retained window, oldest first.
+    pub fn samples(&self) -> Vec<SolveSample> {
+        match &self.inner {
+            Some(inner) => inner
+                .lock()
+                .expect("flight recorder poisoned")
+                .ring
+                .iter()
+                .copied()
+                .collect(),
+            None => Vec::new(),
         }
+    }
 
-        /// Always `true`.
-        pub fn is_empty(&self) -> bool {
-            true
+    /// Rolling statistics for one series (all zeros when disabled
+    /// or never observed).
+    pub fn series(&self, kind: SeriesKind) -> SeriesStats {
+        match &self.inner {
+            Some(inner) => inner
+                .lock()
+                .expect("flight recorder poisoned")
+                .series_stats(kind),
+            None => SeriesStats::default(),
         }
+    }
 
-        /// Always `0`.
-        pub fn capacity(&self) -> usize {
-            0
+    /// The `q`-quantile of a series over the recorder's full
+    /// history, answered from its log₂ histogram (fractional series
+    /// are descaled back from micro-units). `0.0` when disabled or
+    /// empty.
+    pub fn quantile(&self, kind: SeriesKind, q: f64) -> f64 {
+        match &self.inner {
+            Some(inner) => {
+                let state = inner.lock().expect("flight recorder poisoned");
+                let idx = SeriesKind::ALL.iter().position(|k| *k == kind).unwrap();
+                let st = &state.series[idx];
+                if st.count == 0 {
+                    0.0
+                } else {
+                    st.hist.quantile(q) as f64 / kind.scale()
+                }
+            }
+            None => 0.0,
         }
+    }
 
-        /// Always `None`.
-        pub fn last(&self) -> Option<SolveSample> {
-            None
+    /// The series histogram itself (`None` when disabled or the
+    /// series never observed a value). Fractional series are in
+    /// micro-units.
+    pub fn histogram(&self, kind: SeriesKind) -> Option<Histogram> {
+        match &self.inner {
+            Some(inner) => {
+                let state = inner.lock().expect("flight recorder poisoned");
+                let idx = SeriesKind::ALL.iter().position(|k| *k == kind).unwrap();
+                let st = &state.series[idx];
+                if st.count == 0 {
+                    None
+                } else {
+                    Some(st.hist.clone())
+                }
+            }
+            None => None,
         }
+    }
 
-        /// Always empty.
-        pub fn samples(&self) -> Vec<SolveSample> {
-            Vec::new()
-        }
-
-        /// Always the zero stats.
-        pub fn series(&self, kind: SeriesKind) -> SeriesStats {
-            let _ = kind;
-            SeriesStats::default()
-        }
-
-        /// Always `0.0`.
-        pub fn quantile(&self, kind: SeriesKind, q: f64) -> f64 {
-            let _ = (kind, q);
-            0.0
-        }
-
-        /// Always `None`.
-        pub fn histogram(&self, kind: SeriesKind) -> Option<Histogram> {
-            let _ = kind;
-            None
-        }
-
-        /// Always the empty report.
-        pub fn health(&self) -> HealthReport {
-            HealthReport::default()
+    /// The current health report (empty when disabled).
+    pub fn health(&self) -> HealthReport {
+        match &self.inner {
+            Some(inner) => inner.lock().expect("flight recorder poisoned").health(),
+            None => HealthReport::default(),
         }
     }
 }
 
-pub use imp::FlightRecorder;
+impl PartialEq for FlightRecorder {
+    /// State equality: two recorders are equal when their entire
+    /// accumulated state (config, ring, series, detectors) is
+    /// equal. Disabled handles are all equal to each other.
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.inner, &other.inner) {
+            (None, None) => true,
+            (Some(a), Some(b)) => {
+                if Arc::ptr_eq(a, b) {
+                    return true;
+                }
+                let ga = a.lock().expect("flight recorder poisoned");
+                let gb = b.lock().expect("flight recorder poisoned");
+                *ga == *gb
+            }
+            _ => false,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -964,7 +870,7 @@ mod tests {
     fn sharded_sample(wall: u64, slots: u64, max_owned: u64, mean_owned: f64) -> SolveSample {
         SolveSample {
             wall_nanos: wall,
-            backend: BackendTag::Sharded,
+            backend: BackendKind::Sharded,
             links: 100,
             slots,
             sharding: Some(ShardSample {
@@ -978,7 +884,6 @@ mod tests {
 
     /// A config where every statistic is the last value and detectors
     /// arm after one sample — everything hand-computable.
-    #[cfg(feature = "obs")]
     fn instant_config() -> TelemetryConfig {
         TelemetryConfig {
             window: 8,
@@ -994,19 +899,28 @@ mod tests {
 
     #[test]
     fn token_round_trips() {
-        for tag in [BackendTag::Static, BackendTag::Engine, BackendTag::Sharded] {
-            assert_eq!(BackendTag::parse_token(tag.token()), Some(tag));
-        }
-        for tag in [
-            RepairTag::Repaired,
-            RepairTag::ColdStart,
-            RepairTag::WatermarkBreach,
-            RepairTag::Unsupported,
+        for kind in [
+            BackendKind::Static,
+            BackendKind::Engine,
+            BackendKind::Sharded,
         ] {
-            assert_eq!(RepairTag::parse_token(tag.token()), Some(tag));
+            assert_eq!(BackendKind::parse_token(kind.token()), Some(kind));
+            assert_eq!(kind.to_string(), kind.token());
         }
-        assert_eq!(BackendTag::parse_token("nope"), None);
-        assert_eq!(RepairTag::parse_token(""), None);
+        for decision in [
+            RepairDecision::Repaired,
+            RepairDecision::ColdStart,
+            RepairDecision::WatermarkBreach,
+            RepairDecision::Unsupported,
+        ] {
+            assert_eq!(
+                RepairDecision::parse_token(decision.token()),
+                Some(decision)
+            );
+            assert_eq!(decision.to_string(), decision.token());
+        }
+        assert_eq!(BackendKind::parse_token("nope"), None);
+        assert_eq!(RepairDecision::parse_token(""), None);
     }
 
     #[test]
@@ -1030,14 +944,12 @@ mod tests {
         assert_eq!(empty.summary(), "health: no detectors");
     }
 
-    #[cfg(not(feature = "obs"))]
     mod disabled {
         use super::*;
 
         #[test]
-        fn flight_recorder_is_zero_sized_and_inert() {
-            assert_eq!(std::mem::size_of::<FlightRecorder>(), 0);
-            let fr = FlightRecorder::new();
+        fn disabled_flight_recorder_is_inert() {
+            let fr = FlightRecorder::disabled();
             assert!(!fr.is_enabled());
             assert_eq!(fr.record(sharded_sample(10, 3, 5, 5.0)), 0);
             assert_eq!(fr.solves(), 0);
@@ -1050,11 +962,9 @@ mod tests {
             assert_eq!(fr.quantile(SeriesKind::WallNanos, 0.5), 0.0);
             assert!(fr.histogram(SeriesKind::WallNanos).is_none());
             assert!(fr.health().is_empty());
-            assert_eq!(FlightRecorder::disabled(), FlightRecorder::new());
         }
     }
 
-    #[cfg(feature = "obs")]
     mod enabled {
         use super::*;
 
@@ -1087,7 +997,7 @@ mod tests {
                 fr.record(SolveSample {
                     wall_nanos: wall,
                     slots,
-                    backend: BackendTag::Engine,
+                    backend: BackendKind::Engine,
                     links: 50,
                     ..SolveSample::default()
                 });
@@ -1172,11 +1082,11 @@ mod tests {
             let fr = FlightRecorder::with_config(instant_config());
             let repair = |drift: f64| SolveSample {
                 wall_nanos: 100,
-                backend: BackendTag::Engine,
+                backend: BackendKind::Engine,
                 links: 50,
                 slots: 5,
                 repair: Some(RepairSample {
-                    decision: RepairTag::Repaired,
+                    decision: RepairDecision::Repaired,
                     dirty: 2,
                     replaced: 3,
                     drift,

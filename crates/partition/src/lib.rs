@@ -164,8 +164,8 @@ pub fn solve_sharded(
 /// with `build` / `color` / `stitch` / `verify` children (per-shard `shard`
 /// sub-spans inside build and color), the `partition.*` occupancy and
 /// stitching counters, and the `verifier.*` work counters on `rec` (see
-/// `wagg-obs`). With the workspace `obs` feature off, or with a disabled
-/// recorder, this is exactly [`solve_sharded`].
+/// `wagg-obs`). With a disabled recorder, this is exactly
+/// [`solve_sharded`].
 pub fn solve_sharded_traced(
     links: &[Link],
     config: SchedulerConfig,

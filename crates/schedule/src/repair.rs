@@ -45,44 +45,10 @@
 use crate::schedule::Schedule;
 use crate::scheduler::{slot_ok, ScheduleReport, SchedulerConfig};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use wagg_geometry::logmath::{log_log2, log_star};
 use wagg_obs::Recorder;
+pub use wagg_obs::RepairDecision;
 use wagg_sinr::{Link, PathLossCache};
-
-/// How a repair-enabled solve produced its schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RepairDecision {
-    /// The previous assignment was repaired in place (the fast path).
-    Repaired,
-    /// No warm state yet (first solve, or the first solve after a reset):
-    /// a full recolor ran and seeded the warm state.
-    ColdStart,
-    /// Repair succeeded but the schedule length drifted past the watermark;
-    /// a full recolor ran instead and re-anchored the baseline.
-    WatermarkBreach,
-    /// The backend has no incremental state to repair from (static backend,
-    /// sharded backend without partition hints); every solve recolors.
-    Unsupported,
-}
-
-impl RepairDecision {
-    /// The stable lowercase token ([`Display`](fmt::Display) prints the same).
-    pub fn token(&self) -> &'static str {
-        match self {
-            RepairDecision::Repaired => "repaired",
-            RepairDecision::ColdStart => "cold-start",
-            RepairDecision::WatermarkBreach => "watermark-breach",
-            RepairDecision::Unsupported => "unsupported",
-        }
-    }
-}
-
-impl fmt::Display for RepairDecision {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
-}
 
 /// Warm-start accounting carried by repair-enabled
 /// [`SolveReport`](crate::SolveReport)s (`None` when repair is disabled —

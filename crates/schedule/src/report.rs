@@ -23,59 +23,12 @@
 //! `wagg-wire`'s `Frame::Report`, a native binary encoding of every field
 //! here; the wire crate's tests pin its round trip.
 
-use crate::repair::{RepairDecision, RepairStats};
+use crate::repair::RepairStats;
 use crate::schedule::Schedule;
 use crate::scheduler::ScheduleReport;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use wagg_obs::{BackendTag, HealthReport, Metrics, RepairTag};
-
-/// Which execution strategy produced a [`SolveReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BackendKind {
-    /// One global conflict graph, built and colored from scratch.
-    Static,
-    /// The incrementally maintained interference engine.
-    Engine,
-    /// The spatially sharded pipeline (tiling, per-shard coloring,
-    /// stitching, certified verification).
-    Sharded,
-}
-
-impl fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendKind::Static => write!(f, "static"),
-            BackendKind::Engine => write!(f, "engine"),
-            BackendKind::Sharded => write!(f, "sharded"),
-        }
-    }
-}
-
-impl From<BackendKind> for BackendTag {
-    /// The flight recorder's backend tag for this provenance (the
-    /// `wagg-obs` mirror; the session facade uses this when it samples
-    /// a solve).
-    fn from(kind: BackendKind) -> BackendTag {
-        match kind {
-            BackendKind::Static => BackendTag::Static,
-            BackendKind::Engine => BackendTag::Engine,
-            BackendKind::Sharded => BackendTag::Sharded,
-        }
-    }
-}
-
-impl From<RepairDecision> for RepairTag {
-    /// The flight recorder's repair tag for this decision.
-    fn from(decision: RepairDecision) -> RepairTag {
-        match decision {
-            RepairDecision::Repaired => RepairTag::Repaired,
-            RepairDecision::ColdStart => RepairTag::ColdStart,
-            RepairDecision::WatermarkBreach => RepairTag::WatermarkBreach,
-            RepairDecision::Unsupported => RepairTag::Unsupported,
-        }
-    }
-}
+pub use wagg_obs::BackendKind;
+use wagg_obs::{HealthReport, Metrics};
 
 /// The sharded pipeline's own accounting, carried by [`SolveReport`]s with
 /// [`BackendKind::Sharded`] provenance.
@@ -117,11 +70,10 @@ pub struct SolveReport {
     pub repair: Option<RepairStats>,
     /// Instrumentation snapshot (phase timings and work counters) from the
     /// `wagg-obs` recorder the solve ran under; `None` when the solve was
-    /// not instrumented (or the workspace `obs` feature is off).
+    /// not instrumented.
     pub metrics: Option<Metrics>,
     /// Longitudinal health detectors from the session's flight recorder;
-    /// `None` when no flight recorder is installed (or the workspace
-    /// `obs` feature is off).
+    /// `None` when no flight recorder is installed.
     pub health: Option<HealthReport>,
 }
 
@@ -149,9 +101,9 @@ impl SolveReport {
 
     /// Attaches an instrumentation snapshot (builder-style; the session
     /// facade calls this with `Recorder::metrics()` when a recorder is
-    /// installed). Empty snapshots are dropped — an obs-off build records
-    /// nothing, and `None` keeps the report identical to an uninstrumented
-    /// run's.
+    /// installed). Empty snapshots are dropped — a disabled recorder
+    /// records nothing, and `None` keeps the report identical to an
+    /// uninstrumented run's.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
         self.metrics = if metrics.is_empty() {
             None
@@ -164,7 +116,7 @@ impl SolveReport {
     /// Attaches the flight recorder's health report (builder-style; the
     /// session facade calls this when a flight recorder is installed).
     /// Empty reports are dropped, mirroring [`SolveReport::with_metrics`]:
-    /// an obs-off or recorder-less solve keeps `health: None`.
+    /// a recorder-less solve keeps `health: None`.
     pub fn with_health(mut self, health: HealthReport) -> Self {
         self.health = if health.is_empty() {
             None
@@ -271,7 +223,7 @@ impl From<ScheduleReport> for SolveReport {
 mod tests {
     use super::*;
     use crate::scheduler::solve_static;
-    use crate::SchedulerConfig;
+    use crate::{RepairDecision, SchedulerConfig};
     use wagg_geometry::Point;
     use wagg_obs::{
         CounterMetric, HealthSignal, Histogram, HistogramMetric, PhaseMetric, SignalKind,
@@ -414,7 +366,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_are_dropped() {
-        // An obs-off (or disabled-recorder) run yields an empty snapshot;
+        // A disabled-recorder run yields an empty snapshot;
         // attaching it must leave the report identical to an
         // uninstrumented run.
         let solve = SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()));

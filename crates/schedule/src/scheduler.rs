@@ -117,8 +117,7 @@ pub fn solve_static(links: &[Link], config: SchedulerConfig) -> ScheduleReport {
 /// [`solve_static`] with phase instrumentation: the conflict-graph build
 /// records its `conflict/*` phase spans and the coloring/verification pass
 /// records `static/color` / `static/verify` on `rec` (see `wagg-obs`). With
-/// the workspace `obs` feature off, or with a disabled recorder, this is
-/// exactly [`solve_static`].
+/// a disabled recorder, this is exactly [`solve_static`].
 pub fn solve_static_traced(
     links: &[Link],
     config: SchedulerConfig,
@@ -165,9 +164,8 @@ pub fn schedule_prebuilt(
 
 /// [`schedule_prebuilt`] with phase instrumentation: records a `static` span
 /// with `color` and `verify` children on `rec`, plus the
-/// `static.coloring_slots` / `static.verified_slots` counters. With the
-/// workspace `obs` feature off, or with a disabled recorder, this is exactly
-/// [`schedule_prebuilt`].
+/// `static.coloring_slots` / `static.verified_slots` counters. With a
+/// disabled recorder, this is exactly [`schedule_prebuilt`].
 pub fn schedule_prebuilt_traced(
     graph: &ConflictGraph,
     cache: Option<&PathLossCache<'_>>,

@@ -469,13 +469,12 @@ impl SchedulerService {
 
     /// A snapshot of the service's own metrics: per-request latency
     /// histograms (`service.request.*_ns`), queue-depth high-water marks
-    /// and busy-rejection counts. Empty in no-`obs` builds.
+    /// and busy-rejection counts.
     pub fn metrics(&self) -> Metrics {
         self.inner.recorder.metrics()
     }
 
-    /// Requests rejected with [`ServiceError::Busy`] since start (counted
-    /// in every build, independent of the `obs` feature).
+    /// Requests rejected with [`ServiceError::Busy`] since start.
     pub fn busy_rejections(&self) -> u64 {
         self.inner.busy_rejections.load(Ordering::Relaxed)
     }

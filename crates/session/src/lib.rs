@@ -396,8 +396,7 @@ impl SessionBuilder {
     /// spans and work counters into it, and each [`SolveReport`] carries the
     /// recorder's cumulative [`Metrics`] snapshot
     /// ([`SolveReport::metrics`]). The default (a disabled recorder) records
-    /// nothing and adds no overhead; with the workspace `obs` feature off
-    /// this is a no-op whatever recorder is passed.
+    /// nothing and costs one branch per call.
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -408,8 +407,7 @@ impl SessionBuilder {
     /// repair and sharding accounting, verifier counter deltas), and each
     /// [`SolveReport`] carries the recorder's current [`HealthReport`]
     /// ([`SolveReport::health`]). The default (a disabled flight recorder)
-    /// retains nothing and adds no overhead; with the workspace `obs`
-    /// feature off this is a no-op whatever recorder is passed.
+    /// retains nothing and costs one branch per call.
     ///
     /// The verifier counter deltas (`exact_fallbacks`, `evictions`) are
     /// read from the [`Recorder`] snapshot, so they are populated only
@@ -554,6 +552,7 @@ impl Session {
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.backend.set_recorder(recorder.clone());
         self.recorder = recorder;
+        self.rebase_verifier_deltas();
     }
 
     /// The installed recorder — disabled (recording nothing) unless one was
@@ -567,6 +566,17 @@ impl Session {
     /// [`SessionBuilder::flight_recorder`]).
     pub fn set_flight_recorder(&mut self, flight: FlightRecorder) {
         self.flight = flight;
+        self.rebase_verifier_deltas();
+    }
+
+    /// Re-bases the flight recorder's verifier deltas on the installed
+    /// recorder's current totals, so the next sample counts only its own
+    /// solve whichever of the two sinks was just installed.
+    fn rebase_verifier_deltas(&mut self) {
+        // Read through `metrics()`: `counter()` would create the entries.
+        let metrics = self.recorder.metrics();
+        self.flight_fallbacks = metrics.counter("verifier.exact_fallbacks").unwrap_or(0);
+        self.flight_evictions = metrics.counter("verifier.evictions").unwrap_or(0);
     }
 
     /// The installed flight recorder — disabled (retaining nothing) unless
@@ -793,9 +803,8 @@ impl Session {
     /// next [`Session::solve`] is **byte-identical** to the solve the
     /// captured session would have produced — restart in seconds, not
     /// re-solve. The event accounting carries over. The flight-recorder
-    /// ring is replayed from its JSONL fold (when the build carries the
-    /// `obs` feature; without it telemetry restoration is a no-op). Not
-    /// restored: installed [`Recorder`]s (install a fresh one).
+    /// ring is replayed from its JSONL fold. Not restored: installed
+    /// [`Recorder`]s (install a fresh one).
     ///
     /// # Errors
     ///
@@ -870,13 +879,13 @@ impl Session {
             let sample = SolveSample {
                 seq: 0, // assigned by `record`
                 wall_nanos,
-                backend: report.backend.into(),
+                backend: report.backend,
                 links: report.num_links() as u64,
                 slots: report.slots() as u64,
                 exact_fallbacks: fallbacks.saturating_sub(self.flight_fallbacks),
                 evictions: evictions.saturating_sub(self.flight_evictions),
                 repair: report.repair.as_ref().map(|r| wagg_obs::RepairSample {
-                    decision: r.decision.into(),
+                    decision: r.decision,
                     dirty: r.dirty_links as u64,
                     replaced: r.replaced_links as u64,
                     drift: r.drift,
@@ -1628,27 +1637,24 @@ mod tests {
                 "{backend:?} drifted after churn"
             );
 
-            #[cfg(feature = "obs")]
-            {
-                let m = traced
-                    .solve()
-                    .metrics
-                    .expect("instrumented solve carries metrics");
-                let expected_root = match backend {
-                    Backend::Static => "static",
-                    // The engine backend's solve runs the static kernel on
-                    // the maintained snapshot.
-                    Backend::Engine => "static",
-                    Backend::Sharded => "partition",
-                    Backend::Auto => unreachable!(),
-                };
-                assert!(
-                    m.phase(expected_root).is_some(),
-                    "{backend:?} metrics missing root phase {expected_root:?}: {:?}",
-                    m.phases.iter().map(|p| &p.path).collect::<Vec<_>>()
-                );
-                assert_eq!(m, traced.recorder().metrics());
-            }
+            let m = traced
+                .solve()
+                .metrics
+                .expect("instrumented solve carries metrics");
+            let expected_root = match backend {
+                Backend::Static => "static",
+                // The engine backend's solve runs the static kernel on the
+                // maintained snapshot.
+                Backend::Engine => "static",
+                Backend::Sharded => "partition",
+                Backend::Auto => unreachable!(),
+            };
+            assert!(
+                m.phase(expected_root).is_some(),
+                "{backend:?} metrics missing root phase {expected_root:?}: {:?}",
+                m.phases.iter().map(|p| &p.path).collect::<Vec<_>>()
+            );
+            assert_eq!(m, traced.recorder().metrics());
         }
     }
 
@@ -1669,16 +1675,11 @@ mod tests {
             report.repair.as_ref().map(|r| r.decision),
             Some(RepairDecision::Repaired)
         );
-        #[cfg(feature = "obs")]
-        {
-            let m = report.metrics.expect("instrumented solve carries metrics");
-            assert!(m.phase("repair").is_some());
-            assert!(m.phase("repair/place").is_some());
-            assert!(m.phase("repair/commit").is_some());
-            assert_eq!(m.counter("repair.dirty"), Some(1));
-        }
-        #[cfg(not(feature = "obs"))]
-        assert_eq!(report.metrics, None);
+        let m = report.metrics.expect("instrumented solve carries metrics");
+        assert!(m.phase("repair").is_some());
+        assert!(m.phase("repair/place").is_some());
+        assert!(m.phase("repair/commit").is_some());
+        assert_eq!(m.counter("repair.dirty"), Some(1));
     }
 
     #[test]

@@ -261,19 +261,12 @@ fn flight_recorder_ring_survives_restore() {
     }
     let state = original.capture_state();
     let restored = Session::restore_state(&state).expect("state restores");
-    if flight.is_enabled() {
-        // obs build: the ring replays losslessly — same samples, same
-        // sequence numbers, same health machinery state.
-        let telemetry = state.telemetry.as_ref().expect("flight-on capture");
-        assert_eq!(telemetry.config, config);
-        assert_eq!(restored.flight_recorder(), &flight);
-        assert_eq!(restored.flight_recorder().samples(), flight.samples());
-    } else {
-        // no-obs build: flight recorders are inert and capture carries no
-        // telemetry at all.
-        assert!(state.telemetry.is_none());
-        assert!(!restored.flight_recorder().is_enabled());
-    }
+    // The ring replays losslessly — same samples, same sequence numbers,
+    // same health machinery state.
+    let telemetry = state.telemetry.as_ref().expect("flight-on capture");
+    assert_eq!(telemetry.config, config);
+    assert_eq!(restored.flight_recorder(), &flight);
+    assert_eq!(restored.flight_recorder().samples(), flight.samples());
 }
 
 /// A small captured state to tamper with (engine backend, warm state).
@@ -408,8 +401,7 @@ fn tampered_states_return_typed_errors_not_panics() {
     ));
 
     // A corrupt telemetry log. (`replay` tolerates a malformed *final*
-    // line as a truncated tail, so the corruption sits mid-log; the log
-    // parser runs in every build, obs feature or not.)
+    // line as a truncated tail, so the corruption sits mid-log.)
     let mut garbled = captured();
     garbled.telemetry = Some(TelemetryState {
         config: TelemetryConfig::default(),

@@ -16,6 +16,7 @@ use wagg_obs::export::{encode_sample, replay};
 use wagg_obs::{FlightRecorder, HealthConfig, Recorder, SeriesKind, SignalKind, TelemetryConfig};
 use wagg_schedule::{PowerMode, RepairDecision, SchedulerConfig};
 use wagg_session::{Backend, RepairPolicy, Session};
+use wagg_sinr::Link;
 
 /// An everything-instant telemetry config: EWMA = last value, detectors
 /// ungated, latency detector parked out of reach (wall time is the one
@@ -70,14 +71,96 @@ fn flight_recorder_is_pure_observation_across_backends() {
             assert_eq!(a.sharding, b.sharding);
             assert_eq!(a.repair, b.repair);
             assert!(a.metrics.is_none() && a.health.is_none());
-            if cfg!(feature = "obs") {
-                assert_eq!(flight.solves(), solves, "{backend:?}: sample not fed");
-                let sample = flight.last().expect("sample retained");
-                assert_eq!(sample.slots as usize, b.slots());
-                assert_eq!(sample.links as usize, b.num_links());
-            }
+            assert_eq!(flight.solves(), solves, "{backend:?}: sample not fed");
+            let sample = flight.last().expect("sample retained");
+            assert_eq!(sample.slots as usize, b.slots());
+            assert_eq!(sample.links as usize, b.num_links());
         }
     }
+}
+
+/// Links of length 1–4 at uniformly random positions: under uniform power
+/// the long ones crowd their slots, so the sharded verifier both falls back
+/// to exact sums and evicts.
+fn crowded_links(n: usize) -> Vec<Link> {
+    let side = (n as f64).sqrt() * 4.0;
+    let mut state = 0x5EED_u64;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..n)
+        .map(|i| {
+            let (x, y) = (unit() * side, unit() * side);
+            let angle = unit() * std::f64::consts::TAU;
+            let len = 1.0 + 3.0 * unit();
+            let receiver = Point::new(x + len * angle.cos(), y + len * angle.sin());
+            Link::new(i, Point::new(x, y), receiver)
+        })
+        .collect()
+}
+
+/// A uniform-power sharded session over [`crowded_links`].
+fn crowded_session() -> Session {
+    Session::builder()
+        .scheduler(SchedulerConfig::new(PowerMode::Uniform))
+        .backend(Backend::Sharded)
+        .target_shards(9)
+        .links(&crowded_links(2_000))
+        .build()
+}
+
+/// The recorder's cumulative `(exact_fallbacks, evictions)` counters.
+fn verifier_counts(rec: &Recorder) -> (u64, u64) {
+    let m = rec.metrics();
+    (
+        m.counter("verifier.exact_fallbacks").unwrap_or(0),
+        m.counter("verifier.evictions").unwrap_or(0),
+    )
+}
+
+/// Installing a fresh [`Recorder`] re-bases the flight recorder's verifier
+/// deltas: the next sample carries exactly what the new recorder counted in
+/// that solve, not the difference against the old recorder's totals.
+#[test]
+fn installing_a_recorder_rebases_verifier_deltas() {
+    let flight = FlightRecorder::new();
+    let mut session = crowded_session();
+    session.set_recorder(Recorder::new());
+    session.set_flight_recorder(flight.clone());
+    session.solve();
+
+    let fresh = Recorder::new();
+    session.set_recorder(fresh.clone());
+    session.solve();
+    let counted = verifier_counts(&fresh);
+    assert!(counted.0 > 0 && counted.1 > 0, "{counted:?}");
+    let sample = flight.last().expect("sample retained");
+    assert_eq!((sample.exact_fallbacks, sample.evictions), counted);
+}
+
+/// A flight recorder installed after recorded solves samples only the
+/// verifier work of its own solves, not the recorder's whole history.
+#[test]
+fn installing_a_flight_recorder_rebases_verifier_deltas() {
+    let recorder = Recorder::new();
+    let mut session = crowded_session();
+    session.set_recorder(recorder.clone());
+    session.solve();
+
+    let before = verifier_counts(&recorder);
+    let flight = FlightRecorder::new();
+    session.set_flight_recorder(flight.clone());
+    session.solve();
+    let after = verifier_counts(&recorder);
+    assert!(before.0 > 0 && before.1 > 0, "{before:?}");
+    let sample = flight.last().expect("sample retained");
+    assert_eq!(
+        (sample.exact_fallbacks, sample.evictions),
+        (after.0 - before.0, after.1 - before.1)
+    );
 }
 
 /// The ring buffer never exceeds its window over a 10k-solve trace, and
@@ -107,28 +190,19 @@ fn ring_stays_bounded_over_ten_thousand_solves() {
             );
         }
     }
-    if cfg!(feature = "obs") {
-        assert_eq!(flight.solves(), 10_000);
-        assert_eq!(flight.len(), 32);
-        assert_eq!(flight.capacity(), 32);
-        let samples = flight.samples();
-        for (i, s) in samples.iter().enumerate() {
-            assert_eq!(s.seq, 10_000 - 32 + i as u64, "ring must keep the tail");
-        }
-        assert_eq!(flight.series(SeriesKind::Slots).count, 10_000);
-    } else {
-        assert_eq!(
-            flight.solves(),
-            0,
-            "obs-off flight recorder retains nothing"
-        );
+    assert_eq!(flight.solves(), 10_000);
+    assert_eq!(flight.len(), 32);
+    assert_eq!(flight.capacity(), 32);
+    let samples = flight.samples();
+    for (i, s) in samples.iter().enumerate() {
+        assert_eq!(s.seq, 10_000 - 32 + i as u64, "ring must keep the tail");
     }
+    assert_eq!(flight.series(SeriesKind::Slots).count, 10_000);
 }
 
 /// The JSONL event log a session appends replays into an identical
 /// recorder — including after losing half of the final line to a
 /// truncated write.
-#[cfg(feature = "obs")]
 #[test]
 fn session_event_log_replays_into_identical_state() {
     let scheduler = SchedulerConfig::new(PowerMode::mean_oblivious());
@@ -196,7 +270,6 @@ fn session_event_log_replays_into_identical_state() {
 ///    watermark again, and the recolor now sees balanced occupancy:
 ///    skew ≈ 242/229 ≈ 1.06 clears, |drift| fires once more;
 /// 5. quiet solves — drift ≈ 0 clears. Everything quiescent.
-#[cfg(feature = "obs")]
 #[test]
 fn churn_storm_fires_and_clears_skew_and_drift_signals() {
     let scheduler = SchedulerConfig::new(PowerMode::mean_oblivious());

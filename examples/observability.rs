@@ -26,10 +26,6 @@
 //! (occupancy skew) and the repair drift it causes, and the accumulated
 //! state exports as a Prometheus text exposition and a JSONL event log
 //! that replays losslessly.
-//!
-//! With `--no-default-features` (the `obs` feature off) both recorders are
-//! zero-sized no-ops: the same code compiles and runs, the schedule is
-//! bit-identical, and the metrics/telemetry sections are simply absent.
 
 use wireless_aggregation::geometry::{BoundingBox, Point};
 use wireless_aggregation::obs::export::{encode_sample, replay};
@@ -64,11 +60,10 @@ fn main() {
     let report = session.solve();
     println!("{}", report.summary());
 
-    let Some(metrics) = &report.metrics else {
-        println!("\n(no metrics: built with the `obs` feature off)");
-        churn_telemetry();
-        return;
-    };
+    let metrics = report
+        .metrics
+        .as_ref()
+        .expect("an instrumented solve carries metrics");
 
     // The phase tree: span paths nest by '/', children's totals are part of
     // their parents' (per-shard spans aggregate into one path with a count).
@@ -199,11 +194,6 @@ fn churn_telemetry() {
     solve_and_append(&mut session, &mut log, "tiles rebalanced");
     for _ in 0..5 {
         solve_and_append(&mut session, &mut log, "quiet");
-    }
-
-    if flight.solves() == 0 {
-        println!("(no telemetry: built with the `obs` feature off)");
-        return;
     }
 
     // The accumulated state reads out as a Prometheus text exposition...
