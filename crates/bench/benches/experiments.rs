@@ -5,39 +5,13 @@
 //! `experiments` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use wagg_bench::{experiments, extensions};
-use wagg_bench::{Scale, Table};
-
-/// A named experiment entry point.
-type ExperimentRunner = fn(Scale) -> Table;
+use wagg_bench::{Scale, EXPERIMENTS};
 
 fn bench_experiments(c: &mut Criterion) {
-    let runners: Vec<(&str, ExperimentRunner)> = vec![
-        ("e1_fig1", experiments::run_e1),
-        ("e2_theorem1_arbitrary", experiments::run_e2),
-        ("e3_theorem1_oblivious", experiments::run_e3),
-        ("e4_g1_constant", experiments::run_e4),
-        ("e5_random_scaling", experiments::run_e5),
-        ("e6_oblivious_lower_bound", experiments::run_e6),
-        ("e7_arbitrary_lower_bound", experiments::run_e7),
-        ("e8_mst_suboptimality", experiments::run_e8),
-        ("e9_power_control_separation", experiments::run_e9),
-        ("e10_distributed_rounds", experiments::run_e10),
-        ("e11_fractional_vs_coloring", experiments::run_e11),
-        ("e12_kconnectivity", experiments::run_e12),
-        ("e13_throughput_sim", experiments::run_e13),
-        ("e14_median_by_counting", extensions::run_e14),
-        ("e15_rate_vs_latency", extensions::run_e15),
-        ("e16_multihop_two_tier", extensions::run_e16),
-        ("e17_rayleigh_fading", extensions::run_e17),
-        ("e18_churn_repair", extensions::run_e18),
-        ("e19_approximate_trees", extensions::run_e19),
-        ("e20_ablations", extensions::run_e20),
-    ];
     let mut group = c.benchmark_group("experiments_quick");
     group.sample_size(10);
-    for (name, runner) in runners {
-        group.bench_function(name, |b| {
+    for (id, runner) in EXPERIMENTS {
+        group.bench_function(id, |b| {
             b.iter(|| {
                 let table = runner(Scale::Quick);
                 criterion::black_box(table.rows.len())

@@ -11,11 +11,7 @@
 
 use std::env;
 use std::time::Instant;
-use wagg_bench::{experiments, extensions};
-use wagg_bench::{Scale, Table};
-
-/// A named experiment entry point.
-type ExperimentRunner = fn(Scale) -> Table;
+use wagg_bench::{report_heading, Scale, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -39,31 +35,8 @@ fn main() {
         only
     };
 
-    let runners: Vec<(&str, ExperimentRunner)> = vec![
-        ("E1", experiments::run_e1),
-        ("E2", experiments::run_e2),
-        ("E3", experiments::run_e3),
-        ("E4", experiments::run_e4),
-        ("E5", experiments::run_e5),
-        ("E6", experiments::run_e6),
-        ("E7", experiments::run_e7),
-        ("E8", experiments::run_e8),
-        ("E9", experiments::run_e9),
-        ("E10", experiments::run_e10),
-        ("E11", experiments::run_e11),
-        ("E12", experiments::run_e12),
-        ("E13", experiments::run_e13),
-        ("E14", extensions::run_e14),
-        ("E15", extensions::run_e15),
-        ("E16", extensions::run_e16),
-        ("E17", extensions::run_e17),
-        ("E18", extensions::run_e18),
-        ("E19", extensions::run_e19),
-        ("E20", extensions::run_e20),
-    ];
-
-    println!("# Measured experiment results ({scale:?} scale)\n");
-    for (id, runner) in runners {
+    print!("{}", report_heading(scale));
+    for (id, runner) in EXPERIMENTS {
         if !only.is_empty() && !only.iter().any(|o| o == id) {
             continue;
         }

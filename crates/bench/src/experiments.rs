@@ -521,25 +521,6 @@ pub fn run_e13(scale: Scale) -> Table {
     table
 }
 
-/// Runs every experiment at the given scale, in order.
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    vec![
-        run_e1(scale),
-        run_e2(scale),
-        run_e3(scale),
-        run_e4(scale),
-        run_e5(scale),
-        run_e6(scale),
-        run_e7(scale),
-        run_e8(scale),
-        run_e9(scale),
-        run_e10(scale),
-        run_e11(scale),
-        run_e12(scale),
-        run_e13(scale),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

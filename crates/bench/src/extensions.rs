@@ -442,19 +442,6 @@ pub fn run_e20(scale: Scale) -> Table {
     table
 }
 
-/// Runs every extension experiment at the given scale, in order.
-pub fn run_all_extensions(scale: Scale) -> Vec<Table> {
-    vec![
-        run_e14(scale),
-        run_e15(scale),
-        run_e16(scale),
-        run_e17(scale),
-        run_e18(scale),
-        run_e19(scale),
-        run_e20(scale),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,6 +49,41 @@ pub fn uniform_unit_links(n: usize, seed: u64) -> Vec<Link> {
         .collect()
 }
 
+/// A named experiment entry point.
+pub type ExperimentRunner = fn(Scale) -> Table;
+
+/// Every experiment, in the order the `experiments` binary prints them:
+/// E1–E13 from [`experiments`], then the extensions E14–E20 from
+/// [`extensions`]. The binary, the criterion bench and the golden-table
+/// test all run this one list.
+pub const EXPERIMENTS: [(&str, ExperimentRunner); 20] = [
+    ("E1", experiments::run_e1),
+    ("E2", experiments::run_e2),
+    ("E3", experiments::run_e3),
+    ("E4", experiments::run_e4),
+    ("E5", experiments::run_e5),
+    ("E6", experiments::run_e6),
+    ("E7", experiments::run_e7),
+    ("E8", experiments::run_e8),
+    ("E9", experiments::run_e9),
+    ("E10", experiments::run_e10),
+    ("E11", experiments::run_e11),
+    ("E12", experiments::run_e12),
+    ("E13", experiments::run_e13),
+    ("E14", extensions::run_e14),
+    ("E15", extensions::run_e15),
+    ("E16", extensions::run_e16),
+    ("E17", extensions::run_e17),
+    ("E18", extensions::run_e18),
+    ("E19", extensions::run_e19),
+    ("E20", extensions::run_e20),
+];
+
+/// The heading the `experiments` binary prints above its tables.
+pub fn report_heading(scale: Scale) -> String {
+    format!("# Measured experiment results ({scale:?} scale)\n\n")
+}
+
 /// How much work an experiment should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
