@@ -275,12 +275,30 @@ pub(crate) fn slot_ok(
 /// the semantics the unsharded path has. `class` holds indices into `links`;
 /// `cache`, when given, must cover `links` in order (same contract as
 /// [`schedule_prebuilt`]) and is only consulted for noise-free models.
+///
+/// With a (noise-free) cache the first fit is [`PathLossCache::first_fit`],
+/// which keeps each sub-slot's running per-member interference sums, so a
+/// probe costs O(|slot|). Without one — global power control, a noisy
+/// model, or a caller that lends no cache — every probe materialises the
+/// grown sub-slot and checks it afresh with [`PowerMode::slot_feasible`].
+/// Both give the sub-slots of probing each candidate afresh.
+///
+/// # Panics
+///
+/// Panics if `cache` covers a different number of links than `links`.
 pub fn split_class_into_feasible(
     links: &[Link],
     class: &[usize],
     config: &SchedulerConfig,
     cache: Option<&PathLossCache<'_>>,
 ) -> Vec<Vec<usize>> {
+    if let Some(cache) = cache {
+        assert_eq!(
+            cache.links().len(),
+            links.len(),
+            "path-loss cache covers a different link set"
+        );
+    }
     // The cache kernel is noise-free; under a noisy model every probe must
     // materialise the slot (the same filter schedule_prebuilt applies).
     let cache = cache.filter(|_| config.model.noise() == 0.0);
@@ -301,6 +319,9 @@ pub fn split_class_into_feasible(
         });
         order
     };
+    if let Some(cache) = cache {
+        return cache.first_fit(&class_order);
+    }
     let mut sub_slots: Vec<Vec<usize>> = Vec::new();
     let mut candidate: Vec<usize> = Vec::new();
     for idx in class_order {
@@ -309,7 +330,7 @@ pub fn split_class_into_feasible(
             candidate.clear();
             candidate.extend_from_slice(slot);
             candidate.push(idx);
-            if slot_ok(links, &candidate, config, cache) {
+            if slot_ok(links, &candidate, config, None) {
                 slot.push(idx);
                 placed = true;
                 break;
@@ -328,6 +349,7 @@ mod tests {
     use wagg_geometry::Point;
     use wagg_instances::chains::{doubly_exponential_chain, exponential_chain, uniform_chain};
     use wagg_instances::random::{grid, uniform_square};
+    use wagg_sinr::PowerAssignment;
 
     fn check_report(links: &[Link], config: SchedulerConfig) -> ScheduleReport {
         let report = solve_static(links, config);
@@ -502,6 +524,136 @@ mod tests {
         assert!(wagg_mst::euclidean_mst(&[]).is_err());
         let dup = vec![Point::origin(), Point::origin()];
         assert!(wagg_mst::euclidean_mst(&dup).is_err());
+    }
+
+    /// The split as a plain first fit: the whole-class check, then every
+    /// candidate materialised and checked afresh with
+    /// [`PowerMode::slot_feasible`]. The packer must reproduce it exactly.
+    fn reference_split(
+        links: &[Link],
+        class: &[usize],
+        config: &SchedulerConfig,
+    ) -> Vec<Vec<usize>> {
+        let feasible = |members: &[usize]| {
+            let slot: Vec<Link> = members.iter().map(|&i| links[i]).collect();
+            config.mode.slot_feasible(&config.model, &slot)
+        };
+        if feasible(class) {
+            return vec![class.to_vec()];
+        }
+        let mut order = class.to_vec();
+        order.sort_by(|&a, &b| {
+            links[b]
+                .length()
+                .total_cmp(&links[a].length())
+                .then(links[a].id.cmp(&links[b].id))
+        });
+        let mut slots: Vec<Vec<usize>> = Vec::new();
+        for idx in order {
+            let fit = slots.iter().position(|slot| {
+                let mut candidate = slot.clone();
+                candidate.push(idx);
+                feasible(&candidate)
+            });
+            match fit {
+                Some(s) => slots[s].push(idx),
+                None => slots.push(vec![idx]),
+            }
+        }
+        slots
+    }
+
+    /// Link sets whose classes the split must handle exactly as the
+    /// reference does, the last one with every edge case of the sum: a
+    /// sender on another link's receiver (an `∞` term), a zero-length link
+    /// (no weight) and two links sharing an id (skipped as interferers).
+    fn split_instances() -> Vec<Vec<Link>> {
+        let mut sets = vec![
+            exponential_chain(12, 2.0).unwrap().mst_links().unwrap(),
+            exponential_chain(18, 1.4).unwrap().mst_links().unwrap(),
+            uniform_square(70, 60.0, 5).mst_links().unwrap(),
+        ];
+        for seed in [1, 2, 3] {
+            let inst = wagg_instances::random::clustered(6, 12, 300.0, 8.0, seed);
+            sets.push(inst.mst_links().unwrap());
+        }
+        let at = |x: f64, y: f64| Point::new(x, y);
+        sets.push(vec![
+            Link::new(0, at(0.0, 0.0), at(1.0, 0.0)),
+            Link::new(1, at(1.0, 0.0), at(1.0, 30.0)),
+            Link::new(2, at(50.0, 0.0), at(50.0, 0.0)),
+            Link::new(3, at(100.0, 0.0), at(101.0, 0.0)),
+            Link::new(3, at(100.0, 4.0), at(101.0, 4.0)),
+            Link::new(5, at(-30.0, 2.0), at(-32.0, 2.0)),
+            Link::new(6, at(8.0, 8.0), at(3.0, 1.0)),
+        ]);
+        sets
+    }
+
+    #[test]
+    fn cached_split_matches_fresh_first_fit() {
+        let overflowing = SinrModel::new(3.0, 1e-310, 0.0).unwrap();
+        let mut rng = wagg_geometry::rng::seeded_rng(11);
+        let sets = split_instances();
+        let mut split_classes = 0;
+        for (n, links) in sets.iter().enumerate() {
+            let mut models = vec![
+                SinrModel::default(),
+                SinrModel::default().with_strong_beta(),
+            ];
+            if n + 1 == sets.len() {
+                // 1/β overflows to ∞: the packer's fresh-probe fallback.
+                models.push(overflowing);
+            }
+            for model in models {
+                for mode in [
+                    PowerMode::Uniform,
+                    PowerMode::Linear,
+                    PowerMode::mean_oblivious(),
+                ] {
+                    let config = SchedulerConfig::new(mode).with_model(model);
+                    let cache = PathLossCache::new(&model, links, &mode.assignment().unwrap());
+                    let graph = ConflictGraph::build(links, mode.conflict_relation(model.alpha()));
+                    let mut classes = greedy_color(&graph).classes();
+                    classes.push((0..links.len()).collect());
+                    for _ in 0..4 {
+                        let mut class: Vec<usize> = (0..links.len())
+                            .filter(|_| wagg_geometry::rng::uniform_in(&mut rng, 0.0, 1.0) < 0.5)
+                            .collect();
+                        class.reverse();
+                        classes.push(class);
+                    }
+                    for class in classes.iter().filter(|c| !c.is_empty()) {
+                        let want = reference_split(links, class, &config);
+                        split_classes += usize::from(want.len() > 1);
+                        assert_eq!(
+                            split_class_into_feasible(links, class, &config, Some(&cache)),
+                            want,
+                            "{mode} beta={} class {class:?}",
+                            model.beta()
+                        );
+                        assert_eq!(
+                            split_class_into_feasible(links, class, &config, None),
+                            want,
+                            "{mode} beta={} class {class:?} (no cache)",
+                            model.beta()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(split_classes > 50, "only {split_classes} classes split");
+    }
+
+    #[test]
+    #[should_panic(expected = "path-loss cache covers a different link set")]
+    fn split_rejects_a_cache_over_another_link_set() {
+        let links = uniform_square(12, 30.0, 4).mst_links().unwrap();
+        let other = uniform_square(20, 30.0, 5).mst_links().unwrap();
+        let config = SchedulerConfig::new(PowerMode::Uniform);
+        let cache = PathLossCache::new(&config.model, &other, &PowerAssignment::uniform(1.0));
+        let class: Vec<usize> = (0..links.len()).collect();
+        let _ = split_class_into_feasible(&links, &class, &config, Some(&cache));
     }
 
     #[test]

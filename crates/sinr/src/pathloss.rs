@@ -23,6 +23,7 @@
 use crate::link::Link;
 use crate::model::SinrModel;
 use crate::power::PowerAssignment;
+use wagg_geometry::Point;
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -275,12 +276,10 @@ impl<'a> PathLossCache<'a> {
                 weight = self.weights[target]?;
                 weight_loaded = true;
             }
-            let p_j = self.powers[j]?;
-            let d = source.sender.distance(receiver);
-            if d <= 0.0 {
+            let Some(term) = pair_term(self.pow, source, receiver, self.powers[j]?, weight) else {
                 return Some(f64::INFINITY);
-            }
-            total += p_j * weight / self.pow.pow(d);
+            };
+            total += term;
         }
         Some(total)
     }
@@ -363,6 +362,102 @@ impl<'a> PathLossCache<'a> {
         }
     }
 
+    /// First-fit packing of `order` (positions into the cached link set):
+    /// each link joins the first sub-slot that stays feasible by
+    /// [`PathLossCache::subset_feasible`] with it appended, or opens a new
+    /// one. Returns the sub-slots, members in join order.
+    ///
+    /// The sub-slots are exactly those of probing
+    /// `subset_feasible(slot ++ [idx])` afresh for every candidate, at
+    /// O(|slot|) per probe instead of O(|slot|²). Each sub-slot keeps every
+    /// member's interference sum, accumulated in slot order; a probe adds the
+    /// newcomer's term to each member's sum and sums the newcomer's own
+    /// interference over the members in slot order. Those are the fresh
+    /// probe's terms in the fresh probe's order, with the newcomer last, so
+    /// every sum and verdict is bit-identical. The edge cases carry over: an
+    /// interferer with the target's id is skipped, and a missing power or
+    /// weight or a collocated sender (an `∞` sum) rejects the newcomer. Only
+    /// a threshold `1/β` that overflows to `∞` admits an `∞` sum, which ends
+    /// the fresh sum early, so such a model probes afresh.
+    pub fn first_fit(&self, order: &[usize]) -> Vec<Vec<usize>> {
+        let mut slots: Vec<Vec<usize>> = Vec::new();
+        if !self.inv_beta.is_finite() {
+            let mut candidate = Vec::new();
+            for &idx in order {
+                let fit = slots.iter().position(|slot| {
+                    candidate.clear();
+                    candidate.extend_from_slice(slot);
+                    candidate.push(idx);
+                    self.subset_feasible(&candidate)
+                });
+                match fit {
+                    Some(s) => slots[s].push(idx),
+                    None => slots.push(vec![idx]),
+                }
+            }
+            return slots;
+        }
+        let mut sums: Vec<Vec<f64>> = Vec::new();
+        let mut next = Vec::new();
+        for &idx in order {
+            match (0..slots.len()).find(|&s| self.admits(&slots[s], &sums[s], idx, &mut next)) {
+                Some(s) => {
+                    slots[s].push(idx);
+                    std::mem::swap(&mut sums[s], &mut next);
+                }
+                None => {
+                    slots.push(vec![idx]);
+                    sums.push(vec![0.0]);
+                }
+            }
+        }
+        slots
+    }
+
+    /// Whether `idx` joins the sub-slot `members`, whose members' running
+    /// sums are `sums`, under a finite threshold; on success `next` holds
+    /// the grown sub-slot's sums (the members' in order, then `idx`'s).
+    fn admits(&self, members: &[usize], sums: &[f64], idx: usize, next: &mut Vec<f64>) -> bool {
+        let link = &self.links[idx];
+        next.clear();
+        let mut own = 0.0;
+        for (&m, &sum) in members.iter().zip(sums) {
+            let member = &self.links[m];
+            if member.id == link.id {
+                next.push(sum);
+                continue;
+            }
+            let Some(inward) = self.finite_term(idx, m) else {
+                return false;
+            };
+            let sum = sum + inward;
+            if !(sum <= self.inv_beta) {
+                return false;
+            }
+            next.push(sum);
+            let Some(outward) = self.finite_term(m, idx) else {
+                return false;
+            };
+            own += outward;
+        }
+        next.push(own);
+        own <= self.inv_beta
+    }
+
+    /// `source`'s term in the relative-interference sum on `target`, or
+    /// `None` where the fresh sum ends in `None` or `∞` (a missing power or
+    /// weight, a collocated sender) — either fails a finite threshold.
+    #[inline]
+    fn finite_term(&self, source: usize, target: usize) -> Option<f64> {
+        pair_term(
+            self.pow,
+            &self.links[source],
+            self.links[target].receiver,
+            self.powers[source]?,
+            self.weights[target]?,
+        )
+    }
+
     /// Noise-free feasibility of the whole set by relative interference:
     /// every link's affectance sum must stay within `1/β`.
     ///
@@ -424,14 +519,33 @@ where
             weight = target_weight?;
             weight_loaded = true;
         }
-        let p_j = power_of(j)?;
-        let d = source.sender.distance(receiver);
-        if d <= 0.0 {
+        let Some(term) = pair_term(pow, source, receiver, power_of(j)?, weight) else {
             return Some(f64::INFINITY);
-        }
-        total += p_j * weight / pow.pow(d);
+        };
+        total += term;
     }
     Some(total)
+}
+
+/// The term `P(j)·w(t)/d^α` that `source`, sending at `power`, adds to the
+/// relative-interference sum on a target with receiver `receiver` and
+/// weight `w(t) = weight`; `None` when the sender sits on the receiver (the
+/// sum is then `∞`). Every sum of this module adds its terms through here.
+/// [`PathLossCache::interference_term`] computes `d^α` from the squared
+/// distance instead, which can differ by an ulp.
+#[inline(always)]
+fn pair_term(
+    pow: AlphaPow,
+    source: &Link,
+    receiver: Point,
+    power: f64,
+    weight: f64,
+) -> Option<f64> {
+    let d = source.sender.distance(receiver);
+    if d <= 0.0 {
+        return None;
+    }
+    Some(power * weight / pow.pow(d))
 }
 
 #[cfg(test)]
