@@ -25,8 +25,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> serial build (--no-default-features turns off only the parallel kernels; this is the configuration perfbench measures)"
 cargo build --workspace --no-default-features
 
-echo "==> serial kernel tests, the configuration perfbench measures (incl. the sharded-scheduling sweep, the session differential + repair + telemetry suites, and the wagg-obs recorders)"
-cargo test -q --no-default-features -p wagg-sinr -p wagg-conflict -p wagg-fading -p wagg-engine -p wagg-partition -p wagg-session -p wagg-obs
+echo "==> serial kernel tests, the configuration perfbench measures (incl. the static split's differential test, the sharded-scheduling sweep, the session differential + repair + telemetry suites, and the wagg-obs recorders)"
+cargo test -q --no-default-features -p wagg-sinr -p wagg-conflict -p wagg-fading -p wagg-schedule -p wagg-engine -p wagg-partition -p wagg-session -p wagg-obs
+
+echo "==> golden paper tables (E1-E20 at Quick scale, byte for byte), serial build"
+cargo test -q --no-default-features -p wagg-bench --test golden
 
 echo "==> wire codec hostility + service differential suites, serial build (the configuration perfbench measures)"
 cargo test -q --no-default-features -p wagg-wire -p wagg-service

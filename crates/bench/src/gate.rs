@@ -257,6 +257,10 @@ pub fn compare(baseline: &BenchRun, fresh: &BenchRun, tolerance_pct: f64) -> Gat
 /// Rows:
 ///
 /// * `gate/static/2000` — the from-scratch kernel;
+/// * `gate/static_paper/1000` — the paper's static path: one clustered
+///   1 000-sensor MST (built outside the timing) solved cold through a
+///   static session under global power control, then under uniform power,
+///   so the spectral slot test and the first-fit split are gated;
 /// * `gate/sharded/20000` — the sharded pipeline, 4 shards;
 /// * `gate/repair/20000` — a repair-enabled session on the re-tiling
 ///   sharded backend (no partition hints): a cold solve, a 32-link
@@ -298,6 +302,27 @@ pub fn run_gate_workloads(samples: u32) -> BenchRun {
                 .solve()
                 .slots()
         }));
+
+    {
+        let links = wagg_instances::random::clustered(50, 20, 4000.0, 10.0, 42)
+            .mst_links()
+            .expect("clustered sensors are distinct");
+        run.benchmarks
+            .push(time_workload("gate", "static_paper/1000", samples, || {
+                [PowerMode::GlobalControl, PowerMode::Uniform]
+                    .into_iter()
+                    .map(|mode| {
+                        Session::builder()
+                            .scheduler(SchedulerConfig::new(mode))
+                            .backend(Backend::Static)
+                            .links(&links)
+                            .build()
+                            .solve()
+                            .slots()
+                    })
+                    .sum()
+            }));
+    }
 
     run.benchmarks
         .push(time_workload("gate", "sharded/20000", samples, || {
@@ -608,7 +633,7 @@ mod tests {
     #[test]
     fn gate_workloads_produce_comparable_rows() {
         let run = run_gate_workloads(1);
-        assert_eq!(run.benchmarks.len(), 7);
+        assert_eq!(run.benchmarks.len(), 8);
         for r in &run.benchmarks {
             assert!(r.min_ns > 0.0, "{} measured nothing", r.key());
             assert!(r.min_ns <= r.mean_ns + 1e-9);

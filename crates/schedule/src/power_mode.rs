@@ -71,8 +71,15 @@ impl PowerMode {
     /// Whether the given set of links can share a slot in this power mode, under
     /// `model`.
     ///
-    /// For fixed assignments this is the SINR check with that assignment; for global
-    /// control it is existence of *some* feasible assignment (spectral-radius test).
+    /// For fixed assignments this is the SINR check with that assignment: under a
+    /// noise-free model the affectance form of
+    /// [`PathLossCache::is_feasible`](wagg_sinr::PathLossCache::is_feasible), the
+    /// predicate [`split_class_into_feasible`](crate::split_class_into_feasible)'s
+    /// cached first fit evaluates from running sums; with noise the full SINR
+    /// quotient. For global control it is existence of *some* feasible assignment,
+    /// [`is_feasible_with_power_control`]'s spectral-radius test, which stops its
+    /// power iteration once the verdict is certain. Sets of at most one link are
+    /// feasible iff every link has positive length.
     ///
     /// # Examples
     ///

@@ -431,10 +431,11 @@ impl<'a> PathLossCache<'a> {
                 return false;
             };
             let sum = sum + inward;
-            if !(sum <= self.inv_beta) {
+            if sum <= self.inv_beta {
+                next.push(sum);
+            } else {
                 return false;
             }
-            next.push(sum);
             let Some(outward) = self.finite_term(m, idx) else {
                 return false;
             };
@@ -703,6 +704,80 @@ mod tests {
         let (fresh_powers, fresh_weights) = fresh.into_parts();
         assert_eq!(powers, fresh_powers);
         assert_eq!(weights, fresh_weights);
+    }
+
+    /// First fit with every candidate checked afresh by `subset_feasible`.
+    fn fresh_first_fit(cache: &PathLossCache<'_>, order: &[usize]) -> Vec<Vec<usize>> {
+        let mut slots: Vec<Vec<usize>> = Vec::new();
+        for &idx in order {
+            let fit = slots.iter().position(|slot| {
+                let mut candidate = slot.clone();
+                candidate.push(idx);
+                cache.subset_feasible(&candidate)
+            });
+            match fit {
+                Some(s) => slots[s].push(idx),
+                None => slots.push(vec![idx]),
+            }
+        }
+        slots
+    }
+
+    #[test]
+    fn first_fit_running_sums_are_bit_identical_at_the_threshold() {
+        // Put 1/β exactly on (and one ulp below) every sum a first fit over
+        // ascending positions can evaluate: a running sum that drifts by
+        // one ulp from the fresh probe's flips a verdict here.
+        let links = vec![
+            line_link(0, 0.0, 1.0),
+            line_link(1, 3.0, 4.5),
+            line_link(2, 9.0, 7.0),
+            line_link(3, 12.0, 12.7),
+            line_link(4, 20.0, 17.5),
+            line_link(5, 26.0, 27.0),
+        ];
+        let power = PowerAssignment::mean();
+        let base = PathLossCache::new(&SinrModel::default(), &links, &power);
+        let order: Vec<usize> = (0..links.len()).collect();
+        let mut sums = Vec::new();
+        for mask in 1u32..(1 << links.len()) {
+            let members: Vec<usize> = order
+                .iter()
+                .copied()
+                .filter(|&i| mask & (1 << i) != 0)
+                .collect();
+            for k in 0..members.len() {
+                sums.extend(base.subset_relative_interference_on(&members, k));
+            }
+        }
+        let mut exact = 0;
+        for threshold in sums.into_iter().flat_map(|s| [s, s.next_down()]) {
+            // A β whose reciprocal is exactly the threshold, if one exists.
+            let mut beta = 1.0 / threshold;
+            for _ in 0..4 {
+                let inv = 1.0 / beta;
+                if inv == threshold {
+                    break;
+                }
+                beta = if inv < threshold {
+                    beta.next_down()
+                } else {
+                    beta.next_up()
+                };
+            }
+            if !(threshold > 0.0 && 1.0 / beta == threshold) {
+                continue;
+            }
+            exact += 1;
+            let model = SinrModel::new(3.0, beta, 0.0).unwrap();
+            let cache = PathLossCache::new(&model, &links, &power);
+            assert_eq!(
+                cache.first_fit(&order),
+                fresh_first_fit(&cache, &order),
+                "1/β = {threshold:e}"
+            );
+        }
+        assert!(exact > 100, "only {exact} thresholds placed exactly");
     }
 
     #[test]

@@ -624,6 +624,26 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_gain_row_never_decides_early() {
+        // The third link is so long that l^α and d^α both overflow, so its
+        // gain row is NaN while the overlapping pair's rows are finite and
+        // far above the threshold. The full iteration's NaN estimate must
+        // decide, not a bracket that silently skipped the NaN row.
+        let model = SinrModel::default();
+        let links = vec![
+            line_link(0, 0.0, 1.0),
+            line_link(1, 1.5, 0.5),
+            line_link(2, 1e121, 1.1e121),
+        ];
+        let matrix = gain_matrix(&model, &links).unwrap();
+        assert!(matrix[2][0].is_nan());
+        assert_eq!(
+            is_feasible_with_power_control(&model, &links),
+            full_iteration_verdict(&model, &links)
+        );
+    }
+
+    #[test]
     fn shared_iteration_matches_the_plain_loops_bit_for_bit() {
         let mut rng = seeded_rng(7);
         let mut sizes: Vec<usize> = (1..=13).collect();
