@@ -14,7 +14,11 @@
 //!   acceptance instance for the grid build: `conflict_build_uniform/naive/*`
 //!   versus `conflict_build_uniform/grid/*`),
 //! * **chain** — a line of unit links with constant gaps (the paper's
-//!   worst-case shape).
+//!   worst-case shape),
+//! * **clustered** — the MST of `clustered(50, 20, 4000.0, 10.0, 42)` (the
+//!   static-path gate's 1 000-sensor instance) under the conflict relations
+//!   of uniform, oblivious and global power; unlike the two unit-length
+//!   families it spans many length classes (`conflict_build_clustered/grid/*`).
 //!
 //! The `affectance` group compares the seed-style per-pair `powf` feasibility
 //! loop against the cached-path-loss kernel behind
@@ -111,6 +115,24 @@ fn bench_conflict_build_chain(c: &mut Criterion) {
     for &n in &[100usize, 1_000, 10_000, 100_000] {
         let links = chain_links(n);
         group.bench_with_input(BenchmarkId::new("grid", n), &links, |b, links| {
+            b.iter(|| ConflictGraph::build(links, relation).edge_count())
+        });
+    }
+    group.finish();
+}
+
+fn bench_conflict_build_clustered(c: &mut Criterion) {
+    let mut group = c.benchmark_group("conflict_build_clustered");
+    group.sample_size(10);
+    let links = wagg_instances::random::clustered(50, 20, 4000.0, 10.0, 42)
+        .mst_links()
+        .expect("clustered sensors are distinct");
+    for (power, relation) in [
+        ("uniform", ConflictRelation::constant(2.0)),
+        ("oblivious", ConflictRelation::polynomial(2.0, 0.5)),
+        ("global", ConflictRelation::log_shaped(2.0, 3.0)),
+    ] {
+        group.bench_with_input(BenchmarkId::new("grid", power), &links, |b, links| {
             b.iter(|| ConflictGraph::build(links, relation).edge_count())
         });
     }
@@ -225,6 +247,7 @@ criterion_group!(
     benches,
     bench_conflict_build_uniform,
     bench_conflict_build_chain,
+    bench_conflict_build_clustered,
     bench_affectance,
     bench_csr_queries
 );

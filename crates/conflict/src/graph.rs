@@ -1,30 +1,63 @@
 //! The conflict graph data structure.
 //!
-//! # Construction and storage
+//! # Construction
 //!
-//! [`ConflictGraph::build`] no longer does O(n²) pairwise checks: links are
-//! bucketed into power-of-two **length classes**, each class is indexed by a
-//! [`wagg_geometry::grid::UniformGrid`] keyed to the class's maximum link
-//! length, and each link only tests candidates inside its per-class **conflict
-//! radius** — the largest link-to-link distance at which the relation `f`
-//! could still report a conflict given the class's length bounds. Since every
-//! `f` in the family is non-decreasing, the radius
-//! `min(l_i, hi_C) · f(max(l_i, hi_C) / min(l_i, lo_C))` is a sound upper
-//! bound, so the grid prunes candidates without ever dropping a true edge (the
-//! property tests check edge-for-edge equality against
-//! [`ConflictGraph::build_naive`]).
+//! [`ConflictGraph::build`] buckets the links into power-of-two **length
+//! classes** and indexes each class with a
+//! [`wagg_geometry::grid::UniformGrid`] over its members' segment boxes.
+//!
+//! **Each unordered pair is decided once, from its shorter side.** A link in
+//! class `c` queries its own class, keeping partners with a higher index, and
+//! every longer class, never a shorter one: the short link's small window
+//! meets the sparse grid of the long class, instead of the long link's wide
+//! window sweeping the dense grids of the short classes. For class `C` with
+//! exact member lengths `lo..=hi`, a member `j` conflicting with link `i` has
+//! `d(i, j) ≤ l_min · f(l_max / l_min) ≤ L · f(R)`, with `L = min(l_i, hi)`
+//! and `R = max(l_i, hi) / min(l_i, lo)`, because `f` is non-decreasing. So
+//! each (link, class) gets one
+//! `reach = L · f(R) · (1 + REACH_REL_MARGIN) + slack`, with
+//! `slack = REACH_ABS_MARGIN · max |coordinate|` over the input. It sets the
+//! grid window and a box-gap test, `gap(box_i, box_j)² ≤ reach²`; a class
+//! whose whole extent fails the test is skipped. A member stored in several
+//! cells is visited once per cell, so the surviving candidates are sorted
+//! and deduplicated before [`ConflictRelation::conflicting`] runs once on
+//! each.
+//!
+//! **Why the box test cannot drop an edge.** The closest points of two
+//! segments lie in their boxes, so `gap ≤ d`. In floats, `segment_distance`
+//! is 0 only for segments whose boxes overlap (`segments_intersect` tests the
+//! boxes before any orientation sign); otherwise it is the least distance
+//! from an endpoint of one link to a point `a + t·(b − a)`, `t ∈ [0, 1]`, of
+//! the other. When `b − a` is exact, every rounded step there is monotone, so
+//! that point rounds into the other link's box and the computed distance is
+//! at least the computed gap, up to the few ulps by which squaring, summing
+//! and the square root round. The relative margin (`1e-9`) absorbs those,
+//! and the few ulps by which the quotient `d / l_min`, the ratio and `f`
+//! stray from their monotone ideal. When `b − a` itself rounds, the point
+//! can leave the box by a few ulps of the coordinates' magnitude; the
+//! absolute `slack` (`1e-12` of the largest `|coordinate|`, thousands of
+//! those ulps) covers that, and the rounding of the grid window's edges.
+//! `tests/grid_vs_naive.rs` checks edge-for-edge equality with
+//! [`ConflictGraph::build_naive`], on inputs up to `1e12` from the origin too.
+//!
+//! **Zero-length links** conflict with every link of another id. They join
+//! no class: a zero-length link decides its pairs with every classed link and
+//! every later zero-length link through `conflicting`, which checks ids.
+//!
+//! # Storage
 //!
 //! Adjacency is stored in **CSR form** (compressed sparse rows): one flat
 //! `offsets` array of length `n + 1` and one flat `neighbors` array holding
 //! every row's sorted neighbour indices back to back. Row `v` is
 //! `neighbors[offsets[v]..offsets[v + 1]]`. This makes [`ConflictGraph::neighbors`]
 //! a slice borrow, [`ConflictGraph::are_adjacent`] a binary search, and the
-//! independence checks allocation-free — and it halves the pointer-chasing of
-//! the previous `Vec<Vec<usize>>` layout.
+//! independence checks allocation-free. A counting transpose mirrors each
+//! decided pair into both rows: count degrees, prefix-sum them into
+//! `offsets`, scatter every pair into both rows, sort each (short) row.
 //!
-//! With the (default-on) `parallel` feature the per-vertex candidate rows are
-//! computed across threads; rows are deterministic (sorted), so parallel and
-//! serial builds produce identical graphs.
+//! With the (default-on) `parallel` feature the per-link decisions run
+//! across threads and the transpose serially; both builds produce identical
+//! graphs.
 
 use crate::relation::ConflictRelation;
 use serde::{Deserialize, Serialize};
@@ -38,6 +71,20 @@ use rayon::prelude::*;
 
 /// Below this size the all-pairs build is faster than building class grids.
 const GRID_BUILD_CUTOFF: usize = 64;
+
+/// Relative margin on a (link, class) reach, for relative rounding (see the
+/// [module docs](self)).
+const REACH_REL_MARGIN: f64 = 1e-9;
+
+/// Absolute margin on a reach per unit of the input's largest `|coordinate|`,
+/// for rounding at the coordinates' magnitude (see the [module docs](self)).
+const REACH_ABS_MARGIN: f64 = 1e-12;
+
+/// The class index of a zero-length link, which joins no class.
+const NO_CLASS: u32 = u32::MAX;
+
+/// The recorder counter of exact predicate calls, one `add` per build.
+const PAIRS_CHECKED: &str = "conflict.pairs_checked";
 
 /// A conflict graph `G_f(L)` over a set of links.
 ///
@@ -83,6 +130,8 @@ struct LengthClass {
     hi: f64,
     /// Vertex indices of the members, in input order.
     members: Vec<u32>,
+    /// Union of the members' segment boxes.
+    extent: BoundingBox,
     /// Grid over the members' segment bounding boxes (local ids).
     grid: UniformGrid,
 }
@@ -101,16 +150,20 @@ impl ConflictGraph {
 
     /// [`ConflictGraph::build`] with phase instrumentation: records a
     /// `conflict` span with `bucket` / `grids` / `rows` / `csr` children on
-    /// `rec` (see `wagg-obs`). With a disabled recorder, this is exactly
-    /// `build`.
+    /// `rec` (see `wagg-obs`), and adds the number of exact predicate calls
+    /// to its `conflict.pairs_checked` counter. With a disabled recorder,
+    /// this is exactly `build`.
     pub fn build_traced(links: &[Link], relation: ConflictRelation, rec: &Recorder) -> Self {
         let root = rec.span("conflict");
-        if links.len() < GRID_BUILD_CUTOFF {
+        let n = links.len();
+        if n < GRID_BUILD_CUTOFF {
+            rec.add(PAIRS_CHECKED, (n * n.saturating_sub(1) / 2) as u64);
             return Self::build_naive(links, relation);
         }
-        let rows = Self::grid_rows(links, relation, &root);
+        let (partners, checked) = Self::decide_pairs(links, relation, &root);
+        rec.add(PAIRS_CHECKED, checked);
         let csr = root.child("csr");
-        let graph = Self::from_rows(links, relation, rows);
+        let graph = Self::from_decided(links, relation, &partners);
         csr.finish();
         graph
     }
@@ -134,21 +187,29 @@ impl ConflictGraph {
         Self::from_rows(links, relation, rows)
     }
 
-    /// Computes every vertex's (sorted, deduplicated) neighbour row via the
-    /// per-length-class grids. `parent` scopes the phase spans (`bucket`,
-    /// `grids`, `rows`).
-    fn grid_rows(links: &[Link], relation: ConflictRelation, parent: &Span) -> Vec<Vec<usize>> {
+    /// Decides every unordered pair once, from its shorter side (see the
+    /// [module docs](self)). Returns, per link, the ascending partners it
+    /// conflicts with among the pairs decided from its side, and the number
+    /// of exact predicate calls. `parent` scopes the `bucket` / `grids` /
+    /// `rows` spans.
+    fn decide_pairs(
+        links: &[Link],
+        relation: ConflictRelation,
+        parent: &Span,
+    ) -> (Vec<Vec<u32>>, u64) {
         let bucket_span = parent.child("bucket");
         let n = links.len();
-        let bboxes: Vec<BoundingBox> = links
+        let boxes: Vec<BoundingBox> = links
             .iter()
             .map(|l| BoundingBox::of_segment(l.sender, l.receiver))
             .collect();
-
-        // Degenerate (zero-length) links conflict with every other link under
-        // every relation; keep them out of the classes and append them to all
-        // rows instead.
-        let degenerate: Vec<usize> = (0..n).filter(|&i| links[i].length() <= 0.0).collect();
+        let max_coordinate = boxes.iter().fold(0.0f64, |m, b| {
+            m.max(b.min_x.abs())
+                .max(b.min_y.abs())
+                .max(b.max_x.abs())
+                .max(b.max_y.abs())
+        });
+        let slack = REACH_ABS_MARGIN * max_coordinate;
         let min_len = links
             .iter()
             .map(|l| l.length())
@@ -156,40 +217,39 @@ impl ConflictGraph {
             .fold(f64::INFINITY, f64::min);
 
         // Bucket by floor(log2(len / min_len)); the bucket key only steers
-        // efficiency — radii below use each class's exact min/max lengths.
+        // efficiency — reaches below use each class's exact min/max lengths.
         // Keys are non-negative (min_len is the minimum) and bounded by the
-        // f64 exponent range (~2100), so a counting sort sizes every class in
-        // one pass and scatters members stably in a second, replacing the
-        // per-insert map lookups.
+        // f64 exponent range (~2100), so a counting pass sizes every class
+        // and a second pass maps keys to dense class indices (ascending
+        // length) and scatters the members stably.
+        let mut class_of = vec![NO_CLASS; n];
         let mut classes_members: Vec<Vec<u32>> = Vec::new();
         if min_len.is_finite() {
-            let key_of = |len: f64| (len / min_len).log2().floor() as usize;
             let mut counts: Vec<u32> = Vec::new();
-            for link in links {
-                let len = link.length();
-                if len <= 0.0 {
-                    continue;
-                }
-                let key = key_of(len);
-                if key >= counts.len() {
-                    counts.resize(key + 1, 0);
-                }
-                counts[key] += 1;
-            }
-            // Dense class index per occupied key, in ascending key order.
-            let mut class_of = vec![usize::MAX; counts.len()];
-            for (key, &count) in counts.iter().enumerate() {
-                if count > 0 {
-                    class_of[key] = classes_members.len();
-                    classes_members.push(Vec::with_capacity(count as usize));
-                }
-            }
             for (i, link) in links.iter().enumerate() {
                 let len = link.length();
                 if len <= 0.0 {
                     continue;
                 }
-                classes_members[class_of[key_of(len)]].push(i as u32);
+                let key = (len / min_len).log2().floor() as usize;
+                if key >= counts.len() {
+                    counts.resize(key + 1, 0);
+                }
+                counts[key] += 1;
+                class_of[i] = key as u32;
+            }
+            let mut dense = vec![NO_CLASS; counts.len()];
+            for (key, &count) in counts.iter().enumerate() {
+                if count > 0 {
+                    dense[key] = classes_members.len() as u32;
+                    classes_members.push(Vec::with_capacity(count as usize));
+                }
+            }
+            for (i, class) in class_of.iter_mut().enumerate() {
+                if *class != NO_CLASS {
+                    *class = dense[*class as usize];
+                    classes_members[*class as usize].push(i as u32);
+                }
             }
         }
         bucket_span.finish();
@@ -201,12 +261,21 @@ impl ConflictGraph {
                 let lo = lengths.clone().fold(f64::INFINITY, f64::min);
                 let hi = lengths.fold(0.0f64, f64::max);
                 let member_boxes: Vec<BoundingBox> =
-                    members.iter().map(|&m| bboxes[m as usize]).collect();
+                    members.iter().map(|&m| boxes[m as usize]).collect();
+                let extent = member_boxes[1..]
+                    .iter()
+                    .fold(member_boxes[0], |e, b| BoundingBox {
+                        min_x: e.min_x.min(b.min_x),
+                        min_y: e.min_y.min(b.min_y),
+                        max_x: e.max_x.max(b.max_x),
+                        max_y: e.max_y.max(b.max_y),
+                    });
                 let grid = UniformGrid::build(hi.max(min_len), &member_boxes);
                 LengthClass {
                     lo,
                     hi,
                     members,
+                    extent,
                     grid,
                 }
             })
@@ -214,53 +283,99 @@ impl ConflictGraph {
         grids_span.finish();
 
         let rows_span = parent.child("rows");
-        let row_of = |i: usize| -> Vec<usize> {
+        let decide = |i: usize| -> (u64, Vec<u32>) {
             let link = &links[i];
-            let mut row: Vec<usize> = Vec::new();
-            if link.length() <= 0.0 {
-                // Degenerate vertex: conflicts with every distinct link.
-                row.extend((0..n).filter(|&j| relation.conflicting(link, &links[j])));
-                return row;
-            }
-            let li = link.length();
-            for class in &classes {
-                // Largest distance at which a member of this class could
-                // still conflict with `link` (sound because f is
-                // non-decreasing and lo/hi are the exact member bounds).
-                let l_min = li.min(class.hi);
-                let ratio = li.max(class.hi) / li.min(class.lo);
-                let radius = l_min * relation.f(ratio);
-                let mut push = |j: usize| {
-                    if j != i && relation.conflicting(link, &links[j]) {
-                        row.push(j);
+            let own = class_of[i];
+            let mut partners: Vec<u32> = Vec::new();
+            if own == NO_CLASS {
+                partners.extend(
+                    (0..n)
+                        .filter(|&j| class_of[j] != NO_CLASS || j > i)
+                        .map(|j| j as u32),
+                );
+            } else {
+                let li = link.length();
+                let bbox = &boxes[i];
+                for (c, class) in classes.iter().enumerate().skip(own as usize) {
+                    let same_class = c == own as usize;
+                    let decided_here = |j: u32| !same_class || j as usize > i;
+                    // No conflicting member lies farther than the reach
+                    // (see the module docs for the bound and its margins).
+                    let l_min = li.min(class.hi);
+                    let ratio = li.max(class.hi) / li.min(class.lo);
+                    let reach = l_min * relation.f(ratio) * (1.0 + REACH_REL_MARGIN) + slack;
+                    if !reach.is_finite() {
+                        partners.extend(class.members.iter().copied().filter(|&j| decided_here(j)));
+                        continue;
                     }
-                };
-                if radius.is_finite() {
-                    class.grid.for_each_candidate(&bboxes[i], radius, |local| {
-                        push(class.members[local] as usize);
+                    let reach_sq = reach * reach;
+                    if gap_sq(bbox, &class.extent) > reach_sq {
+                        continue;
+                    }
+                    class.grid.for_each_candidate(bbox, reach, |local| {
+                        let j = class.members[local];
+                        if decided_here(j) && gap_sq(bbox, &boxes[j as usize]) <= reach_sq {
+                            partners.push(j);
+                        }
                     });
-                } else {
-                    for &m in &class.members {
-                        push(m as usize);
-                    }
                 }
             }
-            row.extend(degenerate.iter().copied().filter(|&j| j != i));
-            row.sort_unstable();
-            row.dedup();
-            row
+            partners.sort_unstable();
+            partners.dedup();
+            let checked = partners.len() as u64;
+            partners.retain(|&j| relation.conflicting(link, &links[j as usize]));
+            (checked, partners)
         };
 
         #[cfg(feature = "parallel")]
-        let rows: Vec<Vec<usize>> = (0..n).into_par_iter().map(row_of).collect();
+        let decided: Vec<(u64, Vec<u32>)> = (0..n).into_par_iter().map(decide).collect();
         #[cfg(not(feature = "parallel"))]
-        let rows: Vec<Vec<usize>> = (0..n).map(row_of).collect();
+        let decided: Vec<(u64, Vec<u32>)> = (0..n).map(decide).collect();
         rows_span.finish();
-        rows
+        let checked = decided.iter().map(|(calls, _)| calls).sum();
+        (decided.into_iter().map(|(_, row)| row).collect(), checked)
     }
 
-    /// Assembles the CSR arrays from per-vertex rows (each already sorted
-    /// ascending — the naive build produces them sorted by construction).
+    /// Assembles the CSR arrays from the pairs [`Self::decide_pairs`]
+    /// decided, by a counting transpose: count each link's degree, prefix-sum
+    /// the counts into `offsets`, scatter every pair into both rows, then
+    /// sort each (short) row.
+    fn from_decided(links: &[Link], relation: ConflictRelation, partners: &[Vec<u32>]) -> Self {
+        let n = links.len();
+        let mut offsets = vec![0usize; n + 1];
+        for (i, row) in partners.iter().enumerate() {
+            offsets[i + 1] += row.len();
+            for &j in row {
+                offsets[j as usize + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![0; offsets[n]];
+        for (i, row) in partners.iter().enumerate() {
+            for &j in row {
+                let j = j as usize;
+                neighbors[cursor[i]] = j;
+                cursor[i] += 1;
+                neighbors[cursor[j]] = i;
+                cursor[j] += 1;
+            }
+        }
+        for v in 0..n {
+            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
+        }
+        ConflictGraph {
+            links: links.to_vec(),
+            relation,
+            offsets,
+            neighbors,
+        }
+    }
+
+    /// Assembles the CSR arrays from the naive build's per-vertex rows (each
+    /// sorted ascending by construction).
     fn from_rows(links: &[Link], relation: ConflictRelation, rows: Vec<Vec<usize>>) -> Self {
         let mut offsets = Vec::with_capacity(rows.len() + 1);
         offsets.push(0);
@@ -549,6 +664,14 @@ impl ConflictGraph {
     }
 }
 
+/// Squared gap between two boxes (zero when they overlap).
+#[inline]
+fn gap_sq(a: &BoundingBox, b: &BoundingBox) -> f64 {
+    let dx = (a.min_x - b.max_x).max(b.min_x - a.max_x).max(0.0);
+    let dy = (a.min_y - b.max_y).max(b.min_y - a.max_y).max(0.0);
+    dx * dx + dy * dy
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,6 +801,98 @@ mod tests {
         assert_eq!(grid, naive);
         // The degenerate link conflicts with everything.
         assert_eq!(grid.degree(links.len() - 1), links.len() - 1);
+    }
+
+    #[test]
+    fn grid_build_matches_naive_when_a_degenerate_link_shares_an_id() {
+        // 80 unit links past the cutoff, plus a zero-length link reusing id 3.
+        let mut links = chain(80, 0.5);
+        links.push(Link::new(3, Point::on_line(20.0), Point::on_line(20.0)));
+        let degenerate = links.len() - 1;
+        let relation = ConflictRelation::unit_constant();
+        let grid = ConflictGraph::build(&links, relation);
+        assert_eq!(grid, ConflictGraph::build_naive(&links, relation));
+        assert!(!grid.are_adjacent(3, degenerate));
+        assert!(!grid.are_adjacent(degenerate, 3));
+        assert_eq!(grid.degree(degenerate), links.len() - 2);
+        let degree_sum: usize = (0..grid.len()).map(|v| grid.degree(v)).sum();
+        assert_eq!(degree_sum, 2 * grid.edge_count());
+    }
+
+    #[test]
+    fn box_test_keeps_a_pair_whose_distance_rounds_onto_the_reach() {
+        // Two unit links whose gap is (0.5916…, 0.8062…): its square rounds
+        // to 1 + 2^-52, above reach² = 1, while the distance rounds to
+        // exactly 1 = l_min · f(1), a conflict. Only the reach's margins keep
+        // the pair; a unit chain far away takes the build past the cutoff.
+        let mut links = vec![
+            Link::new(0, Point::new(0.0, 0.0), Point::new(1.0, 0.0)),
+            Link::new(
+                1,
+                Point::new(1.5916082368562336, 0.8062255851086957),
+                Point::new(2.1832164737124673, 1.6124511702173914),
+            ),
+        ];
+        assert_eq!(links[1].length(), 1.0);
+        links.extend(
+            chain(70, 0.5)
+                .into_iter()
+                .map(|l| line_link(2 + l.id.0, l.sender.x + 10.0, l.receiver.x + 10.0)),
+        );
+        let relation = ConflictRelation::unit_constant();
+        let grid = ConflictGraph::build(&links, relation);
+        assert!(grid.are_adjacent(0, 1));
+        assert_eq!(grid, ConflictGraph::build_naive(&links, relation));
+    }
+
+    fn pairs_checked(links: &[Link], relation: ConflictRelation) -> (u64, usize) {
+        let rec = Recorder::new();
+        let graph = ConflictGraph::build_traced(links, relation, &rec);
+        let checked = rec
+            .metrics()
+            .counter("conflict.pairs_checked")
+            .expect("the build adds its count");
+        (checked, graph.edge_count())
+    }
+
+    #[test]
+    fn exact_checks_stay_within_twice_the_edges_on_clustered_msts() {
+        // The gate's static-path instance and two more seeds, under the
+        // relations of uniform, oblivious and global power.
+        for seed in [1, 2, 42] {
+            let links = wagg_instances::random::clustered(50, 20, 4000.0, 10.0, seed)
+                .mst_links()
+                .expect("clustered sensors are distinct");
+            for relation in [
+                ConflictRelation::constant(2.0),
+                ConflictRelation::polynomial(2.0, 0.5),
+                ConflictRelation::log_shaped(2.0, 3.0),
+            ] {
+                let (checked, edges) = pairs_checked(&links, relation);
+                assert!(
+                    checked <= 2 * edges as u64,
+                    "seed {seed}, {relation}: {checked} exact checks for {edges} edges"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exact_checks_decide_every_candidate_pair_once() {
+        // 80 horizontal unit links stacked inside a unit square: every pair
+        // is a candidate (and conflicts), so each of the n(n-1)/2 pairs is
+        // checked exactly once.
+        let n = 80;
+        let links: Vec<Link> = (0..n)
+            .map(|i| {
+                let y = i as f64 / n as f64;
+                Link::new(i, Point::new(0.0, y), Point::new(1.0, y))
+            })
+            .collect();
+        let relation = ConflictRelation::unit_constant();
+        let (checked, edges) = pairs_checked(&links, relation);
+        assert_eq!(checked, (n * (n - 1) / 2) as u64);
+        assert_eq!(edges, n * (n - 1) / 2);
     }
 
     #[test]

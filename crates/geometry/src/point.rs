@@ -249,6 +249,17 @@ fn on_segment(p: Point, q: Point, r: Point) -> bool {
 /// ));
 /// ```
 pub fn segments_intersect(p1: Point, q1: Point, p2: Point, q2: Point) -> bool {
+    // Segments that meet share a point, so their bounding boxes overlap.
+    // Testing the boxes first keeps rounding in the orientation signs from
+    // reporting a crossing of two nearly collinear segments that lie apart
+    // on a slanted line.
+    if p1.x.max(q1.x) < p2.x.min(q2.x)
+        || p2.x.max(q2.x) < p1.x.min(q1.x)
+        || p1.y.max(q1.y) < p2.y.min(q2.y)
+        || p2.y.max(q2.y) < p1.y.min(q1.y)
+    {
+        return false;
+    }
     let o1 = orientation(p1, q1, p2);
     let o2 = orientation(p1, q1, q2);
     let o3 = orientation(p2, q2, p1);
@@ -396,6 +407,24 @@ mod tests {
             Point::new(2.0, 0.0),
             Point::new(3.0, 0.0),
         ));
+    }
+
+    #[test]
+    fn apart_collinear_segments_on_a_slanted_line_do_not_intersect() {
+        // Unit segments on the line y = 0.489…·x, about 1.56 apart. Rounding
+        // in the four orientations alone gives them opposite signs, so
+        // without the box test these read as crossing at distance zero.
+        let (p1, q1) = (
+            Point::new(1.4963044777091572, 0.7321925617650044),
+            Point::new(2.496304477709157, 1.2215264992574533),
+        );
+        let (p2, q2) = (
+            Point::new(3.8999239371397327, 1.9083651360816396),
+            Point::new(4.899923937139732, 2.3976990735740884),
+        );
+        assert!(!segments_intersect(p1, q1, p2, q2));
+        let d = segment_distance(p1, q1, p2, q2);
+        assert!((d - q1.distance(p2)).abs() < 1e-12, "distance {d}");
     }
 
     #[test]
