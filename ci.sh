@@ -63,8 +63,8 @@ if [[ "$MODE" != "quick" ]]; then
   echo "==> workspace tests (incl. wagg-partition shard-invariance properties)"
   cargo test -q --workspace
 
-  echo "==> perfbench tests (the benchmark package builds against the public API)"
-  CARGO_TARGET_DIR=.bench_build/serial cargo test --release --offline --manifest-path perfbench/Cargo.toml
+  echo "==> perfbench tests (the benchmark package builds against the public API; --locked fails on any change that would rewrite perfbench/Cargo.lock)"
+  CARGO_TARGET_DIR=.bench_build/serial cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
   echo "==> chrome-trace smoke test (partition_profile --trace emits valid trace_event JSON)"
   TRACE_DIR="$(mktemp -d)"

@@ -113,38 +113,6 @@ pub struct EngineStats {
     pub overlay_half_edges: usize,
 }
 
-/// One slot-level operation of a batch (see
-/// [`InterferenceEngine::apply_batch`]). The variants mirror the per-event
-/// API: `Insert` reports its assigned slot through the batch result,
-/// `Remove` names a live slot, `MoveNode` re-seats every link annotated with
-/// the node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchOp {
-    /// Insert a link (node annotations make it follow `MoveNode` events).
-    Insert {
-        /// Sender position.
-        sender: Point,
-        /// Receiver position.
-        receiver: Point,
-        /// Pointset node of the sender, if tracked.
-        sender_node: Option<NodeId>,
-        /// Pointset node of the receiver, if tracked.
-        receiver_node: Option<NodeId>,
-    },
-    /// Remove the live link in `slot`.
-    Remove {
-        /// The slot to clear.
-        slot: usize,
-    },
-    /// Move a pointset node; every live link touching it follows.
-    MoveNode {
-        /// The moving node.
-        node: usize,
-        /// Its new position.
-        to: Point,
-    },
-}
-
 /// A mutable link universe whose interference state — per-length-class
 /// spatial grids, conflict adjacency and per-link path-loss values — is
 /// maintained **incrementally** under insertions, removals and node moves,
@@ -420,20 +388,9 @@ impl InterferenceEngine {
     /// so only the affected neighbourhoods are recomputed. Returns the number
     /// of links touched (0 for nodes no live link references).
     pub fn move_node(&mut self, node: usize, to: Point) -> usize {
-        self.reseat_node_links(node, to, false).len()
-    }
-
-    /// The shared re-seat body of [`InterferenceEngine::move_node`] and the
-    /// batch `MoveNode` arm: every live link touching `node` is detached and
-    /// re-attached in its own slot with the updated endpoint. With
-    /// `defer_rows` the conflict rows are left for the caller to finalise
-    /// ([`InterferenceEngine::apply_batch`]'s end-of-batch pass); otherwise
-    /// each link's row is recomputed immediately, per link, exactly like the
-    /// per-event path always has. Returns the touched slots.
-    fn reseat_node_links(&mut self, node: usize, to: Point, defer_rows: bool) -> Vec<usize> {
         let slots = match self.node_links.get(&node) {
             Some(slots) => slots.clone(),
-            None => return Vec::new(),
+            None => return 0,
         };
         for &slot in &slots {
             let old = self.detach(slot);
@@ -450,89 +407,10 @@ impl InterferenceEngine {
             let mut link = Link::new(slot, sender, receiver);
             link.sender_node = old.sender_node;
             link.receiver_node = old.receiver_node;
-            self.attach_core(slot, link);
-            if !defer_rows {
-                self.link_conflict_row(slot, false);
-            }
+            self.attach(slot, link);
         }
         self.stats.moves += 1;
-        slots
-    }
-
-    /// Applies a whole batch of events, recomputing each affected conflict
-    /// row **once** against the batch's final state instead of per event.
-    ///
-    /// The per-event path pays one row computation per touching event: a
-    /// node shared by two links re-seats both links per `move_node`, and a
-    /// trace step moving many nearby nodes recomputes overlapping
-    /// neighbourhoods over and over. `apply_batch` applies every geometric
-    /// mutation first (slot tables, class grids, path-loss state — all
-    /// per-event cheap), collects the set of touched slots, and only then
-    /// computes the conflict rows of the touched slots that are still live.
-    /// The final state is **identical** to applying the same operations one
-    /// by one (the property tests assert snapshot equality): rows of
-    /// untouched links never change (conflicts are pairwise-geometric), a
-    /// detached link's edges are removed eagerly, and a touched link's row
-    /// computed against the final state is the row the per-event path
-    /// converges to.
-    ///
-    /// Returns the slots assigned to the batch's `Insert` operations, in
-    /// operation order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first `Remove` error (unknown or empty slot), exactly
-    /// where the sequential path would fail: operations before the failing
-    /// one are applied (and their rows finalised), the rest are not.
-    pub fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<Vec<usize>, EngineError> {
-        let mut dirty: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        let mut inserted = Vec::new();
-        let mut failure = None;
-        for op in ops {
-            match *op {
-                BatchOp::Insert {
-                    sender,
-                    receiver,
-                    sender_node,
-                    receiver_node,
-                } => {
-                    let slot = self.alloc_slot();
-                    let mut link = Link::new(slot, sender, receiver);
-                    link.sender_node = sender_node;
-                    link.receiver_node = receiver_node;
-                    self.attach_core(slot, link);
-                    Self::register_node_links(&mut self.node_links, &link, slot);
-                    dirty.insert(slot);
-                    inserted.push(slot);
-                }
-                BatchOp::Remove { slot } => {
-                    // remove_link detaches eagerly (edges drop immediately),
-                    // so a dead slot in `dirty` is simply skipped below —
-                    // unless a later insert recycles it.
-                    if let Err(e) = self.remove_link(slot) {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-                BatchOp::MoveNode { node, to } => {
-                    for slot in self.reseat_node_links(node, to, true) {
-                        dirty.insert(slot);
-                    }
-                }
-            }
-        }
-        // Row finalisation: every touched slot that is still live gets its
-        // row computed once, against the final state. Two fresh slots
-        // discover their mutual edge from both sides, hence the dedup.
-        for slot in dirty {
-            if self.links[slot].is_some() {
-                self.link_conflict_row(slot, true);
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(inserted),
-        }
+        slots.len()
     }
 
     /// Allocates a slot (recycling freed ones) and grows the slot tables.
@@ -548,19 +426,9 @@ impl InterferenceEngine {
         slot
     }
 
-    /// Wires a link into every maintained structure at `slot`.
+    /// Wires a link into every maintained structure at `slot`: geometry
+    /// tables, class grids, path-loss state and its conflict row.
     fn attach(&mut self, slot: usize, link: Link) {
-        self.attach_core(slot, link);
-        self.link_conflict_row(slot, false);
-    }
-
-    /// Everything [`InterferenceEngine::attach`] maintains *except* the
-    /// conflict adjacency row: geometry tables, class grids, path-loss state.
-    /// Callers must follow up with [`InterferenceEngine::link_conflict_row`]
-    /// — immediately (the per-event path) or once at the end of a batch
-    /// ([`InterferenceEngine::apply_batch`]), after every other mutation of
-    /// the batch has landed.
-    fn attach_core(&mut self, slot: usize, link: Link) {
         assert!(
             link.sender.x.is_finite()
                 && link.sender.y.is_finite()
@@ -592,29 +460,21 @@ impl InterferenceEngine {
             self.degenerate.insert(pos, slot);
         }
         self.stats.inserts += 1;
+        self.link_conflict_row(slot);
     }
 
     /// Computes the conflict row of the (live) link in `slot` against the
-    /// current state and links every discovered edge. The row of a live link
-    /// is correct whenever it was computed against the final state of all
-    /// other slots.
-    ///
-    /// `dedup` skips edges already present — only a batch finalisation can
-    /// see those (two fresh links discover their mutual edge from both
-    /// sides); on the per-event path a freshly attached or just-isolated
-    /// slot never has edges, so the extra adjacency probe is skipped there.
-    fn link_conflict_row(&mut self, slot: usize, dedup: bool) {
+    /// current state and links every discovered edge. The slot was just
+    /// attached, so it has no edges yet.
+    fn link_conflict_row(&mut self, slot: usize) {
         self.rows_counter.add(1);
         let link = self.links[slot].expect("linking a live slot");
         let bbox = self.bboxes[slot];
         let row = self.conflict_row(&link, &bbox, slot);
-        // Cover the whole slot table: in a batch, this row may reference
-        // slots allocated after `slot` whose own rows are still pending.
+        // A freshly allocated slot may lie past the overlay's rows.
         self.adj.ensure_capacity(self.links.len());
         for &w in &row {
-            if !dedup || !self.adj.are_adjacent(slot, w) {
-                self.adj.link(slot, w);
-            }
+            self.adj.link(slot, w);
         }
         self.adj.maybe_compact(self.config.compact_slack);
     }
@@ -785,20 +645,6 @@ impl InterferenceEngine {
         self.node_links.get(&node).cloned().unwrap_or_default()
     }
 
-    /// The maintained path-loss state of one live slot, `(power, weight)` —
-    /// the single-slot view of [`InterferenceEngine::cache_parts`], so a
-    /// caller mirroring the live set can patch just the entries an event
-    /// touched instead of re-collecting all of them.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `slot` is out of range (dead slots return the stored
-    /// `None`s, which is what a mirror should hold for them anyway — but
-    /// callers are expected to ask about live slots only).
-    pub fn cache_entry(&self, slot: usize) -> (Option<f64>, Option<f64>) {
-        (self.powers[slot], self.weights[slot])
-    }
-
     /// The patched per-link path-loss state gathered over the live links in
     /// [`InterferenceEngine::links`] order — ready for
     /// [`PathLossCache::from_parts`], so repair probes (like
@@ -964,6 +810,22 @@ mod tests {
         assert!(e.are_adjacent(l0, l1)); // still share node 1
         assert_matches_scratch(&e);
         assert_eq!(e.move_node(99, Point::origin()), 0);
+
+        // A node move that lands one link next to an unannotated one, then
+        // the removal of the other unannotated link.
+        let mut e = engine();
+        e.insert_link_with_nodes(
+            Point::on_line(0.0),
+            Point::on_line(1.0),
+            NodeId(0),
+            NodeId(1),
+        );
+        e.insert_link(Point::on_line(1.4), Point::on_line(2.4));
+        e.insert_link(Point::on_line(30.0), Point::on_line(31.0));
+        assert_eq!(e.move_node(1, Point::on_line(29.5)), 1);
+        assert!(e.are_adjacent(0, 2));
+        e.remove_link(1).unwrap();
+        assert_matches_scratch(&e);
     }
 
     #[test]
@@ -989,89 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_equals_per_event_application() {
-        let ops = vec![
-            BatchOp::Insert {
-                sender: Point::on_line(0.0),
-                receiver: Point::on_line(1.0),
-                sender_node: Some(NodeId(0)),
-                receiver_node: Some(NodeId(1)),
-            },
-            BatchOp::Insert {
-                sender: Point::on_line(1.4),
-                receiver: Point::on_line(2.4),
-                sender_node: None,
-                receiver_node: None,
-            },
-            BatchOp::Insert {
-                sender: Point::on_line(30.0),
-                receiver: Point::on_line(31.0),
-                sender_node: None,
-                receiver_node: None,
-            },
-            BatchOp::MoveNode {
-                node: 1,
-                to: Point::on_line(29.5),
-            },
-            BatchOp::Remove { slot: 1 },
-        ];
-        let mut batched = engine();
-        let inserted = batched.apply_batch(&ops).unwrap();
-        assert_eq!(inserted, vec![0, 1, 2]);
-
-        let mut sequential = engine();
-        sequential.insert_link_with_nodes(
-            Point::on_line(0.0),
-            Point::on_line(1.0),
-            NodeId(0),
-            NodeId(1),
-        );
-        sequential.insert_link(Point::on_line(1.4), Point::on_line(2.4));
-        sequential.insert_link(Point::on_line(30.0), Point::on_line(31.0));
-        sequential.move_node(1, Point::on_line(29.5));
-        sequential.remove_link(1).unwrap();
-
-        assert_eq!(batched.snapshot(), sequential.snapshot());
-        assert_matches_scratch(&batched);
-    }
-
-    #[test]
-    fn apply_batch_recycles_slots_and_reports_errors_in_place() {
-        let mut e = engine();
-        let a = line(&mut e, 0.0, 1.0);
-        // Remove and re-insert in one batch: the insert recycles slot `a`.
-        let inserted = e
-            .apply_batch(&[
-                BatchOp::Remove { slot: a },
-                BatchOp::Insert {
-                    sender: Point::on_line(5.0),
-                    receiver: Point::on_line(6.0),
-                    sender_node: None,
-                    receiver_node: None,
-                },
-            ])
-            .unwrap();
-        assert_eq!(inserted, vec![a]);
-        assert_matches_scratch(&e);
-        // A bad remove fails exactly where the sequential path would, with
-        // the prior operations applied and rows finalised.
-        let err = e
-            .apply_batch(&[
-                BatchOp::Insert {
-                    sender: Point::on_line(10.0),
-                    receiver: Point::on_line(11.0),
-                    sender_node: None,
-                    receiver_node: None,
-                },
-                BatchOp::Remove { slot: 99 },
-            ])
-            .unwrap_err();
-        assert_eq!(err, EngineError::UnknownSlot { slot: 99 });
-        assert_eq!(e.len(), 2);
-        assert_matches_scratch(&e);
-    }
-
-    #[test]
     fn schedule_reuses_engine_state_and_matches_schedule_links() {
         let links: Vec<Link> = (0..60)
             .map(|i| {
@@ -1085,7 +864,8 @@ mod tests {
             let engine =
                 InterferenceEngine::with_links(EngineConfig::for_scheduler(sched_config), &links);
             let via_engine = engine.schedule();
-            let direct = wagg_schedule::solve_static(&engine.links(), sched_config);
+            let direct =
+                wagg_schedule::solve_static(&engine.links(), sched_config, &Recorder::disabled());
             assert_eq!(
                 via_engine, direct,
                 "{mode}: engine path changed the schedule"

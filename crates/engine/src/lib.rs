@@ -59,8 +59,6 @@ pub mod scenario;
 mod classes;
 mod overlay;
 
-pub use engine::{BatchOp, EngineConfig, EngineStats, InterferenceEngine};
+pub use engine::{EngineConfig, EngineStats, InterferenceEngine};
 pub use error::EngineError;
-pub use scenario::{
-    churn_trace, run_trace, run_trace_batched, EngineEvent, EngineTrace, TraceBinding, TraceOutcome,
-};
+pub use scenario::{churn_trace, run_trace, EngineEvent, EngineTrace, TraceBinding, TraceOutcome};

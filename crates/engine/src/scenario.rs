@@ -14,7 +14,7 @@
 //!   (`node i` transmits to `node i − 1`) and every waypoint step becomes a
 //!   [`EngineEvent::MoveNode`], so each event re-seats at most two links.
 
-use crate::engine::{BatchOp, InterferenceEngine};
+use crate::engine::InterferenceEngine;
 use crate::error::EngineError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -298,103 +298,11 @@ pub fn run_trace(
     })
 }
 
-/// Replays a trace in batches of (at most) `batch` events through
-/// [`InterferenceEngine::apply_batch`], so each affected conflict row is
-/// recomputed once per batch instead of once per event — the natural way to
-/// apply a whole simulation step (e.g. one mobility step moves every node;
-/// pass `batch = nodes`). The final engine state is identical to
-/// [`run_trace`] (property-tested), only the maintenance cost differs.
-///
-/// A `Remove` whose key was inserted earlier **in the same pending batch**
-/// forces an early flush (its slot is only known once the batch runs), so
-/// batches never reorder events.
-///
-/// # Errors
-///
-/// Same contract as [`run_trace`]: [`EngineError::UnknownTraceKey`] for
-/// removes of keys that are not live, engine errors propagated.
-///
-/// # Panics
-///
-/// Panics when `batch == 0`.
-pub fn run_trace_batched(
-    engine: &mut InterferenceEngine,
-    trace: &EngineTrace,
-    batch: usize,
-) -> Result<TraceOutcome, EngineError> {
-    assert!(batch > 0, "batch size must be positive");
-    let mut slot_of: HashMap<u64, usize> = HashMap::new();
-    let mut ops: Vec<BatchOp> = Vec::with_capacity(batch);
-    let mut pending_keys: Vec<u64> = Vec::new();
-
-    fn flush(
-        engine: &mut InterferenceEngine,
-        ops: &mut Vec<BatchOp>,
-        pending_keys: &mut Vec<u64>,
-        slot_of: &mut HashMap<u64, usize>,
-    ) -> Result<(), EngineError> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        let slots = engine.apply_batch(ops)?;
-        debug_assert_eq!(slots.len(), pending_keys.len());
-        for (key, slot) in pending_keys.drain(..).zip(slots) {
-            slot_of.insert(key, slot);
-        }
-        ops.clear();
-        Ok(())
-    }
-
-    for event in &trace.events {
-        match *event {
-            EngineEvent::Insert {
-                key,
-                sender,
-                receiver,
-                sender_node,
-                receiver_node,
-            } => {
-                pending_keys.push(key);
-                ops.push(BatchOp::Insert {
-                    sender,
-                    receiver,
-                    sender_node: sender_node.map(NodeId),
-                    receiver_node: receiver_node.map(NodeId),
-                });
-            }
-            EngineEvent::Remove { key } => {
-                if pending_keys.contains(&key) {
-                    flush(engine, &mut ops, &mut pending_keys, &mut slot_of)?;
-                }
-                let Some(slot) = slot_of.remove(&key) else {
-                    // Fail in the same engine state the per-event path
-                    // would: everything before the bad event applied.
-                    flush(engine, &mut ops, &mut pending_keys, &mut slot_of)?;
-                    return Err(EngineError::UnknownTraceKey { key });
-                };
-                ops.push(BatchOp::Remove { slot });
-            }
-            EngineEvent::MoveNode { node, to } => {
-                ops.push(BatchOp::MoveNode { node, to });
-            }
-        }
-        if ops.len() >= batch {
-            flush(engine, &mut ops, &mut pending_keys, &mut slot_of)?;
-        }
-    }
-    flush(engine, &mut ops, &mut pending_keys, &mut slot_of)?;
-    Ok(TraceOutcome {
-        applied: trace.events.len(),
-        final_links: engine.len(),
-        final_edges: engine.edge_count(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use wagg_conflict::ConflictRelation;
+    use wagg_conflict::{ConflictGraph, ConflictRelation};
     use wagg_instances::mobility::{random_waypoint, WaypointConfig};
     use wagg_sinr::{PowerAssignment, SinrModel};
 
@@ -404,6 +312,12 @@ mod tests {
             SinrModel::default(),
             PowerAssignment::mean(),
         ))
+    }
+
+    /// The replayed engine's adjacency equals a fresh build of its links.
+    fn assert_matches_build(e: &InterferenceEngine) {
+        let (links, graph) = e.snapshot();
+        assert_eq!(graph, ConflictGraph::build(&links, e.config().relation));
     }
 
     #[test]
@@ -416,6 +330,7 @@ mod tests {
         assert_eq!(outcome.applied, 70);
         assert_eq!(outcome.final_links, 40); // 15 removes, 15 inserts
         assert_eq!(e.len(), 40);
+        assert_matches_build(&e);
     }
 
     #[test]
@@ -469,6 +384,7 @@ mod tests {
                 l.sender == finals[s] && l.receiver == finals[r]
             });
         assert!(moved, "links did not follow their nodes");
+        assert_matches_build(&e);
     }
 
     #[test]
@@ -516,45 +432,6 @@ mod tests {
                 "node {node} associated to relay {relay}, nearest is {best}"
             );
         }
-        // Batched replay agrees event for event.
-        let mut batched = engine();
-        run_trace_batched(&mut batched, &engine_trace, 9).unwrap();
-        assert_eq!(e.snapshot(), batched.snapshot());
-    }
-
-    #[test]
-    fn batched_replay_matches_per_event_replay() {
-        let trace = churn_trace(60, 50, 9);
-        for batch in [1usize, 3, 16, 200] {
-            let mut per_event = engine();
-            let a = run_trace(&mut per_event, &trace).unwrap();
-            let mut batched = engine();
-            let b = run_trace_batched(&mut batched, &trace, batch).unwrap();
-            assert_eq!(a, b, "outcome differs at batch size {batch}");
-            assert_eq!(
-                per_event.snapshot(),
-                batched.snapshot(),
-                "state differs at batch size {batch}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_replay_handles_mobility_steps() {
-        let trace = random_waypoint(&WaypointConfig {
-            nodes: 10,
-            side: 40.0,
-            speed: 3.0,
-            steps: 6,
-            seed: 4,
-        });
-        let engine_trace = EngineTrace::from_mobility(&trace);
-        let mut per_event = engine();
-        run_trace(&mut per_event, &engine_trace).unwrap();
-        let mut batched = engine();
-        // One batch per mobility step.
-        run_trace_batched(&mut batched, &engine_trace, trace.initial.len()).unwrap();
-        assert_eq!(per_event.snapshot(), batched.snapshot());
     }
 
     #[test]

@@ -172,69 +172,6 @@ proptest! {
         assert_matches_scratch(&engine);
     }
 
-    /// Batched application (`apply_batch` via whole-trace chunks) must land
-    /// in exactly the per-event state: same snapshot graph, same path-loss
-    /// verdicts, for arbitrary traces and batch sizes.
-    #[test]
-    fn batched_application_equals_per_event_application(
-        raw in proptest::collection::vec(
-            (0u8..4, 0.0f64..250.0, 0.0f64..250.0, 0.0f64..std::f64::consts::TAU, 0.2f64..25.0, 0u16..4096),
-            20..90,
-        ),
-        which in 0u8..3,
-        batch in 1usize..40,
-    ) {
-        use wagg_engine::BatchOp;
-        let ops = decode(&raw);
-        let mut per_event = InterferenceEngine::new(config_for(which, 0.25, 0.25));
-        for &op in &ops {
-            apply(&mut per_event, op);
-        }
-        // The same operations as slot-level batch ops. `Remove` picks over
-        // the live slots *at batch-build time*, so resolve each chunk
-        // against the batched engine's state as it evolves.
-        let mut batched = InterferenceEngine::new(config_for(which, 0.25, 0.25));
-        for chunk in ops.chunks(batch) {
-            // A Remove that picks a slot inserted earlier in the same chunk
-            // cannot be expressed without knowing the allocation, so chunks
-            // are resolved op by op against a scouting clone — exactly what
-            // the sequential path sees.
-            let mut scout = batched.clone();
-            let mut batch_ops = Vec::new();
-            for &op in chunk {
-                match op {
-                    Op::Insert { x, y, angle, len, node, half } => {
-                        let sender = Point::new(x, y);
-                        let receiver = Point::new(x + len * angle.cos(), y + len * angle.sin());
-                        let (s, r) = nodes(node, half);
-                        scout.insert_annotated(sender, receiver, s, r);
-                        batch_ops.push(BatchOp::Insert {
-                            sender,
-                            receiver,
-                            sender_node: s,
-                            receiver_node: r,
-                        });
-                    }
-                    Op::Remove { pick } => {
-                        let live = scout.live_slots();
-                        if !live.is_empty() {
-                            let slot = live[pick % live.len()];
-                            scout.remove_link(slot).unwrap();
-                            batch_ops.push(BatchOp::Remove { slot });
-                        }
-                    }
-                    Op::Move { node, x, y } => {
-                        scout.move_node(node, Point::new(x, y));
-                        batch_ops.push(BatchOp::MoveNode { node, to: Point::new(x, y) });
-                    }
-                }
-            }
-            batched.apply_batch(&batch_ops).unwrap();
-        }
-        prop_assert_eq!(per_event.snapshot(), batched.snapshot());
-        assert_matches_scratch(&batched);
-    }
-
     /// The same traces under adversarially small maintenance slacks, so grid
     /// rebuilds and overlay compactions trigger constantly mid-trace.
     #[test]

@@ -286,7 +286,7 @@ mod tests {
     use super::*;
     use wagg_geometry::Point;
     use wagg_instances::random::uniform_square;
-    use wagg_schedule::{solve_static, SchedulerConfig};
+    use wagg_schedule::{solve_static, Recorder, SchedulerConfig};
     use wagg_sinr::NodeId;
 
     fn scheduled_instance(
@@ -297,7 +297,7 @@ mod tests {
         let inst = uniform_square(n, 100.0, seed);
         let links = inst.mst_links().unwrap();
         let config = SchedulerConfig::new(mode);
-        let report = solve_static(&links, config);
+        let report = solve_static(&links, config, &Recorder::disabled());
         (links, report.schedule, config.model)
     }
 

@@ -23,13 +23,13 @@
 //! ```
 //! use wagg_fading::{ArqConvergecast, ArqConfig, FadingModel};
 //! use wagg_instances::random::uniform_square;
-//! use wagg_schedule::{solve_static, PowerMode, SchedulerConfig};
+//! use wagg_schedule::{solve_static, PowerMode, Recorder, SchedulerConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let inst = uniform_square(30, 100.0, 7);
 //! let links = inst.mst_links()?;
 //! let config = SchedulerConfig::new(PowerMode::GlobalControl);
-//! let report = solve_static(&links, config);
+//! let report = solve_static(&links, config, &Recorder::disabled());
 //!
 //! let sim = ArqConvergecast::new(&links, &report.schedule)?;
 //! let outcome = sim.run(&config.model, config.mode, FadingModel::rayleigh(1.0), ArqConfig::default())?;

@@ -66,13 +66,13 @@ impl FadingRateReport {
 /// ```
 /// use wagg_fading::{effective_rate, FadingModel};
 /// use wagg_instances::random::uniform_square;
-/// use wagg_schedule::{solve_static, PowerMode, SchedulerConfig};
+/// use wagg_schedule::{solve_static, PowerMode, Recorder, SchedulerConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let inst = uniform_square(25, 80.0, 3);
 /// let links = inst.mst_links()?;
 /// let config = SchedulerConfig::new(PowerMode::GlobalControl);
-/// let report = solve_static(&links, config);
+/// let report = solve_static(&links, config, &Recorder::disabled());
 /// let fading = effective_rate(
 ///     &links,
 ///     &report.schedule,
@@ -202,13 +202,13 @@ pub fn effective_rate(
 mod tests {
     use super::*;
     use wagg_instances::random::uniform_square;
-    use wagg_schedule::{solve_static, SchedulerConfig};
+    use wagg_schedule::{solve_static, Recorder, SchedulerConfig};
 
     fn scheduled(n: usize, seed: u64, mode: PowerMode) -> (Vec<Link>, Schedule, SinrModel) {
         let inst = uniform_square(n, 100.0, seed);
         let links = inst.mst_links().unwrap();
         let config = SchedulerConfig::new(mode);
-        let report = solve_static(&links, config);
+        let report = solve_static(&links, config, &Recorder::disabled());
         (links, report.schedule, config.model)
     }
 

@@ -14,7 +14,7 @@
 use crate::error::LatencyError;
 use serde::{Deserialize, Serialize};
 use wagg_geometry::Point;
-use wagg_schedule::{solve_static, Schedule, SchedulerConfig};
+use wagg_schedule::{solve_static, Recorder, Schedule, SchedulerConfig};
 use wagg_sinr::{Link, NodeId};
 
 /// A matching-based aggregation tree: the links of every level, in the order
@@ -234,7 +234,7 @@ pub fn schedule_matching_tree(
                 link
             })
             .collect();
-        let report = solve_static(&local, config);
+        let report = solve_static(&local, config, &Recorder::disabled());
         per_level_slots.push(report.schedule.len());
         for slot in report.schedule.slots() {
             slots.push(slot.iter().map(|&i| i + offset).collect());

@@ -85,12 +85,13 @@ pub fn pipeline_depth_bound(links: &[Link]) -> usize {
 /// ```
 /// use wagg_instances::random::grid;
 /// use wagg_latency::measured_latency;
-/// use wagg_schedule::{solve_static, PowerMode, SchedulerConfig};
+/// use wagg_schedule::{solve_static, PowerMode, Recorder, SchedulerConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let inst = grid(4, 4, 1.0);
 /// let links = inst.mst_links()?;
-/// let schedule = solve_static(&links, SchedulerConfig::new(PowerMode::GlobalControl)).schedule;
+/// let config = SchedulerConfig::new(PowerMode::GlobalControl);
+/// let schedule = solve_static(&links, config, &Recorder::disabled()).schedule;
 /// let report = measured_latency(&links, &schedule, 20)?;
 /// assert!(report.mean_latency >= 1.0);
 /// assert!(report.max_latency <= report.depth_bound.max(report.period));
@@ -126,10 +127,10 @@ mod tests {
     use super::*;
     use wagg_instances::chains::uniform_chain;
     use wagg_instances::random::{grid, uniform_square};
-    use wagg_schedule::{solve_static, PowerMode, SchedulerConfig};
+    use wagg_schedule::{solve_static, PowerMode, Recorder, SchedulerConfig};
 
     fn schedule_for(links: &[Link], mode: PowerMode) -> Schedule {
-        solve_static(links, SchedulerConfig::new(mode)).schedule
+        solve_static(links, SchedulerConfig::new(mode), &Recorder::disabled()).schedule
     }
 
     #[test]

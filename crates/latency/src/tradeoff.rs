@@ -7,7 +7,7 @@ use crate::pipeline::measured_latency;
 use serde::{Deserialize, Serialize};
 use wagg_geometry::Point;
 use wagg_mst::euclidean_mst;
-use wagg_schedule::{solve_static, SchedulerConfig};
+use wagg_schedule::{solve_static, Recorder, SchedulerConfig};
 
 /// One point of the rate/latency trade-off: a tree construction together with
 /// its schedule length, rate, and per-frame latency.
@@ -95,7 +95,7 @@ pub fn compare_rate_latency(
     // The MST side.
     let tree = euclidean_mst(points)?;
     let links = tree.try_orient_towards(sink)?;
-    let report = solve_static(&links, config);
+    let report = solve_static(&links, config, &Recorder::disabled());
     let mst_latency = measured_latency(&links, &report.schedule, FRAMES)?;
     let mst = RateLatencyPoint {
         name: "mst".to_string(),

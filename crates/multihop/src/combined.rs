@@ -13,7 +13,7 @@ use crate::range::range_restricted_mst;
 use serde::{Deserialize, Serialize};
 use wagg_geometry::Point;
 use wagg_mst::euclidean_mst;
-use wagg_schedule::{solve_static, PowerMode, Schedule, SchedulerConfig};
+use wagg_schedule::{solve_static, PowerMode, Recorder, Schedule, SchedulerConfig};
 use wagg_sinr::{Link, NodeId, SinrModel};
 
 /// Configuration of the two-tier pipeline.
@@ -142,7 +142,7 @@ impl MultihopPipeline {
             None => euclidean_mst(&self.points)?,
         };
         let baseline_links = baseline_tree.try_orient_towards(self.sink)?;
-        let single_tier = solve_static(&baseline_links, scheduler);
+        let single_tier = solve_static(&baseline_links, scheduler, &Recorder::disabled());
 
         // Tier 1: elect leaders and schedule every cluster's local convergecast.
         let leaders = elect_leaders_mis(&self.points, self.config.cluster_radius)?;
@@ -176,7 +176,7 @@ impl MultihopPipeline {
         let intra_schedule = if intra_links.is_empty() {
             Schedule::new(Vec::new())
         } else {
-            solve_static(&intra_links, scheduler).schedule
+            solve_static(&intra_links, scheduler, &Recorder::disabled()).schedule
         };
 
         // Tier 2: the leader overlay.

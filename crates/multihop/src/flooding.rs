@@ -13,7 +13,7 @@ use crate::leaders::LeaderSet;
 use serde::{Deserialize, Serialize};
 use wagg_geometry::Point;
 use wagg_mst::euclidean_mst;
-use wagg_schedule::{solve_static, Schedule, SchedulerConfig};
+use wagg_schedule::{solve_static, Recorder, Schedule, SchedulerConfig};
 use wagg_sinr::{Link, NodeId};
 
 /// The scheduled leader overlay.
@@ -118,7 +118,7 @@ pub fn flood_schedule(
     let schedule = if links.is_empty() {
         Schedule::new(Vec::new())
     } else {
-        solve_static(&links, config).schedule
+        solve_static(&links, config, &Recorder::disabled()).schedule
     };
 
     let length_ratio = {

@@ -41,15 +41,12 @@
 use crate::layout::conflict_radius_bound;
 use crate::pipeline::{self, ShardPieces};
 use crate::verify::VerifierStrategy;
-use crate::ShardedReport;
 use std::collections::BTreeMap;
 use wagg_engine::{EngineConfig, EngineError, InterferenceEngine};
-use wagg_geometry::logmath::{log_log2, log_star};
 use wagg_geometry::tiling::TileLayout;
 use wagg_geometry::{BoundingBox, Point};
 use wagg_obs::Recorder;
-use wagg_schedule::{Schedule, ScheduleReport, SchedulerConfig};
-use wagg_sinr::link::link_diversity;
+use wagg_schedule::{SchedulerConfig, SolveReport};
 use wagg_sinr::Link;
 
 #[cfg(feature = "parallel")]
@@ -503,7 +500,7 @@ impl PartitionedEngine {
     /// Schedules the current link universe through the sharded pipeline,
     /// reusing every shard engine's incrementally maintained conflict state
     /// (member graphs are engine snapshots — no geometric rebuild).
-    pub fn schedule(&self) -> ShardedReport {
+    pub fn schedule(&self) -> SolveReport {
         let config = self.config.scheduler;
         let root = self.recorder.span("partition");
         let assemble_phase = root.child("assemble");
@@ -561,29 +558,7 @@ impl PartitionedEngine {
             &self.recorder,
         );
         root.finish();
-
-        let diversity = link_diversity(&links).unwrap_or(1.0);
-        let report = ScheduleReport {
-            verified_slots: outcome.slots.len(),
-            coloring_slots: outcome.coloring_slots,
-            schedule: Schedule::new(outcome.slots),
-            diversity,
-            log_star_diversity: log_star(diversity),
-            log_log_diversity: log_log2(diversity),
-            mode: config.mode,
-            num_links: links.len(),
-        };
-        ShardedReport {
-            report,
-            shards: self.engines.len(),
-            radius: self.radius,
-            boundary_links: outcome.boundary_links,
-            repaired_links: outcome.repaired_links,
-            evicted_links: outcome.evicted_links,
-            max_owned: outcome.max_owned,
-            mean_owned: outcome.mean_owned,
-            ghost_fraction: outcome.ghost_fraction,
-        }
+        outcome.into_report(&links, config, self.engines.len(), self.radius)
     }
 }
 
@@ -728,7 +703,7 @@ mod tests {
             assert_eq!(e.boundary, scan, "{context}: counter vs sites");
             assert_eq!(
                 e.boundary_link_count(),
-                e.schedule().boundary_links,
+                e.schedule().sharding.unwrap().boundary_links,
                 "{context}: counter vs pipeline"
             );
         };

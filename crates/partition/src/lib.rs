@@ -27,12 +27,18 @@
 //!   on top of `wagg_engine::InterferenceEngine`, routing each churn event
 //!   to the owning shard and its halo neighbours only.
 //!
+//! Both entry points, [`solve_sharded`] and [`PartitionedEngine::schedule`],
+//! return the `wagg_schedule::SolveReport` every backend returns, tagged
+//! `BackendKind::Sharded`; its `sharding` field carries the decomposition's
+//! accounting (shard count, radius, boundary, repaired and evicted links,
+//! occupancy).
+//!
 //! # Examples
 //!
 //! ```
 //! use wagg_geometry::Point;
 //! use wagg_partition::{solve_sharded, VerifierStrategy};
-//! use wagg_schedule::{PowerMode, SchedulerConfig};
+//! use wagg_schedule::{PowerMode, Recorder, SchedulerConfig};
 //! use wagg_sinr::Link;
 //!
 //! let links: Vec<Link> = (0..100)
@@ -43,8 +49,9 @@
 //!     })
 //!     .collect();
 //! let config = SchedulerConfig::new(PowerMode::mean_oblivious());
-//! let sharded = solve_sharded(&links, config, 4, VerifierStrategy::default());
-//! assert!(sharded.shards >= 4);
+//! let rec = Recorder::disabled();
+//! let sharded = solve_sharded(&links, config, 4, VerifierStrategy::default(), &rec);
+//! assert!(sharded.sharding.expect("sharded runs carry their stats").shards >= 4);
 //! assert!(sharded.report.schedule.is_partition(links.len()));
 //! assert!(sharded.report.schedule.verify(&links, &config.model, config.mode));
 //! ```
@@ -62,62 +69,9 @@ pub use engine::{PartitionedEngine, PartitionedEngineConfig, PartitionedStats};
 pub use layout::{conflict_radius_bound, max_conflict_radius, PartitionLayout};
 pub use verify::{AffectanceVerifier, VerifierStrategy};
 
-use serde::{Deserialize, Serialize};
-use wagg_geometry::logmath::{log_log2, log_star};
 use wagg_obs::Recorder;
-use wagg_schedule::{BackendKind, Schedule, ScheduleReport, SchedulerConfig, SolveReport};
-use wagg_sinr::link::link_diversity;
+use wagg_schedule::{SchedulerConfig, SolveReport};
 use wagg_sinr::Link;
-
-/// The outcome of a sharded scheduling run: the regular [`ScheduleReport`]
-/// plus the decomposition's own accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardedReport {
-    /// The stitched, verified schedule and the usual analysis quantities.
-    pub report: ScheduleReport,
-    /// Number of shards actually realised (the halo-derived minimum tile
-    /// side may cap the requested count).
-    pub shards: usize,
-    /// The conflict radius the tiling was sized for.
-    pub radius: f64,
-    /// Links ghosted into at least one neighbouring shard.
-    pub boundary_links: usize,
-    /// Boundary links the stitching repair sweep recolored.
-    pub repaired_links: usize,
-    /// Links the global verification pass evicted and re-packed.
-    pub evicted_links: usize,
-    /// Largest per-shard owned-link count (the imbalance numerator).
-    pub max_owned: usize,
-    /// Mean per-shard owned-link count.
-    pub mean_owned: f64,
-    /// Ghost copies per owned link — the halo replication overhead.
-    pub ghost_fraction: f64,
-}
-
-impl From<ShardedReport> for SolveReport {
-    /// Lossless: the full [`ScheduleReport`] is embedded and the sharded
-    /// accounting lands in [`wagg_schedule::ShardingStats`], tagged with
-    /// [`BackendKind::Sharded`] provenance.
-    fn from(sharded: ShardedReport) -> Self {
-        SolveReport {
-            report: sharded.report,
-            backend: BackendKind::Sharded,
-            sharding: Some(wagg_schedule::ShardingStats {
-                shards: sharded.shards,
-                radius: sharded.radius,
-                boundary_links: sharded.boundary_links,
-                repaired_links: sharded.repaired_links,
-                evicted_links: sharded.evicted_links,
-                max_owned: sharded.max_owned,
-                mean_owned: sharded.mean_owned,
-                ghost_fraction: sharded.ghost_fraction,
-            }),
-            repair: None,
-            metrics: None,
-            health: None,
-        }
-    }
-}
 
 /// The sharded scheduling pipeline: tiles the link set by [`PartitionLayout`],
 /// schedules each shard independently (see the [crate docs](self)), stitches,
@@ -133,6 +87,14 @@ impl From<ShardedReport> for SolveReport {
 /// `is_feasible_by_affectance` under every strategy, which the differential
 /// test battery pins; a pyramid depth of 1 is the flat-grid baseline, the
 /// default descends the aggregation pyramid.
+///
+/// The report is tagged [`BackendKind::Sharded`](wagg_schedule::BackendKind)
+/// and carries the decomposition's [`ShardingStats`](wagg_schedule::ShardingStats).
+/// The run records a `partition` span with `build` / `color` / `stitch` /
+/// `verify` children (per-shard `shard` sub-spans inside build and color),
+/// the `partition.*` occupancy and stitching counters, and the `verifier.*`
+/// work counters on `rec` (see `wagg-obs`); a disabled recorder records
+/// nothing.
 ///
 /// This is the primitive `wagg_core::session::Session`'s sharded backend
 /// wraps; application code should schedule through the session, which also
@@ -150,29 +112,8 @@ pub fn solve_sharded(
     config: SchedulerConfig,
     target_shards: usize,
     strategy: VerifierStrategy,
-) -> ShardedReport {
-    solve_sharded_traced(
-        links,
-        config,
-        target_shards,
-        strategy,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`solve_sharded`] with phase instrumentation: records a `partition` span
-/// with `build` / `color` / `stitch` / `verify` children (per-shard `shard`
-/// sub-spans inside build and color), the `partition.*` occupancy and
-/// stitching counters, and the `verifier.*` work counters on `rec` (see
-/// `wagg-obs`). With a disabled recorder, this is exactly
-/// [`solve_sharded`].
-pub fn solve_sharded_traced(
-    links: &[Link],
-    config: SchedulerConfig,
-    target_shards: usize,
-    strategy: VerifierStrategy,
     rec: &Recorder,
-) -> ShardedReport {
+) -> SolveReport {
     assert!(target_shards > 0, "need at least one shard");
     let root = rec.span("partition");
     let relation = config.mode.conflict_relation(config.model.alpha());
@@ -198,40 +139,20 @@ pub fn solve_sharded_traced(
             owner_of[piece.member_globals[local]] = (pi as u32, local as u32);
         }
     }
-    let outcome = pipeline::schedule_pieces(
+    let mut outcome = pipeline::schedule_pieces(
         &plinks, &pieces, &boundary, &owner_of, config, strategy, rec,
     );
 
     // Back to the caller's indices; degenerate links close the schedule as
     // singleton slots.
-    let mut slots: Vec<Vec<usize>> = outcome
-        .slots
-        .into_iter()
-        .map(|slot| slot.into_iter().map(|i| positive[i]).collect())
-        .collect();
-    slots.extend(degenerate.iter().map(|&d| vec![d]));
-
-    let diversity = link_diversity(links).unwrap_or(1.0);
-    let report = ScheduleReport {
-        verified_slots: slots.len(),
-        coloring_slots: outcome.coloring_slots + degenerate.len(),
-        schedule: Schedule::new(slots),
-        diversity,
-        log_star_diversity: log_star(diversity),
-        log_log_diversity: log_log2(diversity),
-        mode: config.mode,
-        num_links: links.len(),
-    };
-    root.finish();
-    ShardedReport {
-        report,
-        shards: layout.shards(),
-        radius: layout.radius(),
-        boundary_links: outcome.boundary_links,
-        repaired_links: outcome.repaired_links,
-        evicted_links: outcome.evicted_links,
-        max_owned: outcome.max_owned,
-        mean_owned: outcome.mean_owned,
-        ghost_fraction: outcome.ghost_fraction,
+    for slot in &mut outcome.slots {
+        for i in slot.iter_mut() {
+            *i = positive[*i];
+        }
     }
+    outcome.slots.extend(degenerate.iter().map(|&d| vec![d]));
+    outcome.coloring_slots += degenerate.len();
+    let report = outcome.into_report(links, config, layout.shards(), layout.radius());
+    root.finish();
+    report
 }

@@ -4,7 +4,8 @@
 //! Both entry points — the static [`solve_sharded`](crate::solve_sharded)
 //! and [`PartitionedEngine::schedule`](crate::PartitionedEngine::schedule) —
 //! reduce their state to the same inputs ([`ShardPieces`] per shard plus
-//! global boundary/ownership maps) and run [`schedule_pieces`]:
+//! global boundary/ownership maps), run [`schedule_pieces`] and return
+//! [`PipelineOutcome::into_report`]:
 //!
 //! 1. **Color** every shard independently: the owned-only restriction of the
 //!    shard's member graph (owned + ghost links) goes through
@@ -42,7 +43,11 @@ use crate::layout::PartitionLayout;
 use crate::verify::{AffectanceVerifier, VerifierStrategy};
 use wagg_conflict::{ConflictGraph, ConflictRelation};
 use wagg_obs::Recorder;
-use wagg_schedule::{schedule_prebuilt, split_class_into_feasible, SchedulerConfig};
+use wagg_schedule::{
+    schedule_prebuilt, split_class_into_feasible, BackendKind, ScheduleReport, SchedulerConfig,
+    ShardingStats, SolveReport,
+};
+use wagg_sinr::link::link_diversity;
 use wagg_sinr::{Link, PathLossCache};
 
 #[cfg(feature = "parallel")]
@@ -85,6 +90,41 @@ pub(crate) struct PipelineOutcome {
     /// divided by the owned total (0.0 for an empty universe) — the halo
     /// replication overhead of the tiling.
     pub ghost_fraction: f64,
+}
+
+impl PipelineOutcome {
+    /// The sharded [`SolveReport`] of these slots over `links` (the link
+    /// set `slots` indexes), scheduled under `config` on `shards` tiles
+    /// sized for conflict radius `radius`.
+    pub(crate) fn into_report(
+        self,
+        links: &[Link],
+        config: SchedulerConfig,
+        shards: usize,
+        radius: f64,
+    ) -> SolveReport {
+        let diversity = link_diversity(links).unwrap_or(1.0);
+        let report = ScheduleReport::new(
+            self.slots,
+            self.coloring_slots,
+            diversity,
+            config.mode,
+            links.len(),
+        );
+        SolveReport {
+            sharding: Some(ShardingStats {
+                shards,
+                radius,
+                boundary_links: self.boundary_links,
+                repaired_links: self.repaired_links,
+                evicted_links: self.evicted_links,
+                max_owned: self.max_owned,
+                mean_owned: self.mean_owned,
+                ghost_fraction: self.ghost_fraction,
+            }),
+            ..SolveReport::new(report, BackendKind::Sharded)
+        }
+    }
 }
 
 /// Builds every shard's [`ShardPieces`] from a [`PartitionLayout`]: member

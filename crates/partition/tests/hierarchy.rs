@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use wagg_geometry::Point;
 use wagg_partition::{solve_sharded, AffectanceVerifier, VerifierStrategy};
-use wagg_schedule::{PowerMode, SchedulerConfig};
+use wagg_schedule::{PowerMode, Recorder, SchedulerConfig};
 use wagg_sinr::affectance::is_feasible_by_affectance;
 use wagg_sinr::{Link, PathLossCache, SinrModel};
 
@@ -100,7 +100,7 @@ proptest! {
         let config = SchedulerConfig::new(PowerMode::mean_oblivious());
         let assignment = config.mode.assignment().expect("fixed mode");
         for shards in [1usize, 4, 9] {
-            let flat = solve_sharded(&links, config, shards, FLAT);
+            let flat = solve_sharded(&links, config, shards, FLAT, &Recorder::disabled());
             prop_assert!(flat.report.schedule.is_partition(links.len()));
             for slot in flat.report.schedule.slots() {
                 let slot_links: Vec<Link> = slot.iter().map(|&i| links[i]).collect();
@@ -110,7 +110,7 @@ proptest! {
                 );
             }
             for strategy in strategy_matrix() {
-                let sharded = solve_sharded(&links, config, shards, strategy);
+                let sharded = solve_sharded(&links, config, shards, strategy, &Recorder::disabled());
                 prop_assert_eq!(
                     &sharded, &flat,
                     "strategy {:?} diverged from flat at {} shards", strategy, shards
@@ -135,7 +135,7 @@ fn dense_grid_instance_schedules_identically_across_the_matrix() {
     let config = SchedulerConfig::new(PowerMode::mean_oblivious());
     let assignment = config.mode.assignment().expect("fixed mode");
     for shards in [1usize, 4, 16] {
-        let flat = solve_sharded(&links, config, shards, FLAT);
+        let flat = solve_sharded(&links, config, shards, FLAT, &Recorder::disabled());
         assert!(flat.report.schedule.is_partition(links.len()));
         for slot in flat.report.schedule.slots() {
             let slot_links: Vec<Link> = slot.iter().map(|&i| links[i]).collect();
@@ -146,7 +146,7 @@ fn dense_grid_instance_schedules_identically_across_the_matrix() {
             ));
         }
         for strategy in strategy_matrix() {
-            let sharded = solve_sharded(&links, config, shards, strategy);
+            let sharded = solve_sharded(&links, config, shards, strategy, &Recorder::disabled());
             assert_eq!(
                 sharded, flat,
                 "{strategy:?} diverged from flat at {shards} shards"

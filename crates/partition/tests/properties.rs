@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use wagg_geometry::Point;
 use wagg_partition::{solve_sharded, PartitionLayout, VerifierStrategy};
-use wagg_schedule::{solve_static, PowerMode, SchedulerConfig};
+use wagg_schedule::{solve_static, PowerMode, Recorder, SchedulerConfig};
 use wagg_sinr::affectance::is_feasible_by_affectance;
 use wagg_sinr::Link;
 
@@ -32,7 +32,13 @@ fn decode_links(raw: &[(f64, f64, f64, f64)]) -> Vec<Link> {
 }
 
 fn assert_sharded_invariants(links: &[Link], config: SchedulerConfig, shards: usize) {
-    let sharded = solve_sharded(links, config, shards, VerifierStrategy::default());
+    let sharded = solve_sharded(
+        links,
+        config,
+        shards,
+        VerifierStrategy::default(),
+        &Recorder::disabled(),
+    );
     let schedule = &sharded.report.schedule;
     assert!(
         schedule.is_partition(links.len()),
@@ -109,8 +115,8 @@ proptest! {
         prop_assert_eq!(&a, &b);
         // Scheduling twice gives the identical report.
         let config = SchedulerConfig::new(PowerMode::mean_oblivious());
-        let r1 = solve_sharded(&links, config, shards, VerifierStrategy::default());
-        let r2 = solve_sharded(&links, config, shards, VerifierStrategy::default());
+        let r1 = solve_sharded(&links, config, shards, VerifierStrategy::default(), &Recorder::disabled());
+        let r2 = solve_sharded(&links, config, shards, VerifierStrategy::default(), &Recorder::disabled());
         prop_assert_eq!(r1, r2);
     }
 
@@ -125,8 +131,8 @@ proptest! {
         let links = decode_links(&raw);
         for mode in [PowerMode::Uniform, PowerMode::mean_oblivious(), PowerMode::GlobalControl] {
             let config = SchedulerConfig::new(mode).with_verification(false);
-            let sharded = solve_sharded(&links, config, 1, VerifierStrategy::default());
-            let direct = solve_static(&links, config);
+            let sharded = solve_sharded(&links, config, 1, VerifierStrategy::default(), &Recorder::disabled());
+            let direct = solve_static(&links, config, &Recorder::disabled());
             prop_assert_eq!(
                 &sharded.report.schedule, &direct.schedule,
                 "mode {} diverged at one shard", mode
@@ -147,7 +153,13 @@ fn degenerate_links_get_singleton_slots() {
     ]);
     links.push(Link::new(3, Point::new(10.0, 10.0), Point::new(10.0, 10.0)));
     let config = SchedulerConfig::new(PowerMode::mean_oblivious());
-    let sharded = solve_sharded(&links, config, 4, VerifierStrategy::default());
+    let sharded = solve_sharded(
+        &links,
+        config,
+        4,
+        VerifierStrategy::default(),
+        &Recorder::disabled(),
+    );
     let schedule = &sharded.report.schedule;
     assert!(schedule.is_partition(links.len()));
     let degenerate_slot = schedule
@@ -170,14 +182,21 @@ fn dense_boundary_strips_still_schedule_feasibly() {
         .collect();
     let config = SchedulerConfig::new(PowerMode::mean_oblivious());
     for shards in [4usize, 16, 64] {
-        let sharded = solve_sharded(&links, config, shards, VerifierStrategy::default());
+        let sharded = solve_sharded(
+            &links,
+            config,
+            shards,
+            VerifierStrategy::default(),
+            &Recorder::disabled(),
+        );
         assert!(sharded.report.schedule.is_partition(links.len()));
         assert!(sharded
             .report
             .schedule
             .verify(&links, &config.model, config.mode));
-        if sharded.shards > 1 {
-            assert!(sharded.boundary_links > 0, "{shards}: no boundary links?");
+        let stats = sharded.sharding.unwrap();
+        if stats.shards > 1 {
+            assert!(stats.boundary_links > 0, "{shards}: no boundary links?");
         }
     }
 }

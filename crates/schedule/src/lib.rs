@@ -37,6 +37,7 @@ pub use repair::{
 pub use report::{BackendKind, ShardingStats, SolveReport};
 pub use schedule::Schedule;
 pub use scheduler::{
-    schedule_prebuilt, schedule_prebuilt_traced, solve_static, solve_static_traced,
-    split_class_into_feasible, ScheduleReport, SchedulerConfig,
+    schedule_prebuilt, schedule_prebuilt_traced, solve_static, split_class_into_feasible,
+    ScheduleReport, SchedulerConfig,
 };
+pub use wagg_obs::Recorder;

@@ -42,10 +42,8 @@
 //! [`split_class_into_feasible`]: crate::scheduler::split_class_into_feasible
 //! [`PowerMode::slot_feasible`]: crate::PowerMode::slot_feasible
 
-use crate::schedule::Schedule;
 use crate::scheduler::{slot_ok, ScheduleReport, SchedulerConfig};
 use serde::{Deserialize, Serialize};
-use wagg_geometry::logmath::{log_log2, log_star};
 use wagg_obs::Recorder;
 pub use wagg_obs::RepairDecision;
 use wagg_sinr::{Link, PathLossCache};
@@ -611,16 +609,7 @@ pub fn solve_repair<J: SlotJudge + ?Sized>(
         kept += 1;
     }
     slots.retain(|s| !s.is_empty());
-    let report = ScheduleReport {
-        verified_slots: slots.len(),
-        coloring_slots: slots.len(),
-        schedule: Schedule::new(slots.clone()),
-        diversity,
-        log_star_diversity: log_star(diversity),
-        log_log_diversity: log_log2(diversity),
-        mode: config.mode,
-        num_links: n,
-    };
+    let report = ScheduleReport::new(slots.clone(), slots.len(), diversity, config.mode, n);
     // The report keeps admission order; the index goes back to ascending
     // positions, the order the next repair's probes must visit. A slot's
     // admissions are its tail (appended after its ascending clean
@@ -728,7 +717,7 @@ mod tests {
     fn no_dirt_reproduces_the_previous_schedule() {
         let links = chain(24, 5.0);
         let config = SchedulerConfig::new(PowerMode::mean_oblivious());
-        let full = solve_static(&links, config);
+        let full = solve_static(&links, config, &Recorder::disabled());
         let prev = colors_of(&full, links.len());
         let (graph, cache) = harness(&links, config);
         let judge = CacheJudge::new(&links, config, cache.as_ref());
@@ -751,7 +740,7 @@ mod tests {
             PowerMode::GlobalControl,
         ] {
             let config = SchedulerConfig::new(mode);
-            let full = solve_static(&links, config);
+            let full = solve_static(&links, config, &Recorder::disabled());
             let mut prev = colors_of(&full, links.len());
             prev[20] = None;
             let (graph, cache) = harness(&links, config);
@@ -810,7 +799,7 @@ mod tests {
     fn verification_disabled_places_by_graph_alone() {
         let links = chain(12, 1.2);
         let config = SchedulerConfig::new(PowerMode::Uniform).with_verification(false);
-        let full = solve_static(&links, config);
+        let full = solve_static(&links, config, &Recorder::disabled());
         let mut prev = colors_of(&full, links.len());
         prev[7] = None;
         let (graph, _) = harness(&links, config);
@@ -864,7 +853,10 @@ mod tests {
             PowerMode::GlobalControl,
         ] {
             let config = SchedulerConfig::new(mode);
-            let mut prev = colors_of(&solve_static(&cluster, config), cluster.len());
+            let mut prev = colors_of(
+                &solve_static(&cluster, config, &Recorder::disabled()),
+                cluster.len(),
+            );
             prev[20] = None;
             cases.push((cluster.clone(), config, prev));
         }

@@ -1,22 +1,17 @@
 //! The unified solve report: one output type for every scheduling backend.
 //!
-//! The workspace grew four generations of scheduling machinery (the static
-//! kernel, the incremental engine, the sharded pipeline, the hierarchical
-//! verifier) and with them two incompatible report types — the static/engine
-//! paths returned [`ScheduleReport`], the sharded path its own wrapper. The
-//! [`SolveReport`] defined here is the single outcome type the session facade
-//! (`wagg_core::session::Session`) returns from every backend: the full
-//! [`ScheduleReport`] (nothing is dropped), the backend that produced it, and
-//! the sharding accounting when a decomposition ran.
+//! [`SolveReport`] is what every backend behind the session facade
+//! (`wagg_core::session::Session`) returns: the full [`ScheduleReport`]
+//! (nothing is dropped), the backend that produced it, and the sharding
+//! accounting when a decomposition ran.
 //!
-//! Both legacy report types convert in losslessly:
-//!
-//! * [`ScheduleReport`] via `From` (static/engine provenance is supplied by
-//!   the converting backend; the plain `From` impl tags
-//!   [`BackendKind::Static`]),
-//! * `wagg_partition::ShardedReport` via the `From` impl living in
-//!   `wagg-partition` (tags [`BackendKind::Sharded`] and fills
-//!   [`ShardingStats`]).
+//! The static kernel and the incremental engine produce a bare
+//! [`ScheduleReport`]; `From` wraps one with [`BackendKind::Static`]
+//! provenance, and [`SolveReport::new`] takes any other. The sharded
+//! pipeline (`wagg_partition::solve_sharded` and
+//! `wagg_partition::PartitionedEngine::schedule`) returns a [`SolveReport`]
+//! directly, tagged [`BackendKind::Sharded`] and carrying its
+//! [`ShardingStats`].
 //!
 //! [`SolveReport::summary`] renders the one-line report format every bench
 //! and profiling binary prints. The report's persisted form is
@@ -57,8 +52,7 @@ pub struct ShardingStats {
 /// decomposition accounting. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolveReport {
-    /// The verified schedule and the paper's analysis quantities — exactly
-    /// what the legacy entry points returned, nothing dropped.
+    /// The verified schedule and the paper's analysis quantities.
     pub report: ScheduleReport,
     /// The backend that produced the schedule.
     pub backend: BackendKind,
@@ -223,7 +217,7 @@ impl From<ScheduleReport> for SolveReport {
 mod tests {
     use super::*;
     use crate::scheduler::solve_static;
-    use crate::{RepairDecision, SchedulerConfig};
+    use crate::{Recorder, RepairDecision, SchedulerConfig};
     use wagg_geometry::Point;
     use wagg_obs::{
         CounterMetric, HealthSignal, Histogram, HistogramMetric, PhaseMetric, SignalKind,
@@ -240,9 +234,17 @@ mod tests {
             .collect()
     }
 
+    fn sample_report() -> ScheduleReport {
+        solve_static(
+            &sample_links(),
+            SchedulerConfig::default(),
+            &Recorder::disabled(),
+        )
+    }
+
     #[test]
     fn from_schedule_report_is_lossless() {
-        let report = solve_static(&sample_links(), SchedulerConfig::default());
+        let report = sample_report();
         let solve: SolveReport = report.clone().into();
         assert_eq!(solve.report, report);
         assert_eq!(solve.backend, BackendKind::Static);
@@ -254,7 +256,7 @@ mod tests {
 
     #[test]
     fn summary_is_uniform_across_backends() {
-        let report = solve_static(&sample_links(), SchedulerConfig::default());
+        let report = sample_report();
         let solve = SolveReport::new(report.clone(), BackendKind::Engine);
         let line = solve.summary();
         assert!(line.starts_with("[engine] 24 links -> "), "{line}");
@@ -287,7 +289,7 @@ mod tests {
 
     #[test]
     fn summary_appends_repair_accounting_when_present() {
-        let report = solve_static(&sample_links(), SchedulerConfig::default());
+        let report = sample_report();
         let solve = SolveReport::new(report, BackendKind::Engine).with_repair(RepairStats {
             decision: RepairDecision::Repaired,
             dirty_links: 3,
@@ -307,7 +309,7 @@ mod tests {
     fn empty_health_reports_are_dropped() {
         // A recorder-less session attaches the empty report; the result
         // must be identical to a flight-recorder-off run.
-        let solve = SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()));
+        let solve = SolveReport::from(sample_report());
         let attached = solve.clone().with_health(HealthReport::default());
         assert_eq!(attached, solve);
     }
@@ -346,7 +348,7 @@ mod tests {
                 since: 7,
             }],
         };
-        let solve = SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()))
+        let solve = SolveReport::from(sample_report())
             .with_metrics(metrics)
             .with_health(health);
         let line = solve.summary();
@@ -369,7 +371,7 @@ mod tests {
         // A disabled-recorder run yields an empty snapshot;
         // attaching it must leave the report identical to an
         // uninstrumented run.
-        let solve = SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()));
+        let solve = SolveReport::from(sample_report());
         let attached = solve.clone().with_metrics(Metrics::default());
         assert_eq!(attached, solve);
     }
@@ -403,8 +405,7 @@ mod tests {
                 },
             }],
         };
-        let solve = SolveReport::from(solve_static(&sample_links(), SchedulerConfig::default()))
-            .with_metrics(metrics.clone());
+        let solve = SolveReport::from(sample_report()).with_metrics(metrics.clone());
         assert_eq!(solve.metrics.as_ref(), Some(&metrics));
         let m = solve.metrics.as_ref().expect("non-empty metrics are kept");
         assert_eq!(m.phase("static/color").unwrap().nanos, 17_500);

@@ -76,6 +76,28 @@ pub struct ScheduleReport {
 }
 
 impl ScheduleReport {
+    /// The report of `slots` over `num_links` links scheduled for `mode`:
+    /// `verified_slots` is the number of slots, and the two bound shapes
+    /// are derived from `diversity`.
+    pub fn new(
+        slots: Vec<Vec<usize>>,
+        coloring_slots: usize,
+        diversity: f64,
+        mode: PowerMode,
+        num_links: usize,
+    ) -> Self {
+        ScheduleReport {
+            verified_slots: slots.len(),
+            schedule: Schedule::new(slots),
+            coloring_slots,
+            diversity,
+            log_star_diversity: log_star(diversity),
+            log_log_diversity: log_log2(diversity),
+            mode,
+            num_links,
+        }
+    }
+
     /// The achieved aggregation rate `1 / slots`.
     pub fn rate(&self) -> f64 {
         self.schedule.rate()
@@ -91,38 +113,31 @@ impl ScheduleReport {
 /// wraps. Application code should schedule through the session (which also
 /// offers the incremental and sharded execution strategies behind the same
 /// surface); substrate crates *below* the facade (multihop, latency, fading)
-/// call this directly.
+/// call this directly, with `Recorder::disabled()` when they record nothing.
+///
+/// The conflict-graph build records its `conflict/*` phase spans and the
+/// coloring/verification pass records `static/color` / `static/verify` on
+/// `rec` (see `wagg-obs`); a disabled recorder records nothing.
 ///
 /// # Examples
 ///
 /// ```
 /// use wagg_geometry::Point;
 /// use wagg_sinr::Link;
-/// use wagg_schedule::{solve_static, PowerMode, SchedulerConfig};
+/// use wagg_schedule::{solve_static, PowerMode, Recorder, SchedulerConfig};
 ///
 /// let links = vec![
 ///     Link::new(0, Point::new(0.0, 0.0), Point::new(1.0, 0.0)),
 ///     Link::new(1, Point::new(10.0, 0.0), Point::new(11.0, 0.0)),
 ///     Link::new(2, Point::new(20.0, 0.0), Point::new(21.0, 0.0)),
 /// ];
-/// let report = solve_static(&links, SchedulerConfig::new(PowerMode::Uniform));
+/// let config = SchedulerConfig::new(PowerMode::Uniform);
+/// let report = solve_static(&links, config, &Recorder::disabled());
 /// // Three well-separated unit links fit in a single slot.
 /// assert_eq!(report.schedule.len(), 1);
-/// assert!(report.schedule.verify(&links, &SchedulerConfig::new(PowerMode::Uniform).model, PowerMode::Uniform));
+/// assert!(report.schedule.verify(&links, &config.model, PowerMode::Uniform));
 /// ```
-pub fn solve_static(links: &[Link], config: SchedulerConfig) -> ScheduleReport {
-    solve_static_traced(links, config, &Recorder::disabled())
-}
-
-/// [`solve_static`] with phase instrumentation: the conflict-graph build
-/// records its `conflict/*` phase spans and the coloring/verification pass
-/// records `static/color` / `static/verify` on `rec` (see `wagg-obs`). With
-/// a disabled recorder, this is exactly [`solve_static`].
-pub fn solve_static_traced(
-    links: &[Link],
-    config: SchedulerConfig,
-    rec: &Recorder,
-) -> ScheduleReport {
+pub fn solve_static(links: &[Link], config: SchedulerConfig, rec: &Recorder) -> ScheduleReport {
     let relation = config.mode.conflict_relation(config.model.alpha());
     let graph = ConflictGraph::build_traced(links, relation, rec);
     schedule_prebuilt_traced(&graph, None, config, rec)
@@ -136,8 +151,8 @@ pub fn solve_static_traced(
 /// they materialise their patched adjacency into a [`ConflictGraph`] snapshot
 /// and lend their patched per-link path-loss state as `cache`, so rescheduling
 /// performs no geometric work beyond the coloring and the slot probes
-/// themselves. [`solve_static`] is exactly `schedule_prebuilt(&build(..),
-/// None, config)`.
+/// themselves. Under a disabled recorder, [`solve_static`] is exactly
+/// `schedule_prebuilt(&build(..), None, config)`.
 ///
 /// When `cache` is `None` and the power mode has a fixed assignment (and the
 /// model is noise-free), the cache is built **once** here and shared across
@@ -220,16 +235,7 @@ pub fn schedule_prebuilt_traced(
     rec.add("static.verified_slots", slots.len() as u64);
 
     let diversity = link_diversity(links).unwrap_or(1.0);
-    ScheduleReport {
-        verified_slots: slots.len(),
-        schedule: Schedule::new(slots),
-        coloring_slots,
-        diversity,
-        log_star_diversity: log_star(diversity),
-        log_log_diversity: log_log2(diversity),
-        mode: config.mode,
-        num_links: links.len(),
-    }
+    ScheduleReport::new(slots, coloring_slots, diversity, config.mode, links.len())
 }
 
 /// The shared slot-probe cache for fixed power assignments under a noise-free
@@ -352,7 +358,7 @@ mod tests {
     use wagg_sinr::PowerAssignment;
 
     fn check_report(links: &[Link], config: SchedulerConfig) -> ScheduleReport {
-        let report = solve_static(links, config);
+        let report = solve_static(links, config, &Recorder::disabled());
         assert!(report.schedule.is_partition(links.len()));
         assert!(report.schedule.verify(links, &config.model, config.mode));
         assert!(report.verified_slots >= report.coloring_slots.min(report.verified_slots));
@@ -361,7 +367,7 @@ mod tests {
 
     #[test]
     fn empty_link_set_gives_empty_schedule() {
-        let report = solve_static(&[], SchedulerConfig::default());
+        let report = solve_static(&[], SchedulerConfig::default(), &Recorder::disabled());
         assert!(report.schedule.is_empty());
         assert_eq!(report.num_links, 0);
         assert_eq!(report.diversity, 1.0);
@@ -461,7 +467,7 @@ mod tests {
         let inst = uniform_square(32, 50.0, 9);
         let links = inst.mst_links().unwrap();
         let config = SchedulerConfig::new(PowerMode::GlobalControl).with_verification(false);
-        let report = solve_static(&links, config);
+        let report = solve_static(&links, config, &Recorder::disabled());
         assert_eq!(report.coloring_slots, report.schedule.len());
         assert!(report.schedule.is_partition(links.len()));
     }
@@ -475,7 +481,11 @@ mod tests {
             .unwrap()
             .try_orient_towards(7)
             .unwrap();
-        let report = solve_static(&links, SchedulerConfig::new(PowerMode::mean_oblivious()));
+        let report = solve_static(
+            &links,
+            SchedulerConfig::new(PowerMode::mean_oblivious()),
+            &Recorder::disabled(),
+        );
         assert_eq!(report.num_links, 14);
         assert!(report.schedule.is_partition(14));
         assert!(report.rate() > 0.0);
@@ -491,7 +501,7 @@ mod tests {
             PowerMode::GlobalControl,
         ] {
             let config = SchedulerConfig::new(mode);
-            let direct = solve_static(&links, config);
+            let direct = solve_static(&links, config, &Recorder::disabled());
             let graph = ConflictGraph::build(&links, mode.conflict_relation(config.model.alpha()));
             let prebuilt = schedule_prebuilt(&graph, None, config);
             assert_eq!(
@@ -660,7 +670,11 @@ mod tests {
     fn report_diversity_fields_are_consistent() {
         let inst = exponential_chain(10, 2.0).unwrap();
         let links = inst.mst_links().unwrap();
-        let report = solve_static(&links, SchedulerConfig::new(PowerMode::GlobalControl));
+        let report = solve_static(
+            &links,
+            SchedulerConfig::new(PowerMode::GlobalControl),
+            &Recorder::disabled(),
+        );
         assert!(report.diversity >= 1.0);
         assert_eq!(report.log_star_diversity, log_star(report.diversity));
         assert!((report.log_log_diversity - log_log2(report.diversity)).abs() < 1e-12);

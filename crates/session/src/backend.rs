@@ -32,11 +32,10 @@ use std::collections::HashMap;
 use wagg_engine::{EngineConfig, InterferenceEngine};
 use wagg_obs::Recorder;
 use wagg_partition::{
-    solve_sharded_traced, AffectanceVerifier, PartitionedEngine, PartitionedEngineConfig,
-    VerifierStrategy,
+    solve_sharded, AffectanceVerifier, PartitionedEngine, PartitionedEngineConfig, VerifierStrategy,
 };
 use wagg_schedule::{
-    solve_static_traced, BackendKind, CacheJudge, RepairDecision, RepairOutcome, RepairStats,
+    solve_static, BackendKind, CacheJudge, RepairDecision, RepairOutcome, RepairStats,
     SchedulerConfig, ShardingStats, SlotIndex, SlotJudge, SolveReport,
 };
 use wagg_sinr::{Link, PathLossCache};
@@ -271,7 +270,7 @@ impl Solver for StaticBackend {
     }
 
     fn solve(&self, universe: &Universe, rec: &Recorder) -> SolveReport {
-        solve_static_traced(universe.links(), self.scheduler, rec).into()
+        solve_static(universe.links(), self.scheduler, rec).into()
     }
 }
 
@@ -292,14 +291,13 @@ impl Solver for ShardedBackend {
     }
 
     fn solve(&self, universe: &Universe, rec: &Recorder) -> SolveReport {
-        solve_sharded_traced(
+        solve_sharded(
             universe.links(),
             self.scheduler,
             self.shards,
             self.strategy,
             rec,
         )
-        .into()
     }
 }
 
@@ -481,7 +479,7 @@ impl Solver for HintedBackend {
     }
 
     fn solve(&self, _: &Universe, _: &Recorder) -> SolveReport {
-        self.engine.schedule().into()
+        self.engine.schedule()
     }
 
     fn set_recorder(&mut self, rec: Recorder) {

@@ -11,7 +11,7 @@
 //!
 //! * [`Session`] — one mutable link universe with a uniform event API
 //!   (insert / remove / relocate / move-node, plus replayable
-//!   [`EngineTrace`]s) and a single [`Session::solve`] producing the unified
+//!   [`EngineEvent`]s) and a single [`Session::solve`] producing the unified
 //!   [`SolveReport`], regardless of backend. The session owns the only copy
 //!   of the universe — stable keys, the links in solve order, the event
 //!   accounting and the warm repair state — and every backend is a solver
@@ -87,7 +87,7 @@ use state::{EventCounts, KeyedLink, WarmState};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use wagg_engine::{EngineConfig, EngineEvent, EngineTrace};
+use wagg_engine::{EngineConfig, EngineEvent};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_partition::{AffectanceVerifier, PartitionedEngineConfig};
 use wagg_schedule::SlotIndex;
@@ -264,7 +264,7 @@ impl SessionConfig {
 #[non_exhaustive]
 pub enum SessionError {
     /// No live link has this session key (or, from
-    /// [`Session::apply_trace`], no live link is bound to this trace key).
+    /// [`Session::apply_events`], no live link is bound to this trace key).
     UnknownKey {
         /// The offending key.
         key: u64,
@@ -379,13 +379,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Overrides the engine layer's maintenance slacks.
-    pub fn engine_slacks(mut self, grid_slack: f64, compact_slack: f64) -> Self {
-        self.config.grid_slack = grid_slack;
-        self.config.compact_slack = compact_slack;
-        self
-    }
-
     /// Sets the warm-start repair policy (e.g. [`RepairPolicy::enabled`]).
     pub fn repair(mut self, policy: RepairPolicy) -> Self {
         self.config.repair = policy;
@@ -432,12 +425,12 @@ impl SessionBuilder {
     /// With [`PartitionHints`] and a sharded backend, panics when a seeded
     /// link's length falls outside the declared bounds.
     pub fn build(self) -> Session {
-        let mut session = Session::with_links(self.config, &self.links);
+        let kind = self.config.resolved_backend(self.links.len());
+        let universe = Universe::seeded(self.config.scheduler, &self.links);
+        let mut session =
+            Session::assemble(self.config, kind, universe, HashMap::new(), self.flight);
         if self.recorder.is_enabled() {
             session.set_recorder(self.recorder);
-        }
-        if self.flight.is_enabled() {
-            session.set_flight_recorder(self.flight);
         }
         session
     }
@@ -454,7 +447,7 @@ pub struct Session {
     universe: Universe,
     /// The resolved strategy and its incremental index.
     backend: Box<dyn Solver>,
-    /// Trace key → session key, persistent across [`Session::apply_trace`]
+    /// Trace key → session key, persistent across [`Session::apply_events`]
     /// calls (traces replayed in pieces keep their bindings).
     trace_keys: HashMap<u64, u64>,
     /// The installed instrumentation sink (disabled unless
@@ -476,28 +469,6 @@ impl Session {
     /// Starts building a session.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
-    }
-
-    /// An empty session under `config`.
-    pub fn new(config: SessionConfig) -> Self {
-        Session::with_links(config, &[])
-    }
-
-    /// A session seeded with `links` (keys `0..n` in input order).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`SessionBuilder::build`].
-    pub fn with_links(config: SessionConfig, links: &[Link]) -> Self {
-        let kind = config.resolved_backend(links.len());
-        let universe = Universe::seeded(config.scheduler, links);
-        Session::assemble(
-            config,
-            kind,
-            universe,
-            HashMap::new(),
-            FlightRecorder::disabled(),
-        )
     }
 
     /// The one construction path behind seeding and restoring: the backend
@@ -716,13 +687,13 @@ impl Session {
         self.universe.move_node(self.backend.as_mut(), node, to)
     }
 
-    /// Replays an [`EngineTrace`] through the session's event API, binding
-    /// trace keys to session keys. The binding persists across calls, so a
-    /// trace can be replayed in pieces (e.g. one mobility step at a time,
-    /// solving in between) — the pattern `wagg_engine::TraceBinding`
-    /// established, now uniform over every backend. Node annotations are
-    /// kept as given, a lone one included. Returns the number of events
-    /// applied.
+    /// Replays engine events (a `wagg_engine::EngineTrace`'s `events`,
+    /// whole or in part) through the session's event API, binding trace
+    /// keys to session keys. The binding persists across calls, so a trace
+    /// can be replayed in pieces (e.g. one mobility step at a time, solving
+    /// in between) — the pattern `wagg_engine::TraceBinding` established,
+    /// now uniform over every backend. Node annotations are kept as given,
+    /// a lone one included. Returns the number of events applied.
     ///
     /// # Errors
     ///
@@ -730,15 +701,6 @@ impl Session {
     /// names a trace key that is not live (including double-removes, and
     /// bindings whose session key [`Session::remove`] already removed).
     /// Events before the failing one stay applied.
-    pub fn apply_trace(&mut self, trace: &EngineTrace) -> Result<usize, SessionError> {
-        self.apply_events(&trace.events)
-    }
-
-    /// [`Session::apply_trace`] over a bare event slice (partial replays).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Session::apply_trace`].
     pub fn apply_events(&mut self, events: &[EngineEvent]) -> Result<usize, SessionError> {
         for event in events {
             match *event {
@@ -1552,12 +1514,8 @@ mod tests {
                 }
             }
             // Unknown trace keys are rejected uniformly.
-            let bad = EngineTrace {
-                name: "bad".into(),
-                events: vec![EngineEvent::Remove { key: 999_999 }],
-            };
             assert_eq!(
-                session.apply_trace(&bad),
+                session.apply_events(&[EngineEvent::Remove { key: 999_999 }]),
                 Err(SessionError::UnknownKey { key: 999_999 })
             );
 

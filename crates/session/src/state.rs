@@ -175,7 +175,7 @@ pub struct SessionState {
     /// always on the static and hint-less sharded backends).
     pub warm: Option<WarmState>,
     /// Persistent trace-key → session-key bindings
-    /// ([`crate::Session::apply_trace`]), ascending by trace key.
+    /// ([`crate::Session::apply_events`]), ascending by trace key.
     pub trace_keys: Vec<(u64, u64)>,
     /// The flight recorder, if one was installed and enabled.
     pub telemetry: Option<TelemetryState>,

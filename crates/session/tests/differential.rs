@@ -6,7 +6,7 @@
 //!   kernel,
 //! * `Backend::Engine`  ≡ `InterferenceEngine::{with_links, schedule}`,
 //!   including after arbitrary churn and mobility traces replayed through
-//!   `Session::apply_trace` on one side and `wagg_engine::run_trace` on the
+//!   `Session::apply_events` on one side and `wagg_engine::run_trace` on the
 //!   other,
 //! * `Backend::Sharded` ≡ `wagg_partition::solve_sharded` across
 //!   shard counts and verifier strategies, and — with partition hints — the
@@ -20,7 +20,7 @@ use wagg_engine::{churn_trace, run_trace, EngineConfig, EngineTrace, Interferenc
 use wagg_geometry::{BoundingBox, Point};
 use wagg_instances::mobility::{random_waypoint, WaypointConfig};
 use wagg_partition::{PartitionedEngine, PartitionedEngineConfig, VerifierStrategy};
-use wagg_schedule::{BackendKind, PowerMode, SchedulerConfig, SolveReport};
+use wagg_schedule::{BackendKind, PowerMode, Recorder, SchedulerConfig};
 use wagg_session::{Backend, Session};
 use wagg_sinr::{Link, SinrModel};
 
@@ -62,7 +62,7 @@ proptest! {
         let links = decode_links(&raw);
         for mode in modes() {
             let config = SchedulerConfig::new(mode);
-            let legacy = wagg_schedule::solve_static(&links, config);
+            let legacy = wagg_schedule::solve_static(&links, config, &Recorder::disabled());
             let mut session = Session::builder()
                 .scheduler(config)
                 .backend(Backend::Static)
@@ -75,7 +75,7 @@ proptest! {
     }
 
     /// Engine backend ≡ the legacy engine path, both bulk-seeded and after a
-    /// churn trace replayed through `Session::apply_trace` on one side and
+    /// churn trace replayed through `Session::apply_events` on one side and
     /// the raw `run_trace` on the other.
     #[test]
     fn engine_backend_reproduces_the_engine_path(
@@ -94,7 +94,7 @@ proptest! {
             .scheduler(config)
             .backend(Backend::Engine)
             .build();
-        session.apply_trace(&trace).expect("churn traces are replayable");
+        session.apply_events(&trace.events).expect("churn traces are replayable");
         let solve = session.solve();
         prop_assert_eq!(solve.backend, BackendKind::Engine);
         prop_assert_eq!(&solve.report, &legacy_report, "engine path diverged after churn");
@@ -127,7 +127,7 @@ proptest! {
             .scheduler(config)
             .backend(Backend::Engine)
             .build();
-        session.apply_trace(&trace).expect("mobility traces are replayable");
+        session.apply_events(&trace.events).expect("mobility traces are replayable");
         prop_assert_eq!(&session.solve().report, &legacy.schedule(), "engine path diverged under mobility");
         prop_assert_eq!(session.links(), legacy.links());
     }
@@ -149,7 +149,8 @@ proptest! {
             VerifierStrategy::Hierarchical { depth: Some(1) },
             VerifierStrategy::default(),
         ] {
-            let legacy = wagg_partition::solve_sharded(&links, config, shards, strategy);
+            let rec = Recorder::disabled();
+            let legacy = wagg_partition::solve_sharded(&links, config, shards, strategy, &rec);
             let mut session = Session::builder()
                 .scheduler(config)
                 .backend(Backend::Sharded)
@@ -159,8 +160,7 @@ proptest! {
                 .build();
             let solve = session.solve();
             prop_assert_eq!(solve.backend, BackendKind::Sharded);
-            let expected: SolveReport = legacy.into();
-            prop_assert_eq!(&solve, &expected, "sharded path diverged at {} shards", shards);
+            prop_assert_eq!(&solve, &legacy, "sharded path diverged at {} shards", shards);
         }
     }
 }
@@ -209,7 +209,7 @@ fn hinted_sharded_backend_reproduces_partitioned_engine() {
     legacy.relocate_link(legacy_keys[5], s, r).unwrap();
     session.relocate(session_keys[5], s, r).unwrap();
 
-    let legacy_report: SolveReport = legacy.schedule().into();
+    let legacy_report = legacy.schedule();
     let solve = session.solve();
     assert_eq!(
         solve, legacy_report,
@@ -236,7 +236,7 @@ fn static_backend_matches_legacy_under_noise() {
     let model = SinrModel::new(3.0, 1.0, 1e-9).expect("valid model");
     for mode in modes() {
         let config = SchedulerConfig::new(mode).with_model(model);
-        let legacy = wagg_schedule::solve_static(&links, config);
+        let legacy = wagg_schedule::solve_static(&links, config, &Recorder::disabled());
         let solve = Session::builder()
             .scheduler(config)
             .backend(Backend::Static)

@@ -307,7 +307,7 @@ proptest! {
             .backend(Backend::Engine)
             .repair(RepairPolicy::default()) // explicit: disabled
             .build();
-        session.apply_trace(&trace).expect("churn traces are replayable");
+        session.apply_events(&trace.events).expect("churn traces are replayable");
         let solve = session.solve();
         prop_assert_eq!(solve.repair, None, "disabled repair must not tag reports");
         prop_assert_eq!(&solve.report, &legacy_report, "disabled repair diverged");

@@ -205,7 +205,7 @@ fn trace_key_bindings_survive_restore() {
             },
         ],
     };
-    original.apply_trace(&trace).expect("trace applies");
+    original.apply_events(&trace.events).expect("trace applies");
     let mut restored = Session::restore_state(&original.capture_state()).expect("state restores");
     assert_eq!(restored.trace_key(7), original.trace_key(7));
     assert_eq!(restored.trace_key(9), original.trace_key(9));
@@ -215,8 +215,12 @@ fn trace_key_bindings_survive_restore() {
         name: "unbind".into(),
         events: vec![EngineEvent::Remove { key: 7 }],
     };
-    original.apply_trace(&removal).expect("bound key removes");
-    restored.apply_trace(&removal).expect("bound key removes");
+    original
+        .apply_events(&removal.events)
+        .expect("bound key removes");
+    restored
+        .apply_events(&removal.events)
+        .expect("bound key removes");
     assert_eq!(restored.solve(), original.solve());
 }
 

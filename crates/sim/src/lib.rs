@@ -396,7 +396,7 @@ mod tests {
     use wagg_geometry::Point;
     use wagg_instances::fig1::{fig1_links, fig1_schedule_slots};
     use wagg_instances::random::uniform_square;
-    use wagg_schedule::{solve_static, PowerMode, SchedulerConfig};
+    use wagg_schedule::{solve_static, PowerMode, Recorder, SchedulerConfig};
     use wagg_sinr::NodeId;
 
     fn path_links(n: usize) -> Vec<Link> {
@@ -488,8 +488,12 @@ mod tests {
     fn sustained_rate_matches_schedule_length_on_random_mst() {
         let inst = uniform_square(24, 50.0, 3);
         let links = inst.mst_links().unwrap();
-        let solve: wagg_schedule::SolveReport =
-            solve_static(&links, SchedulerConfig::new(PowerMode::GlobalControl)).into();
+        let solve: wagg_schedule::SolveReport = solve_static(
+            &links,
+            SchedulerConfig::new(PowerMode::GlobalControl),
+            &Recorder::disabled(),
+        )
+        .into();
         let t = solve.slots();
         let sim = ConvergecastSim::from_solve(&links, &solve).unwrap();
         let run = sim.run(SimConfig {

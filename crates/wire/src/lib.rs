@@ -1310,7 +1310,11 @@ mod tests {
     #[test]
     fn unknown_report_tags_are_typed() {
         let config = SchedulerConfig::default();
-        let report = SolveReport::from(wagg_schedule::solve_static(&sample_links(), config));
+        let report = SolveReport::from(wagg_schedule::solve_static(
+            &sample_links(),
+            config,
+            &wagg_schedule::Recorder::disabled(),
+        ));
         let mut plain = Frame::Report(report.clone()).encode().unwrap();
         // The backend tag is the first payload byte.
         plain[6] = 3;

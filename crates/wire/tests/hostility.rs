@@ -20,7 +20,7 @@ use wagg_obs::{
     SignalKind,
 };
 use wagg_schedule::{
-    solve_static, BackendKind, PowerMode, RepairDecision, RepairStats, ScheduleReport,
+    solve_static, BackendKind, PowerMode, Recorder, RepairDecision, RepairStats, ScheduleReport,
     SchedulerConfig, ShardingStats, SolveReport,
 };
 use wagg_session::{Backend, RepairPolicy, Session, SessionConfig, VerifierStrategy};
@@ -409,6 +409,7 @@ fn report_frames_round_trip_every_mode_and_provenance() {
     let mut reports = vec![SolveReport::from(solve_static(
         &[],
         SchedulerConfig::default(),
+        &Recorder::disabled(),
     ))];
     for mode in [
         PowerMode::Uniform,
@@ -416,7 +417,7 @@ fn report_frames_round_trip_every_mode_and_provenance() {
         PowerMode::Oblivious { tau: 0.5 },
         PowerMode::GlobalControl,
     ] {
-        let report = solve_static(&links, SchedulerConfig::new(mode));
+        let report = solve_static(&links, SchedulerConfig::new(mode), &Recorder::disabled());
         let (num_links, slots) = (report.num_links, report.schedule.len());
         reports.extend([
             SolveReport::new(report.clone(), BackendKind::Static),
@@ -452,7 +453,11 @@ fn report_frames_round_trip_every_mode_and_provenance() {
 /// or a wrapped count (release).
 #[test]
 fn hostile_histograms_are_typed_errors() {
-    let mut report = rich_report(solve_static(&grid_links(12), SchedulerConfig::default()));
+    let mut report = rich_report(solve_static(
+        &grid_links(12),
+        SchedulerConfig::default(),
+        &Recorder::disabled(),
+    ));
     let hist = Histogram::from_parts(0, &[(1, u64::MAX - 1), (2, 1)]).expect("counts fit u64");
     report
         .metrics
