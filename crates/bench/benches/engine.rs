@@ -7,8 +7,10 @@
 //! CRITERION_BENCH_JSON=$PWD/BENCH_engine.json cargo bench -p wagg-bench --bench engine
 //! ```
 //!
-//! from the repository root to refresh `BENCH_engine.json`. Two dynamic
-//! workloads are measured at n ∈ {1 000, 10 000, 50 000} live links:
+//! from the repository root to refresh `BENCH_engine.json` (add
+//! `--no-default-features` for the serial build; each row's id ends in the
+//! build it ran on). Two dynamic workloads are measured at
+//! n ∈ {1 000, 10 000, 50 000} live links:
 //!
 //! * **churn** — one link departs and one arrives per event (the
 //!   `wagg-dynamic` repair workload),
@@ -31,6 +33,18 @@ use wagg_geometry::Point;
 use wagg_sinr::{Link, PathLossCache, PowerAssignment, SinrModel};
 
 const SIZES: [usize; 3] = [1_000, 10_000, 50_000];
+
+/// The build the rows are measured on, the last part of each row's id.
+const BUILD: &str = if cfg!(feature = "parallel") {
+    "parallel"
+} else {
+    "serial"
+};
+
+/// The row id `<name>/<n>/<build>`.
+fn row(name: &str, n: usize) -> BenchmarkId {
+    BenchmarkId::new(name, format!("{n}/{BUILD}"))
+}
 
 fn engine_config() -> EngineConfig {
     EngineConfig::new(
@@ -57,18 +71,19 @@ fn bench_churn(c: &mut Criterion) {
         let side = (n as f64).sqrt() * 4.0;
 
         // Incremental: one departure + one arrival per event, applied to the
-        // persistent engine.
+        // persistent engine. The victim comes from a live-slot list kept
+        // alongside it, so the row times the engine, not a slot scan.
         {
             let state = RefCell::new((
                 InterferenceEngine::with_links(engine_config(), &initial),
+                (0..n).collect::<Vec<usize>>(),
                 seeded_rng(99 + n as u64),
             ));
-            group.bench_function(BenchmarkId::new("incremental", n), |b| {
+            group.bench_function(row("incremental", n), |b| {
                 b.iter(|| {
-                    let (engine, rng) = &mut *state.borrow_mut();
-                    let live = engine.live_slots();
-                    let victim = live[uniform_in(rng, 0.0, live.len() as f64) as usize];
-                    engine.remove_link(victim).unwrap();
+                    let (engine, live, rng) = &mut *state.borrow_mut();
+                    let at = uniform_in(rng, 0.0, live.len() as f64) as usize;
+                    engine.remove_link(live.swap_remove(at)).unwrap();
                     let x = uniform_in(rng, 0.0, side);
                     let y = uniform_in(rng, 0.0, side);
                     let angle = uniform_in(rng, 0.0, std::f64::consts::TAU);
@@ -76,6 +91,7 @@ fn bench_churn(c: &mut Criterion) {
                         Point::new(x, y),
                         Point::new(x + angle.cos(), y + angle.sin()),
                     );
+                    live.push(slot);
                     black_box(slot)
                 })
             });
@@ -84,7 +100,7 @@ fn bench_churn(c: &mut Criterion) {
         // Full rebuild: the same mutation on a plain vector, then rebuild.
         {
             let state = RefCell::new((initial.clone(), seeded_rng(99 + n as u64)));
-            group.bench_function(BenchmarkId::new("full_rebuild", n), |b| {
+            group.bench_function(row("full_rebuild", n), |b| {
                 b.iter(|| {
                     let (links, rng) = &mut *state.borrow_mut();
                     let victim = uniform_in(rng, 0.0, links.len() as f64) as usize;
@@ -140,7 +156,7 @@ fn bench_mobility(c: &mut Criterion) {
                 );
             }
             let state = RefCell::new((engine, seeded_rng(13 + n as u64)));
-            group.bench_function(BenchmarkId::new("incremental", n), |b| {
+            group.bench_function(row("incremental", n), |b| {
                 b.iter(|| {
                     let (engine, rng) = &mut *state.borrow_mut();
                     let pair = uniform_in(rng, 0.0, n as f64) as usize;
@@ -158,7 +174,7 @@ fn bench_mobility(c: &mut Criterion) {
         // Full rebuild: the same relocation on a plain vector, then rebuild.
         {
             let state = RefCell::new((pair_links(&initial), seeded_rng(13 + n as u64)));
-            group.bench_function(BenchmarkId::new("full_rebuild", n), |b| {
+            group.bench_function(row("full_rebuild", n), |b| {
                 b.iter(|| {
                     let (links, rng) = &mut *state.borrow_mut();
                     let pair = uniform_in(rng, 0.0, links.len() as f64) as usize;

@@ -13,10 +13,11 @@
 //! window sweeping the dense grids of the short classes. For class `C` with
 //! exact member lengths `lo..=hi`, a member `j` conflicting with link `i` has
 //! `d(i, j) ≤ l_min · f(l_max / l_min) ≤ L · f(R)`, with `L = min(l_i, hi)`
-//! and `R = max(l_i, hi) / min(l_i, lo)`, because `f` is non-decreasing. So
-//! each (link, class) gets one
-//! `reach = L · f(R) · (1 + REACH_REL_MARGIN) + slack`, with
-//! `slack = REACH_ABS_MARGIN · max |coordinate|` over the input. It sets the
+//! and `R = max(l_i, hi) / min(l_i, lo)`, because `f` is non-decreasing
+//! ([`ConflictRelation::reach`]). So each (link, class) gets one
+//! `reach = L · f(R) · (1 + 1e-9) + 1e-12 · max |coordinate|`, the largest
+//! `|coordinate|` taken over the input
+//! ([`ConflictRelation::margined_reach`]). It sets the
 //! grid window and a box-gap test, `gap(box_i, box_j)² ≤ reach²`; a class
 //! whose whole extent fails the test is skipped. A member stored in several
 //! cells is visited once per cell, so the surviving candidates are sorted
@@ -35,8 +36,12 @@
 //! and the few ulps by which the quotient `d / l_min`, the ratio and `f`
 //! stray from their monotone ideal. When `b − a` itself rounds, the point
 //! can leave the box by a few ulps of the coordinates' magnitude; the
-//! absolute `slack` (`1e-12` of the largest `|coordinate|`, thousands of
+//! absolute margin (`1e-12` of the largest `|coordinate|`, thousands of
 //! those ulps) covers that, and the rounding of the grid window's edges.
+//! Only the pair's coordinates and the window's edges (the query link's
+//! box widened by the reach) round, and cell indices are monotone in the
+//! coordinate, so the largest `|coordinate|` of the pair suffices;
+//! `wagg-engine`'s class query relies on that.
 //! `tests/grid_vs_naive.rs` checks edge-for-edge equality with
 //! [`ConflictGraph::build_naive`], on inputs up to `1e12` from the origin too.
 //!
@@ -71,14 +76,6 @@ use rayon::prelude::*;
 
 /// Below this size the all-pairs build is faster than building class grids.
 const GRID_BUILD_CUTOFF: usize = 64;
-
-/// Relative margin on a (link, class) reach, for relative rounding (see the
-/// [module docs](self)).
-const REACH_REL_MARGIN: f64 = 1e-9;
-
-/// Absolute margin on a reach per unit of the input's largest `|coordinate|`,
-/// for rounding at the coordinates' magnitude (see the [module docs](self)).
-const REACH_ABS_MARGIN: f64 = 1e-12;
 
 /// The class index of a zero-length link, which joins no class.
 const NO_CLASS: u32 = u32::MAX;
@@ -203,13 +200,7 @@ impl ConflictGraph {
             .iter()
             .map(|l| BoundingBox::of_segment(l.sender, l.receiver))
             .collect();
-        let max_coordinate = boxes.iter().fold(0.0f64, |m, b| {
-            m.max(b.min_x.abs())
-                .max(b.min_y.abs())
-                .max(b.max_x.abs())
-                .max(b.max_y.abs())
-        });
-        let slack = REACH_ABS_MARGIN * max_coordinate;
+        let max_coordinate = boxes.iter().fold(0.0f64, |m, b| m.max(b.max_abs()));
         let min_len = links
             .iter()
             .map(|l| l.length())
@@ -264,12 +255,7 @@ impl ConflictGraph {
                     members.iter().map(|&m| boxes[m as usize]).collect();
                 let extent = member_boxes[1..]
                     .iter()
-                    .fold(member_boxes[0], |e, b| BoundingBox {
-                        min_x: e.min_x.min(b.min_x),
-                        min_y: e.min_y.min(b.min_y),
-                        max_x: e.max_x.max(b.max_x),
-                        max_y: e.max_y.max(b.max_y),
-                    });
+                    .fold(member_boxes[0], |e, b| e.union(b));
                 let grid = UniformGrid::build(hi.max(min_len), &member_boxes);
                 LengthClass {
                     lo,
@@ -301,20 +287,19 @@ impl ConflictGraph {
                     let decided_here = |j: u32| !same_class || j as usize > i;
                     // No conflicting member lies farther than the reach
                     // (see the module docs for the bound and its margins).
-                    let l_min = li.min(class.hi);
-                    let ratio = li.max(class.hi) / li.min(class.lo);
-                    let reach = l_min * relation.f(ratio) * (1.0 + REACH_REL_MARGIN) + slack;
+                    let reach =
+                        relation.margined_reach((li, li), (class.lo, class.hi), max_coordinate);
                     if !reach.is_finite() {
                         partners.extend(class.members.iter().copied().filter(|&j| decided_here(j)));
                         continue;
                     }
                     let reach_sq = reach * reach;
-                    if gap_sq(bbox, &class.extent) > reach_sq {
+                    if bbox.gap_sq(&class.extent) > reach_sq {
                         continue;
                     }
                     class.grid.for_each_candidate(bbox, reach, |local| {
                         let j = class.members[local];
-                        if decided_here(j) && gap_sq(bbox, &boxes[j as usize]) <= reach_sq {
+                        if decided_here(j) && bbox.gap_sq(&boxes[j as usize]) <= reach_sq {
                             partners.push(j);
                         }
                     });
@@ -662,14 +647,6 @@ impl ConflictGraph {
                 .unwrap_or(0)
         }
     }
-}
-
-/// Squared gap between two boxes (zero when they overlap).
-#[inline]
-fn gap_sq(a: &BoundingBox, b: &BoundingBox) -> f64 {
-    let dx = (a.min_x - b.max_x).max(b.min_x - a.max_x).max(0.0);
-    let dy = (a.min_y - b.max_y).max(b.min_y - a.max_y).max(0.0);
-    dx * dx + dy * dy
 }
 
 #[cfg(test)]

@@ -4,6 +4,15 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use wagg_sinr::Link;
 
+/// Relative margin of [`ConflictRelation::margined_reach`], for relative
+/// rounding (see the [`graph`](crate::graph) module docs).
+const REACH_REL_MARGIN: f64 = 1e-9;
+
+/// Absolute margin of [`ConflictRelation::margined_reach`] per unit of the
+/// largest `|coordinate|`, for rounding at the coordinates' magnitude (see
+/// the [`graph`](crate::graph) module docs).
+const REACH_ABS_MARGIN: f64 = 1e-12;
+
 /// A member of the conflict-relation family `G_f`.
 ///
 /// Two links `i, j` with `l_min = min(l_i, l_j)`, `l_max = max(l_i, l_j)` and
@@ -154,6 +163,36 @@ impl ConflictRelation {
     /// for distinct links).
     pub fn conflicting(&self, i: &Link, j: &Link) -> bool {
         i.id != j.id && !self.independent(i, j)
+    }
+
+    /// Upper bound on the link-to-link distance at which a link with length
+    /// in `[lo_a, hi_a]` can conflict with one in `[lo_b, hi_b]`:
+    /// `min(hi_a, hi_b) · f(max(hi_a, hi_b) / min(lo_a, lo_b))`. Sound
+    /// because `f` is non-decreasing and a pair conflicts only within
+    /// `min(l_i, l_j) · f(max(l_i, l_j) / min(l_i, l_j))`. The bounds must be
+    /// positive.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wagg_conflict::ConflictRelation;
+    ///
+    /// let rel = ConflictRelation::polynomial(2.0, 0.5);
+    /// // A unit link against links of length 4..=4: 1 · 2 · √4.
+    /// assert_eq!(rel.reach((1.0, 1.0), (4.0, 4.0)), 4.0);
+    /// ```
+    pub fn reach(&self, (lo_a, hi_a): (f64, f64), (lo_b, hi_b): (f64, f64)) -> f64 {
+        hi_a.min(hi_b) * self.f(hi_a.max(hi_b) / lo_a.min(lo_b))
+    }
+
+    /// [`ConflictRelation::reach`] widened by two rounding margins, for a
+    /// pair of links whose coordinates are at most `max_coordinate` in
+    /// absolute value: `1e-9` relative and `1e-12 · max_coordinate`
+    /// absolute. A box-gap test `gap² ≤ reach²` against this reach keeps
+    /// every conflicting pair despite floating-point rounding (the
+    /// [`graph`](crate::graph) module docs give the argument).
+    pub fn margined_reach(&self, a: (f64, f64), b: (f64, f64), max_coordinate: f64) -> f64 {
+        self.reach(a, b) * (1.0 + REACH_REL_MARGIN) + REACH_ABS_MARGIN * max_coordinate
     }
 }
 

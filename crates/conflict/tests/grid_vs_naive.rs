@@ -4,6 +4,9 @@
 //! chains, mixed length scales, degenerate links, a collinear chain on a
 //! slanted line, far-translated inputs) and for the paper's clustered MSTs.
 
+mod families;
+
+use families::{diverse_chain, uniform_square, with_degenerate};
 use proptest::prelude::*;
 use wagg_conflict::{ConflictGraph, ConflictRelation};
 use wagg_geometry::Point;
@@ -32,57 +35,6 @@ fn assert_grid_matches_naive(links: &[Link], relation: ConflictRelation) {
     for v in 0..grid.len() {
         assert_eq!(grid.neighbors(v), naive.neighbors(v), "row {v} differs");
     }
-}
-
-/// Links at uniform positions and angles, of the drawn lengths.
-fn uniform_square(raw: &[(f64, f64, f64, f64)]) -> Vec<Link> {
-    raw.iter()
-        .enumerate()
-        .map(|(i, &(x, y, angle, len))| {
-            let s = Point::new(x, y);
-            let r = Point::new(x + len * angle.cos(), y + len * angle.sin());
-            Link::new(i, s, r)
-        })
-        .collect()
-}
-
-/// Links along a line, lengths cycling through 1, 4, 16, 64 (four length
-/// classes), separated by the drawn gaps.
-fn diverse_chain(gaps: &[f64]) -> Vec<Link> {
-    let mut x = 0.0;
-    gaps.iter()
-        .enumerate()
-        .map(|(i, &gap)| {
-            let len = 4.0f64.powi((i % 4) as i32);
-            let link = Link::new(i, Point::on_line(x), Point::on_line(x + len));
-            x += len + gap;
-            link
-        })
-        .collect()
-}
-
-/// Horizontal links of the drawn lengths, with the links at `degenerate_at`
-/// collapsed onto their senders under fresh ids.
-fn with_degenerate(raw: &[(f64, f64, f64)], degenerate_at: &[usize]) -> Vec<Link> {
-    let mut links: Vec<Link> = raw
-        .iter()
-        .enumerate()
-        .map(|(i, &(x, y, len))| Link::new(i, Point::new(x, y), Point::new(x + len, y)))
-        .collect();
-    for &d in degenerate_at {
-        let p = links[d].sender;
-        links[d] = Link::new(1000 + d, p, p);
-    }
-    links
-}
-
-/// `links` scaled by `scale` about the origin, then moved by `(dx, dy)`.
-fn translated(links: &[Link], scale: f64, dx: f64, dy: f64) -> Vec<Link> {
-    let map = |p: Point| Point::new(p.x * scale + dx, p.y * scale + dy);
-    links
-        .iter()
-        .map(|l| Link::new(l.id.0, map(l.sender), map(l.receiver)))
-        .collect()
 }
 
 #[test]
@@ -179,15 +131,9 @@ proptest! {
         (family, exponent, signs) in (0u8..3, 6.0f64..=12.0, 0u8..4),
         which in 0u8..3,
     ) {
-        let offset = 10f64.powf(exponent);
-        let (links, shortest) = match family {
-            0 => (uniform_square(&uniform), 0.1),
-            1 => (diverse_chain(&gaps), 1.0),
-            _ => (with_degenerate(&degenerate, &degenerate_at), 0.2),
-        };
-        let dx = if signs & 1 == 0 { offset } else { -offset };
-        let dy = if signs & 2 == 0 { offset } else { -offset };
-        let moved = translated(&links, 1e-6 * offset / shortest, dx, dy);
+        let moved = families::far_from_origin(
+            family, exponent, signs, &uniform, &gaps, &degenerate, &degenerate_at,
+        );
         assert_grid_matches_naive(&moved, relation_for(which));
     }
 }

@@ -1,73 +1,111 @@
-//! Per-length-class spatial indexes with tombstones and threshold rebuilds.
+//! Per-length-class mutable cell grids.
 //!
 //! The static `ConflictGraph::build` bins links into power-of-two length
-//! classes and queries one `UniformGrid` per class; this module is the
-//! *mutable* counterpart. A grid cannot be updated in place (it is a flat
-//! counting-sorted table), so each class keeps
+//! classes and queries one grid per class; this module is the mutable
+//! counterpart. Every live positive-length link belongs to the class keyed
+//! [`class_key`] and is stored in every cell of that class's [`CellGrid`]
+//! its bounding box overlaps. Insert and remove edit those `u32` cell lists
+//! in place, so every live link is indexed at all times.
 //!
-//! * an immutable grid over the members indexed at the last rebuild,
-//! * a **pending** suffix of members inserted since (scanned exactly, no
-//!   pruning — correct because the caller applies the exact conflict
-//!   predicate to every candidate anyway), and
-//! * a **tombstone** count of members removed since.
+//! **Layout.** A class lays its grid out over the union of its members'
+//! boxes, with cells of side `2^(key + 1)` (the class's nominal upper length
+//! bound) doubled until there are at most two cells per member. A member
+//! outside that area is stored in the border cells it clamps to. A class
+//! re-lays out only when its membership doubles or falls to a quarter of
+//! its count at the last layout, so layouts cost amortised `O(1)` per event;
+//! `InterferenceEngine::with_links` lays out each class once over all its
+//! members.
 //!
-//! When `pending + tombstones` crosses an occupancy threshold (a configurable
-//! fraction of the live membership), the class rebuilds its grid in one pass,
-//! so maintenance stays amortised `O(1)`-ish per event while queries keep the
-//! grid's pruning power.
-//!
-//! Class length bounds `lo`/`hi` are maintained *monotonically* between
-//! rebuilds (they may only widen), which keeps the per-class conflict radius
-//! a sound upper bound — exactness is restored at each rebuild.
+//! **Query.** A (link, class) query takes one reach:
+//! [`ConflictRelation::margined_reach`] of the link's length and the class's
+//! length bounds `lo`/`hi`, with the largest `|coordinate|` of the link's box
+//! and the class's extent. It skips the class when the extent fails the
+//! box-gap test `gap² ≤ reach²`, and otherwise passes on the members in the
+//! grid window that pass the same test. The `graph` module docs of
+//! `wagg-conflict` show why the reach's two rounding margins keep every
+//! conflicting pair. Between layouts `lo`, `hi` and the extent only widen,
+//! which keeps the reach and the skip sound.
 
-use wagg_geometry::grid::UniformGrid;
+use std::collections::BTreeMap;
+use wagg_conflict::ConflictRelation;
+use wagg_geometry::grid::CellGrid;
 use wagg_geometry::BoundingBox;
 use wagg_sinr::Link;
 
-/// Minimum churn (pending + tombstones) before a class rebuild is considered.
-const REBUILD_MIN: usize = 16;
-
 /// The absolute power-of-two length-class key of a positive length.
-pub(crate) fn class_key(length: f64) -> i32 {
+fn class_key(length: f64) -> i32 {
     debug_assert!(length > 0.0);
     length.log2().floor() as i32
 }
 
-/// One mutable length class.
+/// One length class.
 #[derive(Debug, Clone)]
-pub(crate) struct ClassIndex {
-    /// Lower bound on every live member's length (exact after a rebuild,
-    /// only ever lowered between rebuilds).
+struct ClassIndex {
+    /// Bounds on every live member's length: exact at the last layout, only
+    /// widened since.
     lo: f64,
-    /// Upper bound on every live member's length (exact after a rebuild).
     hi: f64,
-    /// Member slots; `members[..indexed]` are covered by `grid` (at their
-    /// position when the grid was built), the rest are pending. May contain
-    /// tombstoned (dead) or superseded entries until the next rebuild.
-    members: Vec<usize>,
-    /// Spatial index over the bounding boxes of `members[..indexed]`.
-    grid: UniformGrid,
-    /// Length of the grid-covered prefix of `members`.
-    indexed: usize,
-    /// Members removed (or re-classed) since the last rebuild.
-    tombstones: usize,
+    /// Covers every live member's box: exact at the last layout, only grown
+    /// since.
+    extent: BoundingBox,
+    /// Live members now, and at the last layout.
+    len: usize,
+    laid_out: usize,
+    /// Member slots, in every cell their box overlaps.
+    grid: CellGrid,
+}
+
+impl ClassIndex {
+    /// Class `key` laid out over `members`, its live slots (at least one).
+    fn laid_out(key: i32, members: &[u32], links: &[Option<Link>], bboxes: &[BoundingBox]) -> Self {
+        let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+        let mut extent = bboxes[members[0] as usize];
+        for &slot in members {
+            let len = links[slot as usize].expect("members are live").length();
+            (lo, hi) = (lo.min(len), hi.max(len));
+            extent = extent.union(&bboxes[slot as usize]);
+        }
+        let mut grid = CellGrid::covering(&extent, 2f64.powi(key + 1), 2 * members.len());
+        for &slot in members {
+            grid.insert(slot, &bboxes[slot as usize]);
+        }
+        ClassIndex {
+            lo,
+            hi,
+            extent,
+            len: members.len(),
+            laid_out: members.len(),
+            grid,
+        }
+    }
 }
 
 /// All length classes of the engine, keyed by [`class_key`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LengthClasses {
-    classes: std::collections::BTreeMap<i32, ClassIndex>,
-    rebuilds: usize,
+    classes: BTreeMap<i32, ClassIndex>,
+    layouts: usize,
 }
 
 impl LengthClasses {
-    pub fn new() -> Self {
-        Self::default()
+    /// One class laid out per key over the positive-length live `slots`.
+    pub fn with_members(slots: &[usize], links: &[Option<Link>], bboxes: &[BoundingBox]) -> Self {
+        let mut by_key: BTreeMap<i32, Vec<u32>> = BTreeMap::new();
+        for &slot in slots {
+            let len = links[slot].expect("live").length();
+            by_key.entry(class_key(len)).or_default().push(slot as u32);
+        }
+        let classes: BTreeMap<i32, ClassIndex> = by_key
+            .into_iter()
+            .map(|(key, members)| (key, ClassIndex::laid_out(key, &members, links, bboxes)))
+            .collect();
+        let layouts = classes.len();
+        LengthClasses { classes, layouts }
     }
 
-    /// Number of grid rebuilds performed so far (stats).
-    pub fn rebuilds(&self) -> usize {
-        self.rebuilds
+    /// Number of class layouts performed so far (stats).
+    pub fn layouts(&self) -> usize {
+        self.layouts
     }
 
     /// Number of populated classes.
@@ -75,132 +113,80 @@ impl LengthClasses {
         self.classes.len()
     }
 
-    /// Registers a live slot holding a positive-length link. `links` and
-    /// `bboxes` are the engine's slot tables (used if a rebuild triggers).
-    pub fn insert(
+    /// Indexes the live `slot`, a positive-length link boxed by `bboxes[slot]`.
+    pub fn insert(&mut self, slot: usize, links: &[Option<Link>], bboxes: &[BoundingBox]) {
+        let len = links[slot].expect("inserting a live slot").length();
+        let key = class_key(len);
+        let Some(class) = self.classes.get_mut(&key) else {
+            let class = ClassIndex::laid_out(key, &[slot as u32], links, bboxes);
+            self.classes.insert(key, class);
+            self.layouts += 1;
+            return;
+        };
+        (class.lo, class.hi) = (class.lo.min(len), class.hi.max(len));
+        class.extent = class.extent.union(&bboxes[slot]);
+        class.grid.insert(slot as u32, &bboxes[slot]);
+        class.len += 1;
+        if class.len >= 2 * class.laid_out {
+            *class = ClassIndex::laid_out(key, &class.grid.ids(), links, bboxes);
+            self.layouts += 1;
+        }
+    }
+
+    /// Unindexes `slot`, which held a link of length `len`. `links` and
+    /// `bboxes` are the engine's slot tables: the slot's link is already
+    /// gone, its box is still in place.
+    pub fn remove(
         &mut self,
         slot: usize,
+        len: f64,
         links: &[Option<Link>],
         bboxes: &[BoundingBox],
-        slack: f64,
     ) {
-        let link = links[slot].as_ref().expect("inserting a live slot");
-        let len = link.length();
         let key = class_key(len);
-        let class = self.classes.entry(key).or_insert_with(|| ClassIndex {
-            lo: len,
-            hi: len,
-            members: Vec::new(),
-            grid: UniformGrid::build(len, &[]),
-            indexed: 0,
-            tombstones: 0,
-        });
-        class.lo = class.lo.min(len);
-        class.hi = class.hi.max(len);
-        class.members.push(slot);
-        self.maybe_rebuild(key, links, bboxes, slack);
-    }
-
-    /// Unregisters a slot that held a link of length `len` (the engine calls
-    /// this before clearing the slot, passing the departing length).
-    pub fn remove(&mut self, len: f64, links: &[Option<Link>], bboxes: &[BoundingBox], slack: f64) {
-        let key = class_key(len);
-        let class = self
-            .classes
-            .get_mut(&key)
-            .expect("removing from a populated class");
-        class.tombstones += 1;
-        self.maybe_rebuild(key, links, bboxes, slack);
-    }
-
-    /// Rebuilds the class grid when the churn since the last rebuild exceeds
-    /// `max(REBUILD_MIN, slack · live)`; drops the class when it emptied.
-    fn maybe_rebuild(
-        &mut self,
-        key: i32,
-        links: &[Option<Link>],
-        bboxes: &[BoundingBox],
-        slack: f64,
-    ) {
-        let class = &self.classes[&key];
-        let pending = class.members.len() - class.indexed;
-        let live = class.members.len().saturating_sub(class.tombstones);
-        let threshold = REBUILD_MIN.max((slack * live as f64).ceil() as usize);
-        if pending + class.tombstones <= threshold {
-            return;
-        }
-        self.rebuild(key, links, bboxes);
-    }
-
-    /// Unconditionally rebuilds one class from the engine's current state.
-    fn rebuild(&mut self, key: i32, links: &[Option<Link>], bboxes: &[BoundingBox]) {
-        let class = self.classes.get_mut(&key).expect("rebuilding a live class");
-        let mut live: Vec<usize> = class
-            .members
-            .iter()
-            .copied()
-            .filter(|&slot| {
-                links[slot]
-                    .as_ref()
-                    .is_some_and(|l| l.length() > 0.0 && class_key(l.length()) == key)
-            })
-            .collect();
-        live.sort_unstable();
-        live.dedup();
-        if live.is_empty() {
+        let class = self.classes.get_mut(&key).expect("a populated class");
+        class.grid.remove(slot as u32, &bboxes[slot]);
+        class.len -= 1;
+        if class.len == 0 {
             self.classes.remove(&key);
-            self.rebuilds += 1;
-            return;
+        } else if 4 * class.len <= class.laid_out {
+            *class = ClassIndex::laid_out(key, &class.grid.ids(), links, bboxes);
+            self.layouts += 1;
         }
-        let lengths = live
-            .iter()
-            .map(|&slot| links[slot].as_ref().expect("live").length());
-        let lo = lengths.clone().fold(f64::INFINITY, f64::min);
-        let hi = lengths.fold(0.0f64, f64::max);
-        let boxes: Vec<BoundingBox> = live.iter().map(|&slot| bboxes[slot]).collect();
-        class.grid = UniformGrid::build(hi, &boxes);
-        class.indexed = live.len();
-        class.members = live;
-        class.lo = lo;
-        class.hi = hi;
-        class.tombstones = 0;
-        self.rebuilds += 1;
     }
 
-    /// Visits every slot that could conflict with `link` (whose bounding box
-    /// is `bbox`) under `f`-radius pruning, class by class. Visited slots may
-    /// repeat, may be dead, and may be false positives — the caller applies
-    /// the exact conflict predicate. No true conflict partner is ever
-    /// skipped: each class's radius is computed from sound `lo`/`hi` bounds,
-    /// and members not yet indexed by the grid are scanned unconditionally.
+    /// Visits, class by class, every live member whose box lies within the
+    /// class's reach of `link` (boxed by `bbox`; `bboxes` boxes the
+    /// members). A member may be visited once per cell it shares with the
+    /// window, and may not conflict: the caller dedupes and applies the
+    /// exact predicate. No conflicting member is skipped (see the module
+    /// docs).
     pub fn for_each_candidate<F: FnMut(usize)>(
         &self,
         link: &Link,
         bbox: &BoundingBox,
-        relation: wagg_conflict::ConflictRelation,
+        bboxes: &[BoundingBox],
+        relation: ConflictRelation,
         mut visit: F,
     ) {
         let li = link.length();
         debug_assert!(li > 0.0, "degenerate links are not class-indexed");
         for class in self.classes.values() {
-            // Largest distance at which a member with length in [lo, hi]
-            // could conflict with `link` — sound because f is non-decreasing
-            // and lo/hi bound every live member's length (see module docs).
-            let l_min = li.min(class.hi);
-            let ratio = li.max(class.hi) / li.min(class.lo);
-            let radius = l_min * relation.f(ratio);
-            if radius.is_finite() {
-                class
-                    .grid
-                    .for_each_candidate(bbox, radius, |local| visit(class.members[local]));
-            } else {
-                for &slot in &class.members[..class.indexed] {
+            let max_coordinate = bbox.max_abs().max(class.extent.max_abs());
+            let reach = relation.margined_reach((li, li), (class.lo, class.hi), max_coordinate);
+            if !reach.is_finite() {
+                class.grid.for_each_candidate(bbox, reach, &mut visit);
+                continue;
+            }
+            let reach_sq = reach * reach;
+            if bbox.gap_sq(&class.extent) > reach_sq {
+                continue;
+            }
+            class.grid.for_each_candidate(bbox, reach, |slot| {
+                if bbox.gap_sq(&bboxes[slot]) <= reach_sq {
                     visit(slot);
                 }
-            }
-            for &slot in &class.members[class.indexed..] {
-                visit(slot);
-            }
+            });
         }
     }
 }

@@ -31,11 +31,6 @@ pub struct EngineConfig {
     pub relation: ConflictRelation,
     /// The power assignment the maintained path-loss state is computed under.
     pub power: PowerAssignment,
-    /// Class-grid rebuild slack: a class rebuilds its grid once the churn
-    /// since the last rebuild (pending inserts + tombstones) exceeds this
-    /// fraction of its live membership. Smaller values mean snappier queries
-    /// and more frequent rebuilds.
-    pub grid_slack: f64,
     /// Adjacency compaction slack: the delta overlay folds into a fresh CSR
     /// base once it exceeds this fraction of the edge set.
     pub compact_slack: f64,
@@ -52,7 +47,6 @@ impl EngineConfig {
             scheduler: SchedulerConfig::default().with_model(model),
             relation,
             power,
-            grid_slack: 0.25,
             compact_slack: 0.25,
         }
     }
@@ -71,7 +65,6 @@ impl EngineConfig {
             scheduler: config,
             relation,
             power,
-            grid_slack: 0.25,
             compact_slack: 0.25,
         }
     }
@@ -81,14 +74,17 @@ impl EngineConfig {
         &self.scheduler.model
     }
 
-    /// Overrides both maintenance slacks (useful to force threshold
+    /// Overrides the adjacency compaction slack (useful to force threshold
     /// crossings in tests).
-    pub fn with_slacks(mut self, grid_slack: f64, compact_slack: f64) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `compact_slack` is finite and positive.
+    pub fn with_compact_slack(mut self, compact_slack: f64) -> Self {
         assert!(
-            grid_slack > 0.0 && compact_slack > 0.0,
-            "slacks must be positive"
+            compact_slack > 0.0 && compact_slack.is_finite(),
+            "the compaction slack must be finite and positive"
         );
-        self.grid_slack = grid_slack;
         self.compact_slack = compact_slack;
         self
     }
@@ -103,7 +99,8 @@ pub struct EngineStats {
     pub removals: usize,
     /// `move_node` events applied.
     pub moves: usize,
-    /// Class-grid rebuilds triggered by occupancy thresholds.
+    /// Class-grid layouts: one per class when it is seeded or created, then
+    /// one whenever its membership doubles or falls to a quarter.
     pub grid_rebuilds: usize,
     /// Delta-overlay compactions of the conflict adjacency.
     pub compactions: usize,
@@ -175,9 +172,11 @@ pub struct InterferenceEngine {
     stats: EngineStats,
     /// Instrumentation sink (disabled by default — see `wagg-obs`).
     recorder: Recorder,
-    /// Pre-resolved handle for `engine.rows_recomputed` (one relaxed atomic
-    /// add per conflict-row computation, no name lookup on the hot path).
+    /// Pre-resolved handles for `engine.rows_recomputed` and
+    /// `engine.pairs_checked` (one relaxed atomic add each per conflict-row
+    /// computation, no name lookup on the hot path).
     rows_counter: Counter,
+    pairs_counter: Counter,
 }
 
 impl InterferenceEngine {
@@ -189,7 +188,7 @@ impl InterferenceEngine {
             bboxes: Vec::new(),
             free: Vec::new(),
             live: 0,
-            classes: LengthClasses::new(),
+            classes: LengthClasses::default(),
             degenerate: Vec::new(),
             adj: DeltaAdjacency::new(),
             powers: Vec::new(),
@@ -198,17 +197,20 @@ impl InterferenceEngine {
             stats: EngineStats::default(),
             recorder: Recorder::disabled(),
             rows_counter: Counter::default(),
+            pairs_counter: Counter::default(),
         }
     }
 
     /// Routes the engine's instrumentation to `rec`: conflict-row
-    /// recomputations tick `engine.rows_recomputed`, and every
+    /// recomputations tick `engine.rows_recomputed` and add their exact
+    /// predicate calls to `engine.pairs_checked`, and every
     /// [`InterferenceEngine::schedule`] records its snapshot/coloring spans
     /// and syncs the `engine.grid_rebuilds` / `engine.compactions`
     /// maintenance watermarks. A disabled recorder (the default) keeps all
     /// of it no-op.
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.rows_counter = rec.counter("engine.rows_recomputed");
+        self.pairs_counter = rec.counter("engine.pairs_checked");
         self.recorder = rec;
     }
 
@@ -221,7 +223,8 @@ impl InterferenceEngine {
     /// Bulk-seeds an engine from a link set, assigning slots `0..n` in input
     /// order, and returns it. Uses the grid-accelerated
     /// [`ConflictGraph::build`] once for the whole set (much faster than `n`
-    /// single insertions) and adopts its CSR arrays as the adjacency base.
+    /// single insertions), adopts its CSR arrays as the adjacency base, and
+    /// lays out each length class's grid once over all its members.
     pub fn with_links(config: EngineConfig, links: &[Link]) -> Self {
         let relabeled: Vec<Link> = links
             .iter()
@@ -246,26 +249,17 @@ impl InterferenceEngine {
             .map(|l| BoundingBox::of_segment(l.sender, l.receiver))
             .collect();
         engine.live = relabeled.len();
-        engine.links = relabeled.into_iter().map(Some).collect();
-        for slot in 0..engine.links.len() {
-            let link = engine.links[slot].as_ref().expect("just inserted");
-            if link.length() <= 0.0 {
+        let mut classed = Vec::with_capacity(relabeled.len());
+        for (slot, link) in relabeled.iter().enumerate() {
+            if link.length() > 0.0 {
+                classed.push(slot);
+            } else {
                 engine.degenerate.push(slot);
             }
             Self::register_node_links(&mut engine.node_links, link, slot);
         }
-        // Populate the class grids from the live slots (one rebuild per class
-        // at most, via the shared insert path).
-        for slot in 0..engine.links.len() {
-            if engine.links[slot].as_ref().expect("live").length() > 0.0 {
-                engine.classes.insert(
-                    slot,
-                    &engine.links,
-                    &engine.bboxes,
-                    engine.config.grid_slack,
-                );
-            }
-        }
+        engine.links = relabeled.into_iter().map(Some).collect();
+        engine.classes = LengthClasses::with_members(&classed, &engine.links, &engine.bboxes);
         engine
     }
 
@@ -297,7 +291,7 @@ impl InterferenceEngine {
     /// Maintenance counters.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.stats;
-        stats.grid_rebuilds = self.classes.rebuilds();
+        stats.grid_rebuilds = self.classes.layouts();
         stats.compactions = self.adj.compactions();
         stats.length_classes = self.classes.class_count();
         stats.overlay_half_edges = self.adj.delta_half_edges();
@@ -454,8 +448,7 @@ impl InterferenceEngine {
         self.links[slot] = Some(link);
         self.live += 1;
         if link.length() > 0.0 {
-            self.classes
-                .insert(slot, &self.links, &self.bboxes, self.config.grid_slack);
+            self.classes.insert(slot, &self.links, &self.bboxes);
         } else if let Err(pos) = self.degenerate.binary_search(&slot) {
             self.degenerate.insert(pos, slot);
         }
@@ -488,12 +481,8 @@ impl InterferenceEngine {
         self.powers[slot] = None;
         self.weights[slot] = None;
         if link.length() > 0.0 {
-            self.classes.remove(
-                link.length(),
-                &self.links,
-                &self.bboxes,
-                self.config.grid_slack,
-            );
+            self.classes
+                .remove(slot, link.length(), &self.links, &self.bboxes);
         } else if let Ok(pos) = self.degenerate.binary_search(&slot) {
             self.degenerate.remove(pos);
         }
@@ -503,32 +492,28 @@ impl InterferenceEngine {
     }
 
     /// The sorted conflict row of `link` against every live link except
-    /// `exclude` (the slot the link is being attached to).
+    /// `exclude` (the slot the link is being attached to). The candidates
+    /// are deduplicated first, so the exact predicate runs once per
+    /// candidate; the calls are added to `engine.pairs_checked`.
     fn conflict_row(&self, link: &Link, bbox: &BoundingBox, exclude: usize) -> Vec<usize> {
         let mut row: Vec<usize> = Vec::new();
-        let mut push = |j: usize| {
-            if j != exclude {
-                if let Some(other) = self.links[j].as_ref() {
-                    if self.config.relation.conflicting(link, other) {
-                        row.push(j);
-                    }
-                }
-            }
-        };
         if link.length() <= 0.0 {
             // A degenerate link conflicts with every distinct live link.
-            for j in 0..self.links.len() {
-                push(j);
-            }
+            row.extend((0..self.links.len()).filter(|&j| self.links[j].is_some()));
         } else {
+            let relation = self.config.relation;
             self.classes
-                .for_each_candidate(link, bbox, self.config.relation, &mut push);
-            for &j in &self.degenerate {
-                push(j);
-            }
+                .for_each_candidate(link, bbox, &self.bboxes, relation, |j| row.push(j));
+            row.extend_from_slice(&self.degenerate);
+            row.sort_unstable();
+            row.dedup();
         }
-        row.sort_unstable();
-        row.dedup();
+        row.retain(|&j| j != exclude);
+        self.pairs_counter.add(row.len() as u64);
+        row.retain(|&j| {
+            let other = self.links[j].as_ref().expect("candidates are live");
+            self.config.relation.conflicting(link, other)
+        });
         row
     }
 
@@ -787,6 +772,23 @@ mod tests {
     }
 
     #[test]
+    fn class_query_keeps_a_pair_whose_distance_rounds_onto_the_reach() {
+        // The static build's rounding case: the unit links' gap squared
+        // rounds to 1 + 2^-52, above reach² = 1, while their distance rounds
+        // to exactly 1 = l_min · f(1), a conflict. Only the reach's margins
+        // keep the pair.
+        let mut e = engine();
+        let a = e.insert_link(Point::new(0.0, 0.0), Point::new(1.0, 0.0));
+        let b = e.insert_link(
+            Point::new(1.5916082368562336, 0.8062255851086957),
+            Point::new(2.1832164737124673, 1.6124511702173914),
+        );
+        assert_eq!(e.link(b).unwrap().length(), 1.0);
+        assert!(e.are_adjacent(a, b));
+        assert_matches_scratch(&e);
+    }
+
+    #[test]
     fn move_node_reseats_every_touching_link() {
         let mut e = engine();
         // A 3-node chain 0 -> 1 -> 2; node 1 is on both links.
@@ -848,6 +850,54 @@ mod tests {
         }
         assert_eq!(bulk.snapshot(), incremental.snapshot());
         assert_matches_scratch(&bulk);
+    }
+
+    #[test]
+    fn exact_checks_stay_within_twice_the_row_edges_on_clustered_mst_churn() {
+        // The static build's clustered 1 000-sensor MSTs under the relations
+        // of uniform, oblivious and global power. Every third link departs
+        // and returns with its sender jittered by up to a tenth of its
+        // length; each return recomputes one row.
+        for seed in [1, 2, 42] {
+            let links = wagg_instances::random::clustered(50, 20, 4000.0, 10.0, seed)
+                .mst_links()
+                .expect("clustered sensors are distinct");
+            for relation in [
+                ConflictRelation::constant(2.0),
+                ConflictRelation::polynomial(2.0, 0.5),
+                ConflictRelation::log_shaped(2.0, 3.0),
+            ] {
+                let config =
+                    EngineConfig::new(relation, SinrModel::default(), PowerAssignment::mean());
+                let mut engine = InterferenceEngine::with_links(config, &links);
+                let rec = Recorder::new();
+                engine.set_recorder(rec.clone());
+                let mut rng = wagg_geometry::rng::seeded_rng(seed);
+                let mut row_edges = 0;
+                for slot in (0..links.len()).step_by(3) {
+                    let link = engine.remove_link(slot).unwrap();
+                    let jitter = link.length() / 10.0;
+                    let mut shift = || wagg_geometry::rng::uniform_in(&mut rng, -jitter, jitter);
+                    let sender = Point::new(link.sender.x + shift(), link.sender.y + shift());
+                    let back = engine.insert_annotated(
+                        sender,
+                        link.receiver,
+                        link.sender_node,
+                        link.receiver_node,
+                    );
+                    row_edges += engine.neighbors(back).len() as u64;
+                }
+                assert_matches_scratch(&engine);
+                let metrics = rec.metrics();
+                let rows = metrics.counter("engine.rows_recomputed").expect("rows");
+                let checked = metrics.counter("engine.pairs_checked").expect("checks");
+                assert_eq!(rows, links.len().div_ceil(3) as u64);
+                assert!(
+                    checked <= 2 * row_edges + rows,
+                    "seed {seed}, {relation}: {checked} exact checks for {rows} rows with {row_edges} edges"
+                );
+            }
+        }
     }
 
     #[test]

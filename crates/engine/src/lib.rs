@@ -8,9 +8,14 @@
 //! into one **mutable, incrementally maintained** engine:
 //!
 //! * **Spatial grids** — the per-length-class `UniformGrid`s of the static
-//!   build become tombstoned indexes with pending suffixes, rebuilt per
-//!   class only when churn crosses an occupancy threshold
-//!   ([`EngineConfig::grid_slack`]).
+//!   build become mutable cell grids (`wagg_geometry::grid::CellGrid`).
+//!   Every live positive-length link sits in the cells its box overlaps,
+//!   and insert and remove edit those cell lists in place. A class re-lays
+//!   out its cells only when its membership doubles or falls to a quarter;
+//!   [`InterferenceEngine::with_links`] lays out each class once. A row
+//!   query takes one reach per (link, class), with the static build's two
+//!   rounding margins (`ConflictRelation::margined_reach`), and applies the
+//!   box-gap test `gap² ≤ reach²` before the exact predicate.
 //! * **Conflict adjacency** — a CSR base snapshot plus added/removed delta
 //!   overlays, compacted once the overlay passes a fixed fraction of the
 //!   edge set ([`EngineConfig::compact_slack`]); equivalent edge for edge to
@@ -21,7 +26,7 @@
 //!   rebuilt per feasibility call.
 //!
 //! Per-event cost is proportional to the affected neighbourhood (plus
-//! amortised rebuild/compaction work), not to the network size — see the
+//! amortised re-layout/compaction work), not to the network size — see the
 //! `engine` benchmark for incremental-versus-rebuild numbers.
 //!
 //! The event API is [`InterferenceEngine::insert_link`] /

@@ -8,9 +8,10 @@
 //!   relative (the workspace-wide drift bound; in practice the values are
 //!   bit-identical because both sides run the same per-link formulas).
 //!
-//! The scripted tests force the corners the issue calls out: remove-then-
-//! reinsert into recycled slots, and grid-rebuild / overlay-compaction
-//! threshold crossings (via aggressively small slacks). The suite runs under
+//! The scripted tests force the corners: remove-then-reinsert into recycled
+//! slots, class-grid re-layouts (a class re-lays out whenever its membership
+//! doubles or falls to a quarter) and overlay-compaction threshold crossings
+//! (via aggressively small slacks). The suite runs under
 //! both the serial and the parallel feature configuration (`ci.sh` runs it
 //! with `--no-default-features` too).
 
@@ -28,13 +29,13 @@ fn relation_for(which: u8) -> ConflictRelation {
     }
 }
 
-fn config_for(which: u8, grid_slack: f64, compact_slack: f64) -> EngineConfig {
+fn config_for(which: u8, compact_slack: f64) -> EngineConfig {
     EngineConfig::new(
         relation_for(which),
         SinrModel::default(),
         PowerAssignment::mean(),
     )
-    .with_slacks(grid_slack, compact_slack)
+    .with_compact_slack(compact_slack)
 }
 
 /// Asserts the engine equals a from-scratch build of its live links.
@@ -161,7 +162,7 @@ proptest! {
         ),
         which in 0u8..3,
     ) {
-        let mut engine = InterferenceEngine::new(config_for(which, 0.25, 0.25));
+        let mut engine = InterferenceEngine::new(config_for(which, 0.25));
         let ops = decode(&raw);
         for (i, &op) in ops.iter().enumerate() {
             apply(&mut engine, op);
@@ -172,8 +173,9 @@ proptest! {
         assert_matches_scratch(&engine);
     }
 
-    /// The same traces under adversarially small maintenance slacks, so grid
-    /// rebuilds and overlay compactions trigger constantly mid-trace.
+    /// The same traces under an adversarially small compaction slack, so
+    /// overlay compactions trigger constantly mid-trace (next to the class
+    /// re-layouts of growing and shrinking classes).
     #[test]
     fn engine_equals_scratch_across_maintenance_thresholds(
         raw in proptest::collection::vec(
@@ -182,7 +184,7 @@ proptest! {
         ),
         which in 0u8..3,
     ) {
-        let mut engine = InterferenceEngine::new(config_for(which, 0.01, 0.001));
+        let mut engine = InterferenceEngine::new(config_for(which, 0.001));
         for &op in &decode(&raw) {
             apply(&mut engine, op);
         }
@@ -192,7 +194,7 @@ proptest! {
 
 #[test]
 fn remove_then_reinsert_recycles_slots_consistently() {
-    let mut engine = InterferenceEngine::new(config_for(0, 0.05, 0.05));
+    let mut engine = InterferenceEngine::new(config_for(0, 0.05));
     // A dense row of unit links.
     let slots: Vec<usize> = (0..120)
         .map(|i| {
@@ -226,13 +228,13 @@ fn remove_then_reinsert_recycles_slots_consistently() {
     let stats = engine.stats();
     assert!(
         stats.grid_rebuilds > 0,
-        "the trace must cross grid-rebuild thresholds"
+        "the trace must re-lay out class grids"
     );
 }
 
 #[test]
 fn long_churn_forces_compactions_and_stays_exact() {
-    let mut engine = InterferenceEngine::new(config_for(1, 0.02, 0.01));
+    let mut engine = InterferenceEngine::new(config_for(1, 0.01));
     let mut live: Vec<usize> = (0..150)
         .map(|i| {
             let x = (i % 15) as f64 * 2.0;
@@ -262,7 +264,7 @@ fn long_churn_forces_compactions_and_stays_exact() {
 
 #[test]
 fn degenerate_and_mixed_scale_universes_stay_exact() {
-    let mut engine = InterferenceEngine::new(config_for(2, 0.1, 0.1));
+    let mut engine = InterferenceEngine::new(config_for(2, 0.1));
     // Mixed scales spanning many length classes plus degenerate links.
     for i in 0..40 {
         let x = i as f64 * 3.0;

@@ -171,6 +171,50 @@ impl BoundingBox {
         let dy = (self.min_y - p.y).max(p.y - self.max_y).max(0.0);
         dx.hypot(dy)
     }
+
+    /// The squared distance between the closest points of two boxes (zero
+    /// when they overlap). It lower-bounds the squared distance between any
+    /// point of one box and any point of the other.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wagg_geometry::BoundingBox;
+    /// let a = BoundingBox::new(0.0, 0.0, 1.0, 1.0);
+    /// assert_eq!(a.gap_sq(&BoundingBox::new(4.0, 5.0, 6.0, 6.0)), 25.0);
+    /// assert_eq!(a.gap_sq(&BoundingBox::new(0.5, 0.5, 2.0, 2.0)), 0.0);
+    /// ```
+    #[inline]
+    pub fn gap_sq(&self, other: &BoundingBox) -> f64 {
+        let dx = (self.min_x - other.max_x)
+            .max(other.min_x - self.max_x)
+            .max(0.0);
+        let dy = (self.min_y - other.max_y)
+            .max(other.min_y - self.max_y)
+            .max(0.0);
+        dx * dx + dy * dy
+    }
+
+    /// The smallest box containing both boxes.
+    #[inline]
+    pub fn union(&self, other: &BoundingBox) -> BoundingBox {
+        BoundingBox {
+            min_x: self.min_x.min(other.min_x),
+            min_y: self.min_y.min(other.min_y),
+            max_x: self.max_x.max(other.max_x),
+            max_y: self.max_y.max(other.max_y),
+        }
+    }
+
+    /// The largest absolute value of the box's coordinates.
+    #[inline]
+    pub fn max_abs(&self) -> f64 {
+        self.min_x
+            .abs()
+            .max(self.min_y.abs())
+            .max(self.max_x.abs())
+            .max(self.max_y.abs())
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! A uniform spatial hash over axis-aligned boxes.
+//! Uniform spatial hashes over axis-aligned boxes.
 //!
 //! [`UniformGrid`] is the spatial index behind the workspace's
 //! distance-bounded pairwise kernels (conflict-graph construction being the
@@ -21,6 +21,9 @@
 //! * **Bounded memory** — the constructor widens the cell size until the cell
 //!   count is `O(n)`, so degenerate geometry (one far-away outlier, collinear
 //!   chains) cannot blow up the table.
+//!
+//! [`CellGrid`] is the mutable counterpart, with per-cell lists that
+//! insert and remove edit in place.
 //!
 //! # Examples
 //!
@@ -100,18 +103,7 @@ impl UniformGrid {
             "grid items must have finite coordinates"
         );
 
-        // Widen cells until the table is O(n). The candidate dimensions are
-        // compared in f64 BEFORE any usize cast: an extent spanning more than
-        // usize::MAX nominal cells (two tight clusters astronomically far
-        // apart) must widen here, not overflow in the cast.
-        let max_cells = (8 * boxes.len()).max(64);
-        let mut cell = cell_hint;
-        while fdims(&extent, cell).0 * fdims(&extent, cell).1 > max_cells as f64 {
-            cell *= 2.0;
-        }
-        let (fcols, frows) = fdims(&extent, cell);
-        let (cols, rows) = (fcols as usize, frows as usize);
-
+        let (cell, cols, rows) = widened(&extent, cell_hint, (8 * boxes.len()).max(64));
         let n_cells = cols * rows;
         let mut counts = vec![0u32; n_cells + 1];
         let span = |b: &BoundingBox| cell_span(b, extent.min_x, extent.min_y, cell, cols, rows);
@@ -208,15 +200,150 @@ impl UniformGrid {
     }
 }
 
+/// A uniform grid over boxes that is edited in place: the mutable
+/// counterpart of [`UniformGrid`], with the same superset property and
+/// duplicates. Each item is stored in every cell its box overlaps, one
+/// `Vec<u32>` per cell, and [`CellGrid::insert`] / [`CellGrid::remove`]
+/// edit those lists. The layout (cell size, origin, dimensions) is fixed at
+/// construction. An item outside the covered area is stored in the border
+/// cells it clamps to; clamping is monotone, so a query window that meets
+/// the item's box still shares a cell with it.
+///
+/// # Examples
+///
+/// ```
+/// use wagg_geometry::{grid::CellGrid, BoundingBox};
+///
+/// let mut grid = CellGrid::covering(&BoundingBox::new(0.0, 0.0, 40.0, 1.0), 2.0, 8);
+/// let near = BoundingBox::new(5.0, 0.0, 6.0, 1.0);
+/// let far = BoundingBox::new(40.0, 0.0, 41.0, 1.0);
+/// grid.insert(0, &near);
+/// grid.insert(1, &far);
+/// let mut found = Vec::new();
+/// grid.for_each_candidate(&BoundingBox::new(0.0, 0.0, 1.0, 1.0), 6.0, |id| found.push(id));
+/// assert_eq!(found, vec![0]);
+/// grid.remove(0, &near);
+/// assert_eq!(grid.ids(), vec![1]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct CellGrid {
+    cell: f64,
+    min_x: f64,
+    min_y: f64,
+    cols: usize,
+    rows: usize,
+    /// Item ids per cell, row-major.
+    cells: Vec<Vec<u32>>,
+}
+
+impl CellGrid {
+    /// An empty grid over `extent` with cells of `cell_hint`, doubled until
+    /// there are at most `max_cells` of them (at least one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell_hint` is not strictly positive and finite.
+    pub fn covering(extent: &BoundingBox, cell_hint: f64, max_cells: usize) -> Self {
+        assert!(
+            cell_hint > 0.0 && cell_hint.is_finite(),
+            "cell size must be positive and finite"
+        );
+        let (cell, cols, rows) = widened(extent, cell_hint, max_cells.max(1));
+        CellGrid {
+            cell,
+            min_x: extent.min_x,
+            min_y: extent.min_y,
+            cols,
+            rows,
+            cells: vec![Vec::new(); cols * rows],
+        }
+    }
+
+    /// The cells `b` overlaps, clamped to the grid.
+    fn cells_of(&self, b: &BoundingBox) -> impl Iterator<Item = usize> {
+        let (c0, c1, r0, r1) =
+            cell_span(b, self.min_x, self.min_y, self.cell, self.cols, self.rows);
+        let cols = self.cols;
+        (r0..=r1).flat_map(move |r| (c0..=c1).map(move |c| r * cols + c))
+    }
+
+    /// Stores item `id` under box `b`.
+    pub fn insert(&mut self, id: u32, b: &BoundingBox) {
+        for c in self.cells_of(b) {
+            self.cells[c].push(id);
+        }
+    }
+
+    /// Removes item `id`, stored under the same box `b`, by scanning the
+    /// cells `b` overlaps: the cells any query that can return the item
+    /// visits anyway.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not stored under `b`.
+    pub fn remove(&mut self, id: u32, b: &BoundingBox) {
+        for c in self.cells_of(b) {
+            let list = &mut self.cells[c];
+            let at = list
+                .iter()
+                .position(|&x| x == id)
+                .expect("item stored under this box");
+            list.swap_remove(at);
+        }
+    }
+
+    /// Every stored id, ascending, once each.
+    pub fn ids(&self) -> Vec<u32> {
+        let mut ids: Vec<u32> = self.cells.iter().flatten().copied().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// Visits the id of every stored item whose box intersects `query`
+    /// expanded by `radius` on every side, like
+    /// [`UniformGrid::for_each_candidate`]; an infinite `radius` visits
+    /// every item. Items spanning several cells may be visited several
+    /// times; callers dedupe.
+    #[inline]
+    pub fn for_each_candidate<F: FnMut(usize)>(
+        &self,
+        query: &BoundingBox,
+        radius: f64,
+        mut visit: F,
+    ) {
+        let expanded = BoundingBox {
+            min_x: query.min_x - radius,
+            min_y: query.min_y - radius,
+            max_x: query.max_x + radius,
+            max_y: query.max_y + radius,
+        };
+        for c in self.cells_of(&expanded) {
+            for &id in &self.cells[c] {
+                visit(id as usize);
+            }
+        }
+    }
+}
+
 /// Union of a slice of boxes (`None` when empty).
 fn bbox_union(boxes: &[BoundingBox]) -> Option<BoundingBox> {
     let first = *boxes.first()?;
-    Some(boxes[1..].iter().fold(first, |acc, b| BoundingBox {
-        min_x: acc.min_x.min(b.min_x),
-        min_y: acc.min_y.min(b.min_y),
-        max_x: acc.max_x.max(b.max_x),
-        max_y: acc.max_y.max(b.max_y),
-    }))
+    Some(boxes[1..].iter().fold(first, |acc, b| acc.union(b)))
+}
+
+/// The cell size (`cell_hint`, doubled as often as needed) and dimensions
+/// of a grid covering `extent` with at most `max_cells` cells. The candidate
+/// dimensions are compared in f64 BEFORE any usize cast: an extent spanning
+/// more than usize::MAX nominal cells (two tight clusters astronomically far
+/// apart) must widen here, not overflow in the cast.
+fn widened(extent: &BoundingBox, cell_hint: f64, max_cells: usize) -> (f64, usize, usize) {
+    let mut cell = cell_hint;
+    while fdims(extent, cell).0 * fdims(extent, cell).1 > max_cells as f64 {
+        cell *= 2.0;
+    }
+    let (cols, rows) = fdims(extent, cell);
+    (cell, cols as usize, rows as usize)
 }
 
 /// Grid dimensions covering `extent` with cells of size `cell`, in f64 so
@@ -305,6 +432,48 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn cell_grid_keeps_the_superset_property_under_edits() {
+        // Laid out over the first 20 boxes only, so later ones clamp into
+        // border cells; every third box is removed again.
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) * 100.0
+        };
+        let boxes: Vec<BoundingBox> = (0..150)
+            .map(|_| {
+                let (x, y) = (next(), next());
+                BoundingBox::new(x, y, x + next() * 0.05, y + next() * 0.05)
+            })
+            .collect();
+        let mut grid = CellGrid::covering(&bbox_union(&boxes[..20]).unwrap(), 2.0, 40);
+        for (id, b) in boxes.iter().enumerate() {
+            grid.insert(id as u32, b);
+        }
+        for (id, b) in boxes.iter().enumerate().step_by(3) {
+            grid.remove(id as u32, b);
+        }
+        let live: Vec<u32> = (0..150).filter(|id| id % 3 != 0).collect();
+        assert_eq!(grid.ids(), live);
+        let radius = 6.0;
+        for q in &boxes {
+            let mut found = Vec::new();
+            grid.for_each_candidate(q, radius, |id| found.push(id));
+            for &id in &live {
+                if q.gap_sq(&boxes[id as usize]) <= radius * radius {
+                    assert!(found.contains(&(id as usize)), "item {id} missed");
+                }
+            }
+            assert!(
+                found.iter().all(|&id| id % 3 != 0),
+                "a removed item was visited"
+            );
         }
     }
 

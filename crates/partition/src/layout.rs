@@ -33,17 +33,11 @@ use wagg_sinr::Link;
 use rayon::prelude::*;
 
 /// Upper bound on the link-to-link distance at which links with lengths in
-/// `[lo_a, hi_a]` and `[lo_b, hi_b]` could still conflict under `relation`:
-/// `min(hi_a, hi_b) · f(max(hi_a, hi_b) / min(lo_a, lo_b))`. Sound because
-/// `f` is non-decreasing and the true pair radius is
-/// `min(l_i, l_j) · f(max(l_i, l_j) / min(l_i, l_j))`.
-pub fn conflict_radius_bound(
-    (lo_a, hi_a): (f64, f64),
-    (lo_b, hi_b): (f64, f64),
-    relation: ConflictRelation,
-) -> f64 {
-    debug_assert!(lo_a > 0.0 && lo_b > 0.0, "length bounds must be positive");
-    hi_a.min(hi_b) * relation.f(hi_a.max(hi_b) / lo_a.min(lo_b))
+/// the `(min, max)` ranges `a` and `b` could still conflict under
+/// `relation`: [`ConflictRelation::reach`], without rounding margins.
+pub fn conflict_radius_bound(a: (f64, f64), b: (f64, f64), relation: ConflictRelation) -> f64 {
+    debug_assert!(a.0 > 0.0 && b.0 > 0.0, "length bounds must be positive");
+    relation.reach(a, b)
 }
 
 /// The maximum distance at which any two of `links` could conflict under

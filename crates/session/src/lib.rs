@@ -204,9 +204,8 @@ pub struct SessionConfig {
     pub target_shards: usize,
     /// Declared deployment bounds (see [`PartitionHints`]).
     pub partition: Option<PartitionHints>,
-    /// Engine-layer grid rebuild slack (see `wagg_engine::EngineConfig`).
-    pub grid_slack: f64,
-    /// Engine-layer adjacency compaction slack.
+    /// Engine-layer adjacency compaction slack (see
+    /// `wagg_engine::EngineConfig::compact_slack`; finite and positive).
     pub compact_slack: f64,
     /// Warm-start repair policy (see [`RepairPolicy`]; disabled by default).
     pub repair: RepairPolicy,
@@ -221,7 +220,6 @@ impl Default for SessionConfig {
             verifier: VerifierStrategy::default(),
             target_shards: 0,
             partition: None,
-            grid_slack: 0.25,
             compact_slack: 0.25,
             repair: RepairPolicy::default(),
         }
@@ -426,7 +424,7 @@ impl SessionBuilder {
     /// link's length falls outside the declared bounds.
     pub fn build(self) -> Session {
         let kind = self.config.resolved_backend(self.links.len());
-        let universe = Universe::seeded(self.config.scheduler, &self.links);
+        let universe = Universe::seeded(self.config.scheduler, self.links);
         let mut session =
             Session::assemble(self.config, kind, universe, HashMap::new(), self.flight);
         if self.recorder.is_enabled() {
@@ -487,7 +485,7 @@ impl Session {
             }),
             (BackendKind::Engine, _) => {
                 let engine_config = EngineConfig::for_scheduler(config.scheduler)
-                    .with_slacks(config.grid_slack, config.compact_slack);
+                    .with_compact_slack(config.compact_slack);
                 Box::new(EngineBackend::new(engine_config, &universe))
             }
             (BackendKind::Sharded, Some(hints)) => {
@@ -910,12 +908,12 @@ struct RepairState {
 impl Universe {
     /// A universe seeded with `links` (keys `0..n` in input order, node
     /// annotations kept exactly as given).
-    fn seeded(scheduler: SchedulerConfig, links: &[Link]) -> Self {
+    fn seeded(scheduler: SchedulerConfig, links: Vec<Link>) -> Self {
         let n = links.len();
         Universe::new(
             scheduler,
             (0..n as u64).collect(),
-            links.to_vec(),
+            links,
             n as u64,
             EventCounts {
                 inserts: n,

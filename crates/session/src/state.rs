@@ -257,6 +257,11 @@ pub enum RestoreError {
         /// Its length.
         length: f64,
     },
+    /// The engine's adjacency compaction slack is not finite and positive.
+    InvalidCompactSlack {
+        /// The captured slack.
+        slack: f64,
+    },
     /// The flight-recorder log does not replay.
     Telemetry(String),
 }
@@ -304,6 +309,9 @@ impl fmt::Display for RestoreError {
                 f,
                 "link under key {key} has length {length} outside the declared partition bounds"
             ),
+            RestoreError::InvalidCompactSlack { slack } => {
+                write!(f, "compaction slack {slack} is not finite and positive")
+            }
             RestoreError::Telemetry(e) => write!(f, "flight-recorder log does not replay: {e}"),
         }
     }
@@ -311,12 +319,17 @@ impl fmt::Display for RestoreError {
 
 impl Error for RestoreError {}
 
-/// Validates everything the rebuild relies on: keys unique (and ascending
-/// where the backend orders by key), `next_key` past every live key, warm
-/// state only where a backend keeps it and in lockstep with the universe,
-/// and — for a hinted sharded session — hints that can size a tiling and
-/// links inside their length bounds.
+/// Validates everything the rebuild relies on: a compaction slack the
+/// engine accepts, keys unique (and ascending where the backend orders by
+/// key), `next_key` past every live key, warm state only where a backend
+/// keeps it and in lockstep with the universe, and — for a hinted sharded
+/// session — hints that can size a tiling and links inside their length
+/// bounds.
 pub(crate) fn check(state: &SessionState) -> Result<(), RestoreError> {
+    let slack = state.config.compact_slack;
+    if !(slack > 0.0 && slack.is_finite()) {
+        return Err(RestoreError::InvalidCompactSlack { slack });
+    }
     let links = &state.links;
     if state.backend == BackendKind::Engine {
         // Slot order: keys need not ascend.

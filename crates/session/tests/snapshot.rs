@@ -285,6 +285,26 @@ fn captured() -> SessionState {
 }
 
 #[test]
+fn hostile_compaction_slacks_are_typed_errors_not_panics() {
+    for slack in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let mut state = captured();
+        assert_eq!(state.backend, BackendKind::Engine);
+        state.config.compact_slack = slack;
+        let restored = std::panic::catch_unwind(|| Session::restore_state(&state));
+        match restored {
+            Ok(Err(RestoreError::InvalidCompactSlack { slack: got })) => {
+                assert!(
+                    got.to_bits() == slack.to_bits(),
+                    "{got} reported for {slack}"
+                );
+            }
+            Ok(other) => panic!("slack {slack}: expected a typed error, got {other:?}"),
+            Err(_) => panic!("slack {slack}: restore panicked"),
+        }
+    }
+}
+
+#[test]
 fn tampered_states_return_typed_errors_not_panics() {
     // Duplicate key.
     let mut dup = captured();

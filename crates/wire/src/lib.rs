@@ -70,8 +70,12 @@ use wagg_sinr::{Link, NodeId, SinrModel};
 /// The four magic bytes every frame starts with.
 pub const MAGIC: [u8; 4] = *b"WAGG";
 
-/// The wire-format version this build speaks.
-pub const VERSION: u8 = 3;
+/// The wire-format version this build speaks. Version 4 dropped the engine's
+/// class-grid rebuild slack from the session config (the engine's class
+/// grids are edited in place and have no rebuild threshold), so a version 3
+/// config or snapshot payload carries one more float and is rejected as
+/// [`DecodeError::UnsupportedVersion`].
+pub const VERSION: u8 = 4;
 
 /// Frame kind discriminants (the byte after the version).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -688,7 +692,6 @@ fn put_config(buf: &mut Vec<u8>, config: &SessionConfig) -> Result<(), EncodeErr
         put_finite(buf, hints.length_bounds.0, "length bound min")?;
         put_finite(buf, hints.length_bounds.1, "length bound max")
     })?;
-    put_finite(buf, config.grid_slack, "grid slack")?;
     put_finite(buf, config.compact_slack, "compact slack")?;
     put_bool(buf, config.repair.enabled);
     put_finite(buf, config.repair.max_drift, "repair max drift")?;
@@ -721,7 +724,6 @@ fn get_config(r: &mut Reader<'_>) -> Result<SessionConfig, DecodeError> {
             length_bounds: (lo, hi),
         })
     })?;
-    let grid_slack = positive(r, "grid slack")?;
     let compact_slack = positive(r, "compact slack")?;
     let enabled = r.bool()?;
     let max_drift = r.finite_f64("repair max drift")?;
@@ -732,7 +734,6 @@ fn get_config(r: &mut Reader<'_>) -> Result<SessionConfig, DecodeError> {
         verifier: VerifierStrategy::Hierarchical { depth },
         target_shards,
         partition,
-        grid_slack,
         compact_slack,
         repair: RepairPolicy { enabled, max_drift },
     })
@@ -1276,6 +1277,26 @@ mod tests {
         let frame = Frame::Trace(trace);
         let bytes = frame.encode().unwrap();
         assert_eq!(Frame::decode(&bytes).unwrap(), frame);
+    }
+
+    #[test]
+    fn version_3_frames_are_rejected() {
+        let v4 = Frame::Config(SessionConfig::default()).encode().unwrap();
+        assert_eq!(v4[4], 4);
+        // Version 3 carried the class-grid rebuild slack right before the
+        // config's last 17 bytes: compaction slack, repair flag, drift.
+        let at = v4.len() - 8 - 1 - 8;
+        let mut v3 = v4[..at].to_vec();
+        v3.extend_from_slice(&0.25f64.to_le_bytes());
+        v3.extend_from_slice(&v4[at..]);
+        v3[4] = 3;
+        assert_eq!(
+            Frame::decode(&v3),
+            Err(DecodeError::UnsupportedVersion { version: 3 })
+        );
+        // Relabelled as version 4, the old layout does not parse either.
+        v3[4] = 4;
+        assert!(Frame::decode(&v3).is_err());
     }
 
     #[test]
