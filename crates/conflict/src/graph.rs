@@ -46,8 +46,9 @@
 //! [`ConflictGraph::build_naive`], on inputs up to `1e12` from the origin too.
 //!
 //! **Zero-length links** conflict with every link of another id. They join
-//! no class: a zero-length link decides its pairs with every classed link and
-//! every later zero-length link through `conflicting`, which checks ids.
+//! no class, and neither do links whose length overflows to infinity: such a
+//! link decides its pairs with every classed link and every later unclassed
+//! link through `conflicting`, which checks ids.
 //!
 //! # Storage
 //!
@@ -77,7 +78,8 @@ use rayon::prelude::*;
 /// Below this size the all-pairs build is faster than building class grids.
 const GRID_BUILD_CUTOFF: usize = 64;
 
-/// The class index of a zero-length link, which joins no class.
+/// The class index of a zero-length or infinitely long link, which joins no
+/// class.
 const NO_CLASS: u32 = u32::MAX;
 
 /// The recorder counter of exact predicate calls, one `add` per build.
@@ -210,19 +212,25 @@ impl ConflictGraph {
         // Bucket by floor(log2(len / min_len)); the bucket key only steers
         // efficiency — reaches below use each class's exact min/max lengths.
         // Keys are non-negative (min_len is the minimum) and bounded by the
-        // f64 exponent range (~2100), so a counting pass sizes every class
-        // and a second pass maps keys to dense class indices (ascending
-        // length) and scatters the members stably.
+        // f64 exponent range (~2100; a ratio that overflows takes the
+        // difference of the logarithms instead), so a counting pass sizes
+        // every class and a second pass maps keys to dense class indices
+        // (ascending length) and scatters the members stably.
         let mut class_of = vec![NO_CLASS; n];
         let mut classes_members: Vec<Vec<u32>> = Vec::new();
         if min_len.is_finite() {
             let mut counts: Vec<u32> = Vec::new();
             for (i, link) in links.iter().enumerate() {
                 let len = link.length();
-                if len <= 0.0 {
+                if len <= 0.0 || len.is_infinite() {
                     continue;
                 }
-                let key = (len / min_len).log2().floor() as usize;
+                let ratio = len / min_len;
+                let key = if ratio.is_finite() {
+                    ratio.log2().floor() as usize
+                } else {
+                    (len.log2() - min_len.log2()).floor() as usize
+                };
                 if key >= counts.len() {
                     counts.resize(key + 1, 0);
                 }
@@ -778,6 +786,24 @@ mod tests {
         assert_eq!(grid, naive);
         // The degenerate link conflicts with everything.
         assert_eq!(grid.degree(links.len() - 1), links.len() - 1);
+    }
+
+    #[test]
+    fn grid_build_survives_lengths_whose_ratio_overflows() {
+        // 1e154 / 1e-160 overflows f64: the longest link's class key comes
+        // from the logarithms, and the grid build still equals the naive one.
+        let mut links = chain(80, 0.5);
+        links.push(Link::new(80, Point::new(0.0, 5.0), Point::new(1e-160, 5.0)));
+        links.push(Link::new(81, Point::new(0.0, 9.0), Point::new(1e154, 9.0)));
+        assert!((links[81].length() / links[80].length()).is_infinite());
+        for relation in [
+            ConflictRelation::unit_constant(),
+            ConflictRelation::oblivious_default(),
+            ConflictRelation::arbitrary_default(),
+        ] {
+            let grid = ConflictGraph::build(&links, relation);
+            assert_eq!(grid, ConflictGraph::build_naive(&links, relation));
+        }
     }
 
     #[test]

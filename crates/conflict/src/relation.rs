@@ -182,6 +182,7 @@ impl ConflictRelation {
     /// assert_eq!(rel.reach((1.0, 1.0), (4.0, 4.0)), 4.0);
     /// ```
     pub fn reach(&self, (lo_a, hi_a): (f64, f64), (lo_b, hi_b): (f64, f64)) -> f64 {
+        debug_assert!(lo_a > 0.0 && lo_b > 0.0, "length bounds must be positive");
         hi_a.min(hi_b) * self.f(hi_a.max(hi_b) / lo_a.min(lo_b))
     }
 

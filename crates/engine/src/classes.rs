@@ -2,17 +2,19 @@
 //!
 //! The static `ConflictGraph::build` bins links into power-of-two length
 //! classes and queries one grid per class; this module is the mutable
-//! counterpart. Every live positive-length link belongs to the class keyed
-//! [`class_key`] and is stored in every cell of that class's [`CellGrid`]
-//! its bounding box overlaps. Insert and remove edit those `u32` cell lists
-//! in place, so every live link is indexed at all times.
+//! counterpart. Every live link of positive, finite length belongs to the
+//! class keyed [`class_key`] and is stored in every cell of that class's
+//! [`CellGrid`] its bounding box overlaps. Insert and remove edit those
+//! `u32` cell lists in place, so every classed link is indexed at all
+//! times. Links of no class ([`is_classed`]) are the engine's to check.
 //!
 //! **Layout.** A class lays its grid out over the union of its members'
 //! boxes, with cells of side `2^(key + 1)` (the class's nominal upper length
-//! bound) doubled until there are at most two cells per member. A member
-//! outside that area is stored in the border cells it clamps to. A class
-//! re-lays out only when its membership doubles or falls to a quarter of
-//! its count at the last layout, so layouts cost amortised `O(1)` per event;
+//! bound; finite, as a finite length is below `2^512`) doubled until there
+//! are at most two cells per member. A member outside that area is stored
+//! in the border cells it clamps to. A class re-lays out only when its
+//! membership doubles or falls to a quarter of its count at the last layout,
+//! so layouts cost amortised `O(1)` per event;
 //! `InterferenceEngine::with_links` lays out each class once over all its
 //! members.
 //!
@@ -32,9 +34,15 @@ use wagg_geometry::grid::CellGrid;
 use wagg_geometry::BoundingBox;
 use wagg_sinr::Link;
 
-/// The absolute power-of-two length-class key of a positive length.
+/// Whether a link of `length` joins a length class: zero-length links, and
+/// links whose length overflows to infinity, join none.
+pub(crate) fn is_classed(length: f64) -> bool {
+    length > 0.0 && length.is_finite()
+}
+
+/// The absolute power-of-two length-class key of a classed length.
 fn class_key(length: f64) -> i32 {
-    debug_assert!(length > 0.0);
+    debug_assert!(is_classed(length));
     length.log2().floor() as i32
 }
 
@@ -84,28 +92,31 @@ impl ClassIndex {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LengthClasses {
     classes: BTreeMap<i32, ClassIndex>,
-    layouts: usize,
+    relayouts: usize,
 }
 
 impl LengthClasses {
-    /// One class laid out per key over the positive-length live `slots`.
+    /// One class laid out per key over the classed live `slots`.
     pub fn with_members(slots: &[usize], links: &[Option<Link>], bboxes: &[BoundingBox]) -> Self {
         let mut by_key: BTreeMap<i32, Vec<u32>> = BTreeMap::new();
         for &slot in slots {
             let len = links[slot].expect("live").length();
             by_key.entry(class_key(len)).or_default().push(slot as u32);
         }
-        let classes: BTreeMap<i32, ClassIndex> = by_key
+        let classes = by_key
             .into_iter()
             .map(|(key, members)| (key, ClassIndex::laid_out(key, &members, links, bboxes)))
             .collect();
-        let layouts = classes.len();
-        LengthClasses { classes, layouts }
+        LengthClasses {
+            classes,
+            relayouts: 0,
+        }
     }
 
-    /// Number of class layouts performed so far (stats).
-    pub fn layouts(&self) -> usize {
-        self.layouts
+    /// Number of re-layouts of existing classes (a class's first layout is
+    /// not one) performed so far (stats).
+    pub fn relayouts(&self) -> usize {
+        self.relayouts
     }
 
     /// Number of populated classes.
@@ -113,14 +124,13 @@ impl LengthClasses {
         self.classes.len()
     }
 
-    /// Indexes the live `slot`, a positive-length link boxed by `bboxes[slot]`.
+    /// Indexes the live `slot`, a classed link boxed by `bboxes[slot]`.
     pub fn insert(&mut self, slot: usize, links: &[Option<Link>], bboxes: &[BoundingBox]) {
         let len = links[slot].expect("inserting a live slot").length();
         let key = class_key(len);
         let Some(class) = self.classes.get_mut(&key) else {
             let class = ClassIndex::laid_out(key, &[slot as u32], links, bboxes);
             self.classes.insert(key, class);
-            self.layouts += 1;
             return;
         };
         (class.lo, class.hi) = (class.lo.min(len), class.hi.max(len));
@@ -129,7 +139,7 @@ impl LengthClasses {
         class.len += 1;
         if class.len >= 2 * class.laid_out {
             *class = ClassIndex::laid_out(key, &class.grid.ids(), links, bboxes);
-            self.layouts += 1;
+            self.relayouts += 1;
         }
     }
 
@@ -151,7 +161,7 @@ impl LengthClasses {
             self.classes.remove(&key);
         } else if 4 * class.len <= class.laid_out {
             *class = ClassIndex::laid_out(key, &class.grid.ids(), links, bboxes);
-            self.layouts += 1;
+            self.relayouts += 1;
         }
     }
 
@@ -170,7 +180,7 @@ impl LengthClasses {
         mut visit: F,
     ) {
         let li = link.length();
-        debug_assert!(li > 0.0, "degenerate links are not class-indexed");
+        debug_assert!(is_classed(li), "links of no class are not indexed");
         for class in self.classes.values() {
             let max_coordinate = bbox.max_abs().max(class.extent.max_abs());
             let reach = relation.margined_reach((li, li), (class.lo, class.hi), max_coordinate);

@@ -1,6 +1,6 @@
 //! The incremental interference engine.
 
-use crate::classes::LengthClasses;
+use crate::classes::{is_classed, LengthClasses};
 use crate::error::EngineError;
 use crate::overlay::DeltaAdjacency;
 use std::collections::HashMap;
@@ -99,8 +99,9 @@ pub struct EngineStats {
     pub removals: usize,
     /// `move_node` events applied.
     pub moves: usize,
-    /// Class-grid layouts: one per class when it is seeded or created, then
-    /// one whenever its membership doubles or falls to a quarter.
+    /// Class-grid re-layouts: one whenever a class's membership doubles or
+    /// falls to a quarter of its count at its last layout. A class's first
+    /// layout, when it is seeded or created, is not counted.
     pub grid_rebuilds: usize,
     /// Delta-overlay compactions of the conflict adjacency.
     pub compactions: usize,
@@ -157,10 +158,11 @@ pub struct InterferenceEngine {
     free: Vec<usize>,
     /// Number of live links.
     live: usize,
-    /// Per-length-class spatial indexes over positive-length live links.
+    /// Per-length-class spatial indexes over the classed live links.
     classes: LengthClasses,
-    /// Live zero-length links (they conflict with everything), sorted.
-    degenerate: Vec<usize>,
+    /// Live links of no class, sorted: zero-length links (they conflict with
+    /// everything) and links whose length overflows to infinity.
+    unclassed: Vec<usize>,
     /// Conflict adjacency: CSR base + delta overlay.
     adj: DeltaAdjacency,
     /// Per-slot power `P(i)` under `config.power` (the `PathLossCache` state).
@@ -189,7 +191,7 @@ impl InterferenceEngine {
             free: Vec::new(),
             live: 0,
             classes: LengthClasses::default(),
-            degenerate: Vec::new(),
+            unclassed: Vec::new(),
             adj: DeltaAdjacency::new(),
             powers: Vec::new(),
             weights: Vec::new(),
@@ -251,10 +253,10 @@ impl InterferenceEngine {
         engine.live = relabeled.len();
         let mut classed = Vec::with_capacity(relabeled.len());
         for (slot, link) in relabeled.iter().enumerate() {
-            if link.length() > 0.0 {
+            if is_classed(link.length()) {
                 classed.push(slot);
             } else {
-                engine.degenerate.push(slot);
+                engine.unclassed.push(slot);
             }
             Self::register_node_links(&mut engine.node_links, link, slot);
         }
@@ -291,7 +293,7 @@ impl InterferenceEngine {
     /// Maintenance counters.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.stats;
-        stats.grid_rebuilds = self.classes.layouts();
+        stats.grid_rebuilds = self.classes.relayouts();
         stats.compactions = self.adj.compactions();
         stats.length_classes = self.classes.class_count();
         stats.overlay_half_edges = self.adj.delta_half_edges();
@@ -447,10 +449,10 @@ impl InterferenceEngine {
         self.bboxes[slot] = bbox;
         self.links[slot] = Some(link);
         self.live += 1;
-        if link.length() > 0.0 {
+        if is_classed(link.length()) {
             self.classes.insert(slot, &self.links, &self.bboxes);
-        } else if let Err(pos) = self.degenerate.binary_search(&slot) {
-            self.degenerate.insert(pos, slot);
+        } else if let Err(pos) = self.unclassed.binary_search(&slot) {
+            self.unclassed.insert(pos, slot);
         }
         self.stats.inserts += 1;
         self.link_conflict_row(slot);
@@ -480,11 +482,11 @@ impl InterferenceEngine {
         self.adj.maybe_compact(self.config.compact_slack);
         self.powers[slot] = None;
         self.weights[slot] = None;
-        if link.length() > 0.0 {
+        if is_classed(link.length()) {
             self.classes
                 .remove(slot, link.length(), &self.links, &self.bboxes);
-        } else if let Ok(pos) = self.degenerate.binary_search(&slot) {
-            self.degenerate.remove(pos);
+        } else if let Ok(pos) = self.unclassed.binary_search(&slot) {
+            self.unclassed.remove(pos);
         }
         self.live -= 1;
         self.stats.removals += 1;
@@ -497,14 +499,14 @@ impl InterferenceEngine {
     /// candidate; the calls are added to `engine.pairs_checked`.
     fn conflict_row(&self, link: &Link, bbox: &BoundingBox, exclude: usize) -> Vec<usize> {
         let mut row: Vec<usize> = Vec::new();
-        if link.length() <= 0.0 {
-            // A degenerate link conflicts with every distinct live link.
+        if !is_classed(link.length()) {
+            // A link of no class is checked against every distinct live link.
             row.extend((0..self.links.len()).filter(|&j| self.links[j].is_some()));
         } else {
             let relation = self.config.relation;
             self.classes
                 .for_each_candidate(link, bbox, &self.bboxes, relation, |j| row.push(j));
-            row.extend_from_slice(&self.degenerate);
+            row.extend_from_slice(&self.unclassed);
             row.sort_unstable();
             row.dedup();
         }

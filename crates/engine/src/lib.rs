@@ -9,9 +9,11 @@
 //!
 //! * **Spatial grids** — the per-length-class `UniformGrid`s of the static
 //!   build become mutable cell grids (`wagg_geometry::grid::CellGrid`).
-//!   Every live positive-length link sits in the cells its box overlaps,
-//!   and insert and remove edit those cell lists in place. A class re-lays
-//!   out its cells only when its membership doubles or falls to a quarter;
+//!   Every live link of positive, finite length sits in the cells its box
+//!   overlaps, and insert and remove edit those cell lists in place; every
+//!   row checks the links of no class (zero-length links, and links whose
+//!   length overflows to infinity) exactly. A class re-lays out its cells
+//!   only when its membership doubles or falls to a quarter;
 //!   [`InterferenceEngine::with_links`] lays out each class once. A row
 //!   query takes one reach per (link, class), with the static build's two
 //!   rounding margins (`ConflictRelation::margined_reach`), and applies the

@@ -4,6 +4,8 @@
 //! the offset, translated by ±1e6…1e12 on each axis. Every live link is
 //! indexed, so the class query's grid window and box-gap test, with their
 //! rounding margins, are the only things that could miss a true partner.
+//! Links whose length overflows to infinity join no class and are checked
+//! against every row exactly; they must neither panic nor go missing.
 
 #[path = "../../conflict/tests/families/mod.rs"]
 mod families;
@@ -12,7 +14,7 @@ use proptest::prelude::*;
 use wagg_conflict::{ConflictGraph, ConflictRelation};
 use wagg_engine::{EngineConfig, InterferenceEngine};
 use wagg_geometry::Point;
-use wagg_sinr::{NodeId, PowerAssignment, SinrModel};
+use wagg_sinr::{Link, NodeId, PowerAssignment, SinrModel};
 
 fn relation_for(which: u8) -> ConflictRelation {
     match which % 3 {
@@ -83,5 +85,50 @@ proptest! {
             engine.move_node(2 * k + 1, at);
         }
         assert_matches_naive(&engine, "node moves");
+    }
+}
+
+#[test]
+fn links_of_infinite_length_are_checked_exactly() {
+    // 80 short links on a lattice, then three whose endpoints are finite but
+    // whose length overflows: past the static build's all-pairs cutoff, so
+    // `with_links` seeds its adjacency from the class grids.
+    let mut links: Vec<Link> = (0..80)
+        .map(|k| {
+            let (x, y) = ((k % 10) as f64 * 3.0, (k / 10) as f64 * 3.0);
+            Link::new(k, Point::new(x, y), Point::new(x + 1.0 + (k % 3) as f64, y))
+        })
+        .collect();
+    let overflowing = [
+        (Point::new(0.0, 1.0), Point::new(1e308, 1.0)),
+        (Point::new(-1e308, 10.0), Point::new(1e308, 10.0)),
+        (Point::new(5.0, -1e200), Point::new(5.0, 1e200)),
+    ];
+    for (sender, receiver) in overflowing {
+        links.push(Link::new(links.len(), sender, receiver));
+    }
+    assert!(links[80..].iter().all(|l| l.length().is_infinite()));
+    for which in 0..3 {
+        let config = EngineConfig::new(
+            relation_for(which),
+            SinrModel::default(),
+            PowerAssignment::mean(),
+        );
+        let seeded = InterferenceEngine::with_links(config.clone(), &links);
+        assert_matches_naive(&seeded, "with_links");
+        let mut engine = InterferenceEngine::new(config);
+        let slots: Vec<usize> = links
+            .iter()
+            .map(|l| engine.insert_link(l.sender, l.receiver))
+            .collect();
+        assert_matches_naive(&engine, "inserts");
+        for &slot in slots.iter().step_by(3) {
+            engine.remove_link(slot).unwrap();
+        }
+        assert_matches_naive(&engine, "removals");
+        for l in links.iter().step_by(3) {
+            engine.insert_link(l.sender, l.receiver);
+        }
+        assert_matches_naive(&engine, "re-inserts");
     }
 }

@@ -225,10 +225,20 @@ fn remove_then_reinsert_recycles_slots_consistently() {
         engine.remove_link(slot).unwrap();
     }
     assert_matches_scratch(&engine);
-    let stats = engine.stats();
+    // The unit-link class grew one insert at a time, so it re-laid out
+    // (at 2, 4, ..., 64 members).
+    let grown = engine.stats().grid_rebuilds;
+    assert!(grown > 0, "growing classes must re-lay out their grids");
+    // Removing 45 of the 60 remaining unit links takes their class to at
+    // most a quarter of its 64-member layout; a removal can only re-lay out
+    // a shrinking class.
+    for &slot in slots.iter().skip(1).step_by(2).take(45) {
+        engine.remove_link(slot).unwrap();
+    }
+    assert_matches_scratch(&engine);
     assert!(
-        stats.grid_rebuilds > 0,
-        "the trace must re-lay out class grids"
+        engine.stats().grid_rebuilds > grown,
+        "a class falling to a quarter must re-lay out its grid"
     );
 }
 
@@ -259,7 +269,10 @@ fn long_churn_forces_compactions_and_stays_exact() {
         stats.compactions > 0,
         "the churn must cross compaction thresholds"
     );
-    assert!(stats.grid_rebuilds > 0);
+    assert!(
+        stats.grid_rebuilds > 0,
+        "growing classes must re-lay out their grids"
+    );
 }
 
 #[test]

@@ -38,7 +38,6 @@
 //! assert!(sharded.report.schedule.is_partition(engine.len()));
 //! ```
 
-use crate::layout::conflict_radius_bound;
 use crate::pipeline::{self, ShardPieces};
 use crate::verify::VerifierStrategy;
 use std::collections::BTreeMap;
@@ -167,7 +166,7 @@ impl PartitionedEngine {
             .scheduler
             .mode
             .conflict_relation(config.scheduler.model.alpha());
-        let radius = conflict_radius_bound(config.length_bounds, config.length_bounds, relation);
+        let radius = relation.reach(config.length_bounds, config.length_bounds);
         let halo = radius + config.length_bounds.1 / 2.0;
         let tiles = TileLayout::cover(&config.extent, config.target_shards, 2.0 * halo);
         let engines = (0..tiles.tiles())

@@ -32,14 +32,6 @@ use wagg_sinr::Link;
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
-/// Upper bound on the link-to-link distance at which links with lengths in
-/// the `(min, max)` ranges `a` and `b` could still conflict under
-/// `relation`: [`ConflictRelation::reach`], without rounding margins.
-pub fn conflict_radius_bound(a: (f64, f64), b: (f64, f64), relation: ConflictRelation) -> f64 {
-    debug_assert!(a.0 > 0.0 && b.0 > 0.0, "length bounds must be positive");
-    relation.reach(a, b)
-}
-
 /// The maximum distance at which any two of `links` could conflict under
 /// `relation`, evaluated per pair of power-of-two length classes (each class
 /// carrying its exact min/max member length). Zero-length links are ignored —
@@ -62,7 +54,7 @@ pub fn max_conflict_radius(links: &[Link], relation: ConflictRelation) -> f64 {
     let mut radius: f64 = 0.0;
     for &a in &bounds {
         for &b in &bounds {
-            radius = radius.max(conflict_radius_bound(a, b, relation));
+            radius = radius.max(relation.reach(a, b));
         }
     }
     radius

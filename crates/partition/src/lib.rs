@@ -66,7 +66,7 @@ pub mod verify;
 mod pipeline;
 
 pub use engine::{PartitionedEngine, PartitionedEngineConfig, PartitionedStats};
-pub use layout::{conflict_radius_bound, max_conflict_radius, PartitionLayout};
+pub use layout::{max_conflict_radius, PartitionLayout};
 pub use verify::{AffectanceVerifier, VerifierStrategy};
 
 use wagg_obs::Recorder;

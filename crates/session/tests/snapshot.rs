@@ -305,6 +305,29 @@ fn hostile_compaction_slacks_are_typed_errors_not_panics() {
 }
 
 #[test]
+fn links_of_infinite_length_capture_and_restore() {
+    // Finite endpoints 2e308 apart: the length overflows to infinity.
+    let mut seed = links(70);
+    seed.push(Link::new(
+        70,
+        Point::new(-1e308, 3.0),
+        Point::new(1e308, 3.0),
+    ));
+    assert!(seed[70].length().is_infinite());
+    let mut original = Session::builder()
+        .backend(Backend::Engine)
+        .links(&seed)
+        .build();
+    original.insert(Point::new(4.0, -1e308), Point::new(4.0, 1e308));
+    let state = original.capture_state();
+    let restored = std::panic::catch_unwind(|| Session::restore_state(&state));
+    let restored = restored
+        .expect("restore must not panic")
+        .expect("finite coordinates restore");
+    assert_eq!(restored.capture_state(), state);
+}
+
+#[test]
 fn tampered_states_return_typed_errors_not_panics() {
     // Duplicate key.
     let mut dup = captured();
