@@ -14,8 +14,8 @@
 //!
 //! * **churn** — one link departs and one arrives per event (the
 //!   `wagg-dynamic` repair workload),
-//! * **mobility** — one random-waypoint node move per event, re-seating the
-//!   (≤ 2) links touching the node.
+//! * **mobility** — one transmitter/receiver pair steps by up to one link
+//!   length per event: two node moves, each re-seating the pair's link.
 //!
 //! For each workload, `incremental/*` applies the event to an
 //! [`InterferenceEngine`] (grids patched, adjacency overlaid, path-loss state
@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use wagg_bench::uniform_unit_links;
 use wagg_conflict::{ConflictGraph, ConflictRelation};
 use wagg_engine::{EngineConfig, InterferenceEngine};
-use wagg_geometry::rng::{seeded_rng, uniform_in};
+use wagg_geometry::rng::{seeded_rng, uniform_in, DeterministicRng};
 use wagg_geometry::Point;
 use wagg_sinr::{Link, PathLossCache, PowerAssignment, SinrModel};
 
@@ -87,10 +87,8 @@ fn bench_churn(c: &mut Criterion) {
                     let x = uniform_in(rng, 0.0, side);
                     let y = uniform_in(rng, 0.0, side);
                     let angle = uniform_in(rng, 0.0, std::f64::consts::TAU);
-                    let slot = engine.insert_link(
-                        Point::new(x, y),
-                        Point::new(x + angle.cos(), y + angle.sin()),
-                    );
+                    let receiver = Point::new(x + angle.cos(), y + angle.sin());
+                    let slot = engine.insert(Link::new(0, Point::new(x, y), receiver));
                     live.push(slot);
                     black_box(slot)
                 })
@@ -122,6 +120,28 @@ fn bench_churn(c: &mut Criterion) {
     group.finish();
 }
 
+/// A mobility step for the pair whose sender is at `sender`: a random
+/// displacement of at most one unit (one link length), reflected at the
+/// edges of the `side`-square so the sender stays inside it. Both nodes of
+/// the pair take the same step, so the link keeps its length, and between
+/// the two `move_node` calls it spans at most two units.
+fn pair_step(sender: Point, side: f64, rng: &mut DeterministicRng) -> (f64, f64) {
+    let angle = uniform_in(rng, 0.0, std::f64::consts::TAU);
+    let r = uniform_in(rng, 0.0, 1.0);
+    let reflect = |v: f64| {
+        if v < 0.0 {
+            -v
+        } else if v > side {
+            2.0 * side - v
+        } else {
+            v
+        }
+    };
+    let x = reflect(sender.x + r * angle.cos());
+    let y = reflect(sender.y + r * angle.sin());
+    (x - sender.x, y - sender.y)
+}
+
 fn bench_mobility(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_mobility");
     group.sample_size(10);
@@ -129,10 +149,9 @@ fn bench_mobility(c: &mut Criterion) {
         let side = (n as f64).sqrt() * 4.0;
         // n mobile transmitter/receiver pairs: link k connects node 2k
         // (sender) to node 2k + 1 (receiver) one unit away. A mobility event
-        // relocates one pair — two `move_node` calls, each re-seating one
-        // link — so link lengths and density stay constant no matter how many
-        // events run (unlike free waypoint drift, which would degenerate the
-        // instance over hundreds of thousands of bench iterations).
+        // steps one pair (`pair_step`) — two `move_node` calls, each
+        // re-seating the pair's link — so link lengths and density stay
+        // constant no matter how many events run.
         let initial = uniform_unit_links(n, 7 + n as u64);
         let pair_links = |links: &[Link]| -> Vec<Link> {
             links
@@ -146,26 +165,21 @@ fn bench_mobility(c: &mut Criterion) {
 
         // Incremental: one pair relocation per event.
         {
+            // Pair k sits in slot k: the engine sees no removals.
             let mut engine = InterferenceEngine::new(engine_config());
             for l in pair_links(&initial) {
-                engine.insert_link_with_nodes(
-                    l.sender,
-                    l.receiver,
-                    l.sender_node.unwrap(),
-                    l.receiver_node.unwrap(),
-                );
+                engine.insert(l);
             }
             let state = RefCell::new((engine, seeded_rng(13 + n as u64)));
             group.bench_function(row("incremental", n), |b| {
                 b.iter(|| {
                     let (engine, rng) = &mut *state.borrow_mut();
                     let pair = uniform_in(rng, 0.0, n as f64) as usize;
-                    let x = uniform_in(rng, 0.0, side);
-                    let y = uniform_in(rng, 0.0, side);
-                    let angle = uniform_in(rng, 0.0, std::f64::consts::TAU);
-                    let moved = engine.move_node(2 * pair, Point::new(x, y))
-                        + engine
-                            .move_node(2 * pair + 1, Point::new(x + angle.cos(), y + angle.sin()));
+                    let link = *engine.link(pair).expect("pairs stay live");
+                    let (dx, dy) = pair_step(link.sender, side, rng);
+                    let step = |p: Point| Point::new(p.x + dx, p.y + dy);
+                    let moved = engine.move_node(2 * pair, step(link.sender))
+                        + engine.move_node(2 * pair + 1, step(link.receiver));
                     black_box(moved)
                 })
             });
@@ -178,15 +192,10 @@ fn bench_mobility(c: &mut Criterion) {
                 b.iter(|| {
                     let (links, rng) = &mut *state.borrow_mut();
                     let pair = uniform_in(rng, 0.0, links.len() as f64) as usize;
-                    let x = uniform_in(rng, 0.0, side);
-                    let y = uniform_in(rng, 0.0, side);
-                    let angle = uniform_in(rng, 0.0, std::f64::consts::TAU);
                     let old = links[pair];
-                    let mut moved = Link::new(
-                        pair,
-                        Point::new(x, y),
-                        Point::new(x + angle.cos(), y + angle.sin()),
-                    );
+                    let (dx, dy) = pair_step(old.sender, side, rng);
+                    let step = |p: Point| Point::new(p.x + dx, p.y + dy);
+                    let mut moved = Link::new(pair, step(old.sender), step(old.receiver));
                     moved.sender_node = old.sender_node;
                     moved.receiver_node = old.receiver_node;
                     links[pair] = moved;

@@ -2,27 +2,28 @@
 //!
 //! # Construction
 //!
-//! [`ConflictGraph::build`] buckets the links into power-of-two **length
-//! classes** and indexes each class with a
-//! [`wagg_geometry::grid::UniformGrid`] over its members' segment boxes.
+//! [`ConflictGraph::build`] lays the [length-class index](crate::classes)
+//! out over its input: one cell grid per power-of-two length class, over the
+//! members' segment boxes. [`ConflictGraph::build_indexed`] decides over an
+//! index the caller laid out already; `wagg-engine` seeds its adjacency that
+//! way and keeps the index.
 //!
 //! **Each unordered pair is decided once, from its shorter side.** A link in
 //! class `c` queries its own class, keeping partners with a higher index, and
 //! every longer class, never a shorter one: the short link's small window
 //! meets the sparse grid of the long class, instead of the long link's wide
 //! window sweeping the dense grids of the short classes. For class `C` with
-//! exact member lengths `lo..=hi`, a member `j` conflicting with link `i` has
+//! member lengths within `lo..=hi`, a member `j` conflicting with link `i` has
 //! `d(i, j) ≤ l_min · f(l_max / l_min) ≤ L · f(R)`, with `L = min(l_i, hi)`
 //! and `R = max(l_i, hi) / min(l_i, lo)`, because `f` is non-decreasing
 //! ([`ConflictRelation::reach`]). So each (link, class) gets one
 //! `reach = L · f(R) · (1 + 1e-9) + 1e-12 · max |coordinate|`, the largest
-//! `|coordinate|` taken over the input
-//! ([`ConflictRelation::margined_reach`]). It sets the
-//! grid window and a box-gap test, `gap(box_i, box_j)² ≤ reach²`; a class
-//! whose whole extent fails the test is skipped. A member stored in several
-//! cells is visited once per cell, so the surviving candidates are sorted
-//! and deduplicated before [`ConflictRelation::conflicting`] runs once on
-//! each.
+//! `|coordinate|` taken over the link's box and the class's extent
+//! ([`ConflictRelation::margined_reach`]). It sets the grid window and a
+//! box-gap test, `gap(box_i, box_j)² ≤ reach²`; a class whose whole extent
+//! fails the test is skipped. A member stored in several cells is visited
+//! once per cell, so the surviving candidates are sorted and deduplicated
+//! before [`ConflictRelation::conflicting`] runs once on each.
 //!
 //! **Why the box test cannot drop an edge.** The closest points of two
 //! segments lie in their boxes, so `gap ≤ d`. In floats, `segment_distance`
@@ -40,15 +41,15 @@
 //! those ulps) covers that, and the rounding of the grid window's edges.
 //! Only the pair's coordinates and the window's edges (the query link's
 //! box widened by the reach) round, and cell indices are monotone in the
-//! coordinate, so the largest `|coordinate|` of the pair suffices;
-//! `wagg-engine`'s class query relies on that.
+//! coordinate, so the largest `|coordinate|` of the pair suffices: the
+//! class's extent covers every member, so the query's maximum bounds it.
 //! `tests/grid_vs_naive.rs` checks edge-for-edge equality with
 //! [`ConflictGraph::build_naive`], on inputs up to `1e12` from the origin too.
 //!
 //! **Zero-length links** conflict with every link of another id. They join
-//! no class, and neither do links whose length overflows to infinity: such a
-//! link decides its pairs with every classed link and every later unclassed
-//! link through `conflicting`, which checks ids.
+//! no class ([`is_classed`]), and neither do links whose length overflows to
+//! infinity: such a link decides its pairs with every classed link and every
+//! later unclassed link through `conflicting`, which checks ids.
 //!
 //! # Storage
 //!
@@ -65,9 +66,9 @@
 //! across threads and the transpose serially; both builds produce identical
 //! graphs.
 
+use crate::classes::{class_key, is_classed, LengthClasses};
 use crate::relation::ConflictRelation;
 use serde::{Deserialize, Serialize};
-use wagg_geometry::grid::UniformGrid;
 use wagg_geometry::BoundingBox;
 use wagg_obs::{Recorder, Span};
 use wagg_sinr::Link;
@@ -77,10 +78,6 @@ use rayon::prelude::*;
 
 /// Below this size the all-pairs build is faster than building class grids.
 const GRID_BUILD_CUTOFF: usize = 64;
-
-/// The class index of a zero-length or infinitely long link, which joins no
-/// class.
-const NO_CLASS: u32 = u32::MAX;
 
 /// The recorder counter of exact predicate calls, one `add` per build.
 const PAIRS_CHECKED: &str = "conflict.pairs_checked";
@@ -121,20 +118,6 @@ pub struct ConflictGraph {
     neighbors: Vec<usize>,
 }
 
-/// One power-of-two length class with its spatial index.
-struct LengthClass {
-    /// Smallest member length (exact, not the nominal class bound).
-    lo: f64,
-    /// Largest member length (exact).
-    hi: f64,
-    /// Vertex indices of the members, in input order.
-    members: Vec<u32>,
-    /// Union of the members' segment boxes.
-    extent: BoundingBox,
-    /// Grid over the members' segment bounding boxes (local ids).
-    grid: UniformGrid,
-}
-
 impl ConflictGraph {
     /// Builds the conflict graph of `links` under `relation`.
     ///
@@ -148,10 +131,10 @@ impl ConflictGraph {
     }
 
     /// [`ConflictGraph::build`] with phase instrumentation: records a
-    /// `conflict` span with `bucket` / `grids` / `rows` / `csr` children on
-    /// `rec` (see `wagg-obs`), and adds the number of exact predicate calls
-    /// to its `conflict.pairs_checked` counter. With a disabled recorder,
-    /// this is exactly `build`.
+    /// `conflict` span with `layout` / `rows` / `csr` children on `rec` (see
+    /// `wagg-obs`), and adds the number of exact predicate calls to its
+    /// `conflict.pairs_checked` counter. With a disabled recorder, this is
+    /// exactly `build`.
     pub fn build_traced(links: &[Link], relation: ConflictRelation, rec: &Recorder) -> Self {
         let root = rec.span("conflict");
         let n = links.len();
@@ -159,12 +142,31 @@ impl ConflictGraph {
             rec.add(PAIRS_CHECKED, (n * n.saturating_sub(1) / 2) as u64);
             return Self::build_naive(links, relation);
         }
-        let (partners, checked) = Self::decide_pairs(links, relation, &root);
+        let layout = root.child("layout");
+        let bboxes: Vec<BoundingBox> = links
+            .iter()
+            .map(|l| BoundingBox::of_segment(l.sender, l.receiver))
+            .collect();
+        let classes = LengthClasses::laid_out(0..n, |i| links[i].length(), &bboxes);
+        layout.finish();
+        let (graph, checked) = Self::decided(links, relation, &bboxes, &classes, &root);
         rec.add(PAIRS_CHECKED, checked);
-        let csr = root.child("csr");
-        let graph = Self::from_decided(links, relation, &partners);
-        csr.finish();
         graph
+    }
+
+    /// The conflict graph of `links` under `relation`, decided over
+    /// `classes`: an index holding exactly the classed links of `links`, by
+    /// position, boxed by `bboxes` (as [`LengthClasses::laid_out`] lays it
+    /// out over `0..links.len()`). Equals [`ConflictGraph::build`] at every
+    /// size; there is no all-pairs cutoff.
+    pub fn build_indexed(
+        links: &[Link],
+        relation: ConflictRelation,
+        bboxes: &[BoundingBox],
+        classes: &LengthClasses,
+    ) -> Self {
+        let root = Recorder::disabled().span("conflict");
+        Self::decided(links, relation, bboxes, classes, &root).0
     }
 
     /// Builds the conflict graph by checking all `O(n²)` pairs.
@@ -187,131 +189,35 @@ impl ConflictGraph {
     }
 
     /// Decides every unordered pair once, from its shorter side (see the
-    /// [module docs](self)). Returns, per link, the ascending partners it
-    /// conflicts with among the pairs decided from its side, and the number
-    /// of exact predicate calls. `parent` scopes the `bucket` / `grids` /
-    /// `rows` spans.
-    fn decide_pairs(
+    /// [module docs](self)), and assembles the graph; also returns the
+    /// number of exact predicate calls. `parent` scopes the `rows` / `csr`
+    /// spans.
+    fn decided(
         links: &[Link],
         relation: ConflictRelation,
+        bboxes: &[BoundingBox],
+        classes: &LengthClasses,
         parent: &Span,
-    ) -> (Vec<Vec<u32>>, u64) {
-        let bucket_span = parent.child("bucket");
-        let n = links.len();
-        let boxes: Vec<BoundingBox> = links
-            .iter()
-            .map(|l| BoundingBox::of_segment(l.sender, l.receiver))
-            .collect();
-        let max_coordinate = boxes.iter().fold(0.0f64, |m, b| m.max(b.max_abs()));
-        let min_len = links
-            .iter()
-            .map(|l| l.length())
-            .filter(|&l| l > 0.0)
-            .fold(f64::INFINITY, f64::min);
-
-        // Bucket by floor(log2(len / min_len)); the bucket key only steers
-        // efficiency — reaches below use each class's exact min/max lengths.
-        // Keys are non-negative (min_len is the minimum) and bounded by the
-        // f64 exponent range (~2100; a ratio that overflows takes the
-        // difference of the logarithms instead), so a counting pass sizes
-        // every class and a second pass maps keys to dense class indices
-        // (ascending length) and scatters the members stably.
-        let mut class_of = vec![NO_CLASS; n];
-        let mut classes_members: Vec<Vec<u32>> = Vec::new();
-        if min_len.is_finite() {
-            let mut counts: Vec<u32> = Vec::new();
-            for (i, link) in links.iter().enumerate() {
-                let len = link.length();
-                if len <= 0.0 || len.is_infinite() {
-                    continue;
-                }
-                let ratio = len / min_len;
-                let key = if ratio.is_finite() {
-                    ratio.log2().floor() as usize
-                } else {
-                    (len.log2() - min_len.log2()).floor() as usize
-                };
-                if key >= counts.len() {
-                    counts.resize(key + 1, 0);
-                }
-                counts[key] += 1;
-                class_of[i] = key as u32;
-            }
-            let mut dense = vec![NO_CLASS; counts.len()];
-            for (key, &count) in counts.iter().enumerate() {
-                if count > 0 {
-                    dense[key] = classes_members.len() as u32;
-                    classes_members.push(Vec::with_capacity(count as usize));
-                }
-            }
-            for (i, class) in class_of.iter_mut().enumerate() {
-                if *class != NO_CLASS {
-                    *class = dense[*class as usize];
-                    classes_members[*class as usize].push(i as u32);
-                }
-            }
-        }
-        bucket_span.finish();
-        let grids_span = parent.child("grids");
-        let classes: Vec<LengthClass> = classes_members
-            .into_iter()
-            .map(|members| {
-                let lengths = members.iter().map(|&m| links[m as usize].length());
-                let lo = lengths.clone().fold(f64::INFINITY, f64::min);
-                let hi = lengths.fold(0.0f64, f64::max);
-                let member_boxes: Vec<BoundingBox> =
-                    members.iter().map(|&m| boxes[m as usize]).collect();
-                let extent = member_boxes[1..]
-                    .iter()
-                    .fold(member_boxes[0], |e, b| e.union(b));
-                let grid = UniformGrid::build(hi.max(min_len), &member_boxes);
-                LengthClass {
-                    lo,
-                    hi,
-                    members,
-                    extent,
-                    grid,
-                }
-            })
-            .collect();
-        grids_span.finish();
-
+    ) -> (Self, u64) {
         let rows_span = parent.child("rows");
+        let n = links.len();
+        // Per link, the ascending partners it conflicts with among the pairs
+        // decided from its side, and its exact predicate calls.
         let decide = |i: usize| -> (u64, Vec<u32>) {
             let link = &links[i];
-            let own = class_of[i];
+            let len = link.length();
             let mut partners: Vec<u32> = Vec::new();
-            if own == NO_CLASS {
+            if !is_classed(len) {
                 partners.extend(
                     (0..n)
-                        .filter(|&j| class_of[j] != NO_CLASS || j > i)
+                        .filter(|&j| is_classed(links[j].length()) || j > i)
                         .map(|j| j as u32),
                 );
             } else {
-                let li = link.length();
-                let bbox = &boxes[i];
-                for (c, class) in classes.iter().enumerate().skip(own as usize) {
-                    let same_class = c == own as usize;
-                    let decided_here = |j: u32| !same_class || j as usize > i;
-                    // No conflicting member lies farther than the reach
-                    // (see the module docs for the bound and its margins).
-                    let reach =
-                        relation.margined_reach((li, li), (class.lo, class.hi), max_coordinate);
-                    if !reach.is_finite() {
-                        partners.extend(class.members.iter().copied().filter(|&j| decided_here(j)));
-                        continue;
-                    }
-                    let reach_sq = reach * reach;
-                    if bbox.gap_sq(&class.extent) > reach_sq {
-                        continue;
-                    }
-                    class.grid.for_each_candidate(bbox, reach, |local| {
-                        let j = class.members[local];
-                        if decided_here(j) && bbox.gap_sq(&boxes[j as usize]) <= reach_sq {
-                            partners.push(j);
-                        }
-                    });
-                }
+                let from = (class_key(len), i + 1);
+                classes.for_each_candidate(from, len, &bboxes[i], bboxes, relation, |j| {
+                    partners.push(j as u32);
+                });
             }
             partners.sort_unstable();
             partners.dedup();
@@ -326,13 +232,17 @@ impl ConflictGraph {
         let decided: Vec<(u64, Vec<u32>)> = (0..n).map(decide).collect();
         rows_span.finish();
         let checked = decided.iter().map(|(calls, _)| calls).sum();
-        (decided.into_iter().map(|(_, row)| row).collect(), checked)
+        let partners: Vec<Vec<u32>> = decided.into_iter().map(|(_, row)| row).collect();
+        let csr = parent.child("csr");
+        let graph = Self::from_decided(links, relation, &partners);
+        csr.finish();
+        (graph, checked)
     }
 
-    /// Assembles the CSR arrays from the pairs [`Self::decide_pairs`]
-    /// decided, by a counting transpose: count each link's degree, prefix-sum
-    /// the counts into `offsets`, scatter every pair into both rows, then
-    /// sort each (short) row.
+    /// Assembles the CSR arrays from the pairs [`Self::decided`] decided, by
+    /// a counting transpose: count each link's degree, prefix-sum the counts
+    /// into `offsets`, scatter every pair into both rows, then sort each
+    /// (short) row.
     fn from_decided(links: &[Link], relation: ConflictRelation, partners: &[Vec<u32>]) -> Self {
         let n = links.len();
         let mut offsets = vec![0usize; n + 1];

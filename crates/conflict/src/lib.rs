@@ -25,19 +25,20 @@
 //!
 //! # Performance
 //!
-//! [`ConflictGraph::build`] constructs the graph through per-length-class
-//! spatial grids instead of checking all `O(n²)` pairs (see the [`graph`]
-//! module docs). Each unordered pair is decided once, from its shorter side
-//! (the lower length class; within a class, the lower index): a link
-//! queries only its own class and the longer ones, a box-gap test
-//! against one reach per (link, class) rejects far candidates, and the
-//! survivors are deduplicated before the exact predicate runs. On the
-//! paper's clustered 1 000-sensor MSTs that is 1.1–1.4 exact checks per
-//! edge. Adjacency is stored in a flat CSR layout (`offsets` + sorted
-//! `neighbors` arrays), filled by a counting transpose of the decided pairs:
-//! neighbour rows are slice borrows, adjacency queries are binary searches,
-//! and independence checks allocate nothing. With the default-on `parallel`
-//! feature the per-link decisions run across threads.
+//! [`ConflictGraph::build`] constructs the graph through the length-class
+//! index ([`classes`]: one cell grid per power-of-two length class, the same
+//! index `wagg-engine` keeps current under churn) instead of checking all
+//! `O(n²)` pairs (see the [`graph`] module docs). Each unordered pair is
+//! decided once, from its shorter side (the lower length class; within a
+//! class, the lower index): a link queries only its own class and the
+//! longer ones, a box-gap test against one reach per (link, class) rejects
+//! far candidates, and the survivors are deduplicated before the exact
+//! predicate runs. On the paper's clustered 1 000-sensor MSTs that is
+//! 1.1–1.4 exact checks per edge. Adjacency is stored in a flat CSR layout
+//! (`offsets` + sorted `neighbors` arrays), filled by a counting transpose
+//! of the decided pairs: neighbour rows are slice borrows, adjacency queries
+//! are binary searches, and independence checks allocate nothing. With the
+//! default-on `parallel` feature the per-link decisions run across threads.
 //! [`ConflictGraph::build_naive`] retains the all-pairs reference
 //! construction; property tests assert the two are edge-identical, and the
 //! `kernel` benchmark in `wagg-bench` tracks the speedup (three orders of
@@ -65,10 +66,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod classes;
 pub mod coloring;
 pub mod graph;
 pub mod relation;
 
+pub use classes::{class_key, is_classed, LengthClasses};
 pub use coloring::{greedy_color, greedy_color_with_order, Coloring};
 pub use graph::ConflictGraph;
 pub use relation::ConflictRelation;

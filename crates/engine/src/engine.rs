@@ -1,10 +1,9 @@
 //! The incremental interference engine.
 
-use crate::classes::{is_classed, LengthClasses};
 use crate::error::EngineError;
 use crate::overlay::DeltaAdjacency;
 use std::collections::HashMap;
-use wagg_conflict::{ConflictGraph, ConflictRelation};
+use wagg_conflict::{is_classed, ConflictGraph, ConflictRelation, LengthClasses};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_obs::{Counter, Recorder};
 use wagg_schedule::{schedule_prebuilt_traced, ScheduleReport, SchedulerConfig};
@@ -130,7 +129,7 @@ pub struct EngineStats {
 /// use wagg_engine::{EngineConfig, InterferenceEngine};
 /// use wagg_conflict::ConflictRelation;
 /// use wagg_geometry::Point;
-/// use wagg_sinr::{PowerAssignment, SinrModel};
+/// use wagg_sinr::{Link, PowerAssignment, SinrModel};
 ///
 /// let config = EngineConfig::new(
 ///     ConflictRelation::unit_constant(),
@@ -138,9 +137,9 @@ pub struct EngineStats {
 ///     PowerAssignment::mean(),
 /// );
 /// let mut engine = InterferenceEngine::new(config);
-/// let a = engine.insert_link(Point::new(0.0, 0.0), Point::new(1.0, 0.0));
-/// let b = engine.insert_link(Point::new(1.5, 0.0), Point::new(2.5, 0.0));
-/// let c = engine.insert_link(Point::new(50.0, 0.0), Point::new(51.0, 0.0));
+/// let a = engine.insert(Link::new(0, Point::new(0.0, 0.0), Point::new(1.0, 0.0)));
+/// let b = engine.insert(Link::new(0, Point::new(1.5, 0.0), Point::new(2.5, 0.0)));
+/// let c = engine.insert(Link::new(0, Point::new(50.0, 0.0), Point::new(51.0, 0.0)));
 /// assert!(engine.are_adjacent(a, b));
 /// assert!(!engine.are_adjacent(a, c));
 /// engine.remove_link(b).unwrap();
@@ -158,7 +157,7 @@ pub struct InterferenceEngine {
     free: Vec<usize>,
     /// Number of live links.
     live: usize,
-    /// Per-length-class spatial indexes over the classed live links.
+    /// The length-class index over the classed live links, by slot.
     classes: LengthClasses,
     /// Live links of no class, sorted: zero-length links (they conflict with
     /// everything) and links whose length overflows to infinity.
@@ -223,10 +222,10 @@ impl InterferenceEngine {
     }
 
     /// Bulk-seeds an engine from a link set, assigning slots `0..n` in input
-    /// order, and returns it. Uses the grid-accelerated
-    /// [`ConflictGraph::build`] once for the whole set (much faster than `n`
-    /// single insertions), adopts its CSR arrays as the adjacency base, and
-    /// lays out each length class's grid once over all its members.
+    /// order, and returns it. Lays the length-class index out once over all
+    /// the links and decides the adjacency base over that same index
+    /// ([`ConflictGraph::build_indexed`]): much faster than `n` single
+    /// insertions.
     pub fn with_links(config: EngineConfig, links: &[Link]) -> Self {
         let relabeled: Vec<Link> = links
             .iter()
@@ -237,7 +236,13 @@ impl InterferenceEngine {
                 l
             })
             .collect();
-        let graph = ConflictGraph::build(&relabeled, config.relation);
+        let bboxes: Vec<BoundingBox> = relabeled
+            .iter()
+            .map(|l| BoundingBox::of_segment(l.sender, l.receiver))
+            .collect();
+        let length = |slot: usize| relabeled[slot].length();
+        let classes = LengthClasses::laid_out(0..relabeled.len(), length, &bboxes);
+        let graph = ConflictGraph::build_indexed(&relabeled, config.relation, &bboxes, &classes);
         let (offsets, neighbors) = graph.csr();
         let cache = PathLossCache::new(config.model(), &relabeled, &config.power);
         let (powers, weights) = cache.into_parts();
@@ -246,22 +251,16 @@ impl InterferenceEngine {
         engine.adj = DeltaAdjacency::from_csr(offsets, neighbors);
         engine.powers = powers;
         engine.weights = weights;
-        engine.bboxes = relabeled
-            .iter()
-            .map(|l| BoundingBox::of_segment(l.sender, l.receiver))
-            .collect();
+        engine.bboxes = bboxes;
+        engine.classes = classes;
         engine.live = relabeled.len();
-        let mut classed = Vec::with_capacity(relabeled.len());
         for (slot, link) in relabeled.iter().enumerate() {
-            if is_classed(link.length()) {
-                classed.push(slot);
-            } else {
+            if !is_classed(link.length()) {
                 engine.unclassed.push(slot);
             }
             Self::register_node_links(&mut engine.node_links, link, slot);
         }
         engine.links = relabeled.into_iter().map(Some).collect();
-        engine.classes = LengthClasses::with_members(&classed, &engine.links, &engine.bboxes);
         engine
     }
 
@@ -322,38 +321,14 @@ impl InterferenceEngine {
         self.adj.are_adjacent(u, v)
     }
 
-    /// Inserts a link between two positions, returning its slot.
-    pub fn insert_link(&mut self, sender: Point, receiver: Point) -> usize {
-        self.insert_annotated(sender, receiver, None, None)
-    }
-
-    /// Inserts a link that records the pointset nodes it connects (required
-    /// for the link to follow [`InterferenceEngine::move_node`] events).
-    pub fn insert_link_with_nodes(
-        &mut self,
-        sender: Point,
-        receiver: Point,
-        sender_node: NodeId,
-        receiver_node: NodeId,
-    ) -> usize {
-        self.insert_annotated(sender, receiver, Some(sender_node), Some(receiver_node))
-    }
-
-    /// Inserts a link with whatever node annotations it carries — both, one
-    /// or none, exactly as [`InterferenceEngine::with_links`] seeds them. An
-    /// annotated endpoint follows [`InterferenceEngine::move_node`] events;
-    /// a half-annotated link follows its one annotated endpoint.
-    pub fn insert_annotated(
-        &mut self,
-        sender: Point,
-        receiver: Point,
-        sender_node: Option<NodeId>,
-        receiver_node: Option<NodeId>,
-    ) -> usize {
+    /// Inserts `link`, returning its slot, which replaces the link's id. Its
+    /// node annotations are kept as given — both, one or none, exactly as
+    /// [`InterferenceEngine::with_links`] seeds them. An annotated endpoint
+    /// follows [`InterferenceEngine::move_node`] events; a half-annotated
+    /// link follows its one annotated endpoint.
+    pub fn insert(&mut self, mut link: Link) -> usize {
         let slot = self.alloc_slot();
-        let mut link = Link::new(slot, sender, receiver);
-        link.sender_node = sender_node;
-        link.receiver_node = receiver_node;
+        link.id = LinkId(slot);
         self.attach(slot, link);
         Self::register_node_links(&mut self.node_links, &link, slot);
         slot
@@ -450,7 +425,8 @@ impl InterferenceEngine {
         self.links[slot] = Some(link);
         self.live += 1;
         if is_classed(link.length()) {
-            self.classes.insert(slot, &self.links, &self.bboxes);
+            let length = |s: usize| self.links[s].expect("indexed slots are live").length();
+            self.classes.insert(slot, length, &self.bboxes);
         } else if let Err(pos) = self.unclassed.binary_search(&slot) {
             self.unclassed.insert(pos, slot);
         }
@@ -477,17 +453,18 @@ impl InterferenceEngine {
     /// Unwires the link at `slot` from every maintained structure (the slot
     /// itself is not freed — `move_node` re-attaches in place).
     fn detach(&mut self, slot: usize) -> Link {
-        let link = self.links[slot].take().expect("detaching a live slot");
+        let link = self.links[slot].expect("detaching a live slot");
+        if is_classed(link.length()) {
+            let length = |s: usize| self.links[s].expect("indexed slots are live").length();
+            self.classes.remove(slot, length, &self.bboxes);
+        } else if let Ok(pos) = self.unclassed.binary_search(&slot) {
+            self.unclassed.remove(pos);
+        }
+        self.links[slot] = None;
         self.adj.isolate(slot);
         self.adj.maybe_compact(self.config.compact_slack);
         self.powers[slot] = None;
         self.weights[slot] = None;
-        if is_classed(link.length()) {
-            self.classes
-                .remove(slot, link.length(), &self.links, &self.bboxes);
-        } else if let Ok(pos) = self.unclassed.binary_search(&slot) {
-            self.unclassed.remove(pos);
-        }
         self.live -= 1;
         self.stats.removals += 1;
         link
@@ -503,9 +480,12 @@ impl InterferenceEngine {
             // A link of no class is checked against every distinct live link.
             row.extend((0..self.links.len()).filter(|&j| self.links[j].is_some()));
         } else {
-            let relation = self.config.relation;
+            let (len, relation) = (link.length(), self.config.relation);
+            let every_class = (i32::MIN, 0);
             self.classes
-                .for_each_candidate(link, bbox, &self.bboxes, relation, |j| row.push(j));
+                .for_each_candidate(every_class, len, bbox, &self.bboxes, relation, |j| {
+                    row.push(j)
+                });
             row.extend_from_slice(&self.unclassed);
             row.sort_unstable();
             row.dedup();
@@ -696,7 +676,7 @@ mod tests {
     }
 
     fn line(engine: &mut InterferenceEngine, s: f64, r: f64) -> usize {
-        engine.insert_link(Point::on_line(s), Point::on_line(r))
+        engine.insert(Link::new(0, Point::on_line(s), Point::on_line(r)))
     }
 
     fn assert_matches_scratch(engine: &InterferenceEngine) {
@@ -780,11 +760,12 @@ mod tests {
         // to exactly 1 = l_min · f(1), a conflict. Only the reach's margins
         // keep the pair.
         let mut e = engine();
-        let a = e.insert_link(Point::new(0.0, 0.0), Point::new(1.0, 0.0));
-        let b = e.insert_link(
+        let a = e.insert(Link::new(0, Point::new(0.0, 0.0), Point::new(1.0, 0.0)));
+        let b = e.insert(Link::new(
+            0,
             Point::new(1.5916082368562336, 0.8062255851086957),
             Point::new(2.1832164737124673, 1.6124511702173914),
-        );
+        ));
         assert_eq!(e.link(b).unwrap().length(), 1.0);
         assert!(e.are_adjacent(a, b));
         assert_matches_scratch(&e);
@@ -794,18 +775,20 @@ mod tests {
     fn move_node_reseats_every_touching_link() {
         let mut e = engine();
         // A 3-node chain 0 -> 1 -> 2; node 1 is on both links.
-        let l0 = e.insert_link_with_nodes(
+        let l0 = e.insert(Link::with_nodes(
+            0,
             Point::new(0.0, 0.0),
             Point::new(10.0, 0.0),
             NodeId(0),
             NodeId(1),
-        );
-        let l1 = e.insert_link_with_nodes(
+        ));
+        let l1 = e.insert(Link::with_nodes(
+            0,
             Point::new(10.0, 0.0),
             Point::new(20.0, 0.0),
             NodeId(1),
             NodeId(2),
-        );
+        ));
         assert!(e.are_adjacent(l0, l1)); // shared endpoint
         let touched = e.move_node(1, Point::new(100.0, 100.0));
         assert_eq!(touched, 2);
@@ -818,14 +801,10 @@ mod tests {
         // A node move that lands one link next to an unannotated one, then
         // the removal of the other unannotated link.
         let mut e = engine();
-        e.insert_link_with_nodes(
-            Point::on_line(0.0),
-            Point::on_line(1.0),
-            NodeId(0),
-            NodeId(1),
-        );
-        e.insert_link(Point::on_line(1.4), Point::on_line(2.4));
-        e.insert_link(Point::on_line(30.0), Point::on_line(31.0));
+        let (s, r) = (Point::on_line(0.0), Point::on_line(1.0));
+        e.insert(Link::with_nodes(0, s, r, NodeId(0), NodeId(1)));
+        e.insert(Link::new(0, Point::on_line(1.4), Point::on_line(2.4)));
+        e.insert(Link::new(0, Point::on_line(30.0), Point::on_line(31.0)));
         assert_eq!(e.move_node(1, Point::on_line(29.5)), 1);
         assert!(e.are_adjacent(0, 2));
         e.remove_link(1).unwrap();
@@ -848,7 +827,7 @@ mod tests {
         let bulk = InterferenceEngine::with_links(config.clone(), &links);
         let mut incremental = InterferenceEngine::new(config);
         for l in &links {
-            incremental.insert_link(l.sender, l.receiver);
+            incremental.insert(*l);
         }
         assert_eq!(bulk.snapshot(), incremental.snapshot());
         assert_matches_scratch(&bulk);
@@ -881,12 +860,10 @@ mod tests {
                     let jitter = link.length() / 10.0;
                     let mut shift = || wagg_geometry::rng::uniform_in(&mut rng, -jitter, jitter);
                     let sender = Point::new(link.sender.x + shift(), link.sender.y + shift());
-                    let back = engine.insert_annotated(
-                        sender,
-                        link.receiver,
-                        link.sender_node,
-                        link.receiver_node,
-                    );
+                    let mut moved = Link::new(0, sender, link.receiver);
+                    (moved.sender_node, moved.receiver_node) =
+                        (link.sender_node, link.receiver_node);
+                    let back = engine.insert(moved);
                     row_edges += engine.neighbors(back).len() as u64;
                 }
                 assert_matches_scratch(&engine);

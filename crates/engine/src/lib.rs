@@ -7,15 +7,17 @@
 //! full `O(n)` rebuild per event. This crate turns those three structures
 //! into one **mutable, incrementally maintained** engine:
 //!
-//! * **Spatial grids** — the per-length-class `UniformGrid`s of the static
-//!   build become mutable cell grids (`wagg_geometry::grid::CellGrid`).
-//!   Every live link of positive, finite length sits in the cells its box
-//!   overlaps, and insert and remove edit those cell lists in place; every
-//!   row checks the links of no class (zero-length links, and links whose
-//!   length overflows to infinity) exactly. A class re-lays out its cells
-//!   only when its membership doubles or falls to a quarter;
-//!   [`InterferenceEngine::with_links`] lays out each class once. A row
-//!   query takes one reach per (link, class), with the static build's two
+//! * **Spatial grids** — the engine keeps `wagg-conflict`'s length-class
+//!   index (`wagg_conflict::LengthClasses`, one mutable
+//!   `wagg_geometry::grid::CellGrid` per power-of-two length class), the
+//!   one the static build lays out too. Every live link of positive, finite
+//!   length sits in the cells its box overlaps, and insert and remove edit
+//!   those cell lists in place; every row checks the links of no class
+//!   (zero-length links, and links whose length overflows to infinity)
+//!   exactly. A class re-lays out its cells only when its membership
+//!   doubles or falls to a quarter. [`InterferenceEngine::with_links`] lays
+//!   the index out once and decides its adjacency base over it. A row query
+//!   takes one reach per (link, class), with the static build's two
 //!   rounding margins (`ConflictRelation::margined_reach`), and applies the
 //!   box-gap test `gap² ≤ reach²` before the exact predicate.
 //! * **Conflict adjacency** — a CSR base snapshot plus added/removed delta
@@ -31,7 +33,7 @@
 //! amortised re-layout/compaction work), not to the network size — see the
 //! `engine` benchmark for incremental-versus-rebuild numbers.
 //!
-//! The event API is [`InterferenceEngine::insert_link`] /
+//! The event API is [`InterferenceEngine::insert`] /
 //! [`InterferenceEngine::remove_link`] / [`InterferenceEngine::move_node`];
 //! [`scenario`] packages event sequences (random churn and random-waypoint
 //! mobility via [`wagg_instances::mobility`]) into replayable traces.
@@ -63,7 +65,6 @@ pub mod engine;
 pub mod error;
 pub mod scenario;
 
-mod classes;
 mod overlay;
 
 pub use engine::{EngineConfig, EngineStats, InterferenceEngine};

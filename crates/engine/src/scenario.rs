@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use wagg_geometry::rng::seeded_rng;
 use wagg_geometry::Point;
 use wagg_instances::mobility::{handover_events, MobilityTrace};
-use wagg_sinr::NodeId;
+use wagg_sinr::{Link, NodeId};
 
 /// One replayable engine event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -255,13 +255,10 @@ impl TraceBinding {
                     sender_node,
                     receiver_node,
                 } => {
-                    let slot = engine.insert_annotated(
-                        sender,
-                        receiver,
-                        sender_node.map(NodeId),
-                        receiver_node.map(NodeId),
-                    );
-                    self.slot_of.insert(key, slot);
+                    let mut link = Link::new(0, sender, receiver);
+                    link.sender_node = sender_node.map(NodeId);
+                    link.receiver_node = receiver_node.map(NodeId);
+                    self.slot_of.insert(key, engine.insert(link));
                 }
                 EngineEvent::Remove { key } => {
                     let slot = self

@@ -57,7 +57,7 @@ proptest! {
             .enumerate()
             .map(|(k, l)| {
                 let (s, r) = (NodeId(2 * k), NodeId(2 * k + 1));
-                engine.insert_annotated(l.sender, l.receiver, Some(s), Some(r))
+                engine.insert(Link::with_nodes(0, l.sender, l.receiver, s, r))
             })
             .collect();
         assert_matches_naive(&engine, "inserts");
@@ -73,7 +73,7 @@ proptest! {
         for &k in &departed {
             let l = links[k];
             let (s, r) = (NodeId(2 * k), NodeId(2 * k + 1));
-            slots[k] = engine.insert_annotated(l.sender, l.receiver, Some(s), Some(r));
+            slots[k] = engine.insert(Link::with_nodes(0, l.sender, l.receiver, s, r));
         }
         assert_matches_naive(&engine, "re-inserts");
 
@@ -117,17 +117,14 @@ fn links_of_infinite_length_are_checked_exactly() {
         let seeded = InterferenceEngine::with_links(config.clone(), &links);
         assert_matches_naive(&seeded, "with_links");
         let mut engine = InterferenceEngine::new(config);
-        let slots: Vec<usize> = links
-            .iter()
-            .map(|l| engine.insert_link(l.sender, l.receiver))
-            .collect();
+        let slots: Vec<usize> = links.iter().map(|&l| engine.insert(l)).collect();
         assert_matches_naive(&engine, "inserts");
         for &slot in slots.iter().step_by(3) {
             engine.remove_link(slot).unwrap();
         }
         assert_matches_naive(&engine, "removals");
         for l in links.iter().step_by(3) {
-            engine.insert_link(l.sender, l.receiver);
+            engine.insert(*l);
         }
         assert_matches_naive(&engine, "re-inserts");
     }

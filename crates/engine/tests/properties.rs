@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use wagg_conflict::{ConflictGraph, ConflictRelation};
 use wagg_engine::{EngineConfig, InterferenceEngine};
 use wagg_geometry::Point;
-use wagg_sinr::{NodeId, PathLossCache, PowerAssignment, SinrModel};
+use wagg_sinr::{Link, NodeId, PathLossCache, PowerAssignment, SinrModel};
 
 fn relation_for(which: u8) -> ConflictRelation {
     match which % 3 {
@@ -134,8 +134,9 @@ fn apply(engine: &mut InterferenceEngine, op: Op) {
         } => {
             let sender = Point::new(x, y);
             let receiver = Point::new(x + len * angle.cos(), y + len * angle.sin());
-            let (s, r) = nodes(node, half);
-            engine.insert_annotated(sender, receiver, s, r);
+            let mut link = Link::new(0, sender, receiver);
+            (link.sender_node, link.receiver_node) = nodes(node, half);
+            engine.insert(link);
         }
         Op::Remove { pick } => {
             let live = engine.live_slots();
@@ -199,7 +200,7 @@ fn remove_then_reinsert_recycles_slots_consistently() {
     let slots: Vec<usize> = (0..120)
         .map(|i| {
             let x = i as f64 * 1.3;
-            engine.insert_link(Point::on_line(x), Point::on_line(x + 1.0))
+            engine.insert(Link::new(0, Point::on_line(x), Point::on_line(x + 1.0)))
         })
         .collect();
     assert_matches_scratch(&engine);
@@ -213,7 +214,7 @@ fn remove_then_reinsert_recycles_slots_consistently() {
     let reinserted: Vec<usize> = (0..60)
         .map(|i| {
             let x = i as f64 * 2.6 + 0.4;
-            engine.insert_link(Point::on_line(x), Point::on_line(x + 4.0))
+            engine.insert(Link::new(0, Point::on_line(x), Point::on_line(x + 4.0)))
         })
         .collect();
     assert!(
@@ -249,7 +250,7 @@ fn long_churn_forces_compactions_and_stays_exact() {
         .map(|i| {
             let x = (i % 15) as f64 * 2.0;
             let y = (i / 15) as f64 * 2.0;
-            engine.insert_link(Point::new(x, y), Point::new(x + 1.0, y))
+            engine.insert(Link::new(0, Point::new(x, y), Point::new(x + 1.0, y)))
         })
         .collect();
     for round in 0..300 {
@@ -258,7 +259,7 @@ fn long_churn_forces_compactions_and_stays_exact() {
         engine.remove_link(victim).unwrap();
         let x = (round % 17) as f64 * 1.7;
         let y = (round % 13) as f64 * 1.9;
-        live.push(engine.insert_link(Point::new(x, y), Point::new(x + 1.2, y + 0.3)));
+        live.push(engine.insert(Link::new(0, Point::new(x, y), Point::new(x + 1.2, y + 0.3))));
         if round % 60 == 59 {
             assert_matches_scratch(&engine);
         }
@@ -281,11 +282,12 @@ fn degenerate_and_mixed_scale_universes_stay_exact() {
     // Mixed scales spanning many length classes plus degenerate links.
     for i in 0..40 {
         let x = i as f64 * 3.0;
-        engine.insert_link(Point::on_line(x), Point::on_line(x + 1.0));
+        engine.insert(Link::new(0, Point::on_line(x), Point::on_line(x + 1.0)));
         let growth = 1.0 + (i % 7) as f64 * 4.0;
-        engine.insert_link(Point::on_line(x + 1.2), Point::on_line(x + 1.2 + growth));
+        let (s, r) = (Point::on_line(x + 1.2), Point::on_line(x + 1.2 + growth));
+        engine.insert(Link::new(0, s, r));
     }
-    let degenerate = engine.insert_link(Point::on_line(5.0), Point::on_line(5.0));
+    let degenerate = engine.insert(Link::new(0, Point::on_line(5.0), Point::on_line(5.0)));
     assert_matches_scratch(&engine);
     assert_eq!(engine.neighbors(degenerate).len(), engine.len() - 1);
     engine.remove_link(degenerate).unwrap();

@@ -6,9 +6,10 @@
 //!
 //! * [`Point`] — points in the Euclidean plane with exact-enough `f64` arithmetic,
 //! * [`BoundingBox`] — axis-aligned bounding boxes of pointsets,
-//! * [`UniformGrid`] — a uniform spatial hash over bounding boxes with
-//!   radius-bounded candidate queries, the index behind the fast conflict-graph
-//!   construction in `wagg-conflict`,
+//! * [`grid::CellGrid`] — a uniform spatial hash over bounding boxes, edited
+//!   in place, with radius-bounded candidate queries: one per length class
+//!   of `wagg-conflict`'s length-class index, behind the static
+//!   conflict-graph build and the incremental engine,
 //! * [`tiling::TileLayout`] — deterministic rectangular tilings with
 //!   halo-overlap queries, the domain decomposition behind the sharded
 //!   scheduler in `wagg-partition`,
@@ -47,5 +48,4 @@ pub mod rng;
 pub mod tiling;
 
 pub use bbox::BoundingBox;
-pub use grid::UniformGrid;
 pub use point::Point;

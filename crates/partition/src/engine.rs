@@ -425,7 +425,7 @@ impl PartitionedEngine {
         key: u64,
         owned: bool,
     ) -> usize {
-        let slot = self.engines[shard].insert_link(sender, receiver);
+        let slot = self.engines[shard].insert(Link::new(0, sender, receiver));
         let meta = &mut self.meta[shard];
         if slot >= meta.len() {
             meta.resize(slot + 1, None);

@@ -5,8 +5,9 @@
 //! conflict when their link-to-link distance is below a radius bounded by
 //! their lengths and the conflict relation `f` (the same bound that drives
 //! the grid pruning in `ConflictGraph::build`). [`max_conflict_radius`]
-//! evaluates that bound per pair of power-of-two length classes, so it stays
-//! tight for length-diverse instances instead of degenerating to
+//! evaluates that bound per pair of power-of-two length classes, keyed like
+//! `wagg-conflict`'s length-class index (`wagg_conflict::class_key`), so it
+//! stays tight for length-diverse instances instead of degenerating to
 //! `l_max · f(Δ)`.
 //!
 //! [`PartitionLayout`] then tiles the deployment region into shards:
@@ -24,7 +25,8 @@
 //! partner's midpoint would have to lie inside the interior link's expanded
 //! box, which is contained in the owner tile.
 
-use wagg_conflict::ConflictRelation;
+use std::collections::BTreeMap;
+use wagg_conflict::{class_key, is_classed, ConflictRelation};
 use wagg_geometry::tiling::TileLayout;
 use wagg_geometry::{BoundingBox, Point};
 use wagg_sinr::Link;
@@ -34,19 +36,18 @@ use rayon::prelude::*;
 
 /// The maximum distance at which any two of `links` could conflict under
 /// `relation`, evaluated per pair of power-of-two length classes (each class
-/// carrying its exact min/max member length). Zero-length links are ignored —
-/// they conflict at any distance and must be handled out of band. Returns
-/// `0.0` when fewer than one positive-length link exists.
+/// carrying its exact min/max member length). Links of no class
+/// ([`is_classed`]: zero length, or a length that overflows to infinity)
+/// are ignored — they conflict at any distance and must be handled out of
+/// band. Returns `0.0` when no link has a class.
 pub fn max_conflict_radius(links: &[Link], relation: ConflictRelation) -> f64 {
-    let mut classes: std::collections::BTreeMap<i32, (f64, f64)> =
-        std::collections::BTreeMap::new();
-    for link in links {
-        let len = link.length();
-        if len <= 0.0 {
-            continue;
-        }
-        let key = len.log2().floor() as i32;
-        let entry = classes.entry(key).or_insert((len, len));
+    let mut classes: BTreeMap<i32, (f64, f64)> = BTreeMap::new();
+    for len in links
+        .iter()
+        .map(Link::length)
+        .filter(|&len| is_classed(len))
+    {
+        let entry = classes.entry(class_key(len)).or_insert((len, len));
         entry.0 = entry.0.min(len);
         entry.1 = entry.1.max(len);
     }
@@ -92,13 +93,14 @@ impl PartitionLayout {
     ///
     /// # Panics
     ///
-    /// Panics when `target_shards == 0` or any link has zero length (callers
-    /// split degenerate links off first — they conflict with everything, so
-    /// no finite halo can localise them).
+    /// Panics when `target_shards == 0` or a link has no class
+    /// ([`is_classed`]: zero length, or a length that overflows to infinity).
+    /// Callers split such degenerate links off first — they conflict with
+    /// everything, so no finite halo can localise them.
     pub fn build(links: &[Link], relation: ConflictRelation, target_shards: usize) -> Self {
         assert!(target_shards > 0, "need at least one shard");
         assert!(
-            links.iter().all(|l| l.length() > 0.0),
+            links.iter().all(|l| is_classed(l.length())),
             "degenerate links cannot be spatially partitioned"
         );
         let radius = max_conflict_radius(links, relation);

@@ -69,6 +69,7 @@ pub use engine::{PartitionedEngine, PartitionedEngineConfig, PartitionedStats};
 pub use layout::{max_conflict_radius, PartitionLayout};
 pub use verify::{AffectanceVerifier, VerifierStrategy};
 
+use wagg_conflict::is_classed;
 use wagg_obs::Recorder;
 use wagg_schedule::{SchedulerConfig, SolveReport};
 use wagg_sinr::Link;
@@ -100,9 +101,11 @@ use wagg_sinr::Link;
 /// wraps; application code should schedule through the session, which also
 /// picks the shard count and strategy for `Backend::Auto`.
 ///
-/// Zero-length links conflict with every other link and cannot be localised
-/// by any finite halo; they are split off up front and appended as singleton
-/// slots (which is where the unsharded scheduler ends up putting them too).
+/// Links of no length class (`wagg_conflict::is_classed`: zero length, or a
+/// length that overflows to infinity) conflict with every other link and
+/// cannot be localised by any finite halo; they are split off up front and
+/// appended as singleton slots (which is where the unsharded scheduler ends
+/// up putting them too).
 ///
 /// # Panics
 ///
@@ -118,9 +121,9 @@ pub fn solve_sharded(
     let root = rec.span("partition");
     let relation = config.mode.conflict_relation(config.model.alpha());
 
-    let (positive, degenerate): (Vec<usize>, Vec<usize>) =
-        (0..links.len()).partition(|&i| links[i].length() > 0.0);
-    let plinks: Vec<Link> = positive
+    let (classed, degenerate): (Vec<usize>, Vec<usize>) =
+        (0..links.len()).partition(|&i| is_classed(links[i].length()));
+    let plinks: Vec<Link> = classed
         .iter()
         .enumerate()
         .map(|(pos, &i)| {
@@ -147,7 +150,7 @@ pub fn solve_sharded(
     // singleton slots.
     for slot in &mut outcome.slots {
         for i in slot.iter_mut() {
-            *i = positive[*i];
+            *i = classed[*i];
         }
     }
     outcome.slots.extend(degenerate.iter().map(|&d| vec![d]));

@@ -176,9 +176,9 @@ pub(crate) fn build_pieces(
 }
 
 /// Runs the full pipeline. `links` are the pipeline universe (ids relabeled
-/// to positions, all of positive length); `boundary[i]` marks links ghosted
-/// into other shards; `owner_of[i]` is `(piece index, local vertex id)` of
-/// link `i`'s owned copy.
+/// to positions, all of them of a length class); `boundary[i]` marks links
+/// ghosted into other shards; `owner_of[i]` is `(piece index, local vertex
+/// id)` of link `i`'s owned copy.
 pub(crate) fn schedule_pieces(
     links: &[Link],
     pieces: &[ShardPieces],

@@ -340,12 +340,7 @@ impl Solver for EngineBackend {
     }
 
     fn insert(&mut self, _: &Universe, key: u64, link: &Link) -> usize {
-        let slot = self.engine.insert_annotated(
-            link.sender,
-            link.receiver,
-            link.sender_node,
-            link.receiver_node,
-        );
+        let slot = self.engine.insert(*link);
         self.slot_of.insert(key, slot);
         let pos = self.live.partition_point(|&s| s < slot);
         self.live.insert(pos, slot);
@@ -361,12 +356,7 @@ impl Solver for EngineBackend {
     fn reseat(&mut self, _: &Universe, pos: usize, link: &Link) {
         let slot = self.live[pos];
         self.engine.remove_link(slot).expect("bound slot is live");
-        let again = self.engine.insert_annotated(
-            link.sender,
-            link.receiver,
-            link.sender_node,
-            link.receiver_node,
-        );
+        let again = self.engine.insert(*link);
         // The engine's free list is LIFO: the link lands in its own slot.
         debug_assert_eq!(again, slot, "a re-seat keeps its engine slot");
     }

@@ -18,9 +18,8 @@
 //!   plus its own incremental index beside it, reproducing its legacy entry
 //!   point slot for slot (pinned by the differential test suite);
 //! * [`SessionBuilder`] / [`SessionConfig`] — one layered configuration
-//!   folding `SchedulerConfig`, the engine maintenance slacks, the sharded
-//!   pipeline's `VerifierStrategy` / shard count and the optional
-//!   [`PartitionHints`];
+//!   folding `SchedulerConfig`, the sharded pipeline's `VerifierStrategy` /
+//!   shard count, the optional [`PartitionHints`] and the [`RepairPolicy`];
 //! * [`Backend::Auto`] — strategy selection from the instance itself:
 //!   size, churn expectation and shard hints (thresholds derived from the
 //!   `BENCH_*.json` trajectory, see [`AUTO_SHARDED_THRESHOLD`]).
@@ -204,9 +203,6 @@ pub struct SessionConfig {
     pub target_shards: usize,
     /// Declared deployment bounds (see [`PartitionHints`]).
     pub partition: Option<PartitionHints>,
-    /// Engine-layer adjacency compaction slack (see
-    /// `wagg_engine::EngineConfig::compact_slack`; finite and positive).
-    pub compact_slack: f64,
     /// Warm-start repair policy (see [`RepairPolicy`]; disabled by default).
     pub repair: RepairPolicy,
 }
@@ -220,7 +216,6 @@ impl Default for SessionConfig {
             verifier: VerifierStrategy::default(),
             target_shards: 0,
             partition: None,
-            compact_slack: 0.25,
             repair: RepairPolicy::default(),
         }
     }
@@ -484,8 +479,7 @@ impl Session {
                 scheduler: config.scheduler,
             }),
             (BackendKind::Engine, _) => {
-                let engine_config = EngineConfig::for_scheduler(config.scheduler)
-                    .with_compact_slack(config.compact_slack);
+                let engine_config = EngineConfig::for_scheduler(config.scheduler);
                 Box::new(EngineBackend::new(engine_config, &universe))
             }
             (BackendKind::Sharded, Some(hints)) => {

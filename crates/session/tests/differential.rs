@@ -16,10 +16,13 @@
 //! `ci.sh` runs this suite in both the serial and the parallel build.
 
 use proptest::prelude::*;
+use wagg_conflict::ConflictRelation;
 use wagg_engine::{churn_trace, run_trace, EngineConfig, EngineTrace, InterferenceEngine};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_instances::mobility::{random_waypoint, WaypointConfig};
-use wagg_partition::{PartitionedEngine, PartitionedEngineConfig, VerifierStrategy};
+use wagg_partition::{
+    max_conflict_radius, PartitionedEngine, PartitionedEngineConfig, VerifierStrategy,
+};
 use wagg_schedule::{BackendKind, PowerMode, Recorder, SchedulerConfig};
 use wagg_session::{Backend, Session};
 use wagg_sinr::{Link, SinrModel};
@@ -278,4 +281,50 @@ fn auto_builds_the_sharded_backend_past_the_threshold() {
         .links(&links[..100])
         .build();
     assert_eq!(session.backend_kind(), BackendKind::Engine);
+}
+
+#[test]
+fn sharded_solves_keep_links_of_infinite_length_as_singletons() {
+    // 400 unit links on a lattice and one whose finite endpoints are 2e308
+    // apart: its length overflows to infinity, so it has no length class.
+    // The tiling's radius ignores it, and the sharded paths split it off as
+    // a singleton slot like a zero-length link.
+    let mut links: Vec<Link> = (0..400)
+        .map(|i| {
+            let (x, y) = ((i % 20) as f64 * 3.0, (i / 20) as f64 * 3.0);
+            Link::new(i, Point::new(x, y), Point::new(x + 1.0, y))
+        })
+        .collect();
+    links.push(Link::new(
+        400,
+        Point::new(-1e308, 5.0),
+        Point::new(1e308, 5.0),
+    ));
+    assert!(links[400].length().is_infinite());
+    for (relation, mode) in [
+        (ConflictRelation::unit_constant(), PowerMode::Uniform),
+        (
+            ConflictRelation::oblivious_default(),
+            PowerMode::mean_oblivious(),
+        ),
+    ] {
+        let radius = max_conflict_radius(&links, relation);
+        assert!(radius.is_finite(), "{relation}: radius {radius}");
+        let config = SchedulerConfig::new(mode);
+        let rec = Recorder::disabled();
+        let strategy = VerifierStrategy::default();
+        let legacy = wagg_partition::solve_sharded(&links, config, 16, strategy, &rec);
+        assert!(legacy.report.schedule.is_partition(links.len()), "{mode}");
+        assert!(
+            legacy.report.schedule.slots().contains(&vec![400]),
+            "{mode}"
+        );
+        let mut session = Session::builder()
+            .scheduler(config)
+            .backend(Backend::Sharded)
+            .target_shards(16)
+            .links(&links)
+            .build();
+        assert_eq!(session.solve(), legacy, "{mode}");
+    }
 }

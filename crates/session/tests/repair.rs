@@ -366,7 +366,7 @@ fn watermark_breach_falls_back_to_the_full_recolor() {
             BackendKind::Engine => {
                 let mut legacy = InterferenceEngine::new(EngineConfig::for_scheduler(config));
                 for &(s, r) in &[a, c, b] {
-                    legacy.insert_link(s, r);
+                    legacy.insert(Link::new(0, s, r));
                 }
                 legacy.schedule()
             }

@@ -32,7 +32,7 @@
 //!
 //! The layering with [`wagg_session::RestoreError`] is deliberate: the wire
 //! layer validates *structure* (framing, tags, UTF-8, finite geometry, model
-//! and slack parameters that constructors downstream would assert on), while
+//! parameters that constructors downstream would assert on), while
 //! [`Session::restore_state`](wagg_session::Session::restore_state)
 //! validates *semantics* (key order, warm-state lockstep, partition bounds). A
 //! decoded snapshot can therefore still be rejected by restore — but neither
@@ -70,12 +70,14 @@ use wagg_sinr::{Link, NodeId, SinrModel};
 /// The four magic bytes every frame starts with.
 pub const MAGIC: [u8; 4] = *b"WAGG";
 
-/// The wire-format version this build speaks. Version 4 dropped the engine's
-/// class-grid rebuild slack from the session config (the engine's class
-/// grids are edited in place and have no rebuild threshold), so a version 3
-/// config or snapshot payload carries one more float and is rejected as
+/// The wire-format version this build speaks. Version 5 dropped the engine's
+/// adjacency compaction slack from the session config (every session ran
+/// the default 0.25, so it is no longer a session option); version 4 had
+/// dropped the class-grid rebuild slack (the engine's class grids are edited
+/// in place and have no rebuild threshold). A version 4 config or snapshot
+/// payload carries one more float and is rejected as
 /// [`DecodeError::UnsupportedVersion`].
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 
 /// Frame kind discriminants (the byte after the version).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,14 +269,6 @@ pub enum DecodeError {
         /// The field being decoded.
         what: &'static str,
     },
-    /// A parameter that must be strictly positive is not (engine slacks —
-    /// the engine constructor asserts on them).
-    NonPositive {
-        /// The field being decoded.
-        what: &'static str,
-        /// The value found.
-        value: f64,
-    },
     /// An oblivious power exponent outside `(0, 1)`.
     InvalidTau {
         /// The value found.
@@ -325,9 +319,6 @@ impl fmt::Display for DecodeError {
             ),
             DecodeError::InvalidUtf8 { what } => write!(f, "{what} is not valid UTF-8"),
             DecodeError::NonFinite { what } => write!(f, "{what} is NaN or infinite"),
-            DecodeError::NonPositive { what, value } => {
-                write!(f, "{what} must be strictly positive, found {value}")
-            }
             DecodeError::InvalidTau { tau } => {
                 write!(f, "oblivious power exponent {tau} outside (0, 1)")
             }
@@ -665,16 +656,6 @@ fn get_bbox(r: &mut Reader<'_>) -> Result<BoundingBox, DecodeError> {
     })
 }
 
-/// A strictly positive finite parameter (constructors downstream assert on
-/// these, so decode must reject them here).
-fn positive(r: &mut Reader<'_>, what: &'static str) -> Result<f64, DecodeError> {
-    let v = r.finite_f64(what)?;
-    if v <= 0.0 {
-        return Err(DecodeError::NonPositive { what, value: v });
-    }
-    Ok(v)
-}
-
 fn put_config(buf: &mut Vec<u8>, config: &SessionConfig) -> Result<(), EncodeError> {
     put_scheduler(buf, &config.scheduler)?;
     buf.push(match config.backend {
@@ -692,7 +673,6 @@ fn put_config(buf: &mut Vec<u8>, config: &SessionConfig) -> Result<(), EncodeErr
         put_finite(buf, hints.length_bounds.0, "length bound min")?;
         put_finite(buf, hints.length_bounds.1, "length bound max")
     })?;
-    put_finite(buf, config.compact_slack, "compact slack")?;
     put_bool(buf, config.repair.enabled);
     put_finite(buf, config.repair.max_drift, "repair max drift")?;
     Ok(())
@@ -724,7 +704,6 @@ fn get_config(r: &mut Reader<'_>) -> Result<SessionConfig, DecodeError> {
             length_bounds: (lo, hi),
         })
     })?;
-    let compact_slack = positive(r, "compact slack")?;
     let enabled = r.bool()?;
     let max_drift = r.finite_f64("repair max drift")?;
     Ok(SessionConfig {
@@ -734,7 +713,6 @@ fn get_config(r: &mut Reader<'_>) -> Result<SessionConfig, DecodeError> {
         verifier: VerifierStrategy::Hierarchical { depth },
         target_shards,
         partition,
-        compact_slack,
         repair: RepairPolicy { enabled, max_drift },
     })
 }
@@ -1280,23 +1258,23 @@ mod tests {
     }
 
     #[test]
-    fn version_3_frames_are_rejected() {
-        let v4 = Frame::Config(SessionConfig::default()).encode().unwrap();
-        assert_eq!(v4[4], 4);
-        // Version 3 carried the class-grid rebuild slack right before the
-        // config's last 17 bytes: compaction slack, repair flag, drift.
-        let at = v4.len() - 8 - 1 - 8;
-        let mut v3 = v4[..at].to_vec();
-        v3.extend_from_slice(&0.25f64.to_le_bytes());
-        v3.extend_from_slice(&v4[at..]);
-        v3[4] = 3;
+    fn version_4_frames_are_rejected() {
+        let v5 = Frame::Config(SessionConfig::default()).encode().unwrap();
+        assert_eq!(v5[4], 5);
+        // Version 4 carried the compaction slack right before the config's
+        // last 9 bytes: repair flag, drift.
+        let at = v5.len() - 1 - 8;
+        let mut v4 = v5[..at].to_vec();
+        v4.extend_from_slice(&0.25f64.to_le_bytes());
+        v4.extend_from_slice(&v5[at..]);
+        v4[4] = 4;
         assert_eq!(
-            Frame::decode(&v3),
-            Err(DecodeError::UnsupportedVersion { version: 3 })
+            Frame::decode(&v4),
+            Err(DecodeError::UnsupportedVersion { version: 4 })
         );
-        // Relabelled as version 4, the old layout does not parse either.
-        v3[4] = 4;
-        assert!(Frame::decode(&v3).is_err());
+        // Relabelled as version 5, the old layout does not parse either.
+        v4[4] = 5;
+        assert!(Frame::decode(&v4).is_err());
     }
 
     #[test]

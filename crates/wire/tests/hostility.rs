@@ -325,7 +325,6 @@ proptest! {
                 enabled: flags & 2 != 0,
                 max_drift: drift,
             },
-            ..SessionConfig::default()
         };
         let frame = Frame::Config(config);
         let bytes = frame.encode().expect("valid config encodes");
