@@ -563,6 +563,185 @@ fn warm_state_stays_in_lockstep_through_an_insert_remove_storm() {
     }
 }
 
+/// FNV-1a over a stream of words: the pin's digest.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// The pinned script: 150 pairs of unit links on a 3-unit grid, each pair
+/// sharing its receiver node, then 60 batches of one to three events —
+/// arrivals, departures from mid-positions, relocations and node moves —
+/// each followed by a warm solve. Returns the digest of every report's slot
+/// lists and repair stats, then of the final warm colors.
+fn pinned_script_digest(session: Session) -> (u64, Vec<RepairDecision>) {
+    const PAIRS: usize = 150;
+    const RECEIVER_NODES: usize = 10_000;
+    let mut session = session;
+    let mut geometry: std::collections::BTreeMap<u64, (Point, Point)> = Default::default();
+    for j in 0..PAIRS {
+        let r = Point::new((j % 15) as f64 * 3.0, (j / 15) as f64 * 3.0);
+        for (k, s) in [Point::new(r.x + 1.0, r.y), Point::new(r.x, r.y + 1.0)]
+            .into_iter()
+            .enumerate()
+        {
+            let key = session.insert_with_nodes(
+                s,
+                r,
+                wagg_sinr::NodeId(2 * j + k),
+                wagg_sinr::NodeId(RECEIVER_NODES + j),
+            );
+            geometry.insert(key, (s, r));
+        }
+    }
+    let mut rng = 0x5eed_2026u64;
+    let mut next = |bound: usize| (xorshift(&mut rng) % bound as u64) as usize;
+    let mut digest = Digest::new();
+    let mut decisions = Vec::new();
+    for _ in 0..60 {
+        for _ in 0..1 + next(3) {
+            let keys: Vec<u64> = geometry.keys().copied().collect();
+            match next(4) {
+                0 => {
+                    let key = keys[next(keys.len())];
+                    let (s, r) = geometry[&key];
+                    let dx = (next(41) as f64 - 20.0) / 100.0;
+                    let dy = (next(41) as f64 - 20.0) / 100.0;
+                    let to = (
+                        Point::new(s.x + dx, s.y + dy),
+                        Point::new(r.x + dx, r.y + dy),
+                    );
+                    session.relocate(key, to.0, to.1).unwrap();
+                    geometry.insert(key, to);
+                }
+                1 => {
+                    let s = Point::new(next(450) as f64 / 10.0, next(300) as f64 / 10.0);
+                    let r = Point::new(s.x + 0.8, s.y + 0.6);
+                    let key = session.insert(s, r);
+                    geometry.insert(key, (s, r));
+                }
+                2 => {
+                    // Never the last key: departures shift later positions.
+                    let key = keys[next(keys.len() - 1)];
+                    session.remove(key).unwrap();
+                    geometry.remove(&key);
+                }
+                _ => {
+                    // Drag a pair's shared receiver node a little when every
+                    // live follower keeps a length inside the hints.
+                    let j = next(PAIRS);
+                    let members: Vec<u64> = [2 * j as u64, 2 * j as u64 + 1]
+                        .into_iter()
+                        .filter(|k| geometry.contains_key(k))
+                        .collect();
+                    let Some(&first) = members.first() else {
+                        continue;
+                    };
+                    let r = geometry[&first].1;
+                    let dx = (next(41) as f64 - 20.0) / 100.0;
+                    let dy = (next(41) as f64 - 20.0) / 100.0;
+                    let to = Point::new(r.x + dx, r.y + dy);
+                    let fits = members.iter().all(|k| {
+                        let d = geometry[k].0.distance(to);
+                        (0.5..=2.0).contains(&d)
+                    });
+                    if fits {
+                        assert_eq!(session.move_node(RECEIVER_NODES + j, to), members.len());
+                        for k in &members {
+                            geometry.get_mut(k).unwrap().1 = to;
+                        }
+                    }
+                }
+            }
+        }
+        let solve = session.solve();
+        let slots = solve.schedule().slots();
+        digest.word(slots.len() as u64);
+        for slot in slots {
+            digest.word(slot.len() as u64);
+            for &m in slot {
+                digest.word(m as u64);
+            }
+        }
+        let stats = solve.repair.expect("repair-enabled solves carry stats");
+        decisions.push(stats.decision);
+        for w in [
+            stats.decision as u64,
+            stats.dirty_links as u64,
+            stats.replaced_links as u64,
+            stats.baseline_slots as u64,
+            stats.drift.to_bits(),
+            stats.watermark.to_bits(),
+        ] {
+            digest.word(w);
+        }
+    }
+    let warm = session.warm_state().expect("anchored by the first solve");
+    for &color in &warm.colors {
+        digest.word(color.map_or(u64::MAX, |c| c as u64));
+    }
+    (digest.0, decisions)
+}
+
+/// Warm repair pinned end to end: one seeded script of arrivals, departures,
+/// relocations and node moves on the engine and the hinted sharded backend,
+/// under uniform and oblivious `P_½` power. The digests of every report's
+/// slot lists and repair stats and of the final warm colors are constants,
+/// so any change to a verdict, a first-fit order, a budget decision or a
+/// report's member order shows here.
+#[test]
+fn warm_repair_is_pinned_on_a_seeded_script() {
+    let cases = [
+        (
+            Backend::Engine,
+            PowerMode::Uniform,
+            0xac62_80e0_522c_01c2u64,
+        ),
+        (
+            Backend::Engine,
+            PowerMode::mean_oblivious(),
+            0x5b6a_d7e5_9c52_9a30,
+        ),
+        (Backend::Sharded, PowerMode::Uniform, 0xcdad_4a07_9a67_41df),
+        (
+            Backend::Sharded,
+            PowerMode::mean_oblivious(),
+            0xc222_40f6_c003_4180,
+        ),
+    ];
+    for (backend, mode, want) in cases {
+        let mut builder = Session::builder()
+            .scheduler(SchedulerConfig::new(mode))
+            .backend(backend)
+            .repair(RepairPolicy::enabled().with_max_drift(0.1));
+        if backend == Backend::Sharded {
+            builder = builder
+                .target_shards(4)
+                .partition_hints(BoundingBox::new(-5.0, -5.0, 50.0, 35.0), (0.5, 2.0));
+        }
+        let (digest, decisions) = pinned_script_digest(builder.build());
+        let count = |d: RepairDecision| decisions.iter().filter(|&&x| x == d).count();
+        assert_eq!(
+            digest,
+            want,
+            "{backend:?} under {mode}: warm repair moved (digest {digest:#018x}; \
+             {} repaired, {} watermark breaches)",
+            count(RepairDecision::Repaired),
+            count(RepairDecision::WatermarkBreach)
+        );
+    }
+}
+
 /// Moved-link reconstruction is shared (`re_seat`) and the sharded mirror
 /// is collected once at event time and maintained in place: after relocates
 /// and node moves, `links()` still exposes contiguous position ids and
