@@ -60,6 +60,11 @@ if [[ "$MODE" != "quick" ]]; then
   echo "==> root tests (tier-1)"
   cargo test -q
 
+  echo "==> golden paper tables at full scale (E1-E20, byte for byte), release build"
+  cargo run --release -q -p wagg-bench --bin experiments \
+    | diff -u crates/bench/tests/golden/experiments_full.md - \
+    || { echo "full-scale tables differ from crates/bench/tests/golden/experiments_full.md"; exit 1; }
+
   echo "==> workspace tests (incl. wagg-partition shard-invariance properties)"
   cargo test -q --workspace
 

@@ -1,8 +1,10 @@
 //! Phase profiler for the warm repair path: builds a repair-enabled session,
 //! anchors it with a cold solve, then times a relocate+solve churn loop with
 //! the event and solve halves split out and the recorder's `repair` span tree
-//! printed per phase. The quick way to see where a repaired solve's budget
-//! goes without running the full `BENCH_repair.json` sweep.
+//! printed per phase, then the admission scan's work per solve (admissions,
+//! rejections, pair terms) and its time per term. The quick way to see
+//! where a repaired solve's budget goes without running the full
+//! `BENCH_repair.json` sweep.
 //!
 //! ```text
 //! cargo run --release -p wagg-bench --bin repair_profile -- [n] [engine|partitioned] [iters]
@@ -126,4 +128,16 @@ fn main() {
             100.0 * children as f64 / repair as f64
         );
     }
+    // The admission scan's work: pair terms priced per solve, and the
+    // `repair/place` time per term.
+    let count = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+    let terms = count("repair.terms");
+    let per_solve = |c: u64| c as f64 / iters as f64;
+    eprintln!(
+        "  per solve: {:.1} admissions, {:.1} rejections, {:.1} pair terms; {:.2} ns of repair/place per term",
+        per_solve(count("repair.admissions")),
+        per_solve(count("repair.rejections")),
+        per_solve(terms),
+        loop_nanos("repair/place") as f64 / terms.max(1) as f64
+    );
 }

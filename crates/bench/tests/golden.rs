@@ -9,6 +9,10 @@
 //! ```text
 //! cargo run --release -p wagg-bench --bin experiments -- --quick > crates/bench/tests/golden/experiments_quick.md
 //! ```
+//!
+//! The full-scale tables are pinned the same way by `golden/experiments_full.md`,
+//! which `./ci.sh` (full mode) diffs against a release run of `experiments`
+//! (re-record with the same command without `--quick`).
 
 use wagg_bench::{report_heading, Scale, EXPERIMENTS};
 

@@ -21,17 +21,22 @@
 //! bound; positive and finite, as a positive, finite length lies between
 //! `2^-538` and `2^512`) doubled until there are at most two cells per
 //! member. A member outside that area is stored in the border cells it
-//! clamps to. A class re-lays out only when its membership doubles or falls
-//! to a quarter of its count at the last layout, so layouts cost amortised
-//! `O(1)` per event; [`LengthClasses::laid_out`] lays out each class once
-//! over all its members.
+//! clamps to. A class re-lays out when its membership doubles or falls to a
+//! quarter of its count at the last layout, or when more than half its
+//! members sit outside the area it was laid out over (a population that
+//! drifts away would otherwise pile into the border cells and turn every
+//! query into a scan). Each rule needs as many events since the last layout
+//! as a re-layout costs, up to a constant, so layouts cost amortised `O(1)`
+//! per event; [`LengthClasses::laid_out`] lays out each class once over all
+//! its members.
 //!
 //! **Query.** A (link, class) query takes one reach:
 //! [`ConflictRelation::margined_reach`] of the link's length and the class's
 //! length bounds `lo`/`hi`, with the largest `|coordinate|` of the link's box
 //! and the class's extent. It skips the class when the extent fails the
 //! box-gap test `gap² ≤ reach²`, and otherwise passes on the members in the
-//! grid window that pass the same test. The [`graph`](crate::graph) module
+//! grid window that pass the same test. It reports how many grid entries it
+//! read, the work a query costs. The [`graph`](crate::graph) module
 //! docs show why the reach's two rounding margins keep every conflicting
 //! pair. Between layouts `lo`, `hi` and the extent only widen, which keeps
 //! the reach and the skip sound.
@@ -40,6 +45,11 @@ use crate::ConflictRelation;
 use std::collections::BTreeMap;
 use wagg_geometry::grid::CellGrid;
 use wagg_geometry::BoundingBox;
+
+/// Whether box `b` lies inside `area`.
+fn inside(area: &BoundingBox, b: &BoundingBox) -> bool {
+    area.min_x <= b.min_x && b.max_x <= area.max_x && area.min_y <= b.min_y && b.max_y <= area.max_y
+}
 
 /// Whether a link of `length` joins a length class: zero-length links, and
 /// links whose length overflows to infinity, join none.
@@ -82,9 +92,13 @@ struct ClassIndex {
     /// Covers every member's box: exact at the last layout, only grown
     /// since.
     extent: BoundingBox,
+    /// The area the grid was laid out over: `extent` at the last layout.
+    area: BoundingBox,
     /// Members now, and at the last layout.
     len: usize,
     laid_out: usize,
+    /// Members whose box leaves `area`.
+    outside: usize,
     /// Member ids, in every cell their box overlaps.
     grid: CellGrid,
 }
@@ -112,8 +126,10 @@ impl ClassIndex {
             lo,
             hi,
             extent,
+            area: extent,
             len: members.len(),
             laid_out: members.len(),
+            outside: 0,
             grid,
         }
     }
@@ -186,7 +202,8 @@ impl LengthClasses {
         class.extent = class.extent.union(&bboxes[id]);
         class.grid.insert(id as u32, &bboxes[id]);
         class.len += 1;
-        if class.len >= 2 * class.laid_out {
+        class.outside += usize::from(!inside(&class.area, &bboxes[id]));
+        if class.len >= 2 * class.laid_out || 2 * class.outside > class.len {
             *class = ClassIndex::laid_out(key, &class.grid.ids(), &length, bboxes);
             self.relayouts += 1;
         }
@@ -199,9 +216,10 @@ impl LengthClasses {
         let class = &mut self.classes[at].1;
         class.grid.remove(id as u32, &bboxes[id]);
         class.len -= 1;
+        class.outside -= usize::from(!inside(&class.area, &bboxes[id]));
         if class.len == 0 {
             self.classes.remove(at);
-        } else if 4 * class.len <= class.laid_out {
+        } else if 4 * class.len <= class.laid_out || 2 * class.outside > class.len {
             *class = ClassIndex::laid_out(key, &class.grid.ids(), &length, bboxes);
             self.relayouts += 1;
         }
@@ -215,7 +233,8 @@ impl LengthClasses {
     /// it, and every longer class). A member may be visited once per cell it
     /// shares with the window, and may not conflict: the caller dedupes and
     /// applies the exact predicate. No conflicting member is skipped (see
-    /// the module docs).
+    /// the module docs). Returns the number of grid entries read: each is
+    /// one id test and at most one box test.
     pub fn for_each_candidate(
         &self,
         from: (i32, usize),
@@ -224,7 +243,8 @@ impl LengthClasses {
         bboxes: &[BoundingBox],
         relation: ConflictRelation,
         mut visit: impl FnMut(usize),
-    ) {
+    ) -> usize {
+        let mut read = 0usize;
         debug_assert!(is_classed(length), "links of no class are not indexed");
         let (from_key, from_id) = from;
         let first = self.classes.partition_point(|&(key, _)| key < from_key);
@@ -235,6 +255,7 @@ impl LengthClasses {
                 relation.margined_reach((length, length), (class.lo, class.hi), max_coordinate);
             if !reach.is_finite() {
                 class.grid.for_each_candidate(bbox, reach, |id| {
+                    read += 1;
                     if id >= min_id {
                         visit(id);
                     }
@@ -247,10 +268,12 @@ impl LengthClasses {
             }
             // The id test first: it is cheaper than the box gap.
             class.grid.for_each_candidate(bbox, reach, |id| {
+                read += 1;
                 if id >= min_id && bbox.gap_sq(&bboxes[id]) <= reach_sq {
                     visit(id);
                 }
             });
         }
+        read
     }
 }

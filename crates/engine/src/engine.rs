@@ -99,8 +99,9 @@ pub struct EngineStats {
     /// `move_node` events applied.
     pub moves: usize,
     /// Class-grid re-layouts: one whenever a class's membership doubles or
-    /// falls to a quarter of its count at its last layout. A class's first
-    /// layout, when it is seeded or created, is not counted.
+    /// falls to a quarter of its count at its last layout, or more than half
+    /// its members sit outside the area it was laid out over. A class's
+    /// first layout, when it is seeded or created, is not counted.
     pub grid_rebuilds: usize,
     /// Delta-overlay compactions of the conflict adjacency.
     pub compactions: usize,
@@ -173,10 +174,12 @@ pub struct InterferenceEngine {
     stats: EngineStats,
     /// Instrumentation sink (disabled by default — see `wagg-obs`).
     recorder: Recorder,
-    /// Pre-resolved handles for `engine.rows_recomputed` and
-    /// `engine.pairs_checked` (one relaxed atomic add each per conflict-row
-    /// computation, no name lookup on the hot path).
+    /// Pre-resolved handles for `engine.rows_recomputed`,
+    /// `engine.candidates_visited` and `engine.pairs_checked` (one relaxed
+    /// atomic add each per conflict-row computation, no name lookup on the
+    /// hot path).
     rows_counter: Counter,
+    candidates_counter: Counter,
     pairs_counter: Counter,
 }
 
@@ -198,19 +201,22 @@ impl InterferenceEngine {
             stats: EngineStats::default(),
             recorder: Recorder::disabled(),
             rows_counter: Counter::default(),
+            candidates_counter: Counter::default(),
             pairs_counter: Counter::default(),
         }
     }
 
     /// Routes the engine's instrumentation to `rec`: conflict-row
-    /// recomputations tick `engine.rows_recomputed` and add their exact
-    /// predicate calls to `engine.pairs_checked`, and every
+    /// recomputations tick `engine.rows_recomputed` and add the candidates
+    /// they read to `engine.candidates_visited` and their exact predicate
+    /// calls to `engine.pairs_checked`, and every
     /// [`InterferenceEngine::schedule`] records its snapshot/coloring spans
     /// and syncs the `engine.grid_rebuilds` / `engine.compactions`
     /// maintenance watermarks. A disabled recorder (the default) keeps all
     /// of it no-op.
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.rows_counter = rec.counter("engine.rows_recomputed");
+        self.candidates_counter = rec.counter("engine.candidates_visited");
         self.pairs_counter = rec.counter("engine.pairs_checked");
         self.recorder = rec;
     }
@@ -472,21 +478,30 @@ impl InterferenceEngine {
 
     /// The sorted conflict row of `link` against every live link except
     /// `exclude` (the slot the link is being attached to). The candidates
-    /// are deduplicated first, so the exact predicate runs once per
-    /// candidate; the calls are added to `engine.pairs_checked`.
+    /// it reads — class-grid entries, plus every live link or every link of
+    /// no class — are added to `engine.candidates_visited`. They are
+    /// deduplicated first, so the exact predicate runs once per candidate;
+    /// the calls are added to `engine.pairs_checked`.
     fn conflict_row(&self, link: &Link, bbox: &BoundingBox, exclude: usize) -> Vec<usize> {
         let mut row: Vec<usize> = Vec::new();
         if !is_classed(link.length()) {
             // A link of no class is checked against every distinct live link.
             row.extend((0..self.links.len()).filter(|&j| self.links[j].is_some()));
+            self.candidates_counter.add(row.len() as u64);
         } else {
             let (len, relation) = (link.length(), self.config.relation);
             let every_class = (i32::MIN, 0);
-            self.classes
-                .for_each_candidate(every_class, len, bbox, &self.bboxes, relation, |j| {
-                    row.push(j)
-                });
+            let read = self.classes.for_each_candidate(
+                every_class,
+                len,
+                bbox,
+                &self.bboxes,
+                relation,
+                |j| row.push(j),
+            );
             row.extend_from_slice(&self.unclassed);
+            self.candidates_counter
+                .add((read + self.unclassed.len()) as u64);
             row.sort_unstable();
             row.dedup();
         }
@@ -877,6 +892,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Candidates read per recomputed row while every link of a 10×10
+    /// population of unit links is moved `rounds` times, one link at a time
+    /// (remove, then insert at `at(home, round)`).
+    fn candidates_per_row(rounds: usize, at: impl Fn(Point, usize) -> Point) -> f64 {
+        let homes: Vec<Point> = (0..100)
+            .map(|i| Point::new((i % 10) as f64 * 2.5, (i / 10) as f64 * 2.5))
+            .collect();
+        let unit = |s: Point| Link::new(0, s, Point::new(s.x + 1.0, s.y));
+        let links: Vec<Link> = homes.iter().map(|&h| unit(h)).collect();
+        let config = EngineConfig::new(
+            ConflictRelation::unit_constant(),
+            SinrModel::default(),
+            PowerAssignment::mean(),
+        );
+        let mut engine = InterferenceEngine::with_links(config, &links);
+        let rec = Recorder::new();
+        engine.set_recorder(rec.clone());
+        for round in 1..=rounds {
+            for (slot, &home) in homes.iter().enumerate() {
+                engine.remove_link(slot).unwrap();
+                assert_eq!(engine.insert(unit(at(home, round))), slot);
+            }
+        }
+        assert_matches_scratch(&engine);
+        let metrics = rec.metrics();
+        let rows = metrics.counter("engine.rows_recomputed").expect("rows");
+        let read = metrics.counter("engine.candidates_visited").expect("reads");
+        read as f64 / rows as f64
+    }
+
+    #[test]
+    fn a_drifting_population_keeps_class_queries_local() {
+        // The population spans about 25 units. Translating it ten spans
+        // away in steps of one link length must cost class queries what a
+        // stationary churn of the same links costs, up to a constant: the
+        // classes re-lay out over where the links went instead of piling
+        // them into border cells.
+        let rounds = 250;
+        let drifting = candidates_per_row(rounds, |home, round| {
+            let step = round as f64 * std::f64::consts::FRAC_1_SQRT_2;
+            Point::new(home.x + step, home.y + step)
+        });
+        let stationary = candidates_per_row(rounds, |home, round| {
+            let jitter = if round % 2 == 1 { 0.5 } else { 0.0 };
+            Point::new(home.x + jitter, home.y - jitter)
+        });
+        assert!(
+            drifting <= 3.0 * stationary,
+            "{drifting:.1} candidates per row drifting vs {stationary:.1} stationary"
+        );
     }
 
     #[test]

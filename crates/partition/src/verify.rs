@@ -50,8 +50,8 @@
 //! extent every slot grid is anchored to) is folded once per verifier, on
 //! the first slot grid built, so the repack loop's repeated feasibility
 //! probes and the query path share one layout instead of re-deriving it per
-//! call — and a verifier that never builds a grid (the warm repair path's
-//! additive probes) never pays for the fold.
+//! call — and a verifier whose slots all stay under the exact cutoff never
+//! pays for the fold.
 
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -135,8 +135,8 @@ pub struct AffectanceVerifier<'a> {
     /// Bounding box of every sender in the universe — the shared grid
     /// anchor for every slot query and every repack probe (`None` only for
     /// an empty universe). Folded on first use: only slot pyramids read it,
-    /// and a verifier that only prices additive repair probes never builds
-    /// one, so it never pays the O(n) fold.
+    /// so a verifier whose slots stay under the exact cutoff never pays the
+    /// O(n) fold.
     sender_extent: OnceLock<Option<BoundingBox>>,
     /// `verifier.expansions`: pyramid nodes opened during certify descents
     /// (accumulated locally per target, one atomic add per certify call).
@@ -415,44 +415,6 @@ impl<'a> AffectanceVerifier<'a> {
             }
         }
         slots
-    }
-}
-
-impl wagg_schedule::SlotJudge for AffectanceVerifier<'_> {
-    /// Warm-start repair probes ([`wagg_schedule::solve_repair`]) through
-    /// the verifier — hierarchical far-field aggregation and all — so the
-    /// sharded backend's repair path judges slots exactly like its
-    /// certified verification pass does.
-    fn feasible(&self, members: &[usize]) -> bool {
-        self.set_feasible(members)
-    }
-
-    fn evict(&self, members: &[usize]) -> (Vec<usize>, Vec<usize>) {
-        self.evict_infeasible(members)
-    }
-
-    fn additive(&self) -> bool {
-        true
-    }
-
-    fn threshold(&self) -> f64 {
-        self.inv_beta
-    }
-
-    fn contribution(&self, source: usize, target: usize) -> f64 {
-        let s = &self.links[source];
-        let t = &self.links[target];
-        if s.id == t.id {
-            return 0.0;
-        }
-        let (Some(p), Some(weight)) = (self.powers[source], self.weights[target]) else {
-            return f64::INFINITY;
-        };
-        let d = s.sender.distance(t.receiver);
-        if d <= 0.0 {
-            return f64::INFINITY;
-        }
-        p * weight / self.pow.pow(d)
     }
 }
 

@@ -31,8 +31,7 @@ pub mod scheduler;
 
 pub use power_mode::PowerMode;
 pub use repair::{
-    capture_budgets, solve_repair, CacheJudge, RepairDecision, RepairOutcome, RepairStats,
-    SlotIndex, SlotJudge,
+    capture_budgets, solve_repair, RepairDecision, RepairOutcome, RepairStats, SlotIndex,
 };
 pub use report::{BackendKind, ShardingStats, SolveReport};
 pub use schedule::Schedule;

@@ -20,25 +20,30 @@
 //! The two engine backends repair. [`solve_repair`] is the one warm-repair
 //! driver: it builds the check set from the links the last commit has not
 //! placed (the unassigned positions of the universe's [`SlotIndex`]), runs
-//! [`wagg_schedule::solve_repair`] through the backend's neighbour map and
-//! judge, decides between the repaired schedule and a full recolor against
-//! the drift watermark, and re-anchors on every full recolor through
+//! [`wagg_schedule::solve_repair`] through the backend's neighbour map,
+//! decides between the repaired schedule and a full recolor against the
+//! drift watermark, and re-anchors on every full recolor through
 //! `WarmState::capture`, which stays the correctness oracle — debug builds
 //! assert the committed colors equal a capture of the repaired report.
+//!
+//! A backend lends only its neighbour map. Physical feasibility comes from
+//! the universe itself: under a pinned assignment (noise-free, fixed
+//! powers) the kernel's additive admission reads the universe's packed
+//! per-position records (`PricedLink`: endpoints, power, weight) and the
+//! warm budgets, so both engine backends price every pair term the same
+//! way; otherwise every probe checks the materialised slot.
 
 use crate::state::{self, WarmState};
 use crate::{pinned_assignment, priced, RepairPolicy, Universe};
 use std::collections::HashMap;
 use wagg_engine::{EngineConfig, InterferenceEngine};
 use wagg_obs::Recorder;
-use wagg_partition::{
-    solve_sharded, AffectanceVerifier, PartitionedEngine, PartitionedEngineConfig, VerifierStrategy,
-};
+use wagg_partition::{solve_sharded, PartitionedEngine, PartitionedEngineConfig, VerifierStrategy};
 use wagg_schedule::{
-    solve_static, BackendKind, CacheJudge, RepairDecision, RepairOutcome, RepairStats,
-    SchedulerConfig, ShardingStats, SlotIndex, SlotJudge, SolveReport,
+    solve_static, BackendKind, RepairDecision, RepairOutcome, RepairStats, SchedulerConfig,
+    ShardingStats, SlotIndex, SolveReport,
 };
-use wagg_sinr::{Link, PathLossCache};
+use wagg_sinr::{Link, PricedLink};
 
 /// Relative schedule-length drift vs. the baseline, finite even for an empty
 /// baseline: the flight recorder's JSONL log writes it as decimal text,
@@ -91,21 +96,22 @@ pub(crate) trait Solver: std::fmt::Debug {
         false
     }
 
-    /// Runs the repair kernel through this backend's neighbour map and
-    /// judge, with the sharding accounting of the repaired report. Only
-    /// called when [`Solver::repairs`].
+    /// Runs the repair kernel through this backend's neighbour map, with
+    /// the sharding accounting of the repaired report. Only called when
+    /// [`Solver::repairs`].
     fn repair(&self, _kernel: Kernel<'_>) -> (RepairOutcome, Option<ShardingStats>) {
         unreachable!("{} backends keep no warm state", self.kind())
     }
 }
 
-/// One warm-repair kernel call short of its neighbour map and judge: what
+/// One warm-repair kernel call short of its neighbour map: what
 /// [`solve_repair`] hands a backend's [`Solver::repair`] hook.
 pub(crate) struct Kernel<'a> {
     config: &'a SchedulerConfig,
     links: &'a [Link],
-    powers: &'a [Option<f64>],
-    weights: &'a [Option<f64>],
+    /// The universe's records when an assignment is pinned (the additive
+    /// path), `None` otherwise.
+    priced: Option<&'a [PricedLink]>,
     diversity: f64,
     warm: &'a mut WarmState,
     index: &'a mut SlotIndex,
@@ -116,11 +122,7 @@ impl Kernel<'_> {
     /// Runs [`wagg_schedule::solve_repair`] on the anchored state: the slots
     /// of the unplaced links' conflict neighbours get one re-verify sweep
     /// (their affectance budget is what the events perturbed).
-    fn run<J: SlotJudge>(
-        self,
-        neighbors: &dyn Fn(usize) -> Vec<usize>,
-        judge: &J,
-    ) -> RepairOutcome {
+    fn run(self, neighbors: &dyn Fn(usize) -> Vec<usize>) -> RepairOutcome {
         let mut check: Vec<usize> = self
             .index
             .unassigned()
@@ -131,8 +133,8 @@ impl Kernel<'_> {
         check.dedup();
         wagg_schedule::solve_repair(
             self.links,
+            self.priced,
             neighbors,
-            judge,
             self.config,
             &mut self.warm.colors,
             &mut self.warm.budgets,
@@ -186,21 +188,16 @@ pub(crate) fn solve_repair(
             rec,
         );
     };
-    if cfg!(debug_assertions) {
-        let (powers, weights) = priced(scheduler, links);
-        assert_eq!(state.powers, powers, "power parts diverged from the links");
-        assert_eq!(
-            state.weights, weights,
-            "weight parts diverged from the links"
-        );
-    }
+    debug_assert!(
+        state.priced == priced(scheduler, links),
+        "priced records diverged from the links"
+    );
     let dirty_links = state.index.unassigned().len();
     let baseline = state.warm.baseline_slots;
     let (outcome, sharding) = backend.repair(Kernel {
         config: scheduler,
         links,
-        powers: &state.powers,
-        weights: &state.weights,
+        priced: pinned_assignment(scheduler).map(|_| &state.priced[..]),
         diversity: state.lengths.diversity(links),
         warm: &mut state.warm,
         index: &mut state.index,
@@ -388,13 +385,6 @@ impl Solver for EngineBackend {
     fn repair(&self, kernel: Kernel<'_>) -> (RepairOutcome, Option<ShardingStats>) {
         debug_assert_eq!(self.live, self.engine.live_slots(), "live slots diverged");
         debug_assert_eq!(kernel.links, self.engine.links(), "links diverged");
-        let (config, links) = (*kernel.config, kernel.links);
-        // `EngineConfig::for_scheduler` maintains exactly the pinned
-        // assignment, so the universe's parts are the engine's.
-        let cache = pinned_assignment(&config).map(|_| {
-            PathLossCache::from_borrowed_parts(&config.model, links, kernel.powers, kernel.weights)
-        });
-        let judge = CacheJudge::new(links, config, cache.as_ref());
         let neighbors = |i: usize| -> Vec<usize> {
             self.engine
                 .neighbors(self.live[i])
@@ -402,7 +392,7 @@ impl Solver for EngineBackend {
                 .map(|slot| self.pos(slot))
                 .collect()
         };
-        (kernel.run(&neighbors, &judge), None)
+        (kernel.run(&neighbors), None)
     }
 }
 
@@ -481,7 +471,6 @@ impl Solver for HintedBackend {
     }
 
     fn repair(&self, kernel: Kernel<'_>) -> (RepairOutcome, Option<ShardingStats>) {
-        let (config, links, rec) = (*kernel.config, kernel.links, kernel.rec);
         // The warm repair path touches only the unplaced links; per-shard
         // occupancy is not re-derived here, so the last full solve's skew
         // is carried forward (ownership shifts only at full recolors).
@@ -494,19 +483,7 @@ impl Solver for HintedBackend {
                 .map(|ekey| self.pos(ekey))
                 .collect()
         };
-        // Judge through the certified verifier (hierarchical far-field
-        // aggregation) when the mode pins a power assignment under a
-        // noise-free model — the exact judge the stitched pipeline's
-        // verification pass uses; otherwise the kernel's slot probes.
-        let outcome = if pinned_assignment(&config).is_some() {
-            let judge =
-                AffectanceVerifier::new(&config.model, links, kernel.powers, kernel.weights)
-                    .with_strategy(self.engine.config().verifier)
-                    .with_recorder(rec);
-            kernel.run(&neighbors, &judge)
-        } else {
-            kernel.run(&neighbors, &CacheJudge::new(links, config, None))
-        };
+        let outcome = kernel.run(&neighbors);
         let sharding = ShardingStats {
             shards: self.engine.shard_count(),
             radius: self.engine.radius(),
@@ -697,7 +674,7 @@ mod tests {
 
     /// An additive configuration (oblivious power, noise-free: budgets are
     /// carried) and an opaque one (noise: every probe materialises the
-    /// slot, and the sweep runs `SlotJudge::evict`).
+    /// slot, and the sweep checks whole slots).
     fn schedulers() -> [SchedulerConfig; 2] {
         let model = wagg_sinr::SinrModel::default();
         let noisy =

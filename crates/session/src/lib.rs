@@ -91,7 +91,7 @@ use wagg_geometry::{BoundingBox, Point};
 use wagg_partition::{AffectanceVerifier, PartitionedEngineConfig};
 use wagg_schedule::SlotIndex;
 use wagg_sinr::link::link_diversity;
-use wagg_sinr::{Link, LinkId, NodeId, PathLossCache, PowerAssignment};
+use wagg_sinr::{Link, LinkId, NodeId, PathLossCache, PowerAssignment, PricedLink};
 
 /// At and above this many links, [`Backend::Auto`] picks the sharded
 /// pipeline. Derived from the `BENCH_partition.json` trajectory: at the
@@ -883,14 +883,14 @@ struct Universe {
 }
 
 /// The anchored repair state, position-indexed like the universe's links.
-/// A removal drops a link's parts, color, budget and slot membership
+/// A removal drops a link's record, color, budget and slot membership
 /// together, so no stale entry can outlive its link.
 #[derive(Debug)]
 struct RepairState {
-    /// Per-link path-loss parts (`None` where no assignment is pinned —
+    /// Per-link packed endpoints and path-loss parts, what the additive
+    /// admission probes read (parts `None` where no assignment is pinned —
     /// see [`pinned_assignment`]).
-    powers: Vec<Option<f64>>,
-    weights: Vec<Option<f64>>,
+    priced: Vec<PricedLink>,
     /// The extreme link lengths (the report's diversity).
     lengths: LengthRange,
     warm: WarmState,
@@ -927,8 +927,8 @@ impl Universe {
             state.counts,
         );
         if let Some(warm) = &state.warm {
-            let (powers, weights) = priced(&universe.scheduler, &universe.links);
-            universe.install(powers, weights, warm.clone());
+            let priced = priced(&universe.scheduler, &universe.links);
+            universe.install(priced, warm.clone());
         }
         universe
     }
@@ -998,9 +998,7 @@ impl Universe {
         self.links.insert(pos, link);
         self.relabel(pos + 1);
         if let Some(state) = &mut self.repair {
-            let (power, weight) = link_parts(&self.scheduler, &link);
-            state.powers.insert(pos, power);
-            state.weights.insert(pos, weight);
+            state.priced.insert(pos, price(&self.scheduler, &link));
             state.lengths.add(link.length());
             state.warm.insert_at(pos);
             state.index.insert(pos);
@@ -1020,8 +1018,7 @@ impl Universe {
             // Departures are monotone-safe: no other link needs re-placing.
             state.index.remove(pos, state.warm.colors[pos]);
             state.warm.remove_at(pos);
-            state.powers.remove(pos);
-            state.weights.remove(pos);
+            state.priced.remove(pos);
             if state.lengths.remove(link.length()) {
                 state.lengths = LengthRange::of(&self.links);
             }
@@ -1083,7 +1080,7 @@ impl Universe {
         backend.reseat(self, pos, &link);
         self.links[pos] = link;
         if let Some(state) = &mut self.repair {
-            (state.powers[pos], state.weights[pos]) = link_parts(&self.scheduler, &link);
+            state.priced[pos] = price(&self.scheduler, &link);
             if let Some(color) = state.warm.colors[pos] {
                 state.index.unassign(pos, color);
             }
@@ -1114,13 +1111,12 @@ impl Universe {
         }
     }
 
-    /// Anchors `warm` over the current links with their path-loss parts,
+    /// Anchors `warm` over the current links with their priced records,
     /// building the length extremes and the slot index (the one O(n) index
     /// build, once per anchoring).
-    fn install(&mut self, powers: Vec<Option<f64>>, weights: Vec<Option<f64>>, warm: WarmState) {
+    fn install(&mut self, priced: Vec<PricedLink>, warm: WarmState) {
         self.repair = Some(RepairState {
-            powers,
-            weights,
+            priced,
             lengths: LengthRange::of(&self.links),
             index: SlotIndex::from_colors(&warm.colors),
             warm,
@@ -1133,23 +1129,19 @@ impl Universe {
     /// a sharded solve's occupancy skew is carried along.
     fn anchor(&mut self, solve: &SolveReport) {
         let config = self.scheduler;
-        let (powers, weights) = match self.repair.take() {
-            Some(state) => (state.powers, state.weights),
+        let priced = match self.repair.take() {
+            Some(state) => state.priced,
             None => priced(&config, &self.links),
         };
         let budgets = if config.verify_slots && pinned_assignment(&config).is_some() {
-            recolor_budgets(&config, &self.links, &powers, &weights, solve)
+            recolor_budgets(&config, &self.links, &priced, solve)
         } else {
             vec![0.0; self.links.len()]
         };
         let skew = solve
             .sharding
             .map(|s| (s.max_owned, s.mean_owned, s.ghost_fraction));
-        self.install(
-            powers,
-            weights,
-            WarmState::capture(&solve.report, budgets, skew),
-        );
+        self.install(priced, WarmState::capture(&solve.report, budgets, skew));
     }
 }
 
@@ -1230,14 +1222,17 @@ impl LengthRange {
 /// through the certified hierarchical verifier (near-linear per slot —
 /// certified upper bounds are exactly what the additive repair contract
 /// wants, and on a just-verified schedule every budget lands within `1/β`).
+/// The verifier's part vectors are read off the records, an O(n) copy like
+/// the capture itself.
 fn recolor_budgets(
     config: &SchedulerConfig,
     links: &[Link],
-    powers: &[Option<f64>],
-    weights: &[Option<f64>],
+    priced: &[PricedLink],
     solve: &SolveReport,
 ) -> Vec<f64> {
-    let verifier = AffectanceVerifier::new(&config.model, links, powers, weights);
+    let powers: Vec<Option<f64>> = priced.iter().map(|p| p.power).collect();
+    let weights: Vec<Option<f64>> = priced.iter().map(|p| p.weight).collect();
+    let verifier = AffectanceVerifier::new(&config.model, links, &powers, &weights);
     let mut budgets = vec![0.0f64; links.len()];
     for slot in solve.schedule().slots() {
         for (&i, b) in slot.iter().zip(verifier.budgets(slot)) {
@@ -1248,21 +1243,28 @@ fn recolor_budgets(
 }
 
 /// The power assignment `config`'s mode pins under a noise-free model —
-/// when the additive judges (and the path-loss parts they read) apply.
-/// `None` otherwise: the opaque judge path never reads the parts.
+/// when the additive admission (and the path-loss parts it reads) applies.
+/// `None` otherwise: the opaque probe path never reads the parts.
 fn pinned_assignment(config: &SchedulerConfig) -> Option<PowerAssignment> {
     (config.model.noise() == 0.0)
         .then(|| config.mode.assignment())
         .flatten()
 }
 
-/// The `(powers, weights)` parts [`PathLossCache::new`] computes for
-/// `links` under `config`'s pinned assignment (all `None` when none is
-/// pinned).
-fn priced(config: &SchedulerConfig, links: &[Link]) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
+/// The records [`PathLossCache::priced`] builds for `links` under
+/// `config`'s pinned assignment (every part `None` when none is pinned).
+fn priced(config: &SchedulerConfig, links: &[Link]) -> Vec<PricedLink> {
     match pinned_assignment(config) {
-        Some(assignment) => PathLossCache::new(&config.model, links, &assignment).into_parts(),
-        None => (vec![None; links.len()], vec![None; links.len()]),
+        Some(assignment) => PathLossCache::new(&config.model, links, &assignment).priced(),
+        None => links
+            .iter()
+            .map(|link| PricedLink {
+                sender: link.sender,
+                receiver: link.receiver,
+                power: None,
+                weight: None,
+            })
+            .collect(),
     }
 }
 
@@ -1270,9 +1272,8 @@ fn priced(config: &SchedulerConfig, links: &[Link]) -> (Vec<Option<f64>>, Vec<Op
 /// independently, so one event can refresh one entry without touching the
 /// rest — the same single-link trick the interference engine's event
 /// maintenance uses.
-fn link_parts(config: &SchedulerConfig, link: &Link) -> (Option<f64>, Option<f64>) {
-    let (powers, weights) = priced(config, std::slice::from_ref(link));
-    (powers[0], weights[0])
+fn price(config: &SchedulerConfig, link: &Link) -> PricedLink {
+    priced(config, std::slice::from_ref(link))[0]
 }
 
 #[cfg(test)]

@@ -34,8 +34,7 @@ use wagg_geometry::{BoundingBox, Point};
 use wagg_instances::mobility::{random_waypoint, WaypointConfig};
 use wagg_partition::{PartitionedEngine, PartitionedEngineConfig, VerifierStrategy};
 use wagg_schedule::{
-    capture_budgets, BackendKind, CacheJudge, PowerMode, RepairDecision, SchedulerConfig,
-    SlotJudge, SolveReport,
+    capture_budgets, BackendKind, PowerMode, RepairDecision, SchedulerConfig, SolveReport,
 };
 use wagg_session::{Backend, RepairPolicy, Session};
 use wagg_sinr::{Link, PathLossCache};
@@ -103,10 +102,9 @@ fn assert_warm_matches_capture(
     );
     if config.model.noise() == 0.0 {
         if let Some(assignment) = config.mode.assignment() {
-            let cache = PathLossCache::new(&config.model, &links, &assignment);
-            let judge = CacheJudge::new(&links, config, Some(&cache));
-            let exact = capture_budgets(&judge, &warm.colors);
-            let threshold = judge.threshold();
+            let priced = PathLossCache::new(&config.model, &links, &assignment).priced();
+            let exact = capture_budgets(&config.model, &priced, &warm.colors);
+            let threshold = 1.0 / config.model.beta();
             for (i, (&stored, &e)) in warm.budgets.iter().zip(&exact).enumerate() {
                 assert!(
                     e <= stored + 1e-9,

@@ -51,5 +51,5 @@ pub mod power_control;
 pub use error::SinrError;
 pub use link::{Link, LinkId, NodeId};
 pub use model::SinrModel;
-pub use pathloss::{AlphaPow, PathLossCache};
+pub use pathloss::{AlphaPow, PathLossCache, PricedLink};
 pub use power::{PowerAssignment, PowerScheme};

@@ -14,6 +14,15 @@
 //!   sum `I_P(S, i) = Σ_j P(j)·l_i^α / (P(i)·d_ji^α)` costs one distance, one
 //!   [`AlphaPow::pow`] and a fused multiply per pair — no `powf`, no repeated
 //!   power-assignment lookups.
+//! * [`PricedLink`] — one link's endpoints, power and weight packed into 64
+//!   bytes, for callers that keep per-link parts across link-set mutations
+//!   and scan them pair by pair (the warm-repair admission probes).
+//!
+//! Every term has one formula, `P(j)·w(i) / (√d²)^α` with `d²` the squared
+//! sender–receiver distance: the cache's sums, [`PricedLink::term_on`] and
+//! the hierarchical verifier's exact scans all compute it this way, so
+//! their sums agree bit for bit where they add the same terms in the same
+//! order.
 //!
 //! Failure bookkeeping is per-link and lazy: a link with an unavailable power
 //! or a degenerate length only poisons checks that actually evaluate a pair
@@ -92,43 +101,20 @@ impl AlphaPow {
             AlphaPow::General(a) => x.powf(a),
         }
     }
-
-    /// Computes `d^exponent` from the *squared* distance `d² = x2`, skipping
-    /// the square root for even exponents (α ∈ {0, 2, 4} never touch `sqrt`
-    /// at all). Equal to `self.pow(x2.sqrt())` up to an ulp — within the
-    /// kernel's documented ≤ 1e-9 relative drift versus `powf`.
-    #[inline(always)]
-    pub fn pow_of_squared(&self, x2: f64) -> f64 {
-        match *self {
-            AlphaPow::Zero => 1.0,
-            AlphaPow::One => x2.sqrt(),
-            AlphaPow::Square => x2,
-            AlphaPow::Cube => x2 * x2.sqrt(),
-            AlphaPow::Quartic => x2 * x2,
-            AlphaPow::General(a) => x2.powf(a * 0.5),
-        }
-    }
 }
 
 /// Precomputed per-link path-loss state for a link set under one power
 /// assignment — the input to the batched feasibility kernels.
-///
-/// The per-link vectors are [`Cow`]s so callers that already maintain them
-/// across link-set mutations (the incremental engines) can lend them borrowed
-/// per scheduling run ([`PathLossCache::from_borrowed_parts`]) instead of
-/// cloning two O(n) vectors per solve.
-///
-/// [`Cow`]: std::borrow::Cow
 #[derive(Debug, Clone)]
 pub struct PathLossCache<'a> {
     links: &'a [Link],
     pow: AlphaPow,
     inv_beta: f64,
     /// `P(i)`, or `None` when the assignment has no valid power for link `i`.
-    powers: std::borrow::Cow<'a, [Option<f64>]>,
+    powers: Vec<Option<f64>>,
     /// `l_i^α / P(i)`, or `None` when link `i` cannot be a valid target
     /// (degenerate length, missing or non-positive power).
-    weights: std::borrow::Cow<'a, [Option<f64>]>,
+    weights: Vec<Option<f64>>,
 }
 
 impl<'a> PathLossCache<'a> {
@@ -153,8 +139,8 @@ impl<'a> PathLossCache<'a> {
             links,
             pow,
             inv_beta: 1.0 / model.beta(),
-            powers: powers.into(),
-            weights: weights.into(),
+            powers,
+            weights,
         }
     }
 
@@ -184,42 +170,31 @@ impl<'a> PathLossCache<'a> {
             links,
             pow: AlphaPow::new(model.alpha()),
             inv_beta: 1.0 / model.beta(),
-            powers: powers.into(),
-            weights: weights.into(),
-        }
-    }
-
-    /// [`PathLossCache::from_parts`] without taking ownership: the cache
-    /// borrows the caller's vectors for its lifetime. This is the zero-copy
-    /// lend the warm-repair backends use — their mirrors keep the per-link
-    /// state alive across solves, so cloning it per solve was pure waste.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths disagree with `links`.
-    pub fn from_borrowed_parts(
-        model: &SinrModel,
-        links: &'a [Link],
-        powers: &'a [Option<f64>],
-        weights: &'a [Option<f64>],
-    ) -> Self {
-        assert_eq!(powers.len(), links.len(), "one power per link");
-        assert_eq!(weights.len(), links.len(), "one weight per link");
-        PathLossCache {
-            links,
-            pow: AlphaPow::new(model.alpha()),
-            inv_beta: 1.0 / model.beta(),
-            powers: powers.into(),
-            weights: weights.into(),
+            powers,
+            weights,
         }
     }
 
     /// Dismantles the cache into its per-link `(powers, weights)` vectors —
     /// the counterpart of [`PathLossCache::from_parts`] for callers that keep
-    /// the state alive across link-set mutations. Borrowed parts are cloned
-    /// out.
+    /// the state alive across link-set mutations.
     pub fn into_parts(self) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
-        (self.powers.into_owned(), self.weights.into_owned())
+        (self.powers, self.weights)
+    }
+
+    /// The cached links as packed records, position for position: each
+    /// link's endpoints with its cached power and weight.
+    pub fn priced(&self) -> Vec<PricedLink> {
+        self.links
+            .iter()
+            .zip(self.powers.iter().zip(&self.weights))
+            .map(|(link, (&power, &weight))| PricedLink {
+                sender: link.sender,
+                receiver: link.receiver,
+                power,
+                weight,
+            })
+            .collect()
     }
 
     /// The `(powers, weights)` slice for a subset of the cached links — the
@@ -276,7 +251,8 @@ impl<'a> PathLossCache<'a> {
                 weight = self.weights[target]?;
                 weight_loaded = true;
             }
-            let Some(term) = pair_term(self.pow, source, receiver, self.powers[j]?, weight) else {
+            let Some(term) = pair_term(self.pow, source.sender, receiver, self.powers[j]?, weight)
+            else {
                 return Some(f64::INFINITY);
             };
             total += term;
@@ -314,33 +290,6 @@ impl<'a> PathLossCache<'a> {
             |j| &self.links[j],
             |j| self.powers[j],
         )
-    }
-
-    /// The single pair term `P(source)·w(target)/d^α` of the relative-
-    /// interference sum — the additive unit incremental consumers (the
-    /// warm-start repair path) account budgets in. `Some(0.0)` for the
-    /// target itself, `Some(INFINITY)` for a collocated interferer, `None`
-    /// when the source power or target weight is unavailable; summing the
-    /// terms over a subset reproduces
-    /// [`PathLossCache::subset_relative_interference_on`] up to re-
-    /// association.
-    #[inline]
-    pub fn interference_term(&self, source: usize, target: usize) -> Option<f64> {
-        let s = &self.links[source];
-        let t = &self.links[target];
-        if s.id == t.id {
-            return Some(0.0);
-        }
-        let weight = self.weights[target]?;
-        let p = self.powers[source]?;
-        // The squared distance feeds the exponent dispatch directly: even
-        // α never pay the sqrt, and this term is the innermost op of the
-        // warm-repair admission probes.
-        let d2 = s.sender.distance_squared(t.receiver);
-        if d2 <= 0.0 {
-            return Some(f64::INFINITY);
-        }
-        Some(p * weight / self.pow.pow_of_squared(d2))
     }
 
     /// Noise-free feasibility of the subset `members` (positions into the
@@ -452,7 +401,7 @@ impl<'a> PathLossCache<'a> {
     fn finite_term(&self, source: usize, target: usize) -> Option<f64> {
         pair_term(
             self.pow,
-            &self.links[source],
+            self.links[source].sender,
             self.links[target].receiver,
             self.powers[source]?,
             self.weights[target]?,
@@ -520,7 +469,7 @@ where
             weight = target_weight?;
             weight_loaded = true;
         }
-        let Some(term) = pair_term(pow, source, receiver, power_of(j)?, weight) else {
+        let Some(term) = pair_term(pow, source.sender, receiver, power_of(j)?, weight) else {
             return Some(f64::INFINITY);
         };
         total += term;
@@ -528,21 +477,58 @@ where
     Some(total)
 }
 
-/// The term `P(j)·w(t)/d^α` that `source`, sending at `power`, adds to the
-/// relative-interference sum on a target with receiver `receiver` and
-/// weight `w(t) = weight`; `None` when the sender sits on the receiver (the
-/// sum is then `∞`). Every sum of this module adds its terms through here.
-/// [`PathLossCache::interference_term`] computes `d^α` from the squared
-/// distance instead, which can differ by an ulp.
+/// One link priced for the pair terms of the relative-interference sum: its
+/// endpoints, its power `P(i)` and its target weight `l_i^α / P(i)`, each
+/// `None` where [`PathLossCache::new`] records the part as missing. The
+/// record is exactly 64 bytes and aligned to 64, so a scan over a slot's
+/// members reads one cache line per member instead of a link and two part
+/// arrays.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(align(64))]
+pub struct PricedLink {
+    /// The link's sender position.
+    pub sender: Point,
+    /// The link's receiver position.
+    pub receiver: Point,
+    /// `P(i)`, or `None` when the assignment has no valid power for it.
+    pub power: Option<f64>,
+    /// `l_i^α / P(i)`, or `None` when the link cannot be a valid target.
+    pub weight: Option<f64>,
+}
+
+impl PricedLink {
+    /// The term this link, sending, adds to `target`'s relative-interference
+    /// sum: `P(self)·w(target) / (√d²)^α`, the one formula of every sum in
+    /// this module. `+∞` when this link's power or the target's weight is
+    /// missing, or when this sender sits on the target's receiver (the
+    /// error-means-infeasible convention); `0` when the squared distance
+    /// overflows to `∞`. The caller keeps the two links distinct: the term
+    /// of a link on itself is not `0` here.
+    #[inline(always)]
+    pub fn term_on(&self, target: &PricedLink, pow: AlphaPow) -> f64 {
+        match (self.power, target.weight) {
+            (Some(power), Some(weight)) => {
+                pair_term(pow, self.sender, target.receiver, power, weight).unwrap_or(f64::INFINITY)
+            }
+            _ => f64::INFINITY,
+        }
+    }
+}
+
+/// The term `P(j)·w(t)/d^α` that a sender at `sender`, sending at `power`,
+/// adds to the relative-interference sum on a target with receiver
+/// `receiver` and weight `w(t) = weight`; `None` when the sender sits on the
+/// receiver (the sum is then `∞`). Every sum of this module adds its terms
+/// through here.
 #[inline(always)]
 fn pair_term(
     pow: AlphaPow,
-    source: &Link,
+    sender: Point,
     receiver: Point,
     power: f64,
     weight: f64,
 ) -> Option<f64> {
-    let d = source.sender.distance(receiver);
+    let d = sender.distance(receiver);
     if d <= 0.0 {
         return None;
     }
@@ -778,6 +764,52 @@ mod tests {
             );
         }
         assert!(exact > 100, "only {exact} thresholds placed exactly");
+    }
+
+    #[test]
+    fn priced_terms_are_the_cache_terms() {
+        // A packed record is one cache line, and its pair term is the one a
+        // two-member subset sum adds, bit for bit.
+        assert_eq!(std::mem::size_of::<PricedLink>(), 64);
+        assert_eq!(std::mem::align_of::<PricedLink>(), 64);
+        let links = vec![
+            line_link(0, 0.0, 1.0),
+            line_link(1, 4.0, 5.5),
+            line_link(2, 11.0, 9.0),
+        ];
+        for alpha in [3.0, 4.0, 2.5, 5.0] {
+            let model = SinrModel::new(alpha, 1.0, 0.0).unwrap();
+            let cache = PathLossCache::new(&model, &links, &PowerAssignment::mean());
+            let priced = cache.priced();
+            for (a, b) in [(0, 1), (1, 0), (0, 2), (2, 1)] {
+                let sum = cache.subset_relative_interference_on(&[a, b], 1).unwrap();
+                let term = priced[a].term_on(&priced[b], cache.alpha_pow());
+                assert_eq!(term.to_bits(), sum.to_bits(), "α = {alpha}, {a} on {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn priced_terms_of_unpriceable_pairs() {
+        let pow = AlphaPow::new(3.0);
+        let at = |sx: f64, rx: f64| PricedLink {
+            sender: Point::new(sx, 0.0),
+            receiver: Point::new(rx, 0.0),
+            power: Some(1.0),
+            weight: Some(1.0),
+        };
+        let (a, b) = (at(0.0, 1.0), at(5.0, 6.0));
+        assert!(a.term_on(&b, pow).is_finite());
+        let no_power = PricedLink { power: None, ..a };
+        let no_weight = PricedLink { weight: None, ..b };
+        assert_eq!(no_power.term_on(&b, pow), f64::INFINITY);
+        assert_eq!(a.term_on(&no_weight, pow), f64::INFINITY);
+        // A sender on the target's receiver.
+        assert_eq!(at(6.0, 7.0).term_on(&b, pow), f64::INFINITY);
+        // A squared distance that overflows to ∞ prices as 0.
+        let (far_left, far_right) = (at(-1e200, -1e200 + 1e190), at(1e200, 1e200 - 1e190));
+        assert_eq!(far_left.term_on(&far_right, pow), 0.0);
+        assert_eq!(far_right.term_on(&far_left, pow), 0.0);
     }
 
     #[test]
