@@ -494,13 +494,6 @@ pub fn solve_repair(
     }
 }
 
-/// How many slotmates ahead of the one being priced [`admits`] asks the
-/// cache for a record. A slot's records are scattered over the universe, so
-/// a scan of a large slot reads them from memory; the hint overlaps those
-/// reads with the pricing (about 1.5× on a 40 000-member slot read cold, on
-/// a 2-vCPU x86-64 VM).
-const PREFETCH_AHEAD: usize = 32;
-
 /// The additive admission probe of position `i` into `slot`: every
 /// slotmate must absorb `i`'s term within `threshold`, and `i`'s own sum
 /// must close under it. `Ok` carries `i`'s own sum, with `added` holding
@@ -520,10 +513,6 @@ fn admits(
     let mut own = 0.0f64;
     added.clear();
     for (k, &m) in slot.iter().enumerate() {
-        if let Some(&ahead) = slot.get(k + PREFETCH_AHEAD) {
-            prefetch(&priced[ahead]);
-            prefetch(&budgets[ahead]);
-        }
         let member = &priced[m];
         let on_m = newcomer.term_on(member, pow);
         if !within(budgets[m] + on_m, threshold) {
@@ -544,22 +533,6 @@ fn admits(
 #[inline(always)]
 fn within(sum: f64, threshold: f64) -> bool {
     sum <= threshold
-}
-
-/// Hints the CPU to pull the cache line at `value` in; `T` must not
-/// straddle two lines (a 64-aligned `PricedLink`, an `f64`). A no-op off
-/// x86-64.
-#[inline(always)]
-fn prefetch<T>(value: &T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` only needs SSE, which every x86-64 CPU has,
-    // and a prefetch is a hint: it reads no data and never faults.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = value;
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@
 //! way; otherwise every probe checks the materialised slot.
 
 use crate::state::{self, WarmState};
-use crate::{pinned_assignment, priced, RepairPolicy, Universe};
+use crate::{priced, RepairPolicy, Universe};
 use std::collections::HashMap;
 use wagg_engine::{EngineConfig, InterferenceEngine};
 use wagg_obs::Recorder;
@@ -197,7 +197,7 @@ pub(crate) fn solve_repair(
     let (outcome, sharding) = backend.repair(Kernel {
         config: scheduler,
         links,
-        priced: pinned_assignment(scheduler).map(|_| &state.priced[..]),
+        priced: state.priced.as_deref(),
         diversity: state.lengths.diversity(links),
         warm: &mut state.warm,
         index: &mut state.index,

@@ -888,9 +888,9 @@ struct Universe {
 #[derive(Debug)]
 struct RepairState {
     /// Per-link packed endpoints and path-loss parts, what the additive
-    /// admission probes read (parts `None` where no assignment is pinned —
-    /// see [`pinned_assignment`]).
-    priced: Vec<PricedLink>,
+    /// admission probes read; `None` where no assignment is pinned (see
+    /// [`pinned_assignment`]), so the opaque path splices no records.
+    priced: Option<Vec<PricedLink>>,
     /// The extreme link lengths (the report's diversity).
     lengths: LengthRange,
     warm: WarmState,
@@ -998,7 +998,9 @@ impl Universe {
         self.links.insert(pos, link);
         self.relabel(pos + 1);
         if let Some(state) = &mut self.repair {
-            state.priced.insert(pos, price(&self.scheduler, &link));
+            if let Some(priced) = &mut state.priced {
+                priced.insert(pos, price(&self.scheduler, &link));
+            }
             state.lengths.add(link.length());
             state.warm.insert_at(pos);
             state.index.insert(pos);
@@ -1018,7 +1020,9 @@ impl Universe {
             // Departures are monotone-safe: no other link needs re-placing.
             state.index.remove(pos, state.warm.colors[pos]);
             state.warm.remove_at(pos);
-            state.priced.remove(pos);
+            if let Some(priced) = &mut state.priced {
+                priced.remove(pos);
+            }
             if state.lengths.remove(link.length()) {
                 state.lengths = LengthRange::of(&self.links);
             }
@@ -1080,7 +1084,9 @@ impl Universe {
         backend.reseat(self, pos, &link);
         self.links[pos] = link;
         if let Some(state) = &mut self.repair {
-            state.priced[pos] = price(&self.scheduler, &link);
+            if let Some(priced) = &mut state.priced {
+                priced[pos] = price(&self.scheduler, &link);
+            }
             if let Some(color) = state.warm.colors[pos] {
                 state.index.unassign(pos, color);
             }
@@ -1114,7 +1120,7 @@ impl Universe {
     /// Anchors `warm` over the current links with their priced records,
     /// building the length extremes and the slot index (the one O(n) index
     /// build, once per anchoring).
-    fn install(&mut self, priced: Vec<PricedLink>, warm: WarmState) {
+    fn install(&mut self, priced: Option<Vec<PricedLink>>, warm: WarmState) {
         self.repair = Some(RepairState {
             priced,
             lengths: LengthRange::of(&self.links),
@@ -1133,10 +1139,11 @@ impl Universe {
             Some(state) => state.priced,
             None => priced(&config, &self.links),
         };
-        let budgets = if config.verify_slots && pinned_assignment(&config).is_some() {
-            recolor_budgets(&config, &self.links, &priced, solve)
-        } else {
-            vec![0.0; self.links.len()]
+        let budgets = match &priced {
+            Some(priced) if config.verify_slots => {
+                recolor_budgets(&config, &self.links, priced, solve)
+            }
+            _ => vec![0.0; self.links.len()],
         };
         let skew = solve
             .sharding
@@ -1252,28 +1259,19 @@ fn pinned_assignment(config: &SchedulerConfig) -> Option<PowerAssignment> {
 }
 
 /// The records [`PathLossCache::priced`] builds for `links` under
-/// `config`'s pinned assignment (every part `None` when none is pinned).
-fn priced(config: &SchedulerConfig, links: &[Link]) -> Vec<PricedLink> {
-    match pinned_assignment(config) {
-        Some(assignment) => PathLossCache::new(&config.model, links, &assignment).priced(),
-        None => links
-            .iter()
-            .map(|link| PricedLink {
-                sender: link.sender,
-                receiver: link.receiver,
-                power: None,
-                weight: None,
-            })
-            .collect(),
-    }
+/// `config`'s pinned assignment; `None` when none is pinned.
+fn priced(config: &SchedulerConfig, links: &[Link]) -> Option<Vec<PricedLink>> {
+    pinned_assignment(config)
+        .map(|assignment| PathLossCache::new(&config.model, links, &assignment).priced())
 }
 
-/// One link's entry of [`priced`]. The cache computes entries per link
-/// independently, so one event can refresh one entry without touching the
-/// rest — the same single-link trick the interference engine's event
-/// maintenance uses.
+/// One link's entry of [`priced`], under a pinned assignment. The cache
+/// computes entries per link independently, so one event can refresh one
+/// entry without touching the rest — the same single-link trick the
+/// interference engine's event maintenance uses.
 fn price(config: &SchedulerConfig, link: &Link) -> PricedLink {
-    priced(config, std::slice::from_ref(link))[0]
+    priced(config, std::slice::from_ref(link))
+        .expect("records exist only under a pinned assignment")[0]
 }
 
 #[cfg(test)]
