@@ -21,7 +21,11 @@ struct SpanEvent {
 /// counters only at handle-resolution time — never per increment.
 #[derive(Debug, Default)]
 struct State {
+    /// Every finished span, for the trace export.
     events: Vec<SpanEvent>,
+    /// Per-path `(nanos, count)` totals of `events`, kept as spans close so
+    /// that [`Recorder::metrics`] costs the number of paths, not of spans.
+    phases: BTreeMap<String, (u64, u64)>,
     counters: BTreeMap<String, Arc<AtomicU64>>,
     histograms: BTreeMap<String, Histogram>,
     /// Dense thread ids for the trace export, in order of first use.
@@ -146,24 +150,21 @@ impl Recorder {
 
     /// Aggregates everything recorded so far into a [`Metrics`] snapshot:
     /// span durations summed per path, counters loaded. Sorted, so equal
-    /// recordings compare equal. Disabled recorders return an empty
-    /// snapshot.
+    /// recordings compare equal. The per-path totals are kept as spans
+    /// close, so a snapshot costs the number of paths, counters and
+    /// histograms, however many spans were recorded. Disabled recorders
+    /// return an empty snapshot.
     pub fn metrics(&self) -> Metrics {
         let Some(inner) = &self.inner else {
             return Metrics::default();
         };
         let state = inner.state.lock().expect("recorder poisoned");
-        let mut phases: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for ev in &state.events {
-            let slot = phases.entry(&ev.path).or_insert((0, 0));
-            slot.0 += ev.dur_ns;
-            slot.1 += 1;
-        }
         Metrics {
-            phases: phases
-                .into_iter()
-                .map(|(path, (nanos, count))| PhaseMetric {
-                    path: path.to_string(),
+            phases: state
+                .phases
+                .iter()
+                .map(|(path, &(nanos, count))| PhaseMetric {
+                    path: path.clone(),
                     nanos,
                     count,
                 })
@@ -274,13 +275,20 @@ impl Span {
             .start
             .saturating_duration_since(active.inner.epoch)
             .as_nanos() as u64;
+        let dur_ns = dur.as_nanos() as u64;
         let mut state = active.inner.state.lock().expect("recorder poisoned");
         let tid = state.tid();
+        match state.phases.get_mut(&active.path) {
+            Some(total) => *total = (total.0 + dur_ns, total.1 + 1),
+            None => {
+                state.phases.insert(active.path.clone(), (dur_ns, 1));
+            }
+        }
         state.events.push(SpanEvent {
             path: active.path,
             tid,
             start_ns,
-            dur_ns: dur.as_nanos() as u64,
+            dur_ns,
         });
         dur
     }

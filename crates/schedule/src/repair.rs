@@ -4,26 +4,28 @@
 //! conflict graph, the path-loss cache and the per-shard state incremental,
 //! but the *slot assignment* itself was discarded per event. This module
 //! closes that gap: [`solve_repair`] works on the caller's warm state — the
-//! previous coloring and affectance budgets, keyed by vertex position, with
-//! `None` marking the links an event batch dirtied — and edits it in place:
+//! previous coloring keyed by vertex position, with `None` marking the links
+//! an event batch dirtied, and its [`SlotIndex`] — and edits it in place:
 //! it keeps every clean link in its slot, re-verifies only the slots whose
 //! affectance budget may have changed, and first-fits the dirty links into
 //! the lowest feasible slot — microseconds-to-milliseconds per event batch
 //! instead of a full recolor. What it leaves behind is the next repair's
-//! warm state; nothing needs replaying on top. The caller also carries the
-//! coloring's slot membership (a [`SlotIndex`]) and the universe's length
-//! diversity from event to event, so no part of a repair walks the whole
-//! universe except the copy of the schedule into its report.
+//! warm state; nothing needs replaying on top. The caller carries the
+//! index and the universe's length diversity from event to event, so no
+//! part of a repair walks the whole universe except the copy of the
+//! schedule into its report.
 //!
 //! The module is backend-agnostic: callers supply the conflict neighbourhood
 //! (`neighbors`, e.g. the engine's incrementally maintained adjacency rows)
-//! and, where the additive affectance kernel applies, one [`PricedLink`]
-//! record per position, kept current between repairs. Without records every
-//! probe materialises the slot and checks it with the static kernel's
-//! [`slot_ok`](crate::scheduler) semantics. The session facade owns the
-//! policy: which links are dirty, when the schedule-length drift against the
-//! from-scratch baseline breaches the watermark ([`RepairStats::drift`] vs
-//! [`RepairStats::watermark`]) and a full recolor runs instead.
+//! and, where the additive affectance kernel applies, a priced
+//! [`SlotIndex`]: each slot's members' endpoints, path-loss parts and warm
+//! budgets in per-slot columns, kept current between repairs. Without
+//! records every probe materialises the slot and checks it with the static
+//! kernel's [`slot_ok`](crate::scheduler) semantics. The session facade
+//! owns the policy: which links are dirty, when the schedule-length drift
+//! against the from-scratch baseline breaches the watermark
+//! ([`RepairStats::drift`] vs [`RepairStats::watermark`]) and a full
+//! recolor runs instead.
 //!
 //! # Correctness
 //!
@@ -44,6 +46,7 @@
 
 use crate::scheduler::{slot_ok, ScheduleReport, SchedulerConfig};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use wagg_obs::Recorder;
 pub use wagg_obs::RepairDecision;
 use wagg_sinr::{AlphaPow, Link, PricedLink, SinrModel};
@@ -72,27 +75,158 @@ pub struct RepairStats {
     pub watermark: f64,
 }
 
-/// Slot membership of a warm coloring, kept current between repairs so
-/// [`solve_repair`] never scatters the whole universe into slot vectors.
+/// Slotmates one pricing pass of an additive admission probe covers before
+/// its checking pass runs: wide enough for the vectorised pricing loop to
+/// run at full width, short enough that a rejection near the front of a
+/// slot prices little past it.
+const CHUNK: usize = 256;
+
+// The columns of a priced slot, in order: sender x and y, receiver x and
+// y, power and weight — one link's record — then its warm budget.
+const SX: usize = 0;
+const SY: usize = 1;
+const RX: usize = 2;
+const RY: usize = 3;
+const POWER: usize = 4;
+const WEIGHT: usize = 5;
+const BUDGET: usize = 6;
+
+/// One member's values in column order.
+type Entry = [f64; 7];
+
+/// `p`'s entry with a zero budget. A missing part is stored as `+∞`: parts
+/// are non-negative (an oblivious assignment's powers and weights), so a
+/// `+∞` part prices every term it enters at `+∞` or NaN, and either
+/// rejects exactly as [`PricedLink::term_on`]'s `+∞` for a missing part.
+fn entry(p: &PricedLink) -> Entry {
+    let (s, r) = (p.sender, p.receiver);
+    let part = |part: Option<f64>| part.unwrap_or(f64::INFINITY);
+    [s.x, s.y, r.x, r.y, part(p.power), part(p.weight), 0.0]
+}
+
+/// A list of positions, ascending, and in a priced index each one's
+/// [`Entry`] as structure-of-arrays columns: entry `k` of every column
+/// belongs to `members[k]`. An unpriced index leaves the columns empty.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    members: Vec<usize>,
+    columns: [Vec<f64>; 7],
+}
+
+impl Slot {
+    fn with_capacity(members: usize, priced: bool) -> Self {
+        let columns = if priced { members } else { 0 };
+        Slot {
+            members: Vec::with_capacity(members),
+            columns: std::array::from_fn(|_| Vec::with_capacity(columns)),
+        }
+    }
+
+    /// Member `pos` at entry `k`, with its values in a priced index.
+    fn insert(&mut self, k: usize, pos: usize, entry: Option<Entry>) {
+        self.members.insert(k, pos);
+        if let Some(entry) = entry {
+            for (column, value) in self.columns.iter_mut().zip(entry) {
+                column.insert(k, value);
+            }
+        }
+    }
+
+    fn push(&mut self, pos: usize, entry: Option<Entry>) {
+        self.insert(self.members.len(), pos, entry);
+    }
+
+    /// Entry `k`'s values; `None` in an unpriced index.
+    fn entry(&self, k: usize) -> Option<Entry> {
+        (k < self.columns[BUDGET].len()).then(|| self.columns.each_ref().map(|c| c[k]))
+    }
+
+    /// Drops entry `k`, returning its values in a priced index.
+    fn remove(&mut self, k: usize) -> Option<Entry> {
+        let entry = self.entry(k);
+        self.members.remove(k);
+        if entry.is_some() {
+            for column in &mut self.columns {
+                column.remove(k);
+            }
+        }
+        entry
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.members.truncate(len);
+        for column in &mut self.columns {
+            column.truncate(len);
+        }
+    }
+}
+
+/// Columns compare bit for bit, so a NaN part or budget equals itself.
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |column: &[f64]| column.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        self.members == other.members
+            && self
+                .columns
+                .iter()
+                .zip(&other.columns)
+                .all(|(a, b)| bits(a) == bits(b))
+    }
+}
+
+impl Eq for Slot {}
+
+/// The warm coloring's slot membership, kept current between repairs so
+/// [`solve_repair`] never scatters the whole universe into slot vectors —
+/// and, in a priced index, the one copy of what the additive admission
+/// reads.
 ///
 /// Slot `c` lists, ascending, the positions whose warm color is `Some(c)`;
 /// the unassigned list holds, ascending, the positions whose color is
 /// `None` (the dirty links). Trailing empty slots are dropped, interior ones
 /// are kept until the next repair compacts them — so an index kept in
-/// lockstep with a warm coloring always equals
-/// [`SlotIndex::from_colors`] of it. The splice methods move positions the
-/// way a position-indexed warm state moves under the same event.
+/// lockstep with a warm coloring always equals one built from scratch from
+/// it. The splice methods move positions the way a position-indexed warm
+/// state moves under the same event.
+///
+/// A *priced* index ([`SlotIndex::with_records`]) also keeps, beside each
+/// slot's positions, structure-of-arrays columns of its members' sender and
+/// receiver coordinates, powers, weights (a missing part stored as `+∞`)
+/// and warm budgets, and beside the unassigned list each dirty link's
+/// record. Every splice moves the columns in lockstep with the positions,
+/// so an admission probe streams one slot's columns front to back;
+/// per-position budgets exist only where [`SlotIndex::budgets`]
+/// materialises them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotIndex {
-    slots: Vec<Vec<usize>>,
-    unassigned: Vec<usize>,
+    slots: Vec<Slot>,
+    /// The unassigned positions, with their records (zero budgets) in a
+    /// priced index.
+    unassigned: Slot,
+    priced: bool,
 }
 
 impl SlotIndex {
-    /// The membership of `colors` built from scratch: every position pushed
-    /// in ascending order into its slot (or the unassigned list), one slot
-    /// per color up to the largest one in use.
+    /// The unpriced membership of `colors` built from scratch: every
+    /// position pushed in ascending order into its slot (or the unassigned
+    /// list), one slot per color up to the largest one in use.
     pub fn from_colors(colors: &[Option<usize>]) -> Self {
+        SlotIndex::build(colors, None)
+    }
+
+    /// The priced index of `colors`: position `i` carries record
+    /// `records[i]` and, when placed, warm budget `budgets[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `records` and `budgets` hold one entry per position.
+    pub fn with_records(colors: &[Option<usize>], records: &[PricedLink], budgets: &[f64]) -> Self {
+        assert_eq!(records.len(), colors.len(), "one record per position");
+        assert_eq!(budgets.len(), colors.len(), "one budget per position");
+        SlotIndex::build(colors, Some((records, budgets)))
+    }
+
+    fn build(colors: &[Option<usize>], priced: Option<(&[PricedLink], &[f64])>) -> Self {
         let num_colors = colors.iter().flatten().copied().max().map_or(0, |c| c + 1);
         // Pre-counted capacities: growth reallocations would double the
         // traffic of this O(n) pass.
@@ -100,32 +234,54 @@ impl SlotIndex {
         for &c in colors.iter().flatten() {
             counts[c] += 1;
         }
-        let mut slots: Vec<Vec<usize>> = counts.iter().map(|&k| Vec::with_capacity(k)).collect();
-        let mut unassigned = Vec::new();
+        let mut slots: Vec<Slot> = counts
+            .iter()
+            .map(|&k| Slot::with_capacity(k, priced.is_some()))
+            .collect();
+        let mut unassigned = Slot::default();
         for (i, &color) in colors.iter().enumerate() {
+            let values = priced.map(|(records, budgets)| {
+                let mut values = entry(&records[i]);
+                values[BUDGET] = if color.is_some() { budgets[i] } else { 0.0 };
+                values
+            });
             match color {
-                Some(c) => slots[c].push(i),
-                None => unassigned.push(i),
+                Some(c) => slots[c].push(i, values),
+                None => unassigned.push(i, values),
             }
         }
-        SlotIndex { slots, unassigned }
+        SlotIndex {
+            slots,
+            unassigned,
+            priced: priced.is_some(),
+        }
     }
 
-    /// Splices a fresh, unassigned position in at `pos`; positions at and
-    /// after it shift up by one.
-    pub fn insert(&mut self, pos: usize) {
+    /// Splices a fresh, unassigned position in at `pos`, with its record
+    /// in a priced index; positions at and after it shift up by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `record` is given to an unpriced index or missing from
+    /// a priced one.
+    pub fn insert(&mut self, pos: usize, record: Option<&PricedLink>) {
+        assert_eq!(
+            record.is_some(),
+            self.priced,
+            "a record exactly when priced"
+        );
         for list in self.lists() {
             let k = list.partition_point(|&m| m < pos);
             for m in &mut list[k..] {
                 *m += 1;
             }
         }
-        let k = self.unassigned.partition_point(|&m| m < pos);
-        self.unassigned.insert(k, pos);
+        let k = self.unassigned.members.partition_point(|&m| m < pos);
+        self.unassigned.insert(k, pos, record.map(entry));
     }
 
-    /// Drops position `pos`, whose warm color is `color`; positions after
-    /// it shift down by one.
+    /// Drops position `pos`, whose warm color is `color`, with its record
+    /// and budget; positions after it shift down by one.
     ///
     /// # Panics
     ///
@@ -136,6 +292,7 @@ impl SlotIndex {
             None => &mut self.unassigned,
         };
         let k = list
+            .members
             .binary_search(&pos)
             .expect("position indexed under its color");
         list.remove(k);
@@ -148,26 +305,50 @@ impl SlotIndex {
         self.trim();
     }
 
-    /// Moves position `pos` from slot `color` to the unassigned list (its
-    /// link was dirtied in place).
+    /// Re-seats position `pos`, whose warm color is `color`: its link moved
+    /// in place, so it leaves its slot for the unassigned list, carrying
+    /// `record` (its new geometry's) in a priced index.
     ///
     /// # Panics
     ///
-    /// Panics when `pos` is not a member of slot `color`.
-    pub fn unassign(&mut self, pos: usize, color: usize) {
-        let slot = &mut self.slots[color];
-        let k = slot
+    /// Panics when `pos` is not indexed under `color`, or on a `record`
+    /// that does not match the index's pricing (see [`SlotIndex::insert`]).
+    pub fn reseat(&mut self, pos: usize, color: Option<usize>, record: Option<&PricedLink>) {
+        assert_eq!(
+            record.is_some(),
+            self.priced,
+            "a record exactly when priced"
+        );
+        let list = match color {
+            Some(c) => &mut self.slots[c],
+            None => &mut self.unassigned,
+        };
+        let k = list
+            .members
             .binary_search(&pos)
             .expect("position indexed under its color");
-        slot.remove(k);
-        let k = self.unassigned.partition_point(|&m| m < pos);
-        self.unassigned.insert(k, pos);
+        list.remove(k);
+        let k = self.unassigned.members.partition_point(|&m| m < pos);
+        self.unassigned.insert(k, pos, record.map(entry));
         self.trim();
     }
 
     /// The unassigned positions, ascending.
     pub fn unassigned(&self) -> &[usize] {
-        &self.unassigned
+        &self.unassigned.members
+    }
+
+    /// Position → warm budget, materialised from the slots' columns: zero
+    /// for unassigned positions and throughout an unpriced index.
+    pub fn budgets(&self) -> Vec<f64> {
+        let placed: usize = self.slots.iter().map(|s| s.members.len()).sum();
+        let mut budgets = vec![0.0; placed + self.unassigned.members.len()];
+        for slot in &self.slots {
+            for (&m, &b) in slot.members.iter().zip(&slot.columns[BUDGET]) {
+                budgets[m] = b;
+            }
+        }
+        budgets
     }
 
     /// Every position list: the slots, then the unassigned list.
@@ -175,13 +356,23 @@ impl SlotIndex {
         self.slots
             .iter_mut()
             .chain(std::iter::once(&mut self.unassigned))
+            .map(|list| &mut list.members)
     }
 
-    /// Drops trailing empty slots (what [`SlotIndex::from_colors`] sizes to).
+    /// Drops trailing empty slots (what a from-scratch build sizes to).
     fn trim(&mut self) {
-        while self.slots.last().is_some_and(Vec::is_empty) {
+        while self.slots.last().is_some_and(|s| s.members.is_empty()) {
             self.slots.pop();
         }
+    }
+
+    /// Whether the positions are `colors`' membership.
+    fn tracks(&self, colors: &[Option<usize>]) -> bool {
+        let lists = |index: &SlotIndex| {
+            let lists = index.slots.iter().chain([&index.unassigned]);
+            lists.map(|list| list.members.clone()).collect::<Vec<_>>()
+        };
+        lists(self) == lists(&SlotIndex::from_colors(colors))
     }
 }
 
@@ -209,9 +400,9 @@ pub fn capture_budgets(
     colors: &[Option<usize>],
 ) -> Vec<f64> {
     let pow = AlphaPow::new(model.alpha());
-    let slots = SlotIndex::from_colors(colors).slots;
+    let index = SlotIndex::from_colors(colors);
     let mut budgets = vec![0.0f64; colors.len()];
-    for slot in &slots {
+    for slot in index.slots.iter().map(|s| &s.members) {
         for &i in slot {
             budgets[i] = slot
                 .iter()
@@ -226,37 +417,35 @@ pub fn capture_budgets(
 /// Repairs a previous slot assignment after an event batch instead of
 /// recoloring from scratch, editing the caller's warm state in place.
 ///
-/// * `priced` holds one [`PricedLink`] per position — the links' endpoints
-///   with the path-loss parts `PathLossCache::new` computes for them — when
-///   the power mode pins an assignment under a noise-free model, so that
-///   slot feasibility is the additive affectance kernel (records passed
-///   under a noisy model are ignored). With records, admission is additive:
-///   it reads the records and `budgets` directly and prices every pair with
-///   [`PricedLink::term_on`]. Distinct positions are distinct transmitters:
-///   a link is never priced against itself. `None` selects the opaque path,
-///   where every probe materialises the slot.
 /// * `colors[i]` is link `i`'s slot in the previous schedule, `None` for
 ///   dirty links (inserted, relocated, re-seated — anything whose conflict
 ///   neighbourhood changed). Colors need not be contiguous; empty slots are
 ///   dropped from the result. On return `colors` is the repaired schedule's
 ///   slot map.
-/// * `budgets[i]` must **upper-bound** the exact affectance total link `i`
-///   sees inside its previous slot (exact values, a certified hierarchical
-///   bound, or `f64::INFINITY` when unknown — conservative always errs
-///   toward eviction/rejection, never toward an infeasible admission).
-///   Entries for dirty links are ignored. Only consulted on the additive
-///   path; seed them with [`capture_budgets`] (or a certified capture)
-///   after a full recolor. On return they bound the repaired schedule the
-///   same way, ready for the next repair; re-placed links of an opaque
-///   repair read zero. Budgets are deliberately *not* decreased on
-///   departures (that would need the departed geometry); the stored bounds
-///   just grow conservative until the drift watermark forces a
-///   re-anchoring recolor.
 /// * `index` is the [`SlotIndex`] of `colors`: the caller keeps it in
-///   lockstep with the warm state between repairs (debug builds assert it
-///   equals [`SlotIndex::from_colors`] on entry and exit), so the kernel
-///   reads slot membership instead of scattering every link. On return it
-///   indexes the repaired `colors`.
+///   lockstep with the warm state between repairs (debug builds check its
+///   positions against `colors` on entry and exit), so the kernel reads
+///   slot membership instead of scattering every link. On return it
+///   indexes the repaired `colors`. A *priced* index, under a noise-free
+///   model with slot verification on, selects the additive path: slot
+///   feasibility is the additive affectance kernel, and admission reads
+///   the index's columns — every slotmate's endpoints, power, weight and
+///   warm budget, and the newcomer's record from the unassigned list —
+///   pricing every pair as [`PricedLink::term_on`] does. Distinct
+///   positions are distinct transmitters: a link is never priced against
+///   itself. An unpriced index selects the opaque path, where every probe
+///   materialises the slot.
+/// * A placed member's warm budget must **upper-bound** the exact
+///   affectance total the link sees inside its previous slot (exact
+///   values, a certified hierarchical bound, or `f64::INFINITY` when
+///   unknown — conservative always errs toward eviction/rejection, never
+///   toward an infeasible admission). Seed them with [`capture_budgets`]
+///   (or a certified capture) after a full recolor. On return they bound
+///   the repaired schedule the same way, ready for the next repair;
+///   re-placed links of an opaque repair read zero. Budgets are
+///   deliberately *not* decreased on departures (that would need the
+///   departed geometry); the stored bounds just grow conservative until
+///   the drift watermark forces a re-anchoring recolor.
 /// * `diversity` is the report's length diversity,
 ///   `link_diversity(links).unwrap_or(1.0)` — a whole-universe aggregate
 ///   the caller maintains per event instead of the kernel re-folding every
@@ -267,7 +456,7 @@ pub fn capture_budgets(
 ///   links themselves stay put — typically the dirty links' conflict
 ///   neighbours, whose affectance budget may have changed. On the additive
 ///   path each checked link's stored budget is compared against the
-///   threshold `1/β` (O(1) per link); otherwise each checked link's slot is
+///   threshold `1/β` (one binary search into its slot per link); otherwise each checked link's slot is
 ///   checked whole and evicted whole when it fails. Rejected members join
 ///   the dirty links for re-placement. Ignored when `config.verify_slots` is
 ///   off (graph constraints cannot go stale for links that did not move).
@@ -278,29 +467,32 @@ pub fn capture_budgets(
 /// an admission probe is O(|slot|) with early exit — the new member's own
 /// budget accumulates while every slotmate's budget is checked against the
 /// threshold with the new term added — instead of the O(|slot|²) whole-slot
-/// re-verification the opaque path needs. Every comparison is written so
+/// re-verification the opaque path needs. A probe walks the slot in chunks
+/// of slotmates: a branch-free pass prices the chunk's terms both ways from
+/// the columns (the loop the compiler vectorises), then a sequential pass
+/// checks the budgets and sums the own terms in slot order, so verdicts,
+/// the terms priced before a rejection, the own sum and every added term
+/// are those of a one-term-at-a-time scan. Every comparison is written so
 /// that a NaN sum rejects. Admitted links append to their slot, so later
 /// probes of the same call visit slotmates in ascending position order
 /// followed by this call's admissions; the report lists members in that
-/// order too, and only then are the touched slots put back in ascending
-/// order for the next repair.
+/// order too, and only then are the touched slots (columns included) put
+/// back in ascending order for the next repair.
 ///
 /// Records a `repair` span with `sweep` (stale-slot re-verification),
 /// `place` (first-fit re-placement) and `commit` (compaction, the report
 /// copy and the index re-sort) children on `rec`, plus the
 /// `repair.dirty` / `repair.evicted` / `repair.admissions` /
 /// `repair.rejections` / `repair.fresh_slots` / `repair.terms` (pair terms
-/// priced by additive probes) counters, accumulated locally — one atomic
-/// add per counter per call, nothing in the probe loops. Pass
-/// [`Recorder::disabled`] to record nothing.
+/// an additive probe reads up to its verdict) counters, accumulated
+/// locally — one atomic add per counter per call, nothing in the probe
+/// loops. Pass [`Recorder::disabled`] to record nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_repair(
     links: &[Link],
-    priced: Option<&[PricedLink]>,
     neighbors: &dyn Fn(usize) -> Vec<usize>,
     config: &SchedulerConfig,
     colors: &mut [Option<usize>],
-    budgets: &mut [f64],
     index: &mut SlotIndex,
     diversity: f64,
     check: &[usize],
@@ -309,24 +501,20 @@ pub fn solve_repair(
     let root = rec.span("repair");
     let n = links.len();
     assert_eq!(colors.len(), n, "one warm color per link");
-    assert_eq!(budgets.len(), n, "one warm budget per link");
     debug_assert!(
-        *index == SlotIndex::from_colors(colors),
+        index.tracks(colors),
         "slot index diverged from the warm colors"
     );
-    let additive = priced
-        .filter(|_| config.verify_slots && config.model.noise() == 0.0)
-        .inspect(|priced| assert_eq!(priced.len(), n, "one priced record per link"));
+    let additive = index.priced && config.verify_slots && config.model.noise() == 0.0;
     let pow = AlphaPow::new(config.model.alpha());
     let threshold = 1.0 / config.model.beta();
 
-    let SlotIndex { slots, unassigned } = index;
+    let SlotIndex {
+        slots, unassigned, ..
+    } = index;
+    // The links to place, with their records in a priced index.
     let mut pending = std::mem::take(unassigned);
-    for &i in &pending {
-        budgets[i] = 0.0;
-    }
-
-    let dirty = pending.len();
+    let dirty = pending.members.len();
 
     // Re-verify the checked links; evicted members join the placement list.
     // Departures are monotone-safe, so only these can be stale.
@@ -336,18 +524,20 @@ pub fn solve_repair(
         let mut checked: Vec<usize> = check.to_vec();
         checked.sort_unstable();
         checked.dedup();
-        if additive.is_some() {
-            // O(1) per checked link: its stored budget is an upper bound,
-            // so within-threshold links are certainly still feasible.
+        if additive {
+            // One lookup per checked link: its stored budget is an upper
+            // bound, so within-threshold links are certainly still feasible.
             for &v in &checked {
                 let Some(c) = colors[v] else { continue };
-                if !within(budgets[v], threshold) {
-                    let k = slots[c].binary_search(&v).expect("indexed under its color");
-                    slots[c].remove(k);
+                let slot = &mut slots[c];
+                let k = slot
+                    .members
+                    .binary_search(&v)
+                    .expect("indexed under its color");
+                if !within(slot.columns[BUDGET][k], threshold) {
+                    pending.push(v, slot.remove(k));
                     colors[v] = None;
-                    budgets[v] = 0.0;
                     evicted_total += 1;
-                    pending.push(v);
                 }
             }
         } else {
@@ -356,19 +546,19 @@ pub fn solve_repair(
             stale.sort_unstable();
             stale.dedup();
             for c in stale {
-                if !slot_ok(links, &slots[c], config, None) {
-                    for &i in &slots[c] {
+                if !slot_ok(links, &slots[c].members, config, None) {
+                    let slot = std::mem::take(&mut slots[c]);
+                    for (k, &i) in slot.members.iter().enumerate() {
                         colors[i] = None;
-                        budgets[i] = 0.0;
+                        pending.push(i, slot.entry(k));
                     }
-                    evicted_total += slots[c].len();
-                    pending.append(&mut slots[c]);
+                    evicted_total += slot.members.len();
                 }
             }
         }
     }
     sweep_span.finish();
-    let replaced = pending.len();
+    let replaced = pending.members.len();
 
     let place_span = root.child("place");
     let mut admissions = 0u64;
@@ -377,35 +567,38 @@ pub fn solve_repair(
     let mut terms = 0u64;
     // First-fit placement in non-increasing length order (ties by link id —
     // the static kernel's split order, for determinism).
-    pending.sort_by(|&a, &b| {
-        links[b]
-            .length()
-            .total_cmp(&links[a].length())
-            .then(links[a].id.cmp(&links[b].id))
+    let mut order: Vec<usize> = (0..replaced).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&links[pending.members[a]], &links[pending.members[b]]);
+        b.length().total_cmp(&a.length()).then(a.id.cmp(&b.id))
     });
     // Stamps mark the colors of `i`'s conflict neighbours per placement.
     let mut mark: Vec<usize> = vec![usize::MAX; slots.len()];
     let mut candidate: Vec<usize> = Vec::new();
     let mut added: Vec<f64> = Vec::new();
-    for (step, &i) in pending.iter().enumerate() {
+    for (step, &p) in order.iter().enumerate() {
+        let i = pending.members[p];
+        let mut values = pending.entry(p);
         for j in neighbors(i) {
             if let Some(c) = colors[j] {
                 mark[c] = step;
             }
         }
         let mut placed = None;
-        for (c, slot) in slots.iter().enumerate() {
+        let mut budget = 0.0;
+        for (c, slot) in slots.iter_mut().enumerate() {
             if mark[c] == step {
                 continue;
             }
-            if let Some(priced) = additive {
-                match admits(priced, budgets, slot, i, pow, threshold, &mut added) {
+            if additive {
+                let newcomer = values.as_ref().expect("a priced index records every link");
+                match admits(slot, newcomer, pow, threshold, &mut added) {
                     Ok(own) => {
-                        terms += 2 * slot.len() as u64;
-                        for (&m, &on_m) in slot.iter().zip(&added) {
-                            budgets[m] += on_m;
+                        terms += 2 * slot.members.len() as u64;
+                        for (b, &on) in slot.columns[BUDGET].iter_mut().zip(&added) {
+                            *b += on;
                         }
-                        budgets[i] = own;
+                        budget = own;
                     }
                     Err(priced_terms) => {
                         terms += priced_terms;
@@ -415,7 +608,7 @@ pub fn solve_repair(
                 }
             } else if config.verify_slots {
                 candidate.clear();
-                candidate.extend_from_slice(slot);
+                candidate.extend_from_slice(&slot.members);
                 candidate.push(i);
                 if !slot_ok(links, &candidate, config, None) {
                     rejections += 1;
@@ -430,11 +623,14 @@ pub fn solve_repair(
         }
         let c = placed.unwrap_or_else(|| {
             fresh_slots += 1;
-            slots.push(Vec::new());
+            slots.push(Slot::default());
             mark.push(usize::MAX);
             slots.len() - 1
         });
-        slots[c].push(i);
+        if let Some(values) = &mut values {
+            values[BUDGET] = budget;
+        }
+        slots[c].push(i, values);
         colors[i] = Some(c);
     }
     place_span.finish();
@@ -450,41 +646,54 @@ pub fn solve_repair(
     // shifts down are renumbered.
     let mut kept = 0usize;
     for (c, slot) in slots.iter().enumerate() {
-        if slot.is_empty() {
+        if slot.members.is_empty() {
             continue;
         }
         if c != kept {
-            for &m in slot {
+            for &m in &slot.members {
                 colors[m] = Some(kept);
             }
         }
         kept += 1;
     }
-    slots.retain(|s| !s.is_empty());
-    let report = ScheduleReport::new(slots.clone(), slots.len(), diversity, config.mode, n);
+    slots.retain(|s| !s.members.is_empty());
+    let report = ScheduleReport::new(
+        slots.iter().map(|s| s.members.clone()).collect(),
+        slots.len(),
+        diversity,
+        config.mode,
+        n,
+    );
     // The report keeps admission order; the index goes back to ascending
     // positions, the order the next repair's probes must visit. A slot's
     // admissions are its tail (appended after its ascending clean
-    // members), so each one moves into place with one binary search —
-    // O(|slot|) per admission, where a sort would be O(|slot| log |slot|).
-    let mut admitted: Vec<(usize, usize)> = pending
+    // members), so each one moves into place, columns along, with one
+    // binary search — O(|slot|) per admission, where a sort would be
+    // O(|slot| log |slot|).
+    let mut admitted: Vec<usize> = pending
+        .members
         .iter()
-        .map(|&i| (colors[i].expect("placed"), i))
+        .map(|&i| colors[i].expect("placed"))
         .collect();
     admitted.sort_unstable();
-    for run in admitted.chunk_by(|a, b| a.0 == b.0) {
-        let slot = &mut slots[run[0].0];
-        slot.truncate(slot.len() - run.len());
-        for &(_, i) in run {
-            let k = slot.partition_point(|&m| m < i);
-            slot.insert(k, i);
+    for run in admitted.chunk_by(|a, b| a == b) {
+        let slot = &mut slots[run[0]];
+        let tail = slot.members.len() - run.len();
+        let mut moved: Vec<(usize, Option<Entry>)> = (tail..slot.members.len())
+            .map(|k| (slot.members[k], slot.entry(k)))
+            .collect();
+        moved.sort_unstable_by_key(|&(i, _)| i);
+        slot.truncate(tail);
+        for (i, entry) in moved {
+            let k = slot.members.partition_point(|&m| m < i);
+            slot.insert(k, i, entry);
         }
     }
-    pending.clear();
+    pending.truncate(0);
     *unassigned = pending;
     commit_span.finish();
     debug_assert!(
-        *index == SlotIndex::from_colors(colors),
+        index.tracks(colors),
         "slot index diverged from the repaired colors"
     );
     RepairOutcome {
@@ -494,37 +703,96 @@ pub fn solve_repair(
     }
 }
 
-/// The additive admission probe of position `i` into `slot`: every
-/// slotmate must absorb `i`'s term within `threshold`, and `i`'s own sum
-/// must close under it. `Ok` carries `i`'s own sum, with `added` holding
-/// each slotmate's term in slot order; `Err` carries the number of terms
-/// priced up to the first one that failed. NaN sums fail.
-#[inline]
+/// The additive admission probe of `newcomer` into `slot`: every slotmate
+/// must absorb the newcomer's term within `threshold`, and the newcomer's
+/// own sum must close under it. `Ok` carries the own sum, with `added`
+/// holding each slotmate's term in slot order; `Err` carries the number of
+/// terms a one-term-at-a-time scan prices up to the first one that failed.
+/// NaN sums fail.
+///
+/// Each chunk of [`CHUNK`] slotmates is priced whole by [`price`] and then
+/// checked in slot order, so the verdict, the count, the own sum and the
+/// added terms are the one-term-at-a-time scan's, bit for bit.
 fn admits(
-    priced: &[PricedLink],
-    budgets: &[f64],
-    slot: &[usize],
-    i: usize,
+    slot: &Slot,
+    newcomer: &Entry,
     pow: AlphaPow,
     threshold: f64,
     added: &mut Vec<f64>,
 ) -> Result<f64, u64> {
-    let newcomer = &priced[i];
+    let len = slot.members.len();
+    if added.len() < len {
+        added.resize(len, 0.0);
+    }
+    let mut own_terms = [0.0f64; CHUNK];
     let mut own = 0.0f64;
-    added.clear();
-    for (k, &m) in slot.iter().enumerate() {
-        let member = &priced[m];
-        let on_m = newcomer.term_on(member, pow);
-        if !within(budgets[m] + on_m, threshold) {
-            return Err(2 * k as u64 + 1);
+    for start in (0..len).step_by(CHUNK) {
+        let range = start..len.min(start + CHUNK);
+        let on = &mut added[range.clone()];
+        let own_terms = &mut own_terms[..range.len()];
+        // Dispatch once per chunk: with the exponent a constant, the
+        // pricing loop has no branch left and runs vectorised.
+        match pow {
+            AlphaPow::Square => price(
+                slot,
+                range.clone(),
+                newcomer,
+                AlphaPow::Square,
+                on,
+                own_terms,
+            ),
+            AlphaPow::Cube => price(slot, range.clone(), newcomer, AlphaPow::Cube, on, own_terms),
+            AlphaPow::Quartic => price(
+                slot,
+                range.clone(),
+                newcomer,
+                AlphaPow::Quartic,
+                on,
+                own_terms,
+            ),
+            other => price(slot, range.clone(), newcomer, other, on, own_terms),
         }
-        own += member.term_on(newcomer, pow);
-        if !within(own, threshold) {
-            return Err(2 * k as u64 + 2);
+        let budgets = &slot.columns[BUDGET][range.clone()];
+        for (k, ((&budget, &on_m), &on_i)) in budgets.iter().zip(&*on).zip(&*own_terms).enumerate()
+        {
+            if !within(budget + on_m, threshold) {
+                return Err(2 * (start + k) as u64 + 1);
+            }
+            own += on_i;
+            if !within(own, threshold) {
+                return Err(2 * (start + k) as u64 + 2);
+            }
         }
-        added.push(on_m);
     }
     Ok(own)
+}
+
+/// Prices one chunk of `slot` both ways against `newcomer`: `on[k]` is the
+/// newcomer's term on slotmate `range.start + k`, `own[k]` that slotmate's
+/// term on the newcomer — [`PricedLink::term_on`]'s `P·w / (√d²)^α`,
+/// operation for operation. No branch: with the models' `α > 2`, `0^α = 0`,
+/// so a sender on a receiver prices at `+∞` (or NaN for a zero power) and
+/// rejects as `term_on`'s `+∞` does.
+#[inline(always)]
+fn price(
+    slot: &Slot,
+    range: Range<usize>,
+    newcomer: &Entry,
+    pow: AlphaPow,
+    on: &mut [f64],
+    own: &mut [f64],
+) {
+    let len = on.len();
+    let column = |c: usize| &slot.columns[c][range.clone()][..len];
+    let (sx, sy, rx, ry) = (column(SX), column(SY), column(RX), column(RY));
+    let (power, weight) = (column(POWER), column(WEIGHT));
+    let own = &mut own[..len];
+    for k in 0..len {
+        let (dx, dy) = (newcomer[SX] - rx[k], newcomer[SY] - ry[k]);
+        on[k] = newcomer[POWER] * weight[k] / pow.pow((dx * dx + dy * dy).sqrt());
+        let (dx, dy) = (sx[k] - newcomer[RX], sy[k] - newcomer[RY]);
+        own[k] = power[k] * newcomer[WEIGHT] / pow.pow((dx * dx + dy * dy).sqrt());
+    }
 }
 
 /// Whether a budget sum stays within the admission threshold. Every
@@ -579,6 +847,18 @@ mod tests {
         colors
     }
 
+    /// The index of `colors`: priced with `priced` and `budgets` when given.
+    fn index_of(
+        colors: &[Option<usize>],
+        priced: Option<&[PricedLink]>,
+        budgets: &[f64],
+    ) -> SlotIndex {
+        match priced {
+            Some(priced) => SlotIndex::with_records(colors, priced, budgets),
+            None => SlotIndex::from_colors(colors),
+        }
+    }
+
     /// Repairs a copy of `prev`, warm-started from exact captured budgets;
     /// returns the outcome and the warm colors and budgets it left behind.
     fn repair(
@@ -590,24 +870,24 @@ mod tests {
         check: &[usize],
     ) -> (RepairOutcome, Vec<Option<usize>>, Vec<f64>) {
         let mut colors = prev.to_vec();
-        let mut budgets = match priced {
+        let budgets = match priced {
             Some(priced) => capture_budgets(&config.model, priced, prev),
             None => vec![0.0; prev.len()],
         };
-        let mut index = SlotIndex::from_colors(prev);
+        let mut index = index_of(prev, priced, &budgets);
         let outcome = solve_repair(
             links,
-            priced,
             &|i| graph.neighbors(i).to_vec(),
             config,
             &mut colors,
-            &mut budgets,
             &mut index,
             link_diversity(links).unwrap_or(1.0),
             check,
             &Recorder::disabled(),
         );
-        assert_eq!(index, SlotIndex::from_colors(&colors));
+        // The carried columns equal a rebuild from the repaired colors.
+        let budgets = index.budgets();
+        assert_eq!(index, index_of(&colors, priced, &budgets));
         (outcome, colors, budgets)
     }
 
@@ -791,8 +1071,9 @@ mod tests {
 
     #[test]
     fn slot_index_splices_track_a_rebuild() {
-        // Random inserts, removals and re-seats on a warm coloring: after
-        // every splice the carried index equals one built from scratch.
+        // Random inserts, removals and re-seats on a warm coloring, unpriced
+        // and priced: after every splice the carried index — positions,
+        // records and budgets — equals one built from scratch.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = |bound: usize| {
             state ^= state << 13;
@@ -800,44 +1081,62 @@ mod tests {
             state ^= state << 17;
             (state % bound as u64) as usize
         };
-        let mut colors: Vec<Option<usize>> =
-            (0..40).map(|i| (i % 5 != 0).then_some(i % 7)).collect();
-        let mut index = SlotIndex::from_colors(&colors);
-        for _ in 0..600 {
-            match next(3) {
-                0 => {
-                    let pos = next(colors.len() + 1);
-                    colors.insert(pos, None);
-                    index.insert(pos);
-                }
-                1 if !colors.is_empty() => {
-                    let pos = next(colors.len());
-                    index.remove(pos, colors[pos]);
-                    colors.remove(pos);
-                }
-                _ if !colors.is_empty() => {
-                    let pos = next(colors.len());
-                    match colors[pos] {
-                        Some(c) => {
-                            index.unassign(pos, c);
-                            colors[pos] = None;
-                        }
-                        // Re-color an unassigned entry the way a repair
-                        // would, rebuilding (repairs own that transition).
-                        None => {
+        let record = |seed: usize| PricedLink {
+            sender: Point::new(seed as f64, 0.5),
+            receiver: Point::new(seed as f64, 1.5),
+            power: (!seed.is_multiple_of(3)).then_some(seed as f64),
+            weight: (!seed.is_multiple_of(5)).then_some(0.25 * seed as f64),
+        };
+        for priced in [false, true] {
+            let mut colors: Vec<Option<usize>> =
+                (0..40).map(|i| (i % 5 != 0).then_some(i % 7)).collect();
+            let mut records: Vec<PricedLink> = (0..40).map(record).collect();
+            let mut budgets: Vec<f64> = (0..40).map(|i| i as f64 / 64.0).collect();
+            let rebuild = |colors: &[Option<usize>], records: &[PricedLink], budgets: &[f64]| {
+                index_of(colors, priced.then_some(records), budgets)
+            };
+            let mut index = rebuild(&colors, &records, &budgets);
+            for step in 0..600 {
+                let fresh = record(1000 + step);
+                match next(3) {
+                    0 => {
+                        let pos = next(colors.len() + 1);
+                        colors.insert(pos, None);
+                        records.insert(pos, fresh);
+                        budgets.insert(pos, 0.0);
+                        index.insert(pos, priced.then_some(&fresh));
+                    }
+                    1 if !colors.is_empty() => {
+                        let pos = next(colors.len());
+                        index.remove(pos, colors[pos]);
+                        colors.remove(pos);
+                        records.remove(pos);
+                        budgets.remove(pos);
+                    }
+                    _ if !colors.is_empty() => {
+                        let pos = next(colors.len());
+                        if colors[pos].is_none() && next(2) == 0 {
+                            // Re-color an unassigned entry the way a repair
+                            // would, rebuilding (repairs own that transition).
                             colors[pos] = Some(next(8));
-                            index = SlotIndex::from_colors(&colors);
+                            budgets[pos] = step as f64 / 1024.0;
+                            index = rebuild(&colors, &records, &budgets);
+                        } else {
+                            index.reseat(pos, colors[pos], priced.then_some(&fresh));
+                            colors[pos] = None;
+                            records[pos] = fresh;
                         }
                     }
+                    _ => {}
                 }
-                _ => {}
+                assert_eq!(index, rebuild(&colors, &records, &budgets));
+                assert_eq!(index.budgets().len(), colors.len());
             }
-            assert_eq!(index, SlotIndex::from_colors(&colors));
         }
         // Emptying the top slot trims it, as a rebuild would.
         let colors = vec![Some(0), Some(2), None];
         let mut index = SlotIndex::from_colors(&colors);
-        index.unassign(1, 2);
+        index.reseat(1, Some(2), None);
         assert_eq!(index, SlotIndex::from_colors(&[Some(0), None, None]));
     }
 
@@ -864,20 +1163,18 @@ mod tests {
         links: &[Link],
         priced: &[PricedLink],
         prev: &[Option<usize>],
-        mut budgets: Vec<f64>,
+        budgets: Vec<f64>,
         check: &[usize],
     ) -> (Vec<Vec<usize>>, Vec<f64>, [u64; 4]) {
         let config = SchedulerConfig::new(PowerMode::Uniform);
         let rec = Recorder::new();
         let mut colors = prev.to_vec();
-        let mut index = SlotIndex::from_colors(prev);
+        let mut index = SlotIndex::with_records(prev, priced, &budgets);
         let outcome = solve_repair(
             links,
-            Some(priced),
             &|_| Vec::new(),
             &config,
             &mut colors,
-            &mut budgets,
             &mut index,
             1.0,
             check,
@@ -891,7 +1188,11 @@ mod tests {
             count("repair.terms"),
             count("repair.evicted"),
         ];
-        (outcome.report.schedule.slots().to_vec(), budgets, counts)
+        (
+            outcome.report.schedule.slots().to_vec(),
+            index.budgets(),
+            counts,
+        )
     }
 
     fn priced_uniform(links: &[Link]) -> Vec<PricedLink> {
@@ -1012,6 +1313,176 @@ mod tests {
         );
         assert_eq!((slots, counts), (vec![vec![1, 0]], [1, 0, 2, 1]));
         assert!(budgets.iter().all(|b| b.is_finite()));
+    }
+
+    /// The one-term-at-a-time admission scan over per-position records and
+    /// budgets that the chunked kernel replaced: its reference.
+    fn reference_admits(
+        priced: &[PricedLink],
+        budgets: &[f64],
+        slot: &[usize],
+        i: usize,
+        pow: AlphaPow,
+        threshold: f64,
+        added: &mut Vec<f64>,
+    ) -> Result<f64, u64> {
+        let newcomer = &priced[i];
+        let mut own = 0.0f64;
+        added.clear();
+        for (k, &m) in slot.iter().enumerate() {
+            let member = &priced[m];
+            let on_m = newcomer.term_on(member, pow);
+            if !within(budgets[m] + on_m, threshold) {
+                return Err(2 * k as u64 + 1);
+            }
+            own += member.term_on(newcomer, pow);
+            if !within(own, threshold) {
+                return Err(2 * k as u64 + 2);
+            }
+            added.push(on_m);
+        }
+        Ok(own)
+    }
+
+    /// Probes newcomer `priced[size]` into the slot of positions `0..size`
+    /// with the chunked kernel and the reference: equal verdicts, equal
+    /// `Err` term counts, and bit-equal own sums and added terms.
+    fn assert_admits_like_the_reference(
+        priced: &[PricedLink],
+        budgets: &[f64],
+        pow: AlphaPow,
+        case: &str,
+    ) -> Result<f64, u64> {
+        let size = priced.len() - 1;
+        let members: Vec<usize> = (0..size).collect();
+        let mut slot = Slot::default();
+        for &m in &members {
+            let mut values = entry(&priced[m]);
+            values[BUDGET] = budgets[m];
+            slot.push(m, Some(values));
+        }
+        let (mut want_added, mut got_added) = (Vec::new(), vec![f64::NAN; 3]);
+        let want = reference_admits(priced, budgets, &members, size, pow, 1.0, &mut want_added);
+        let newcomer = entry(&priced[size]);
+        let got = admits(&slot, &newcomer, pow, 1.0, &mut got_added);
+        match (want, got) {
+            (Ok(want), Ok(got)) => {
+                assert_eq!(want.to_bits(), got.to_bits(), "{case}: own sum");
+                let bits = |terms: &[f64]| terms.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&want_added), bits(&got_added[..size]), "{case}");
+            }
+            (want, got) => assert_eq!(want, got, "{case}: verdict"),
+        }
+        want
+    }
+
+    #[test]
+    fn chunked_admission_matches_the_scalar_reference() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        type Edit = fn(&mut [PricedLink], usize);
+        let spices: [(&str, Edit); 13] = [
+            ("slotmate without power", |p, k| p[k].power = None),
+            ("slotmate without weight", |p, k| p[k].weight = None),
+            ("NaN slotmate power", |p, k| p[k].power = Some(f64::NAN)),
+            ("NaN slotmate weight", |p, k| p[k].weight = Some(f64::NAN)),
+            ("infinite slotmate power", |p, k| {
+                p[k].power = Some(f64::INFINITY)
+            }),
+            ("infinite slotmate weight", |p, k| {
+                p[k].weight = Some(f64::INFINITY)
+            }),
+            ("zero slotmate power", |p, k| p[k].power = Some(0.0)),
+            ("slotmate sender on the newcomer's receiver", |p, k| {
+                p[k].sender = p[p.len() - 1].receiver
+            }),
+            ("newcomer sender on a slotmate's receiver", |p, k| {
+                let last = p.len() - 1;
+                p[last].sender = p[k].receiver
+            }),
+            ("slotmate at an overflowing distance", |p, k| {
+                p[k].sender = Point::new(1e200, -1e200);
+                p[k].receiver = Point::new(1e200, -1e200 + 1.0);
+            }),
+            ("newcomer without power", |p, _| {
+                let last = p.len() - 1;
+                p[last].power = None
+            }),
+            ("newcomer without weight", |p, _| {
+                let last = p.len() - 1;
+                p[last].weight = None
+            }),
+            ("NaN newcomer weight", |p, _| {
+                let last = p.len() - 1;
+                p[last].weight = Some(f64::NAN)
+            }),
+        ];
+        for alpha in [2.0, 3.0, 4.0, 2.5] {
+            let pow = AlphaPow::new(alpha);
+            for size in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+                // Small parts over a 100-unit square: every sum stays far
+                // under the threshold of 1 unless a case pushes it over.
+                let priced: Vec<PricedLink> = (0..=size)
+                    .map(|_| {
+                        let (x, y, a) = (100.0 * unit(), 100.0 * unit(), 6.3 * unit());
+                        PricedLink {
+                            sender: Point::new(x, y),
+                            receiver: Point::new(x + a.cos(), y + a.sin()),
+                            power: Some(1e-6 + 1e-3 * unit()),
+                            weight: Some(1e-6 + 1e-3 * unit()),
+                        }
+                    })
+                    .collect();
+                let budgets: Vec<f64> = (0..=size).map(|_| 1e-3 * unit()).collect();
+                let case = format!("α = {alpha}, {size} slotmates");
+                assert!(
+                    assert_admits_like_the_reference(&priced, &budgets, pow, &case).is_ok(),
+                    "{case}: the clean slot admits"
+                );
+                if size == 0 {
+                    continue;
+                }
+                // The first failure at every slotmate, so at every offset
+                // inside a chunk: an overdrawn budget fails the slotmate's
+                // check, a loud slotmate the newcomer's own sum.
+                for k in 0..size {
+                    let mut full = budgets.clone();
+                    full[k] = 2.0;
+                    let verdict = assert_admits_like_the_reference(&priced, &full, pow, &case);
+                    assert_eq!(
+                        verdict,
+                        Err(2 * k as u64 + 1),
+                        "{case}: overdrawn budget at {k}"
+                    );
+                    let mut loud = priced.clone();
+                    loud[k].power = Some(1e300);
+                    let verdict = assert_admits_like_the_reference(&loud, &budgets, pow, &case);
+                    assert_eq!(
+                        verdict,
+                        Err(2 * k as u64 + 2),
+                        "{case}: loud slotmate at {k}"
+                    );
+                }
+                // Unpriceable parts and degenerate geometry at a few places.
+                for k in [0, size / 2, size - 1] {
+                    for (spice, edit) in &spices {
+                        let mut spiced = priced.clone();
+                        edit(&mut spiced, k);
+                        let case = format!("{case}: {spice} at {k}");
+                        let _ = assert_admits_like_the_reference(&spiced, &budgets, pow, &case);
+                    }
+                    let mut nan = budgets.clone();
+                    nan[k] = f64::NAN;
+                    let verdict = assert_admits_like_the_reference(&priced, &nan, pow, &case);
+                    assert_eq!(verdict, Err(2 * k as u64 + 1), "{case}: NaN budget at {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,13 +28,14 @@
 //!
 //! A backend lends only its neighbour map. Physical feasibility comes from
 //! the universe itself: under a pinned assignment (noise-free, fixed
-//! powers) the kernel's additive admission reads the universe's packed
-//! per-position records (`PricedLink`: endpoints, power, weight) and the
-//! warm budgets, so both engine backends price every pair term the same
-//! way; otherwise every probe checks the materialised slot.
+//! powers, verified slots) the universe's [`SlotIndex`] is priced, and the
+//! kernel's additive admission streams each candidate slot's columns —
+//! its members' endpoints, powers, weights and warm budgets — so both
+//! engine backends price every pair term the same way; otherwise every
+//! probe checks the materialised slot.
 
-use crate::state::{self, WarmState};
-use crate::{priced, RepairPolicy, Universe};
+use crate::state;
+use crate::{slot_index, RepairPolicy, Universe};
 use std::collections::HashMap;
 use wagg_engine::{EngineConfig, InterferenceEngine};
 use wagg_obs::Recorder;
@@ -43,7 +44,7 @@ use wagg_schedule::{
     solve_static, BackendKind, RepairDecision, RepairOutcome, RepairStats, SchedulerConfig,
     ShardingStats, SlotIndex, SolveReport,
 };
-use wagg_sinr::{Link, PricedLink};
+use wagg_sinr::Link;
 
 /// Relative schedule-length drift vs. the baseline, finite even for an empty
 /// baseline: the flight recorder's JSONL log writes it as decimal text,
@@ -109,12 +110,12 @@ pub(crate) trait Solver: std::fmt::Debug {
 pub(crate) struct Kernel<'a> {
     config: &'a SchedulerConfig,
     links: &'a [Link],
-    /// The universe's records when an assignment is pinned (the additive
-    /// path), `None` otherwise.
-    priced: Option<&'a [PricedLink]>,
     diversity: f64,
-    warm: &'a mut WarmState,
+    colors: &'a mut [Option<usize>],
+    /// Priced when an assignment is pinned (the additive path).
     index: &'a mut SlotIndex,
+    /// The last full sharded solve's occupancy skew.
+    skew: Option<(usize, f64, f64)>,
     rec: &'a Recorder,
 }
 
@@ -133,11 +134,9 @@ impl Kernel<'_> {
         check.dedup();
         wagg_schedule::solve_repair(
             self.links,
-            self.priced,
             neighbors,
             self.config,
-            &mut self.warm.colors,
-            &mut self.warm.budgets,
+            self.colors,
             self.index,
             self.diversity,
             &check,
@@ -189,22 +188,22 @@ pub(crate) fn solve_repair(
         );
     };
     debug_assert!(
-        state.priced == priced(scheduler, links),
-        "priced records diverged from the links"
+        state.index == slot_index(scheduler, links, &state.colors, &state.index.budgets()),
+        "slot index records diverged from the links"
     );
     let dirty_links = state.index.unassigned().len();
-    let baseline = state.warm.baseline_slots;
+    let baseline = state.baseline_slots;
     let (outcome, sharding) = backend.repair(Kernel {
         config: scheduler,
         links,
-        priced: state.priced.as_deref(),
         diversity: state.lengths.diversity(links),
-        warm: &mut state.warm,
+        colors: &mut state.colors,
         index: &mut state.index,
+        skew: state.skew,
         rec,
     });
     debug_assert_eq!(
-        state.warm.colors,
+        state.colors,
         state::slot_map(&outcome.report),
         "repaired warm colors diverge from capture"
     );
@@ -474,7 +473,7 @@ impl Solver for HintedBackend {
         // The warm repair path touches only the unplaced links; per-shard
         // occupancy is not re-derived here, so the last full solve's skew
         // is carried forward (ownership shifts only at full recolors).
-        let (max_owned, mean_owned, ghost_fraction) = kernel.warm.skew.unwrap_or((0, 0.0, 0.0));
+        let (max_owned, mean_owned, ghost_fraction) = kernel.skew.unwrap_or((0, 0.0, 0.0));
         let neighbors = |i: usize| -> Vec<usize> {
             self.engine
                 .neighbor_keys(self.ekeys[i])
@@ -667,8 +666,15 @@ mod tests {
     }
 
     fn rebuild_index(session: &mut Session) {
-        if let Some(state) = &mut session.universe.repair {
-            state.index = SlotIndex::from_colors(&state.warm.colors);
+        let universe = &mut session.universe;
+        if let Some(state) = &mut universe.repair {
+            let budgets = state.index.budgets();
+            state.index = slot_index(
+                &universe.scheduler,
+                &universe.links,
+                &state.colors,
+                &budgets,
+            );
         }
     }
 

@@ -598,13 +598,15 @@ impl Session {
         }
     }
 
-    /// The live warm repair state, by vertex position in solve order
-    /// (`None` for backends without one, or before the first
-    /// repair-enabled solve). Test-only introspection for the warm-state
-    /// invariant suite.
+    /// The warm repair state by vertex position in solve order, as a
+    /// snapshot would capture it (`None` for backends without one, or
+    /// before the first repair-enabled solve). An owned copy: the live
+    /// budgets sit in the slot index's per-slot columns, and this
+    /// materialises them per position. Test-only introspection for the
+    /// warm-state invariant suite.
     #[doc(hidden)]
-    pub fn warm_state(&self) -> Option<&state::WarmState> {
-        self.universe.warm()
+    pub fn warm_state(&self) -> Option<WarmState> {
+        self.universe.repair.as_ref().map(RepairState::warm)
     }
 
     /// Inserts a link, returning its session key.
@@ -883,20 +885,36 @@ struct Universe {
 }
 
 /// The anchored repair state, position-indexed like the universe's links.
-/// A removal drops a link's record, color, budget and slot membership
-/// together, so no stale entry can outlive its link.
+/// A removal drops a link's color and its slot-index entry (record and
+/// budget included) together, so no stale entry can outlive its link.
 #[derive(Debug)]
 struct RepairState {
-    /// Per-link packed endpoints and path-loss parts, what the additive
-    /// admission probes read; `None` where no assignment is pinned (see
-    /// [`pinned_assignment`]), so the opaque path splices no records.
-    priced: Option<Vec<PricedLink>>,
     /// The extreme link lengths (the report's diversity).
     lengths: LengthRange,
-    warm: WarmState,
-    /// Slot membership of `warm`'s colors; its unassigned list is the set
-    /// of links the last commit has not placed.
+    /// Position → committed slot; `None` marks a link the last committed
+    /// schedule has not placed.
+    colors: Vec<Option<usize>>,
+    /// Schedule length of the last full recolor.
+    baseline_slots: usize,
+    /// The last full sharded solve's occupancy skew (see [`WarmState`]).
+    skew: Option<(usize, f64, f64)>,
+    /// Slot membership of `colors`; its unassigned list is the set of
+    /// links the last commit has not placed. Under a pinned assignment it
+    /// is priced (see [`pinned_assignment`]): the one copy of the records
+    /// and warm budgets the additive admission reads.
     index: SlotIndex,
+}
+
+impl RepairState {
+    /// The warm state as snapshot data, budgets materialised per position.
+    fn warm(&self) -> WarmState {
+        WarmState {
+            colors: self.colors.clone(),
+            budgets: self.index.budgets(),
+            baseline_slots: self.baseline_slots,
+            skew: self.skew,
+        }
+    }
 }
 
 impl Universe {
@@ -927,8 +945,7 @@ impl Universe {
             state.counts,
         );
         if let Some(warm) = &state.warm {
-            let priced = priced(&universe.scheduler, &universe.links);
-            universe.install(priced, warm.clone());
+            universe.install(warm.clone());
         }
         universe
     }
@@ -962,11 +979,6 @@ impl Universe {
         &self.links
     }
 
-    /// The anchored warm state, if any.
-    fn warm(&self) -> Option<&WarmState> {
-        self.repair.as_ref().map(|state| &state.warm)
-    }
-
     /// The universe as snapshot data for a `backend` session under
     /// `config` (no trace bindings or telemetry — the session adds those).
     fn capture(&self, config: SessionConfig, backend: BackendKind) -> SessionState {
@@ -981,7 +993,7 @@ impl Universe {
                 .collect(),
             next_key: self.next_key,
             counts: self.counts,
-            warm: self.warm().cloned(),
+            warm: self.repair.as_ref().map(RepairState::warm),
             trace_keys: Vec::new(),
             telemetry: None,
         }
@@ -998,12 +1010,11 @@ impl Universe {
         self.links.insert(pos, link);
         self.relabel(pos + 1);
         if let Some(state) = &mut self.repair {
-            if let Some(priced) = &mut state.priced {
-                priced.insert(pos, price(&self.scheduler, &link));
-            }
             state.lengths.add(link.length());
-            state.warm.insert_at(pos);
-            state.index.insert(pos);
+            state.colors.insert(pos, None);
+            state
+                .index
+                .insert(pos, record(&self.scheduler, &link).as_ref());
         }
         key
     }
@@ -1018,11 +1029,7 @@ impl Universe {
         self.relabel(pos);
         if let Some(state) = &mut self.repair {
             // Departures are monotone-safe: no other link needs re-placing.
-            state.index.remove(pos, state.warm.colors[pos]);
-            state.warm.remove_at(pos);
-            if let Some(priced) = &mut state.priced {
-                priced.remove(pos);
-            }
+            state.index.remove(pos, state.colors.remove(pos));
             if state.lengths.remove(link.length()) {
                 state.lengths = LengthRange::of(&self.links);
             }
@@ -1084,13 +1091,10 @@ impl Universe {
         backend.reseat(self, pos, &link);
         self.links[pos] = link;
         if let Some(state) = &mut self.repair {
-            if let Some(priced) = &mut state.priced {
-                priced[pos] = price(&self.scheduler, &link);
-            }
-            if let Some(color) = state.warm.colors[pos] {
-                state.index.unassign(pos, color);
-            }
-            state.warm.mark_dirty(pos);
+            let record = record(&self.scheduler, &link);
+            state
+                .index
+                .reseat(pos, state.colors[pos].take(), record.as_ref());
             state.lengths.add(link.length());
             if state.lengths.remove(old.length()) {
                 state.lengths = LengthRange::of(&self.links);
@@ -1117,38 +1121,34 @@ impl Universe {
         }
     }
 
-    /// Anchors `warm` over the current links with their priced records,
-    /// building the length extremes and the slot index (the one O(n) index
-    /// build, once per anchoring).
-    fn install(&mut self, priced: Option<Vec<PricedLink>>, warm: WarmState) {
+    /// Anchors `warm` over the current links, building the length
+    /// extremes and the slot index, priced with the links' records under
+    /// a pinned assignment (the one O(n) index build, once per anchoring).
+    fn install(&mut self, warm: WarmState) {
         self.repair = Some(RepairState {
-            priced,
             lengths: LengthRange::of(&self.links),
-            index: SlotIndex::from_colors(&warm.colors),
-            warm,
+            index: slot_index(&self.scheduler, &self.links, &warm.colors, &warm.budgets),
+            colors: warm.colors,
+            baseline_slots: warm.baseline_slots,
+            skew: warm.skew,
         });
     }
 
     /// Re-anchors the warm state on a full recolor's report, overwriting
     /// whatever a breaching repair left. Budgets come from the certified
-    /// verifier when the slots are verified under a pinned assignment;
-    /// a sharded solve's occupancy skew is carried along.
+    /// verifier under a pinned assignment; a sharded solve's occupancy
+    /// skew is carried along.
     fn anchor(&mut self, solve: &SolveReport) {
         let config = self.scheduler;
-        let priced = match self.repair.take() {
-            Some(state) => state.priced,
-            None => priced(&config, &self.links),
-        };
-        let budgets = match &priced {
-            Some(priced) if config.verify_slots => {
-                recolor_budgets(&config, &self.links, priced, solve)
-            }
-            _ => vec![0.0; self.links.len()],
+        self.repair = None;
+        let budgets = match pinned_assignment(&config) {
+            Some(assignment) => recolor_budgets(&config, &self.links, &assignment, solve),
+            None => vec![0.0; self.links.len()],
         };
         let skew = solve
             .sharding
             .map(|s| (s.max_owned, s.mean_owned, s.ghost_fraction));
-        self.install(priced, WarmState::capture(&solve.report, budgets, skew));
+        self.install(WarmState::capture(&solve.report, budgets, skew));
     }
 }
 
@@ -1229,16 +1229,15 @@ impl LengthRange {
 /// through the certified hierarchical verifier (near-linear per slot —
 /// certified upper bounds are exactly what the additive repair contract
 /// wants, and on a just-verified schedule every budget lands within `1/β`).
-/// The verifier's part vectors are read off the records, an O(n) copy like
-/// the capture itself.
+/// The verifier's parts come from a [`PathLossCache`] of the links under
+/// `assignment`, O(n) like the capture itself.
 fn recolor_budgets(
     config: &SchedulerConfig,
     links: &[Link],
-    priced: &[PricedLink],
+    assignment: &PowerAssignment,
     solve: &SolveReport,
 ) -> Vec<f64> {
-    let powers: Vec<Option<f64>> = priced.iter().map(|p| p.power).collect();
-    let weights: Vec<Option<f64>> = priced.iter().map(|p| p.weight).collect();
+    let (powers, weights) = PathLossCache::new(&config.model, links, assignment).into_parts();
     let verifier = AffectanceVerifier::new(&config.model, links, &powers, &weights);
     let mut budgets = vec![0.0f64; links.len()];
     for slot in solve.schedule().slots() {
@@ -1249,29 +1248,44 @@ fn recolor_budgets(
     budgets
 }
 
-/// The power assignment `config`'s mode pins under a noise-free model —
-/// when the additive admission (and the path-loss parts it reads) applies.
-/// `None` otherwise: the opaque probe path never reads the parts.
+/// The power assignment `config`'s mode pins under a noise-free model with
+/// slot verification on — when the additive admission (and the path-loss
+/// parts it reads) applies. `None` otherwise: the opaque probe path never
+/// reads the parts, and verification off needs no budgets.
 fn pinned_assignment(config: &SchedulerConfig) -> Option<PowerAssignment> {
-    (config.model.noise() == 0.0)
+    (config.verify_slots && config.model.noise() == 0.0)
         .then(|| config.mode.assignment())
         .flatten()
 }
 
 /// The records [`PathLossCache::priced`] builds for `links` under
 /// `config`'s pinned assignment; `None` when none is pinned.
-fn priced(config: &SchedulerConfig, links: &[Link]) -> Option<Vec<PricedLink>> {
+fn records(config: &SchedulerConfig, links: &[Link]) -> Option<Vec<PricedLink>> {
     pinned_assignment(config)
         .map(|assignment| PathLossCache::new(&config.model, links, &assignment).priced())
 }
 
-/// One link's entry of [`priced`], under a pinned assignment. The cache
-/// computes entries per link independently, so one event can refresh one
-/// entry without touching the rest — the same single-link trick the
-/// interference engine's event maintenance uses.
-fn price(config: &SchedulerConfig, link: &Link) -> PricedLink {
-    priced(config, std::slice::from_ref(link))
-        .expect("records exist only under a pinned assignment")[0]
+/// One link's entry of [`records`]. The cache computes entries per link
+/// independently, so one event can price one link without touching the
+/// rest — the same single-link trick the interference engine's event
+/// maintenance uses.
+fn record(config: &SchedulerConfig, link: &Link) -> Option<PricedLink> {
+    records(config, std::slice::from_ref(link)).map(|records| records[0])
+}
+
+/// The slot index of `colors` over `links` built from scratch: priced with
+/// the links' [`records`] and the placed positions' `budgets` under a
+/// pinned assignment, positions only otherwise.
+fn slot_index(
+    config: &SchedulerConfig,
+    links: &[Link],
+    colors: &[Option<usize>],
+    budgets: &[f64],
+) -> SlotIndex {
+    match records(config, links) {
+        Some(records) => SlotIndex::with_records(colors, &records, budgets),
+        None => SlotIndex::from_colors(colors),
+    }
 }
 
 #[cfg(test)]

@@ -66,14 +66,15 @@ pub struct EventCounts {
     pub moves: usize,
 }
 
-/// The session's warm repair state (see `wagg_schedule::solve_repair`):
-/// position-indexed colors and budgets, the re-anchoring baseline, and the
-/// occupancy skew carried by hinted sharded backends.
+/// The session's warm repair state (see `wagg_schedule::solve_repair`) as
+/// plain data: position-indexed colors and budgets, the re-anchoring
+/// baseline, and the occupancy skew carried by hinted sharded backends.
 ///
-/// This is the live state, not a copy of it: the session's universe keeps
-/// one beside its links once a repair-enabled solve anchored it, splices it
-/// per event, lets the repair kernel edit its vectors in place, and
-/// re-captures it on every full recolor. A snapshot clones it.
+/// A snapshot's copy, not the live state: the session's universe keeps the
+/// colors beside its links and the budgets in its slot index's per-slot
+/// columns (`wagg_schedule::SlotIndex`), which the repair kernel edits in
+/// place. Capturing a snapshot materialises the budgets per position;
+/// restoring hands them back to a freshly built index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmState {
     /// Position → committed slot; `None` marks a link the last committed
@@ -109,25 +110,6 @@ impl WarmState {
             baseline_slots: report.schedule.len(),
             skew,
         }
-    }
-
-    /// Splices a fresh (unplaced) entry in at `pos`.
-    pub(crate) fn insert_at(&mut self, pos: usize) {
-        self.colors.insert(pos, None);
-        self.budgets.insert(pos, 0.0);
-    }
-
-    /// Drops the entry at `pos`. The budget goes with the color, so no
-    /// stale budget can outlive its link.
-    pub(crate) fn remove_at(&mut self, pos: usize) {
-        self.colors.remove(pos);
-        self.budgets.remove(pos);
-    }
-
-    /// Unplaces the entry at `pos` (geometry changed in place).
-    pub(crate) fn mark_dirty(&mut self, pos: usize) {
-        self.colors[pos] = None;
-        self.budgets[pos] = 0.0;
     }
 }
 

@@ -36,7 +36,7 @@ use wagg_partition::{PartitionedEngine, PartitionedEngineConfig, VerifierStrateg
 use wagg_schedule::{
     capture_budgets, BackendKind, PowerMode, RepairDecision, SchedulerConfig, SolveReport,
 };
-use wagg_session::{Backend, RepairPolicy, Session};
+use wagg_session::{Backend, Recorder, RepairPolicy, Session};
 use wagg_sinr::{Link, PathLossCache};
 
 fn modes() -> [PowerMode; 3] {
@@ -577,18 +577,25 @@ impl Digest {
     }
 }
 
-/// The pinned script: 150 pairs of unit links on a 3-unit grid, each pair
-/// sharing its receiver node, then 60 batches of one to three events —
-/// arrivals, departures from mid-positions, relocations and node moves —
-/// each followed by a warm solve. Returns the digest of every report's slot
-/// lists and repair stats, then of the final warm colors.
-fn pinned_script_digest(session: Session) -> (u64, Vec<RepairDecision>) {
-    const PAIRS: usize = 150;
+/// The pinned script: `cols × rows` pairs of unit links on a 3-unit grid,
+/// each pair sharing its receiver node, then 60 batches of one to three
+/// events — arrivals, departures from mid-positions, relocations and node
+/// moves — each followed by a warm solve. Returns the digest of every
+/// report's slot lists and repair stats, of the final warm colors and the
+/// bits of the final warm budgets, and of the session recorder's
+/// `repair.terms` / `repair.admissions` / `repair.rejections` totals; plus
+/// every decision and the largest slot any report held.
+fn pinned_script_digest(
+    session: Session,
+    cols: usize,
+    rows: usize,
+) -> (u64, Vec<RepairDecision>, usize) {
     const RECEIVER_NODES: usize = 10_000;
+    let pairs = cols * rows;
     let mut session = session;
     let mut geometry: std::collections::BTreeMap<u64, (Point, Point)> = Default::default();
-    for j in 0..PAIRS {
-        let r = Point::new((j % 15) as f64 * 3.0, (j / 15) as f64 * 3.0);
+    for j in 0..pairs {
+        let r = Point::new((j % cols) as f64 * 3.0, (j / cols) as f64 * 3.0);
         for (k, s) in [Point::new(r.x + 1.0, r.y), Point::new(r.x, r.y + 1.0)]
             .into_iter()
             .enumerate()
@@ -606,6 +613,7 @@ fn pinned_script_digest(session: Session) -> (u64, Vec<RepairDecision>) {
     let mut next = |bound: usize| (xorshift(&mut rng) % bound as u64) as usize;
     let mut digest = Digest::new();
     let mut decisions = Vec::new();
+    let mut largest = 0;
     for _ in 0..60 {
         for _ in 0..1 + next(3) {
             let keys: Vec<u64> = geometry.keys().copied().collect();
@@ -623,7 +631,8 @@ fn pinned_script_digest(session: Session) -> (u64, Vec<RepairDecision>) {
                     geometry.insert(key, to);
                 }
                 1 => {
-                    let s = Point::new(next(450) as f64 / 10.0, next(300) as f64 / 10.0);
+                    let s =
+                        Point::new(next(30 * cols) as f64 / 10.0, next(30 * rows) as f64 / 10.0);
                     let r = Point::new(s.x + 0.8, s.y + 0.6);
                     let key = session.insert(s, r);
                     geometry.insert(key, (s, r));
@@ -637,7 +646,7 @@ fn pinned_script_digest(session: Session) -> (u64, Vec<RepairDecision>) {
                 _ => {
                     // Drag a pair's shared receiver node a little when every
                     // live follower keeps a length inside the hints.
-                    let j = next(PAIRS);
+                    let j = next(pairs);
                     let members: Vec<u64> = [2 * j as u64, 2 * j as u64 + 1]
                         .into_iter()
                         .filter(|k| geometry.contains_key(k))
@@ -666,6 +675,7 @@ fn pinned_script_digest(session: Session) -> (u64, Vec<RepairDecision>) {
         let slots = solve.schedule().slots();
         digest.word(slots.len() as u64);
         for slot in slots {
+            largest = largest.max(slot.len());
             digest.word(slot.len() as u64);
             for &m in slot {
                 digest.word(m as u64);
@@ -688,52 +698,83 @@ fn pinned_script_digest(session: Session) -> (u64, Vec<RepairDecision>) {
     for &color in &warm.colors {
         digest.word(color.map_or(u64::MAX, |c| c as u64));
     }
-    (digest.0, decisions)
+    for &budget in &warm.budgets {
+        digest.word(budget.to_bits());
+    }
+    let metrics = session.recorder().metrics();
+    for name in ["repair.terms", "repair.admissions", "repair.rejections"] {
+        digest.word(metrics.counter(name).unwrap_or(0));
+    }
+    (digest.0, decisions, largest)
 }
 
 /// Warm repair pinned end to end: one seeded script of arrivals, departures,
 /// relocations and node moves on the engine and the hinted sharded backend,
-/// under uniform and oblivious `P_½` power. The digests of every report's
-/// slot lists and repair stats and of the final warm colors are constants,
-/// so any change to a verdict, a first-fit order, a budget decision or a
-/// report's member order shows here.
+/// under uniform and oblivious `P_½` power, over 150 pairs; and once more on
+/// the engine under `P_½` over 1 200 pairs, whose largest slot holds more
+/// than two of the additive admission's 256-member pricing chunks. The
+/// digests of every report's slot lists and repair stats, of the final warm
+/// colors and budgets, and of the admission counters are constants, so any
+/// change to a verdict, a first-fit order, a budget decision, an added term
+/// or a report's member order shows here.
 #[test]
 fn warm_repair_is_pinned_on_a_seeded_script() {
     let cases = [
         (
             Backend::Engine,
             PowerMode::Uniform,
-            0xac62_80e0_522c_01c2u64,
+            (15, 10),
+            0x8eea_b5ee_9255_3a65u64,
         ),
         (
             Backend::Engine,
             PowerMode::mean_oblivious(),
-            0x5b6a_d7e5_9c52_9a30,
+            (15, 10),
+            0xe1df_4d67_880e_8f53,
         ),
-        (Backend::Sharded, PowerMode::Uniform, 0xcdad_4a07_9a67_41df),
+        (
+            Backend::Sharded,
+            PowerMode::Uniform,
+            (15, 10),
+            0x6235_7b53_c2aa_93b5,
+        ),
         (
             Backend::Sharded,
             PowerMode::mean_oblivious(),
-            0xc222_40f6_c003_4180,
+            (15, 10),
+            0x7c8e_112b_e8aa_4728,
+        ),
+        (
+            Backend::Engine,
+            PowerMode::mean_oblivious(),
+            (40, 30),
+            0xd5aa_0141_c1e8_8963,
         ),
     ];
-    for (backend, mode, want) in cases {
+    for (backend, mode, (cols, rows), want) in cases {
         let mut builder = Session::builder()
             .scheduler(SchedulerConfig::new(mode))
             .backend(backend)
-            .repair(RepairPolicy::enabled().with_max_drift(0.1));
+            .repair(RepairPolicy::enabled().with_max_drift(0.1))
+            .recorder(Recorder::new());
         if backend == Backend::Sharded {
             builder = builder
                 .target_shards(4)
                 .partition_hints(BoundingBox::new(-5.0, -5.0, 50.0, 35.0), (0.5, 2.0));
         }
-        let (digest, decisions) = pinned_script_digest(builder.build());
+        let (digest, decisions, largest) = pinned_script_digest(builder.build(), cols, rows);
         let count = |d: RepairDecision| decisions.iter().filter(|&&x| x == d).count();
+        if cols * rows > 150 {
+            assert!(
+                largest > 512,
+                "{backend:?} under {mode}: largest slot {largest}"
+            );
+        }
         assert_eq!(
             digest,
             want,
-            "{backend:?} under {mode}: warm repair moved (digest {digest:#018x}; \
-             {} repaired, {} watermark breaches)",
+            "{backend:?} under {mode} over {cols}x{rows} pairs: warm repair moved \
+             (digest {digest:#018x}; {} repaired, {} watermark breaches)",
             count(RepairDecision::Repaired),
             count(RepairDecision::WatermarkBreach)
         );

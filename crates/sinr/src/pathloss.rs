@@ -14,9 +14,9 @@
 //!   sum `I_P(S, i) = Σ_j P(j)·l_i^α / (P(i)·d_ji^α)` costs one distance, one
 //!   [`AlphaPow::pow`] and a fused multiply per pair — no `powf`, no repeated
 //!   power-assignment lookups.
-//! * [`PricedLink`] — one link's endpoints, power and weight packed into 64
-//!   bytes, for callers that keep per-link parts across link-set mutations
-//!   and scan them pair by pair (the warm-repair admission probes).
+//! * [`PricedLink`] — one link's endpoints, power and weight: the record a
+//!   caller that keeps per-link parts across link-set mutations hands on
+//!   per link (the warm-repair slot index stores them as per-slot columns).
 //!
 //! Every term has one formula, `P(j)·w(i) / (√d²)^α` with `d²` the squared
 //! sender–receiver distance: the cache's sums, [`PricedLink::term_on`] and
@@ -479,12 +479,8 @@ where
 
 /// One link priced for the pair terms of the relative-interference sum: its
 /// endpoints, its power `P(i)` and its target weight `l_i^α / P(i)`, each
-/// `None` where [`PathLossCache::new`] records the part as missing. The
-/// record is exactly 64 bytes and aligned to 64, so a scan over a slot's
-/// members reads one cache line per member instead of a link and two part
-/// arrays.
+/// `None` where [`PathLossCache::new`] records the part as missing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(align(64))]
 pub struct PricedLink {
     /// The link's sender position.
     pub sender: Point,
@@ -768,10 +764,8 @@ mod tests {
 
     #[test]
     fn priced_terms_are_the_cache_terms() {
-        // A packed record is one cache line, and its pair term is the one a
-        // two-member subset sum adds, bit for bit.
-        assert_eq!(std::mem::size_of::<PricedLink>(), 64);
-        assert_eq!(std::mem::align_of::<PricedLink>(), 64);
+        // A record's pair term is the one a two-member subset sum adds, bit
+        // for bit.
         let links = vec![
             line_link(0, 0.0, 1.0),
             line_link(1, 4.0, 5.5),
