@@ -710,66 +710,82 @@ fn pinned_script_digest(
 
 /// Warm repair pinned end to end: one seeded script of arrivals, departures,
 /// relocations and node moves on the engine and the hinted sharded backend,
-/// under uniform and oblivious `P_½` power, over 150 pairs; and once more on
+/// under uniform and oblivious `P_½` power, over 150 pairs; once more on
 /// the engine under `P_½` over 1 200 pairs, whose largest slot holds more
-/// than two of the additive admission's 256-member pricing chunks. The
-/// digests of every report's slot lists and repair stats, of the final warm
-/// colors and budgets, and of the admission counters are constants, so any
-/// change to a verdict, a first-fit order, a budget decision, an added term
-/// or a report's member order shows here.
+/// than two of the additive admission's 256-member pricing chunks; and on
+/// the hinted sharded backend under `P_½` over 4 800 pairs, whose largest
+/// slot holds more than 2 048 members, so the slot index stores it in at
+/// least four chunks at any fill. The digests of every report's slot lists
+/// and repair stats, of the final warm colors and budgets, and of the
+/// admission counters are constants, so any change to a verdict, a
+/// first-fit order, a budget decision, an added term or a report's member
+/// order shows here.
 #[test]
 fn warm_repair_is_pinned_on_a_seeded_script() {
+    // Backend, power, grid of pairs, the largest slot's least size, digest.
     let cases = [
         (
             Backend::Engine,
             PowerMode::Uniform,
             (15, 10),
+            0,
             0x8eea_b5ee_9255_3a65u64,
         ),
         (
             Backend::Engine,
             PowerMode::mean_oblivious(),
             (15, 10),
+            0,
             0xe1df_4d67_880e_8f53,
         ),
         (
             Backend::Sharded,
             PowerMode::Uniform,
             (15, 10),
+            0,
             0x6235_7b53_c2aa_93b5,
         ),
         (
             Backend::Sharded,
             PowerMode::mean_oblivious(),
             (15, 10),
+            0,
             0x7c8e_112b_e8aa_4728,
         ),
         (
             Backend::Engine,
             PowerMode::mean_oblivious(),
             (40, 30),
+            512,
             0xd5aa_0141_c1e8_8963,
         ),
+        (
+            Backend::Sharded,
+            PowerMode::mean_oblivious(),
+            (80, 60),
+            2048,
+            0x9c58_c892_afd8_de1f,
+        ),
     ];
-    for (backend, mode, (cols, rows), want) in cases {
+    for (backend, mode, (cols, rows), least, want) in cases {
         let mut builder = Session::builder()
             .scheduler(SchedulerConfig::new(mode))
             .backend(backend)
             .repair(RepairPolicy::enabled().with_max_drift(0.1))
             .recorder(Recorder::new());
         if backend == Backend::Sharded {
-            builder = builder
-                .target_shards(4)
-                .partition_hints(BoundingBox::new(-5.0, -5.0, 50.0, 35.0), (0.5, 2.0));
+            let (width, height) = (3.0 * cols as f64, 3.0 * rows as f64);
+            builder = builder.target_shards(4).partition_hints(
+                BoundingBox::new(-5.0, -5.0, width + 5.0, height + 5.0),
+                (0.5, 2.0),
+            );
         }
         let (digest, decisions, largest) = pinned_script_digest(builder.build(), cols, rows);
         let count = |d: RepairDecision| decisions.iter().filter(|&&x| x == d).count();
-        if cols * rows > 150 {
-            assert!(
-                largest > 512,
-                "{backend:?} under {mode}: largest slot {largest}"
-            );
-        }
+        assert!(
+            largest > least,
+            "{backend:?} under {mode}: largest slot {largest}"
+        );
         assert_eq!(
             digest,
             want,
