@@ -54,8 +54,9 @@ if [[ "$MODE" != "quick" ]]; then
   echo "==> release build (tier-1)"
   cargo build --release
 
-  echo "==> warm-repair suites in the configuration perfbench measures (release, serial): wagg-schedule's unit tests (the chunked admission kernel against its scalar reference, optimised) and the warm-repair suite with its pin"
+  echo "==> warm-repair suites in the configuration perfbench measures (release, serial): wagg-schedule's unit tests (the chunked slot index and admission kernel against their references, optimised), the session's unit tests (the carried slot index against a rebuild on both engine backends) and the warm-repair suite with its pin"
   cargo test -q --release --no-default-features -p wagg-schedule --lib
+  cargo test -q --release --no-default-features -p wagg-session --lib
   cargo test -q --release --no-default-features -p wagg-session --test repair
 
   echo "==> examples compile check"

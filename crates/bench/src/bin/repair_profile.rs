@@ -2,7 +2,8 @@
 //! anchors it with a cold solve, then times a relocate+solve churn loop with
 //! the event and solve halves split out and the recorder's `repair` span tree
 //! printed per phase, then the admission scan's work per solve (admissions,
-//! rejections, pair terms) and its time per term. The quick way to see
+//! rejections, pair terms), its time per term, and the slot-index entries
+//! each event + solve moved (`repair.entries_moved`). The quick way to see
 //! where a repaired solve's budget goes without running the full
 //! `BENCH_repair.json` sweep.
 //!
@@ -139,5 +140,12 @@ fn main() {
         per_solve(count("repair.rejections")),
         per_solve(terms),
         loop_nanos("repair/place") as f64 / terms.max(1) as f64
+    );
+    // Slot-index entries the event's splices and the solve's evictions and
+    // re-sort moved (the index tallies its splices until a repair drains
+    // them).
+    eprintln!(
+        "  per event + solve: {:.1} slot-index entries moved",
+        per_solve(count("repair.entries_moved"))
     );
 }

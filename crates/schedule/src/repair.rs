@@ -27,6 +27,21 @@
 //! ([`RepairStats::drift`] vs [`RepairStats::watermark`]) and a full
 //! recolor runs instead.
 //!
+//! # Layout
+//!
+//! The paper's schedules keep the number of slots nearly constant, so a
+//! slot grows with the universe. The index therefore stores each slot as
+//! a chain of chunks of at most `2 × 256` members, each chunk's positions
+//! and columns in one allocation (a rope, or a B+-tree's leaf chain): a
+//! full chunk splits, one that falls below 128 members merges with a
+//! neighbour, and a binary search on the chunks' first positions finds a
+//! member's chunk. An event's splice, a sweep eviction, an admission's
+//! append and a commit re-sort each move at most about one chunk's
+//! entries, whatever the slot's size, and the `repair.entries_moved`
+//! counter adds them up. The admission prices a slot one chunk per
+//! vectorised pass and checks it in slot order, so chunk boundaries never
+//! change a result.
+//!
 //! # Correctness
 //!
 //! * Removing links from a slot never invalidates it: every feasibility
@@ -46,7 +61,6 @@
 
 use crate::scheduler::{slot_ok, ScheduleReport, SchedulerConfig};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 use wagg_obs::Recorder;
 pub use wagg_obs::RepairDecision;
 use wagg_sinr::{AlphaPow, Link, PricedLink, SinrModel};
@@ -75,11 +89,26 @@ pub struct RepairStats {
     pub watermark: f64,
 }
 
-/// Slotmates one pricing pass of an additive admission probe covers before
-/// its checking pass runs: wide enough for the vectorised pricing loop to
-/// run at full width, short enough that a rejection near the front of a
-/// slot prices little past it.
+/// The slot index's storage unit: a chunk of a position list holds at most
+/// `2 × CHUNK` members ([`CAP`]) and, unless it is its list's only chunk,
+/// at least `CHUNK / 2`.
 const CHUNK: usize = 256;
+
+/// Members one chunk holds at most: a full chunk splits before it takes
+/// another member, so a splice moves at most about this many entries
+/// (32 KiB priced) however long the list is. An additive admission prices
+/// one chunk per vectorised pass: wide enough for the pricing loop to run
+/// at full width, short enough that a rejection near the front of a slot
+/// prices little past it.
+const CAP: usize = 2 * CHUNK;
+
+/// Members a packed chunk holds at most: a from-scratch build, a split and
+/// a merge leave chunks at most three quarters of [`CAP`] full, so inserts
+/// find room before the next split.
+const FILL: usize = 3 * CAP / 4;
+
+/// A chunk's lanes grow and shrink by whole cache lines of entries.
+const LINE: usize = 8;
 
 // The columns of a priced slot, in order: sender x and y, receiver x and
 // y, power and weight — one link's record — then its warm budget.
@@ -104,73 +133,347 @@ fn entry(p: &PricedLink) -> Entry {
     [s.x, s.y, r.x, r.y, part(p.power), part(p.weight), 0.0]
 }
 
-/// A list of positions, ascending, and in a priced index each one's
-/// [`Entry`] as structure-of-arrays columns: entry `k` of every column
-/// belongs to `members[k]`. An unpriced index leaves the columns empty.
+/// A run of at most [`CAP`] consecutive members of a position list, in one
+/// allocation of lanes `width` entries wide: the positions, then in a
+/// priced index one lane per [`Entry`] column, so entry `k` of every lane
+/// belongs to the `k`-th member. The width tracks the length within a few
+/// cache lines and the lanes start on a cache line, so an admission pass
+/// streams each column it reads densely: an unused lane tail would cost it
+/// the prefetches that run into it. A position is kept as the bit pattern
+/// of its lane's `f64`: lanes are only copied and compared as integers,
+/// never computed on, and no position's pattern is a NaN.
+#[derive(Debug)]
+struct Chunk {
+    len: usize,
+    width: usize,
+    /// Where the lanes start in `block`: its first cache line boundary.
+    start: usize,
+    block: Box<[f64]>,
+}
+
+/// A clone lays the lanes out afresh, on a cache line of its own block.
+impl Clone for Chunk {
+    fn clone(&self) -> Self {
+        self.relaid(self.width)
+    }
+}
+
+impl Chunk {
+    /// An empty chunk with room for `width` members.
+    fn new(width: usize, priced: bool) -> Self {
+        let lanes = if priced { 1 + BUDGET + 1 } else { 1 };
+        let block = vec![0.0; lanes * width + LINE].into_boxed_slice();
+        let start = (block.as_ptr() as usize).wrapping_neg() % 64 / 8;
+        Chunk {
+            len: 0,
+            width,
+            start,
+            block,
+        }
+    }
+
+    /// Every lane, each `width` wide.
+    fn lanes(&self) -> std::slice::ChunksExact<'_, f64> {
+        let end = self.start + self.block.len() - LINE;
+        self.block[self.start..end].chunks_exact(self.width)
+    }
+
+    fn lanes_mut(&mut self) -> std::slice::ChunksExactMut<'_, f64> {
+        let end = self.start + self.block.len() - LINE;
+        self.block[self.start..end].chunks_exact_mut(self.width)
+    }
+
+    fn priced(&self) -> bool {
+        self.lanes().len() > 1
+    }
+
+    /// Lane `l`'s live entries: empty for a column of an unpriced chunk.
+    fn lane(&self, l: usize) -> &[f64] {
+        self.lanes().nth(l).map_or(&[], |lane| &lane[..self.len])
+    }
+
+    fn column(&self, c: usize) -> &[f64] {
+        self.lane(1 + c)
+    }
+
+    fn column_mut(&mut self, c: usize) -> &mut [f64] {
+        let len = self.len;
+        let lane = self.lanes_mut().nth(1 + c).expect("a priced chunk");
+        &mut lane[..len]
+    }
+
+    fn position(&self, k: usize) -> usize {
+        self.block[self.start + k].to_bits() as usize
+    }
+
+    fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lane(0).iter().map(|lane| lane.to_bits() as usize)
+    }
+
+    /// How many members sit below `pos`.
+    fn rank(&self, pos: usize) -> usize {
+        self.lane(0)
+            .partition_point(|lane| (lane.to_bits() as usize) < pos)
+    }
+
+    /// The live entries of every column of a priced chunk.
+    fn columns(&self) -> [&[f64]; 7] {
+        let mut lanes = self.lanes().skip(1).map(|lane| &lane[..self.len]);
+        std::array::from_fn(|_| lanes.next().expect("a priced chunk"))
+    }
+
+    /// Member `k`'s values; `None` in an unpriced chunk.
+    fn entry(&self, k: usize) -> Option<Entry> {
+        self.priced()
+            .then(|| self.columns().map(|column| column[k]))
+    }
+
+    /// The members and their values in order.
+    fn entries(&self) -> impl Iterator<Item = (usize, Option<Entry>)> + '_ {
+        (0..self.len).map(|k| (self.position(k), self.entry(k)))
+    }
+
+    /// The members laid out `width` wide in a fresh allocation.
+    fn relaid(&self, width: usize) -> Chunk {
+        let len = self.len;
+        let mut relaid = Chunk::new(width, self.priced());
+        for (to, from) in relaid.lanes_mut().zip(self.lanes()) {
+            to[..len].copy_from_slice(&from[..len]);
+        }
+        relaid.len = len;
+        relaid
+    }
+
+    /// Lays the members out `width` wide in a fresh allocation; returns the
+    /// entries moved.
+    fn resize(&mut self, width: usize) -> usize {
+        *self = self.relaid(width);
+        self.len
+    }
+
+    /// Member `pos` at `k`, with its values in a priced chunk, one cache
+    /// line wider if it is full; returns the entries moved.
+    fn insert(&mut self, k: usize, pos: usize, entry: Option<Entry>) -> usize {
+        assert!(self.len < CAP, "a full chunk splits before it grows");
+        debug_assert_eq!(entry.is_some(), self.priced(), "values exactly when priced");
+        let mut moved = 0;
+        if self.len == self.width {
+            moved += self.resize(self.width + LINE);
+        }
+        let len = self.len;
+        for lane in self.lanes_mut() {
+            lane.copy_within(k..len, k + 1);
+        }
+        self.set(k, pos, entry);
+        self.len += 1;
+        moved + len - k
+    }
+
+    /// Writes member `k`'s position and, in a priced chunk, its values.
+    fn set(&mut self, k: usize, pos: usize, entry: Option<Entry>) {
+        let (start, width) = (self.start, self.width);
+        self.block[start + k] = f64::from_bits(pos as u64);
+        for (c, value) in entry.into_iter().flatten().enumerate() {
+            self.block[start + (1 + c) * width + k] = value;
+        }
+    }
+
+    /// Drops member `k`, returning its values in a priced chunk and the
+    /// entries shifted.
+    fn remove(&mut self, k: usize) -> (Option<Entry>, usize) {
+        let (entry, len) = (self.entry(k), self.len);
+        for lane in self.lanes_mut() {
+            lane.copy_within(k + 1..len, k);
+        }
+        self.len -= 1;
+        (entry, self.len - k)
+    }
+
+    /// Moves every position at or above `from` one step up or down.
+    fn renumber(&mut self, from: usize, up: bool) {
+        let (k, len) = (self.rank(from), self.len);
+        let positions = self.lanes_mut().next().expect("a position lane");
+        for lane in &mut positions[k..len] {
+            let pos = lane.to_bits();
+            *lane = f64::from_bits(if up { pos + 1 } else { pos - 1 });
+        }
+    }
+}
+
+/// `len` members in list order, spread evenly over as few chunks as keep
+/// each at most [`FILL`] full, every chunk's lanes the fewest cache lines
+/// that leave room for one more member.
+fn pack(
+    len: usize,
+    priced: bool,
+    mut members: impl Iterator<Item = (usize, Option<Entry>)>,
+) -> Vec<Chunk> {
+    let count = len.div_ceil(FILL);
+    (0..count)
+        .map(|j| {
+            let size = len / count + usize::from(j < len % count);
+            let mut chunk = Chunk::new((size + 1).next_multiple_of(LINE), priced);
+            for (k, (pos, entry)) in members.by_ref().take(size).enumerate() {
+                chunk.set(k, pos, entry);
+            }
+            chunk.len = size;
+            chunk
+        })
+        .collect()
+}
+
+/// A position list — a slot, or the unassigned list — as an ordered chain
+/// of non-empty [`Chunk`]s, found by binary search on their first
+/// positions. Every chunk holds at most [`CAP`] members and, unless it is
+/// the list's only one, at least `CHUNK / 2`: one that falls below merges
+/// with a neighbour. Between repairs a list ascends; during one, a slot's
+/// admissions trail its ascending members.
 #[derive(Debug, Clone, Default)]
 struct Slot {
-    members: Vec<usize>,
-    columns: [Vec<f64>; 7],
+    chunks: Vec<Chunk>,
 }
 
 impl Slot {
-    fn with_capacity(members: usize, priced: bool) -> Self {
-        let columns = if priced { members } else { 0 };
-        Slot {
-            members: Vec::with_capacity(members),
-            columns: std::array::from_fn(|_| Vec::with_capacity(columns)),
-        }
+    fn len(&self) -> usize {
+        self.chunks.iter().map(|c| c.len).sum()
     }
 
-    /// Member `pos` at entry `k`, with its values in a priced index.
-    fn insert(&mut self, k: usize, pos: usize, entry: Option<Entry>) {
-        self.members.insert(k, pos);
-        if let Some(entry) = entry {
-            for (column, value) in self.columns.iter_mut().zip(entry) {
-                column.insert(k, value);
-            }
-        }
+    fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
     }
 
+    fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.chunks.iter().flat_map(Chunk::positions)
+    }
+
+    /// The members and their values in list order.
+    fn entries(&self) -> impl Iterator<Item = (usize, Option<Entry>)> + '_ {
+        self.chunks.iter().flat_map(Chunk::entries)
+    }
+
+    /// The positions in list order, as one vector.
+    fn to_vec(&self) -> Vec<usize> {
+        let mut positions = Vec::with_capacity(self.len());
+        for chunk in &self.chunks {
+            positions.extend(chunk.positions());
+        }
+        positions
+    }
+
+    /// The chunk position `pos` belongs in: the last one starting at or
+    /// below it, or the first.
+    fn chunk_of(&self, pos: usize) -> usize {
+        self.chunks
+            .partition_point(|c| c.position(0) <= pos)
+            .saturating_sub(1)
+    }
+
+    /// Where member `pos` sits: its chunk and its entry there.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pos` is not a member.
+    fn find(&self, pos: usize) -> (usize, usize) {
+        let j = self.chunk_of(pos);
+        let k = self.chunks.get(j).map_or(0, |c| c.rank(pos));
+        assert!(
+            self.chunks
+                .get(j)
+                .is_some_and(|c| k < c.len && c.position(k) == pos),
+            "position indexed under its color"
+        );
+        (j, k)
+    }
+
+    /// Member `pos` at its place in an ascending list; returns the entries
+    /// moved, a split's or a widening's included.
+    fn insert(&mut self, pos: usize, entry: Option<Entry>) -> usize {
+        if self.chunks.is_empty() {
+            self.chunks.push(Chunk::new(LINE, entry.is_some()));
+        }
+        let mut j = self.chunk_of(pos);
+        let mut moved = 0;
+        if self.chunks[j].len == CAP {
+            moved += self.repack(j, 1);
+            j += usize::from(self.chunks[j + 1].position(0) < pos);
+        }
+        let chunk = &mut self.chunks[j];
+        moved + chunk.insert(chunk.rank(pos), pos, entry)
+    }
+
+    /// Member `pos` after the last one, in a chunk of its own when the
+    /// last has no room: nothing moves.
     fn push(&mut self, pos: usize, entry: Option<Entry>) {
-        self.insert(self.members.len(), pos, entry);
-    }
-
-    /// Entry `k`'s values; `None` in an unpriced index.
-    fn entry(&self, k: usize) -> Option<Entry> {
-        (k < self.columns[BUDGET].len()).then(|| self.columns.each_ref().map(|c| c[k]))
-    }
-
-    /// Drops entry `k`, returning its values in a priced index.
-    fn remove(&mut self, k: usize) -> Option<Entry> {
-        let entry = self.entry(k);
-        self.members.remove(k);
-        if entry.is_some() {
-            for column in &mut self.columns {
-                column.remove(k);
-            }
+        if self.chunks.last().is_none_or(|c| c.len == c.width) {
+            self.chunks.push(Chunk::new(LINE, entry.is_some()));
         }
-        entry
+        let chunk = self.chunks.last_mut().expect("a chunk with room");
+        chunk.insert(chunk.len, pos, entry);
     }
 
-    fn truncate(&mut self, len: usize) {
-        self.members.truncate(len);
-        for column in &mut self.columns {
-            column.truncate(len);
+    /// Drops and returns the last member.
+    fn pop(&mut self) -> (usize, Option<Entry>) {
+        let chunk = self.chunks.last_mut().expect("a member to pop");
+        let last = chunk.len - 1;
+        let member = (chunk.position(last), chunk.entry(last));
+        chunk.len = last;
+        if chunk.len == 0 {
+            self.chunks.pop();
         }
+        member
+    }
+
+    /// Drops entry `k` of chunk `j`; a chunk left below `CHUNK / 2` merges
+    /// with a neighbour, and one left two cache lines narrower than its
+    /// lanes is laid out afresh. Returns the member's values in a priced
+    /// list and the entries moved.
+    fn remove_at(&mut self, j: usize, k: usize) -> (Option<Entry>, usize) {
+        let (entry, mut moved) = self.chunks[j].remove(k);
+        let (len, width) = (self.chunks[j].len, self.chunks[j].width);
+        if len == 0 {
+            self.chunks.remove(j);
+        } else if len < CHUNK / 2 && self.chunks.len() > 1 {
+            moved += self.repack(j.saturating_sub(1), 2);
+        } else if width - len >= 2 * LINE {
+            moved += self.chunks[j].resize((len + 1).next_multiple_of(LINE));
+        }
+        (entry, moved)
+    }
+
+    /// Packs chunks `j..j + count` afresh (see [`pack`]); returns the
+    /// entries moved.
+    fn repack(&mut self, j: usize, count: usize) -> usize {
+        let old: Vec<Chunk> = self.chunks.drain(j..j + count).collect();
+        let len = old.iter().map(|c| c.len).sum();
+        let fresh = pack(len, old[0].priced(), old.iter().flat_map(Chunk::entries));
+        self.chunks.splice(j..j, fresh);
+        len
+    }
+
+    /// Moves every position at or above `from` one step up or down.
+    fn renumber(&mut self, from: usize, up: bool) {
+        let j = self.chunk_of(from);
+        for chunk in self.chunks.iter_mut().skip(j) {
+            chunk.renumber(from, up);
+        }
+    }
+
+    /// Whether every chunk keeps its size bounds.
+    fn in_bounds(&self) -> bool {
+        let floor = if self.chunks.len() > 1 { CHUNK / 2 } else { 1 };
+        self.chunks.iter().all(|c| (floor..=CAP).contains(&c.len))
     }
 }
 
-/// Columns compare bit for bit, so a NaN part or budget equals itself.
+/// Lists compare by content, lane for lane and bit for bit (so a NaN part
+/// or budget equals itself), whatever their chunk boundaries.
 impl PartialEq for Slot {
     fn eq(&self, other: &Self) -> bool {
-        let bits = |column: &[f64]| column.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        self.members == other.members
-            && self
-                .columns
-                .iter()
-                .zip(&other.columns)
-                .all(|(a, b)| bits(a) == bits(b))
+        fn bits(slot: &Slot, l: usize) -> impl Iterator<Item = u64> + '_ {
+            let lanes = slot.chunks.iter().flat_map(move |c| c.lane(l));
+            lanes.map(|v| v.to_bits())
+        }
+        (0..=1 + BUDGET).all(|l| bits(self, l).eq(bits(other, l)))
     }
 }
 
@@ -197,19 +500,46 @@ impl Eq for Slot {}
 /// so an admission probe streams one slot's columns front to back;
 /// per-position budgets exist only where [`SlotIndex::budgets`]
 /// materialises them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Each list is an ordered chain of chunks, found by binary search on
+/// their first positions. A chunk holds at most `2 × 256` members and,
+/// unless it is its list's only one, at least 128; it keeps its positions
+/// and its columns in one allocation, whose lanes track its length to
+/// within a cache line or two. A full chunk splits, one that falls below
+/// 128 members merges with a neighbour, and a from-scratch build packs
+/// chunks at most three quarters full. So an insert, a removal, a re-seat,
+/// a sweep eviction, an admission's append and a commit re-sort each move
+/// at most about one chunk's entries (32 KiB priced), a split's or a
+/// merge's included, whatever the slot's size. The index tallies every
+/// entry it moves, and [`solve_repair`] reports the tally as the
+/// `repair.entries_moved` counter. Two indexes are equal when their lists
+/// hold the same positions and the same column bits in the same order:
+/// chunk boundaries and the tally do not count.
+#[derive(Debug, Clone, Default)]
 pub struct SlotIndex {
     slots: Vec<Slot>,
     /// The unassigned positions, with their records (zero budgets) in a
     /// priced index.
     unassigned: Slot,
     priced: bool,
+    /// Entries shifted by splices since the last repair drained the tally.
+    moved: u64,
 }
+
+impl PartialEq for SlotIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots
+            && self.unassigned == other.unassigned
+            && self.priced == other.priced
+    }
+}
+
+impl Eq for SlotIndex {}
 
 impl SlotIndex {
     /// The unpriced membership of `colors` built from scratch: every
-    /// position pushed in ascending order into its slot (or the unassigned
-    /// list), one slot per color up to the largest one in use.
+    /// position in ascending order in its slot (or the unassigned list),
+    /// one slot per color up to the largest one in use.
     pub fn from_colors(colors: &[Option<usize>]) -> Self {
         SlotIndex::build(colors, None)
     }
@@ -228,32 +558,34 @@ impl SlotIndex {
 
     fn build(colors: &[Option<usize>], priced: Option<(&[PricedLink], &[f64])>) -> Self {
         let num_colors = colors.iter().flatten().copied().max().map_or(0, |c| c + 1);
-        // Pre-counted capacities: growth reallocations would double the
-        // traffic of this O(n) pass.
-        let mut counts = vec![0usize; num_colors];
-        for &c in colors.iter().flatten() {
-            counts[c] += 1;
-        }
-        let mut slots: Vec<Slot> = counts
-            .iter()
-            .map(|&k| Slot::with_capacity(k, priced.is_some()))
-            .collect();
-        let mut unassigned = Slot::default();
+        // The positions of each slot, then of the unassigned list.
+        let mut lists = vec![Vec::new(); num_colors + 1];
         for (i, &color) in colors.iter().enumerate() {
-            let values = priced.map(|(records, budgets)| {
-                let mut values = entry(&records[i]);
-                values[BUDGET] = if color.is_some() { budgets[i] } else { 0.0 };
-                values
-            });
-            match color {
-                Some(c) => slots[c].push(i, values),
-                None => unassigned.push(i, values),
-            }
+            lists[color.unwrap_or(num_colors)].push(i);
         }
+        let values = |i: usize| {
+            priced.map(|(records, budgets)| {
+                let mut values = entry(&records[i]);
+                values[BUDGET] = if colors[i].is_some() { budgets[i] } else { 0.0 };
+                values
+            })
+        };
+        let mut slots: Vec<Slot> = lists
+            .iter()
+            .map(|list| Slot {
+                chunks: pack(
+                    list.len(),
+                    priced.is_some(),
+                    list.iter().map(|&i| (i, values(i))),
+                ),
+            })
+            .collect();
+        let unassigned = slots.pop().expect("the unassigned list");
         SlotIndex {
             slots,
             unassigned,
             priced: priced.is_some(),
+            moved: 0,
         }
     }
 
@@ -271,13 +603,9 @@ impl SlotIndex {
             "a record exactly when priced"
         );
         for list in self.lists() {
-            let k = list.partition_point(|&m| m < pos);
-            for m in &mut list[k..] {
-                *m += 1;
-            }
+            list.renumber(pos, true);
         }
-        let k = self.unassigned.members.partition_point(|&m| m < pos);
-        self.unassigned.insert(k, pos, record.map(entry));
+        self.moved += self.unassigned.insert(pos, record.map(entry)) as u64;
     }
 
     /// Drops position `pos`, whose warm color is `color`, with its record
@@ -287,20 +615,9 @@ impl SlotIndex {
     ///
     /// Panics when `pos` is not indexed under `color`.
     pub fn remove(&mut self, pos: usize, color: Option<usize>) {
-        let list = match color {
-            Some(c) => &mut self.slots[c],
-            None => &mut self.unassigned,
-        };
-        let k = list
-            .members
-            .binary_search(&pos)
-            .expect("position indexed under its color");
-        list.remove(k);
+        self.take(pos, color);
         for list in self.lists() {
-            let k = list.partition_point(|&m| m < pos);
-            for m in &mut list[k..] {
-                *m -= 1;
-            }
+            list.renumber(pos, false);
         }
         self.trim();
     }
@@ -319,32 +636,33 @@ impl SlotIndex {
             self.priced,
             "a record exactly when priced"
         );
+        self.take(pos, color);
+        self.moved += self.unassigned.insert(pos, record.map(entry)) as u64;
+        self.trim();
+    }
+
+    /// Drops position `pos` from the list of `color`.
+    fn take(&mut self, pos: usize, color: Option<usize>) {
         let list = match color {
             Some(c) => &mut self.slots[c],
             None => &mut self.unassigned,
         };
-        let k = list
-            .members
-            .binary_search(&pos)
-            .expect("position indexed under its color");
-        list.remove(k);
-        let k = self.unassigned.members.partition_point(|&m| m < pos);
-        self.unassigned.insert(k, pos, record.map(entry));
-        self.trim();
+        let (j, k) = list.find(pos);
+        self.moved += list.remove_at(j, k).1 as u64;
     }
 
     /// The unassigned positions, ascending.
-    pub fn unassigned(&self) -> &[usize] {
-        &self.unassigned.members
+    pub fn unassigned(&self) -> impl Iterator<Item = usize> + '_ {
+        self.unassigned.positions()
     }
 
     /// Position → warm budget, materialised from the slots' columns: zero
     /// for unassigned positions and throughout an unpriced index.
     pub fn budgets(&self) -> Vec<f64> {
-        let placed: usize = self.slots.iter().map(|s| s.members.len()).sum();
-        let mut budgets = vec![0.0; placed + self.unassigned.members.len()];
-        for slot in &self.slots {
-            for (&m, &b) in slot.members.iter().zip(&slot.columns[BUDGET]) {
+        let placed: usize = self.slots.iter().map(Slot::len).sum();
+        let mut budgets = vec![0.0; placed + self.unassigned.len()];
+        for chunk in self.slots.iter().flat_map(|s| &s.chunks) {
+            for (m, &b) in chunk.positions().zip(chunk.column(BUDGET)) {
                 budgets[m] = b;
             }
         }
@@ -352,27 +670,32 @@ impl SlotIndex {
     }
 
     /// Every position list: the slots, then the unassigned list.
-    fn lists(&mut self) -> impl Iterator<Item = &mut Vec<usize>> {
+    fn lists(&mut self) -> impl Iterator<Item = &mut Slot> {
         self.slots
             .iter_mut()
             .chain(std::iter::once(&mut self.unassigned))
-            .map(|list| &mut list.members)
     }
 
     /// Drops trailing empty slots (what a from-scratch build sizes to).
     fn trim(&mut self) {
-        while self.slots.last().is_some_and(|s| s.members.is_empty()) {
+        while self.slots.last().is_some_and(Slot::is_empty) {
             self.slots.pop();
         }
     }
 
-    /// Whether the positions are `colors`' membership.
+    /// Whether the positions are `colors`' membership, every chunk within
+    /// its size bounds.
     fn tracks(&self, colors: &[Option<usize>]) -> bool {
         let lists = |index: &SlotIndex| {
             let lists = index.slots.iter().chain([&index.unassigned]);
-            lists.map(|list| list.members.clone()).collect::<Vec<_>>()
+            lists.map(Slot::to_vec).collect::<Vec<_>>()
         };
-        lists(self) == lists(&SlotIndex::from_colors(colors))
+        let bounded = self
+            .slots
+            .iter()
+            .chain([&self.unassigned])
+            .all(Slot::in_bounds);
+        bounded && lists(self) == lists(&SlotIndex::from_colors(colors))
     }
 }
 
@@ -402,8 +725,8 @@ pub fn capture_budgets(
     let pow = AlphaPow::new(model.alpha());
     let index = SlotIndex::from_colors(colors);
     let mut budgets = vec![0.0f64; colors.len()];
-    for slot in index.slots.iter().map(|s| &s.members) {
-        for &i in slot {
+    for slot in index.slots.iter().map(Slot::to_vec) {
+        for &i in &slot {
             budgets[i] = slot
                 .iter()
                 .filter(|&&j| j != i)
@@ -484,9 +807,12 @@ pub fn capture_budgets(
 /// copy and the index re-sort) children on `rec`, plus the
 /// `repair.dirty` / `repair.evicted` / `repair.admissions` /
 /// `repair.rejections` / `repair.fresh_slots` / `repair.terms` (pair terms
-/// an additive probe reads up to its verdict) counters, accumulated
-/// locally — one atomic add per counter per call, nothing in the probe
-/// loops. Pass [`Recorder::disabled`] to record nothing.
+/// an additive probe reads up to its verdict) / `repair.entries_moved`
+/// (index entries this call's evictions and re-sort moved, plus the
+/// index's tally of those its splices moved since the last repair)
+/// counters, accumulated locally — one atomic add per counter per call,
+/// nothing in the probe loops. Pass [`Recorder::disabled`] to record
+/// nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_repair(
     links: &[Link],
@@ -510,11 +836,16 @@ pub fn solve_repair(
     let threshold = 1.0 / config.model.beta();
 
     let SlotIndex {
-        slots, unassigned, ..
+        slots,
+        unassigned,
+        moved: event_moved,
+        ..
     } = index;
     // The links to place, with their records in a priced index.
-    let mut pending = std::mem::take(unassigned);
-    let dirty = pending.members.len();
+    let mut pending: Vec<(usize, Option<Entry>)> = unassigned.entries().collect();
+    *unassigned = Slot::default();
+    let dirty = pending.len();
+    let mut moved = std::mem::take(event_moved);
 
     // Re-verify the checked links; evicted members join the placement list.
     // Departures are monotone-safe, so only these can be stale.
@@ -530,12 +861,11 @@ pub fn solve_repair(
             for &v in &checked {
                 let Some(c) = colors[v] else { continue };
                 let slot = &mut slots[c];
-                let k = slot
-                    .members
-                    .binary_search(&v)
-                    .expect("indexed under its color");
-                if !within(slot.columns[BUDGET][k], threshold) {
-                    pending.push(v, slot.remove(k));
+                let (j, k) = slot.find(v);
+                if !within(slot.chunks[j].column(BUDGET)[k], threshold) {
+                    let (values, shifted) = slot.remove_at(j, k);
+                    moved += shifted as u64;
+                    pending.push((v, values));
                     colors[v] = None;
                     evicted_total += 1;
                 }
@@ -546,19 +876,19 @@ pub fn solve_repair(
             stale.sort_unstable();
             stale.dedup();
             for c in stale {
-                if !slot_ok(links, &slots[c].members, config, None) {
+                if !slot_ok(links, &slots[c].to_vec(), config, None) {
                     let slot = std::mem::take(&mut slots[c]);
-                    for (k, &i) in slot.members.iter().enumerate() {
+                    for (i, values) in slot.entries() {
                         colors[i] = None;
-                        pending.push(i, slot.entry(k));
+                        pending.push((i, values));
                     }
-                    evicted_total += slot.members.len();
+                    evicted_total += slot.len();
                 }
             }
         }
     }
     sweep_span.finish();
-    let replaced = pending.members.len();
+    let replaced = pending.len();
 
     let place_span = root.child("place");
     let mut admissions = 0u64;
@@ -569,7 +899,7 @@ pub fn solve_repair(
     // the static kernel's split order, for determinism).
     let mut order: Vec<usize> = (0..replaced).collect();
     order.sort_by(|&a, &b| {
-        let (a, b) = (&links[pending.members[a]], &links[pending.members[b]]);
+        let (a, b) = (&links[pending[a].0], &links[pending[b].0]);
         b.length().total_cmp(&a.length()).then(a.id.cmp(&b.id))
     });
     // Stamps mark the colors of `i`'s conflict neighbours per placement.
@@ -577,8 +907,7 @@ pub fn solve_repair(
     let mut candidate: Vec<usize> = Vec::new();
     let mut added: Vec<f64> = Vec::new();
     for (step, &p) in order.iter().enumerate() {
-        let i = pending.members[p];
-        let mut values = pending.entry(p);
+        let (i, mut values) = pending[p];
         for j in neighbors(i) {
             if let Some(c) = colors[j] {
                 mark[c] = step;
@@ -594,10 +923,15 @@ pub fn solve_repair(
                 let newcomer = values.as_ref().expect("a priced index records every link");
                 match admits(slot, newcomer, pow, threshold, &mut added) {
                     Ok(own) => {
-                        terms += 2 * slot.members.len() as u64;
-                        for (b, &on) in slot.columns[BUDGET].iter_mut().zip(&added) {
-                            *b += on;
+                        let mut on = added.as_slice();
+                        for chunk in &mut slot.chunks {
+                            let (here, rest) = on.split_at(chunk.len);
+                            for (b, &term) in chunk.column_mut(BUDGET).iter_mut().zip(here) {
+                                *b += term;
+                            }
+                            on = rest;
                         }
+                        terms += 2 * slot.len() as u64;
                         budget = own;
                     }
                     Err(priced_terms) => {
@@ -608,7 +942,7 @@ pub fn solve_repair(
                 }
             } else if config.verify_slots {
                 candidate.clear();
-                candidate.extend_from_slice(&slot.members);
+                candidate.extend(slot.positions());
                 candidate.push(i);
                 if !slot_ok(links, &candidate, config, None) {
                     rejections += 1;
@@ -646,19 +980,19 @@ pub fn solve_repair(
     // shifts down are renumbered.
     let mut kept = 0usize;
     for (c, slot) in slots.iter().enumerate() {
-        if slot.members.is_empty() {
+        if slot.is_empty() {
             continue;
         }
         if c != kept {
-            for &m in &slot.members {
+            for m in slot.positions() {
                 colors[m] = Some(kept);
             }
         }
         kept += 1;
     }
-    slots.retain(|s| !s.members.is_empty());
+    slots.retain(|s| !s.is_empty());
     let report = ScheduleReport::new(
-        slots.iter().map(|s| s.members.clone()).collect(),
+        slots.iter().map(Slot::to_vec).collect(),
         slots.len(),
         diversity,
         config.mode,
@@ -666,32 +1000,24 @@ pub fn solve_repair(
     );
     // The report keeps admission order; the index goes back to ascending
     // positions, the order the next repair's probes must visit. A slot's
-    // admissions are its tail (appended after its ascending clean
-    // members), so each one moves into place, columns along, with one
-    // binary search — O(|slot|) per admission, where a sort would be
-    // O(|slot| log |slot|).
+    // admissions are its tail (pushed after its ascending clean members),
+    // so each one is popped and inserted back in place: one chunk shifts
+    // per admission, whatever the slot's size.
     let mut admitted: Vec<usize> = pending
-        .members
         .iter()
-        .map(|&i| colors[i].expect("placed"))
+        .map(|&(i, _)| colors[i].expect("placed"))
         .collect();
     admitted.sort_unstable();
     for run in admitted.chunk_by(|a, b| a == b) {
         let slot = &mut slots[run[0]];
-        let tail = slot.members.len() - run.len();
-        let mut moved: Vec<(usize, Option<Entry>)> = (tail..slot.members.len())
-            .map(|k| (slot.members[k], slot.entry(k)))
-            .collect();
-        moved.sort_unstable_by_key(|&(i, _)| i);
-        slot.truncate(tail);
-        for (i, entry) in moved {
-            let k = slot.members.partition_point(|&m| m < i);
-            slot.insert(k, i, entry);
+        let mut tail: Vec<(usize, Option<Entry>)> = run.iter().map(|_| slot.pop()).collect();
+        tail.sort_unstable_by_key(|&(i, _)| i);
+        for (i, values) in tail {
+            moved += slot.insert(i, values) as u64;
         }
     }
-    pending.truncate(0);
-    *unassigned = pending;
     commit_span.finish();
+    rec.add("repair.entries_moved", moved);
     debug_assert!(
         index.tracks(colors),
         "slot index diverged from the repaired colors"
@@ -710,9 +1036,10 @@ pub fn solve_repair(
 /// terms a one-term-at-a-time scan prices up to the first one that failed.
 /// NaN sums fail.
 ///
-/// Each chunk of [`CHUNK`] slotmates is priced whole by [`price`] and then
-/// checked in slot order, so the verdict, the count, the own sum and the
-/// added terms are the one-term-at-a-time scan's, bit for bit.
+/// Each chunk of the slot is priced whole by [`price`] and then checked in
+/// slot order, so the verdict, the count, the own sum and the added terms
+/// are the one-term-at-a-time scan's, bit for bit, wherever the chunk
+/// boundaries fall.
 fn admits(
     slot: &Slot,
     newcomer: &Entry,
@@ -720,70 +1047,51 @@ fn admits(
     threshold: f64,
     added: &mut Vec<f64>,
 ) -> Result<f64, u64> {
-    let len = slot.members.len();
+    let len = slot.len();
     if added.len() < len {
         added.resize(len, 0.0);
     }
-    let mut own_terms = [0.0f64; CHUNK];
+    let mut own_terms = [0.0f64; CAP];
     let mut own = 0.0f64;
-    for start in (0..len).step_by(CHUNK) {
-        let range = start..len.min(start + CHUNK);
-        let on = &mut added[range.clone()];
-        let own_terms = &mut own_terms[..range.len()];
+    let mut offset = 0;
+    for chunk in &slot.chunks {
+        let columns = chunk.columns();
+        let on = &mut added[offset..offset + chunk.len];
+        let own_terms = &mut own_terms[..chunk.len];
         // Dispatch once per chunk: with the exponent a constant, the
         // pricing loop has no branch left and runs vectorised.
         match pow {
-            AlphaPow::Square => price(
-                slot,
-                range.clone(),
-                newcomer,
-                AlphaPow::Square,
-                on,
-                own_terms,
-            ),
-            AlphaPow::Cube => price(slot, range.clone(), newcomer, AlphaPow::Cube, on, own_terms),
-            AlphaPow::Quartic => price(
-                slot,
-                range.clone(),
-                newcomer,
-                AlphaPow::Quartic,
-                on,
-                own_terms,
-            ),
-            other => price(slot, range.clone(), newcomer, other, on, own_terms),
+            AlphaPow::Square => price(&columns, newcomer, AlphaPow::Square, on, own_terms),
+            AlphaPow::Cube => price(&columns, newcomer, AlphaPow::Cube, on, own_terms),
+            AlphaPow::Quartic => price(&columns, newcomer, AlphaPow::Quartic, on, own_terms),
+            other => price(&columns, newcomer, other, on, own_terms),
         }
-        let budgets = &slot.columns[BUDGET][range.clone()];
-        for (k, ((&budget, &on_m), &on_i)) in budgets.iter().zip(&*on).zip(&*own_terms).enumerate()
-        {
+        let checked = columns[BUDGET].iter().zip(&*on).zip(&*own_terms);
+        for (k, ((&budget, &on_m), &on_i)) in checked.enumerate() {
+            let at = (offset + k) as u64;
             if !within(budget + on_m, threshold) {
-                return Err(2 * (start + k) as u64 + 1);
+                return Err(2 * at + 1);
             }
             own += on_i;
             if !within(own, threshold) {
-                return Err(2 * (start + k) as u64 + 2);
+                return Err(2 * at + 2);
             }
         }
+        offset += chunk.len;
     }
     Ok(own)
 }
 
-/// Prices one chunk of `slot` both ways against `newcomer`: `on[k]` is the
-/// newcomer's term on slotmate `range.start + k`, `own[k]` that slotmate's
-/// term on the newcomer — [`PricedLink::term_on`]'s `P·w / (√d²)^α`,
-/// operation for operation. No branch: with the models' `α > 2`, `0^α = 0`,
-/// so a sender on a receiver prices at `+∞` (or NaN for a zero power) and
-/// rejects as `term_on`'s `+∞` does.
+/// Prices a chunk's `columns` both ways against `newcomer`: `on[k]` is the
+/// newcomer's term on member `k`, `own[k]` that member's term on the
+/// newcomer — [`PricedLink::term_on`]'s `P·w / (√d²)^α`, operation for
+/// operation. No branch: with the models' `α > 2`, `0^α = 0`, so a sender
+/// on a receiver prices at `+∞` (or NaN for a zero power) and rejects as
+/// `term_on`'s `+∞` does.
 #[inline(always)]
-fn price(
-    slot: &Slot,
-    range: Range<usize>,
-    newcomer: &Entry,
-    pow: AlphaPow,
-    on: &mut [f64],
-    own: &mut [f64],
-) {
+fn price(columns: &[&[f64]; 7], newcomer: &Entry, pow: AlphaPow, on: &mut [f64], own: &mut [f64]) {
     let len = on.len();
-    let column = |c: usize| &slot.columns[c][range.clone()][..len];
+    let column = |c: usize| &columns[c][..len];
     let (sx, sy, rx, ry) = (column(SX), column(SY), column(RX), column(RY));
     let (power, weight) = (column(POWER), column(WEIGHT));
     let own = &mut own[..len];
@@ -1133,6 +1441,53 @@ mod tests {
                 assert_eq!(index.budgets().len(), colors.len());
             }
         }
+        // Two slots and the unassigned list over hundreds to a thousand
+        // positions: inserts grow the unassigned list until its chunk
+        // splits, re-seats move slot members over, and removals then shrink
+        // its chunks until they merge. After every splice the index equals
+        // a rebuild, and every chunk keeps its size bounds.
+        let record = |seed: usize| PricedLink {
+            sender: Point::new(seed as f64, 0.5),
+            receiver: Point::new(seed as f64, 1.5),
+            power: Some(seed as f64),
+            weight: Some(0.5),
+        };
+        let n = 600;
+        let mut colors: Vec<Option<usize>> =
+            (0..n).map(|i| [None, Some(0), Some(1)][i % 3]).collect();
+        let mut records: Vec<PricedLink> = (0..n).map(record).collect();
+        let mut budgets: Vec<f64> = (0..n).map(|i| i as f64 / 4096.0).collect();
+        let mut index = SlotIndex::with_records(&colors, &records, &budgets);
+        let chunks = |index: &SlotIndex| index.unassigned.chunks.len();
+        let (mut splits, mut merges) = (0, 0);
+        for step in 0.. {
+            let before = chunks(&index);
+            let pos = next(colors.len());
+            if step < 400 {
+                let fresh = record(n + step);
+                colors.insert(pos, None);
+                records.insert(pos, fresh);
+                budgets.insert(pos, 0.0);
+                index.insert(pos, Some(&fresh));
+            } else if step < 600 {
+                if colors[pos].is_some() {
+                    index.reseat(pos, colors[pos].take(), Some(&records[pos]));
+                }
+            } else if colors.len() > 200 {
+                index.remove(pos, colors[pos]);
+                colors.remove(pos);
+                records.remove(pos);
+                budgets.remove(pos);
+            } else {
+                break;
+            }
+            splits += usize::from(chunks(&index) > before);
+            merges += usize::from(chunks(&index) < before);
+            let mut lists = index.slots.iter().chain([&index.unassigned]);
+            assert!(lists.all(Slot::in_bounds), "step {step}: chunk bounds");
+            assert_eq!(index, SlotIndex::with_records(&colors, &records, &budgets));
+        }
+        assert!(splits > 0 && merges > 0, "{splits} splits, {merges} merges");
         // Emptying the top slot trims it, as a rebuild would.
         let colors = vec![Some(0), Some(2), None];
         let mut index = SlotIndex::from_colors(&colors);
@@ -1153,6 +1508,43 @@ mod tests {
         let (outcome, colors, _) = repair(&links, &graph, priced.as_deref(), &config, &prev, &[]);
         assert_eq!(outcome.report.schedule.slots(), &[vec![1, 2, 0]]);
         assert_eq!(colors, vec![Some(0); 3]);
+    }
+
+    #[test]
+    fn a_relocation_into_its_own_slot_moves_at_most_two_chunks() {
+        // One slot of 4 000 links 50 units apart spans more than eight
+        // chunks. The link at its front is re-seated (the event) and
+        // re-admitted to the same slot (the solve): the event's splice and
+        // the commit's re-sort each move at most one chunk's entries, not
+        // the slot's.
+        let links: Vec<Link> = (0..4_000)
+            .map(|i| {
+                let (x, y) = ((i % 64) as f64 * 50.0, (i / 64) as f64 * 50.0);
+                Link::new(i, Point::new(x, y), Point::new(x + 1.0, y))
+            })
+            .collect();
+        let priced = priced_uniform(&links);
+        let mut colors = vec![Some(0); links.len()];
+        let mut index = SlotIndex::with_records(&colors, &priced, &vec![0.0; links.len()]);
+        assert!(index.slots[0].chunks.len() >= 8);
+        index.reseat(0, colors[0].take(), Some(&priced[0]));
+        let rec = Recorder::new();
+        solve_repair(
+            &links,
+            &|_| Vec::new(),
+            &SchedulerConfig::new(PowerMode::Uniform),
+            &mut colors,
+            &mut index,
+            1.0,
+            &[],
+            &rec,
+        );
+        assert_eq!(colors[0], Some(0), "back in its own slot");
+        let moved = rec.metrics().counter("repair.entries_moved").unwrap_or(0);
+        assert!(
+            0 < moved && moved <= 2 * 2 * CHUNK as u64,
+            "{moved} entries moved"
+        );
     }
 
     /// One additive repair of `prev` under uniform power, with no conflict
@@ -1344,10 +1736,35 @@ mod tests {
         Ok(own)
     }
 
-    /// Probes newcomer `priced[size]` into the slot of positions `0..size`
-    /// with the chunked kernel and the reference: equal verdicts, equal
-    /// `Err` term counts, and bit-equal own sums and added terms.
+    /// The slot of positions `0..priced.len() - 1` with their records and
+    /// budgets, inserted in `order` (ascending positions when `None`:
+    /// packed as a from-scratch build packs it).
+    fn slot_of(priced: &[PricedLink], budgets: &[f64], order: Option<&[usize]>) -> Slot {
+        let size = priced.len() - 1;
+        let values = |m: usize| {
+            let mut values = entry(&priced[m]);
+            values[BUDGET] = budgets[m];
+            (m, Some(values))
+        };
+        let Some(order) = order else {
+            return Slot {
+                chunks: pack(size, true, (0..size).map(values)),
+            };
+        };
+        let mut slot = Slot::default();
+        for &m in order {
+            let (m, values) = values(m);
+            slot.insert(m, values);
+        }
+        slot
+    }
+
+    /// Probes newcomer `priced[size]` into `slot`, the slot of positions
+    /// `0..size`, with the chunked kernel and the reference: equal
+    /// verdicts, equal `Err` term counts, and bit-equal own sums and added
+    /// terms.
     fn assert_admits_like_the_reference(
+        slot: &Slot,
         priced: &[PricedLink],
         budgets: &[f64],
         pow: AlphaPow,
@@ -1355,16 +1772,10 @@ mod tests {
     ) -> Result<f64, u64> {
         let size = priced.len() - 1;
         let members: Vec<usize> = (0..size).collect();
-        let mut slot = Slot::default();
-        for &m in &members {
-            let mut values = entry(&priced[m]);
-            values[BUDGET] = budgets[m];
-            slot.push(m, Some(values));
-        }
         let (mut want_added, mut got_added) = (Vec::new(), vec![f64::NAN; 3]);
         let want = reference_admits(priced, budgets, &members, size, pow, 1.0, &mut want_added);
         let newcomer = entry(&priced[size]);
-        let got = admits(&slot, &newcomer, pow, 1.0, &mut got_added);
+        let got = admits(slot, &newcomer, pow, 1.0, &mut got_added);
         match (want, got) {
             (Ok(want), Ok(got)) => {
                 assert_eq!(want.to_bits(), got.to_bits(), "{case}: own sum");
@@ -1422,9 +1833,29 @@ mod tests {
                 p[last].weight = Some(f64::NAN)
             }),
         ];
+        // Around one pricing pass, around the storage bound (one chunk, or
+        // two of about half), and across several chunks.
+        let sizes = [
+            0,
+            1,
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            2 * CHUNK - 1,
+            2 * CHUNK,
+            2 * CHUNK + 1,
+            3 * CHUNK + 7,
+            8 * CHUNK + 3,
+        ];
         for alpha in [2.0, 3.0, 4.0, 2.5] {
             let pow = AlphaPow::new(alpha);
-            for size in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+            for size in sizes {
+                // The layout and the exponent meet nowhere but in the
+                // pricing loop every size runs, so the slot of many chunks
+                // runs at the default exponent only.
+                if size > 3 * CHUNK + 7 && alpha != 3.0 {
+                    continue;
+                }
                 // Small parts over a 100-unit square: every sum stays far
                 // under the threshold of 1 unless a case pushes it over.
                 let priced: Vec<PricedLink> = (0..=size)
@@ -1439,47 +1870,98 @@ mod tests {
                     })
                     .collect();
                 let budgets: Vec<f64> = (0..=size).map(|_| 1e-3 * unit()).collect();
-                let case = format!("α = {alpha}, {size} slotmates");
-                assert!(
-                    assert_admits_like_the_reference(&priced, &budgets, pow, &case).is_ok(),
-                    "{case}: the clean slot admits"
-                );
-                if size == 0 {
-                    continue;
-                }
-                // The first failure at every slotmate, so at every offset
-                // inside a chunk: an overdrawn budget fails the slotmate's
-                // check, a loud slotmate the newcomer's own sum.
-                for k in 0..size {
-                    let mut full = budgets.clone();
-                    full[k] = 2.0;
-                    let verdict = assert_admits_like_the_reference(&priced, &full, pow, &case);
-                    assert_eq!(
-                        verdict,
-                        Err(2 * k as u64 + 1),
-                        "{case}: overdrawn budget at {k}"
-                    );
-                    let mut loud = priced.clone();
-                    loud[k].power = Some(1e300);
-                    let verdict = assert_admits_like_the_reference(&loud, &budgets, pow, &case);
-                    assert_eq!(
-                        verdict,
-                        Err(2 * k as u64 + 2),
-                        "{case}: loud slotmate at {k}"
-                    );
-                }
-                // Unpriceable parts and degenerate geometry at a few places.
-                for k in [0, size / 2, size - 1] {
-                    for (spice, edit) in &spices {
-                        let mut spiced = priced.clone();
-                        edit(&mut spiced, k);
-                        let case = format!("{case}: {spice} at {k}");
-                        let _ = assert_admits_like_the_reference(&spiced, &budgets, pow, &case);
+                // The slot packed as a from-scratch build packs it; the
+                // largest once more grown by inserts at random positions,
+                // so its chunks fill unevenly.
+                let mut orders = vec![None];
+                if size == 8 * CHUNK + 3 {
+                    let mut order: Vec<usize> = (0..size).collect();
+                    for i in (1..size).rev() {
+                        order.swap(i, (unit() * (i + 1) as f64) as usize);
                     }
-                    let mut nan = budgets.clone();
-                    nan[k] = f64::NAN;
-                    let verdict = assert_admits_like_the_reference(&priced, &nan, pow, &case);
-                    assert_eq!(verdict, Err(2 * k as u64 + 1), "{case}: NaN budget at {k}");
+                    orders.push(Some(order));
+                }
+                for order in &orders {
+                    let layout = if order.is_some() {
+                        "inserted"
+                    } else {
+                        "packed"
+                    };
+                    let case = format!("α = {alpha}, {size} slotmates {layout}");
+                    let slot = slot_of(&priced, &budgets, order.as_deref());
+                    assert!(
+                        slot.positions().eq(0..size),
+                        "{case}: the slot lists 0..{size}"
+                    );
+                    assert!(slot.in_bounds(), "{case}: chunk bounds");
+                    let admits_like_the_reference = |priced: &[PricedLink], budgets: &[f64]| {
+                        let slot = slot_of(priced, budgets, order.as_deref());
+                        assert_admits_like_the_reference(&slot, priced, budgets, pow, &case)
+                    };
+                    assert!(
+                        admits_like_the_reference(&priced, &budgets).is_ok(),
+                        "{case}: the clean slot admits"
+                    );
+                    if size == 0 {
+                        continue;
+                    }
+                    // The first failure at every slotmate, so at every
+                    // offset inside a chunk — around the storage bound and
+                    // past three chunks, at every chunk's edges and a stride
+                    // between: an overdrawn budget fails the slotmate's
+                    // check, a loud slotmate the newcomer's own sum.
+                    let every = size <= CHUNK + 1 || size == 3 * CHUNK + 7;
+                    let mut offsets: Vec<usize> = if every {
+                        (0..size).collect()
+                    } else {
+                        let starts = slot.chunks.iter().scan(0, |at, c| {
+                            *at += c.len;
+                            Some(*at - c.len)
+                        });
+                        let edges = starts.flat_map(|at| [at.saturating_sub(1), at, at + 1]);
+                        edges
+                            .chain((0..size).step_by(97))
+                            .chain([size - 1])
+                            .collect()
+                    };
+                    offsets.sort_unstable();
+                    offsets.dedup();
+                    for k in offsets {
+                        let mut full = budgets.clone();
+                        full[k] = 2.0;
+                        assert_eq!(
+                            admits_like_the_reference(&priced, &full),
+                            Err(2 * k as u64 + 1),
+                            "{case}: overdrawn budget at {k}"
+                        );
+                        let mut loud = priced.clone();
+                        loud[k].power = Some(1e300);
+                        assert_eq!(
+                            admits_like_the_reference(&loud, &budgets),
+                            Err(2 * k as u64 + 2),
+                            "{case}: loud slotmate at {k}"
+                        );
+                    }
+                    // Unpriceable parts and degenerate geometry at a few
+                    // places.
+                    for k in [0, size / 2, size - 1] {
+                        for (spice, edit) in &spices {
+                            let mut spiced = priced.clone();
+                            edit(&mut spiced, k);
+                            let slot = slot_of(&spiced, &budgets, order.as_deref());
+                            let case = format!("{case}: {spice} at {k}");
+                            let _ = assert_admits_like_the_reference(
+                                &slot, &spiced, &budgets, pow, &case,
+                            );
+                        }
+                        let mut nan = budgets.clone();
+                        nan[k] = f64::NAN;
+                        assert_eq!(
+                            admits_like_the_reference(&priced, &nan),
+                            Err(2 * k as u64 + 1),
+                            "{case}: NaN budget at {k}"
+                        );
+                    }
                 }
             }
         }

@@ -124,12 +124,7 @@ impl Kernel<'_> {
     /// of the unplaced links' conflict neighbours get one re-verify sweep
     /// (their affectance budget is what the events perturbed).
     fn run(self, neighbors: &dyn Fn(usize) -> Vec<usize>) -> RepairOutcome {
-        let mut check: Vec<usize> = self
-            .index
-            .unassigned()
-            .iter()
-            .flat_map(|&i| neighbors(i))
-            .collect();
+        let mut check: Vec<usize> = self.index.unassigned().flat_map(neighbors).collect();
         check.sort_unstable();
         check.dedup();
         wagg_schedule::solve_repair(
@@ -191,7 +186,7 @@ pub(crate) fn solve_repair(
         state.index == slot_index(scheduler, links, &state.colors, &state.index.budgets()),
         "slot index records diverged from the links"
     );
-    let dirty_links = state.index.unassigned().len();
+    let dirty_links = state.index.unassigned().count();
     let baseline = state.baseline_slots;
     let (outcome, sharding) = backend.repair(Kernel {
         config: scheduler,
