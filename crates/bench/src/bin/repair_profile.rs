@@ -1,5 +1,8 @@
 //! Phase profiler for the warm repair path: builds a repair-enabled session,
-//! anchors it with a cold solve, then times a relocate+solve churn loop with
+//! anchors it with a cold solve and prints that solve's span tree (the
+//! recolor's `partition/*` or `static/*` spans and the warm-state anchor's
+//! `anchor/*`) and the slots the anchor priced itself
+//! (`anchor.slots_priced`), then times a relocate+solve churn loop with
 //! the event and solve halves split out and the recorder's `repair` span tree
 //! printed per phase, then the admission scan's work per solve (admissions,
 //! rejections, pair terms), its time per term, and the slot-index entries
@@ -49,6 +52,19 @@ fn main() {
     let t = std::time::Instant::now();
     session.solve();
     eprintln!("cold solve: {:?}", t.elapsed());
+    let cold = rec.metrics();
+    for p in &cold.phases {
+        eprintln!(
+            "  {:<40} {:>10.3} ms  ({} spans)",
+            p.path,
+            p.nanos as f64 / 1e6,
+            p.count
+        );
+    }
+    eprintln!(
+        "  anchor priced {} slots itself",
+        cold.counter("anchor.slots_priced").unwrap_or(0)
+    );
     // One warm-up repair, then reset the recorder-visible baseline by
     // snapshotting before the measured loop.
     session

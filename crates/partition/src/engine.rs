@@ -34,7 +34,7 @@
 //! let a = engine.insert_link(Point::new(10.0, 10.0), Point::new(11.0, 10.0));
 //! let _b = engine.insert_link(Point::new(80.0, 80.0), Point::new(81.0, 80.0));
 //! engine.remove_link(a).unwrap();
-//! let sharded = engine.schedule();
+//! let (sharded, _) = engine.schedule();
 //! assert!(sharded.report.schedule.is_partition(engine.len()));
 //! ```
 
@@ -499,7 +499,18 @@ impl PartitionedEngine {
     /// Schedules the current link universe through the sharded pipeline,
     /// reusing every shard engine's incrementally maintained conflict state
     /// (member graphs are engine snapshots — no geometric rebuild).
-    pub fn schedule(&self) -> SolveReport {
+    ///
+    /// Beside the report, one entry per slot: the per-member affectance
+    /// totals the global verification pass computed for a slot whose colour
+    /// class it kept whole. They equal
+    /// [`AffectanceVerifier::budgets`](crate::AffectanceVerifier::budgets)
+    /// of that slot over [`PartitionedEngine::links`] under the configured
+    /// strategy, bit for bit, so a warm-repair anchor need not price the
+    /// slot again. The entry is `None` for a class that lost members, for
+    /// a slot the pass re-packed, and for every slot when no certified
+    /// verifier ran (verification off, a noisy model, or a power mode
+    /// without a fixed assignment).
+    pub fn schedule(&self) -> (SolveReport, Vec<Option<Vec<f64>>>) {
         let config = self.config.scheduler;
         let root = self.recorder.span("partition");
         let assemble_phase = root.child("assemble");
@@ -547,7 +558,7 @@ impl PartitionedEngine {
                 owner_of[piece.member_globals[local]] = (pi as u32, local as u32);
             }
         }
-        let outcome = pipeline::schedule_pieces(
+        let mut outcome = pipeline::schedule_pieces(
             &links,
             &pieces,
             &boundary,
@@ -557,7 +568,9 @@ impl PartitionedEngine {
             &self.recorder,
         );
         root.finish();
-        outcome.into_report(&links, config, self.engines.len(), self.radius)
+        let totals = std::mem::take(&mut outcome.totals);
+        let report = outcome.into_report(&links, config, self.engines.len(), self.radius);
+        (report, totals)
     }
 }
 
@@ -616,7 +629,7 @@ mod tests {
         let after = e.sites[&key].owner_shard;
         assert_ne!(before, after);
         assert_eq!(e.len(), 1);
-        let sharded = e.schedule();
+        let (sharded, _) = e.schedule();
         assert!(sharded.report.schedule.is_partition(1));
     }
 
@@ -702,7 +715,7 @@ mod tests {
             assert_eq!(e.boundary, scan, "{context}: counter vs sites");
             assert_eq!(
                 e.boundary_link_count(),
-                e.schedule().sharding.unwrap().boundary_links,
+                e.schedule().0.sharding.unwrap().boundary_links,
                 "{context}: counter vs pipeline"
             );
         };
@@ -756,7 +769,7 @@ mod tests {
             }
         }
         let links = e.links();
-        let sharded = e.schedule();
+        let (sharded, _) = e.schedule();
         assert!(sharded.report.schedule.is_partition(links.len()));
         let config = e.config().scheduler;
         assert!(sharded

@@ -31,7 +31,9 @@
 //! return the `wagg_schedule::SolveReport` every backend returns, tagged
 //! `BackendKind::Sharded`; its `sharding` field carries the decomposition's
 //! accounting (shard count, radius, boundary, repaired and evicted links,
-//! occupancy).
+//! occupancy). [`PartitionedEngine::schedule`] also hands on, per slot, the
+//! verification pass's per-member totals (the slot's warm-repair budgets)
+//! for the colour classes the pass kept whole.
 //!
 //! # Examples
 //!

@@ -5,7 +5,8 @@
 //! and [`PartitionedEngine::schedule`](crate::PartitionedEngine::schedule) —
 //! reduce their state to the same inputs ([`ShardPieces`] per shard plus
 //! global boundary/ownership maps), run [`schedule_pieces`] and return
-//! [`PipelineOutcome::into_report`]:
+//! [`PipelineOutcome::into_report`] (the engine also returns the outcome's
+//! per-slot totals):
 //!
 //! 1. **Color** every shard independently: the owned-only restriction of the
 //!    shard's member graph (owned + ghost links) goes through
@@ -34,7 +35,12 @@
 //!    aggregation by default, the flat grid at pyramid depth 1 — with
 //!    exact fallback) and failing
 //!    members are evicted and re-packed — so each final slot passes
-//!    `is_feasible_by_affectance`. Power modes without a fixed assignment
+//!    `is_feasible_by_affectance`. A class kept whole also keeps the
+//!    per-target totals its sweep computed, which are its warm-repair
+//!    budgets ([`AffectanceVerifier::budgets`]); the pipeline hands them on
+//!    in [`PipelineOutcome::totals`], so the session's warm-state anchor
+//!    prices only the classes that lost members and the packed slots.
+//!    Power modes without a fixed assignment
 //!    (global control) and noisy models use
 //!    [`split_class_into_feasible`] instead, the unsharded path's exact
 //!    splitter.
@@ -73,6 +79,11 @@ pub(crate) struct PipelineOutcome {
     /// Final verified slots (global link ids, ascending within a slot's kept
     /// prefix; packed overflow slots follow the stitched ones).
     pub slots: Vec<Vec<usize>>,
+    /// Per slot, the verifier's per-member totals when phase 4 kept the
+    /// slot's class whole (`AffectanceVerifier::budgets` of the slot, member
+    /// for member); `None` for classes that lost members, packed slots, and
+    /// every slot when no certified verifier ran.
+    pub totals: Vec<Option<Vec<f64>>>,
     /// Colors in use after stitching, before global verification.
     pub coloring_slots: usize,
     /// Links ghosted into at least one other shard.
@@ -226,7 +237,7 @@ pub(crate) fn schedule_pieces(
                 }
                 let mut evicted_locals: Vec<usize> = Vec::new();
                 for class in &classes {
-                    let (_, evicted) = verifier.evict_infeasible(class);
+                    let (_, evicted, _) = verifier.evict_infeasible(class);
                     evicted_locals.extend(evicted);
                 }
                 if !evicted_locals.is_empty() {
@@ -302,6 +313,7 @@ pub(crate) fn schedule_pieces(
         classes[c].push(i);
     }
     let mut slots: Vec<Vec<usize>> = Vec::new();
+    let mut totals: Vec<Option<Vec<f64>>> = Vec::new();
     let mut evicted_links = 0usize;
     if !config.verify_slots {
         slots.extend(classes.into_iter().filter(|c| !c.is_empty()));
@@ -312,8 +324,11 @@ pub(crate) fn schedule_pieces(
             .with_recorder(rec);
         let mut all_evicted: Vec<usize> = Vec::new();
         for class in classes.into_iter().filter(|c| !c.is_empty()) {
-            let (kept, evicted) = verifier.evict_infeasible(&class);
+            let (kept, evicted, class_totals) = verifier.evict_infeasible(&class);
             if !kept.is_empty() {
+                // The totals of a class that lost members were priced with
+                // the evicted members still present: not its budgets.
+                totals.push(evicted.is_empty().then_some(class_totals));
                 slots.push(kept);
             }
             all_evicted.extend(evicted);
@@ -325,6 +340,7 @@ pub(crate) fn schedule_pieces(
             slots.extend(split_class_into_feasible(links, &class, &config, None));
         }
     }
+    totals.resize(slots.len(), None);
     verify_phase.finish();
 
     // Per-shard occupancy: how evenly the tiling spread ownership, and how
@@ -358,6 +374,7 @@ pub(crate) fn schedule_pieces(
 
     PipelineOutcome {
         slots,
+        totals,
         coloring_slots,
         boundary_links,
         repaired_links,

@@ -32,14 +32,19 @@
 //!   exactly. Per-target cost drops from the flat grid's `Θ(√m)` to
 //!   `O(log m)` opened nodes.
 //!
-//! If `exact_near + bound_far ≤ 1/β` the target is certified feasible (the
-//! true sum can only be smaller). Otherwise the target's sum is recomputed
-//! exactly; only genuinely failing targets are reported. Small slots (and
-//! slots containing links with unavailable powers, whose failure semantics
-//! the bound cannot reproduce) skip the grid and go straight to the exact
-//! kernel, so the verifier's verdicts always match
-//! `is_feasible_by_affectance` on the slot's links — under **every** strategy
-//! and pyramid depth, which is what the differential test battery pins.
+//! One per-target pass computes each target's **total**: the certified
+//! bound `exact_near + bound_far` when it lands within `1/β` (the true sum
+//! can only be smaller), the exact sum otherwise, and `∞` when the pair
+//! terms cannot be priced. The verdict is `total ≤ 1/β` for a priced target;
+//! an unpriceable one always fails. Small slots (and slots containing links
+//! with unavailable powers, whose failure semantics the bound cannot
+//! reproduce) skip the grid and go straight to the exact kernel, so the
+//! verifier's verdicts always match `is_feasible_by_affectance` on the
+//! slot's links — under **every** strategy and pyramid depth, which is what
+//! the differential test battery pins. The same totals are the warm-repair
+//! budgets [`AffectanceVerifier::budgets`] returns, and
+//! [`AffectanceVerifier::evict_infeasible`] hands them back beside its
+//! verdicts, so a caller that keeps a slot whole never prices it twice.
 //!
 //! [`AffectanceVerifier::evict_infeasible`] exploits a monotonicity: every
 //! term of the affectance sum is non-negative, so removing members never
@@ -262,58 +267,57 @@ impl<'a> AffectanceVerifier<'a> {
         SlotPyramid::build(self, members, depth.max(1))?.certify(k, f64::INFINITY)
     }
 
-    fn exact_ok(&self, members: &[usize], k: usize) -> bool {
-        match self.exact_total(members, k) {
-            Some(total) => total <= self.inv_beta,
-            None => false,
-        }
-    }
-
-    /// Exact per-target verdicts (the reference kernel, used below the grid
-    /// cutoff and wherever the grid path cannot run).
-    fn exact_verdicts(&self, members: &[usize]) -> Vec<bool> {
-        let check = |k: usize| self.exact_ok(members, k);
-        #[cfg(feature = "parallel")]
-        {
-            (0..members.len()).into_par_iter().map(check).collect()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            (0..members.len()).map(check).collect()
-        }
-    }
-
-    /// Per-target verdicts for one slot, `verdicts[k]` for `members[k]`.
-    fn verdicts(&self, members: &[usize]) -> Vec<bool> {
-        let all_powers_known = members.iter().all(|&i| self.powers[i].is_some());
-        if members.len() <= EXACT_CUTOFF || !all_powers_known {
-            return self.exact_verdicts(members);
-        }
-        let depth = self.strategy.requested_depth(members.len());
-        let Some(pyramid) = SlotPyramid::build(self, members, depth) else {
-            // All senders collocated — no useful binning; exact it is.
-            return self.exact_verdicts(members);
-        };
-        let check = |k: usize| match pyramid.certify(k, self.inv_beta) {
+    /// The affectance total on `members[k]` from the rest of the slot: the
+    /// certified `pyramid` bound when it lands within `1/β`, the exact sum
+    /// otherwise (a counted fallback when a pyramid was tried), `None` when
+    /// the pair terms cannot be priced (an unknown power or target weight).
+    /// This is the one per-target pass behind every verdict and budget.
+    fn total(&self, members: &[usize], pyramid: Option<&SlotPyramid>, k: usize) -> Option<f64> {
+        if let Some(pyramid) = pyramid {
             // Certified: the exact total is ≤ the bound ≤ 1/β. The target's
             // own sender contributed at most extra non-negative aggregate
             // terms, which only makes the certificate more conservative.
-            Some(total) if total <= self.inv_beta => true,
-            // The bound failed (or met a zero distance / unknown weight);
-            // only an exact sum can acquit.
-            _ => {
-                self.exact_fallbacks.add(1);
-                self.exact_ok(members, k)
+            match pyramid.certify(k, self.inv_beta) {
+                Some(total) if total <= self.inv_beta => return Some(total),
+                // The bound failed (or met a zero distance / unknown
+                // weight); only an exact sum can acquit.
+                _ => self.exact_fallbacks.add(1),
             }
+        }
+        self.exact_total(members, k)
+    }
+
+    /// Per-target totals for one slot, `out[k]` for `members[k]` (see
+    /// `total`; a singleton's is zero). Small slots, and slots with links of
+    /// unknown power, whose failure semantics the bound cannot reproduce,
+    /// take the exact kernel for every target.
+    fn totals(&self, members: &[usize]) -> Vec<Option<f64>> {
+        if members.len() <= 1 {
+            return vec![Some(0.0); members.len()];
+        }
+        let all_powers_known = members.iter().all(|&i| self.powers[i].is_some());
+        let pyramid = if members.len() <= EXACT_CUTOFF || !all_powers_known {
+            None
+        } else {
+            // `None` when all senders are collocated: no useful binning.
+            SlotPyramid::build(self, members, self.strategy.requested_depth(members.len()))
         };
+        let one = |k: usize| self.total(members, pyramid.as_ref(), k);
         #[cfg(feature = "parallel")]
         {
-            (0..members.len()).into_par_iter().map(check).collect()
+            (0..members.len()).into_par_iter().map(one).collect()
         }
         #[cfg(not(feature = "parallel"))]
         {
-            (0..members.len()).map(check).collect()
+            (0..members.len()).map(one).collect()
         }
+    }
+
+    /// The verdict on a target of this total: priced and within `1/β`. An
+    /// unpriceable target fails even when `1/β` overflows to `∞`, and a NaN
+    /// total fails.
+    fn passes(&self, total: Option<f64>) -> bool {
+        total.is_some_and(|t| t <= self.inv_beta)
     }
 
     /// Per-target affectance budgets for one slot: `out[k]` upper-bounds the
@@ -325,60 +329,41 @@ impl<'a> AffectanceVerifier<'a> {
     /// (`wagg_schedule::solve_repair`'s warm `budgets`): conservative
     /// upper bounds are sound — they only make repair fall back earlier.
     pub fn budgets(&self, members: &[usize]) -> Vec<f64> {
-        if members.len() <= 1 {
-            return vec![0.0; members.len()];
-        }
-        let exact = |k: usize| self.exact_total(members, k).unwrap_or(f64::INFINITY);
-        let all_powers_known = members.iter().all(|&i| self.powers[i].is_some());
-        let pyramid = if members.len() <= EXACT_CUTOFF || !all_powers_known {
-            None
-        } else {
-            SlotPyramid::build(self, members, self.strategy.requested_depth(members.len()))
-        };
-        let one = |k: usize| match &pyramid {
-            Some(pyramid) => match pyramid.certify(k, self.inv_beta) {
-                Some(total) if total <= self.inv_beta => total,
-                _ => exact(k),
-            },
-            None => exact(k),
-        };
-        #[cfg(feature = "parallel")]
-        {
-            (0..members.len()).into_par_iter().map(one).collect()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            (0..members.len()).map(one).collect()
-        }
+        self.totals(members)
+            .into_iter()
+            .map(|t| t.unwrap_or(f64::INFINITY))
+            .collect()
     }
 
     /// Whether `members` can share a slot (singletons trivially can — the
     /// affectance sum over an empty interferer set is zero).
     pub fn set_feasible(&self, members: &[usize]) -> bool {
-        members.len() <= 1 || self.verdicts(members).into_iter().all(|ok| ok)
+        self.totals(members).into_iter().all(|t| self.passes(t))
     }
 
-    /// One verification sweep over a slot: returns `(kept, evicted)` with
-    /// member order preserved. Every kept target passed its affectance check
-    /// **with the evicted members still present**; since all terms are
-    /// non-negative, the kept set remains feasible after the eviction, so
-    /// `kept` always satisfies `is_feasible_by_affectance`.
-    pub fn evict_infeasible(&self, members: &[usize]) -> (Vec<usize>, Vec<usize>) {
-        if members.len() <= 1 {
-            return (members.to_vec(), Vec::new());
-        }
-        let verdicts = self.verdicts(members);
+    /// One verification sweep over a slot: returns `(kept, evicted, totals)`
+    /// with member order preserved, where `totals[k]` is what
+    /// [`AffectanceVerifier::budgets`] returns for `members[k]`. A target
+    /// passes when its total is priced and within `1/β`. Every kept target
+    /// passed its affectance check **with the evicted members still
+    /// present**; since all terms are non-negative, the kept set remains
+    /// feasible after the eviction, so `kept` always satisfies
+    /// `is_feasible_by_affectance`. When nothing is evicted, `totals` are
+    /// the slot's budgets.
+    pub fn evict_infeasible(&self, members: &[usize]) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
         let mut kept = Vec::with_capacity(members.len());
         let mut evicted = Vec::new();
-        for (k, &i) in members.iter().enumerate() {
-            if verdicts[k] {
+        let mut totals = Vec::with_capacity(members.len());
+        for (&i, total) in members.iter().zip(self.totals(members)) {
+            if self.passes(total) {
                 kept.push(i);
             } else {
                 evicted.push(i);
             }
+            totals.push(total.unwrap_or(f64::INFINITY));
         }
         self.evictions.add(evicted.len() as u64);
-        (kept, evicted)
+        (kept, evicted, totals)
     }
 
     /// Packs `evicted` links into fresh slots, first-fit in non-increasing
@@ -779,16 +764,51 @@ mod tests {
         ]
     }
 
+    /// One sweep of `members` under `strategy`, checked against the
+    /// reference kernel: each target is kept exactly when its reference sum
+    /// is priced and within `1/β`, and the sweep's totals are the slot's
+    /// `budgets` bit for bit. Returns `(kept, evicted)`.
+    fn checked_sweep(
+        verifier: &AffectanceVerifier<'_>,
+        reference: &PathLossCache,
+        inv_beta: f64,
+        members: &[usize],
+        context: &str,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let (kept, evicted, totals) = verifier.evict_infeasible(members);
+        assert_eq!(kept.len() + evicted.len(), members.len(), "{context}");
+        let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&totals),
+            bits(&verifier.budgets(members)),
+            "{context}: sweep totals are not the slot's budgets"
+        );
+        for (k, &i) in members.iter().enumerate() {
+            let want = match reference.subset_relative_interference_on(members, k) {
+                Some(t) => t <= inv_beta,
+                None => false,
+            };
+            assert_eq!(
+                kept.contains(&i),
+                want,
+                "{context}: target {i} verdict mismatch"
+            );
+        }
+        (kept, evicted)
+    }
+
     #[test]
     fn verdicts_match_is_feasible_by_affectance_exactly() {
         let model = SinrModel::default();
         let power = PowerAssignment::mean();
+        let mut evicting = 0;
         // Sweep spacings through the feasibility threshold; include sizes on
         // both sides of the exact cutoff so the certified path is exercised,
         // and every strategy/depth so the battery covers the whole matrix.
         for &(n, spacing) in &[
             (64usize, 3.0),
             (64, 8.0),
+            (400, 2.0),
             (400, 2.5),
             (400, 6.0),
             (400, 12.0),
@@ -796,33 +816,28 @@ mod tests {
             let links = field(n, spacing);
             let cache = PathLossCache::new(&model, &links, &power);
             let (powers, weights) = cache.into_parts();
+            let reference = PathLossCache::new(&model, &links, &power);
             for strategy in strategies() {
                 let verifier = AffectanceVerifier::new(&model, &links, &powers, &weights)
                     .with_strategy(strategy);
                 let members: Vec<usize> = (0..n).collect();
-                let (kept, evicted) = verifier.evict_infeasible(&members);
-                assert_eq!(kept.len() + evicted.len(), n);
+                let context = format!("n={n} spacing={spacing} {strategy:?}");
+                let (kept, evicted) = checked_sweep(
+                    &verifier,
+                    &reference,
+                    1.0 / model.beta(),
+                    &members,
+                    &context,
+                );
                 // Kept sets are genuinely feasible under the reference check.
                 assert!(
                     is_feasible_by_affectance(&model, &subset_links(&links, &kept), &power),
-                    "kept set infeasible at n={n} spacing={spacing} {strategy:?}"
+                    "kept set infeasible at {context}"
                 );
-                // And the sweep's verdicts agree with per-target reference sums.
-                let reference = PathLossCache::new(&model, &links, &power);
-                for (k, &i) in members.iter().enumerate() {
-                    let want = match reference.subset_relative_interference_on(&members, k) {
-                        Some(t) => t <= 1.0 / model.beta(),
-                        None => false,
-                    };
-                    assert_eq!(
-                        kept.contains(&i),
-                        want,
-                        "target {i} verdict mismatch at n={n} spacing={spacing} {strategy:?}"
-                    );
-                }
                 if evicted.is_empty() {
                     assert!(verifier.set_feasible(&members));
                 } else {
+                    evicting += 1;
                     assert!(!verifier.set_feasible(&members));
                     // Packing terminates and every packed slot is feasible.
                     for slot in verifier.pack_first_fit(&evicted) {
@@ -831,6 +846,54 @@ mod tests {
                             &subset_links(&links, &slot),
                             &power
                         ));
+                    }
+                }
+            }
+        }
+        assert!(evicting > 0, "the sweep covers slots that evict");
+
+        // Edge totals: a slot holding a link of unknown power (no target in
+        // it can be priced: budgets ∞, verdicts fail), a slot without it, a
+        // collocated pair (priced at ∞), and all of them again under a model
+        // whose 1/β overflows to ∞, where a priced ∞ passes and an
+        // unpriceable target still fails.
+        let tiny_beta = SinrModel::new(model.alpha(), 1e-320, 0.0).expect("valid model");
+        assert!((1.0 / tiny_beta.beta()).is_infinite());
+        let field_links = field(400, 2.5);
+        let partial = PowerAssignment::explicit(
+            (0..field_links.len())
+                .filter(|&i| i != 7)
+                .map(|i| (i, 1.0))
+                .collect(),
+        );
+        let collocated = vec![
+            Link::new(0, Point::new(0.0, 0.0), Point::new(1.0, 0.0)),
+            Link::new(1, Point::new(1.0, 0.0), Point::new(2.0, 0.0)),
+            Link::new(2, Point::new(60.0, 0.0), Point::new(61.0, 0.0)),
+        ];
+        let all: Vec<usize> = (0..field_links.len()).collect();
+        let without_7: Vec<usize> = all.iter().copied().filter(|&i| i != 7).collect();
+        let uniform = PowerAssignment::uniform(1.0);
+        let mean = PowerAssignment::mean();
+        let cases: [(&[Link], &PowerAssignment, &[usize], &str); 4] = [
+            (&field_links, &partial, &all, "unknown power"),
+            (&field_links, &partial, &without_7, "known powers"),
+            (&field_links, &mean, &all, "mean power"),
+            (&collocated, &uniform, &[0, 1, 2], "collocated"),
+        ];
+        for m in [model, tiny_beta] {
+            for &(links, power, members, label) in &cases {
+                let (powers, weights) = PathLossCache::new(&m, links, power).into_parts();
+                let reference = PathLossCache::new(&m, links, power);
+                for strategy in strategies() {
+                    let verifier = AffectanceVerifier::new(&m, links, &powers, &weights)
+                        .with_strategy(strategy);
+                    let context = format!("{label}, beta {}, {strategy:?}", m.beta());
+                    let (kept, _) =
+                        checked_sweep(&verifier, &reference, 1.0 / m.beta(), members, &context);
+                    if label == "unknown power" {
+                        assert!(kept.is_empty(), "{context}");
+                        assert!(verifier.budgets(members).iter().all(|b| b.is_infinite()));
                     }
                 }
             }
@@ -877,7 +940,7 @@ mod tests {
             let verifier =
                 AffectanceVerifier::new(&model, &links, &powers, &weights).with_strategy(strategy);
             let members: Vec<usize> = (0..links.len()).collect();
-            let (_, evicted) = verifier.evict_infeasible(&members);
+            let (_, evicted, _) = verifier.evict_infeasible(&members);
             assert!(
                 !evicted.is_empty(),
                 "tight field should force evictions ({strategy:?})"
@@ -910,7 +973,7 @@ mod tests {
         let (powers, weights) = cache.into_parts();
         let verifier = AffectanceVerifier::new(&model, &links, &powers, &weights);
         let members: Vec<usize> = (0..20).collect();
-        let (kept, evicted) = verifier.evict_infeasible(&members);
+        let (kept, evicted, _) = verifier.evict_infeasible(&members);
         assert!(kept.is_empty());
         assert_eq!(evicted.len(), 20);
         // Singletons are still trivially feasible.
@@ -932,7 +995,7 @@ mod tests {
         let cache = PathLossCache::new(&model, &links, &power);
         let (powers, weights) = cache.into_parts();
         let verifier = AffectanceVerifier::new(&model, &links, &powers, &weights);
-        let (kept, evicted) = verifier.evict_infeasible(&[0, 1, 2]);
+        let (kept, evicted, _) = verifier.evict_infeasible(&[0, 1, 2]);
         assert!(evicted.contains(&0)); // infinite interference on target 0
         assert!(kept.contains(&2));
     }

@@ -3,14 +3,18 @@
 //! `is_feasible_by_affectance`-clean, including traces that force ghost
 //! re-ownership at tile boundaries — and the flat (depth-1) and adaptive
 //! verifier strategies produce the identical stitched schedule at every
-//! point of a trace.
+//! point of a trace. The per-slot totals `schedule()` hands on beside the
+//! report are, wherever present, the slot's `AffectanceVerifier::budgets`
+//! bit for bit.
 
 use proptest::prelude::*;
 use wagg_geometry::{BoundingBox, Point};
-use wagg_partition::{PartitionedEngine, PartitionedEngineConfig, VerifierStrategy};
+use wagg_partition::{
+    AffectanceVerifier, PartitionedEngine, PartitionedEngineConfig, VerifierStrategy,
+};
 use wagg_schedule::{PowerMode, SchedulerConfig};
 use wagg_sinr::affectance::is_feasible_by_affectance;
-use wagg_sinr::Link;
+use wagg_sinr::{Link, PathLossCache};
 
 const SIDE: f64 = 120.0;
 const LEN_BOUNDS: (f64, f64) = (1.0, 1.5);
@@ -37,22 +41,36 @@ fn geometry(x: f64, y: f64, angle: f64, len: f64) -> (Point, Point) {
 }
 
 /// Asserts the engine's stitched schedule is a partition whose every slot
-/// passes the exact affectance check.
+/// passes the exact affectance check, and that every handed-on slot total is
+/// the slot's budget under the engine's strategy, bit for bit.
 fn assert_schedule_clean(e: &PartitionedEngine, context: &str) {
     let links: Vec<Link> = e.links();
-    let sharded = e.schedule();
+    let (sharded, totals) = e.schedule();
     assert!(
         sharded.report.schedule.is_partition(links.len()),
         "{context}: schedule is not a partition"
     );
     let config = e.config().scheduler;
     let assignment = config.mode.assignment().expect("fixed mode");
-    for slot in sharded.report.schedule.slots() {
+    let (powers, weights) = PathLossCache::new(&config.model, &links, &assignment).into_parts();
+    let verifier = AffectanceVerifier::new(&config.model, &links, &powers, &weights)
+        .with_strategy(e.config().verifier);
+    let slots = sharded.report.schedule.slots();
+    assert_eq!(totals.len(), slots.len(), "{context}: one entry per slot");
+    for (slot, totals) in slots.iter().zip(&totals) {
         let slot_links: Vec<Link> = slot.iter().map(|&i| links[i]).collect();
         assert!(
             is_feasible_by_affectance(&config.model, &slot_links, &assignment),
             "{context}: slot {slot:?} fails the affectance check"
         );
+        if let Some(totals) = totals {
+            let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(totals),
+                bits(&verifier.budgets(slot)),
+                "{context}: handed-on totals of slot {slot:?} are not its budgets"
+            );
+        }
     }
 }
 
@@ -103,7 +121,7 @@ proptest! {
         assert_schedule_clean(&hier, "end of trace");
         // Differential: the flat-verifier engine stitches the identical
         // schedule from the identical trace.
-        prop_assert_eq!(hier.schedule(), flat.schedule());
+        prop_assert_eq!(hier.schedule().0, flat.schedule().0);
     }
 }
 

@@ -9,9 +9,9 @@
 //! [`ScheduleReport`]; `From` wraps one with [`BackendKind::Static`]
 //! provenance, and [`SolveReport::new`] takes any other. The sharded
 //! pipeline (`wagg_partition::solve_sharded` and
-//! `wagg_partition::PartitionedEngine::schedule`) returns a [`SolveReport`]
-//! directly, tagged [`BackendKind::Sharded`] and carrying its
-//! [`ShardingStats`].
+//! `wagg_partition::PartitionedEngine::schedule`, which also returns its
+//! verification pass's per-slot totals) returns a [`SolveReport`] directly,
+//! tagged [`BackendKind::Sharded`] and carrying its [`ShardingStats`].
 //!
 //! [`SolveReport::summary`] renders the one-line report format every bench
 //! and profiling binary prints. The report's persisted form is

@@ -26,6 +26,14 @@
 //! `WarmState::capture`, which stays the correctness oracle — debug builds
 //! assert the committed colors equal a capture of the repaired report.
 //!
+//! A full recolor's anchor budgets come from the recolor itself where it
+//! can: [`Solver::solve`] returns, beside the report, the per-slot totals
+//! its verification pass computed. The hinted backend hands on those of
+//! every colour class `PartitionedEngine::schedule`'s certified pass kept
+//! whole; `Universe::anchor` prices only the other slots (classes that lost
+//! members, re-packed slots, and every slot of the other backends, whose
+//! exact verification keeps no totals).
+//!
 //! A backend lends only its neighbour map. Physical feasibility comes from
 //! the universe itself: under a pinned assignment (noise-free, fixed
 //! powers, verified slots) the universe's [`SlotIndex`] is priced, and the
@@ -35,7 +43,7 @@
 //! probe checks the materialised slot.
 
 use crate::state;
-use crate::{slot_index, RepairPolicy, Universe};
+use crate::{slot_index, SessionConfig, Universe};
 use std::collections::HashMap;
 use wagg_engine::{EngineConfig, InterferenceEngine};
 use wagg_obs::Recorder;
@@ -85,8 +93,11 @@ pub(crate) trait Solver: std::fmt::Debug {
         universe.followers(node)
     }
 
-    /// Schedules the universe from scratch.
-    fn solve(&self, universe: &Universe, rec: &Recorder) -> SolveReport;
+    /// Schedules the universe from scratch. Beside the report, the per-slot
+    /// totals its certified verification pass computed (see
+    /// `PartitionedEngine::schedule`), which are the anchor's budgets for
+    /// those slots; empty when the backend keeps none.
+    fn solve(&self, universe: &Universe, rec: &Recorder) -> (SolveReport, Totals);
 
     /// Installs a `wagg-obs` recorder on the backend's own engines (see
     /// [`SessionBuilder::recorder`](crate::SessionBuilder::recorder)).
@@ -104,6 +115,10 @@ pub(crate) trait Solver: std::fmt::Debug {
         unreachable!("{} backends keep no warm state", self.kind())
     }
 }
+
+/// Per slot of a report, the verification pass's per-member totals where it
+/// kept them (see [`Solver::solve`]).
+pub(crate) type Totals = Vec<Option<Vec<f64>>>;
 
 /// One warm-repair kernel call short of its neighbour map: what
 /// [`solve_repair`] hands a backend's [`Solver::repair`] hook.
@@ -143,18 +158,19 @@ impl Kernel<'_> {
 /// Schedules `universe` by warm-start repair (see
 /// [`wagg_schedule::solve_repair`]): keep the previous assignment, re-place
 /// only the links the events unplaced, fall back to a full recolor when the
-/// schedule length drifts past `policy.max_drift`. A backend without
+/// schedule length drifts past `config.repair.max_drift`. A backend without
 /// incremental state recolors, tagged [`RepairDecision::Unsupported`]; the
 /// first repair-enabled solve is a full recolor tagged
 /// [`RepairDecision::ColdStart`] that anchors the warm state.
 pub(crate) fn solve_repair(
     universe: &mut Universe,
     backend: &dyn Solver,
-    policy: &RepairPolicy,
+    config: &SessionConfig,
     rec: &Recorder,
 ) -> SolveReport {
+    let policy = &config.repair;
     if !backend.repairs() {
-        let report = backend.solve(universe, rec);
+        let (report, _) = backend.solve(universe, rec);
         let (slots, links) = (report.slots(), report.num_links());
         return report.with_repair(RepairStats {
             decision: RepairDecision::Unsupported,
@@ -176,7 +192,7 @@ pub(crate) fn solve_repair(
             universe,
             backend,
             RepairDecision::ColdStart,
-            policy,
+            config,
             0,
             0.0,
             rec,
@@ -205,7 +221,7 @@ pub(crate) fn solve_repair(
     let drift = drift_vs(outcome.report.schedule.len(), baseline);
     if drift > policy.max_drift {
         let decision = RepairDecision::WatermarkBreach;
-        return full_recolor(universe, backend, decision, policy, dirty_links, drift, rec);
+        return full_recolor(universe, backend, decision, config, dirty_links, drift, rec);
     }
     rec.add("repair.warm_patched", 1);
     let mut solve = SolveReport::new(outcome.report, backend.kind()).with_repair(RepairStats {
@@ -220,21 +236,22 @@ pub(crate) fn solve_repair(
     solve
 }
 
-/// Recolors from scratch, re-anchors the warm baseline and wraps the
-/// result with repair provenance (`dirty_links` / `drift` describe the
-/// state that led here — zero for a cold start, the breaching measurement
-/// on a watermark fallback).
+/// Recolors from scratch, re-anchors the warm baseline on the recolor's
+/// report and totals, and wraps the result with repair provenance
+/// (`dirty_links` / `drift` describe the state that led here — zero for a
+/// cold start, the breaching measurement on a watermark fallback).
 fn full_recolor(
     universe: &mut Universe,
     backend: &dyn Solver,
     decision: RepairDecision,
-    policy: &RepairPolicy,
+    config: &SessionConfig,
     dirty_links: usize,
     drift: f64,
     rec: &Recorder,
 ) -> SolveReport {
-    let solve = backend.solve(universe, rec);
-    universe.anchor(&solve);
+    let policy = &config.repair;
+    let (solve, totals) = backend.solve(universe, rec);
+    universe.anchor(&solve, &totals, config.verifier, rec);
     rec.add("repair.warm_recaptured", 1);
     let (slots, links) = (solve.slots(), solve.num_links());
     solve.with_repair(RepairStats {
@@ -260,8 +277,9 @@ impl Solver for StaticBackend {
         BackendKind::Static
     }
 
-    fn solve(&self, universe: &Universe, rec: &Recorder) -> SolveReport {
-        solve_static(universe.links(), self.scheduler, rec).into()
+    fn solve(&self, universe: &Universe, rec: &Recorder) -> (SolveReport, Totals) {
+        let report = solve_static(universe.links(), self.scheduler, rec).into();
+        (report, Vec::new())
     }
 }
 
@@ -281,14 +299,15 @@ impl Solver for ShardedBackend {
         BackendKind::Sharded
     }
 
-    fn solve(&self, universe: &Universe, rec: &Recorder) -> SolveReport {
-        solve_sharded(
+    fn solve(&self, universe: &Universe, rec: &Recorder) -> (SolveReport, Totals) {
+        let report = solve_sharded(
             universe.links(),
             self.scheduler,
             self.shards,
             self.strategy,
             rec,
-        )
+        );
+        (report, Vec::new())
     }
 }
 
@@ -364,8 +383,9 @@ impl Solver for EngineBackend {
             .collect()
     }
 
-    fn solve(&self, _: &Universe, _: &Recorder) -> SolveReport {
-        SolveReport::new(self.engine.schedule(), BackendKind::Engine)
+    fn solve(&self, _: &Universe, _: &Recorder) -> (SolveReport, Totals) {
+        let report = SolveReport::new(self.engine.schedule(), BackendKind::Engine);
+        (report, Vec::new())
     }
 
     fn set_recorder(&mut self, rec: Recorder) {
@@ -452,7 +472,7 @@ impl Solver for HintedBackend {
             .expect("bound engine key is live");
     }
 
-    fn solve(&self, _: &Universe, _: &Recorder) -> SolveReport {
+    fn solve(&self, _: &Universe, _: &Recorder) -> (SolveReport, Totals) {
         self.engine.schedule()
     }
 
@@ -495,7 +515,7 @@ impl Solver for HintedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, Session};
+    use crate::{Backend, RepairPolicy, Session};
     use std::collections::BTreeMap;
     use wagg_geometry::{BoundingBox, Point};
     use wagg_schedule::PowerMode;

@@ -24,6 +24,16 @@
 //!   size, churn expectation and shard hints (thresholds derived from the
 //!   `BENCH_*.json` trajectory, see [`AUTO_SHARDED_THRESHOLD`]).
 //!
+//! With [`RepairPolicy::enabled`], every full recolor (the cold start, or a
+//! repair that drifted past the watermark) anchors the warm state: each
+//! link's slot and its affectance budget, the certified verifier's
+//! per-member total for its slot under the configured [`VerifierStrategy`].
+//! The recolor's own verification computes those totals. The hinted
+//! sharded backend hands over the totals of every slot its verification
+//! pass kept whole, and the anchor prices only the rest; the
+//! `anchor.slots_priced` counter reads zero on a hinted cold start that
+//! evicted nothing, and every slot on the engine backend.
+//!
 //! # Examples
 //!
 //! One-shot solve (backend picked automatically):
@@ -813,11 +823,11 @@ impl Session {
             backend::solve_repair(
                 &mut self.universe,
                 self.backend.as_ref(),
-                &self.config.repair,
+                &self.config,
                 &self.recorder,
             )
         } else {
-            self.backend.solve(&self.universe, &self.recorder)
+            self.backend.solve(&self.universe, &self.recorder).0
         };
         let wall_nanos = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         // The wall histogram must land before the snapshot so the metrics
@@ -1135,20 +1145,52 @@ impl Universe {
     }
 
     /// Re-anchors the warm state on a full recolor's report, overwriting
-    /// whatever a breaching repair left. Budgets come from the certified
-    /// verifier under a pinned assignment; a sharded solve's occupancy
-    /// skew is carried along.
-    fn anchor(&mut self, solve: &SolveReport) {
+    /// whatever a breaching repair left; a sharded solve's occupancy skew is
+    /// carried along. Under a pinned assignment the budgets are the
+    /// certified verifier's per-member totals: a slot takes the `totals`
+    /// the recolor's own verification pass handed over for it, and
+    /// [`recolor_budgets`] prices the rest under `strategy`, counting them
+    /// in `anchor.slots_priced`. Debug builds check the result against a
+    /// from-scratch capture bit for bit. Recorded as an `anchor` span with
+    /// `budgets` and `index` children.
+    fn anchor(
+        &mut self,
+        solve: &SolveReport,
+        totals: &[Option<Vec<f64>>],
+        strategy: VerifierStrategy,
+        rec: &Recorder,
+    ) {
+        let span = rec.span("anchor");
         let config = self.scheduler;
         self.repair = None;
-        let budgets = match pinned_assignment(&config) {
-            Some(assignment) => recolor_budgets(&config, &self.links, &assignment, solve),
-            None => vec![0.0; self.links.len()],
+        let budgets_span = span.child("budgets");
+        let slots = solve.schedule().slots();
+        let (budgets, priced) = match pinned_assignment(&config) {
+            Some(assignment) => {
+                let (budgets, priced) =
+                    recolor_budgets(&config, strategy, &self.links, &assignment, slots, totals);
+                if cfg!(debug_assertions) && priced < slots.len() {
+                    let (scratch, _) =
+                        recolor_budgets(&config, strategy, &self.links, &assignment, slots, &[]);
+                    let bits = |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert!(
+                        bits(&budgets) == bits(&scratch),
+                        "handed-over budgets diverge from a from-scratch capture"
+                    );
+                }
+                (budgets, priced)
+            }
+            None => (vec![0.0; self.links.len()], 0),
         };
+        rec.add("anchor.slots_priced", priced as u64);
+        budgets_span.finish();
+        let index_span = span.child("index");
         let skew = solve
             .sharding
             .map(|s| (s.max_owned, s.mean_owned, s.ghost_fraction));
         self.install(WarmState::capture(&solve.report, budgets, skew));
+        index_span.finish();
+        span.finish();
     }
 }
 
@@ -1225,27 +1267,48 @@ impl LengthRange {
     }
 }
 
-/// Per-vertex warm budgets for a freshly recolored schedule, captured
-/// through the certified hierarchical verifier (near-linear per slot —
-/// certified upper bounds are exactly what the additive repair contract
-/// wants, and on a just-verified schedule every budget lands within `1/β`).
-/// The verifier's parts come from a [`PathLossCache`] of the links under
-/// `assignment`, O(n) like the capture itself.
+/// Per-vertex warm budgets for a freshly recolored schedule's `slots`, and
+/// how many slots this priced itself. Slot `s` takes `handed[s]` when the
+/// recolor's verification pass handed its totals over; every other slot is
+/// priced through the certified verifier under `strategy` (near-linear per
+/// slot — certified upper bounds are exactly what the additive repair
+/// contract wants, and on a just-verified schedule every budget lands
+/// within `1/β`). The verifier's parts come from a [`PathLossCache`] of the
+/// links under `assignment`, built only when some slot needs pricing. With
+/// `handed` empty this is the from-scratch capture.
 fn recolor_budgets(
     config: &SchedulerConfig,
+    strategy: VerifierStrategy,
     links: &[Link],
     assignment: &PowerAssignment,
-    solve: &SolveReport,
-) -> Vec<f64> {
-    let (powers, weights) = PathLossCache::new(&config.model, links, assignment).into_parts();
-    let verifier = AffectanceVerifier::new(&config.model, links, &powers, &weights);
+    slots: &[Vec<usize>],
+    handed: &[Option<Vec<f64>>],
+) -> (Vec<f64>, usize) {
+    debug_assert!(handed.is_empty() || handed.len() == slots.len());
     let mut budgets = vec![0.0f64; links.len()];
-    for slot in solve.schedule().slots() {
-        for (&i, b) in slot.iter().zip(verifier.budgets(slot)) {
-            budgets[i] = b;
+    let mut unpriced: Vec<&[usize]> = Vec::new();
+    for (s, slot) in slots.iter().enumerate() {
+        match handed.get(s).and_then(Option::as_deref) {
+            Some(totals) => {
+                debug_assert_eq!(totals.len(), slot.len(), "one total per member");
+                for (&i, &b) in slot.iter().zip(totals) {
+                    budgets[i] = b;
+                }
+            }
+            None => unpriced.push(slot),
         }
     }
-    budgets
+    if !unpriced.is_empty() {
+        let (powers, weights) = PathLossCache::new(&config.model, links, assignment).into_parts();
+        let verifier = AffectanceVerifier::new(&config.model, links, &powers, &weights)
+            .with_strategy(strategy);
+        for slot in &unpriced {
+            for (&i, b) in slot.iter().zip(verifier.budgets(slot)) {
+                budgets[i] = b;
+            }
+        }
+    }
+    (budgets, unpriced.len())
 }
 
 /// The power assignment `config`'s mode pins under a noise-free model with
@@ -1643,6 +1706,164 @@ mod tests {
         assert!(m.phase("repair/place").is_some());
         assert!(m.phase("repair/commit").is_some());
         assert_eq!(m.counter("repair.dirty"), Some(1));
+    }
+
+    /// The anchor's exact work: `anchor.slots_priced` after one cold
+    /// repair solve, the cold report, and the anchored warm budgets.
+    fn cold_anchor(builder: SessionBuilder) -> (u64, SolveReport, Session) {
+        let rec = Recorder::new();
+        let mut session = builder
+            .repair(RepairPolicy::enabled())
+            .recorder(rec.clone())
+            .build();
+        let solve = session.solve();
+        assert_eq!(
+            solve.repair.map(|r| r.decision),
+            Some(RepairDecision::ColdStart)
+        );
+        let m = rec.metrics();
+        for path in ["anchor", "anchor/budgets", "anchor/index"] {
+            assert!(m.phase(path).is_some(), "the anchor records {path}");
+        }
+        let priced = m
+            .counter("anchor.slots_priced")
+            .expect("the anchor counts the slots it priced");
+        (priced, solve, session)
+    }
+
+    /// A hinted sharded and an engine builder over `links` under `scheduler`.
+    fn engine_backends(scheduler: SchedulerConfig, links: &[Link]) -> [SessionBuilder; 2] {
+        let side = links
+            .iter()
+            .flat_map(|l| [l.sender.x, l.sender.y, l.receiver.x, l.receiver.y])
+            .fold(0.0, f64::max);
+        [
+            Session::builder()
+                .scheduler(scheduler)
+                .backend(Backend::Sharded)
+                .target_shards(4)
+                .partition_hints(
+                    BoundingBox::new(-2.0, -2.0, side + 2.0, side + 2.0),
+                    (0.5, 2.0),
+                )
+                .links(links),
+            Session::builder()
+                .scheduler(scheduler)
+                .backend(Backend::Engine)
+                .links(links),
+        ]
+    }
+
+    /// The budgets `strategy`'s verifier gives every slot of `solve`, from
+    /// scratch, by position.
+    fn strategy_budgets(
+        session: &Session,
+        solve: &SolveReport,
+        strategy: VerifierStrategy,
+    ) -> Vec<f64> {
+        let config = session.config().scheduler;
+        let links = session.links();
+        let assignment = pinned_assignment(&config).expect("a pinned assignment");
+        let (powers, weights) = PathLossCache::new(&config.model, &links, &assignment).into_parts();
+        let verifier = AffectanceVerifier::new(&config.model, &links, &powers, &weights)
+            .with_strategy(strategy);
+        let mut budgets = vec![f64::NAN; links.len()];
+        for slot in solve.schedule().slots() {
+            for (&i, b) in slot.iter().zip(verifier.budgets(slot)) {
+                budgets[i] = b;
+            }
+        }
+        budgets
+    }
+
+    fn bits(budgets: &[f64]) -> Vec<u64> {
+        budgets.iter().map(|b| b.to_bits()).collect()
+    }
+
+    /// A configured far field is the one both the recolor and the anchor
+    /// price with: the anchored budgets are that strategy's on every slot,
+    /// on the hinted backend (handed over) and the engine (priced).
+    #[test]
+    fn the_anchor_prices_with_the_configured_strategy() {
+        let scheduler = SchedulerConfig::new(PowerMode::mean_oblivious());
+        let links = grid_links(400, 3.0);
+        let strategy = VerifierStrategy::Hierarchical { depth: Some(2) };
+        for builder in engine_backends(scheduler, &links) {
+            let (_, solve, session) = cold_anchor(builder.verifier(strategy));
+            let kind = session.backend_kind();
+            let largest = solve.schedule().slots().iter().map(Vec::len).max();
+            assert!(largest > Some(192), "{kind}: largest slot {largest:?}");
+            let warm = session.warm_state().expect("anchored");
+            let want = strategy_budgets(&session, &solve, strategy);
+            assert_eq!(bits(&warm.budgets), bits(&want), "{kind}");
+            // The default far field prices some slot differently, so the
+            // check above tells the two strategies apart.
+            let default = strategy_budgets(&session, &solve, VerifierStrategy::default());
+            assert_ne!(bits(&default), bits(&want), "{kind}");
+        }
+    }
+
+    /// The anchor prices only the slots that arrive without totals: none on
+    /// a hinted cold solve whose verification evicted nothing, every slot on
+    /// the engine backend, whose exact verification keeps no totals.
+    #[test]
+    fn the_anchor_prices_only_slots_without_handed_totals() {
+        let scheduler = SchedulerConfig::new(PowerMode::mean_oblivious());
+        let links = grid_links(400, 3.0);
+        let [hinted, engine] = engine_backends(scheduler, &links);
+        let (priced, solve, _) = cold_anchor(hinted);
+        let sharding = solve.sharding.expect("sharded provenance");
+        assert_eq!(sharding.evicted_links, 0, "the premise: nothing evicted");
+        assert_eq!(priced, 0, "hinted: every slot handed over");
+        let (priced, solve, _) = cold_anchor(engine);
+        assert_eq!(priced, solve.slots() as u64, "engine: every slot priced");
+    }
+
+    /// Where the hinted recolor's verification evicts, the anchor prices
+    /// exactly the slots `PartitionedEngine::schedule` hands over without
+    /// totals (the classes that lost members and the packed slots), and
+    /// every budget equals a from-scratch capture bit for bit.
+    #[test]
+    fn evicting_recolors_price_the_classes_that_lost_members() {
+        let scheduler = SchedulerConfig::new(PowerMode::mean_oblivious())
+            .with_model(wagg_sinr::SinrModel::default().with_strong_beta());
+        let links = grid_links(400, 3.0);
+        let [hinted, _] = engine_backends(scheduler, &links);
+        let (priced, solve, session) = cold_anchor(hinted);
+        let sharding = solve.sharding.expect("sharded provenance");
+        assert!(sharding.evicted_links > 0, "the premise: phase 4 evicts");
+
+        let config = session.config();
+        let hints = config.partition.expect("hinted");
+        let pconfig = PartitionedEngineConfig::new(
+            scheduler,
+            hints.extent,
+            hints.length_bounds,
+            config.effective_shards(),
+        );
+        let (report, totals) =
+            wagg_partition::PartitionedEngine::with_links(pconfig, &links).schedule();
+        assert_eq!(report.report, solve.report);
+        let without = totals.iter().filter(|t| t.is_none()).count();
+        assert!(
+            without > 0 && without < solve.slots(),
+            "{without} of {}",
+            solve.slots()
+        );
+        assert_eq!(priced, without as u64);
+
+        let assignment = pinned_assignment(&scheduler).expect("a pinned assignment");
+        let (scratch, all) = recolor_budgets(
+            &scheduler,
+            config.verifier,
+            &session.links(),
+            &assignment,
+            solve.schedule().slots(),
+            &[],
+        );
+        assert_eq!(all, solve.slots());
+        let warm = session.warm_state().expect("anchored");
+        assert_eq!(bits(&warm.budgets), bits(&scratch));
     }
 
     #[test]

@@ -212,7 +212,7 @@ fn hinted_sharded_backend_reproduces_partitioned_engine() {
     legacy.relocate_link(legacy_keys[5], s, r).unwrap();
     session.relocate(session_keys[5], s, r).unwrap();
 
-    let legacy_report = legacy.schedule();
+    let (legacy_report, _) = legacy.schedule();
     let solve = session.solve();
     assert_eq!(
         solve, legacy_report,

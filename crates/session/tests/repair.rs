@@ -376,7 +376,7 @@ fn watermark_breach_falls_back_to_the_full_recolor() {
                 for &(s, r) in &[a, c, b] {
                     legacy.insert_link(s, r);
                 }
-                legacy.schedule().report
+                legacy.schedule().0.report
             }
         };
         assert_eq!(
