@@ -54,8 +54,9 @@ if [[ "$MODE" != "quick" ]]; then
   echo "==> release build (tier-1)"
   cargo build --release
 
-  echo "==> warm-repair suites in the configuration perfbench measures (release, serial): wagg-schedule's unit tests (the chunked slot index and admission kernel against their references, optimised), the session's unit tests (the carried slot index against a rebuild on both engine backends, the anchor's handed-over budgets and its exact work), the warm-repair suite with its pin, and the session differential suite (hinted and re-tiling sessions against PartitionedEngine::schedule and solve_sharded)"
+  echo "==> chunked-kernel suites in the configuration perfbench measures (release, serial): wagg-schedule's unit tests (the chunked slot index, admission kernel and first fit against their references, optimised), wagg-partition's unit tests (the sharded repack on that first fit against a fresh first fit), the session's unit tests (the carried slot index against a rebuild on both engine backends, the anchor's handed-over budgets and its exact work), the warm-repair suite with its pin, and the session differential suite (hinted and re-tiling sessions against PartitionedEngine::schedule and solve_sharded)"
   cargo test -q --release --no-default-features -p wagg-schedule --lib
+  cargo test -q --release --no-default-features -p wagg-partition --lib
   cargo test -q --release --no-default-features -p wagg-session --lib
   cargo test -q --release --no-default-features -p wagg-session --test repair
   cargo test -q --release --no-default-features -p wagg-session --test differential

@@ -578,14 +578,10 @@ impl InterferenceEngine {
     /// patched per-link state. `None` when a needed power or the target
     /// weight is unavailable, mirroring `PathLossCache`.
     pub fn relative_interference_on(&self, slot: usize) -> Option<f64> {
-        let members = self.live_slots();
-        let target = members
-            .binary_search(&slot)
-            .expect("slot must hold a live link");
         relative_interference_sum(
             wagg_sinr::AlphaPow::new(self.config.scheduler.model.alpha()),
-            &members,
-            target,
+            self.live_slots(),
+            slot,
             self.weights[slot],
             |j| self.links[j].as_ref().expect("live slot"),
             |j| self.powers[j],
@@ -603,12 +599,12 @@ impl InterferenceEngine {
     pub fn subset_feasible(&self, slots: &[usize]) -> bool {
         let pow = wagg_sinr::AlphaPow::new(self.config.scheduler.model.alpha());
         let inv_beta = 1.0 / self.config.scheduler.model.beta();
-        (0..slots.len()).all(|k| {
+        slots.iter().all(|&target| {
             let total = relative_interference_sum(
                 pow,
-                slots,
-                k,
-                self.weights[slots[k]],
+                slots.iter().copied(),
+                target,
+                self.weights[target],
                 |j| self.links[j].as_ref().expect("live slot"),
                 |j| self.powers[j],
             );

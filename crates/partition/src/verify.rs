@@ -51,18 +51,19 @@
 //! hurts the remaining targets. One verification sweep therefore yields a
 //! feasible slot — keep the passing targets, evict the failing ones — and
 //! the evicted links are re-packed first-fit by
-//! [`AffectanceVerifier::pack_first_fit`]. The grid-shape state (the sender
-//! extent every slot grid is anchored to) is folded once per verifier, on
-//! the first slot grid built, so the repack loop's repeated feasibility
-//! probes and the query path share one layout instead of re-deriving it per
-//! call — and a verifier whose slots all stay under the exact cutoff never
-//! pays for the fold.
+//! [`AffectanceVerifier::pack_first_fit`], on `wagg_schedule`'s first-fit
+//! kernel: exact running sums per packed slot, no pyramid. The grid-shape
+//! state (the sender extent every slot grid is anchored to) is folded once
+//! per verifier, on the first slot grid built, so every slot query shares
+//! one layout — and a verifier whose slots all stay under the exact cutoff
+//! never pays for the fold.
 
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use wagg_geometry::pyramid::GridPyramid;
 use wagg_geometry::{BoundingBox, Point};
 use wagg_obs::{Counter, Recorder};
+use wagg_schedule::repair::first_fit;
 use wagg_sinr::link::LinkId;
 use wagg_sinr::pathloss::relative_interference_sum;
 use wagg_sinr::{AlphaPow, Link, SinrModel};
@@ -134,14 +135,14 @@ pub struct AffectanceVerifier<'a> {
     links: &'a [Link],
     powers: &'a [Option<f64>],
     weights: &'a [Option<f64>],
+    model: SinrModel,
     pow: AlphaPow,
     inv_beta: f64,
     strategy: VerifierStrategy,
     /// Bounding box of every sender in the universe — the shared grid
-    /// anchor for every slot query and every repack probe (`None` only for
-    /// an empty universe). Folded on first use: only slot pyramids read it,
-    /// so a verifier whose slots stay under the exact cutoff never pays the
-    /// O(n) fold.
+    /// anchor for every slot query (`None` only for an empty universe).
+    /// Folded on first use: only slot pyramids read it, so a verifier whose
+    /// slots stay under the exact cutoff never pays the O(n) fold.
     sender_extent: OnceLock<Option<BoundingBox>>,
     /// `verifier.expansions`: pyramid nodes opened during certify descents
     /// (accumulated locally per target, one atomic add per certify call).
@@ -175,6 +176,7 @@ impl<'a> AffectanceVerifier<'a> {
             links,
             powers,
             weights,
+            model: *model,
             pow: AlphaPow::new(model.alpha()),
             inv_beta: 1.0 / model.beta(),
             strategy: VerifierStrategy::default(),
@@ -237,8 +239,8 @@ impl<'a> AffectanceVerifier<'a> {
     fn exact_total(&self, members: &[usize], k: usize) -> Option<f64> {
         relative_interference_sum(
             self.pow,
-            members,
-            k,
+            members.iter().copied(),
+            members[k],
             self.weights[members[k]],
             |j| &self.links[j],
             |j| self.powers[j],
@@ -367,11 +369,21 @@ impl<'a> AffectanceVerifier<'a> {
     }
 
     /// Packs `evicted` links into fresh slots, first-fit in non-increasing
-    /// length order (ties by index — the deterministic order the unsharded
-    /// splitter uses). A link that fits nowhere opens its own slot, so the
-    /// packing always terminates; singleton slots are trivially feasible.
-    /// The result depends only on the evicted *set* (the sort canonicalises
-    /// the input order) and the verifier's construction inputs.
+    /// length order with ties by index, on the workspace's one first-fit
+    /// kernel ([`first_fit`]): a link joins the first slot whose members'
+    /// exact affectance sums, its own included, stay within `1/β` with it
+    /// added. A link that fits nowhere opens its own slot, so the packing
+    /// always terminates; singleton slots are trivially feasible. The
+    /// result depends only on the evicted *set* (the sort canonicalises the
+    /// input order) and the verifier's construction inputs, not on its
+    /// strategy: the probes build no pyramid, so a repack counts only in
+    /// `verifier.repacked`.
+    ///
+    /// The unsharded splitter, [`split_class_into_feasible`], ties by link
+    /// id instead. The two orders agree on the pipeline's verifiers only
+    /// because the pipeline relabels every link's id to its position.
+    ///
+    /// [`split_class_into_feasible`]: wagg_schedule::split_class_into_feasible
     pub fn pack_first_fit(&self, evicted: &[usize]) -> Vec<Vec<usize>> {
         self.repacked.add(evicted.len() as u64);
         let mut order = evicted.to_vec();
@@ -381,25 +393,7 @@ impl<'a> AffectanceVerifier<'a> {
                 .total_cmp(&self.links[a].length())
                 .then(a.cmp(&b))
         });
-        let mut slots: Vec<Vec<usize>> = Vec::new();
-        let mut candidate: Vec<usize> = Vec::new();
-        for idx in order {
-            let mut placed = false;
-            for slot in slots.iter_mut() {
-                candidate.clear();
-                candidate.extend_from_slice(slot);
-                candidate.push(idx);
-                if self.set_feasible(&candidate) {
-                    slot.push(idx);
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                slots.push(vec![idx]);
-            }
-        }
-        slots
+        first_fit(self.links, (self.powers, self.weights), &self.model, &order)
     }
 }
 
@@ -962,6 +956,109 @@ mod tests {
                 ));
             }
         }
+    }
+
+    /// The repack as a plain first fit: `evicted` in non-increasing length
+    /// order with ties by index, every candidate materialised and checked
+    /// with `is_feasible_by_affectance`.
+    fn reference_pack(
+        model: &SinrModel,
+        links: &[Link],
+        power: &PowerAssignment,
+        evicted: &[usize],
+    ) -> Vec<Vec<usize>> {
+        let mut order = evicted.to_vec();
+        order.sort_by(|&a, &b| {
+            links[b]
+                .length()
+                .total_cmp(&links[a].length())
+                .then(a.cmp(&b))
+        });
+        let mut slots: Vec<Vec<usize>> = Vec::new();
+        for idx in order {
+            let fit = slots.iter().position(|slot| {
+                let mut candidate = slot.clone();
+                candidate.push(idx);
+                is_feasible_by_affectance(model, &subset_links(links, &candidate), power)
+            });
+            match fit {
+                Some(s) => slots[s].push(idx),
+                None => slots.push(vec![idx]),
+            }
+        }
+        slots
+    }
+
+    #[test]
+    fn repack_is_a_fresh_first_fit() {
+        // Which packing the repack produces, not only that it is feasible:
+        // under every strategy, the slots of probing every candidate afresh.
+        // The sets to pack are a sweep's evictions, the whole field and two
+        // random halves; the cases cover a link without power, links sharing
+        // ids (one per pair) and a model whose 1/β overflows to ∞.
+        let tiny_beta = SinrModel::new(3.0, 1e-320, 0.0).expect("valid model");
+        assert!((1.0 / tiny_beta.beta()).is_infinite());
+        let models = [
+            SinrModel::default(),
+            SinrModel::default().with_strong_beta(),
+            tiny_beta,
+        ];
+        let tight = field(300, 2.0);
+        let mut shared = field(160, 2.5);
+        for (i, link) in shared.iter_mut().enumerate() {
+            link.id = (i / 2).into();
+        }
+        let mean = PowerAssignment::mean();
+        let without_7 = PowerAssignment::explicit(
+            (0..tight.len())
+                .filter(|&i| i != 7)
+                .map(|i| (i, 1.0))
+                .collect(),
+        );
+        let cases: [(&[Link], &PowerAssignment, &str); 3] = [
+            (&tight, &mean, "mean power"),
+            (&tight, &without_7, "no power at 7"),
+            (&shared, &mean, "shared ids"),
+        ];
+        let mut state = 0x5851_f42d_4c95_7f2du64;
+        let mut coin = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state & 1 == 0
+        };
+        let mut shared_slots = 0;
+        for model in models {
+            for &(links, power, label) in &cases {
+                let (powers, weights) = PathLossCache::new(&model, links, power).into_parts();
+                let all: Vec<usize> = (0..links.len()).collect();
+                let (_, evicted, _) = AffectanceVerifier::new(&model, links, &powers, &weights)
+                    .evict_infeasible(&all);
+                let mut sets = vec![evicted, all.clone()];
+                for _ in 0..2 {
+                    sets.push(all.iter().copied().filter(|_| coin()).collect());
+                }
+                for set in &sets {
+                    let want = reference_pack(&model, links, power, set);
+                    shared_slots += want.iter().filter(|slot| slot.len() > 1).count();
+                    for strategy in strategies() {
+                        let verifier = AffectanceVerifier::new(&model, links, &powers, &weights)
+                            .with_strategy(strategy);
+                        assert_eq!(
+                            verifier.pack_first_fit(set),
+                            want,
+                            "{label}, beta {}, {strategy:?}, {} links",
+                            model.beta(),
+                            set.len()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            shared_slots > 100,
+            "only {shared_slots} packed slots shared"
+        );
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! part of a repair walks the whole universe except the copy of the
 //! schedule into its report.
 //!
+//! The additive admission is the workspace's one first fit under the
+//! affectance threshold. It has three callers: [`solve_repair`]'s warm
+//! placement and, through [`first_fit`], the static split of a colour class
+//! ([`split_class_into_feasible`]) and the sharded verifier's repack
+//! (`wagg_partition::AffectanceVerifier::pack_first_fit`).
+//!
 //! The module is backend-agnostic: callers supply the conflict neighbourhood
 //! (`neighbors`, e.g. the engine's incrementally maintained adjacency rows)
 //! and, where the additive affectance kernel applies, a priced
@@ -63,7 +69,8 @@ use crate::scheduler::{slot_ok, ScheduleReport, SchedulerConfig};
 use serde::{Deserialize, Serialize};
 use wagg_obs::Recorder;
 pub use wagg_obs::RepairDecision;
-use wagg_sinr::{AlphaPow, Link, PricedLink, SinrModel};
+use wagg_sinr::pathloss::relative_interference_sum;
+use wagg_sinr::{AlphaPow, Link, LinkId, PricedLink, SinrModel};
 
 /// Warm-start accounting carried by repair-enabled
 /// [`SolveReport`](crate::SolveReport)s (`None` when repair is disabled —
@@ -923,14 +930,7 @@ pub fn solve_repair(
                 let newcomer = values.as_ref().expect("a priced index records every link");
                 match admits(slot, newcomer, pow, threshold, &mut added) {
                     Ok(own) => {
-                        let mut on = added.as_slice();
-                        for chunk in &mut slot.chunks {
-                            let (here, rest) = on.split_at(chunk.len);
-                            for (b, &term) in chunk.column_mut(BUDGET).iter_mut().zip(here) {
-                                *b += term;
-                            }
-                            on = rest;
-                        }
+                        absorb(slot, &added);
                         terms += 2 * slot.len() as u64;
                         budget = own;
                     }
@@ -1029,6 +1029,110 @@ pub fn solve_repair(
     }
 }
 
+/// First fit of `order` (positions into `links`) under the threshold `1/β`
+/// of `model`: each link joins the first sub-slot in which every member's
+/// relative-interference sum, its own included, stays within `1/β` with it
+/// added, or opens a new one. `(powers, weights)` are the links' cached
+/// parts, position for position, as [`PathLossCache::parts`] lends them.
+/// Returns the sub-slots, members in join order.
+///
+/// The sub-slots are those of probing each candidate afresh with the exact
+/// sum ([`PathLossCache::subset_feasible`]), at O(|sub-slot|) per probe: a
+/// sub-slot is a priced chunk list of its members at their join indices,
+/// each member's budget its running sum, probed by the warm admission. The
+/// running sums add the fresh probe's terms in its order, the newcomer
+/// last, so every verdict is bit-identical. Where the kernel cannot be, the
+/// candidates are probed afresh: a `1/β` that overflows to `∞` admits the
+/// `∞` term of a missing part, where the fresh sum is `None`; and two links
+/// of `order` sharing an id are priced as distinct transmitters, where the
+/// fresh sum skips an interferer carrying the target's id.
+///
+/// [`PathLossCache::parts`]: wagg_sinr::PathLossCache::parts
+/// [`PathLossCache::subset_feasible`]: wagg_sinr::PathLossCache::subset_feasible
+pub fn first_fit(
+    links: &[Link],
+    (powers, weights): (&[Option<f64>], &[Option<f64>]),
+    model: &SinrModel,
+    order: &[usize],
+) -> Vec<Vec<usize>> {
+    let pow = AlphaPow::new(model.alpha());
+    let threshold = 1.0 / model.beta();
+    let mut ids: Vec<LinkId> = order.iter().map(|&i| links[i].id).collect();
+    ids.sort_unstable();
+    if !threshold.is_finite() || ids.windows(2).any(|w| w[0] == w[1]) {
+        return first_fit_by(order, |grown| {
+            grown.iter().all(|&t| {
+                let (sources, weight) = (grown.iter().copied(), weights[t]);
+                relative_interference_sum(pow, sources, t, weight, |j| &links[j], |j| powers[j])
+                    .is_some_and(|sum| sum <= threshold)
+            })
+        });
+    }
+    let mut slots: Vec<Slot> = Vec::new();
+    let mut added = Vec::new();
+    for (k, &i) in order.iter().enumerate() {
+        let link = &links[i];
+        let mut values = entry(&PricedLink {
+            sender: link.sender,
+            receiver: link.receiver,
+            power: powers[i],
+            weight: weights[i],
+        });
+        let fit = slots.iter_mut().position(|slot| {
+            let Ok(own) = admits(slot, &values, pow, threshold, &mut added) else {
+                return false;
+            };
+            absorb(slot, &added);
+            values[BUDGET] = own;
+            true
+        });
+        let c = fit.unwrap_or_else(|| {
+            slots.push(Slot::default());
+            slots.len() - 1
+        });
+        slots[c].insert(k, Some(values));
+    }
+    let members = |slot: &Slot| slot.positions().map(|k| order[k]).collect();
+    slots.iter().map(members).collect()
+}
+
+/// First fit of `order` by a whole-candidate check: each link joins the
+/// first sub-slot that `fits` with the link appended, or opens a new one.
+pub(crate) fn first_fit_by(
+    order: &[usize],
+    mut fits: impl FnMut(&[usize]) -> bool,
+) -> Vec<Vec<usize>> {
+    let mut slots: Vec<Vec<usize>> = Vec::new();
+    let mut candidate = Vec::new();
+    for &i in order {
+        let fit = slots.iter().position(|slot| {
+            candidate.clear();
+            candidate.extend_from_slice(slot);
+            candidate.push(i);
+            fits(&candidate)
+        });
+        match fit {
+            Some(s) => slots[s].push(i),
+            None => slots.push(vec![i]),
+        }
+    }
+    slots
+}
+
+/// Adds an admission's priced terms to its slotmates' budgets: `added[k]`,
+/// as [`admits`] leaves it, on the slot's `k`-th member.
+#[inline(always)]
+fn absorb(slot: &mut Slot, added: &[f64]) {
+    let mut on = added;
+    for chunk in &mut slot.chunks {
+        let (here, rest) = on.split_at(chunk.len);
+        for (b, &term) in chunk.column_mut(BUDGET).iter_mut().zip(here) {
+            *b += term;
+        }
+        on = rest;
+    }
+}
+
 /// The additive admission probe of `newcomer` into `slot`: every slotmate
 /// must absorb the newcomer's term within `threshold`, and the newcomer's
 /// own sum must close under it. `Ok` carries the own sum, with `added`
@@ -1119,7 +1223,7 @@ mod tests {
     use wagg_conflict::ConflictGraph;
     use wagg_geometry::Point;
     use wagg_sinr::link::link_diversity;
-    use wagg_sinr::PathLossCache;
+    use wagg_sinr::{PathLossCache, PowerAssignment};
 
     fn chain(n: usize, spacing: f64) -> Vec<Link> {
         (0..n)
@@ -1965,6 +2069,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn line_link(id: usize, s: f64, r: f64) -> Link {
+        Link::new(id, Point::on_line(s), Point::on_line(r))
+    }
+
+    /// First fit with every candidate checked afresh by `subset_feasible`.
+    fn fresh_first_fit(cache: &PathLossCache<'_>, order: &[usize]) -> Vec<Vec<usize>> {
+        let mut slots: Vec<Vec<usize>> = Vec::new();
+        for &idx in order {
+            let fit = slots.iter().position(|slot| {
+                let mut candidate = slot.clone();
+                candidate.push(idx);
+                cache.subset_feasible(&candidate)
+            });
+            match fit {
+                Some(s) => slots[s].push(idx),
+                None => slots.push(vec![idx]),
+            }
+        }
+        slots
+    }
+
+    #[test]
+    fn first_fit_running_sums_are_bit_identical_at_the_threshold() {
+        // Put 1/β exactly on (and one ulp below) every sum a first fit over
+        // ascending positions can evaluate: a running sum that drifts by
+        // one ulp from the fresh probe's flips a verdict here.
+        let links = vec![
+            line_link(0, 0.0, 1.0),
+            line_link(1, 3.0, 4.5),
+            line_link(2, 9.0, 7.0),
+            line_link(3, 12.0, 12.7),
+            line_link(4, 20.0, 17.5),
+            line_link(5, 26.0, 27.0),
+        ];
+        let power = PowerAssignment::mean();
+        let base = PathLossCache::new(&SinrModel::default(), &links, &power);
+        let order: Vec<usize> = (0..links.len()).collect();
+        let mut sums = Vec::new();
+        for mask in 1u32..(1 << links.len()) {
+            let members: Vec<usize> = order
+                .iter()
+                .copied()
+                .filter(|&i| mask & (1 << i) != 0)
+                .collect();
+            for k in 0..members.len() {
+                sums.extend(base.subset_relative_interference_on(&members, k));
+            }
+        }
+        let mut exact = 0;
+        for threshold in sums.into_iter().flat_map(|s| [s, s.next_down()]) {
+            // A β whose reciprocal is exactly the threshold, if one exists.
+            let mut beta = 1.0 / threshold;
+            for _ in 0..4 {
+                let inv = 1.0 / beta;
+                if inv == threshold {
+                    break;
+                }
+                beta = if inv < threshold {
+                    beta.next_down()
+                } else {
+                    beta.next_up()
+                };
+            }
+            if !(threshold > 0.0 && 1.0 / beta == threshold) {
+                continue;
+            }
+            exact += 1;
+            let model = SinrModel::new(3.0, beta, 0.0).unwrap();
+            let cache = PathLossCache::new(&model, &links, &power);
+            assert_eq!(
+                first_fit(&links, cache.parts(), &model, &order),
+                fresh_first_fit(&cache, &order),
+                "1/β = {threshold:e}"
+            );
+        }
+        assert!(exact > 100, "only {exact} thresholds placed exactly");
     }
 
     #[test]

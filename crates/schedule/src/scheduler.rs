@@ -1,6 +1,7 @@
 //! The end-to-end scheduler: conflict-graph coloring plus SINR verification.
 
 use crate::power_mode::PowerMode;
+use crate::repair::{first_fit, first_fit_by};
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use wagg_conflict::{greedy_color, ConflictGraph};
@@ -157,7 +158,10 @@ pub fn solve_static(links: &[Link], config: SchedulerConfig, rec: &Recorder) -> 
 /// When `cache` is `None` and the power mode has a fixed assignment (and the
 /// model is noise-free), the cache is built **once** here and shared across
 /// every slot-feasibility probe of the run — the seed rebuilt it per
-/// `is_feasible_by_affectance` call, i.e. per probe.
+/// `is_feasible_by_affectance` call, i.e. per probe. Each colour class is
+/// checked whole through it, and a class that fails splits on the
+/// workspace's one first-fit kernel ([`first_fit`]) over the cache's parts
+/// (see [`split_class_into_feasible`]).
 ///
 /// A lent `cache` must hold exactly what `PathLossCache::new` would compute
 /// for `graph.links()` (in vertex order) under the assignment of
@@ -282,12 +286,14 @@ pub(crate) fn slot_ok(
 /// `cache`, when given, must cover `links` in order (same contract as
 /// [`schedule_prebuilt`]) and is only consulted for noise-free models.
 ///
-/// With a (noise-free) cache the first fit is [`PathLossCache::first_fit`],
-/// which keeps each sub-slot's running per-member interference sums, so a
-/// probe costs O(|slot|). Without one — global power control, a noisy
-/// model, or a caller that lends no cache — every probe materialises the
-/// grown sub-slot and checks it afresh with [`PowerMode::slot_feasible`].
-/// Both give the sub-slots of probing each candidate afresh.
+/// With a (noise-free) cache the split is [`first_fit`] over the cache's
+/// parts: the warm admission's chunked kernel, which keeps each sub-slot's
+/// running per-member interference sums and prices a probe one chunk per
+/// vectorised pass, O(|slot|) per probe. Without one — global power
+/// control, a noisy model, or a caller that lends no cache — every probe
+/// materialises the grown sub-slot and checks it afresh with
+/// [`PowerMode::slot_feasible`]. Both give the sub-slots of probing each
+/// candidate afresh.
 ///
 /// # Panics
 ///
@@ -325,28 +331,12 @@ pub fn split_class_into_feasible(
         });
         order
     };
-    if let Some(cache) = cache {
-        return cache.first_fit(&class_order);
+    match cache {
+        Some(cache) => first_fit(cache.links(), cache.parts(), &config.model, &class_order),
+        None => first_fit_by(&class_order, |candidate| {
+            slot_ok(links, candidate, config, None)
+        }),
     }
-    let mut sub_slots: Vec<Vec<usize>> = Vec::new();
-    let mut candidate: Vec<usize> = Vec::new();
-    for idx in class_order {
-        let mut placed = false;
-        for slot in sub_slots.iter_mut() {
-            candidate.clear();
-            candidate.extend_from_slice(slot);
-            candidate.push(idx);
-            if slot_ok(links, &candidate, config, None) {
-                slot.push(idx);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            sub_slots.push(vec![idx]);
-        }
-    }
-    sub_slots
 }
 
 #[cfg(test)]

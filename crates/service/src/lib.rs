@@ -31,7 +31,10 @@
 //! only*: the session is dropped, the slot is marked poisoned, the caller
 //! gets [`ServiceError::SessionPoisoned`], and every other session (and the
 //! worker itself) keeps serving. Poisoned sessions stay addressable (they
-//! keep returning `SessionPoisoned`) until closed.
+//! keep returning `SessionPoisoned`) until closed. Hostile geometry never
+//! gets that far: a NaN or infinite coordinate in an opened link set or an
+//! event batch is refused with [`ServiceError::NonFinite`] before the
+//! request is queued, as the wire decoder refuses it in a frame.
 //!
 //! # Snapshot / restore
 //!
@@ -258,6 +261,17 @@ pub enum ServiceError {
     Restore(RestoreError),
     /// The session rejected an event (unknown key, engine refusal).
     Session(SessionError),
+    /// A coordinate of the request is NaN or infinite: of the `index`-th
+    /// link of a [`Request::OpenSession`], or of the `index`-th event of a
+    /// [`Request::SubmitEvents`] batch. The request was refused before any
+    /// session saw it, so nothing of it applied and the session stays live.
+    NonFinite {
+        /// The offending link's or event's position in the request.
+        index: usize,
+        /// The point: `"link sender"`, `"link receiver"`, `"insert
+        /// sender"`, `"insert receiver"` or `"move target"`.
+        what: &'static str,
+    },
     /// The worker thread is gone (it should never be — workers survive
     /// session panics).
     WorkerLost,
@@ -284,6 +298,9 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Restore(e) => write!(f, "snapshot does not restore: {e}"),
             ServiceError::Session(e) => write!(f, "session rejected the request: {e}"),
+            ServiceError::NonFinite { index, what } => {
+                write!(f, "the {what} of item {index} is NaN or infinite")
+            }
             ServiceError::WorkerLost => write!(f, "worker thread is gone"),
         }
     }
@@ -382,8 +399,11 @@ impl SchedulerService {
 
     /// The raw protocol entry point: routes the request to its session's
     /// worker (minting a fresh id for [`Request::OpenSession`] and
-    /// [`Request::Restore`]) and blocks for the reply.
+    /// [`Request::Restore`]) and blocks for the reply. A request carrying a
+    /// NaN or infinite coordinate is refused here with
+    /// [`ServiceError::NonFinite`], before any worker or session sees it.
     pub fn request(&self, request: Request) -> Result<Response, ServiceError> {
+        check_finite(&request)?;
         let session = match &request {
             Request::OpenSession { .. } | Request::Restore { .. } => self.mint(),
             Request::SubmitEvents { session, .. }
@@ -582,6 +602,47 @@ fn worker_loop(rx: Receiver<Envelope>, depth: Arc<AtomicUsize>, ctx: WorkerCtx) 
         }
         // A gone client is not an error; the work is already done.
         let _ = envelope.reply.send(result);
+    }
+}
+
+/// The first NaN or infinite coordinate of an opened link set or an event
+/// batch, as the typed error. The engine asserts finite endpoints, so such
+/// a point would poison an engine-backed session; a static one would
+/// schedule it.
+fn check_finite(request: &Request) -> Result<(), ServiceError> {
+    let point = |index, what, x: f64, y: f64| {
+        if x.is_finite() && y.is_finite() {
+            Ok(())
+        } else {
+            Err(ServiceError::NonFinite { index, what })
+        }
+    };
+    match request {
+        Request::OpenSession { links, .. } => {
+            links.iter().enumerate().try_for_each(|(index, link)| {
+                let (s, r) = (link.sender, link.receiver);
+                point(index, "link sender", s.x, s.y)?;
+                point(index, "link receiver", r.x, r.y)
+            })
+        }
+        Request::SubmitEvents { events, .. } => {
+            events
+                .iter()
+                .enumerate()
+                .try_for_each(|(index, event)| match *event {
+                    EngineEvent::Insert {
+                        sender: s,
+                        receiver: r,
+                        ..
+                    } => {
+                        point(index, "insert sender", s.x, s.y)?;
+                        point(index, "insert receiver", r.x, r.y)
+                    }
+                    EngineEvent::MoveNode { to, .. } => point(index, "move target", to.x, to.y),
+                    EngineEvent::Remove { .. } => Ok(()),
+                })
+        }
+        _ => Ok(()),
     }
 }
 

@@ -327,6 +327,72 @@ fn panic_poisons_one_session_only() {
     service.shutdown();
 }
 
+/// A NaN or infinite coordinate is a typed refusal on every backend, not a
+/// poisoned session: a batch carrying one applies none of its events (the
+/// valid ones ahead of it included), the session stays live and solves
+/// its unchanged schedule, and an open over such a link set opens nothing.
+#[test]
+fn non_finite_geometry_is_refused_before_the_session_sees_it() {
+    let service = SchedulerService::start(ServiceConfig::default());
+    for config in configs() {
+        let hosted = service.open_session(config, &links(40)).expect("opens");
+        let before = service.solve(hosted).expect("solves");
+        let stats = service.health(hosted).expect("health answers").stats;
+        let mut nan_insert = batch(1);
+        nan_insert.insert(
+            1,
+            EngineEvent::Insert {
+                key: 77,
+                sender: Point::new(f64::NAN, 41.0),
+                receiver: Point::new(41.2, 41.0),
+                sender_node: None,
+                receiver_node: None,
+            },
+        );
+        let infinite_move = vec![EngineEvent::MoveNode {
+            node: 0,
+            to: Point::new(3.0, f64::INFINITY),
+        }];
+        let refusals = [
+            (nan_insert, 1, "insert sender"),
+            (infinite_move, 0, "move target"),
+        ];
+        for (events, index, what) in refusals {
+            assert_eq!(
+                service.submit_events(hosted, &events),
+                Err(ServiceError::NonFinite { index, what }),
+                "{:?}",
+                config.backend
+            );
+        }
+        assert_eq!(
+            service.health(hosted).expect("still live").stats,
+            stats,
+            "{:?}: the refused batches applied nothing",
+            config.backend
+        );
+        assert_eq!(
+            service.solve(hosted).expect("still live").schedule(),
+            before.schedule(),
+            "{:?}",
+            config.backend
+        );
+        service.close_session(hosted).expect("closes");
+    }
+    let mut hostile = links(10);
+    hostile[3].receiver = Point::new(f64::NEG_INFINITY, 0.0);
+    for config in configs() {
+        assert_eq!(
+            service.open_session(config, &hostile),
+            Err(ServiceError::NonFinite {
+                index: 3,
+                what: "link receiver"
+            })
+        );
+    }
+    service.shutdown();
+}
+
 /// With telemetry configured, `health` carries the session's accounting
 /// and longitudinal flight-recorder signals; the service's own recorder
 /// sees per-request histograms.

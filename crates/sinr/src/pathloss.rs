@@ -24,6 +24,12 @@
 //! their sums agree bit for bit where they add the same terms in the same
 //! order.
 //!
+//! This module prices and sums; it packs nothing. The first fit under `1/β`
+//! (a colour class's split, the sharded verifier's repack) runs on
+//! `wagg_schedule::repair`'s chunked admission kernel, which borrows the
+//! cache's parts ([`PathLossCache::parts`]) and prices each pair with the
+//! same formula.
+//!
 //! Failure bookkeeping is per-link and lazy: a link with an unavailable power
 //! or a degenerate length only poisons checks that actually evaluate a pair
 //! involving it, which reproduces the seed's error-to-`false` semantics
@@ -237,38 +243,14 @@ impl<'a> PathLossCache<'a> {
     /// errors); `f64::INFINITY` when an interferer is collocated with the
     /// target's receiver.
     pub fn relative_interference_on(&self, target: usize) -> Option<f64> {
-        let t = &self.links[target];
-        let receiver = t.receiver;
-        let target_id = t.id;
-        let mut weight = f64::NAN;
-        let mut weight_loaded = false;
-        let mut total = 0.0;
-        for (j, source) in self.links.iter().enumerate() {
-            if source.id == target_id {
-                continue;
-            }
-            if !weight_loaded {
-                weight = self.weights[target]?;
-                weight_loaded = true;
-            }
-            let Some(term) = pair_term(self.pow, source.sender, receiver, self.powers[j]?, weight)
-            else {
-                return Some(f64::INFINITY);
-            };
-            total += term;
-        }
-        Some(total)
-    }
-
-    /// Whether the target at position `target` meets the affectance threshold
-    /// `I_P(S \ {i}, i) ≤ 1/β`. Unavailable quantities make the target fail,
-    /// matching the seed's error-means-infeasible convention.
-    #[inline]
-    pub fn target_feasible(&self, target: usize) -> bool {
-        match self.relative_interference_on(target) {
-            Some(total) => total <= self.inv_beta,
-            None => false,
-        }
+        relative_interference_sum(
+            self.pow,
+            0..self.links.len(),
+            target,
+            self.weights[target],
+            |j| &self.links[j],
+            |j| self.powers[j],
+        )
     }
 
     /// Total relative interference on `members[target]` from the other links
@@ -282,11 +264,12 @@ impl<'a> PathLossCache<'a> {
     /// lets one cache per scheduling run serve *every* slot probe instead of
     /// being rebuilt per probe.
     pub fn subset_relative_interference_on(&self, members: &[usize], target: usize) -> Option<f64> {
+        let target = members[target];
         relative_interference_sum(
             self.pow,
-            members,
+            members.iter().copied(),
             target,
-            self.weights[members[target]],
+            self.weights[target],
             |j| &self.links[j],
             |j| self.powers[j],
         )
@@ -297,9 +280,9 @@ impl<'a> PathLossCache<'a> {
     /// [`PathLossCache::is_feasible`], with the same verdict a fresh
     /// subset-only cache would give.
     pub fn subset_feasible(&self, members: &[usize]) -> bool {
-        let check = |k: usize| match self.subset_relative_interference_on(members, k) {
-            Some(total) => total <= self.inv_beta,
-            None => false,
+        let check = |k: usize| {
+            self.subset_relative_interference_on(members, k)
+                .is_some_and(|total| total <= self.inv_beta)
         };
         #[cfg(feature = "parallel")]
         {
@@ -311,103 +294,6 @@ impl<'a> PathLossCache<'a> {
         }
     }
 
-    /// First-fit packing of `order` (positions into the cached link set):
-    /// each link joins the first sub-slot that stays feasible by
-    /// [`PathLossCache::subset_feasible`] with it appended, or opens a new
-    /// one. Returns the sub-slots, members in join order.
-    ///
-    /// The sub-slots are exactly those of probing
-    /// `subset_feasible(slot ++ [idx])` afresh for every candidate, at
-    /// O(|slot|) per probe instead of O(|slot|²). Each sub-slot keeps every
-    /// member's interference sum, accumulated in slot order; a probe adds the
-    /// newcomer's term to each member's sum and sums the newcomer's own
-    /// interference over the members in slot order. Those are the fresh
-    /// probe's terms in the fresh probe's order, with the newcomer last, so
-    /// every sum and verdict is bit-identical. The edge cases carry over: an
-    /// interferer with the target's id is skipped, and a missing power or
-    /// weight or a collocated sender (an `∞` sum) rejects the newcomer. Only
-    /// a threshold `1/β` that overflows to `∞` admits an `∞` sum, which ends
-    /// the fresh sum early, so such a model probes afresh.
-    pub fn first_fit(&self, order: &[usize]) -> Vec<Vec<usize>> {
-        let mut slots: Vec<Vec<usize>> = Vec::new();
-        if !self.inv_beta.is_finite() {
-            let mut candidate = Vec::new();
-            for &idx in order {
-                let fit = slots.iter().position(|slot| {
-                    candidate.clear();
-                    candidate.extend_from_slice(slot);
-                    candidate.push(idx);
-                    self.subset_feasible(&candidate)
-                });
-                match fit {
-                    Some(s) => slots[s].push(idx),
-                    None => slots.push(vec![idx]),
-                }
-            }
-            return slots;
-        }
-        let mut sums: Vec<Vec<f64>> = Vec::new();
-        let mut next = Vec::new();
-        for &idx in order {
-            match (0..slots.len()).find(|&s| self.admits(&slots[s], &sums[s], idx, &mut next)) {
-                Some(s) => {
-                    slots[s].push(idx);
-                    std::mem::swap(&mut sums[s], &mut next);
-                }
-                None => {
-                    slots.push(vec![idx]);
-                    sums.push(vec![0.0]);
-                }
-            }
-        }
-        slots
-    }
-
-    /// Whether `idx` joins the sub-slot `members`, whose members' running
-    /// sums are `sums`, under a finite threshold; on success `next` holds
-    /// the grown sub-slot's sums (the members' in order, then `idx`'s).
-    fn admits(&self, members: &[usize], sums: &[f64], idx: usize, next: &mut Vec<f64>) -> bool {
-        let link = &self.links[idx];
-        next.clear();
-        let mut own = 0.0;
-        for (&m, &sum) in members.iter().zip(sums) {
-            let member = &self.links[m];
-            if member.id == link.id {
-                next.push(sum);
-                continue;
-            }
-            let Some(inward) = self.finite_term(idx, m) else {
-                return false;
-            };
-            let sum = sum + inward;
-            if sum <= self.inv_beta {
-                next.push(sum);
-            } else {
-                return false;
-            }
-            let Some(outward) = self.finite_term(m, idx) else {
-                return false;
-            };
-            own += outward;
-        }
-        next.push(own);
-        own <= self.inv_beta
-    }
-
-    /// `source`'s term in the relative-interference sum on `target`, or
-    /// `None` where the fresh sum ends in `None` or `∞` (a missing power or
-    /// weight, a collocated sender) — either fails a finite threshold.
-    #[inline]
-    fn finite_term(&self, source: usize, target: usize) -> Option<f64> {
-        pair_term(
-            self.pow,
-            self.links[source].sender,
-            self.links[target].receiver,
-            self.powers[source]?,
-            self.weights[target]?,
-        )
-    }
-
     /// Noise-free feasibility of the whole set by relative interference:
     /// every link's affectance sum must stay within `1/β`.
     ///
@@ -416,51 +302,55 @@ impl<'a> PathLossCache<'a> {
     /// each target's sum is still accumulated serially in set order, so the
     /// verdict is identical to the serial build.
     pub fn is_feasible(&self) -> bool {
+        let check = |i: usize| {
+            self.relative_interference_on(i)
+                .is_some_and(|total| total <= self.inv_beta)
+        };
         #[cfg(feature = "parallel")]
         {
-            (0..self.links.len())
-                .into_par_iter()
-                .all(|i| self.target_feasible(i))
+            (0..self.links.len()).into_par_iter().all(check)
         }
         #[cfg(not(feature = "parallel"))]
         {
-            (0..self.links.len()).all(|i| self.target_feasible(i))
+            (0..self.links.len()).all(check)
         }
     }
 }
 
-/// The one affectance-sum inner loop, shared by every subset-indexed consumer
-/// (this cache's [`PathLossCache::subset_relative_interference_on`] and the
-/// slot-table views of `wagg-engine`, which store links non-contiguously and
-/// so cannot borrow a `PathLossCache` directly).
+/// The one exact affectance-sum loop: this cache's sums, the slot-table
+/// views of `wagg-engine` (which store links non-contiguously and so cannot
+/// borrow a `PathLossCache`) and the hierarchical verifier's exact fallback
+/// all add their terms here.
 ///
-/// `members` are the caller's indices, `target` a position **within**
-/// `members`, and `link_of`/`power_of` the caller's per-index lookups;
-/// `target_weight` is the target's cached `l_i^α / P(i)`, consulted lazily —
-/// exactly like [`PathLossCache::relative_interference_on`], an unavailable
-/// weight only surfaces (`None`) once a non-self source is actually summed,
-/// which preserves the "a singleton set is trivially feasible" corner.
-/// Terms are added in `members` order; `Some(INFINITY)` reports a collocated
-/// interferer.
-pub fn relative_interference_sum<'a, L, P>(
+/// `sources` are the interferers' caller indices in summing order (`0..n`
+/// for a whole set, `members.iter().copied()` for a subset), `target` the
+/// target's caller index, and `link_of`/`power_of` the caller's per-index
+/// lookups. A source carrying the target's id is skipped, so the target
+/// may sit among the sources. `target_weight` is the target's cached
+/// `l_i^α / P(i)`, consulted lazily: an unavailable weight only surfaces
+/// (`None`) once a non-self source is actually summed, which preserves the
+/// "a singleton set is trivially feasible" corner. `None` also reports a
+/// source without a power, and `Some(INFINITY)` a collocated interferer.
+pub fn relative_interference_sum<'a, S, L, P>(
     pow: AlphaPow,
-    members: &[usize],
+    sources: S,
     target: usize,
     target_weight: Option<f64>,
     link_of: L,
     power_of: P,
 ) -> Option<f64>
 where
+    S: IntoIterator<Item = usize>,
     L: Fn(usize) -> &'a Link,
     P: Fn(usize) -> Option<f64>,
 {
-    let t = link_of(members[target]);
+    let t = link_of(target);
     let receiver = t.receiver;
     let target_id = t.id;
     let mut weight = f64::NAN;
     let mut weight_loaded = false;
     let mut total = 0.0;
-    for &j in members {
+    for j in sources {
         let source = link_of(j);
         if source.id == target_id {
             continue;
@@ -686,80 +576,6 @@ mod tests {
         let (fresh_powers, fresh_weights) = fresh.into_parts();
         assert_eq!(powers, fresh_powers);
         assert_eq!(weights, fresh_weights);
-    }
-
-    /// First fit with every candidate checked afresh by `subset_feasible`.
-    fn fresh_first_fit(cache: &PathLossCache<'_>, order: &[usize]) -> Vec<Vec<usize>> {
-        let mut slots: Vec<Vec<usize>> = Vec::new();
-        for &idx in order {
-            let fit = slots.iter().position(|slot| {
-                let mut candidate = slot.clone();
-                candidate.push(idx);
-                cache.subset_feasible(&candidate)
-            });
-            match fit {
-                Some(s) => slots[s].push(idx),
-                None => slots.push(vec![idx]),
-            }
-        }
-        slots
-    }
-
-    #[test]
-    fn first_fit_running_sums_are_bit_identical_at_the_threshold() {
-        // Put 1/β exactly on (and one ulp below) every sum a first fit over
-        // ascending positions can evaluate: a running sum that drifts by
-        // one ulp from the fresh probe's flips a verdict here.
-        let links = vec![
-            line_link(0, 0.0, 1.0),
-            line_link(1, 3.0, 4.5),
-            line_link(2, 9.0, 7.0),
-            line_link(3, 12.0, 12.7),
-            line_link(4, 20.0, 17.5),
-            line_link(5, 26.0, 27.0),
-        ];
-        let power = PowerAssignment::mean();
-        let base = PathLossCache::new(&SinrModel::default(), &links, &power);
-        let order: Vec<usize> = (0..links.len()).collect();
-        let mut sums = Vec::new();
-        for mask in 1u32..(1 << links.len()) {
-            let members: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|&i| mask & (1 << i) != 0)
-                .collect();
-            for k in 0..members.len() {
-                sums.extend(base.subset_relative_interference_on(&members, k));
-            }
-        }
-        let mut exact = 0;
-        for threshold in sums.into_iter().flat_map(|s| [s, s.next_down()]) {
-            // A β whose reciprocal is exactly the threshold, if one exists.
-            let mut beta = 1.0 / threshold;
-            for _ in 0..4 {
-                let inv = 1.0 / beta;
-                if inv == threshold {
-                    break;
-                }
-                beta = if inv < threshold {
-                    beta.next_down()
-                } else {
-                    beta.next_up()
-                };
-            }
-            if !(threshold > 0.0 && 1.0 / beta == threshold) {
-                continue;
-            }
-            exact += 1;
-            let model = SinrModel::new(3.0, beta, 0.0).unwrap();
-            let cache = PathLossCache::new(&model, &links, &power);
-            assert_eq!(
-                cache.first_fit(&order),
-                fresh_first_fit(&cache, &order),
-                "1/β = {threshold:e}"
-            );
-        }
-        assert!(exact > 100, "only {exact} thresholds placed exactly");
     }
 
     #[test]
