@@ -1090,6 +1090,8 @@ pub fn first_fit(
             slots.push(Slot::default());
             slots.len() - 1
         });
+        // Join indices ascend, so `insert` fills chunks up to `CAP`; `push`
+        // would chain 8-wide chunks, one pricing pass per 8 members.
         slots[c].insert(k, Some(values));
     }
     let members = |slot: &Slot| slot.positions().map(|k| order[k]).collect();
