@@ -41,10 +41,12 @@ echo "==> wire codec hostility + service differential suites, parallel build"
 cargo test -q -p wagg-wire -p wagg-service
 
 # The serial wagg-partition run above already covers the hierarchical-verifier
-# battery (bound soundness + flat/hier differential across the pyramid-depth
-# matrix + churn traces); in quick mode, run it under the parallel feature too
-# so both configurations are certified. (Full mode's workspace sweep below
-# already repeats the battery with default features.)
+# battery (bound soundness at every pyramid depth, verified sharded schedules
+# across shard counts, churn traces; the unit tests hold the per-target pass's
+# verdicts to the exact sum at depths 1, 2, 3 and natural); in quick mode, run
+# the integration suites under the parallel feature too so both configurations
+# are certified. (Full mode's workspace sweep below already repeats the
+# battery with default features.)
 if [[ "$MODE" == "quick" ]]; then
   echo "==> hierarchical-verifier property sweep, parallel build"
   cargo test -q -p wagg-partition --test hierarchy --test engine_churn
@@ -54,7 +56,7 @@ if [[ "$MODE" != "quick" ]]; then
   echo "==> release build (tier-1)"
   cargo build --release
 
-  echo "==> chunked-kernel suites in the configuration perfbench measures (release, serial): wagg-schedule's unit tests (the chunked slot index, admission kernel and first fit against their references, optimised), wagg-partition's unit tests (the sharded repack on that first fit against a fresh first fit), the session's unit tests (the carried slot index against a rebuild on both engine backends, the anchor's handed-over budgets and its exact work), the warm-repair suite with its pin, and the session differential suite (hinted and re-tiling sessions against PartitionedEngine::schedule and solve_sharded)"
+  echo "==> chunked-kernel suites in the configuration perfbench measures (release, serial): wagg-schedule's unit tests (the chunked slot index, admission kernel and first fit against their references, optimised), wagg-partition's unit tests (the sharded repack on that first fit against a fresh first fit, the verifier's verdicts on slots of 8 191 and 8 192 links), the session's unit tests (the carried slot index against a rebuild on both engine backends, the anchor's handed-over budgets and its exact work), the warm-repair suite with its pin, and the session differential suite (hinted and re-tiling sessions against PartitionedEngine::schedule and solve_sharded)"
   cargo test -q --release --no-default-features -p wagg-schedule --lib
   cargo test -q --release --no-default-features -p wagg-partition --lib
   cargo test -q --release --no-default-features -p wagg-session --lib
@@ -78,7 +80,7 @@ if [[ "$MODE" != "quick" ]]; then
   echo "==> perfbench tests (the benchmark package builds against the public API; --locked fails on any change that would rewrite perfbench/Cargo.lock)"
   CARGO_TARGET_DIR=.bench_build/serial cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-  echo "==> chrome-trace smoke test (partition_profile --trace emits valid trace_event JSON)"
+  echo "==> chrome-trace smoke test (partition_profile's one sharded solve under --trace emits valid trace_event JSON)"
   TRACE_DIR="$(mktemp -d)"
   cargo run --release -q -p wagg-bench --bin partition_profile -- 20000 8 --trace "$TRACE_DIR/trace.json" \
     | grep "trace OK" || { echo "trace smoke test failed"; exit 1; }

@@ -1,8 +1,7 @@
 //! The sharded-scheduling perf suite: build + schedule wall-clock of the
 //! session facade's sharded backend against its static backend (the
-//! unsharded kernel), and of the **hierarchical** far-field verifier (the
-//! default) against the flat PR-3 grid. Every row schedules through
-//! `wagg_session::Session`, exactly like production callers.
+//! unsharded kernel). Every row schedules through `wagg_session::Session`,
+//! exactly like production callers.
 //!
 //! Run with
 //!
@@ -16,8 +15,7 @@
 //! unit-link square at n ∈ {50 000, 200 000, 1 000 000}, scheduled under the
 //! oblivious mean power mode with slot verification on (the production
 //! configuration). Shard counts {1, 4, 16, 64} are measured at every size
-//! with the hierarchical verifier (`shardsN`); `flat_shards16` pins the flat
-//! verifier at 16 shards for the flat-vs-hierarchical comparison.
+//! (`shardsN`).
 //!
 //! The **unsharded baseline is measured at 50k and 200k only**: its slot
 //! verification is a quadratic `subset_feasible` scan per color class
@@ -27,14 +25,11 @@
 //! tile-bound verifier, so even `shards = 1` completes at n = 1M.
 //!
 //! Correctness gates run once per size outside the timed loops: the
-//! hierarchical schedule is a partition at every size, slot-by-slot
-//! affectance-feasible at 50k, and identical to the flat verifier's
-//! schedule at 50k and 200k (the differential battery's property, asserted
-//! here at bench scale; at 1M the extra flat run would double the bench).
+//! 16-shard schedule is a partition at every size and slot-by-slot
+//! affectance-feasible at 50k.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use wagg_bench::uniform_unit_links;
-use wagg_partition::VerifierStrategy;
 use wagg_schedule::{PowerMode, SchedulerConfig};
 use wagg_session::{Backend, Session};
 use wagg_sinr::affectance::is_feasible_by_affectance;
@@ -52,18 +47,12 @@ fn size_filter() -> Option<Vec<usize>> {
 }
 
 /// A seeded session over `links` with the sharded backend at the given
-/// strategy/shard count.
-fn sharded_session(
-    links: &[Link],
-    config: SchedulerConfig,
-    shards: usize,
-    strategy: VerifierStrategy,
-) -> Session {
+/// shard count.
+fn sharded_session(links: &[Link], config: SchedulerConfig, shards: usize) -> Session {
     Session::builder()
         .scheduler(config)
         .backend(Backend::Sharded)
         .target_shards(shards)
-        .verifier(strategy)
         .links(links)
         .build()
 }
@@ -82,7 +71,7 @@ fn bench_partition(c: &mut Criterion) {
         let links = uniform_unit_links(n, n as u64);
 
         // One-time correctness gates per size, outside the timing loops.
-        let gate = sharded_session(&links, config, 16, VerifierStrategy::default()).solve();
+        let gate = sharded_session(&links, config, 16).solve();
         eprintln!("{}", gate.summary());
         assert!(gate.schedule().is_partition(n));
         if n <= 50_000 {
@@ -96,19 +85,6 @@ fn bench_partition(c: &mut Criterion) {
                 ));
             }
         }
-        if n <= 200_000 {
-            let flat = sharded_session(
-                &links,
-                config,
-                16,
-                VerifierStrategy::Hierarchical { depth: Some(1) },
-            )
-            .solve();
-            assert_eq!(
-                flat.report, gate.report,
-                "flat and hierarchical verifiers must schedule identically"
-            );
-        }
 
         if baseline {
             let mut session = Session::builder()
@@ -120,17 +96,8 @@ fn bench_partition(c: &mut Criterion) {
                 b.iter(|| black_box(session.solve().slots()))
             });
         }
-        let mut session = sharded_session(
-            &links,
-            config,
-            16,
-            VerifierStrategy::Hierarchical { depth: Some(1) },
-        );
-        group.bench_function(BenchmarkId::new("flat_shards16", n), |b| {
-            b.iter(|| black_box(session.solve().slots()))
-        });
         for &shards in &SHARDS {
-            let mut session = sharded_session(&links, config, shards, VerifierStrategy::default());
+            let mut session = sharded_session(&links, config, shards);
             group.bench_function(BenchmarkId::new(format!("shards{shards}"), n), |b| {
                 b.iter(|| black_box(session.solve().slots()))
             });

@@ -1,9 +1,8 @@
-//! One-shot wall-clock probe for the sharded scheduler: times a single
-//! session solve per verifier strategy on the partition bench's
-//! constant-density workload — the quick way to compare the flat and
-//! hierarchical far-field verifiers (or to tune the pyramid cutoff) without
-//! sitting through the full criterion sweep. Prints the uniform
-//! `SolveReport::summary()` line per run, whatever backend produced it.
+//! One-shot wall-clock probe for the sharded scheduler: times one session
+//! solve on the partition bench's constant-density workload — the quick way
+//! to measure the sharded path (or to tune the verifier's pyramid cutoff)
+//! without sitting through the full criterion sweep. Prints the uniform
+//! `SolveReport::summary()` line, whatever backend produced it.
 //!
 //! ```text
 //! cargo run --release -p wagg-bench --bin partition_profile -- [n] [shards] [--trace out.json]
@@ -11,8 +10,8 @@
 //!
 //! Defaults: `n = 200000`, `shards = 16`.
 //!
-//! With `--trace out.json`, each solve runs under a `wagg-obs` recorder and
-//! the hierarchical run's phase tree is written to `out.json` in Chrome
+//! With `--trace out.json`, the solve runs under a `wagg-obs` recorder and
+//! its phase tree is written to `out.json` in Chrome
 //! `trace_event` format (open in `chrome://tracing`, Perfetto or
 //! speedscope). The written file is re-read and validated, and the root
 //! span is cross-checked against the measured wall-clock — "trace OK" on
@@ -21,7 +20,6 @@
 use std::time::Instant;
 use wagg_bench::uniform_unit_links;
 use wagg_obs::{trace, Recorder};
-use wagg_partition::VerifierStrategy;
 use wagg_schedule::{PowerMode, SchedulerConfig};
 use wagg_session::{Backend, Session};
 
@@ -51,36 +49,24 @@ fn main() {
     let config = SchedulerConfig::new(PowerMode::mean_oblivious());
     eprintln!("generating n={n} links...");
     let links = uniform_unit_links(n, n as u64);
-    for (label, strategy) in [
-        ("flat", VerifierStrategy::Hierarchical { depth: Some(1) }),
-        ("hierarchical", VerifierStrategy::default()),
-    ] {
-        // A fresh recorder per run keeps each trace single-rooted.
-        let rec = if trace_path.is_some() {
-            Recorder::new()
-        } else {
-            Recorder::disabled()
-        };
-        let mut session = Session::builder()
-            .scheduler(config)
-            .backend(Backend::Sharded)
-            .target_shards(shards)
-            .verifier(strategy)
-            .recorder(rec.clone())
-            .links(&links)
-            .build();
-        let t0 = Instant::now();
-        let report = session.solve();
-        let dt = t0.elapsed();
-        println!(
-            "{label:>13}: {:.3} s  {}",
-            dt.as_secs_f64(),
-            report.summary()
-        );
-        // Export the last (hierarchical = default-strategy) run.
-        if let (Some(path), "hierarchical") = (&trace_path, label) {
-            export_trace(&rec, path, dt.as_secs_f64());
-        }
+    let rec = if trace_path.is_some() {
+        Recorder::new()
+    } else {
+        Recorder::disabled()
+    };
+    let mut session = Session::builder()
+        .scheduler(config)
+        .backend(Backend::Sharded)
+        .target_shards(shards)
+        .recorder(rec.clone())
+        .links(&links)
+        .build();
+    let t0 = Instant::now();
+    let report = session.solve();
+    let dt = t0.elapsed();
+    println!("solve: {:.3} s  {}", dt.as_secs_f64(), report.summary());
+    if let Some(path) = &trace_path {
+        export_trace(&rec, path, dt.as_secs_f64());
     }
 }
 

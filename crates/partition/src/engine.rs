@@ -4,12 +4,15 @@
 //! [`PartitionedEngine`] keeps one `wagg_engine::InterferenceEngine` per
 //! tile of a fixed [`TileLayout`]. A link lives in its **owner** shard (the
 //! tile containing its midpoint) and as a **ghost** copy in every shard its
-//! halo-expanded bounding box overlaps — the same ownership rule the static
-//! [`PartitionLayout`](crate::PartitionLayout) uses, so the stitching
+//! halo-expanded bounding box overlaps — the one ownership rule the static
+//! [`PartitionLayout`](crate::PartitionLayout) places by too, so the stitching
 //! invariants carry over: interior links have no cross-shard conflicts and
 //! every cross-shard conflict edge is present in both owners' member
 //! graphs. An insert or removal therefore updates a handful of engines
 //! (each incrementally, in `O(affected neighbourhood)`), never all of them.
+//! The engine also counts each shard's owned links and the ghost copies
+//! where it places and removes them, so its occupancy
+//! ([`PartitionedEngine::occupancy`]) is current after every event.
 //!
 //! Because the tiling and its halo margin are fixed at construction, the
 //! engine declares the deployment extent and the link length bounds up
@@ -38,8 +41,8 @@
 //! assert!(sharded.report.schedule.is_partition(engine.len()));
 //! ```
 
+use crate::layout::site_tiles;
 use crate::pipeline::{self, ShardPieces};
-use crate::verify::VerifierStrategy;
 use std::collections::BTreeMap;
 use wagg_engine::{EngineConfig, EngineError, InterferenceEngine};
 use wagg_geometry::tiling::TileLayout;
@@ -65,10 +68,6 @@ pub struct PartitionedEngineConfig {
     pub length_bounds: (f64, f64),
     /// Target shard count (the halo-derived minimum tile side may cap it).
     pub target_shards: usize,
-    /// The far-field strategy of the certified slot verifier
-    /// ([`PartitionedEngine::schedule`]'s verification passes); defaults to
-    /// the hierarchical pyramid.
-    pub verifier: VerifierStrategy,
 }
 
 impl PartitionedEngineConfig {
@@ -103,14 +102,7 @@ impl PartitionedEngineConfig {
             extent,
             length_bounds,
             target_shards,
-            verifier: VerifierStrategy::default(),
         }
-    }
-
-    /// Replaces the slot-verifier far-field strategy.
-    pub fn with_verifier(mut self, verifier: VerifierStrategy) -> Self {
-        self.verifier = verifier;
-        self
     }
 }
 
@@ -154,6 +146,12 @@ pub struct PartitionedEngine {
     /// Sites with at least one ghost copy, counted where sites are placed
     /// and removed.
     boundary: usize,
+    /// Per shard, the links it owns, counted where sites are placed and
+    /// removed.
+    owned: Vec<usize>,
+    /// Ghost copies across all shards, counted where sites are placed and
+    /// removed.
+    ghost_copies: usize,
     next_key: u64,
     /// Instrumentation sink (disabled by default — see `wagg-obs`).
     recorder: Recorder,
@@ -175,6 +173,7 @@ impl PartitionedEngine {
         let meta = vec![Vec::new(); tiles.tiles()];
         PartitionedEngine {
             config,
+            owned: vec![0; tiles.tiles()],
             tiles,
             radius,
             halo,
@@ -182,6 +181,7 @@ impl PartitionedEngine {
             meta,
             sites: BTreeMap::new(),
             boundary: 0,
+            ghost_copies: 0,
             next_key: 0,
             recorder: Recorder::disabled(),
         }
@@ -213,25 +213,25 @@ impl PartitionedEngine {
         for (key, link) in links.iter().enumerate() {
             let key = key as u64;
             engine.assert_length_bounds(link.sender, link.receiver);
-            let (owner, ghost_tiles) = engine.site_tiles(link.sender, link.receiver);
+            let (owner, ghost_tiles) =
+                site_tiles(&engine.tiles, engine.halo, link.sender, link.receiver);
             // `insert_link` stores bare `Link::new(slot, ..)` values (node
             // annotations are session-side); `with_links` relabels ids to
             // slots, so staging id 0 reproduces the sequential state.
             let bare = Link::new(0, link.sender, link.receiver);
-            let owner_slot = staged[owner].len() as u32;
-            staged[owner].push(bare);
-            staged_meta[owner].push(Some((key, true)));
+            let owner_slot = staged[owner as usize].len() as u32;
+            staged[owner as usize].push(bare);
+            staged_meta[owner as usize].push(Some((key, true)));
             let mut ghosts = Vec::with_capacity(ghost_tiles.len());
             for t in ghost_tiles {
-                ghosts.push((t as u32, staged[t].len() as u32));
-                staged[t].push(bare);
-                staged_meta[t].push(Some((key, false)));
+                ghosts.push((t, staged[t as usize].len() as u32));
+                staged[t as usize].push(bare);
+                staged_meta[t as usize].push(Some((key, false)));
             }
-            engine.boundary += usize::from(!ghosts.is_empty());
-            engine.sites.insert(
+            engine.insert_sites(
                 key,
                 LinkSites {
-                    owner_shard: owner as u32,
+                    owner_shard: owner,
                     owner_slot,
                     ghosts,
                 },
@@ -328,9 +328,25 @@ impl PartitionedEngine {
         Some(keys)
     }
 
+    /// `(max_owned, mean_owned, ghost_fraction)` of the current placement,
+    /// exactly as [`PartitionedEngine::schedule`] reports them in its
+    /// `ShardingStats`: read in `O(shards)` from counters kept current per
+    /// event, not from a scan.
+    pub fn occupancy(&self) -> (usize, f64, f64) {
+        if cfg!(debug_assertions) {
+            let mut owned = vec![0; self.owned.len()];
+            for site in self.sites.values() {
+                owned[site.owner_shard as usize] += 1;
+            }
+            assert_eq!(owned, self.owned, "owned counters diverged from the sites");
+            let ghosts: usize = self.sites.values().map(|s| s.ghosts.len()).sum();
+            assert_eq!(ghosts, self.ghost_copies, "ghost counter diverged");
+        }
+        pipeline::occupancy(&self.owned, self.ghost_copies)
+    }
+
     /// Aggregate accounting.
     pub fn stats(&self) -> PartitionedStats {
-        let ghost_copies = self.sites.values().map(|s| s.ghosts.len()).sum();
         let events = self
             .engines
             .iter()
@@ -341,27 +357,10 @@ impl PartitionedEngine {
             .sum();
         PartitionedStats {
             links: self.sites.len(),
-            ghost_copies,
+            ghost_copies: self.ghost_copies,
             shards: self.engines.len(),
             events,
         }
-    }
-
-    /// The ownership rule, in one place: the owner tile (under the
-    /// midpoint) and the ghost tiles (halo-expanded bounding-box overlap,
-    /// owner excluded) of a link at this geometry. Everything that places,
-    /// re-places or predicts placement must go through here — the stitching
-    /// invariants depend on all of them agreeing.
-    fn site_tiles(&self, sender: Point, receiver: Point) -> (usize, Vec<usize>) {
-        let owner = self.tiles.tile_of(sender.midpoint(receiver));
-        let bbox = BoundingBox::of_segment(sender, receiver);
-        let mut ghosts = Vec::new();
-        self.tiles.for_each_tile_overlapping(&bbox, self.halo, |t| {
-            if t != owner {
-                ghosts.push(t);
-            }
-        });
-        (owner, ghosts)
     }
 
     /// Validates the declared length bounds for an insertion at this
@@ -379,28 +378,36 @@ impl PartitionedEngine {
     /// Places a link into its owner and ghost engines under `key` and
     /// records the sites.
     fn place_link(&mut self, key: u64, sender: Point, receiver: Point) {
-        let (owner, ghost_tiles) = self.site_tiles(sender, receiver);
-        let owner_slot = self.place(owner, sender, receiver, key, true);
+        let (owner, ghost_tiles) = site_tiles(&self.tiles, self.halo, sender, receiver);
+        let owner_slot = self.place(owner as usize, sender, receiver, key, true);
         let mut ghosts = Vec::with_capacity(ghost_tiles.len());
         for t in ghost_tiles {
-            let slot = self.place(t, sender, receiver, key, false);
-            ghosts.push((t as u32, slot as u32));
+            let slot = self.place(t as usize, sender, receiver, key, false);
+            ghosts.push((t, slot as u32));
         }
-        self.boundary += usize::from(!ghosts.is_empty());
-        self.sites.insert(
+        self.insert_sites(
             key,
             LinkSites {
-                owner_shard: owner as u32,
+                owner_shard: owner,
                 owner_slot: owner_slot as u32,
                 ghosts,
             },
         );
     }
 
+    /// Records a placed link's sites under `key` and counts them into the
+    /// boundary, owned and ghost counters.
+    fn insert_sites(&mut self, key: u64, sites: LinkSites) {
+        self.boundary += usize::from(!sites.ghosts.is_empty());
+        self.owned[sites.owner_shard as usize] += 1;
+        self.ghost_copies += sites.ghosts.len();
+        self.sites.insert(key, sites);
+    }
+
     /// The number of shards an insert at this geometry would touch (owner
     /// plus ghosts) — 1 for interior links.
     pub fn shards_touched(&self, sender: Point, receiver: Point) -> usize {
-        1 + self.site_tiles(sender, receiver).1.len()
+        1 + site_tiles(&self.tiles, self.halo, sender, receiver).1.len()
     }
 
     /// Inserts a link, returning its stable key.
@@ -445,6 +452,8 @@ impl PartitionedEngine {
             .remove(&key)
             .ok_or(EngineError::UnknownTraceKey { key })?;
         self.boundary -= usize::from(!sites.ghosts.is_empty());
+        self.owned[sites.owner_shard as usize] -= 1;
+        self.ghost_copies -= sites.ghosts.len();
         self.engines[sites.owner_shard as usize].remove_link(sites.owner_slot as usize)?;
         self.meta[sites.owner_shard as usize][sites.owner_slot as usize] = None;
         for &(shard, slot) in &sites.ghosts {
@@ -504,8 +513,8 @@ impl PartitionedEngine {
     /// totals the global verification pass computed for a slot whose colour
     /// class it kept whole. They equal
     /// [`AffectanceVerifier::budgets`](crate::AffectanceVerifier::budgets)
-    /// of that slot over [`PartitionedEngine::links`] under the configured
-    /// strategy, bit for bit, so a warm-repair anchor need not price the
+    /// of that slot over [`PartitionedEngine::links`], bit for bit, so a
+    /// warm-repair anchor need not price the
     /// slot again. The entry is `None` for a class that lost members, for
     /// a slot the pass re-packed, and for every slot when no certified
     /// verifier ran (verification off, a noisy model, or a power mode
@@ -564,7 +573,6 @@ impl PartitionedEngine {
             &boundary,
             &owner_of,
             config,
-            self.config.verifier,
             &self.recorder,
         );
         root.finish();

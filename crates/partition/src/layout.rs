@@ -61,6 +61,28 @@ pub fn max_conflict_radius(links: &[Link], relation: ConflictRelation) -> f64 {
     radius
 }
 
+/// The ownership rule, in one place: the owner tile of a link at this
+/// geometry (the tile under its midpoint) and its ghost tiles (every other
+/// tile its bounding box, expanded by the `halo` margin, overlaps). Both
+/// [`PartitionLayout::build`] and the
+/// [`PartitionedEngine`](crate::PartitionedEngine) place links through
+/// here; the stitching invariants depend on all placements agreeing.
+pub(crate) fn site_tiles(
+    tiles: &TileLayout,
+    halo: f64,
+    sender: Point,
+    receiver: Point,
+) -> (u32, Vec<u32>) {
+    let owner = tiles.tile_of(sender.midpoint(receiver));
+    let mut ghosts = Vec::new();
+    tiles.for_each_tile_overlapping(&BoundingBox::of_segment(sender, receiver), halo, |t| {
+        if t != owner {
+            ghosts.push(t as u32);
+        }
+    });
+    (owner as u32, ghosts)
+}
+
 /// A deterministic assignment of links to spatial shards with ghost overlap.
 ///
 /// Shards are the tiles of a [`TileLayout`] sized so that a tile side is at
@@ -106,15 +128,12 @@ impl PartitionLayout {
         let radius = max_conflict_radius(links, relation);
         let max_len = links.iter().map(|l| l.length()).fold(0.0f64, f64::max);
         let halo = radius + max_len / 2.0;
-        let bboxes: Vec<BoundingBox> = links
+        let extent = links
             .iter()
             .map(|l| BoundingBox::of_segment(l.sender, l.receiver))
-            .collect();
-        let extent = bboxes
-            .iter()
             .fold(None::<BoundingBox>, |acc, b| {
                 Some(match acc {
-                    None => *b,
+                    None => b,
                     Some(a) => BoundingBox::new(
                         a.min_x.min(b.min_x),
                         a.min_y.min(b.min_y),
@@ -129,17 +148,7 @@ impl PartitionLayout {
 
         // Per-link ownership and ghost tiles: pure per-link work, assembled
         // in input order (parallel == serial).
-        let site_of = |i: usize| -> (u32, Vec<u32>) {
-            let link = &links[i];
-            let owner = tiles.tile_of(Point::midpoint(&link.sender, link.receiver)) as u32;
-            let mut ghosts = Vec::new();
-            tiles.for_each_tile_overlapping(&bboxes[i], halo, |t| {
-                if t as u32 != owner {
-                    ghosts.push(t as u32);
-                }
-            });
-            (owner, ghosts)
-        };
+        let site_of = |i: usize| site_tiles(&tiles, halo, links[i].sender, links[i].receiver);
         #[cfg(feature = "parallel")]
         let sites: Vec<(u32, Vec<u32>)> = (0..links.len()).into_par_iter().map(site_of).collect();
         #[cfg(not(feature = "parallel"))]

@@ -16,10 +16,10 @@
 //!   `wagg_geometry::tiling::TileLayout`);
 //! * [`verify`] — [`AffectanceVerifier`]: certified-upper-bound slot
 //!   verification with exact fallback, the piece that keeps million-link
-//!   verification off the `O(s²)` cliff. The default [`VerifierStrategy`]
-//!   prices the far field through a cell → super-cell aggregation pyramid
-//!   (`O(log m)`-ish per target); the flat PR-3 grid survives as the
-//!   differential baseline;
+//!   verification off the `O(s²)` cliff. It prices the far field of a slot
+//!   through the flat grid below 8 192 members and a cell → super-cell
+//!   aggregation pyramid (`O(log m)`-ish per target) above, a depth it
+//!   takes from the slot size;
 //! * `pipeline` (internal) — per-shard coloring via
 //!   `wagg_schedule::schedule_prebuilt`, parity-offset boundary repair and
 //!   the global verification/eviction pass;
@@ -39,7 +39,7 @@
 //!
 //! ```
 //! use wagg_geometry::Point;
-//! use wagg_partition::{solve_sharded, VerifierStrategy};
+//! use wagg_partition::solve_sharded;
 //! use wagg_schedule::{PowerMode, Recorder, SchedulerConfig};
 //! use wagg_sinr::Link;
 //!
@@ -52,7 +52,7 @@
 //!     .collect();
 //! let config = SchedulerConfig::new(PowerMode::mean_oblivious());
 //! let rec = Recorder::disabled();
-//! let sharded = solve_sharded(&links, config, 4, VerifierStrategy::default(), &rec);
+//! let sharded = solve_sharded(&links, config, 4, &rec);
 //! assert!(sharded.sharding.expect("sharded runs carry their stats").shards >= 4);
 //! assert!(sharded.report.schedule.is_partition(links.len()));
 //! assert!(sharded.report.schedule.verify(&links, &config.model, config.mode));
@@ -69,7 +69,7 @@ mod pipeline;
 
 pub use engine::{PartitionedEngine, PartitionedEngineConfig, PartitionedStats};
 pub use layout::{max_conflict_radius, PartitionLayout};
-pub use verify::{AffectanceVerifier, VerifierStrategy};
+pub use verify::AffectanceVerifier;
 
 use wagg_conflict::is_classed;
 use wagg_obs::Recorder;
@@ -78,18 +78,13 @@ use wagg_sinr::Link;
 
 /// The sharded scheduling pipeline: tiles the link set by [`PartitionLayout`],
 /// schedules each shard independently (see the [crate docs](self)), stitches,
-/// and verifies the stitched schedule slot by slot with the given far-field
-/// [`VerifierStrategy`] — so, exactly like the unsharded kernel
+/// and verifies the stitched schedule slot by slot with the certified
+/// [`AffectanceVerifier`] — so, exactly like the unsharded kernel
 /// (`wagg_schedule::solve_static`), every returned slot is genuinely feasible
-/// under `config`'s power mode when `config.verify_slots` is set. With one
-/// shard and verification disabled the result coincides with the unsharded
-/// scheduler's coloring.
-///
-/// The strategy only changes how the verifier *prices* slots — accept/evict
-/// decisions (and with them the final schedule) match
-/// `is_feasible_by_affectance` under every strategy, which the differential
-/// test battery pins; a pyramid depth of 1 is the flat-grid baseline, the
-/// default descends the aggregation pyramid.
+/// under `config`'s power mode when `config.verify_slots` is set: the
+/// verifier's accept/evict decisions match `is_feasible_by_affectance`. With
+/// one shard and verification disabled the result coincides with the
+/// unsharded scheduler's coloring.
 ///
 /// The report is tagged [`BackendKind::Sharded`](wagg_schedule::BackendKind)
 /// and carries the decomposition's [`ShardingStats`](wagg_schedule::ShardingStats).
@@ -101,7 +96,7 @@ use wagg_sinr::Link;
 ///
 /// This is the primitive `wagg_core::session::Session`'s sharded backend
 /// wraps; application code should schedule through the session, which also
-/// picks the shard count and strategy for `Backend::Auto`.
+/// picks the shard count for `Backend::Auto`.
 ///
 /// Links of no length class (`wagg_conflict::is_classed`: zero length, or a
 /// length that overflows to infinity) conflict with every other link and
@@ -116,7 +111,6 @@ pub fn solve_sharded(
     links: &[Link],
     config: SchedulerConfig,
     target_shards: usize,
-    strategy: VerifierStrategy,
     rec: &Recorder,
 ) -> SolveReport {
     assert!(target_shards > 0, "need at least one shard");
@@ -144,9 +138,8 @@ pub fn solve_sharded(
             owner_of[piece.member_globals[local]] = (pi as u32, local as u32);
         }
     }
-    let mut outcome = pipeline::schedule_pieces(
-        &plinks, &pieces, &boundary, &owner_of, config, strategy, rec,
-    );
+    let mut outcome =
+        pipeline::schedule_pieces(&plinks, &pieces, &boundary, &owner_of, config, rec);
 
     // Back to the caller's indices; degenerate links close the schedule as
     // singleton slots.

@@ -31,9 +31,9 @@
 //!    color while being graph-adjacent — physically fine, and phase 4
 //!    re-verifies every slot by affectance anyway.)
 //! 4. **Verify globally**: every stitched slot passes through the
-//!    [`AffectanceVerifier`] (certified bounds — hierarchical far-field
-//!    aggregation by default, the flat grid at pyramid depth 1 — with
-//!    exact fallback) and failing
+//!    [`AffectanceVerifier`] (certified bounds — the flat grid below 8 192
+//!    members, hierarchical far-field aggregation above, a depth the
+//!    verifier takes from the slot size — with exact fallback) and failing
 //!    members are evicted and re-packed — so each final slot passes
 //!    `is_feasible_by_affectance`. A class kept whole also keeps the
 //!    per-target totals its sweep computed, which are its warm-repair
@@ -46,7 +46,7 @@
 //!    splitter.
 
 use crate::layout::PartitionLayout;
-use crate::verify::{AffectanceVerifier, VerifierStrategy};
+use crate::verify::AffectanceVerifier;
 use wagg_conflict::{ConflictGraph, ConflictRelation};
 use wagg_obs::Recorder;
 use wagg_schedule::{
@@ -138,6 +138,28 @@ impl PipelineOutcome {
     }
 }
 
+/// Per-shard occupancy of a tiling whose shards own `owned[s]` links each
+/// and hold `ghost_copies` ghost copies in all: `(max_owned, mean_owned,
+/// ghost_fraction)` as [`ShardingStats`] reports them — how evenly the
+/// tiling spread ownership, and how much halo replication the ghosts cost.
+/// The one formula behind the pipeline's report and
+/// [`PartitionedEngine::occupancy`](crate::PartitionedEngine::occupancy).
+pub(crate) fn occupancy(owned: &[usize], ghost_copies: usize) -> (usize, f64, f64) {
+    let owned_total: usize = owned.iter().sum();
+    let max_owned = owned.iter().copied().max().unwrap_or(0);
+    let mean_owned = if owned.is_empty() {
+        0.0
+    } else {
+        owned_total as f64 / owned.len() as f64
+    };
+    let ghost_fraction = if owned_total == 0 {
+        0.0
+    } else {
+        ghost_copies as f64 / owned_total as f64
+    };
+    (max_owned, mean_owned, ghost_fraction)
+}
+
 /// Builds every shard's [`ShardPieces`] from a [`PartitionLayout`]: member
 /// link sets (owned first, then ghosts, each ascending) are relabeled to
 /// local ids and their conflict subgraphs built from scratch — one
@@ -196,7 +218,6 @@ pub(crate) fn schedule_pieces(
     boundary: &[bool],
     owner_of: &[(u32, u32)],
     config: SchedulerConfig,
-    strategy: VerifierStrategy,
     rec: &Recorder,
 ) -> PipelineOutcome {
     // One globally built cache (fixed assignment, noise-free) feeds every
@@ -229,7 +250,6 @@ pub(crate) fn schedule_pieces(
                 let (powers, weights) = cache.subset_parts(&piece.member_globals);
                 let verifier =
                     AffectanceVerifier::new(&config.model, piece.graph.links(), &powers, &weights)
-                        .with_strategy(strategy)
                         .with_recorder(rec);
                 let mut classes: Vec<Vec<usize>> = vec![Vec::new(); num_colors];
                 for (p, &local) in piece.owned_local.iter().enumerate() {
@@ -319,9 +339,8 @@ pub(crate) fn schedule_pieces(
         slots.extend(classes.into_iter().filter(|c| !c.is_empty()));
     } else if let Some(cache) = &global_cache {
         let (powers, weights) = cache.parts();
-        let verifier = AffectanceVerifier::new(&config.model, links, powers, weights)
-            .with_strategy(strategy)
-            .with_recorder(rec);
+        let verifier =
+            AffectanceVerifier::new(&config.model, links, powers, weights).with_recorder(rec);
         let mut all_evicted: Vec<usize> = Vec::new();
         for class in classes.into_iter().filter(|c| !c.is_empty()) {
             let (kept, evicted, class_totals) = verifier.evict_infeasible(&class);
@@ -343,28 +362,13 @@ pub(crate) fn schedule_pieces(
     totals.resize(slots.len(), None);
     verify_phase.finish();
 
-    // Per-shard occupancy: how evenly the tiling spread ownership, and how
-    // much halo replication the ghosts cost.
-    let owned_total: usize = pieces.iter().map(|p| p.owned_local.len()).sum();
+    let owned: Vec<usize> = pieces.iter().map(|p| p.owned_local.len()).collect();
+    let owned_total: usize = owned.iter().sum();
     let ghost_copies: usize = pieces
         .iter()
         .map(|p| p.member_globals.len() - p.owned_local.len())
         .sum();
-    let max_owned = pieces
-        .iter()
-        .map(|p| p.owned_local.len())
-        .max()
-        .unwrap_or(0);
-    let mean_owned = if pieces.is_empty() {
-        0.0
-    } else {
-        owned_total as f64 / pieces.len() as f64
-    };
-    let ghost_fraction = if owned_total == 0 {
-        0.0
-    } else {
-        ghost_copies as f64 / owned_total as f64
-    };
+    let (max_owned, mean_owned, ghost_fraction) = occupancy(&owned, ghost_copies);
     rec.add("partition.owned_links", owned_total as u64);
     rec.add("partition.ghost_copies", ghost_copies as u64);
     rec.record_max("partition.owned_max", max_owned as u64);

@@ -18,19 +18,23 @@
 //!   **upper bound** on its members' total contribution, costing `O(1)` per
 //!   aggregate.
 //!
-//! Every pyramid depth shares that contract (see [`VerifierStrategy`]):
+//! The pyramid depth follows from the slot size alone; every depth shares
+//! that contract:
 //!
-//! * **Depth 1** — one coarse level (`Θ(√m)` cells, `~m^(1/4)` per axis),
-//!   every cell priced per target: the flat grid, kept as the differential
-//!   baseline.
-//! * **Deeper** (the adaptive default for large slots) — a fine grid (a few
-//!   members per cell) under a [`GridPyramid`] of super-cells, each
-//!   aggregating its children's power sum and tight box. A target query
-//!   descends from the top: a node whose tight box lies at distance
-//!   `d ≥ 2 · side(level)` is accepted as one aggregate term, anything
-//!   closer is expanded; finest-level cells within the gate are summed
-//!   exactly. Per-target cost drops from the flat grid's `Θ(√m)` to
-//!   `O(log m)` opened nodes.
+//! * **Depth 1**, below `PYRAMID_CUTOFF` (8 192) members — one coarse level
+//!   (`Θ(√m)` cells, `~m^(1/4)` per axis), every cell priced per target:
+//!   the flat grid.
+//! * **The natural depth**, from the cutoff on — a fine grid (a few members
+//!   per cell) under a [`GridPyramid`] of super-cells, each aggregating its
+//!   children's power sum and tight box. A target query descends from the
+//!   top: a node whose tight box lies at distance `d ≥ 2 · side(level)` is
+//!   accepted as one aggregate term, anything closer is expanded;
+//!   finest-level cells within the gate are summed exactly. Per-target cost
+//!   drops from the flat grid's `Θ(√m)` to `O(log m)` opened nodes.
+//!
+//! The depth changes how a slot is priced, never its verdict, so it is no
+//! setting: the unit tests drive the per-target pass at depths 1, 2, 3 and
+//! natural on the same slots and hold every verdict to the exact one.
 //!
 //! One per-target pass computes each target's **total**: the certified
 //! bound `exact_near + bound_far` when it lands within `1/β` (the true sum
@@ -40,8 +44,8 @@
 //! with unavailable powers, whose failure semantics the bound cannot
 //! reproduce) skip the grid and go straight to the exact kernel, so the
 //! verifier's verdicts always match `is_feasible_by_affectance` on the
-//! slot's links — under **every** strategy and pyramid depth, which is what
-//! the differential test battery pins. The same totals are the warm-repair
+//! slot's links at **every** pyramid depth, which is what the unit tests
+//! pin. The same totals are the warm-repair
 //! budgets [`AffectanceVerifier::budgets`] returns, and
 //! [`AffectanceVerifier::evict_infeasible`] hands them back beside its
 //! verdicts, so a caller that keeps a slot whole never prices it twice.
@@ -58,7 +62,6 @@
 //! one layout — and a verifier whose slots all stay under the exact cutoff
 //! never pays for the fold.
 
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use wagg_geometry::pyramid::GridPyramid;
 use wagg_geometry::{BoundingBox, Point};
@@ -79,51 +82,22 @@ const EXACT_CUTOFF: usize = 192;
 /// closer is expanded (or, at the finest level, summed exactly).
 const OPEN_GATE: f64 = 2.0;
 
-/// Below this slot size the adaptive default prices the far field with the
-/// flat grid: the descent's per-level node visits only amortise once the
-/// flat scan's `Θ(√m)` far cells dwarf them (empirically around `10⁴`
-/// members on the bench workloads).
+/// Below this slot size the far field is priced with the flat grid: the
+/// descent's per-level node visits only amortise once the flat scan's
+/// `Θ(√m)` far cells dwarf them (empirically around `10⁴` members on the
+/// bench workloads).
 const PYRAMID_CUTOFF: usize = 8192;
 
-/// How the verifier prices the far field of a target query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum VerifierStrategy {
-    /// Fine cells (a few members each) under a cell → super-cell aggregation
-    /// pyramid; target queries descend the pyramid and expand only nodes too
-    /// close for their aggregate bound. Per-target cost `O(log m)`-ish.
-    Hierarchical {
-        /// Number of pyramid levels, or `None` for the adaptive default:
-        /// flat below `PYRAMID_CUTOFF` (8 192) members, the naturally deep
-        /// pyramid above it (always clamped to
-        /// [`GridPyramid::natural_depth`]). A depth of 1 is the flat grid:
-        /// `~m^(1/4)` cells per axis, exact sums over the 3×3 cell
-        /// neighbourhood of the target, one aggregate term per far cell,
-        /// per-target far-field cost `Θ(√m)`.
-        depth: Option<usize>,
-    },
-}
-
-impl Default for VerifierStrategy {
-    /// The production strategy: adaptively hierarchical.
-    fn default() -> Self {
-        VerifierStrategy::Hierarchical { depth: None }
-    }
-}
-
-impl VerifierStrategy {
-    /// The pyramid depth this strategy requests for a slot of `m` members
-    /// (1 means the flat path).
-    fn requested_depth(self, m: usize) -> usize {
-        match self {
-            VerifierStrategy::Hierarchical { depth: Some(d) } => d.max(1),
-            VerifierStrategy::Hierarchical { depth: None } => {
-                if m < PYRAMID_CUTOFF {
-                    1
-                } else {
-                    usize::MAX
-                }
-            }
-        }
+/// The pyramid depth the per-target pass builds for a slot of `m` members:
+/// 1 (the flat grid: `~m^(1/4)` cells per axis, exact sums over the 3×3
+/// cell neighbourhood of the target, one aggregate term per far cell) below
+/// [`PYRAMID_CUTOFF`], the natural depth from it on (`usize::MAX`, clamped
+/// to [`GridPyramid::natural_depth`]).
+fn depth_for(m: usize) -> usize {
+    if m < PYRAMID_CUTOFF {
+        1
+    } else {
+        usize::MAX
     }
 }
 
@@ -138,7 +112,6 @@ pub struct AffectanceVerifier<'a> {
     model: SinrModel,
     pow: AlphaPow,
     inv_beta: f64,
-    strategy: VerifierStrategy,
     /// Bounding box of every sender in the universe — the shared grid
     /// anchor for every slot query (`None` only for an empty universe).
     /// Folded on first use: only slot pyramids read it, so a verifier whose
@@ -159,7 +132,7 @@ pub struct AffectanceVerifier<'a> {
 impl<'a> AffectanceVerifier<'a> {
     /// A verifier over `links` with the given per-link cache parts (exactly
     /// what `PathLossCache::new` computes for `links` under the power
-    /// assignment being verified), using the default hierarchical strategy.
+    /// assignment being verified).
     ///
     /// # Panics
     ///
@@ -179,20 +152,12 @@ impl<'a> AffectanceVerifier<'a> {
             model: *model,
             pow: AlphaPow::new(model.alpha()),
             inv_beta: 1.0 / model.beta(),
-            strategy: VerifierStrategy::default(),
             sender_extent: OnceLock::new(),
             expansions: Counter::default(),
             exact_fallbacks: Counter::default(),
             evictions: Counter::default(),
             repacked: Counter::default(),
         }
-    }
-
-    /// Replaces the far-field strategy (the default is hierarchical at
-    /// natural depth).
-    pub fn with_strategy(mut self, strategy: VerifierStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Routes the verifier's work counters to `rec`: `verifier.expansions`
@@ -207,11 +172,6 @@ impl<'a> AffectanceVerifier<'a> {
         self.evictions = rec.counter("verifier.evictions");
         self.repacked = rec.counter("verifier.repacked");
         self
-    }
-
-    /// The configured far-field strategy.
-    pub fn strategy(&self) -> VerifierStrategy {
-        self.strategy
     }
 
     /// The bounding box of every sender, folded on the first call.
@@ -289,11 +249,17 @@ impl<'a> AffectanceVerifier<'a> {
         self.exact_total(members, k)
     }
 
-    /// Per-target totals for one slot, `out[k]` for `members[k]` (see
-    /// `total`; a singleton's is zero). Small slots, and slots with links of
-    /// unknown power, whose failure semantics the bound cannot reproduce,
-    /// take the exact kernel for every target.
+    /// Per-target totals for one slot, `out[k]` for `members[k]`, priced at
+    /// the slot size's pyramid depth (see [`depth_for`]).
     fn totals(&self, members: &[usize]) -> Vec<Option<f64>> {
+        self.totals_at(members, depth_for(members.len()))
+    }
+
+    /// Per-target totals for one slot at pyramid depth `depth` (see `total`;
+    /// a singleton's is zero). Small slots, and slots with links of unknown
+    /// power, whose failure semantics the bound cannot reproduce, take the
+    /// exact kernel for every target.
+    fn totals_at(&self, members: &[usize], depth: usize) -> Vec<Option<f64>> {
         if members.len() <= 1 {
             return vec![Some(0.0); members.len()];
         }
@@ -302,7 +268,7 @@ impl<'a> AffectanceVerifier<'a> {
             None
         } else {
             // `None` when all senders are collocated: no useful binning.
-            SlotPyramid::build(self, members, self.strategy.requested_depth(members.len()))
+            SlotPyramid::build(self, members, depth)
         };
         let one = |k: usize| self.total(members, pyramid.as_ref(), k);
         #[cfg(feature = "parallel")]
@@ -375,9 +341,8 @@ impl<'a> AffectanceVerifier<'a> {
     /// added. A link that fits nowhere opens its own slot, so the packing
     /// always terminates; singleton slots are trivially feasible. The
     /// result depends only on the evicted *set* (the sort canonicalises the
-    /// input order) and the verifier's construction inputs, not on its
-    /// strategy: the probes build no pyramid, so a repack counts only in
-    /// `verifier.repacked`.
+    /// input order) and the verifier's construction inputs: the probes build
+    /// no pyramid, so a repack counts only in `verifier.repacked`.
     ///
     /// The unsharded splitter, [`split_class_into_feasible`], ties by link
     /// id instead. The two orders agree on the pipeline's verifiers only
@@ -731,6 +696,7 @@ impl<'v, 'a> SlotPyramid<'v, 'a> {
 mod tests {
     use super::*;
     use wagg_geometry::Point;
+    use wagg_schedule::{PowerMode, SchedulerConfig};
     use wagg_sinr::affectance::is_feasible_by_affectance;
     use wagg_sinr::{PathLossCache, PowerAssignment};
 
@@ -749,19 +715,30 @@ mod tests {
         members.iter().map(|&i| links[i]).collect()
     }
 
-    fn strategies() -> Vec<VerifierStrategy> {
-        vec![
-            VerifierStrategy::Hierarchical { depth: Some(1) },
-            VerifierStrategy::Hierarchical { depth: Some(2) },
-            VerifierStrategy::Hierarchical { depth: Some(4) },
-            VerifierStrategy::Hierarchical { depth: None },
-        ]
+    /// The pyramid depths the per-target pass is driven at: the flat grid,
+    /// two shallow pyramids and the natural depth (clamped to
+    /// [`GridPyramid::natural_depth`]), whatever the slot size would pick.
+    const DEPTHS: [usize; 4] = [1, 2, 3, usize::MAX];
+
+    /// The members of `members` whose totals fail (a sweep's evictions).
+    fn failing(
+        verifier: &AffectanceVerifier<'_>,
+        members: &[usize],
+        totals: &[Option<f64>],
+    ) -> Vec<usize> {
+        members
+            .iter()
+            .zip(totals)
+            .filter(|&(_, &t)| !verifier.passes(t))
+            .map(|(&i, _)| i)
+            .collect()
     }
 
-    /// One sweep of `members` under `strategy`, checked against the
-    /// reference kernel: each target is kept exactly when its reference sum
-    /// is priced and within `1/β`, and the sweep's totals are the slot's
-    /// `budgets` bit for bit. Returns `(kept, evicted)`.
+    /// One sweep of `members`, checked against the reference kernel: each
+    /// target is kept exactly when its reference sum is priced and within
+    /// `1/β`, the sweep's totals are the slot's `budgets` bit for bit, and
+    /// the per-target pass at every depth of [`DEPTHS`] evicts the same
+    /// targets. Returns the sweep's `(kept, evicted)`.
     fn checked_sweep(
         verifier: &AffectanceVerifier<'_>,
         reference: &PathLossCache,
@@ -788,6 +765,13 @@ mod tests {
                 "{context}: target {i} verdict mismatch"
             );
         }
+        for depth in DEPTHS {
+            assert_eq!(
+                failing(verifier, members, &verifier.totals_at(members, depth)),
+                evicted,
+                "{context}: depth {depth} evicts other targets"
+            );
+        }
         (kept, evicted)
     }
 
@@ -797,8 +781,8 @@ mod tests {
         let power = PowerAssignment::mean();
         let mut evicting = 0;
         // Sweep spacings through the feasibility threshold; include sizes on
-        // both sides of the exact cutoff so the certified path is exercised,
-        // and every strategy/depth so the battery covers the whole matrix.
+        // both sides of the exact cutoff so the certified path is exercised
+        // at every depth.
         for &(n, spacing) in &[
             (64usize, 3.0),
             (64, 8.0),
@@ -811,40 +795,68 @@ mod tests {
             let cache = PathLossCache::new(&model, &links, &power);
             let (powers, weights) = cache.into_parts();
             let reference = PathLossCache::new(&model, &links, &power);
-            for strategy in strategies() {
-                let verifier = AffectanceVerifier::new(&model, &links, &powers, &weights)
-                    .with_strategy(strategy);
-                let members: Vec<usize> = (0..n).collect();
-                let context = format!("n={n} spacing={spacing} {strategy:?}");
-                let (kept, evicted) = checked_sweep(
-                    &verifier,
-                    &reference,
-                    1.0 / model.beta(),
-                    &members,
-                    &context,
-                );
-                // Kept sets are genuinely feasible under the reference check.
-                assert!(
-                    is_feasible_by_affectance(&model, &subset_links(&links, &kept), &power),
-                    "kept set infeasible at {context}"
-                );
-                if evicted.is_empty() {
-                    assert!(verifier.set_feasible(&members));
-                } else {
-                    evicting += 1;
-                    assert!(!verifier.set_feasible(&members));
-                    // Packing terminates and every packed slot is feasible.
-                    for slot in verifier.pack_first_fit(&evicted) {
-                        assert!(is_feasible_by_affectance(
-                            &model,
-                            &subset_links(&links, &slot),
-                            &power
-                        ));
-                    }
+            let verifier = AffectanceVerifier::new(&model, &links, &powers, &weights);
+            let members: Vec<usize> = (0..n).collect();
+            let context = format!("n={n} spacing={spacing}");
+            let (kept, evicted) = checked_sweep(
+                &verifier,
+                &reference,
+                1.0 / model.beta(),
+                &members,
+                &context,
+            );
+            // Kept sets are genuinely feasible under the reference check.
+            assert!(
+                is_feasible_by_affectance(&model, &subset_links(&links, &kept), &power),
+                "kept set infeasible at {context}"
+            );
+            if evicted.is_empty() {
+                assert!(verifier.set_feasible(&members));
+            } else {
+                evicting += 1;
+                assert!(!verifier.set_feasible(&members));
+                // Packing terminates and every packed slot is feasible.
+                for slot in verifier.pack_first_fit(&evicted) {
+                    assert!(is_feasible_by_affectance(
+                        &model,
+                        &subset_links(&links, &slot),
+                        &power
+                    ));
                 }
             }
         }
         assert!(evicting > 0, "the sweep covers slots that evict");
+
+        // The colour classes the sharded pipeline verifies on a dense
+        // 700-link grid (its stitched colouring, verification off) at 1, 4
+        // and 16 shards.
+        let dense: Vec<Link> = (0..700)
+            .map(|i| {
+                let x = (i % 28) as f64 * 2.3;
+                let y = (i / 28) as f64 * 2.3;
+                Link::new(i, Point::new(x, y), Point::new(x + 1.0, y))
+            })
+            .collect();
+        let config = SchedulerConfig::new(PowerMode::mean_oblivious());
+        let oblivious = config.mode.assignment().expect("fixed mode");
+        let (powers, weights) = PathLossCache::new(&model, &dense, &oblivious).into_parts();
+        let reference = PathLossCache::new(&model, &dense, &oblivious);
+        let verifier = AffectanceVerifier::new(&model, &dense, &powers, &weights);
+        let mut certified = 0;
+        for shards in [1, 4, 16] {
+            let coloring = crate::solve_sharded(
+                &dense,
+                config.with_verification(false),
+                shards,
+                &Recorder::disabled(),
+            );
+            for (c, class) in coloring.report.schedule.slots().iter().enumerate() {
+                certified += usize::from(class.len() > EXACT_CUTOFF);
+                let context = format!("dense grid, {shards} shards, class {c}");
+                checked_sweep(&verifier, &reference, 1.0 / model.beta(), class, &context);
+            }
+        }
+        assert!(certified > 0, "some dense class takes the certified path");
 
         // Edge totals: a slot holding a link of unknown power (no target in
         // it can be priced: budgets ∞, verdicts fail), a slot without it, a
@@ -879,18 +891,72 @@ mod tests {
             for &(links, power, members, label) in &cases {
                 let (powers, weights) = PathLossCache::new(&m, links, power).into_parts();
                 let reference = PathLossCache::new(&m, links, power);
-                for strategy in strategies() {
-                    let verifier = AffectanceVerifier::new(&m, links, &powers, &weights)
-                        .with_strategy(strategy);
-                    let context = format!("{label}, beta {}, {strategy:?}", m.beta());
-                    let (kept, _) =
-                        checked_sweep(&verifier, &reference, 1.0 / m.beta(), members, &context);
-                    if label == "unknown power" {
-                        assert!(kept.is_empty(), "{context}");
-                        assert!(verifier.budgets(members).iter().all(|b| b.is_infinite()));
-                    }
+                let verifier = AffectanceVerifier::new(&m, links, &powers, &weights);
+                let context = format!("{label}, beta {}", m.beta());
+                let (kept, _) =
+                    checked_sweep(&verifier, &reference, 1.0 / m.beta(), members, &context);
+                if label == "unknown power" {
+                    assert!(kept.is_empty(), "{context}");
+                    assert!(verifier.budgets(members).iter().all(|b| b.is_infinite()));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn production_sized_slots_take_their_depth_from_the_size() {
+        // The cutoff's two sides on unit links: one slot short of
+        // `PYRAMID_CUTOFF` prices at depth 1, a full one at the natural
+        // depth. The sweep's totals are that depth's bit for bit (and not
+        // the other depth's), its verdicts on a sample of targets are the
+        // exact sum's, and its totals bound the exact sum.
+        let model = SinrModel::default();
+        let power = PowerAssignment::mean();
+        for (m, depth, other) in [
+            (PYRAMID_CUTOFF - 1, 1, usize::MAX),
+            (PYRAMID_CUTOFF, usize::MAX, 1),
+        ] {
+            // Unit links 2.4 apart (the whole field passes from about 2.33
+            // on), every 97th pushed 1.2 towards its right neighbour: those
+            // pairs fail, and the sample below takes each of them, its
+            // neighbour and a link half-way to the next pair.
+            let mut links = field(m, 2.4);
+            for link in links.iter_mut().step_by(97) {
+                link.sender.x += 1.2;
+                link.receiver.x += 1.2;
+            }
+            let (powers, weights) = PathLossCache::new(&model, &links, &power).into_parts();
+            let verifier = AffectanceVerifier::new(&model, &links, &powers, &weights);
+            let members: Vec<usize> = (0..m).collect();
+            let (kept, evicted, totals) = verifier.evict_infeasible(&members);
+            assert!(!kept.is_empty() && !evicted.is_empty(), "{m}: a mixed slot");
+            // Bit patterns, compared with `assert!` so a failure does not
+            // print 8 192 of them.
+            let sweep: Vec<u64> = totals.iter().map(|t| t.to_bits()).collect();
+            let at = |d: usize| -> Vec<u64> {
+                let totals = verifier.totals_at(&members, d);
+                let priced = totals.into_iter().map(|t| t.unwrap_or(f64::INFINITY));
+                priced.map(f64::to_bits).collect()
+            };
+            assert!(sweep == at(depth), "{m}: depth {depth}");
+            assert!(sweep != at(other), "{m}: depth {other}");
+            let mut verdicts = [0, 0];
+            let sample = (0..m).step_by(97).flat_map(|k| [k, k + 1, k + 48]);
+            for k in sample.filter(|&k| k < m) {
+                let exact = verifier.exact_affectance(&members, k).expect("priced");
+                let passes = exact <= 1.0 / model.beta();
+                assert_eq!(kept.contains(&k), passes, "{m}: target {k}");
+                assert!(
+                    totals[k] >= exact - 1e-12 * exact,
+                    "{m}: target {k} total {} < exact {exact}",
+                    totals[k]
+                );
+                verdicts[usize::from(passes)] += 1;
+            }
+            assert!(
+                verdicts[0] > 0 && verdicts[1] > 0,
+                "{m}: sample {verdicts:?}"
+            );
         }
     }
 
@@ -930,31 +996,24 @@ mod tests {
         let links = field(400, 2.0);
         let cache = PathLossCache::new(&model, &links, &power);
         let (powers, weights) = cache.into_parts();
-        for strategy in strategies() {
-            let verifier =
-                AffectanceVerifier::new(&model, &links, &powers, &weights).with_strategy(strategy);
-            let members: Vec<usize> = (0..links.len()).collect();
-            let (_, evicted, _) = verifier.evict_infeasible(&members);
-            assert!(
-                !evicted.is_empty(),
-                "tight field should force evictions ({strategy:?})"
-            );
-            let packed = verifier.pack_first_fit(&evicted);
-            // Same verifier, reversed input order.
-            let mut reversed = evicted.clone();
-            reversed.reverse();
-            assert_eq!(packed, verifier.pack_first_fit(&reversed), "{strategy:?}");
-            // A fresh identically constructed verifier.
-            let fresh =
-                AffectanceVerifier::new(&model, &links, &powers, &weights).with_strategy(strategy);
-            assert_eq!(packed, fresh.pack_first_fit(&evicted), "{strategy:?}");
-            for slot in &packed {
-                assert!(is_feasible_by_affectance(
-                    &model,
-                    &subset_links(&links, slot),
-                    &power
-                ));
-            }
+        let verifier = AffectanceVerifier::new(&model, &links, &powers, &weights);
+        let members: Vec<usize> = (0..links.len()).collect();
+        let (_, evicted, _) = verifier.evict_infeasible(&members);
+        assert!(!evicted.is_empty(), "tight field should force evictions");
+        let packed = verifier.pack_first_fit(&evicted);
+        // Same verifier, reversed input order.
+        let mut reversed = evicted.clone();
+        reversed.reverse();
+        assert_eq!(packed, verifier.pack_first_fit(&reversed));
+        // A fresh identically constructed verifier.
+        let fresh = AffectanceVerifier::new(&model, &links, &powers, &weights);
+        assert_eq!(packed, fresh.pack_first_fit(&evicted));
+        for slot in &packed {
+            assert!(is_feasible_by_affectance(
+                &model,
+                &subset_links(&links, slot),
+                &power
+            ));
         }
     }
 
@@ -992,10 +1051,12 @@ mod tests {
     #[test]
     fn repack_is_a_fresh_first_fit() {
         // Which packing the repack produces, not only that it is feasible:
-        // under every strategy, the slots of probing every candidate afresh.
-        // The sets to pack are a sweep's evictions, the whole field and two
-        // random halves; the cases cover a link without power, links sharing
-        // ids (one per pair) and a model whose 1/β overflows to ∞.
+        // the slots of probing every candidate afresh. The sets to pack are
+        // a sweep's evictions (the same at every depth of `DEPTHS`: the
+        // repack builds no pyramid, so equal verdicts pack equal slots), the
+        // whole field and two random halves; the cases cover a link without
+        // power, links sharing ids (one per pair) and a model whose 1/β
+        // overflows to ∞.
         let tiny_beta = SinrModel::new(3.0, 1e-320, 0.0).expect("valid model");
         assert!((1.0 / tiny_beta.beta()).is_infinite());
         let models = [
@@ -1031,9 +1092,17 @@ mod tests {
         for model in models {
             for &(links, power, label) in &cases {
                 let (powers, weights) = PathLossCache::new(&model, links, power).into_parts();
+                let verifier = AffectanceVerifier::new(&model, links, &powers, &weights);
                 let all: Vec<usize> = (0..links.len()).collect();
-                let (_, evicted, _) = AffectanceVerifier::new(&model, links, &powers, &weights)
-                    .evict_infeasible(&all);
+                let (_, evicted, _) = verifier.evict_infeasible(&all);
+                for depth in DEPTHS {
+                    assert_eq!(
+                        failing(&verifier, &all, &verifier.totals_at(&all, depth)),
+                        evicted,
+                        "{label}, beta {}: depth {depth} evicts other links",
+                        model.beta()
+                    );
+                }
                 let mut sets = vec![evicted, all.clone()];
                 for _ in 0..2 {
                     sets.push(all.iter().copied().filter(|_| coin()).collect());
@@ -1041,17 +1110,13 @@ mod tests {
                 for set in &sets {
                     let want = reference_pack(&model, links, power, set);
                     shared_slots += want.iter().filter(|slot| slot.len() > 1).count();
-                    for strategy in strategies() {
-                        let verifier = AffectanceVerifier::new(&model, links, &powers, &weights)
-                            .with_strategy(strategy);
-                        assert_eq!(
-                            verifier.pack_first_fit(set),
-                            want,
-                            "{label}, beta {}, {strategy:?}, {} links",
-                            model.beta(),
-                            set.len()
-                        );
-                    }
+                    assert_eq!(
+                        verifier.pack_first_fit(set),
+                        want,
+                        "{label}, beta {}, {} links",
+                        model.beta(),
+                        set.len()
+                    );
                 }
             }
         }

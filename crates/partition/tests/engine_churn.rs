@@ -1,17 +1,13 @@
 //! `PartitionedEngine` churn coverage: arbitrary churn-then-`schedule()`
-//! traces routed through the (hierarchical) certified verifier stay
+//! traces routed through the certified verifier stay
 //! `is_feasible_by_affectance`-clean, including traces that force ghost
-//! re-ownership at tile boundaries — and the flat (depth-1) and adaptive
-//! verifier strategies produce the identical stitched schedule at every
-//! point of a trace. The per-slot totals `schedule()` hands on beside the
-//! report are, wherever present, the slot's `AffectanceVerifier::budgets`
-//! bit for bit.
+//! re-ownership at tile boundaries. The per-slot totals `schedule()` hands
+//! on beside the report are, wherever present, the slot's
+//! `AffectanceVerifier::budgets` bit for bit.
 
 use proptest::prelude::*;
 use wagg_geometry::{BoundingBox, Point};
-use wagg_partition::{
-    AffectanceVerifier, PartitionedEngine, PartitionedEngineConfig, VerifierStrategy,
-};
+use wagg_partition::{AffectanceVerifier, PartitionedEngine, PartitionedEngineConfig};
 use wagg_schedule::{PowerMode, SchedulerConfig};
 use wagg_sinr::affectance::is_feasible_by_affectance;
 use wagg_sinr::{Link, PathLossCache};
@@ -19,16 +15,13 @@ use wagg_sinr::{Link, PathLossCache};
 const SIDE: f64 = 120.0;
 const LEN_BOUNDS: (f64, f64) = (1.0, 1.5);
 
-fn engine(shards: usize, strategy: VerifierStrategy) -> PartitionedEngine {
-    PartitionedEngine::new(
-        PartitionedEngineConfig::new(
-            SchedulerConfig::new(PowerMode::mean_oblivious()),
-            BoundingBox::new(0.0, 0.0, SIDE, SIDE),
-            LEN_BOUNDS,
-            shards,
-        )
-        .with_verifier(strategy),
-    )
+fn engine(shards: usize) -> PartitionedEngine {
+    PartitionedEngine::new(PartitionedEngineConfig::new(
+        SchedulerConfig::new(PowerMode::mean_oblivious()),
+        BoundingBox::new(0.0, 0.0, SIDE, SIDE),
+        LEN_BOUNDS,
+        shards,
+    ))
 }
 
 /// Clamps a proptest-generated geometry into the declared length bounds and
@@ -42,7 +35,7 @@ fn geometry(x: f64, y: f64, angle: f64, len: f64) -> (Point, Point) {
 
 /// Asserts the engine's stitched schedule is a partition whose every slot
 /// passes the exact affectance check, and that every handed-on slot total is
-/// the slot's budget under the engine's strategy, bit for bit.
+/// the slot's budget, bit for bit.
 fn assert_schedule_clean(e: &PartitionedEngine, context: &str) {
     let links: Vec<Link> = e.links();
     let (sharded, totals) = e.schedule();
@@ -53,8 +46,7 @@ fn assert_schedule_clean(e: &PartitionedEngine, context: &str) {
     let config = e.config().scheduler;
     let assignment = config.mode.assignment().expect("fixed mode");
     let (powers, weights) = PathLossCache::new(&config.model, &links, &assignment).into_parts();
-    let verifier = AffectanceVerifier::new(&config.model, &links, &powers, &weights)
-        .with_strategy(e.config().verifier);
+    let verifier = AffectanceVerifier::new(&config.model, &links, &powers, &weights);
     let slots = sharded.report.schedule.slots();
     assert_eq!(totals.len(), slots.len(), "{context}: one entry per slot");
     for (slot, totals) in slots.iter().zip(&totals) {
@@ -78,8 +70,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Arbitrary interleavings of inserts, removals and relocations — with
-    /// periodic reschedules — keep every emitted slot affectance-clean, and
-    /// the flat-verifier engine replays the identical schedule.
+    /// periodic reschedules — keep every emitted slot affectance-clean.
     #[test]
     fn churn_traces_stay_affectance_clean(
         ops in proptest::collection::vec(
@@ -88,8 +79,7 @@ proptest! {
         ),
         shards in prop_oneof![Just(4usize), Just(9usize), Just(16usize)],
     ) {
-        let mut hier = engine(shards, VerifierStrategy::default());
-        let mut flat = engine(shards, VerifierStrategy::Hierarchical { depth: Some(1) });
+        let mut e = engine(shards);
         let mut keys: Vec<u64> = Vec::new();
         for (step, &(op, x, y, angle, len)) in ops.iter().enumerate() {
             let (sender, receiver) = geometry(x, y, angle, len);
@@ -97,31 +87,21 @@ proptest! {
                 // Removal (when possible), cycling through live keys.
                 0 if !keys.is_empty() => {
                     let key = keys.remove(step % keys.len());
-                    hier.remove_link(key).expect("live key");
-                    flat.remove_link(key).expect("live key");
+                    e.remove_link(key).expect("live key");
                 }
                 // Relocation: re-derives ownership and ghost sites.
                 1 if !keys.is_empty() => {
                     let key = keys[step % keys.len()];
-                    hier.relocate_link(key, sender, receiver).expect("live key");
-                    flat.relocate_link(key, sender, receiver).expect("live key");
+                    e.relocate_link(key, sender, receiver).expect("live key");
                 }
                 // Insert (also the fallback when no key is live).
-                _ => {
-                    let k1 = hier.insert_link(sender, receiver);
-                    let k2 = flat.insert_link(sender, receiver);
-                    prop_assert_eq!(k1, k2, "engines assigned different keys");
-                    keys.push(k1);
-                }
+                _ => keys.push(e.insert_link(sender, receiver)),
             }
             if step % 17 == 16 {
-                assert_schedule_clean(&hier, &format!("mid-trace step {step}"));
+                assert_schedule_clean(&e, &format!("mid-trace step {step}"));
             }
         }
-        assert_schedule_clean(&hier, "end of trace");
-        // Differential: the flat-verifier engine stitches the identical
-        // schedule from the identical trace.
-        prop_assert_eq!(hier.schedule().0, flat.schedule().0);
+        assert_schedule_clean(&e, "end of trace");
     }
 }
 
@@ -158,7 +138,7 @@ fn interior_x(e: &PartitionedEngine, y: f64) -> f64 {
 /// boundary links leave.
 #[test]
 fn ghost_reownership_at_tile_boundaries_stays_clean() {
-    let mut e = engine(16, VerifierStrategy::default());
+    let mut e = engine(16);
     assert!(e.shard_count() >= 4, "need a real decomposition");
 
     // A backdrop of links in several tiles (some straddle halos — that's

@@ -18,7 +18,7 @@ mod families;
 
 use proptest::prelude::*;
 use wagg_conflict::ConflictGraph;
-use wagg_partition::{solve_sharded, PartitionLayout, VerifierStrategy};
+use wagg_partition::{solve_sharded, PartitionLayout};
 use wagg_schedule::{PowerMode, Recorder, SchedulerConfig};
 use wagg_sinr::Link;
 
@@ -68,7 +68,7 @@ proptest! {
                 }
             }
             let report =
-                solve_sharded(&links, config, shards, VerifierStrategy::default(), &Recorder::disabled());
+                solve_sharded(&links, config, shards, &Recorder::disabled());
             prop_assert!(report.report.schedule.is_partition(links.len()));
             for slot in report.report.schedule.slots() {
                 prop_assert!(

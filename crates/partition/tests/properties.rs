@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use wagg_geometry::Point;
-use wagg_partition::{solve_sharded, PartitionLayout, VerifierStrategy};
+use wagg_partition::{solve_sharded, PartitionLayout};
 use wagg_schedule::{solve_static, PowerMode, Recorder, SchedulerConfig};
 use wagg_sinr::affectance::is_feasible_by_affectance;
 use wagg_sinr::Link;
@@ -32,13 +32,7 @@ fn decode_links(raw: &[(f64, f64, f64, f64)]) -> Vec<Link> {
 }
 
 fn assert_sharded_invariants(links: &[Link], config: SchedulerConfig, shards: usize) {
-    let sharded = solve_sharded(
-        links,
-        config,
-        shards,
-        VerifierStrategy::default(),
-        &Recorder::disabled(),
-    );
+    let sharded = solve_sharded(links, config, shards, &Recorder::disabled());
     let schedule = &sharded.report.schedule;
     assert!(
         schedule.is_partition(links.len()),
@@ -115,8 +109,8 @@ proptest! {
         prop_assert_eq!(&a, &b);
         // Scheduling twice gives the identical report.
         let config = SchedulerConfig::new(PowerMode::mean_oblivious());
-        let r1 = solve_sharded(&links, config, shards, VerifierStrategy::default(), &Recorder::disabled());
-        let r2 = solve_sharded(&links, config, shards, VerifierStrategy::default(), &Recorder::disabled());
+        let r1 = solve_sharded(&links, config, shards, &Recorder::disabled());
+        let r2 = solve_sharded(&links, config, shards, &Recorder::disabled());
         prop_assert_eq!(r1, r2);
     }
 
@@ -131,7 +125,7 @@ proptest! {
         let links = decode_links(&raw);
         for mode in [PowerMode::Uniform, PowerMode::mean_oblivious(), PowerMode::GlobalControl] {
             let config = SchedulerConfig::new(mode).with_verification(false);
-            let sharded = solve_sharded(&links, config, 1, VerifierStrategy::default(), &Recorder::disabled());
+            let sharded = solve_sharded(&links, config, 1, &Recorder::disabled());
             let direct = solve_static(&links, config, &Recorder::disabled());
             prop_assert_eq!(
                 &sharded.report.schedule, &direct.schedule,
@@ -153,13 +147,7 @@ fn degenerate_links_get_singleton_slots() {
     ]);
     links.push(Link::new(3, Point::new(10.0, 10.0), Point::new(10.0, 10.0)));
     let config = SchedulerConfig::new(PowerMode::mean_oblivious());
-    let sharded = solve_sharded(
-        &links,
-        config,
-        4,
-        VerifierStrategy::default(),
-        &Recorder::disabled(),
-    );
+    let sharded = solve_sharded(&links, config, 4, &Recorder::disabled());
     let schedule = &sharded.report.schedule;
     assert!(schedule.is_partition(links.len()));
     let degenerate_slot = schedule
@@ -182,13 +170,7 @@ fn dense_boundary_strips_still_schedule_feasibly() {
         .collect();
     let config = SchedulerConfig::new(PowerMode::mean_oblivious());
     for shards in [4usize, 16, 64] {
-        let sharded = solve_sharded(
-            &links,
-            config,
-            shards,
-            VerifierStrategy::default(),
-            &Recorder::disabled(),
-        );
+        let sharded = solve_sharded(&links, config, shards, &Recorder::disabled());
         assert!(sharded.report.schedule.is_partition(links.len()));
         assert!(sharded
             .report

@@ -74,7 +74,9 @@ use wagg_engine::EngineEvent;
 use wagg_obs::telemetry::{FlightRecorder, HealthReport, TelemetryConfig};
 use wagg_obs::{Metrics, Recorder};
 use wagg_schedule::SolveReport;
-use wagg_session::{RestoreError, Session, SessionConfig, SessionError, SessionStats};
+use wagg_session::{
+    check_events, check_point, RestoreError, Session, SessionConfig, SessionError, SessionStats,
+};
 use wagg_sinr::Link;
 use wagg_wire::{DecodeError, EncodeError, Frame, FrameKind};
 
@@ -606,44 +608,24 @@ fn worker_loop(rx: Receiver<Envelope>, depth: Arc<AtomicUsize>, ctx: WorkerCtx) 
 }
 
 /// The first NaN or infinite coordinate of an opened link set or an event
-/// batch, as the typed error. The engine asserts finite endpoints, so such
-/// a point would poison an engine-backed session; a static one would
-/// schedule it.
+/// batch, as the typed error (the session's own point checks,
+/// [`check_point`] and [`check_events`]). The engine asserts finite endpoints, so such a point would
+/// poison an engine-backed session; a static one would schedule it.
 fn check_finite(request: &Request) -> Result<(), ServiceError> {
-    let point = |index, what, x: f64, y: f64| {
-        if x.is_finite() && y.is_finite() {
-            Ok(())
-        } else {
-            Err(ServiceError::NonFinite { index, what })
-        }
-    };
-    match request {
+    let checked = match request {
         Request::OpenSession { links, .. } => {
             links.iter().enumerate().try_for_each(|(index, link)| {
-                let (s, r) = (link.sender, link.receiver);
-                point(index, "link sender", s.x, s.y)?;
-                point(index, "link receiver", r.x, r.y)
+                check_point(index, "link sender", link.sender)?;
+                check_point(index, "link receiver", link.receiver)
             })
         }
-        Request::SubmitEvents { events, .. } => {
-            events
-                .iter()
-                .enumerate()
-                .try_for_each(|(index, event)| match *event {
-                    EngineEvent::Insert {
-                        sender: s,
-                        receiver: r,
-                        ..
-                    } => {
-                        point(index, "insert sender", s.x, s.y)?;
-                        point(index, "insert receiver", r.x, r.y)
-                    }
-                    EngineEvent::MoveNode { to, .. } => point(index, "move target", to.x, to.y),
-                    EngineEvent::Remove { .. } => Ok(()),
-                })
-        }
+        Request::SubmitEvents { events, .. } => check_events(events),
         _ => Ok(()),
-    }
+    };
+    checked.map_err(|e| match e {
+        SessionError::NonFinite { index, what } => ServiceError::NonFinite { index, what },
+        e => ServiceError::Session(e),
+    })
 }
 
 fn metric_name(request: &Request) -> &'static str {

@@ -12,7 +12,7 @@
 use wagg_engine::EngineEvent;
 use wagg_geometry::{BoundingBox, Point};
 use wagg_service::{SchedulerService, ServiceConfig, ServiceError, SessionId};
-use wagg_session::{Backend, PartitionHints, RepairPolicy, Session, SessionConfig};
+use wagg_session::{Backend, PartitionHints, RepairPolicy, Session, SessionConfig, SessionError};
 use wagg_sinr::Link;
 
 /// A deterministic mixed-length link set inside `[0, 90)²`.
@@ -391,6 +391,57 @@ fn non_finite_geometry_is_refused_before_the_session_sees_it() {
         );
     }
     service.shutdown();
+}
+
+/// The same refusal one layer down: a session driven directly refuses a
+/// NaN insert sender and an infinite move target with
+/// `SessionError::NonFinite` before any event of the batch applies, on
+/// every backend.
+#[test]
+fn sessions_refuse_non_finite_events_before_applying_any() {
+    for config in configs() {
+        let mut session = Session::builder().config(config).links(&links(40)).build();
+        let before = session.solve();
+        let len = session.len();
+        let mut nan_insert = batch(1);
+        nan_insert.insert(
+            1,
+            EngineEvent::Insert {
+                key: 77,
+                sender: Point::new(f64::NAN, 41.0),
+                receiver: Point::new(41.2, 41.0),
+                sender_node: None,
+                receiver_node: None,
+            },
+        );
+        let mut infinite_move = batch(2);
+        infinite_move.insert(
+            1,
+            EngineEvent::MoveNode {
+                node: 0,
+                to: Point::new(3.0, f64::INFINITY),
+            },
+        );
+        let refusals = [
+            (nan_insert, 1, "insert sender"),
+            (infinite_move, 1, "move target"),
+        ];
+        for (events, index, what) in refusals {
+            assert_eq!(
+                session.apply_events(&events),
+                Err(SessionError::NonFinite { index, what }),
+                "{:?}",
+                config.backend
+            );
+            assert_eq!(session.len(), len, "{:?}", config.backend);
+        }
+        assert_eq!(
+            session.solve().schedule(),
+            before.schedule(),
+            "{:?}: the refused batches applied nothing",
+            config.backend
+        );
+    }
 }
 
 /// With telemetry configured, `health` carries the session's accounting

@@ -43,11 +43,11 @@
 //! probe checks the materialised slot.
 
 use crate::state;
-use crate::{slot_index, SessionConfig, Universe};
+use crate::{slot_index, RepairPolicy, Universe};
 use std::collections::HashMap;
 use wagg_engine::{EngineConfig, InterferenceEngine};
 use wagg_obs::Recorder;
-use wagg_partition::{solve_sharded, PartitionedEngine, PartitionedEngineConfig, VerifierStrategy};
+use wagg_partition::{solve_sharded, PartitionedEngine, PartitionedEngineConfig};
 use wagg_schedule::{
     solve_static, BackendKind, RepairDecision, RepairOutcome, RepairStats, SchedulerConfig,
     ShardingStats, SlotIndex, SolveReport,
@@ -129,8 +129,6 @@ pub(crate) struct Kernel<'a> {
     colors: &'a mut [Option<usize>],
     /// Priced when an assignment is pinned (the additive path).
     index: &'a mut SlotIndex,
-    /// The last full sharded solve's occupancy skew.
-    skew: Option<(usize, f64, f64)>,
     rec: &'a Recorder,
 }
 
@@ -158,17 +156,16 @@ impl Kernel<'_> {
 /// Schedules `universe` by warm-start repair (see
 /// [`wagg_schedule::solve_repair`]): keep the previous assignment, re-place
 /// only the links the events unplaced, fall back to a full recolor when the
-/// schedule length drifts past `config.repair.max_drift`. A backend without
+/// schedule length drifts past `policy.max_drift`. A backend without
 /// incremental state recolors, tagged [`RepairDecision::Unsupported`]; the
 /// first repair-enabled solve is a full recolor tagged
 /// [`RepairDecision::ColdStart`] that anchors the warm state.
 pub(crate) fn solve_repair(
     universe: &mut Universe,
     backend: &dyn Solver,
-    config: &SessionConfig,
+    policy: &RepairPolicy,
     rec: &Recorder,
 ) -> SolveReport {
-    let policy = &config.repair;
     if !backend.repairs() {
         let (report, _) = backend.solve(universe, rec);
         let (slots, links) = (report.slots(), report.num_links());
@@ -192,7 +189,7 @@ pub(crate) fn solve_repair(
             universe,
             backend,
             RepairDecision::ColdStart,
-            config,
+            policy,
             0,
             0.0,
             rec,
@@ -210,7 +207,6 @@ pub(crate) fn solve_repair(
         diversity: state.lengths.diversity(links),
         colors: &mut state.colors,
         index: &mut state.index,
-        skew: state.skew,
         rec,
     });
     debug_assert_eq!(
@@ -221,7 +217,7 @@ pub(crate) fn solve_repair(
     let drift = drift_vs(outcome.report.schedule.len(), baseline);
     if drift > policy.max_drift {
         let decision = RepairDecision::WatermarkBreach;
-        return full_recolor(universe, backend, decision, config, dirty_links, drift, rec);
+        return full_recolor(universe, backend, decision, policy, dirty_links, drift, rec);
     }
     rec.add("repair.warm_patched", 1);
     let mut solve = SolveReport::new(outcome.report, backend.kind()).with_repair(RepairStats {
@@ -244,14 +240,13 @@ fn full_recolor(
     universe: &mut Universe,
     backend: &dyn Solver,
     decision: RepairDecision,
-    config: &SessionConfig,
+    policy: &RepairPolicy,
     dirty_links: usize,
     drift: f64,
     rec: &Recorder,
 ) -> SolveReport {
-    let policy = &config.repair;
     let (solve, totals) = backend.solve(universe, rec);
-    universe.anchor(&solve, &totals, config.verifier, rec);
+    universe.anchor(&solve, &totals, rec);
     rec.add("repair.warm_recaptured", 1);
     let (slots, links) = (solve.slots(), solve.num_links());
     solve.with_repair(RepairStats {
@@ -290,7 +285,6 @@ impl Solver for StaticBackend {
 #[derive(Debug)]
 pub(crate) struct ShardedBackend {
     pub(crate) scheduler: SchedulerConfig,
-    pub(crate) strategy: VerifierStrategy,
     pub(crate) shards: usize,
 }
 
@@ -300,13 +294,7 @@ impl Solver for ShardedBackend {
     }
 
     fn solve(&self, universe: &Universe, rec: &Recorder) -> (SolveReport, Totals) {
-        let report = solve_sharded(
-            universe.links(),
-            self.scheduler,
-            self.shards,
-            self.strategy,
-            rec,
-        );
+        let report = solve_sharded(universe.links(), self.scheduler, self.shards, rec);
         (report, Vec::new())
     }
 }
@@ -485,10 +473,9 @@ impl Solver for HintedBackend {
     }
 
     fn repair(&self, kernel: Kernel<'_>) -> (RepairOutcome, Option<ShardingStats>) {
-        // The warm repair path touches only the unplaced links; per-shard
-        // occupancy is not re-derived here, so the last full solve's skew
-        // is carried forward (ownership shifts only at full recolors).
-        let (max_owned, mean_owned, ghost_fraction) = kernel.skew.unwrap_or((0, 0.0, 0.0));
+        // The engine counts owned links and ghost copies per event, so the
+        // occupancy is the placement's as it stands after the events.
+        let (max_owned, mean_owned, ghost_fraction) = self.engine.occupancy();
         let neighbors = |i: usize| -> Vec<usize> {
             self.engine
                 .neighbor_keys(self.ekeys[i])

@@ -18,8 +18,8 @@
 //!   plus its own incremental index beside it, reproducing its legacy entry
 //!   point slot for slot (pinned by the differential test suite);
 //! * [`SessionBuilder`] / [`SessionConfig`] — one layered configuration
-//!   folding `SchedulerConfig`, the sharded pipeline's `VerifierStrategy` /
-//!   shard count, the optional [`PartitionHints`] and the [`RepairPolicy`];
+//!   folding `SchedulerConfig`, the sharded pipeline's shard count, the
+//!   optional [`PartitionHints`] and the [`RepairPolicy`];
 //! * [`Backend::Auto`] — strategy selection from the instance itself:
 //!   size, churn expectation and shard hints (thresholds derived from the
 //!   `BENCH_*.json` trajectory, see [`AUTO_SHARDED_THRESHOLD`]).
@@ -27,12 +27,20 @@
 //! With [`RepairPolicy::enabled`], every full recolor (the cold start, or a
 //! repair that drifted past the watermark) anchors the warm state: each
 //! link's slot and its affectance budget, the certified verifier's
-//! per-member total for its slot under the configured [`VerifierStrategy`].
-//! The recolor's own verification computes those totals. The hinted
+//! per-member total for its slot (the verifier takes its pyramid depth from
+//! the slot size, so the recolor and the anchor price alike). The recolor's
+//! own verification computes those totals. The hinted
 //! sharded backend hands over the totals of every slot its verification
 //! pass kept whole, and the anchor prices only the rest; the
 //! `anchor.slots_priced` counter reads zero on a hinted cold start that
-//! evicted nothing, and every slot on the engine backend.
+//! evicted nothing, and every slot on the engine backend. A hinted repair
+//! reports the tiling's occupancy as it stands after the events
+//! (`PartitionedEngine::occupancy`, kept current per event).
+//!
+//! [`Session::apply_events`] refuses a batch with a NaN or infinite point
+//! ([`SessionError::NonFinite`]) before any of its events applies;
+//! [`check_point`] is that point check ([`check_events`] runs it over a
+//! batch), which the scheduling service's request checks call too.
 //!
 //! # Examples
 //!
@@ -85,7 +93,6 @@ pub use wagg_obs::{
     FlightRecorder, HealthConfig, HealthReport, HealthSignal, Metrics, Recorder, SeriesKind,
     SignalKind, SolveSample, TelemetryConfig,
 };
-pub use wagg_partition::VerifierStrategy;
 pub use wagg_schedule::{
     BackendKind, RepairDecision, RepairStats, SchedulerConfig, ShardingStats, SolveReport,
 };
@@ -206,8 +213,6 @@ pub struct SessionConfig {
     /// Whether the workload is expected to churn (drives [`Backend::Auto`]
     /// towards the incremental engine).
     pub expect_churn: bool,
-    /// Far-field strategy of the sharded pipeline's certified verifier.
-    pub verifier: VerifierStrategy,
     /// Target shard count for the sharded backend; `0` means
     /// [`AUTO_DEFAULT_SHARDS`].
     pub target_shards: usize,
@@ -223,7 +228,6 @@ impl Default for SessionConfig {
             scheduler: SchedulerConfig::default(),
             backend: Backend::Auto,
             expect_churn: false,
-            verifier: VerifierStrategy::default(),
             target_shards: 0,
             partition: None,
             repair: RepairPolicy::default(),
@@ -272,6 +276,16 @@ pub enum SessionError {
         /// The offending key.
         key: u64,
     },
+    /// A point is NaN or infinite (see [`check_point`]): from
+    /// [`Session::apply_events`], the `what` of the `index`-th event of the
+    /// batch, none of which applied.
+    NonFinite {
+        /// The offending item's position (an event's, in its batch).
+        index: usize,
+        /// The point: `"insert sender"`, `"insert receiver"` or `"move
+        /// target"` for an event.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -280,11 +294,54 @@ impl fmt::Display for SessionError {
             SessionError::UnknownKey { key } => {
                 write!(f, "session key {key} does not name a live link")
             }
+            SessionError::NonFinite { index, what } => {
+                write!(f, "the {what} of item {index} is NaN or infinite")
+            }
         }
     }
 }
 
 impl Error for SessionError {}
+
+/// The point check of every batch the scheduling surface accepts: `Ok` when
+/// both coordinates of `point` are finite, otherwise
+/// [`SessionError::NonFinite`] naming it as the `what` of the `index`-th
+/// item. The engine asserts finite endpoints, so such a point would panic
+/// an engine-backed session, and a static one would schedule it.
+///
+/// # Errors
+///
+/// [`SessionError::NonFinite`] when a coordinate is NaN or infinite.
+pub fn check_point(index: usize, what: &'static str, point: Point) -> Result<(), SessionError> {
+    if point.x.is_finite() && point.y.is_finite() {
+        Ok(())
+    } else {
+        Err(SessionError::NonFinite { index, what })
+    }
+}
+
+/// [`check_point`] over every point of an event batch: each `Insert`'s
+/// `"insert sender"` and `"insert receiver"`, each `MoveNode`'s `"move
+/// target"`, indexed by the event's position in `events`.
+///
+/// # Errors
+///
+/// [`SessionError::NonFinite`] naming the first NaN or infinite point.
+pub fn check_events(events: &[EngineEvent]) -> Result<(), SessionError> {
+    events
+        .iter()
+        .enumerate()
+        .try_for_each(|(index, event)| match *event {
+            EngineEvent::Insert {
+                sender, receiver, ..
+            } => {
+                check_point(index, "insert sender", sender)?;
+                check_point(index, "insert receiver", receiver)
+            }
+            EngineEvent::MoveNode { to, .. } => check_point(index, "move target", to),
+            EngineEvent::Remove { .. } => Ok(()),
+        })
+}
 
 /// Event accounting across the session surface. The session's universe
 /// counts, so every backend reports the same numbers for the same events,
@@ -357,12 +414,6 @@ impl SessionBuilder {
     /// towards the incremental engine).
     pub fn expect_churn(mut self, churn: bool) -> Self {
         self.config.expect_churn = churn;
-        self
-    }
-
-    /// Sets the sharded pipeline's far-field verifier strategy.
-    pub fn verifier(mut self, strategy: VerifierStrategy) -> Self {
-        self.config.verifier = strategy;
         self
     }
 
@@ -498,13 +549,11 @@ impl Session {
                     hints.extent,
                     hints.length_bounds,
                     config.effective_shards(),
-                )
-                .with_verifier(config.verifier);
+                );
                 Box::new(HintedBackend::new(pconfig, &universe))
             }
             (BackendKind::Sharded, None) => Box::new(ShardedBackend {
                 scheduler: config.scheduler,
-                strategy: config.verifier,
                 shards: config.effective_shards(),
             }),
         };
@@ -701,11 +750,14 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`SessionError::UnknownKey`] carrying the trace key when a `Remove`
-    /// names a trace key that is not live (including double-removes, and
-    /// bindings whose session key [`Session::remove`] already removed).
-    /// Events before the failing one stay applied.
+    /// [`SessionError::NonFinite`] when an `Insert` endpoint or a
+    /// `MoveNode` target is NaN or infinite; the batch is checked first, so
+    /// none of it applies. [`SessionError::UnknownKey`] carrying the trace
+    /// key when a `Remove` names a trace key that is not live (including
+    /// double-removes, and bindings whose session key [`Session::remove`]
+    /// already removed); events before the failing one stay applied.
     pub fn apply_events(&mut self, events: &[EngineEvent]) -> Result<usize, SessionError> {
+        check_events(events)?;
         for event in events {
             match *event {
                 EngineEvent::Insert {
@@ -823,7 +875,7 @@ impl Session {
             backend::solve_repair(
                 &mut self.universe,
                 self.backend.as_ref(),
-                &self.config,
+                &self.config.repair,
                 &self.recorder,
             )
         } else {
@@ -906,8 +958,6 @@ struct RepairState {
     colors: Vec<Option<usize>>,
     /// Schedule length of the last full recolor.
     baseline_slots: usize,
-    /// The last full sharded solve's occupancy skew (see [`WarmState`]).
-    skew: Option<(usize, f64, f64)>,
     /// Slot membership of `colors`; its unassigned list is the set of
     /// links the last commit has not placed. Under a pinned assignment it
     /// is priced (see [`pinned_assignment`]): the one copy of the records
@@ -922,7 +972,6 @@ impl RepairState {
             colors: self.colors.clone(),
             budgets: self.index.budgets(),
             baseline_slots: self.baseline_slots,
-            skew: self.skew,
         }
     }
 }
@@ -1140,26 +1189,18 @@ impl Universe {
             index: slot_index(&self.scheduler, &self.links, &warm.colors, &warm.budgets),
             colors: warm.colors,
             baseline_slots: warm.baseline_slots,
-            skew: warm.skew,
         });
     }
 
     /// Re-anchors the warm state on a full recolor's report, overwriting
-    /// whatever a breaching repair left; a sharded solve's occupancy skew is
-    /// carried along. Under a pinned assignment the budgets are the
-    /// certified verifier's per-member totals: a slot takes the `totals`
-    /// the recolor's own verification pass handed over for it, and
-    /// [`recolor_budgets`] prices the rest under `strategy`, counting them
-    /// in `anchor.slots_priced`. Debug builds check the result against a
+    /// whatever a breaching repair left. Under a pinned assignment the
+    /// budgets are the certified verifier's per-member totals: a slot takes
+    /// the `totals` the recolor's own verification pass handed over for it,
+    /// and [`recolor_budgets`] prices the rest, counting them in
+    /// `anchor.slots_priced`. Debug builds check the result against a
     /// from-scratch capture bit for bit. Recorded as an `anchor` span with
     /// `budgets` and `index` children.
-    fn anchor(
-        &mut self,
-        solve: &SolveReport,
-        totals: &[Option<Vec<f64>>],
-        strategy: VerifierStrategy,
-        rec: &Recorder,
-    ) {
+    fn anchor(&mut self, solve: &SolveReport, totals: &[Option<Vec<f64>>], rec: &Recorder) {
         let span = rec.span("anchor");
         let config = self.scheduler;
         self.repair = None;
@@ -1168,10 +1209,10 @@ impl Universe {
         let (budgets, priced) = match pinned_assignment(&config) {
             Some(assignment) => {
                 let (budgets, priced) =
-                    recolor_budgets(&config, strategy, &self.links, &assignment, slots, totals);
+                    recolor_budgets(&config, &self.links, &assignment, slots, totals);
                 if cfg!(debug_assertions) && priced < slots.len() {
                     let (scratch, _) =
-                        recolor_budgets(&config, strategy, &self.links, &assignment, slots, &[]);
+                        recolor_budgets(&config, &self.links, &assignment, slots, &[]);
                     let bits = |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert!(
                         bits(&budgets) == bits(&scratch),
@@ -1185,10 +1226,7 @@ impl Universe {
         rec.add("anchor.slots_priced", priced as u64);
         budgets_span.finish();
         let index_span = span.child("index");
-        let skew = solve
-            .sharding
-            .map(|s| (s.max_owned, s.mean_owned, s.ghost_fraction));
-        self.install(WarmState::capture(&solve.report, budgets, skew));
+        self.install(WarmState::capture(&solve.report, budgets));
         index_span.finish();
         span.finish();
     }
@@ -1270,15 +1308,14 @@ impl LengthRange {
 /// Per-vertex warm budgets for a freshly recolored schedule's `slots`, and
 /// how many slots this priced itself. Slot `s` takes `handed[s]` when the
 /// recolor's verification pass handed its totals over; every other slot is
-/// priced through the certified verifier under `strategy` (near-linear per
-/// slot — certified upper bounds are exactly what the additive repair
+/// priced through the certified verifier (near-linear per slot — certified
+/// upper bounds are exactly what the additive repair
 /// contract wants, and on a just-verified schedule every budget lands
 /// within `1/β`). The verifier's parts come from a [`PathLossCache`] of the
 /// links under `assignment`, built only when some slot needs pricing. With
 /// `handed` empty this is the from-scratch capture.
 fn recolor_budgets(
     config: &SchedulerConfig,
-    strategy: VerifierStrategy,
     links: &[Link],
     assignment: &PowerAssignment,
     slots: &[Vec<usize>],
@@ -1300,8 +1337,7 @@ fn recolor_budgets(
     }
     if !unpriced.is_empty() {
         let (powers, weights) = PathLossCache::new(&config.model, links, assignment).into_parts();
-        let verifier = AffectanceVerifier::new(&config.model, links, &powers, &weights)
-            .with_strategy(strategy);
+        let verifier = AffectanceVerifier::new(&config.model, links, &powers, &weights);
         for slot in &unpriced {
             for (&i, b) in slot.iter().zip(verifier.budgets(slot)) {
                 budgets[i] = b;
@@ -1754,53 +1790,8 @@ mod tests {
         ]
     }
 
-    /// The budgets `strategy`'s verifier gives every slot of `solve`, from
-    /// scratch, by position.
-    fn strategy_budgets(
-        session: &Session,
-        solve: &SolveReport,
-        strategy: VerifierStrategy,
-    ) -> Vec<f64> {
-        let config = session.config().scheduler;
-        let links = session.links();
-        let assignment = pinned_assignment(&config).expect("a pinned assignment");
-        let (powers, weights) = PathLossCache::new(&config.model, &links, &assignment).into_parts();
-        let verifier = AffectanceVerifier::new(&config.model, &links, &powers, &weights)
-            .with_strategy(strategy);
-        let mut budgets = vec![f64::NAN; links.len()];
-        for slot in solve.schedule().slots() {
-            for (&i, b) in slot.iter().zip(verifier.budgets(slot)) {
-                budgets[i] = b;
-            }
-        }
-        budgets
-    }
-
     fn bits(budgets: &[f64]) -> Vec<u64> {
         budgets.iter().map(|b| b.to_bits()).collect()
-    }
-
-    /// A configured far field is the one both the recolor and the anchor
-    /// price with: the anchored budgets are that strategy's on every slot,
-    /// on the hinted backend (handed over) and the engine (priced).
-    #[test]
-    fn the_anchor_prices_with_the_configured_strategy() {
-        let scheduler = SchedulerConfig::new(PowerMode::mean_oblivious());
-        let links = grid_links(400, 3.0);
-        let strategy = VerifierStrategy::Hierarchical { depth: Some(2) };
-        for builder in engine_backends(scheduler, &links) {
-            let (_, solve, session) = cold_anchor(builder.verifier(strategy));
-            let kind = session.backend_kind();
-            let largest = solve.schedule().slots().iter().map(Vec::len).max();
-            assert!(largest > Some(192), "{kind}: largest slot {largest:?}");
-            let warm = session.warm_state().expect("anchored");
-            let want = strategy_budgets(&session, &solve, strategy);
-            assert_eq!(bits(&warm.budgets), bits(&want), "{kind}");
-            // The default far field prices some slot differently, so the
-            // check above tells the two strategies apart.
-            let default = strategy_budgets(&session, &solve, VerifierStrategy::default());
-            assert_ne!(bits(&default), bits(&want), "{kind}");
-        }
     }
 
     /// The anchor prices only the slots that arrive without totals: none on
@@ -1855,7 +1846,6 @@ mod tests {
         let assignment = pinned_assignment(&scheduler).expect("a pinned assignment");
         let (scratch, all) = recolor_budgets(
             &scheduler,
-            config.verifier,
             &session.links(),
             &assignment,
             solve.schedule().slots(),
@@ -1871,5 +1861,10 @@ mod tests {
         let err = SessionError::UnknownKey { key: 4 };
         assert!(err.to_string().contains("key 4"));
         assert!(err.source().is_none());
+        let err = SessionError::NonFinite {
+            index: 2,
+            what: "move target",
+        };
+        assert!(err.to_string().contains("move target of item 2"));
     }
 }

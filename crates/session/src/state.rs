@@ -7,7 +7,7 @@
 //! of plain data with no engines inside: the configuration, the backend
 //! kind, the link universe **with its stable session keys** in solve order,
 //! the key counter, the event accounting, the warm repair state (colors,
-//! budgets, baseline, carried skew), the persistent trace-key bindings and
+//! budgets, baseline), the persistent trace-key bindings and
 //! the flight-recorder ring (as its JSONL fold, see `wagg_obs::export`).
 //! Every backend captures the same shape. A link the last committed
 //! schedule has not placed is exactly one whose warm color is `None`, so no
@@ -67,8 +67,8 @@ pub struct EventCounts {
 }
 
 /// The session's warm repair state (see `wagg_schedule::solve_repair`) as
-/// plain data: position-indexed colors and budgets, the re-anchoring
-/// baseline, and the occupancy skew carried by hinted sharded backends.
+/// plain data: position-indexed colors and budgets, and the re-anchoring
+/// baseline.
 ///
 /// A snapshot's copy, not the live state: the session's universe keeps the
 /// colors beside its links and the budgets in its slot index's per-slot
@@ -87,28 +87,18 @@ pub struct WarmState {
     pub budgets: Vec<f64>,
     /// Schedule length of the last full recolor.
     pub baseline_slots: usize,
-    /// `(max_owned, mean_owned, ghost_fraction)` of the last full sharded
-    /// solve; `None` for engine warm state. The repair path cannot
-    /// re-derive per-shard occupancy, so repaired reports carry this
-    /// forward instead of zeroing it.
-    pub skew: Option<(usize, f64, f64)>,
 }
 
 impl WarmState {
     /// Captures `report`'s assignment from scratch, position `i` carrying
     /// warm budget `budgets[i]` and the report's length as the baseline —
     /// the re-anchoring step of every full recolor.
-    pub(crate) fn capture(
-        report: &ScheduleReport,
-        budgets: Vec<f64>,
-        skew: Option<(usize, f64, f64)>,
-    ) -> Self {
+    pub(crate) fn capture(report: &ScheduleReport, budgets: Vec<f64>) -> Self {
         debug_assert_eq!(budgets.len(), report.num_links, "one budget per link");
         WarmState {
             colors: slot_map(report),
             budgets,
             baseline_slots: report.schedule.len(),
-            skew,
         }
     }
 }

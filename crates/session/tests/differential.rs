@@ -9,9 +9,9 @@
 //!   `Session::apply_events` on one side and `wagg_engine::run_trace` on the
 //!   other,
 //! * `Backend::Sharded` ≡ `wagg_partition::solve_sharded` across
-//!   shard counts and verifier strategies, and — with partition hints — the
-//!   session's event routing reproduces a hand-driven
-//!   `PartitionedEngine::schedule` exactly.
+//!   shard counts, and — with partition hints — the session's event routing
+//!   reproduces a hand-driven `PartitionedEngine::schedule` exactly, its
+//!   warm repairs reporting the occupancy that engine reports.
 //!
 //! `ci.sh` runs this suite in both the serial and the parallel build.
 
@@ -20,11 +20,11 @@ use wagg_conflict::ConflictRelation;
 use wagg_engine::{churn_trace, run_trace, EngineConfig, EngineTrace, InterferenceEngine};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_instances::mobility::{random_waypoint, WaypointConfig};
-use wagg_partition::{
-    max_conflict_radius, PartitionedEngine, PartitionedEngineConfig, VerifierStrategy,
+use wagg_partition::{max_conflict_radius, PartitionedEngine, PartitionedEngineConfig};
+use wagg_schedule::{
+    BackendKind, PowerMode, Recorder, RepairDecision, SchedulerConfig, SolveReport,
 };
-use wagg_schedule::{BackendKind, PowerMode, Recorder, SchedulerConfig};
-use wagg_session::{Backend, Session};
+use wagg_session::{Backend, RepairPolicy, Session};
 use wagg_sinr::{Link, SinrModel};
 
 /// Decodes proptest scalars into a link set with mixed lengths and ids
@@ -135,9 +135,7 @@ proptest! {
         prop_assert_eq!(session.links(), legacy.links());
     }
 
-    /// Sharded backend ≡ the `solve_sharded` pipeline,
-    /// across shard counts and both the flat (depth-1) and adaptive
-    /// verifier.
+    /// Sharded backend ≡ the `solve_sharded` pipeline, across shard counts.
     #[test]
     fn sharded_backend_reproduces_solve_sharded(
         raw in proptest::collection::vec(
@@ -148,23 +146,16 @@ proptest! {
     ) {
         let links = decode_links(&raw);
         let config = SchedulerConfig::new(PowerMode::mean_oblivious());
-        for strategy in [
-            VerifierStrategy::Hierarchical { depth: Some(1) },
-            VerifierStrategy::default(),
-        ] {
-            let rec = Recorder::disabled();
-            let legacy = wagg_partition::solve_sharded(&links, config, shards, strategy, &rec);
-            let mut session = Session::builder()
-                .scheduler(config)
-                .backend(Backend::Sharded)
-                .target_shards(shards)
-                .verifier(strategy)
-                .links(&links)
-                .build();
-            let solve = session.solve();
-            prop_assert_eq!(solve.backend, BackendKind::Sharded);
-            prop_assert_eq!(&solve, &legacy, "sharded path diverged at {} shards", shards);
-        }
+        let legacy = wagg_partition::solve_sharded(&links, config, shards, &Recorder::disabled());
+        let mut session = Session::builder()
+            .scheduler(config)
+            .backend(Backend::Sharded)
+            .target_shards(shards)
+            .links(&links)
+            .build();
+        let solve = session.solve();
+        prop_assert_eq!(solve.backend, BackendKind::Sharded);
+        prop_assert_eq!(&solve, &legacy, "sharded path diverged at {} shards", shards);
     }
 }
 
@@ -177,10 +168,8 @@ fn hinted_sharded_backend_reproduces_partitioned_engine() {
     let extent = BoundingBox::new(0.0, 0.0, 120.0, 120.0);
     let bounds = (1.0, 1.5);
 
-    let mut legacy = PartitionedEngine::new(
-        PartitionedEngineConfig::new(config, extent, bounds, 9)
-            .with_verifier(VerifierStrategy::default()),
-    );
+    let mut legacy =
+        PartitionedEngine::new(PartitionedEngineConfig::new(config, extent, bounds, 9));
     let mut session = Session::builder()
         .scheduler(config)
         .backend(Backend::Sharded)
@@ -219,6 +208,57 @@ fn hinted_sharded_backend_reproduces_partitioned_engine() {
         "hinted sharded session diverged from PartitionedEngine"
     );
     assert_eq!(session.links(), legacy.links());
+}
+
+/// A hinted repair session whose relocations pile links into one tile
+/// reports, on every warm solve, the occupancy `PartitionedEngine::schedule`
+/// reports for the same links — the placement after the events, not the
+/// last full recolor's.
+#[test]
+fn hinted_repairs_report_the_current_occupancy() {
+    let config = SchedulerConfig::new(PowerMode::mean_oblivious());
+    let extent = BoundingBox::new(0.0, 0.0, 120.0, 120.0);
+    let bounds = (1.0, 1.5);
+    let pconfig = PartitionedEngineConfig::new(config, extent, bounds, 9);
+    let links: Vec<Link> = (0..60)
+        .map(|i| {
+            let x = (i % 8) as f64 * 14.0 + 2.0;
+            let y = (i / 8) as f64 * 14.0 + 2.0;
+            Link::new(i, Point::new(x, y), Point::new(x + 1.2, y))
+        })
+        .collect();
+    let mut session = Session::builder()
+        .scheduler(config)
+        .backend(Backend::Sharded)
+        .target_shards(9)
+        .partition_hints(extent, bounds)
+        .repair(RepairPolicy::enabled().with_max_drift(1.0))
+        .links(&links)
+        .build();
+    let occupancy = |solve: &SolveReport| {
+        let s = solve.sharding.expect("sharded provenance");
+        (s.max_owned, s.mean_owned, s.ghost_fraction)
+    };
+    let cold = occupancy(&session.solve());
+    let mut last = cold;
+    // The last 20 seeded links (all outside the corner tile) move, one per
+    // solve, onto a 5 × 4 lattice inside it.
+    for j in 0..20u64 {
+        let (x, y) = (5.5 + (j % 5) as f64 * 7.0, 6.0 + (j / 5) as f64 * 7.0);
+        session
+            .relocate(59 - j, Point::new(x, y), Point::new(x + 1.2, y))
+            .expect("seeded key is live");
+        let solve = session.solve();
+        let decision = solve.repair.expect("repair-enabled").decision;
+        assert_eq!(decision, RepairDecision::Repaired, "move {j}");
+        let (reference, _) = PartitionedEngine::with_links(pconfig, &session.links()).schedule();
+        last = occupancy(&solve);
+        assert_eq!(last, occupancy(&reference), "move {j}");
+    }
+    assert!(
+        last.0 > cold.0,
+        "the corner tile filled: {cold:?} → {last:?}"
+    );
 }
 
 /// The static parity holds under a noisy model too (the code path where the
@@ -311,9 +351,7 @@ fn sharded_solves_keep_links_of_infinite_length_as_singletons() {
         let radius = max_conflict_radius(&links, relation);
         assert!(radius.is_finite(), "{relation}: radius {radius}");
         let config = SchedulerConfig::new(mode);
-        let rec = Recorder::disabled();
-        let strategy = VerifierStrategy::default();
-        let legacy = wagg_partition::solve_sharded(&links, config, 16, strategy, &rec);
+        let legacy = wagg_partition::solve_sharded(&links, config, 16, &Recorder::disabled());
         assert!(legacy.report.schedule.is_partition(links.len()), "{mode}");
         assert!(
             legacy.report.schedule.slots().contains(&vec![400]),

@@ -32,7 +32,7 @@ use proptest::prelude::*;
 use wagg_engine::{churn_trace, run_trace, EngineConfig, EngineTrace, InterferenceEngine};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_instances::mobility::{random_waypoint, WaypointConfig};
-use wagg_partition::{PartitionedEngine, PartitionedEngineConfig, VerifierStrategy};
+use wagg_partition::{PartitionedEngine, PartitionedEngineConfig};
 use wagg_schedule::{
     capture_budgets, BackendKind, PowerMode, RepairDecision, SchedulerConfig, SolveReport,
 };
@@ -369,10 +369,8 @@ fn watermark_breach_falls_back_to_the_full_recolor() {
                 legacy.schedule()
             }
             _ => {
-                let mut legacy = PartitionedEngine::new(
-                    PartitionedEngineConfig::new(config, extent, bounds, 4)
-                        .with_verifier(VerifierStrategy::default()),
-                );
+                let mut legacy =
+                    PartitionedEngine::new(PartitionedEngineConfig::new(config, extent, bounds, 4));
                 for &(s, r) in &[a, c, b] {
                     legacy.insert_link(s, r);
                 }

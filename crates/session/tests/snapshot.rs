@@ -171,8 +171,7 @@ fn hinted_sharded_with_warm_repair_round_trips() {
         cold.repair.as_ref().expect("repair-enabled").decision,
         RepairDecision::ColdStart
     );
-    // A repaired solve, so the captured warm state carries patched colors
-    // and the carried occupancy skew.
+    // A repaired solve, so the captured warm state carries patched colors.
     churn(&mut session, 0);
     let repaired = session.solve();
     assert_eq!(
@@ -458,7 +457,6 @@ fn tampered_states_return_typed_errors_not_panics() {
         colors: vec![None; synthetic.links.len()],
         budgets: vec![0.0; synthetic.links.len()],
         baseline_slots: 0,
-        skew: None,
     });
     assert!(Session::restore_state(&synthetic).is_ok());
 }

@@ -63,21 +63,21 @@ use wagg_schedule::{
     ShardingStats, SolveReport,
 };
 use wagg_session::state::{EventCounts, KeyedLink, TelemetryState, WarmState};
-use wagg_session::VerifierStrategy;
 use wagg_session::{Backend, PartitionHints, RepairPolicy, SessionConfig, SessionState};
 use wagg_sinr::{Link, NodeId, SinrModel};
 
 /// The four magic bytes every frame starts with.
 pub const MAGIC: [u8; 4] = *b"WAGG";
 
-/// The wire-format version this build speaks. Version 5 dropped the engine's
-/// adjacency compaction slack from the session config (every session ran
-/// the default 0.25, so it is no longer a session option); version 4 had
-/// dropped the class-grid rebuild slack (the engine's class grids are edited
-/// in place and have no rebuild threshold). A version 4 config or snapshot
-/// payload carries one more float and is rejected as
+/// The wire-format version this build speaks. Version 6 dropped the
+/// verifier's pyramid depth from the session config (the verifier takes it
+/// from the slot size) and the carried occupancy skew from the warm state
+/// (a hinted sharded repair reads it from its engine); version 5 had dropped
+/// the engine's adjacency compaction slack, and version 4 the class-grid
+/// rebuild slack. A version 5 config or snapshot payload carries the depth
+/// (and a snapshot's warm state the skew) and is rejected as
 /// [`DecodeError::UnsupportedVersion`].
-pub const VERSION: u8 = 5;
+pub const VERSION: u8 = 6;
 
 /// Frame kind discriminants (the byte after the version).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -665,8 +665,6 @@ fn put_config(buf: &mut Vec<u8>, config: &SessionConfig) -> Result<(), EncodeErr
         Backend::Sharded => 3,
     });
     put_bool(buf, config.expect_churn);
-    let VerifierStrategy::Hierarchical { depth } = config.verifier;
-    put_opt_u64(buf, depth.map(|d| d as u64));
     put_u64(buf, config.target_shards as u64);
     put_opt(buf, config.partition.as_ref(), |buf, hints| {
         put_bbox(buf, hints.extent)?;
@@ -693,7 +691,6 @@ fn get_config(r: &mut Reader<'_>) -> Result<SessionConfig, DecodeError> {
         }
     };
     let expect_churn = r.bool()?;
-    let depth = r.opt_usize("verifier depth")?;
     let target_shards = r.usize("target shards")?;
     let partition = r.opt("partition hints", |r| {
         let extent = get_bbox(r)?;
@@ -710,7 +707,6 @@ fn get_config(r: &mut Reader<'_>) -> Result<SessionConfig, DecodeError> {
         scheduler,
         backend,
         expect_churn,
-        verifier: VerifierStrategy::Hierarchical { depth },
         target_shards,
         partition,
         repair: RepairPolicy { enabled, max_drift },
@@ -1078,16 +1074,7 @@ fn put_warm(buf: &mut Vec<u8>, warm: Option<&WarmState>) -> Result<(), EncodeErr
             Ok(())
         })?;
         put_u64(buf, w.baseline_slots as u64);
-        put_opt(
-            buf,
-            w.skew.as_ref(),
-            |buf, &(max_owned, mean_owned, ghost_fraction)| {
-                put_u64(buf, max_owned as u64);
-                put_f64(buf, mean_owned);
-                put_f64(buf, ghost_fraction);
-                Ok(())
-            },
-        )
+        Ok(())
     })
 }
 
@@ -1097,9 +1084,6 @@ fn get_warm(r: &mut Reader<'_>) -> Result<Option<WarmState>, DecodeError> {
             colors: r.seq("warm colors", 1, |r| r.opt_usize("warm color"))?,
             budgets: r.seq("warm budgets", 8, Reader::f64)?,
             baseline_slots: r.usize("warm baseline")?,
-            skew: r.opt("warm skew", |r| {
-                Ok((r.usize("skew max owned")?, r.f64()?, r.f64()?))
-            })?,
         })
     })
 }
@@ -1258,23 +1242,24 @@ mod tests {
     }
 
     #[test]
-    fn version_4_frames_are_rejected() {
-        let v5 = Frame::Config(SessionConfig::default()).encode().unwrap();
-        assert_eq!(v5[4], 5);
-        // Version 4 carried the compaction slack right before the config's
-        // last 9 bytes: repair flag, drift.
-        let at = v5.len() - 1 - 8;
-        let mut v4 = v5[..at].to_vec();
-        v4.extend_from_slice(&0.25f64.to_le_bytes());
-        v4.extend_from_slice(&v5[at..]);
-        v4[4] = 4;
+    fn version_5_frames_are_rejected() {
+        let v6 = Frame::Config(SessionConfig::default()).encode().unwrap();
+        assert_eq!(v6[4], 6);
+        // Version 5 carried the verifier's optional pyramid depth right
+        // before the config's last 8 + 1 + 1 + 8 bytes: target shards, the
+        // hints' absence byte, repair flag, drift.
+        let at = v6.len() - 8 - 1 - 1 - 8;
+        let mut v5 = v6[..at].to_vec();
+        v5.push(0);
+        v5.extend_from_slice(&v6[at..]);
+        v5[4] = 5;
         assert_eq!(
-            Frame::decode(&v4),
-            Err(DecodeError::UnsupportedVersion { version: 4 })
+            Frame::decode(&v5),
+            Err(DecodeError::UnsupportedVersion { version: 5 })
         );
-        // Relabelled as version 5, the old layout does not parse either.
-        v4[4] = 5;
-        assert!(Frame::decode(&v4).is_err());
+        // Relabelled as version 6, the old layout does not parse either.
+        v5[4] = 6;
+        assert!(Frame::decode(&v5).is_err());
     }
 
     #[test]

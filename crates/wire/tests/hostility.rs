@@ -23,7 +23,7 @@ use wagg_schedule::{
     solve_static, BackendKind, PowerMode, Recorder, RepairDecision, RepairStats, ScheduleReport,
     SchedulerConfig, ShardingStats, SolveReport,
 };
-use wagg_session::{Backend, RepairPolicy, Session, SessionConfig, VerifierStrategy};
+use wagg_session::{Backend, RepairPolicy, Session, SessionConfig};
 use wagg_sinr::{Link, NodeId, SinrModel};
 use wagg_wire::{DecodeError, Frame, MAGIC, VERSION};
 
@@ -245,7 +245,6 @@ fn corpus() -> Vec<Frame> {
         }),
         Frame::Config(SessionConfig {
             backend: Backend::Sharded,
-            verifier: VerifierStrategy::Hierarchical { depth: Some(1) },
             target_shards: 5,
             ..SessionConfig::default()
         }),
@@ -294,7 +293,7 @@ proptest! {
     fn config_frames_round_trip(
         (alpha, beta, noise, tau) in (2.1f64..6.0, 0.1f64..4.0, 0.0f64..1.0, 0.05f64..0.95),
         (mode_sel, backend_sel, flags, shards) in (0usize..4, 0usize..4, 0usize..8, 0usize..9),
-        (depth, drift) in (0usize..4, 0.05f64..0.8),
+        drift in 0.05f64..0.8,
     ) {
         let mode = match mode_sel {
             0 => PowerMode::Uniform,
@@ -313,9 +312,6 @@ proptest! {
                 _ => Backend::Sharded,
             },
             expect_churn: flags & 2 != 0,
-            verifier: VerifierStrategy::Hierarchical {
-                depth: (depth > 0).then_some(depth),
-            },
             target_shards: shards,
             partition: (flags & 4 != 0).then_some(wagg_session::PartitionHints {
                 extent: BoundingBox::new(0.0, 0.0, 10.0 + alpha, 20.0),
