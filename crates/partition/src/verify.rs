@@ -715,9 +715,9 @@ mod tests {
         members.iter().map(|&i| links[i]).collect()
     }
 
-    /// The pyramid depths the per-target pass is driven at: the flat grid,
-    /// two shallow pyramids and the natural depth (clamped to
-    /// [`GridPyramid::natural_depth`]), whatever the slot size would pick.
+    /// The pyramid depths the tests force on the per-target pass, whatever
+    /// depth a slot's size would pick: the flat grid, two shallow pyramids
+    /// and the natural depth (clamped to [`GridPyramid::natural_depth`]).
     const DEPTHS: [usize; 4] = [1, 2, 3, usize::MAX];
 
     /// The members of `members` whose totals fail (a sweep's evictions).

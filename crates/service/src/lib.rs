@@ -608,9 +608,10 @@ fn worker_loop(rx: Receiver<Envelope>, depth: Arc<AtomicUsize>, ctx: WorkerCtx) 
 }
 
 /// The first NaN or infinite coordinate of an opened link set or an event
-/// batch, as the typed error (the session's own point checks,
-/// [`check_point`] and [`check_events`]). The engine asserts finite endpoints, so such a point would
-/// poison an engine-backed session; a static one would schedule it.
+/// batch, as the typed error, found by the session's own point checks
+/// ([`check_point`], [`check_events`]). The engine asserts finite
+/// endpoints, so such a point would poison an engine-backed session; a
+/// static one would schedule it.
 fn check_finite(request: &Request) -> Result<(), ServiceError> {
     let checked = match request {
         Request::OpenSession { links, .. } => {

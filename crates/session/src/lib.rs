@@ -303,11 +303,12 @@ impl fmt::Display for SessionError {
 
 impl Error for SessionError {}
 
-/// The point check of every batch the scheduling surface accepts: `Ok` when
-/// both coordinates of `point` are finite, otherwise
-/// [`SessionError::NonFinite`] naming it as the `what` of the `index`-th
-/// item. The engine asserts finite endpoints, so such a point would panic
-/// an engine-backed session, and a static one would schedule it.
+/// The point check behind [`Session::apply_events`] and the scheduling
+/// service's request checks: `Ok` when both coordinates of `point` are
+/// finite, otherwise [`SessionError::NonFinite`] naming it as the `what` of
+/// the `index`-th item. The engine asserts finite endpoints, so such a
+/// point would panic an engine-backed session, and a static one would
+/// schedule it.
 ///
 /// # Errors
 ///
