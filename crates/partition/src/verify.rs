@@ -45,8 +45,8 @@
 //! reproduce) skip the grid and go straight to the exact kernel, so the
 //! verifier's verdicts always match `is_feasible_by_affectance` on the
 //! slot's links at **every** pyramid depth, which is what the unit tests
-//! pin. The same totals are the warm-repair
-//! budgets [`AffectanceVerifier::budgets`] returns, and
+//! pin. The same totals are the warm-repair budgets
+//! [`AffectanceVerifier::budgets`] returns, and
 //! [`AffectanceVerifier::evict_infeasible`] hands them back beside its
 //! verdicts, so a caller that keeps a slot whole never prices it twice.
 //!
