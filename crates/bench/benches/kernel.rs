@@ -23,13 +23,31 @@
 //! The `affectance` group compares the seed-style per-pair `powf` feasibility
 //! loop against the cached-path-loss kernel behind
 //! `is_feasible_by_affectance`.
+//!
+//! The `euclidean_mst` group times `wagg_mst::euclidean_mst` (Prim over a
+//! 2-d tree's nearest-neighbour queries) on the clustered family at the
+//! paper workload's density, from 1 000 to 1 000 000 sensors, against the
+//! `O(n²)` Prim scan it replaced (`scan/*`, at 1 000 and 10 000). Its row ids
+//! end in the build they ran on (`--no-default-features` for the serial
+//! build).
+
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wagg_conflict::{ConflictGraph, ConflictRelation};
 use wagg_geometry::rng::{seeded_rng, uniform_in};
 use wagg_geometry::Point;
+use wagg_mst::{euclidean_mst, Edge};
 use wagg_sinr::affectance::is_feasible_by_affectance;
 use wagg_sinr::{Link, PowerAssignment, SinrModel};
+
+/// The build the `euclidean_mst` rows are measured on, the last part of
+/// their ids.
+const BUILD: &str = if cfg!(feature = "parallel") {
+    "parallel"
+} else {
+    "serial"
+};
 
 /// Unit-length links uniformly placed (position and orientation) in a square
 /// whose side scales with `sqrt(n)`, i.e. constant link density.
@@ -135,6 +153,85 @@ fn bench_conflict_build_clustered(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("grid", power), &links, |b, links| {
             b.iter(|| ConflictGraph::build(links, relation).edge_count())
         });
+    }
+    group.finish();
+}
+
+/// The clustered family at the paper workload's density: clusters of 20
+/// sensors (half-width 10), centres uniform in a square whose side scales
+/// with `√n`, 4 000 at n = 1 000.
+fn clustered_sensors(n: usize) -> Vec<Point> {
+    let side = 4_000.0 * (n as f64 / 1_000.0).sqrt();
+    wagg_instances::random::clustered(n / 20, 20, side, 10.0, 42).points
+}
+
+/// The `O(n²)` construction `euclidean_mst` replaced, kept inline as the
+/// baseline: a duplicate check over every pair, then Prim's scan.
+fn scan_mst(points: &[Point]) -> Vec<Edge> {
+    let n = points.len();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            assert!(points[i].distance_squared(points[j]) > 0.0, "distinct");
+        }
+    }
+    let mut in_tree = vec![false; n];
+    let mut best_dist: Vec<f64> = points.iter().map(|p| points[0].distance(*p)).collect();
+    let mut best_from = vec![0usize; n];
+    let mut edges = Vec::with_capacity(n - 1);
+    in_tree[0] = true;
+    for _ in 1..n {
+        let mut u = usize::MAX;
+        let mut u_dist = f64::INFINITY;
+        for v in 0..n {
+            if !in_tree[v] && best_dist[v] < u_dist {
+                u = v;
+                u_dist = best_dist[v];
+            }
+        }
+        in_tree[u] = true;
+        edges.push(Edge::new(best_from[u], u));
+        for v in 0..n {
+            if !in_tree[v] {
+                let d = points[u].distance(points[v]);
+                if d < best_dist[v] {
+                    best_dist[v] = d;
+                    best_from[v] = u;
+                }
+            }
+        }
+    }
+    edges
+}
+
+fn bench_euclidean_mst(c: &mut Criterion) {
+    let mut group = c.benchmark_group("euclidean_mst");
+    group.sample_size(10);
+    // Wide enough that every row below 1 000 000 sensors is timed 10 times.
+    group.measurement_time(Duration::from_secs(5));
+    for &n in &[1_000usize, 10_000] {
+        let points = clustered_sensors(n);
+        let tree = euclidean_mst(&points).expect("clustered sensors are distinct");
+        assert_eq!(scan_mst(&points), tree.edges(), "the same tree");
+        group.bench_with_input(
+            BenchmarkId::new("scan", format!("{n}/{BUILD}")),
+            &points,
+            |b, points| b.iter(|| scan_mst(points).len()),
+        );
+    }
+    for &n in &[1_000usize, 10_000, 100_000, 1_000_000] {
+        let points = clustered_sensors(n);
+        group.bench_with_input(
+            BenchmarkId::new("kdtree", format!("{n}/{BUILD}")),
+            &points,
+            |b, points| {
+                b.iter(|| {
+                    euclidean_mst(points)
+                        .expect("clustered sensors are distinct")
+                        .edges()
+                        .len()
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -248,6 +345,7 @@ criterion_group!(
     bench_conflict_build_uniform,
     bench_conflict_build_chain,
     bench_conflict_build_clustered,
+    bench_euclidean_mst,
     bench_affectance,
     bench_csr_queries
 );

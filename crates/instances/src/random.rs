@@ -1,9 +1,54 @@
 //! Random and structured planar deployments (the instances of Corollary 1).
 
+use std::collections::HashMap;
+
 use crate::Instance;
 use rand::Rng;
 use wagg_geometry::rng::{derive_seed, seeded_rng};
 use wagg_geometry::Point;
+
+/// The points a generator has placed, by unit cell, for its collision
+/// check: a candidate is kept only when no placed point is at squared
+/// distance zero from it. Two such points differ by less than `2^-536` in
+/// each coordinate, so their cells (`floor` of each coordinate) are equal
+/// or adjacent, and only those cells are scanned: the same verdict as a
+/// scan over every placed point, without its `O(n²)` cost.
+#[derive(Debug)]
+struct Placed {
+    points: Vec<Point>,
+    cells: HashMap<(i64, i64), Vec<usize>>,
+}
+
+impl Placed {
+    fn with_capacity(n: usize) -> Self {
+        Placed {
+            points: Vec::with_capacity(n),
+            cells: HashMap::new(),
+        }
+    }
+
+    /// Places `p` unless it coincides with a placed point; returns whether
+    /// it did.
+    fn place(&mut self, p: Point) -> bool {
+        let (cx, cy) = (p.x.floor() as i64, p.y.floor() as i64);
+        let clear = (cx.saturating_sub(1)..=cx.saturating_add(1)).all(|x| {
+            (cy.saturating_sub(1)..=cy.saturating_add(1)).all(|y| {
+                self.cells.get(&(x, y)).is_none_or(|ids| {
+                    ids.iter()
+                        .all(|&q| self.points[q].distance_squared(p) > 0.0)
+                })
+            })
+        });
+        if clear {
+            self.cells
+                .entry((cx, cy))
+                .or_default()
+                .push(self.points.len());
+            self.points.push(p);
+        }
+        clear
+    }
+}
 
 /// `n` nodes uniformly at random in an axis-aligned square of side `side`,
 /// with node 0 as the sink.
@@ -29,14 +74,14 @@ pub fn uniform_square(n: usize, side: f64, seed: u64) -> Instance {
     assert!(n >= 2, "need at least two nodes");
     assert!(side > 0.0, "side must be positive");
     let mut rng = seeded_rng(seed);
-    let mut points: Vec<Point> = Vec::with_capacity(n);
-    while points.len() < n {
-        let p = Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
-        if points.iter().all(|q| q.distance_squared(p) > 0.0) {
-            points.push(p);
-        }
+    let mut placed = Placed::with_capacity(n);
+    while placed.points.len() < n {
+        placed.place(Point::new(
+            rng.gen_range(0.0..side),
+            rng.gen_range(0.0..side),
+        ));
     }
-    Instance::new(format!("uniform-square-n{n}"), points, 0)
+    Instance::new(format!("uniform-square-n{n}"), placed.points, 0)
 }
 
 /// `n` nodes uniformly at random in a disk of radius `radius` centred at the origin,
@@ -49,20 +94,18 @@ pub fn uniform_disk(n: usize, radius: f64, seed: u64) -> Instance {
     assert!(n >= 2, "need at least two nodes");
     assert!(radius > 0.0, "radius must be positive");
     let mut rng = seeded_rng(seed);
-    let mut points: Vec<Point> = Vec::with_capacity(n);
-    while points.len() < n {
+    let mut placed = Placed::with_capacity(n);
+    while placed.points.len() < n {
         // Rejection sampling from the bounding square keeps the distribution uniform.
         let p = Point::new(
             rng.gen_range(-radius..radius),
             rng.gen_range(-radius..radius),
         );
-        if p.distance(Point::origin()) <= radius
-            && points.iter().all(|q| q.distance_squared(p) > 0.0)
-        {
-            points.push(p);
+        if p.distance(Point::origin()) <= radius {
+            placed.place(p);
         }
     }
-    Instance::new(format!("uniform-disk-n{n}"), points, 0)
+    Instance::new(format!("uniform-disk-n{n}"), placed.points, 0)
 }
 
 /// A `rows × cols` unit grid, with the sink at the grid's corner node `(0, 0)`.
@@ -109,31 +152,59 @@ pub fn clustered(
         "geometry must be positive"
     );
     let mut rng = seeded_rng(seed);
-    let mut points = Vec::with_capacity(clusters * per_cluster);
+    let mut placed = Placed::with_capacity(clusters * per_cluster);
     for c in 0..clusters {
         let mut centre_rng = seeded_rng(derive_seed(seed, c as u64));
         let centre = Point::new(
             centre_rng.gen_range(0.0..side),
             centre_rng.gen_range(0.0..side),
         );
-        let mut placed = 0;
-        while placed < per_cluster {
+        let mut in_cluster = 0;
+        while in_cluster < per_cluster {
             let p = Point::new(
                 centre.x + rng.gen_range(-cluster_radius..cluster_radius),
                 centre.y + rng.gen_range(-cluster_radius..cluster_radius),
             );
-            if points.iter().all(|q: &Point| q.distance_squared(p) > 0.0) {
-                points.push(p);
-                placed += 1;
+            if placed.place(p) {
+                in_cluster += 1;
             }
         }
     }
-    Instance::new(format!("clustered-{clusters}x{per_cluster}"), points, 0)
+    Instance::new(
+        format!("clustered-{clusters}x{per_cluster}"),
+        placed.points,
+        0,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The cell check keeps exactly what a scan over every placed point
+    /// keeps: on a coarse lattice (collisions, points on cell edges), near
+    /// the origin (negative zeros, squared distances that underflow) and
+    /// beyond `2^52`.
+    #[test]
+    fn collision_check_matches_a_scan() {
+        let mut rng = seeded_rng(3);
+        let mut placed = Placed::with_capacity(0);
+        let mut scanned: Vec<Point> = Vec::new();
+        for i in 0..3_000 {
+            let (a, b) = (rng.gen_range(-6..6) as f64, rng.gen_range(-6..6) as f64);
+            let p = match i % 3 {
+                0 => Point::new(a * 0.5, b * 0.5),
+                1 => Point::new(a * 1e-170, -0.0 * b),
+                _ => Point::new(1e18 + a * 256.0, b * 1e17),
+            };
+            let keep = scanned.iter().all(|q| q.distance_squared(p) > 0.0);
+            if keep {
+                scanned.push(p);
+            }
+            assert_eq!(placed.place(p), keep, "{p:?}");
+        }
+        assert_eq!(placed.points, scanned);
+    }
 
     #[test]
     fn uniform_square_is_reproducible() {

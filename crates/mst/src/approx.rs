@@ -17,6 +17,7 @@
 //!   factor `Θ(n)`, and so does the schedule length.
 
 use crate::error::MstError;
+use crate::euclidean::validate_points;
 use crate::sparsity::measure_sparsity;
 use crate::tree::{Edge, SpanningTree};
 use wagg_geometry::Point;
@@ -43,31 +44,6 @@ pub fn satisfies_lemma1(links: &[Link], alpha: f64, bound: f64) -> bool {
     measure_sparsity(links, alpha).max() <= bound
 }
 
-fn validate(points: &[Point], sink: usize) -> Result<(), MstError> {
-    if points.len() < 2 {
-        return Err(MstError::TooFewPoints {
-            found: points.len(),
-        });
-    }
-    if sink >= points.len() {
-        return Err(MstError::NodeOutOfRange {
-            index: sink,
-            nodes: points.len(),
-        });
-    }
-    for i in 0..points.len() {
-        for j in (i + 1)..points.len() {
-            if points[i].distance(points[j]) == 0.0 {
-                return Err(MstError::DuplicatePoints {
-                    first: i,
-                    second: j,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The nearest-neighbour-towards-the-sink tree: every non-sink node connects
 /// to its nearest neighbour among the nodes strictly closer to the sink (ties
 /// on sink distance broken by index, so the construction is always acyclic).
@@ -90,7 +66,7 @@ fn validate(points: &[Point], sink: usize) -> Result<(), MstError> {
 /// assert_eq!(tree.total_length(), 9.0);
 /// ```
 pub fn nearest_neighbor_tree(points: &[Point], sink: usize) -> Result<SpanningTree, MstError> {
-    validate(points, sink)?;
+    validate_points(points, Some(sink))?;
     // Rank nodes by (distance to sink, index); each node attaches to its
     // nearest strictly lower-ranked node. The sink has the lowest rank.
     let rank = |v: usize| (points[v].distance(points[sink]), v);
@@ -136,7 +112,7 @@ pub fn nearest_neighbor_tree(points: &[Point], sink: usize) -> Result<SpanningTr
 /// assert_eq!(tree.max_edge_length(), 5.0);
 /// ```
 pub fn star_tree(points: &[Point], sink: usize) -> Result<SpanningTree, MstError> {
-    validate(points, sink)?;
+    validate_points(points, Some(sink))?;
     let edges = (0..points.len())
         .filter(|&v| v != sink)
         .map(|v| Edge::new(v, sink))

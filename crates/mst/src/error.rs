@@ -19,6 +19,11 @@ pub enum MstError {
         /// Index of the second copy.
         second: usize,
     },
+    /// An input point has a NaN or infinite coordinate.
+    NonFinite {
+        /// Index of the lowest such point.
+        index: usize,
+    },
     /// A node index referenced by an edge or sink is out of range.
     NodeOutOfRange {
         /// The offending index.
@@ -42,6 +47,9 @@ impl fmt::Display for MstError {
             }
             MstError::DuplicatePoints { first, second } => {
                 write!(f, "points {first} and {second} coincide")
+            }
+            MstError::NonFinite { index } => {
+                write!(f, "point {index} has a NaN or infinite coordinate")
             }
             MstError::NodeOutOfRange { index, nodes } => {
                 write!(f, "node index {index} out of range for {nodes} nodes")
@@ -70,6 +78,9 @@ mod tests {
         }
         .to_string()
         .contains("coincide"));
+        assert!(MstError::NonFinite { index: 2 }
+            .to_string()
+            .contains("NaN or infinite"));
         assert!(MstError::NodeOutOfRange { index: 9, nodes: 4 }
             .to_string()
             .contains("out of range"));

@@ -4,8 +4,10 @@
 //! pointset, oriented towards the sink, as its convergecast tree (Theorem 1).
 //! This crate provides:
 //!
-//! * [`euclidean`] — MST construction over planar pointsets (Prim `O(n²)`,
-//!   Kruskal, and a specialised linear-time routine for points on a line),
+//! * [`euclidean`] — MST construction over planar pointsets (Prim over a
+//!   2-d tree's nearest-neighbour queries, near-linear on clustered
+//!   deployments of up to a million points; Kruskal; and a specialised
+//!   routine for points on a line),
 //! * [`tree`] — the [`SpanningTree`] type, orientation towards
 //!   a sink into a set of convergecast [`Link`](wagg_sinr::Link)s, and structural
 //!   statistics (depth, degrees),
@@ -40,6 +42,7 @@ pub mod approx;
 pub mod error;
 pub mod euclidean;
 pub mod kconnect;
+mod kdtree;
 pub mod sparsity;
 pub mod tree;
 

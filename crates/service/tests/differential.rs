@@ -444,6 +444,66 @@ fn sessions_refuse_non_finite_events_before_applying_any() {
     }
 }
 
+/// The session's direct event methods check their points before anything
+/// changes, on every backend: a NaN `relocate` is a typed refusal, and a
+/// NaN `insert` (or `insert_with_nodes`, or an infinite `move_node`) panics;
+/// either way the live links, the accounting and the next schedule are
+/// those of before.
+#[test]
+fn direct_event_methods_check_points_before_any_change() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use wagg_sinr::NodeId;
+    for config in configs() {
+        let mut session = Session::builder().config(config).links(&links(40)).build();
+        let before = session.solve();
+        let (len, stats) = (session.len(), session.stats());
+        let nan = Point::new(f64::NAN, 41.0);
+        let fine = Point::new(41.2, 41.0);
+        assert_eq!(
+            session.relocate(0, nan, fine),
+            Err(SessionError::NonFinite {
+                index: 0,
+                what: "relocate sender"
+            }),
+            "{:?}",
+            config.backend
+        );
+        assert_eq!(
+            session.relocate(0, fine, Point::new(3.0, f64::INFINITY)),
+            Err(SessionError::NonFinite {
+                index: 0,
+                what: "relocate receiver"
+            }),
+            "{:?}",
+            config.backend
+        );
+        let panics = [
+            catch_unwind(AssertUnwindSafe(|| {
+                session.insert(nan, fine);
+            })),
+            catch_unwind(AssertUnwindSafe(|| {
+                session.insert_with_nodes(fine, nan, NodeId(90), NodeId(91));
+            })),
+            catch_unwind(AssertUnwindSafe(|| {
+                session.move_node(0, Point::new(f64::NEG_INFINITY, 0.0));
+            })),
+        ];
+        assert!(
+            panics.iter().all(Result::is_err),
+            "{:?}: every non-finite direct event panics",
+            config.backend
+        );
+        assert_eq!(session.len(), len, "{:?}", config.backend);
+        assert_eq!(session.stats(), stats, "{:?}", config.backend);
+        assert_eq!(
+            session.solve().schedule(),
+            before.schedule(),
+            "{:?}: the refused events changed nothing",
+            config.backend
+        );
+    }
+}
+
 /// With telemetry configured, `health` carries the session's accounting
 /// and longitudinal flight-recorder signals; the service's own recorder
 /// sees per-request histograms.

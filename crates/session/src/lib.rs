@@ -38,9 +38,13 @@
 //! (`PartitionedEngine::occupancy`, kept current per event).
 //!
 //! [`Session::apply_events`] refuses a batch with a NaN or infinite point
-//! ([`SessionError::NonFinite`]) before any of its events applies;
+//! ([`SessionError::NonFinite`]) before any of its events applies, and
+//! [`Session::relocate`] refuses such a point the same way;
 //! [`check_point`] is that point check ([`check_events`] runs it over a
-//! batch), which the scheduling service's request checks call too.
+//! batch), which the scheduling service's request checks call too. The
+//! other direct event methods ([`Session::insert`],
+//! [`Session::insert_with_nodes`], [`Session::move_node`]) panic on such a
+//! point before anything changes.
 //!
 //! # Examples
 //!
@@ -278,12 +282,14 @@ pub enum SessionError {
     },
     /// A point is NaN or infinite (see [`check_point`]): from
     /// [`Session::apply_events`], the `what` of the `index`-th event of the
-    /// batch, none of which applied.
+    /// batch, none of which applied; from [`Session::relocate`], which
+    /// changed nothing, one of its two points at index 0.
     NonFinite {
         /// The offending item's position (an event's, in its batch).
         index: usize,
         /// The point: `"insert sender"`, `"insert receiver"` or `"move
-        /// target"` for an event.
+        /// target"` for an event, `"relocate sender"` or `"relocate
+        /// receiver"` for a relocation.
         what: &'static str,
     },
 }
@@ -319,6 +325,15 @@ pub fn check_point(index: usize, what: &'static str, point: Point) -> Result<(),
     } else {
         Err(SessionError::NonFinite { index, what })
     }
+}
+
+/// The direct event methods' point check: panics, naming the point, when
+/// [`check_point`] refuses it.
+fn assert_finite(what: &'static str, point: Point) {
+    assert!(
+        check_point(0, what, point).is_ok(),
+        "the {what} {point:?} is NaN or infinite; Session::apply_events refuses it with SessionError::NonFinite"
+    );
 }
 
 /// [`check_point`] over every point of an event batch: each `Insert`'s
@@ -673,9 +688,14 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// With [`PartitionHints`], panics when the link's length falls outside
-    /// the declared bounds (they size the tiling's halo margin).
+    /// Panics, before anything changes, when an endpoint has a NaN or
+    /// infinite coordinate; [`Session::apply_events`] refuses such an
+    /// insert with [`SessionError::NonFinite`] instead. With
+    /// [`PartitionHints`], panics when the link's length falls outside the
+    /// declared bounds (they size the tiling's halo margin).
     pub fn insert(&mut self, sender: Point, receiver: Point) -> u64 {
+        assert_finite("insert sender", sender);
+        assert_finite("insert receiver", receiver);
         self.universe
             .insert(self.backend.as_mut(), Link::new(0, sender, receiver))
     }
@@ -693,6 +713,8 @@ impl Session {
         sender_node: NodeId,
         receiver_node: NodeId,
     ) -> u64 {
+        assert_finite("insert sender", sender);
+        assert_finite("insert receiver", receiver);
         let link = Link::with_nodes(0, sender, receiver, sender_node, receiver_node);
         self.universe.insert(self.backend.as_mut(), link)
     }
@@ -711,7 +733,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`SessionError::UnknownKey`] when no live link has this key.
+    /// [`SessionError::NonFinite`] (index 0, `what` `"relocate sender"` or
+    /// `"relocate receiver"`) when a point has a NaN or infinite
+    /// coordinate, and [`SessionError::UnknownKey`] when no live link has
+    /// this key; either way nothing changes.
     ///
     /// # Panics
     ///
@@ -723,6 +748,8 @@ impl Session {
         sender: Point,
         receiver: Point,
     ) -> Result<(), SessionError> {
+        check_point(0, "relocate sender", sender)?;
+        check_point(0, "relocate receiver", receiver)?;
         self.universe
             .relocate(self.backend.as_mut(), key, sender, receiver)
     }
@@ -733,11 +760,15 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// With [`PartitionHints`], panics when a followed link's new length
-    /// falls outside the declared bounds; links of the node relocated
-    /// before the offending one stay moved (declared-bounds violations are
-    /// programmer errors, not recoverable events).
+    /// Panics, before anything changes, when `to` has a NaN or infinite
+    /// coordinate; [`Session::apply_events`] refuses such a move with
+    /// [`SessionError::NonFinite`] instead. With [`PartitionHints`],
+    /// panics when a followed link's new length falls outside the declared
+    /// bounds; links of the node relocated before the offending one stay
+    /// moved (declared-bounds violations are programmer errors, not
+    /// recoverable events).
     pub fn move_node(&mut self, node: usize, to: Point) -> usize {
+        assert_finite("move target", to);
         self.universe.move_node(self.backend.as_mut(), node, to)
     }
 

@@ -4,9 +4,9 @@
 //! (`criterion_group!` / `criterion_main!`, benchmark groups, `bench_function`,
 //! `bench_with_input`, `BenchmarkId`, `black_box`) with adaptive wall-clock
 //! timing: each benchmark is warmed up once, the iteration count is scaled to
-//! a ~200 ms measurement window (long-running benchmarks degrade gracefully to
-//! a single iteration), and the mean/min nanoseconds per iteration are printed
-//! and recorded.
+//! a ~200 ms measurement window (a group's `measurement_time` widens it; a
+//! routine slower than the window is timed once), and the mean/min
+//! nanoseconds per iteration are printed and recorded.
 //!
 //! On exit, `criterion_main!` writes every recorded measurement as JSON to
 //! `$CRITERION_BENCH_JSON` if set, else `BENCH_<target>.json` in the current
@@ -93,6 +93,7 @@ impl IntoBenchmarkId for BenchmarkId {
 #[derive(Debug)]
 pub struct Bencher {
     sample_size: u64,
+    window: Duration,
     result: Option<(f64, f64, u64, u64)>,
 }
 
@@ -104,10 +105,10 @@ impl Bencher {
         black_box(routine());
         let once = t0.elapsed().max(Duration::from_nanos(1));
 
-        // Aim for TARGET_WINDOW in total across `samples` samples.
-        let per_sample = (TARGET_WINDOW.as_nanos() / self.sample_size.max(1) as u128).max(1);
+        // Aim for the window in total across `samples` samples.
+        let per_sample = (self.window.as_nanos() / self.sample_size.max(1) as u128).max(1);
         let iters = ((per_sample / once.as_nanos().max(1)) as u64).clamp(1, 1_000_000);
-        let samples = if once >= TARGET_WINDOW {
+        let samples = if once >= self.window {
             1
         } else {
             self.sample_size.max(1)
@@ -138,12 +139,20 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     sample_size: u64,
+    window: Duration,
 }
 
 impl BenchmarkGroup<'_> {
     /// Sets the number of samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1) as u64;
+        self
+    }
+
+    /// Sets the measurement window per benchmark (default ~200 ms), so a
+    /// routine that fits in it is still timed `sample_size` times.
+    pub fn measurement_time(&mut self, window: Duration) -> &mut Self {
+        self.window = window;
         self
     }
 
@@ -156,6 +165,7 @@ impl BenchmarkGroup<'_> {
         let label = id.label();
         let mut bencher = Bencher {
             sample_size: self.sample_size,
+            window: self.window,
             result: None,
         };
         f(&mut bencher);
@@ -173,6 +183,7 @@ impl BenchmarkGroup<'_> {
         let label = id.label();
         let mut bencher = Bencher {
             sample_size: self.sample_size,
+            window: self.window,
             result: None,
         };
         f(&mut bencher, input);
@@ -197,6 +208,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.to_string(),
             sample_size: 20,
+            window: TARGET_WINDOW,
             criterion: self,
         }
     }
@@ -205,6 +217,7 @@ impl Criterion {
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
         let mut bencher = Bencher {
             sample_size: 20,
+            window: TARGET_WINDOW,
             result: None,
         };
         f(&mut bencher);
