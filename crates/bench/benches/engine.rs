@@ -18,8 +18,8 @@
 //!   length per event: two node moves, each re-seating the pair's link.
 //!
 //! For each workload, `incremental/*` applies the event to an
-//! [`InterferenceEngine`] (grids patched, adjacency overlaid, path-loss state
-//! updated in place), while `full_rebuild/*` applies the same mutation to a
+//! [`InterferenceEngine`] (grids patched, conflict rows and path-loss state
+//! edited in place), while `full_rebuild/*` applies the same mutation to a
 //! plain link vector and then rebuilds what every event used to rebuild:
 //! `ConflictGraph::build` plus `PathLossCache::new` over all live links.
 

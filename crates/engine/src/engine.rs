@@ -1,7 +1,6 @@
 //! The incremental interference engine.
 
 use crate::error::EngineError;
-use crate::overlay::DeltaAdjacency;
 use std::collections::HashMap;
 use wagg_conflict::{is_classed, ConflictGraph, ConflictRelation, LengthClasses};
 use wagg_geometry::{BoundingBox, Point};
@@ -30,23 +29,18 @@ pub struct EngineConfig {
     pub relation: ConflictRelation,
     /// The power assignment the maintained path-loss state is computed under.
     pub power: PowerAssignment,
-    /// Adjacency compaction slack: the delta overlay folds into a fresh CSR
-    /// base once it exceeds this fraction of the edge set.
-    pub compact_slack: f64,
 }
 
 impl EngineConfig {
     /// A configuration with an explicit conflict relation and power
-    /// assignment (for engines maintaining custom relations) and default
-    /// maintenance thresholds. The embedded scheduler configuration takes
-    /// the given model with its default mode; use
-    /// [`EngineConfig::for_scheduler`] for an engine that schedules.
+    /// assignment (for engines maintaining custom relations). The embedded
+    /// scheduler configuration takes the given model with its default mode;
+    /// use [`EngineConfig::for_scheduler`] for an engine that schedules.
     pub fn new(relation: ConflictRelation, model: SinrModel, power: PowerAssignment) -> Self {
         EngineConfig {
             scheduler: SchedulerConfig::default().with_model(model),
             relation,
             power,
-            compact_slack: 0.25,
         }
     }
 
@@ -64,28 +58,12 @@ impl EngineConfig {
             scheduler: config,
             relation,
             power,
-            compact_slack: 0.25,
         }
     }
 
     /// The SINR model state is maintained under (the scheduler's model).
     pub fn model(&self) -> &SinrModel {
         &self.scheduler.model
-    }
-
-    /// Overrides the adjacency compaction slack (useful to force threshold
-    /// crossings in tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `compact_slack` is finite and positive.
-    pub fn with_compact_slack(mut self, compact_slack: f64) -> Self {
-        assert!(
-            compact_slack > 0.0 && compact_slack.is_finite(),
-            "the compaction slack must be finite and positive"
-        );
-        self.compact_slack = compact_slack;
-        self
     }
 }
 
@@ -103,12 +81,8 @@ pub struct EngineStats {
     /// its members sit outside the area it was laid out over. A class's
     /// first layout, when it is seeded or created, is not counted.
     pub grid_rebuilds: usize,
-    /// Delta-overlay compactions of the conflict adjacency.
-    pub compactions: usize,
     /// Populated length classes right now.
     pub length_classes: usize,
-    /// Half-edges currently sitting in the adjacency overlay.
-    pub overlay_half_edges: usize,
 }
 
 /// A mutable link universe whose interference state — per-length-class
@@ -145,7 +119,7 @@ pub struct EngineStats {
 /// assert!(!engine.are_adjacent(a, c));
 /// engine.remove_link(b).unwrap();
 /// assert_eq!(engine.len(), 2);
-/// assert!(engine.subset_feasible(&[a, c]));
+/// assert!(engine.neighbors(a).is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct InterferenceEngine {
@@ -163,8 +137,9 @@ pub struct InterferenceEngine {
     /// Live links of no class, sorted: zero-length links (they conflict with
     /// everything) and links whose length overflows to infinity.
     unclassed: Vec<usize>,
-    /// Conflict adjacency: CSR base + delta overlay.
-    adj: DeltaAdjacency,
+    /// Conflict adjacency: `rows[s]` is the sorted conflict row of slot `s`
+    /// (empty while the slot is free), edited in place per event.
+    rows: Vec<Vec<usize>>,
     /// Per-slot power `P(i)` under `config.power` (the `PathLossCache` state).
     powers: Vec<Option<f64>>,
     /// Per-slot target weight `l_i^α / P(i)` (the `PathLossCache` state).
@@ -194,7 +169,7 @@ impl InterferenceEngine {
             live: 0,
             classes: LengthClasses::default(),
             unclassed: Vec::new(),
-            adj: DeltaAdjacency::new(),
+            rows: Vec::new(),
             powers: Vec::new(),
             weights: Vec::new(),
             node_links: HashMap::new(),
@@ -211,9 +186,8 @@ impl InterferenceEngine {
     /// they read to `engine.candidates_visited` and their exact predicate
     /// calls to `engine.pairs_checked`, and every
     /// [`InterferenceEngine::schedule`] records its snapshot/coloring spans
-    /// and syncs the `engine.grid_rebuilds` / `engine.compactions`
-    /// maintenance watermarks. A disabled recorder (the default) keeps all
-    /// of it no-op.
+    /// and syncs the `engine.grid_rebuilds` maintenance watermark. A
+    /// disabled recorder (the default) keeps all of it no-op.
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.rows_counter = rec.counter("engine.rows_recomputed");
         self.candidates_counter = rec.counter("engine.candidates_visited");
@@ -229,9 +203,9 @@ impl InterferenceEngine {
 
     /// Bulk-seeds an engine from a link set, assigning slots `0..n` in input
     /// order, and returns it. Lays the length-class index out once over all
-    /// the links and decides the adjacency base over that same index
-    /// ([`ConflictGraph::build_indexed`]): much faster than `n` single
-    /// insertions.
+    /// the links and decides the adjacency over that same index
+    /// ([`ConflictGraph::build_indexed`]), whose rows become the engine's:
+    /// much faster than `n` single insertions.
     pub fn with_links(config: EngineConfig, links: &[Link]) -> Self {
         let relabeled: Vec<Link> = links
             .iter()
@@ -250,11 +224,15 @@ impl InterferenceEngine {
         let classes = LengthClasses::laid_out(0..relabeled.len(), length, &bboxes);
         let graph = ConflictGraph::build_indexed(&relabeled, config.relation, &bboxes, &classes);
         let (offsets, neighbors) = graph.csr();
+        let rows = offsets
+            .windows(2)
+            .map(|w| neighbors[w[0]..w[1]].to_vec())
+            .collect();
         let cache = PathLossCache::new(config.model(), &relabeled, &config.power);
         let (powers, weights) = cache.into_parts();
 
         let mut engine = InterferenceEngine::new(config);
-        engine.adj = DeltaAdjacency::from_csr(offsets, neighbors);
+        engine.rows = rows;
         engine.powers = powers;
         engine.weights = weights;
         engine.bboxes = bboxes;
@@ -285,23 +263,16 @@ impl InterferenceEngine {
         self.live == 0
     }
 
-    /// Total slot capacity (live + recyclable).
-    pub fn capacity(&self) -> usize {
-        self.links.len()
-    }
-
     /// Number of (undirected) conflict edges among the live links.
     pub fn edge_count(&self) -> usize {
-        self.adj.edge_count()
+        self.rows.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Maintenance counters.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.stats;
         stats.grid_rebuilds = self.classes.relayouts();
-        stats.compactions = self.adj.compactions();
         stats.length_classes = self.classes.class_count();
-        stats.overlay_half_edges = self.adj.delta_half_edges();
         stats
     }
 
@@ -317,14 +288,15 @@ impl InterferenceEngine {
             .collect()
     }
 
-    /// The current conflict neighbours of a live slot, sorted ascending.
-    pub fn neighbors(&self, slot: usize) -> Vec<usize> {
-        self.adj.row(slot)
+    /// The current conflict neighbours of a live slot, sorted ascending
+    /// (empty for a free or unknown slot).
+    pub fn neighbors(&self, slot: usize) -> &[usize] {
+        self.rows.get(slot).map_or(&[], Vec::as_slice)
     }
 
     /// Whether two live slots conflict.
     pub fn are_adjacent(&self, u: usize, v: usize) -> bool {
-        self.adj.are_adjacent(u, v)
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Inserts `link`, returning its slot, which replaces the link's id. Its
@@ -400,6 +372,7 @@ impl InterferenceEngine {
         self.bboxes.push(BoundingBox::new(0.0, 0.0, 0.0, 0.0));
         self.powers.push(None);
         self.weights.push(None);
+        self.rows.push(Vec::new());
         slot
     }
 
@@ -441,19 +414,22 @@ impl InterferenceEngine {
     }
 
     /// Computes the conflict row of the (live) link in `slot` against the
-    /// current state and links every discovered edge. The slot was just
-    /// attached, so it has no edges yet.
+    /// current state, stores it as the slot's row and adds the slot to each
+    /// partner's row. The slot was just attached, so it has no edges yet.
     fn link_conflict_row(&mut self, slot: usize) {
         self.rows_counter.add(1);
         let link = self.links[slot].expect("linking a live slot");
         let bbox = self.bboxes[slot];
         let row = self.conflict_row(&link, &bbox, slot);
-        // A freshly allocated slot may lie past the overlay's rows.
-        self.adj.ensure_capacity(self.links.len());
+        debug_assert!(self.rows[slot].is_empty(), "linking a slot with edges");
         for &w in &row {
-            self.adj.link(slot, w);
+            let partner = &mut self.rows[w];
+            let pos = partner
+                .binary_search(&slot)
+                .expect_err("edges are symmetric");
+            partner.insert(pos, slot);
         }
-        self.adj.maybe_compact(self.config.compact_slack);
+        self.rows[slot] = row;
     }
 
     /// Unwires the link at `slot` from every maintained structure (the slot
@@ -467,8 +443,11 @@ impl InterferenceEngine {
             self.unclassed.remove(pos);
         }
         self.links[slot] = None;
-        self.adj.isolate(slot);
-        self.adj.maybe_compact(self.config.compact_slack);
+        for w in std::mem::take(&mut self.rows[slot]) {
+            let partner = &mut self.rows[w];
+            let pos = partner.binary_search(&slot).expect("edges are symmetric");
+            partner.remove(pos);
+        }
         self.powers[slot] = None;
         self.weights[slot] = None;
         self.live -= 1;
@@ -565,7 +544,7 @@ impl InterferenceEngine {
         let mut neighbors = Vec::new();
         for &slot in &slots {
             // Slot order is ascending, so the remapped row stays sorted.
-            neighbors.extend(self.adj.row(slot).into_iter().map(|w| pos_of[w]));
+            neighbors.extend(self.rows[slot].iter().map(|&w| pos_of[w]));
             offsets.push(neighbors.len());
         }
         let graph =
@@ -588,33 +567,6 @@ impl InterferenceEngine {
         )
     }
 
-    /// Whether the live links in `slots` can transmit together under the
-    /// engine's model and power assignment — the engine-side counterpart of
-    /// [`PathLossCache::subset_feasible`], evaluated from the patched
-    /// per-link state (no cache rebuild). Singletons are trivially feasible.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slot does not hold a live link.
-    pub fn subset_feasible(&self, slots: &[usize]) -> bool {
-        let pow = wagg_sinr::AlphaPow::new(self.config.scheduler.model.alpha());
-        let inv_beta = 1.0 / self.config.scheduler.model.beta();
-        slots.iter().all(|&target| {
-            let total = relative_interference_sum(
-                pow,
-                slots.iter().copied(),
-                target,
-                self.weights[target],
-                |j| self.links[j].as_ref().expect("live slot"),
-                |j| self.powers[j],
-            );
-            match total {
-                Some(total) => total <= inv_beta,
-                None => false,
-            }
-        })
-    }
-
     /// The slots of every live link recorded as touching `node` (via
     /// `sender_node`/`receiver_node`) — the set a
     /// [`InterferenceEngine::move_node`] on `node` re-seats. Empty for nodes
@@ -625,10 +577,10 @@ impl InterferenceEngine {
 
     /// The patched per-link path-loss state gathered over the live links in
     /// [`InterferenceEngine::links`] order — ready for
-    /// [`PathLossCache::from_parts`], so repair probes (like
-    /// [`InterferenceEngine::schedule`]'s) reuse the maintained values
-    /// instead of recomputing geometry.
-    pub fn cache_parts(&self) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
+    /// [`PathLossCache::from_parts`], so [`InterferenceEngine::schedule`]'s
+    /// slot probes reuse the maintained values instead of recomputing
+    /// geometry.
+    fn cache_parts(&self) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
         let slots = self.live_slots();
         let powers = slots.iter().map(|&s| self.powers[s]).collect();
         let weights = slots.iter().map(|&s| self.weights[s]).collect();
@@ -654,13 +606,10 @@ impl InterferenceEngine {
         let snapshot_span = self.recorder.span("engine/snapshot");
         let (links, graph) = self.snapshot();
         snapshot_span.finish();
-        // Sync the maintenance watermarks so a session-boundary metrics dump
+        // Sync the maintenance watermark so a session-boundary metrics dump
         // reflects the engine's cumulative upkeep, not just this solve.
-        let stats = self.stats();
         self.recorder
-            .record_max("engine.grid_rebuilds", stats.grid_rebuilds as u64);
-        self.recorder
-            .record_max("engine.compactions", stats.compactions as u64);
+            .record_max("engine.grid_rebuilds", self.classes.relayouts() as u64);
         let lend_cache = config.model.noise() == 0.0
             && config.mode.assignment().as_ref() == Some(&self.config.power);
         if lend_cache {

@@ -16,21 +16,22 @@
 //!   (zero-length links, and links whose length overflows to infinity)
 //!   exactly. A class re-lays out its cells only when its membership
 //!   doubles or falls to a quarter. [`InterferenceEngine::with_links`] lays
-//!   the index out once and decides its adjacency base over it. A row query
+//!   the index out once and decides its adjacency over it. A row query
 //!   takes one reach per (link, class), with the static build's two
 //!   rounding margins (`ConflictRelation::margined_reach`), and applies the
 //!   box-gap test `gap² ≤ reach²` before the exact predicate.
-//! * **Conflict adjacency** — a CSR base snapshot plus added/removed delta
-//!   overlays, compacted once the overlay passes a fixed fraction of the
-//!   edge set ([`EngineConfig::compact_slack`]); equivalent edge for edge to
-//!   `ConflictGraph::build` over the live links at every point.
+//! * **Conflict adjacency** — one sorted conflict row per slot, edited in
+//!   place: an arrival stores its new row and joins each partner's row, a
+//!   departure leaves each partner's row and drops its own. It equals
+//!   `ConflictGraph::build` over the live links edge for edge at every
+//!   point, and [`InterferenceEngine::neighbors`] lends a row as a slice.
 //! * **Path-loss state** — the per-link powers and target weights of
 //!   `PathLossCache`, patched per event and lent to *every* scheduler slot
 //!   probe of a run ([`InterferenceEngine::schedule`]) instead of being
 //!   rebuilt per feasibility call.
 //!
 //! Per-event cost is proportional to the affected neighbourhood (plus
-//! amortised re-layout/compaction work), not to the network size — see the
+//! amortised class re-layout work), not to the network size — see the
 //! `engine` benchmark for incremental-versus-rebuild numbers.
 //!
 //! The event API is [`InterferenceEngine::insert`] /
@@ -65,8 +66,6 @@ pub mod engine;
 pub mod error;
 pub mod scenario;
 
-mod overlay;
-
 pub use engine::{EngineConfig, EngineStats, InterferenceEngine};
 pub use error::EngineError;
-pub use scenario::{churn_trace, run_trace, EngineEvent, EngineTrace, TraceBinding, TraceOutcome};
+pub use scenario::{churn_trace, run_trace, EngineEvent, EngineTrace, TraceOutcome};

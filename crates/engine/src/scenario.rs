@@ -214,69 +214,10 @@ pub struct TraceOutcome {
     pub final_edges: usize,
 }
 
-/// A persistent trace-key → engine-slot binding, for replaying a trace in
-/// pieces (e.g. one mobility step at a time, rescheduling in between).
-/// [`run_trace`] is a one-shot wrapper around it; a binding must only ever
-/// be used with the engine it has been applying events to.
-#[derive(Debug, Clone, Default)]
-pub struct TraceBinding {
-    slot_of: HashMap<u64, usize>,
-}
-
-impl TraceBinding {
-    /// An empty binding.
-    pub fn new() -> Self {
-        TraceBinding::default()
-    }
-
-    /// The engine slot currently bound to `key`, if live.
-    pub fn slot_of(&self, key: u64) -> Option<usize> {
-        self.slot_of.get(&key).copied()
-    }
-
-    /// Applies `events` to `engine` one by one, updating the binding.
-    /// Returns the number of events applied.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownTraceKey`] when a `Remove` names a key that is
-    /// not live (including double-removes); engine errors are propagated.
-    pub fn apply(
-        &mut self,
-        engine: &mut InterferenceEngine,
-        events: &[EngineEvent],
-    ) -> Result<usize, EngineError> {
-        for event in events {
-            match *event {
-                EngineEvent::Insert {
-                    key,
-                    sender,
-                    receiver,
-                    sender_node,
-                    receiver_node,
-                } => {
-                    let mut link = Link::new(0, sender, receiver);
-                    link.sender_node = sender_node.map(NodeId);
-                    link.receiver_node = receiver_node.map(NodeId);
-                    self.slot_of.insert(key, engine.insert(link));
-                }
-                EngineEvent::Remove { key } => {
-                    let slot = self
-                        .slot_of
-                        .remove(&key)
-                        .ok_or(EngineError::UnknownTraceKey { key })?;
-                    engine.remove_link(slot)?;
-                }
-                EngineEvent::MoveNode { node, to } => {
-                    engine.move_node(node, to);
-                }
-            }
-        }
-        Ok(events.len())
-    }
-}
-
 /// Replays a trace against an engine, binding trace keys to engine slots.
+/// The binding lives for one call; `wagg_session::Session::apply_events`
+/// keeps its binding across calls, for replaying a trace in pieces (one
+/// mobility step at a time, rescheduling in between).
 ///
 /// # Errors
 ///
@@ -286,8 +227,32 @@ pub fn run_trace(
     engine: &mut InterferenceEngine,
     trace: &EngineTrace,
 ) -> Result<TraceOutcome, EngineError> {
-    let mut binding = TraceBinding::new();
-    binding.apply(engine, &trace.events)?;
+    let mut slot_of: HashMap<u64, usize> = HashMap::new();
+    for event in &trace.events {
+        match *event {
+            EngineEvent::Insert {
+                key,
+                sender,
+                receiver,
+                sender_node,
+                receiver_node,
+            } => {
+                let mut link = Link::new(0, sender, receiver);
+                link.sender_node = sender_node.map(NodeId);
+                link.receiver_node = receiver_node.map(NodeId);
+                slot_of.insert(key, engine.insert(link));
+            }
+            EngineEvent::Remove { key } => {
+                let slot = slot_of
+                    .remove(&key)
+                    .ok_or(EngineError::UnknownTraceKey { key })?;
+                engine.remove_link(slot)?;
+            }
+            EngineEvent::MoveNode { node, to } => {
+                engine.move_node(node, to);
+            }
+        }
+    }
     Ok(TraceOutcome {
         applied: trace.events.len(),
         final_links: engine.len(),
@@ -331,22 +296,25 @@ mod tests {
     }
 
     #[test]
-    fn trace_binding_keeps_a_lone_annotation() {
+    fn run_trace_keeps_a_lone_annotation() {
         let mut e = engine();
-        let events = [
-            EngineEvent::Insert {
-                key: 3,
-                sender: Point::new(0.0, 0.0),
-                receiver: Point::new(1.0, 0.0),
-                sender_node: Some(7),
-                receiver_node: None,
-            },
-            EngineEvent::MoveNode {
-                node: 7,
-                to: Point::new(0.2, 0.1),
-            },
-        ];
-        TraceBinding::new().apply(&mut e, &events).unwrap();
+        let trace = EngineTrace {
+            name: "lone".into(),
+            events: vec![
+                EngineEvent::Insert {
+                    key: 3,
+                    sender: Point::new(0.0, 0.0),
+                    receiver: Point::new(1.0, 0.0),
+                    sender_node: Some(7),
+                    receiver_node: None,
+                },
+                EngineEvent::MoveNode {
+                    node: 7,
+                    to: Point::new(0.2, 0.1),
+                },
+            ],
+        };
+        run_trace(&mut e, &trace).unwrap();
         let slot = e.node_slots(7);
         assert_eq!(slot.len(), 1, "the sender annotation binds node 7");
         let link = *e.link(slot[0]).unwrap();

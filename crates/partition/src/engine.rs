@@ -317,8 +317,8 @@ impl PartitionedEngine {
         let shard = site.owner_shard as usize;
         let mut keys: Vec<u64> = self.engines[shard]
             .neighbors(site.owner_slot as usize)
-            .into_iter()
-            .map(|w| self.meta[shard][w].expect("adjacent slot is live").0)
+            .iter()
+            .map(|&w| self.meta[shard][w].expect("adjacent slot is live").0)
             .collect();
         keys.sort_unstable();
         debug_assert!(

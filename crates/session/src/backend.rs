@@ -390,8 +390,8 @@ impl Solver for EngineBackend {
         let neighbors = |i: usize| -> Vec<usize> {
             self.engine
                 .neighbors(self.live[i])
-                .into_iter()
-                .map(|slot| self.pos(slot))
+                .iter()
+                .map(|&slot| self.pos(slot))
                 .collect()
         };
         (kernel.run(&neighbors), None)

@@ -776,8 +776,8 @@ impl Session {
     /// whole or in part) through the session's event API, binding trace
     /// keys to session keys. The binding persists across calls, so a trace
     /// can be replayed in pieces (e.g. one mobility step at a time, solving
-    /// in between) — the pattern `wagg_engine::TraceBinding` established,
-    /// now uniform over every backend. Node annotations are kept as given,
+    /// in between), on every backend; `wagg_engine::run_trace` replays a
+    /// whole trace into a bare engine. Node annotations are kept as given,
     /// a lone one included. Returns the number of events applied.
     ///
     /// # Errors

@@ -33,6 +33,7 @@
 use std::error::Error;
 use std::fmt;
 
+use wagg_geometry::Point;
 use wagg_obs::telemetry::TelemetryConfig;
 use wagg_schedule::{BackendKind, ScheduleReport};
 use wagg_sinr::Link;
@@ -178,6 +179,13 @@ pub enum RestoreError {
         /// The largest live key.
         max_key: u64,
     },
+    /// A link has a NaN or infinite endpoint coordinate, geometry every
+    /// event path refuses (the engines assert finite endpoints). Names the
+    /// lowest-position such link.
+    NonFinite {
+        /// The offending link's session key.
+        key: u64,
+    },
     /// Warm repair state on a backend that keeps none (static, or sharded
     /// without partition hints).
     UnexpectedWarmState {
@@ -226,7 +234,7 @@ pub enum RestoreError {
     LengthOutOfBounds {
         /// The offending link's session key.
         key: u64,
-        /// Its length.
+        /// Its endpoints' distance.
         length: f64,
     },
     /// The flight-recorder log does not replay.
@@ -246,6 +254,9 @@ impl fmt::Display for RestoreError {
                 f,
                 "next_key {next_key} would re-mint a live key (max live key {max_key})"
             ),
+            RestoreError::NonFinite { key } => {
+                write!(f, "link under key {key} has a NaN or infinite coordinate")
+            }
             RestoreError::UnexpectedWarmState { backend } => write!(
                 f,
                 "warm repair state on a {backend} backend that keeps none"
@@ -284,10 +295,10 @@ impl fmt::Display for RestoreError {
 impl Error for RestoreError {}
 
 /// Validates everything the rebuild relies on: keys unique (and ascending
-/// where the backend orders by key), `next_key` past every live key, warm state only where a backend
-/// keeps it and in lockstep with the universe, and — for a hinted sharded
-/// session — hints that can size a tiling and links inside their length
-/// bounds.
+/// where the backend orders by key), `next_key` past every live key, finite
+/// endpoints, warm state only where a backend keeps it and in lockstep with
+/// the universe, and — for a hinted sharded session — hints that can size a
+/// tiling and links inside their length bounds.
 pub(crate) fn check(state: &SessionState) -> Result<(), RestoreError> {
     let links = &state.links;
     if state.backend == BackendKind::Engine {
@@ -312,6 +323,13 @@ pub(crate) fn check(state: &SessionState) -> Result<(), RestoreError> {
             });
         }
     }
+    let finite = |p: Point| p.x.is_finite() && p.y.is_finite();
+    if let Some(k) = links
+        .iter()
+        .find(|k| !(finite(k.link.sender) && finite(k.link.receiver)))
+    {
+        return Err(RestoreError::NonFinite { key: k.key });
+    }
     // A sharded session is hinted exactly when its config declares hints.
     let hints = state
         .config
@@ -327,11 +345,13 @@ pub(crate) fn check(state: &SessionState) -> Result<(), RestoreError> {
     }
     if let Some(hints) = hints {
         check_hints(&hints)?;
-        // The engine's insert path asserts the declared bounds; NaN lengths
-        // fail the range test and land here too.
+        // The engine's insert path asserts the declared bounds on the
+        // endpoints' distance, not on the link's cached length: the
+        // endpoints are public fields and may have moved since. A distance
+        // that overflows to infinity fails the range test and lands here.
         let (lo, hi) = hints.length_bounds;
         for k in links {
-            let length = k.link.length();
+            let length = k.link.sender.distance(k.link.receiver);
             if !(length >= lo && length <= hi) {
                 return Err(RestoreError::LengthOutOfBounds { key: k.key, length });
             }

@@ -11,7 +11,9 @@
 use wagg_geometry::{BoundingBox, Point};
 use wagg_schedule::{BackendKind, PowerMode, RepairDecision};
 use wagg_session::state::{SessionState, TelemetryState, WarmState};
-use wagg_session::{Backend, FlightRecorder, RepairPolicy, RestoreError, Session, TelemetryConfig};
+use wagg_session::{
+    Backend, FlightRecorder, RepairPolicy, RestoreError, Session, SessionBuilder, TelemetryConfig,
+};
 use wagg_sinr::Link;
 
 /// A deterministic mixed-length link set inside `[0, 90)²`.
@@ -272,6 +274,33 @@ fn flight_recorder_ring_survives_restore() {
     assert_eq!(restored.flight_recorder().samples(), flight.samples());
 }
 
+/// One builder per backend of the service differential suite: static,
+/// engine with repair, re-tiling sharded on four shards, and hinted sharded
+/// with repair (`links`' lengths sit inside the hinted bounds).
+fn every_backend() -> Vec<(&'static str, SessionBuilder)> {
+    let hinted = Session::builder()
+        .backend(Backend::Sharded)
+        .target_shards(4)
+        .partition_hints(BoundingBox::new(0.0, 0.0, 95.0, 95.0), (1.0, 2.0))
+        .repair(RepairPolicy::enabled());
+    vec![
+        ("static", Session::builder().backend(Backend::Static)),
+        (
+            "engine",
+            Session::builder()
+                .backend(Backend::Engine)
+                .repair(RepairPolicy::enabled()),
+        ),
+        (
+            "sharded",
+            Session::builder()
+                .backend(Backend::Sharded)
+                .target_shards(4),
+        ),
+        ("hinted", hinted),
+    ]
+}
+
 /// A small captured state to tamper with (engine backend, warm state).
 fn captured() -> SessionState {
     let mut session = Session::builder()
@@ -425,6 +454,55 @@ fn tampered_states_return_typed_errors_not_panics() {
         Session::restore_state(&long),
         Err(RestoreError::LengthOutOfBounds { .. })
     ));
+
+    // Nor a link whose sender moved in place (the endpoints are public
+    // fields): its cached length still reads 1, inside the bounds, but its
+    // endpoints are 5 apart, and the engine asserts on their distance.
+    let mut moved = Session::builder()
+        .backend(Backend::Sharded)
+        .partition_hints(BoundingBox::new(0.0, 0.0, 95.0, 95.0), (1.0, 2.0))
+        .repair(RepairPolicy::enabled())
+        .links(&links(12))
+        .build()
+        .capture_state();
+    let link = &mut moved.links[0].link;
+    link.sender = Point::new(link.receiver.x + 5.0, link.receiver.y);
+    assert_eq!(link.length(), 1.0);
+    let restored = std::panic::catch_unwind(|| Session::restore_state(&moved).err());
+    assert_eq!(
+        restored.expect("restore must not panic"),
+        Some(RestoreError::LengthOutOfBounds {
+            key: moved.links[0].key,
+            length: 5.0
+        })
+    );
+
+    // NaN and infinite endpoints on every backend: the engines assert
+    // finite endpoints, and a static solve would place a NaN link in one
+    // slot with every other link. The tampered link is the sixth, rebuilt
+    // with `Link::new` as a decoder would.
+    for (name, builder) in every_backend() {
+        let state = builder.links(&links(40)).build().capture_state();
+        for (bad, in_sender) in [(f64::NAN, true), (f64::INFINITY, false), (f64::NAN, false)] {
+            let mut tampered = state.clone();
+            let k = &mut tampered.links[5];
+            let (mut sender, mut receiver) = (k.link.sender, k.link.receiver);
+            if in_sender {
+                sender.x = bad;
+            } else {
+                receiver.y = bad;
+            }
+            k.link = Link::new(k.link.id.index(), sender, receiver);
+            let key = k.key;
+            let restored = std::panic::catch_unwind(|| Session::restore_state(&tampered).err());
+            assert_eq!(
+                restored.expect("restore must not panic"),
+                Some(RestoreError::NonFinite { key }),
+                "{name}: {bad} in the {}",
+                if in_sender { "sender" } else { "receiver" }
+            );
+        }
+    }
 
     // A corrupt telemetry log. (`replay` tolerates a malformed *final*
     // line as a truncated tail, so the corruption sits mid-log.)

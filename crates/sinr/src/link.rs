@@ -102,8 +102,11 @@ pub struct Link {
     ///
     /// `l_i` is read in every interference term, every conflict check and every
     /// length-sorted processing order, so it is paid for once here instead of
-    /// recomputing a `sqrt` per call. Private (and endpoints are never mutated
-    /// in place) so the cache cannot go stale.
+    /// recomputing a `sqrt` per call. Private, but the endpoint fields are
+    /// public: assigning `sender` or `receiver` in place leaves it stale, so
+    /// code that moves an endpoint builds a new link with [`Link::new`], and
+    /// code that must trust untrusted links (a session restore) measures
+    /// `sender.distance(receiver)` instead.
     length: f64,
 }
 
