@@ -17,20 +17,23 @@
 //! * **mobility** — one transmitter/receiver pair steps by up to one link
 //!   length per event: two node moves, each re-seating the pair's link.
 //!
-//! For each workload, `incremental/*` applies the event to an
-//! [`InterferenceEngine`] (grids patched, conflict rows and path-loss state
-//! edited in place), while `full_rebuild/*` applies the same mutation to a
-//! plain link vector and then rebuilds what every event used to rebuild:
-//! `ConflictGraph::build` plus `PathLossCache::new` over all live links.
+//! Both run under oblivious power `P_1/2`, the mode the benchmark's churn
+//! workloads schedule under, so the engine maintains that mode's relation
+//! `G^δ_2`. For each workload, `incremental/*` applies the event to an
+//! [`InterferenceEngine`] (grids patched, conflict rows edited in place),
+//! while `full_rebuild/*` applies the same mutation to a plain link vector
+//! and then rebuilds what the engine maintains: `ConflictGraph::build` over
+//! all live links.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::cell::RefCell;
 use wagg_bench::uniform_unit_links;
-use wagg_conflict::{ConflictGraph, ConflictRelation};
-use wagg_engine::{EngineConfig, InterferenceEngine};
+use wagg_conflict::ConflictGraph;
+use wagg_engine::InterferenceEngine;
 use wagg_geometry::rng::{seeded_rng, uniform_in, DeterministicRng};
 use wagg_geometry::Point;
-use wagg_sinr::{Link, PathLossCache, PowerAssignment, SinrModel};
+use wagg_schedule::{PowerMode, SchedulerConfig};
+use wagg_sinr::Link;
 
 const SIZES: [usize; 3] = [1_000, 10_000, 50_000];
 
@@ -46,21 +49,16 @@ fn row(name: &str, n: usize) -> BenchmarkId {
     BenchmarkId::new(name, format!("{n}/{BUILD}"))
 }
 
-fn engine_config() -> EngineConfig {
-    EngineConfig::new(
-        ConflictRelation::unit_constant(),
-        SinrModel::default(),
-        PowerAssignment::mean(),
-    )
+fn engine_config() -> SchedulerConfig {
+    SchedulerConfig::new(PowerMode::mean_oblivious())
 }
 
-/// What every churn event used to pay: a full conflict-graph and path-loss
-/// rebuild over the live links.
+/// What an event costs without the engine: a full conflict-graph rebuild
+/// over the live links, under the engine's relation.
 fn full_rebuild(links: &[Link]) -> usize {
-    let graph = ConflictGraph::build(links, ConflictRelation::unit_constant());
-    let cache = PathLossCache::new(&SinrModel::default(), links, &PowerAssignment::mean());
-    black_box(cache.alpha_pow());
-    graph.edge_count()
+    let config = engine_config();
+    let relation = config.mode.conflict_relation(config.model.alpha());
+    ConflictGraph::build(links, relation).edge_count()
 }
 
 fn bench_churn(c: &mut Criterion) {

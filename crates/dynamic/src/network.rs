@@ -58,9 +58,9 @@ pub struct ChangeReport {
 /// (`Backend::Engine`) mirroring the current tree links, and each repair
 /// diffs the old and new parent assignments and applies only the per-link
 /// insert/remove events for the edges that actually changed. The session's
-/// engine incrementally maintains the spatial grids, the conflict adjacency
-/// and the path-loss state, and rescheduling goes through
-/// [`Session::solve`], which reuses all of it.
+/// engine incrementally maintains the spatial grids and the conflict
+/// adjacency, and rescheduling goes through [`Session::solve`], which
+/// colours the maintained adjacency without a geometric rebuild.
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
 ///

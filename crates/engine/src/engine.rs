@@ -6,112 +6,31 @@ use wagg_conflict::{is_classed, ConflictGraph, ConflictRelation, LengthClasses};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_obs::{Counter, Recorder};
 use wagg_schedule::{schedule_prebuilt_traced, ScheduleReport, SchedulerConfig};
-use wagg_sinr::pathloss::relative_interference_sum;
-use wagg_sinr::{Link, LinkId, NodeId, PathLossCache, PowerAssignment, SinrModel};
+use wagg_sinr::{Link, LinkId, NodeId};
 
-/// Configuration of an [`InterferenceEngine`].
+/// A mutable link universe whose conflict state — per-length-class spatial
+/// grids and conflict adjacency — is maintained **incrementally** under
+/// insertions, removals and node moves, instead of being rebuilt from
+/// scratch per event.
 ///
-/// The scheduler configuration is the single source of truth for the SINR
-/// model and power mode — the engine no longer re-declares the model next to
-/// it. `relation` and `power` are *derived* from the scheduler by
-/// [`EngineConfig::for_scheduler`]; [`EngineConfig::new`] keeps them
-/// overridable for engines that maintain a custom conflict relation (those
-/// engines answer adjacency queries but cannot [`InterferenceEngine::schedule`],
-/// which requires the relation the scheduler's power mode implies).
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// The scheduler configuration the engine maintains state for (SINR
-    /// model, power mode, slot verification) — what
-    /// [`InterferenceEngine::schedule`] schedules under.
-    pub scheduler: SchedulerConfig,
-    /// The conflict relation the maintained adjacency realises (derived from
-    /// `scheduler` by [`EngineConfig::for_scheduler`]).
-    pub relation: ConflictRelation,
-    /// The power assignment the maintained path-loss state is computed under.
-    pub power: PowerAssignment,
-}
-
-impl EngineConfig {
-    /// A configuration with an explicit conflict relation and power
-    /// assignment (for engines maintaining custom relations). The embedded
-    /// scheduler configuration takes the given model with its default mode;
-    /// use [`EngineConfig::for_scheduler`] for an engine that schedules.
-    pub fn new(relation: ConflictRelation, model: SinrModel, power: PowerAssignment) -> Self {
-        EngineConfig {
-            scheduler: SchedulerConfig::default().with_model(model),
-            relation,
-            power,
-        }
-    }
-
-    /// The engine configuration matching a scheduler configuration: the
-    /// conflict relation implied by its power mode and, for fixed-assignment
-    /// modes, that assignment (global power control tracks the mean scheme —
-    /// its slot probes never consult the cache).
-    pub fn for_scheduler(config: SchedulerConfig) -> Self {
-        let relation = config.mode.conflict_relation(config.model.alpha());
-        let power = config
-            .mode
-            .assignment()
-            .unwrap_or_else(PowerAssignment::mean);
-        EngineConfig {
-            scheduler: config,
-            relation,
-            power,
-        }
-    }
-
-    /// The SINR model state is maintained under (the scheduler's model).
-    pub fn model(&self) -> &SinrModel {
-        &self.scheduler.model
-    }
-}
-
-/// Maintenance counters, exposed for experiments and benches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Links inserted (including the reinsert half of moves).
-    pub inserts: usize,
-    /// Links removed (including the remove half of moves).
-    pub removals: usize,
-    /// `move_node` events applied.
-    pub moves: usize,
-    /// Class-grid re-layouts: one whenever a class's membership doubles or
-    /// falls to a quarter of its count at its last layout, or more than half
-    /// its members sit outside the area it was laid out over. A class's
-    /// first layout, when it is seeded or created, is not counted.
-    pub grid_rebuilds: usize,
-    /// Populated length classes right now.
-    pub length_classes: usize,
-}
-
-/// A mutable link universe whose interference state — per-length-class
-/// spatial grids, conflict adjacency and per-link path-loss values — is
-/// maintained **incrementally** under insertions, removals and node moves,
-/// instead of being rebuilt from scratch per event.
-///
+/// The engine is built from the [`SchedulerConfig`] it schedules under and
+/// derives its conflict relation once, from the power mode
+/// ([`PowerMode::conflict_relation`](wagg_schedule::PowerMode::conflict_relation)).
 /// Links live in **slots**: a slot index is assigned at insertion, stays
 /// stable for the link's lifetime, is the link's `LinkId`, and is recycled
 /// after removal. The maintained adjacency is equivalent, edge for edge, to
 /// `ConflictGraph::build` over the live links (the property tests assert
-/// this after arbitrary event sequences), and the per-link path-loss state
-/// matches a fresh `PathLossCache` (see [`InterferenceEngine::schedule`] for
-/// how it is shared with the scheduler's slot probes).
+/// this after arbitrary event sequences).
 ///
 /// # Examples
 ///
 /// ```
-/// use wagg_engine::{EngineConfig, InterferenceEngine};
-/// use wagg_conflict::ConflictRelation;
+/// use wagg_engine::InterferenceEngine;
 /// use wagg_geometry::Point;
-/// use wagg_sinr::{Link, PowerAssignment, SinrModel};
+/// use wagg_schedule::{PowerMode, SchedulerConfig};
+/// use wagg_sinr::Link;
 ///
-/// let config = EngineConfig::new(
-///     ConflictRelation::unit_constant(),
-///     SinrModel::default(),
-///     PowerAssignment::mean(),
-/// );
-/// let mut engine = InterferenceEngine::new(config);
+/// let mut engine = InterferenceEngine::new(SchedulerConfig::new(PowerMode::Uniform));
 /// let a = engine.insert(Link::new(0, Point::new(0.0, 0.0), Point::new(1.0, 0.0)));
 /// let b = engine.insert(Link::new(0, Point::new(1.5, 0.0), Point::new(2.5, 0.0)));
 /// let c = engine.insert(Link::new(0, Point::new(50.0, 0.0), Point::new(51.0, 0.0)));
@@ -123,7 +42,10 @@ pub struct EngineStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct InterferenceEngine {
-    config: EngineConfig,
+    /// What [`InterferenceEngine::schedule`] schedules under.
+    config: SchedulerConfig,
+    /// The conflict relation `config`'s power mode implies.
+    relation: ConflictRelation,
     /// Slot table: `links[s]` is the live link in slot `s`, if any.
     links: Vec<Option<Link>>,
     /// Segment bounding boxes, parallel to `links` (valid while live).
@@ -140,13 +62,8 @@ pub struct InterferenceEngine {
     /// Conflict adjacency: `rows[s]` is the sorted conflict row of slot `s`
     /// (empty while the slot is free), edited in place per event.
     rows: Vec<Vec<usize>>,
-    /// Per-slot power `P(i)` under `config.power` (the `PathLossCache` state).
-    powers: Vec<Option<f64>>,
-    /// Per-slot target weight `l_i^α / P(i)` (the `PathLossCache` state).
-    weights: Vec<Option<f64>>,
     /// Node index → slots of live links touching that node (for `move_node`).
     node_links: HashMap<usize, Vec<usize>>,
-    stats: EngineStats,
     /// Instrumentation sink (disabled by default — see `wagg-obs`).
     recorder: Recorder,
     /// Pre-resolved handles for `engine.rows_recomputed`,
@@ -159,10 +76,11 @@ pub struct InterferenceEngine {
 }
 
 impl InterferenceEngine {
-    /// An empty engine.
-    pub fn new(config: EngineConfig) -> Self {
+    /// An empty engine scheduling under `config`.
+    pub fn new(config: SchedulerConfig) -> Self {
         InterferenceEngine {
             config,
+            relation: config.mode.conflict_relation(config.model.alpha()),
             links: Vec::new(),
             bboxes: Vec::new(),
             free: Vec::new(),
@@ -170,10 +88,7 @@ impl InterferenceEngine {
             classes: LengthClasses::default(),
             unclassed: Vec::new(),
             rows: Vec::new(),
-            powers: Vec::new(),
-            weights: Vec::new(),
             node_links: HashMap::new(),
-            stats: EngineStats::default(),
             recorder: Recorder::disabled(),
             rows_counter: Counter::default(),
             candidates_counter: Counter::default(),
@@ -206,7 +121,8 @@ impl InterferenceEngine {
     /// the links and decides the adjacency over that same index
     /// ([`ConflictGraph::build_indexed`]), whose rows become the engine's:
     /// much faster than `n` single insertions.
-    pub fn with_links(config: EngineConfig, links: &[Link]) -> Self {
+    pub fn with_links(config: SchedulerConfig, links: &[Link]) -> Self {
+        let mut engine = InterferenceEngine::new(config);
         let relabeled: Vec<Link> = links
             .iter()
             .enumerate()
@@ -222,19 +138,12 @@ impl InterferenceEngine {
             .collect();
         let length = |slot: usize| relabeled[slot].length();
         let classes = LengthClasses::laid_out(0..relabeled.len(), length, &bboxes);
-        let graph = ConflictGraph::build_indexed(&relabeled, config.relation, &bboxes, &classes);
+        let graph = ConflictGraph::build_indexed(&relabeled, engine.relation, &bboxes, &classes);
         let (offsets, neighbors) = graph.csr();
-        let rows = offsets
+        engine.rows = offsets
             .windows(2)
             .map(|w| neighbors[w[0]..w[1]].to_vec())
             .collect();
-        let cache = PathLossCache::new(config.model(), &relabeled, &config.power);
-        let (powers, weights) = cache.into_parts();
-
-        let mut engine = InterferenceEngine::new(config);
-        engine.rows = rows;
-        engine.powers = powers;
-        engine.weights = weights;
         engine.bboxes = bboxes;
         engine.classes = classes;
         engine.live = relabeled.len();
@@ -248,9 +157,15 @@ impl InterferenceEngine {
         engine
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
+    /// The scheduler configuration the engine schedules under.
+    pub fn config(&self) -> &SchedulerConfig {
         &self.config
+    }
+
+    /// The conflict relation the maintained adjacency realises: the one the
+    /// configuration's power mode implies.
+    pub fn relation(&self) -> ConflictRelation {
+        self.relation
     }
 
     /// Number of live links.
@@ -268,12 +183,12 @@ impl InterferenceEngine {
         self.rows.iter().map(Vec::len).sum::<usize>() / 2
     }
 
-    /// Maintenance counters.
-    pub fn stats(&self) -> EngineStats {
-        let mut stats = self.stats;
-        stats.grid_rebuilds = self.classes.relayouts();
-        stats.length_classes = self.classes.class_count();
-        stats
+    /// Class-grid re-layouts so far: one whenever a class's membership
+    /// doubles or falls to a quarter of its count at its last layout, or more
+    /// than half its members sit outside the area it was laid out over. A
+    /// class's first layout, when it is seeded or created, is not counted.
+    pub fn grid_rebuilds(&self) -> usize {
+        self.classes.relayouts()
     }
 
     /// The live link in `slot`, if any.
@@ -358,7 +273,6 @@ impl InterferenceEngine {
             link.receiver_node = old.receiver_node;
             self.attach(slot, link);
         }
-        self.stats.moves += 1;
         slots.len()
     }
 
@@ -370,14 +284,12 @@ impl InterferenceEngine {
         let slot = self.links.len();
         self.links.push(None);
         self.bboxes.push(BoundingBox::new(0.0, 0.0, 0.0, 0.0));
-        self.powers.push(None);
-        self.weights.push(None);
         self.rows.push(Vec::new());
         slot
     }
 
     /// Wires a link into every maintained structure at `slot`: geometry
-    /// tables, class grids, path-loss state and its conflict row.
+    /// tables, class grids and its conflict row.
     fn attach(&mut self, slot: usize, link: Link) {
         assert!(
             link.sender.x.is_finite()
@@ -387,20 +299,7 @@ impl InterferenceEngine {
             "link endpoints must be finite"
         );
         debug_assert!(self.links[slot].is_none(), "attaching over a live slot");
-        let bbox = BoundingBox::of_segment(link.sender, link.receiver);
-
-        // Path-loss state: one link's worth of `PathLossCache` values,
-        // computed by the cache itself so the formulas can never drift.
-        let (p, w) = PathLossCache::new(
-            &self.config.scheduler.model,
-            std::slice::from_ref(&link),
-            &self.config.power,
-        )
-        .into_parts();
-        self.powers[slot] = p[0];
-        self.weights[slot] = w[0];
-
-        self.bboxes[slot] = bbox;
+        self.bboxes[slot] = BoundingBox::of_segment(link.sender, link.receiver);
         self.links[slot] = Some(link);
         self.live += 1;
         if is_classed(link.length()) {
@@ -409,7 +308,6 @@ impl InterferenceEngine {
         } else if let Err(pos) = self.unclassed.binary_search(&slot) {
             self.unclassed.insert(pos, slot);
         }
-        self.stats.inserts += 1;
         self.link_conflict_row(slot);
     }
 
@@ -448,10 +346,7 @@ impl InterferenceEngine {
             let pos = partner.binary_search(&slot).expect("edges are symmetric");
             partner.remove(pos);
         }
-        self.powers[slot] = None;
-        self.weights[slot] = None;
         self.live -= 1;
-        self.stats.removals += 1;
         link
     }
 
@@ -468,7 +363,7 @@ impl InterferenceEngine {
             row.extend((0..self.links.len()).filter(|&j| self.links[j].is_some()));
             self.candidates_counter.add(row.len() as u64);
         } else {
-            let (len, relation) = (link.length(), self.config.relation);
+            let (len, relation) = (link.length(), self.relation);
             let every_class = (i32::MIN, 0);
             let read = self.classes.for_each_candidate(
                 every_class,
@@ -488,7 +383,7 @@ impl InterferenceEngine {
         self.pairs_counter.add(row.len() as u64);
         row.retain(|&j| {
             let other = self.links[j].as_ref().expect("candidates are live");
-            self.config.relation.conflicting(link, other)
+            self.relation.conflicting(link, other)
         });
         row
     }
@@ -528,17 +423,18 @@ impl InterferenceEngine {
             .collect()
     }
 
-    /// Materialises the maintained state into `(links, conflict graph)`
-    /// without re-running any geometry: live slots are renumbered to
-    /// contiguous vertices and the adjacency rows are remapped. The result
-    /// equals `ConflictGraph::build(&links, relation)` edge for edge.
-    pub fn snapshot(&self) -> (Vec<Link>, ConflictGraph) {
+    /// Materialises the maintained state into its conflict graph without
+    /// re-running any geometry: live slots are renumbered to contiguous
+    /// vertices (the graph's links are [`InterferenceEngine::links`]) and
+    /// the adjacency rows are remapped. The result equals
+    /// `ConflictGraph::build(&engine.links(), engine.relation())` edge for
+    /// edge.
+    pub fn snapshot(&self) -> ConflictGraph {
         let slots = self.live_slots();
         let mut pos_of = vec![usize::MAX; self.links.len()];
         for (pos, &slot) in slots.iter().enumerate() {
             pos_of[slot] = pos;
         }
-        let links = self.links();
         let mut offsets = Vec::with_capacity(slots.len() + 1);
         offsets.push(0);
         let mut neighbors = Vec::new();
@@ -547,24 +443,7 @@ impl InterferenceEngine {
             neighbors.extend(self.rows[slot].iter().map(|&w| pos_of[w]));
             offsets.push(neighbors.len());
         }
-        let graph =
-            ConflictGraph::from_parts(links.clone(), self.config.relation, offsets, neighbors);
-        (links, graph)
-    }
-
-    /// Total relative interference on the link in `slot` from every other
-    /// live link (set order = ascending slots), using the incrementally
-    /// patched per-link state. `None` when a needed power or the target
-    /// weight is unavailable, mirroring `PathLossCache`.
-    pub fn relative_interference_on(&self, slot: usize) -> Option<f64> {
-        relative_interference_sum(
-            wagg_sinr::AlphaPow::new(self.config.scheduler.model.alpha()),
-            self.live_slots(),
-            slot,
-            self.weights[slot],
-            |j| self.links[j].as_ref().expect("live slot"),
-            |j| self.powers[j],
-        )
+        ConflictGraph::from_parts(self.links(), self.relation, offsets, neighbors)
     }
 
     /// The slots of every live link recorded as touching `node` (via
@@ -575,50 +454,20 @@ impl InterferenceEngine {
         self.node_links.get(&node).cloned().unwrap_or_default()
     }
 
-    /// The patched per-link path-loss state gathered over the live links in
-    /// [`InterferenceEngine::links`] order — ready for
-    /// [`PathLossCache::from_parts`], so [`InterferenceEngine::schedule`]'s
-    /// slot probes reuse the maintained values instead of recomputing
-    /// geometry.
-    fn cache_parts(&self) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
-        let slots = self.live_slots();
-        let powers = slots.iter().map(|&s| self.powers[s]).collect();
-        let weights = slots.iter().map(|&s| self.weights[s]).collect();
-        (powers, weights)
-    }
-
     /// Schedules the current live links under the engine's own scheduler
-    /// configuration ([`EngineConfig::scheduler`] — one source of truth, no
-    /// re-supplied config to drift from the maintained state), reusing the
-    /// incrementally maintained state end to end: the conflict graph is a
-    /// [`InterferenceEngine::snapshot`] (no geometric rebuild) and — when the
-    /// scheduler's power mode matches the engine's assignment — the patched
-    /// per-link path-loss values are lent to **all** slot probes of the run
-    /// via [`PathLossCache::from_parts`], so nothing is recomputed per probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the engine maintains a custom conflict relation that is
-    /// not the one the scheduler's power mode implies (engines built with
-    /// [`EngineConfig::for_scheduler`] always match).
+    /// configuration: the conflict graph is a
+    /// [`InterferenceEngine::snapshot`] (no geometric rebuild), scheduled
+    /// exactly as `wagg_schedule::solve_static` schedules a freshly built
+    /// graph, so the result equals `solve_static(&engine.links(), ..)`.
     pub fn schedule(&self) -> ScheduleReport {
-        let config = self.config.scheduler;
         let snapshot_span = self.recorder.span("engine/snapshot");
-        let (links, graph) = self.snapshot();
+        let graph = self.snapshot();
         snapshot_span.finish();
         // Sync the maintenance watermark so a session-boundary metrics dump
         // reflects the engine's cumulative upkeep, not just this solve.
         self.recorder
             .record_max("engine.grid_rebuilds", self.classes.relayouts() as u64);
-        let lend_cache = config.model.noise() == 0.0
-            && config.mode.assignment().as_ref() == Some(&self.config.power);
-        if lend_cache {
-            let (powers, weights) = self.cache_parts();
-            let cache = PathLossCache::from_parts(&config.model, &links, powers, weights);
-            schedule_prebuilt_traced(&graph, Some(&cache), config, &self.recorder)
-        } else {
-            schedule_prebuilt_traced(&graph, None, config, &self.recorder)
-        }
+        schedule_prebuilt_traced(&graph, None, self.config, &self.recorder)
     }
 }
 
@@ -627,12 +476,13 @@ mod tests {
     use super::*;
     use wagg_schedule::PowerMode;
 
+    /// Uniform power: the constant relation `G_2`.
+    fn uniform() -> SchedulerConfig {
+        SchedulerConfig::new(PowerMode::Uniform)
+    }
+
     fn engine() -> InterferenceEngine {
-        InterferenceEngine::new(EngineConfig::new(
-            ConflictRelation::unit_constant(),
-            SinrModel::default(),
-            PowerAssignment::mean(),
-        ))
+        InterferenceEngine::new(uniform())
     }
 
     fn line(engine: &mut InterferenceEngine, s: f64, r: f64) -> usize {
@@ -640,20 +490,12 @@ mod tests {
     }
 
     fn assert_matches_scratch(engine: &InterferenceEngine) {
-        let (links, graph) = engine.snapshot();
-        let scratch = ConflictGraph::build(&links, engine.config().relation);
+        let graph = engine.snapshot();
+        let scratch = ConflictGraph::build(graph.links(), engine.relation());
         assert_eq!(
             graph, scratch,
             "engine adjacency diverged from a fresh build"
         );
-        let fresh = PathLossCache::new(engine.config().model(), &links, &engine.config().power);
-        for (pos, &slot) in engine.live_slots().iter().enumerate() {
-            assert_eq!(
-                engine.relative_interference_on(slot),
-                fresh.relative_interference_on(pos),
-                "cache diverged at slot {slot}"
-            );
-        }
     }
 
     #[test]
@@ -715,18 +557,23 @@ mod tests {
 
     #[test]
     fn class_query_keeps_a_pair_whose_distance_rounds_onto_the_reach() {
-        // The static build's rounding case: the unit links' gap squared
-        // rounds to 1 + 2^-52, above reach² = 1, while their distance rounds
-        // to exactly 1 = l_min · f(1), a conflict. Only the reach's margins
-        // keep the pair.
+        // The static build's rounding case under `G_2`: the unit links' box
+        // gap squared rounds to 4 + 2^-50, above reach² = 4, while their
+        // distance rounds to exactly 2 = 2 · l_min, a conflict. Only the
+        // reach's margins keep the pair.
         let mut e = engine();
         let a = e.insert(Link::new(0, Point::new(0.0, 0.0), Point::new(1.0, 0.0)));
         let b = e.insert(Link::new(
             0,
-            Point::new(1.5916082368562336, 0.8062255851086957),
-            Point::new(2.1832164737124673, 1.6124511702173914),
+            Point::new(2.8802491725616814, 0.6816619756749773),
+            Point::new(3.820373758842522, 1.022492963512466),
         ));
-        assert_eq!(e.link(b).unwrap().length(), 1.0);
+        let (la, lb) = (*e.link(a).unwrap(), *e.link(b).unwrap());
+        assert_eq!(lb.length(), 1.0);
+        assert_eq!(la.distance_to(&lb), 2.0);
+        let gap_sq = BoundingBox::of_segment(la.sender, la.receiver)
+            .gap_sq(&BoundingBox::of_segment(lb.sender, lb.receiver));
+        assert_eq!(gap_sq, 4.0 + 2f64.powi(-50));
         assert!(e.are_adjacent(a, b));
         assert_matches_scratch(&e);
     }
@@ -779,13 +626,8 @@ mod tests {
                 Link::new(i, Point::on_line(x), Point::on_line(x + 1.0))
             })
             .collect();
-        let config = EngineConfig::new(
-            ConflictRelation::unit_constant(),
-            SinrModel::default(),
-            PowerAssignment::mean(),
-        );
-        let bulk = InterferenceEngine::with_links(config.clone(), &links);
-        let mut incremental = InterferenceEngine::new(config);
+        let bulk = InterferenceEngine::with_links(uniform(), &links);
+        let mut incremental = InterferenceEngine::new(uniform());
         for l in &links {
             incremental.insert(*l);
         }
@@ -795,22 +637,20 @@ mod tests {
 
     #[test]
     fn exact_checks_stay_within_twice_the_row_edges_on_clustered_mst_churn() {
-        // The static build's clustered 1 000-sensor MSTs under the relations
-        // of uniform, oblivious and global power. Every third link departs
-        // and returns with its sender jittered by up to a tenth of its
-        // length; each return recomputes one row.
+        // The static build's clustered 1 000-sensor MSTs under uniform,
+        // oblivious and global power. Every third link departs and returns
+        // with its sender jittered by up to a tenth of its length; each
+        // return recomputes one row.
         for seed in [1, 2, 42] {
             let links = wagg_instances::random::clustered(50, 20, 4000.0, 10.0, seed)
                 .mst_links()
                 .expect("clustered sensors are distinct");
-            for relation in [
-                ConflictRelation::constant(2.0),
-                ConflictRelation::polynomial(2.0, 0.5),
-                ConflictRelation::log_shaped(2.0, 3.0),
+            for mode in [
+                PowerMode::Uniform,
+                PowerMode::mean_oblivious(),
+                PowerMode::GlobalControl,
             ] {
-                let config =
-                    EngineConfig::new(relation, SinrModel::default(), PowerAssignment::mean());
-                let mut engine = InterferenceEngine::with_links(config, &links);
+                let mut engine = InterferenceEngine::with_links(SchedulerConfig::new(mode), &links);
                 let rec = Recorder::new();
                 engine.set_recorder(rec.clone());
                 let mut rng = wagg_geometry::rng::seeded_rng(seed);
@@ -833,7 +673,7 @@ mod tests {
                 assert_eq!(rows, links.len().div_ceil(3) as u64);
                 assert!(
                     checked <= 2 * row_edges + rows,
-                    "seed {seed}, {relation}: {checked} exact checks for {rows} rows with {row_edges} edges"
+                    "seed {seed}, {mode}: {checked} exact checks for {rows} rows with {row_edges} edges"
                 );
             }
         }
@@ -848,12 +688,7 @@ mod tests {
             .collect();
         let unit = |s: Point| Link::new(0, s, Point::new(s.x + 1.0, s.y));
         let links: Vec<Link> = homes.iter().map(|&h| unit(h)).collect();
-        let config = EngineConfig::new(
-            ConflictRelation::unit_constant(),
-            SinrModel::default(),
-            PowerAssignment::mean(),
-        );
-        let mut engine = InterferenceEngine::with_links(config, &links);
+        let mut engine = InterferenceEngine::with_links(uniform(), &links);
         let rec = Recorder::new();
         engine.set_recorder(rec.clone());
         for round in 1..=rounds {
@@ -892,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_reuses_engine_state_and_matches_schedule_links() {
+    fn schedule_equals_solve_static_on_the_live_links() {
         let links: Vec<Link> = (0..60)
             .map(|i| {
                 let x = (i % 10) as f64 * 4.0;
@@ -900,10 +735,13 @@ mod tests {
                 Link::new(i, Point::new(x, y), Point::new(x + 1.0, y))
             })
             .collect();
-        for mode in [PowerMode::mean_oblivious(), PowerMode::GlobalControl] {
+        for mode in [
+            PowerMode::Uniform,
+            PowerMode::mean_oblivious(),
+            PowerMode::GlobalControl,
+        ] {
             let sched_config = SchedulerConfig::new(mode);
-            let engine =
-                InterferenceEngine::with_links(EngineConfig::for_scheduler(sched_config), &links);
+            let engine = InterferenceEngine::with_links(sched_config, &links);
             let via_engine = engine.schedule();
             let direct =
                 wagg_schedule::solve_static(&engine.links(), sched_config, &Recorder::disabled());

@@ -1,11 +1,12 @@
 //! Incremental interference engine for dynamic networks.
 //!
-//! The paper's schedules are computed for a *static* link set, and PR 1 made
-//! that computation fast; but the convergecast setting is naturally dynamic —
-//! nodes fail, arrive and move — and rebuilding the conflict graph, the
-//! spatial grids and the path-loss cache from scratch on every event costs a
-//! full `O(n)` rebuild per event. This crate turns those three structures
-//! into one **mutable, incrementally maintained** engine:
+//! The paper's schedules are computed for a *static* link set; but the
+//! convergecast setting is naturally dynamic — nodes fail, arrive and move —
+//! and rebuilding the conflict graph and its spatial grids from scratch on
+//! every event costs a full `O(n)` rebuild per event. This crate turns those
+//! structures into one **mutable, incrementally maintained** engine, built
+//! from the `SchedulerConfig` it schedules under: the power mode fixes the
+//! conflict relation (`PowerMode::conflict_relation`), once.
 //!
 //! * **Spatial grids** — the engine keeps `wagg-conflict`'s length-class
 //!   index (`wagg_conflict::LengthClasses`, one mutable
@@ -25,10 +26,11 @@
 //!   departure leaves each partner's row and drops its own. It equals
 //!   `ConflictGraph::build` over the live links edge for edge at every
 //!   point, and [`InterferenceEngine::neighbors`] lends a row as a slice.
-//! * **Path-loss state** — the per-link powers and target weights of
-//!   `PathLossCache`, patched per event and lent to *every* scheduler slot
-//!   probe of a run ([`InterferenceEngine::schedule`]) instead of being
-//!   rebuilt per feasibility call.
+//!
+//! The engine keeps no path-loss state: a cold
+//! [`InterferenceEngine::schedule`] snapshots the adjacency and prices its
+//! slot probes exactly as `wagg_schedule::solve_static` does, and a
+//! session's warm repairs read the session's own priced slot index.
 //!
 //! Per-event cost is proportional to the affected neighbourhood (plus
 //! amortised class re-layout work), not to the network size — see the
@@ -44,17 +46,16 @@
 //! End to end: seed an engine from a link set, churn it, reschedule.
 //!
 //! ```
-//! use wagg_engine::{run_trace, churn_trace, EngineConfig, InterferenceEngine};
+//! use wagg_engine::{run_trace, churn_trace, InterferenceEngine};
 //! use wagg_schedule::{PowerMode, SchedulerConfig};
 //!
 //! let config = SchedulerConfig::new(PowerMode::mean_oblivious());
-//! let mut engine = InterferenceEngine::new(EngineConfig::for_scheduler(config));
+//! let mut engine = InterferenceEngine::new(config);
 //! let trace = churn_trace(60, 40, 7);
 //! let outcome = run_trace(&mut engine, &trace).unwrap();
 //! assert_eq!(outcome.final_links, engine.len());
 //!
-//! // Reschedule from the maintained state: no geometric rebuild, and the
-//! // patched path-loss values feed every slot probe.
+//! // Reschedule from the maintained adjacency: no geometric rebuild.
 //! let report = engine.schedule();
 //! assert!(report.schedule.is_partition(engine.len()));
 //! ```
@@ -66,6 +67,6 @@ pub mod engine;
 pub mod error;
 pub mod scenario;
 
-pub use engine::{EngineConfig, EngineStats, InterferenceEngine};
+pub use engine::InterferenceEngine;
 pub use error::EngineError;
 pub use scenario::{churn_trace, run_trace, EngineEvent, EngineTrace, TraceOutcome};

@@ -263,23 +263,18 @@ pub fn run_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
-    use wagg_conflict::{ConflictGraph, ConflictRelation};
+    use wagg_conflict::ConflictGraph;
     use wagg_instances::mobility::{random_waypoint, WaypointConfig};
-    use wagg_sinr::{PowerAssignment, SinrModel};
+    use wagg_schedule::{PowerMode, SchedulerConfig};
 
     fn engine() -> InterferenceEngine {
-        InterferenceEngine::new(EngineConfig::new(
-            ConflictRelation::unit_constant(),
-            SinrModel::default(),
-            PowerAssignment::mean(),
-        ))
+        InterferenceEngine::new(SchedulerConfig::new(PowerMode::Uniform))
     }
 
     /// The replayed engine's adjacency equals a fresh build of its links.
     fn assert_matches_build(e: &InterferenceEngine) {
-        let (links, graph) = e.snapshot();
-        assert_eq!(graph, ConflictGraph::build(&links, e.config().relation));
+        let graph = e.snapshot();
+        assert_eq!(graph, ConflictGraph::build(graph.links(), e.relation()));
     }
 
     #[test]

@@ -11,22 +11,23 @@
 mod families;
 
 use proptest::prelude::*;
-use wagg_conflict::{ConflictGraph, ConflictRelation};
-use wagg_engine::{EngineConfig, InterferenceEngine};
+use wagg_conflict::ConflictGraph;
+use wagg_engine::InterferenceEngine;
 use wagg_geometry::Point;
-use wagg_sinr::{Link, NodeId, PowerAssignment, SinrModel};
+use wagg_schedule::{PowerMode, SchedulerConfig};
+use wagg_sinr::{Link, NodeId};
 
-fn relation_for(which: u8) -> ConflictRelation {
-    match which % 3 {
-        0 => ConflictRelation::unit_constant(),
-        1 => ConflictRelation::oblivious_default(),
-        _ => ConflictRelation::arbitrary_default(),
-    }
+fn config_for(which: u8) -> SchedulerConfig {
+    SchedulerConfig::new(match which % 3 {
+        0 => PowerMode::Uniform,
+        1 => PowerMode::mean_oblivious(),
+        _ => PowerMode::GlobalControl,
+    })
 }
 
 fn assert_matches_naive(engine: &InterferenceEngine, phase: &str) {
-    let (links, graph) = engine.snapshot();
-    let naive = ConflictGraph::build_naive(&links, engine.config().relation);
+    let graph = engine.snapshot();
+    let naive = ConflictGraph::build_naive(graph.links(), engine.relation());
     assert_eq!(graph, naive, "{phase}: engine and naive build disagree");
 }
 
@@ -45,11 +46,7 @@ proptest! {
         let links = families::far_from_origin(
             family, exponent, signs, &uniform, &gaps, &degenerate, &degenerate_at,
         );
-        let config = EngineConfig::new(
-            relation_for(which),
-            SinrModel::default(),
-            PowerAssignment::mean(),
-        );
+        let config = config_for(which);
         // Link k runs from node 2k to node 2k + 1.
         let mut engine = InterferenceEngine::new(config);
         let mut slots: Vec<usize> = links
@@ -109,12 +106,8 @@ fn links_of_infinite_length_are_checked_exactly() {
     }
     assert!(links[80..].iter().all(|l| l.length().is_infinite()));
     for which in 0..3 {
-        let config = EngineConfig::new(
-            relation_for(which),
-            SinrModel::default(),
-            PowerAssignment::mean(),
-        );
-        let seeded = InterferenceEngine::with_links(config.clone(), &links);
+        let config = config_for(which);
+        let seeded = InterferenceEngine::with_links(config, &links);
         assert_matches_naive(&seeded, "with_links");
         let mut engine = InterferenceEngine::new(config);
         let slots: Vec<usize> = links.iter().map(|&l| engine.insert(l)).collect();

@@ -44,7 +44,7 @@
 use crate::layout::site_tiles;
 use crate::pipeline::{self, ShardPieces};
 use std::collections::BTreeMap;
-use wagg_engine::{EngineConfig, EngineError, InterferenceEngine};
+use wagg_engine::{EngineError, InterferenceEngine};
 use wagg_geometry::tiling::TileLayout;
 use wagg_geometry::{BoundingBox, Point};
 use wagg_obs::Recorder;
@@ -106,20 +106,6 @@ impl PartitionedEngineConfig {
     }
 }
 
-/// Aggregate maintenance accounting across the shard engines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PartitionedStats {
-    /// Live links (each counted once, not per copy).
-    pub links: usize,
-    /// Ghost copies currently held by non-owner shards.
-    pub ghost_copies: usize,
-    /// Shards (tiles) in the decomposition.
-    pub shards: usize,
-    /// Engine events applied across all shards (inserts + removals,
-    /// including ghost-copy maintenance).
-    pub events: usize,
-}
-
 /// Where one link lives: its owner shard/slot plus its ghost copies.
 #[derive(Debug, Clone)]
 struct LinkSites {
@@ -168,7 +154,7 @@ impl PartitionedEngine {
         let halo = radius + config.length_bounds.1 / 2.0;
         let tiles = TileLayout::cover(&config.extent, config.target_shards, 2.0 * halo);
         let engines = (0..tiles.tiles())
-            .map(|_| InterferenceEngine::new(EngineConfig::for_scheduler(config.scheduler)))
+            .map(|_| InterferenceEngine::new(config.scheduler))
             .collect::<Vec<_>>();
         let meta = vec![Vec::new(); tiles.tiles()];
         PartitionedEngine {
@@ -195,8 +181,7 @@ impl PartitionedEngine {
     /// of `n` incremental conflict-row recomputations. This is the
     /// restart-in-seconds path: re-materialising a large engine from a
     /// session snapshot costs seconds where sequential insertion costs
-    /// minutes. (Maintenance accounting differs: bulk-built shard engines
-    /// start with zeroed event counters.)
+    /// minutes.
     ///
     /// # Panics
     ///
@@ -239,9 +224,8 @@ impl PartitionedEngine {
         }
         engine.next_key = links.len() as u64;
         engine.meta = staged_meta;
-        let econfig = EngineConfig::for_scheduler(config.scheduler);
         let build = |shard_links: &Vec<Link>| -> InterferenceEngine {
-            InterferenceEngine::with_links(econfig.clone(), shard_links)
+            InterferenceEngine::with_links(config.scheduler, shard_links)
         };
         #[cfg(feature = "parallel")]
         {
@@ -345,22 +329,10 @@ impl PartitionedEngine {
         pipeline::occupancy(&self.owned, self.ghost_copies)
     }
 
-    /// Aggregate accounting.
-    pub fn stats(&self) -> PartitionedStats {
-        let events = self
-            .engines
-            .iter()
-            .map(|e| {
-                let s = e.stats();
-                s.inserts + s.removals
-            })
-            .sum();
-        PartitionedStats {
-            links: self.sites.len(),
-            ghost_copies: self.ghost_copies,
-            shards: self.engines.len(),
-            events,
-        }
+    /// Ghost copies currently held by non-owner shards — a counter kept
+    /// current per event, not a scan.
+    pub fn ghost_copies(&self) -> usize {
+        self.ghost_copies
     }
 
     /// Validates the declared length bounds for an insertion at this
@@ -530,7 +502,7 @@ impl PartitionedEngine {
 
         let assemble = |s: usize| -> ShardPieces {
             let engine = &self.engines[s];
-            let (_, graph) = engine.snapshot();
+            let graph = engine.snapshot();
             let live = engine.live_slots();
             let mut member_globals = Vec::with_capacity(live.len());
             let mut owned_local = Vec::new();
@@ -602,16 +574,16 @@ mod tests {
         assert!(e.shard_count() >= 4);
         // A link well inside a tile touches exactly one shard.
         let interior = e.insert_link(Point::new(15.0, 15.0), Point::new(16.0, 15.0));
-        assert_eq!(e.stats().ghost_copies, 0);
+        assert_eq!(e.ghost_copies(), 0);
         // A link near a tile border is ghosted into the neighbouring shard.
         let tile = e.tiles.tile_size();
         let near = e.insert_link(Point::new(tile - 0.5, 15.0), Point::new(tile + 0.5, 15.0));
-        assert!(e.stats().ghost_copies >= 1);
+        assert!(e.ghost_copies() >= 1);
         assert_eq!(e.len(), 2);
         e.remove_link(interior).unwrap();
         e.remove_link(near).unwrap();
         assert!(e.is_empty());
-        assert_eq!(e.stats().ghost_copies, 0);
+        assert_eq!(e.ghost_copies(), 0);
     }
 
     #[test]
@@ -672,7 +644,7 @@ mod tests {
         assert_eq!(bulk.len(), seq.len());
         assert_eq!(bulk.next_key, seq.next_key);
         assert_eq!(bulk.links(), seq.links());
-        assert_eq!(bulk.stats().ghost_copies, seq.stats().ghost_copies);
+        assert_eq!(bulk.ghost_copies(), seq.ghost_copies());
         for s in 0..seq.shard_count() {
             assert_eq!(bulk.shard_len(s), seq.shard_len(s), "shard {s} occupancy");
             assert_eq!(bulk.meta[s], seq.meta[s], "shard {s} metadata");

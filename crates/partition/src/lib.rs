@@ -67,7 +67,7 @@ pub mod verify;
 
 mod pipeline;
 
-pub use engine::{PartitionedEngine, PartitionedEngineConfig, PartitionedStats};
+pub use engine::{PartitionedEngine, PartitionedEngineConfig};
 pub use layout::{max_conflict_radius, PartitionLayout};
 pub use verify::AffectanceVerifier;
 

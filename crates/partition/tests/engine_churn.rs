@@ -149,7 +149,7 @@ fn ghost_reownership_at_tile_boundaries_stays_clean() {
         let y = 4.0 + (i / 6) as f64 * 24.0;
         backdrop.push(e.insert_link(Point::new(x, y), Point::new(x + 1.0, y)));
     }
-    let base_ghosts = e.stats().ghost_copies;
+    let base_ghosts = e.ghost_copies();
 
     // Movers that hop between an interior and a boundary-straddling
     // geometry: every hop flips ghost membership, and hops across the
@@ -162,7 +162,7 @@ fn ghost_reownership_at_tile_boundaries_stays_clean() {
         let key = e.insert_link(Point::new(ix, y), Point::new(ix + 1.0, y));
         movers.push((key, ix, bx, y));
     }
-    assert_eq!(e.stats().ghost_copies, base_ghosts, "movers start interior");
+    assert_eq!(e.ghost_copies(), base_ghosts, "movers start interior");
 
     for round in 0..4 {
         for &(key, _ix, bx, y) in &movers {
@@ -171,7 +171,7 @@ fn ghost_reownership_at_tile_boundaries_stays_clean() {
                 .expect("live mover");
         }
         assert!(
-            e.stats().ghost_copies >= base_ghosts + movers.len(),
+            e.ghost_copies() >= base_ghosts + movers.len(),
             "round {round}: boundary movers must be ghosted"
         );
         assert_schedule_clean(&e, &format!("round {round}, movers on the boundary"));
@@ -184,7 +184,7 @@ fn ghost_reownership_at_tile_boundaries_stays_clean() {
                 .expect("live mover");
         }
         assert_eq!(
-            e.stats().ghost_copies,
+            e.ghost_copies(),
             base_ghosts,
             "round {round}: interior movers must shed every ghost copy"
         );

@@ -147,13 +147,13 @@ pub fn solve_static(links: &[Link], config: SchedulerConfig, rec: &Recorder) -> 
 /// Schedules the links of an already-built conflict graph, optionally reusing
 /// an already-built path-loss cache for the slot probes.
 ///
-/// This is the entry point for callers that maintain the interference state
-/// *incrementally* (the `wagg-engine` crate): after a churn or mobility event
-/// they materialise their patched adjacency into a [`ConflictGraph`] snapshot
-/// and lend their patched per-link path-loss state as `cache`, so rescheduling
-/// performs no geometric work beyond the coloring and the slot probes
-/// themselves. Under a disabled recorder, [`solve_static`] is exactly
-/// `schedule_prebuilt(&build(..), None, config)`.
+/// This is the entry point for callers that keep the conflict graph
+/// themselves: the incremental engine (`wagg-engine`) materialises its
+/// patched adjacency into a [`ConflictGraph`] snapshot after a churn or
+/// mobility event, and the sharded pipeline colours each shard's member
+/// graph, so rescheduling performs no geometric rebuild. Both pass `None`
+/// for `cache`, as does every non-test caller. Under a disabled recorder,
+/// [`solve_static`] is exactly `schedule_prebuilt(&build(..), None, config)`.
 ///
 /// When `cache` is `None` and the power mode has a fixed assignment (and the
 /// model is noise-free), the cache is built **once** here and shared across

@@ -11,9 +11,9 @@
 //!   (`wagg_schedule::solve_static`) over the universe's links;
 //! * [`ShardedBackend`] — no index; each solve re-tiles the links
 //!   (`wagg_partition::solve_sharded`);
-//! * [`EngineBackend`] — an [`InterferenceEngine`] whose spatial grids,
-//!   conflict adjacency and path-loss state are patched per event, plus its
-//!   key ↔ slot ↔ position binding (solve order is the engine's slot order);
+//! * [`EngineBackend`] — an [`InterferenceEngine`] whose spatial grids and
+//!   conflict adjacency are patched per event, plus its key ↔ slot ↔
+//!   position binding (solve order is the engine's slot order);
 //! * [`HintedBackend`] — a [`PartitionedEngine`] over the tiling the
 //!   session's `PartitionHints` declare, plus its engine keys.
 //!
@@ -45,7 +45,7 @@
 use crate::state;
 use crate::{slot_index, RepairPolicy, Universe};
 use std::collections::HashMap;
-use wagg_engine::{EngineConfig, InterferenceEngine};
+use wagg_engine::InterferenceEngine;
 use wagg_obs::Recorder;
 use wagg_partition::{solve_sharded, PartitionedEngine, PartitionedEngineConfig};
 use wagg_schedule::{
@@ -299,10 +299,11 @@ impl Solver for ShardedBackend {
     }
 }
 
-/// The incremental strategy: an [`InterferenceEngine`] whose spatial grids,
-/// conflict adjacency and path-loss state are patched per event; solving
-/// snapshots the maintained state (no geometric rebuild). Matches the
-/// legacy `InterferenceEngine::schedule` path slot for slot.
+/// The incremental strategy: an [`InterferenceEngine`] whose spatial grids
+/// and conflict adjacency are patched per event; a cold solve snapshots the
+/// maintained adjacency (no geometric rebuild) and prices its slot probes as
+/// `solve_static` does. Matches a hand-driven `InterferenceEngine::schedule`
+/// slot for slot.
 ///
 /// Solve order is the engine's slot order: stable per link, but a recycled
 /// slot can place a newer link before an older one.
@@ -319,7 +320,7 @@ pub(crate) struct EngineBackend {
 impl EngineBackend {
     /// Bulk-seeds an engine with `universe`'s links: slot `i` holds
     /// position `i`.
-    pub(crate) fn new(config: EngineConfig, universe: &Universe) -> Self {
+    pub(crate) fn new(config: SchedulerConfig, universe: &Universe) -> Self {
         EngineBackend {
             engine: InterferenceEngine::with_links(config, universe.links()),
             slot_of: universe.keys.iter().copied().zip(0..).collect(),

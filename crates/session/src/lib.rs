@@ -107,7 +107,7 @@ use state::{EventCounts, KeyedLink, WarmState};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use wagg_engine::{EngineConfig, EngineEvent};
+use wagg_engine::EngineEvent;
 use wagg_geometry::{BoundingBox, Point};
 use wagg_partition::{AffectanceVerifier, PartitionedEngineConfig};
 use wagg_schedule::SlotIndex;
@@ -206,8 +206,9 @@ impl RepairPolicy {
 }
 
 /// The layered configuration of a [`Session`]: the scheduler core plus the
-/// per-backend tuning that used to live in three separate config structs
-/// (`SchedulerConfig`, `EngineConfig`, `PartitionedEngineConfig`).
+/// per-backend tuning. The engine backends build their engines from the
+/// scheduler core (`InterferenceEngine` from the `SchedulerConfig` alone,
+/// `PartitionedEngineConfig` from it and the partition hints).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
     /// The scheduler core: SINR model, power mode, slot verification.
@@ -555,10 +556,7 @@ impl Session {
             (BackendKind::Static, _) => Box::new(StaticBackend {
                 scheduler: config.scheduler,
             }),
-            (BackendKind::Engine, _) => {
-                let engine_config = EngineConfig::for_scheduler(config.scheduler);
-                Box::new(EngineBackend::new(engine_config, &universe))
-            }
+            (BackendKind::Engine, _) => Box::new(EngineBackend::new(config.scheduler, &universe)),
             (BackendKind::Sharded, Some(hints)) => {
                 let pconfig = PartitionedEngineConfig::new(
                     config.scheduler,
@@ -1026,12 +1024,21 @@ impl Universe {
     }
 
     /// The universe a validated (see [`state::check`]) snapshot describes,
-    /// its warm state re-anchored.
+    /// its warm state re-anchored. Each link is rebuilt from its endpoints
+    /// with `Link::new`, node annotations kept, as the wire decoder builds
+    /// it: a captured link whose endpoint was moved in place (the fields are
+    /// public) carries a stale cached length, and the rebuild measures it
+    /// afresh.
     fn restore(state: &SessionState) -> Self {
+        let rebuild = |link: &Link| {
+            let mut fresh = Link::new(link.id.index(), link.sender, link.receiver);
+            (fresh.sender_node, fresh.receiver_node) = (link.sender_node, link.receiver_node);
+            fresh
+        };
         let mut universe = Universe::new(
             state.config.scheduler,
             state.links.iter().map(|k| k.key).collect(),
-            state.links.iter().map(|k| k.link).collect(),
+            state.links.iter().map(|k| rebuild(&k.link)).collect(),
             state.next_key,
             state.counts,
         );

@@ -35,7 +35,7 @@ use std::fmt;
 
 use wagg_geometry::Point;
 use wagg_obs::telemetry::TelemetryConfig;
-use wagg_schedule::{BackendKind, ScheduleReport};
+use wagg_schedule::{BackendKind, PowerMode, ScheduleReport};
 use wagg_sinr::Link;
 
 use crate::{PartitionHints, SessionConfig};
@@ -186,6 +186,12 @@ pub enum RestoreError {
         /// The offending link's session key.
         key: u64,
     },
+    /// An oblivious power exponent outside `(0, 1)` (NaN included): the
+    /// range the wire codec encodes and decodes, and the paper's.
+    InvalidTau {
+        /// The configured exponent.
+        tau: f64,
+    },
     /// Warm repair state on a backend that keeps none (static, or sharded
     /// without partition hints).
     UnexpectedWarmState {
@@ -257,6 +263,9 @@ impl fmt::Display for RestoreError {
             RestoreError::NonFinite { key } => {
                 write!(f, "link under key {key} has a NaN or infinite coordinate")
             }
+            RestoreError::InvalidTau { tau } => {
+                write!(f, "oblivious power exponent {tau} outside (0, 1)")
+            }
             RestoreError::UnexpectedWarmState { backend } => write!(
                 f,
                 "warm repair state on a {backend} backend that keeps none"
@@ -294,12 +303,18 @@ impl fmt::Display for RestoreError {
 
 impl Error for RestoreError {}
 
-/// Validates everything the rebuild relies on: keys unique (and ascending
-/// where the backend orders by key), `next_key` past every live key, finite
-/// endpoints, warm state only where a backend keeps it and in lockstep with
-/// the universe, and — for a hinted sharded session — hints that can size a
-/// tiling and links inside their length bounds.
+/// Validates everything the rebuild relies on: an oblivious exponent inside
+/// `(0, 1)`, keys unique (and ascending where the backend orders by key),
+/// `next_key` past every live key, finite endpoints, warm state only where a
+/// backend keeps it and in lockstep with the universe, and — for a hinted
+/// sharded session — hints that can size a tiling and links inside their
+/// length bounds.
 pub(crate) fn check(state: &SessionState) -> Result<(), RestoreError> {
+    if let PowerMode::Oblivious { tau } = state.config.scheduler.mode {
+        if !(tau > 0.0 && tau < 1.0) {
+            return Err(RestoreError::InvalidTau { tau });
+        }
+    }
     let links = &state.links;
     if state.backend == BackendKind::Engine {
         // Slot order: keys need not ascend.

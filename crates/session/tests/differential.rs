@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use wagg_conflict::ConflictRelation;
-use wagg_engine::{churn_trace, run_trace, EngineConfig, EngineTrace, InterferenceEngine};
+use wagg_engine::{churn_trace, run_trace, EngineTrace, InterferenceEngine};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_instances::mobility::{random_waypoint, WaypointConfig};
 use wagg_partition::{max_conflict_radius, PartitionedEngine, PartitionedEngineConfig};
@@ -89,7 +89,7 @@ proptest! {
         let config = SchedulerConfig::new(PowerMode::mean_oblivious());
         let trace = churn_trace(n, events, seed);
 
-        let mut legacy = InterferenceEngine::new(EngineConfig::for_scheduler(config));
+        let mut legacy = InterferenceEngine::new(config);
         run_trace(&mut legacy, &trace).expect("churn traces are replayable");
         let legacy_report = legacy.schedule();
 
@@ -123,7 +123,7 @@ proptest! {
         });
         let trace = EngineTrace::from_mobility(&mobility);
 
-        let mut legacy = InterferenceEngine::new(EngineConfig::for_scheduler(config));
+        let mut legacy = InterferenceEngine::new(config);
         run_trace(&mut legacy, &trace).expect("mobility traces are replayable");
 
         let mut session = Session::builder()

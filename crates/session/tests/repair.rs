@@ -29,7 +29,7 @@
 //! `ci.sh` runs this suite in both the serial and the parallel build.
 
 use proptest::prelude::*;
-use wagg_engine::{churn_trace, run_trace, EngineConfig, EngineTrace, InterferenceEngine};
+use wagg_engine::{churn_trace, run_trace, EngineTrace, InterferenceEngine};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_instances::mobility::{random_waypoint, WaypointConfig};
 use wagg_partition::{PartitionedEngine, PartitionedEngineConfig};
@@ -296,7 +296,7 @@ proptest! {
         let config = SchedulerConfig::new(PowerMode::mean_oblivious());
         let trace = churn_trace(n, events, seed);
 
-        let mut legacy = InterferenceEngine::new(EngineConfig::for_scheduler(config));
+        let mut legacy = InterferenceEngine::new(config);
         run_trace(&mut legacy, &trace).expect("churn traces are replayable");
         let legacy_report = legacy.schedule();
 
@@ -362,7 +362,7 @@ fn watermark_breach_falls_back_to_the_full_recolor() {
         );
         let reference = match kind {
             BackendKind::Engine => {
-                let mut legacy = InterferenceEngine::new(EngineConfig::for_scheduler(config));
+                let mut legacy = InterferenceEngine::new(config);
                 for &(s, r) in &[a, c, b] {
                     legacy.insert(Link::new(0, s, r));
                 }

@@ -504,6 +504,28 @@ fn tampered_states_return_typed_errors_not_panics() {
         }
     }
 
+    // An oblivious exponent outside (0, 1), the range the wire decoder
+    // accepts, on every backend: `PowerScheme::new` asserts `τ ∈ [0, 1]`
+    // wherever powers are priced (a warm state's re-anchor, a solve), and
+    // the ends of that range do not decode. The engine and hinted states
+    // carry warm state (their sessions solved once).
+    for (name, builder) in every_backend() {
+        let mut session = builder.links(&links(40)).build();
+        session.solve();
+        let state = session.capture_state();
+        for tau in [1.5, -0.5, f64::NAN, 0.0, 1.0] {
+            let mut tampered = state.clone();
+            tampered.config.scheduler.mode = PowerMode::Oblivious { tau };
+            let restored = std::panic::catch_unwind(|| Session::restore_state(&tampered).err());
+            match restored.expect("restore must not panic") {
+                Some(RestoreError::InvalidTau { tau: got }) => {
+                    assert_eq!(got.to_bits(), tau.to_bits(), "{name}: tau {tau}")
+                }
+                other => panic!("{name}: tau {tau}: expected InvalidTau, got {other:?}"),
+            }
+        }
+    }
+
     // A corrupt telemetry log. (`replay` tolerates a malformed *final*
     // line as a truncated tail, so the corruption sits mid-log.)
     let mut garbled = captured();
@@ -537,4 +559,65 @@ fn tampered_states_return_typed_errors_not_panics() {
         baseline_slots: 0,
     });
     assert!(Session::restore_state(&synthetic).is_ok());
+}
+
+/// Moves `link`'s sender in place, the way a hand-built state can carry it:
+/// the endpoints then lie 1.9 apart (inside the hinted bounds), while the
+/// cached length keeps its old value.
+fn move_sender_in_place(link: &mut Link) {
+    link.sender = Point::new(link.receiver.x - 1.9, link.receiver.y);
+}
+
+#[test]
+fn restore_measures_each_link_from_its_endpoints() {
+    let hinted = Session::builder()
+        .backend(Backend::Sharded)
+        .target_shards(4)
+        .partition_hints(BoundingBox::new(0.0, 0.0, 95.0, 95.0), (1.0, 2.0))
+        .repair(RepairPolicy::enabled());
+    let backends = [
+        ("static", Session::builder().backend(Backend::Static), true),
+        ("engine", Session::builder().backend(Backend::Engine), true),
+        (
+            "engine with repair",
+            Session::builder()
+                .backend(Backend::Engine)
+                .repair(RepairPolicy::enabled()),
+            false,
+        ),
+        ("hinted", hinted, false),
+    ];
+    for (name, builder, compare_solve) in backends {
+        let mut session = builder.clone().links(&links(40)).build();
+        session.solve();
+        let mut state = session.capture_state();
+        move_sender_in_place(&mut state.links[5].link);
+        assert!((state.links[5].link.length() - 1.3).abs() < 1e-12, "stale");
+
+        let restored = std::panic::catch_unwind(|| Session::restore_state(&state));
+        let mut restored = restored
+            .expect("restore must not panic")
+            .expect("the moved link is valid geometry");
+        let link = restored.links()[5];
+        assert_eq!(
+            link.length(),
+            link.sender.distance(link.receiver),
+            "{name}: restored length"
+        );
+        assert!((link.length() - 1.9).abs() < 1e-12, "{name}");
+
+        // Without warm state the restored session schedules exactly what a
+        // session seeded with the moved link schedules.
+        if compare_solve {
+            let mut moved = links(40);
+            move_sender_in_place(&mut moved[5]);
+            moved[5] = Link::new(5, moved[5].sender, moved[5].receiver);
+            let mut seeded = builder.links(&moved).build();
+            assert_eq!(
+                restored.solve().schedule(),
+                seeded.solve().schedule(),
+                "{name}: restored solve"
+            );
+        }
+    }
 }

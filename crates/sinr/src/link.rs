@@ -105,8 +105,8 @@ pub struct Link {
     /// recomputing a `sqrt` per call. Private, but the endpoint fields are
     /// public: assigning `sender` or `receiver` in place leaves it stale, so
     /// code that moves an endpoint builds a new link with [`Link::new`], and
-    /// code that must trust untrusted links (a session restore) measures
-    /// `sender.distance(receiver)` instead.
+    /// code that takes untrusted links (a session restore) rebuilds them the
+    /// same way.
     length: f64,
 }
 

@@ -150,40 +150,9 @@ impl<'a> PathLossCache<'a> {
         }
     }
 
-    /// Reassembles a cache from previously extracted per-link state
-    /// (see [`PathLossCache::into_parts`]).
-    ///
-    /// This is how the incremental engine (`wagg-engine`) shares its
-    /// event-patched per-link powers and weights with the scheduler's slot
-    /// probes without recomputing them: the engine maintains the vectors
-    /// across insert/remove/move events and lends them to a borrowed cache
-    /// per scheduling run. The caller asserts that `powers[i]`/`weights[i]`
-    /// are exactly what [`PathLossCache::new`] would compute for `links[i]`
-    /// under `model` and the original power assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the vector lengths disagree with `links`.
-    pub fn from_parts(
-        model: &SinrModel,
-        links: &'a [Link],
-        powers: Vec<Option<f64>>,
-        weights: Vec<Option<f64>>,
-    ) -> Self {
-        assert_eq!(powers.len(), links.len(), "one power per link");
-        assert_eq!(weights.len(), links.len(), "one weight per link");
-        PathLossCache {
-            links,
-            pow: AlphaPow::new(model.alpha()),
-            inv_beta: 1.0 / model.beta(),
-            powers,
-            weights,
-        }
-    }
-
-    /// Dismantles the cache into its per-link `(powers, weights)` vectors —
-    /// the counterpart of [`PathLossCache::from_parts`] for callers that keep
-    /// the state alive across link-set mutations.
+    /// Dismantles the cache into its per-link `(powers, weights)` vectors,
+    /// for callers that keep the state beyond the cache's borrow of the
+    /// links.
     pub fn into_parts(self) -> (Vec<Option<f64>>, Vec<Option<f64>>) {
         (self.powers, self.weights)
     }
@@ -205,10 +174,9 @@ impl<'a> PathLossCache<'a> {
 
     /// The `(powers, weights)` slice for a subset of the cached links — the
     /// per-link state [`PathLossCache::new`] would compute for exactly those
-    /// links, extracted instead of recomputed. Feed the result (together with
-    /// the correspondingly relabeled links) to [`PathLossCache::from_parts`]
-    /// to obtain a subset cache; the sharded scheduler uses this to hand each
-    /// shard its slice of one globally built cache.
+    /// links, extracted instead of recomputed. The sharded scheduler uses
+    /// this to hand each shard's verifier its slice of one globally built
+    /// cache.
     ///
     /// # Panics
     ///
@@ -531,23 +499,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parts_roundtrip_preserves_the_cache() {
-        let model = SinrModel::default();
-        let links = vec![line_link(0, 0.0, 1.0), line_link(1, 5.0, 7.0)];
-        let power = PowerAssignment::mean();
-        let fresh = PathLossCache::new(&model, &links, &power);
-        let expect: Vec<Option<f64>> = (0..links.len())
-            .map(|i| fresh.relative_interference_on(i))
-            .collect();
-        let (powers, weights) = fresh.into_parts();
-        let rebuilt = PathLossCache::from_parts(&model, &links, powers, weights);
-        for (i, want) in expect.iter().enumerate() {
-            assert_eq!(rebuilt.relative_interference_on(i), *want);
-        }
-        assert!(rebuilt.is_feasible());
     }
 
     #[test]

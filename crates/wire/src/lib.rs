@@ -195,6 +195,12 @@ pub enum EncodeError {
         /// What was being encoded.
         what: &'static str,
     },
+    /// An oblivious power exponent outside `(0, 1)` (NaN included), which
+    /// the decoder would refuse as [`DecodeError::InvalidTau`].
+    InvalidTau {
+        /// The configured exponent.
+        tau: f64,
+    },
 }
 
 impl fmt::Display for EncodeError {
@@ -204,6 +210,9 @@ impl fmt::Display for EncodeError {
                 write!(f, "{what} of length {len} exceeds the u32 length prefix")
             }
             EncodeError::NonFinite { what } => write!(f, "{what} is NaN or infinite"),
+            EncodeError::InvalidTau { tau } => {
+                write!(f, "oblivious power exponent {tau} outside (0, 1)")
+            }
         }
     }
 }
@@ -586,13 +595,22 @@ fn get_model(r: &mut Reader<'_>) -> Result<SinrModel, DecodeError> {
     SinrModel::new(alpha, beta, noise).map_err(|e| DecodeError::InvalidModel(e.to_string()))
 }
 
+/// The oblivious exponents the codec carries: `τ ∈ (0, 1)`, the paper's
+/// range. NaN fails both comparisons.
+fn tau_in_range(tau: f64) -> bool {
+    tau > 0.0 && tau < 1.0
+}
+
 fn put_power_mode(buf: &mut Vec<u8>, mode: PowerMode) -> Result<(), EncodeError> {
     match mode {
         PowerMode::Uniform => buf.push(0),
         PowerMode::Linear => buf.push(1),
         PowerMode::Oblivious { tau } => {
+            if !tau_in_range(tau) {
+                return Err(EncodeError::InvalidTau { tau });
+            }
             buf.push(2);
-            put_finite(buf, tau, "oblivious tau")?;
+            put_f64(buf, tau);
         }
         PowerMode::GlobalControl => buf.push(3),
     }
@@ -605,7 +623,7 @@ fn get_power_mode(r: &mut Reader<'_>) -> Result<PowerMode, DecodeError> {
         1 => Ok(PowerMode::Linear),
         2 => {
             let tau = r.f64()?;
-            if !(tau.is_finite() && tau > 0.0 && tau < 1.0) {
+            if !tau_in_range(tau) {
                 return Err(DecodeError::InvalidTau { tau });
             }
             Ok(PowerMode::Oblivious { tau })

@@ -25,7 +25,7 @@ use wagg_schedule::{
 };
 use wagg_session::{Backend, RepairPolicy, Session, SessionConfig};
 use wagg_sinr::{Link, NodeId, SinrModel};
-use wagg_wire::{DecodeError, Frame, MAGIC, VERSION};
+use wagg_wire::{DecodeError, EncodeError, Frame, MAGIC, VERSION};
 
 /// Decodes proptest scalars into a link set with mixed lengths, ids `0..n`
 /// and a sprinkle of node annotations.
@@ -566,6 +566,42 @@ fn bit_flipped_snapshots_restore_or_reject_without_panic() {
         decoded_ok > 100,
         "only {decoded_ok} flips decoded — the sweep lost its teeth"
     );
+}
+
+/// The encoder refuses the oblivious exponents the decoder refuses: a
+/// static session at `τ = 0` or `τ = 1` solves, but its snapshot would not
+/// decode, so encoding it is a typed error (NaN and out-of-range values
+/// too), never a frame the service's own `Restore` rejects.
+#[test]
+fn out_of_range_tau_snapshots_do_not_encode() {
+    for tau in [0.0, 1.0, 1.5, -0.5, f64::NAN] {
+        let mut session = Session::builder()
+            .backend(Backend::Static)
+            .power_mode(PowerMode::Oblivious { tau })
+            .links(&grid_links(12))
+            .build();
+        if (0.0..=1.0).contains(&tau) {
+            session.solve();
+        }
+        let frame = Frame::Snapshot(session.capture_state());
+        match frame.encode() {
+            Err(EncodeError::InvalidTau { tau: got }) => {
+                assert_eq!(got.to_bits(), tau.to_bits(), "tau {tau}")
+            }
+            other => panic!("tau {tau}: expected InvalidTau, got {other:?}"),
+        }
+    }
+    // The range's interior still encodes and round-trips.
+    let state = Session::builder()
+        .backend(Backend::Static)
+        .power_mode(PowerMode::Oblivious { tau: 0.25 })
+        .links(&grid_links(12))
+        .build()
+        .capture_state();
+    let bytes = Frame::Snapshot(state.clone())
+        .encode()
+        .expect("tau in range");
+    assert_eq!(Frame::decode(&bytes), Ok(Frame::Snapshot(state)));
 }
 
 /// Wrong magic, foreign version, unknown kind and trailing bytes are each
