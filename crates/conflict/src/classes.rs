@@ -36,10 +36,34 @@
 //! and the class's extent. It skips the class when the extent fails the
 //! box-gap test `gap² ≤ reach²`, and otherwise passes on the members in the
 //! grid window that pass the same test. It reports how many grid entries it
-//! read, the work a query costs. The [`graph`](crate::graph) module
-//! docs show why the reach's two rounding margins keep every conflicting
-//! pair. Between layouts `lo`, `hi` and the extent only widen, which keeps
-//! the reach and the skip sound.
+//! read, the work a query costs. A [`Scope`] names the classes it visits:
+//! every class (the engine's conflict row of a link), or the pairs a static
+//! build decides from the link's side. Between layouts `lo`, `hi` and the
+//! extent only widen, which keeps the reach and the skip sound.
+//!
+//! **The smaller class decides.** Classes rank by (member count, class key),
+//! so of two equally populated classes the shorter ranks lower. Under
+//! [`Scope::DecidedBy`] a link visits its own class past its id and every
+//! class that ranks above its own. Each unordered pair of classed links is
+//! then visited from exactly one side: within a class from its lower id,
+//! across classes from the lower-ranked, less populated one. The pairs of two
+//! classes cost as many queries as the smaller class has members, whichever
+//! of the two is longer. A single class, and a chain with one member per
+//! class, rank in key order, so there the shorter side decides.
+//!
+//! **Why the reach bounds a pair from either side.** Let the link have
+//! length `l` and a member of the class length `l_j ∈ lo..=hi`. The pair
+//! conflicts only within `l_min · f(l_max / l_min)` (the paper's `G_f`). Both
+//! `l_min = min(l, l_j) ≤ min(l, hi)` and `l_max / l_min = max(l, l_j) /
+//! min(l, l_j) ≤ max(l, hi) / min(l, lo)` hold whichever of the two is
+//! shorter, and `f` is non-decreasing, so the distance of a conflicting pair
+//! is at most `min(l, hi) · f(max(l, hi) / min(l, lo))`, the unmargined
+//! reach ([`ConflictRelation::reach`]). A long link querying a short class
+//! keeps every partner, as a short link querying a long class does. The
+//! rounding margins depend only on the pair's coordinates, which the query's
+//! largest `|coordinate|` bounds in both directions; the
+//! [`graph`](crate::graph) module docs show why they keep every conflicting
+//! pair.
 
 use crate::ConflictRelation;
 use std::collections::BTreeMap;
@@ -135,6 +159,18 @@ impl ClassIndex {
     }
 }
 
+/// The classes a [`LengthClasses::for_each_candidate`] query visits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Every class: all of a link's candidates, as the engine's row
+    /// recompute needs them.
+    EveryClass,
+    /// The pairs the indexed link with this id decides in a static build:
+    /// its own class past the id, and every class that ranks above its own
+    /// (see the [module docs](self)).
+    DecidedBy(usize),
+}
+
 /// Links indexed by length class (see the [module docs](self)). Every
 /// method takes the caller's per-id tables: `length(id)` is a member's
 /// length and `bboxes[id]` its segment box, unchanged while it is indexed.
@@ -225,31 +261,44 @@ impl LengthClasses {
         }
     }
 
-    /// Visits, class by class, every member whose box lies within the
-    /// class's reach of a classed link of `length` boxed by `bbox`, among
-    /// the members at or after `from` in (class key, id) order:
-    /// `(i32::MIN, 0)` visits every class, and `(class_key(l_i), i + 1)`
-    /// the pairs link `i` decides from its shorter side (its own class past
-    /// it, and every longer class). A member may be visited once per cell it
-    /// shares with the window, and may not conflict: the caller dedupes and
-    /// applies the exact predicate. No conflicting member is skipped (see
-    /// the module docs). Returns the number of grid entries read: each is
-    /// one id test and at most one box test.
+    /// Visits, class by class, every member of the classes `scope` names
+    /// whose box lies within the class's reach of a classed link of `length`
+    /// boxed by `bbox`. Under [`Scope::DecidedBy`] the link must be indexed,
+    /// and the index must not change between the queries of one build, or
+    /// the ranking that splits the pairs between their two sides would. A
+    /// member may be visited once per cell it shares with the window, and may
+    /// not conflict: the caller dedupes and applies the exact predicate. No
+    /// conflicting member is skipped (see the module docs). Returns the
+    /// number of grid entries read: each is one id test and at most one box
+    /// test.
     pub fn for_each_candidate(
         &self,
-        from: (i32, usize),
+        scope: Scope,
         length: f64,
         bbox: &BoundingBox,
         bboxes: &[BoundingBox],
         relation: ConflictRelation,
         mut visit: impl FnMut(usize),
     ) -> usize {
-        let mut read = 0usize;
         debug_assert!(is_classed(length), "links of no class are not indexed");
-        let (from_key, from_id) = from;
-        let first = self.classes.partition_point(|&(key, _)| key < from_key);
-        for (key, class) in &self.classes[first..] {
-            let min_id = if *key == from_key { from_id } else { 0 };
+        // The deciding link's id and its class's rank.
+        let decider = match scope {
+            Scope::EveryClass => None,
+            Scope::DecidedBy(id) => {
+                let key = class_key(length);
+                let at = self.position(key).expect("the deciding link is indexed");
+                Some((id, (self.classes[at].1.len, key)))
+            }
+        };
+        let mut read = 0usize;
+        for (key, class) in &self.classes {
+            // Members with an id below `min_id` are not visited.
+            let min_id = match decider {
+                None => 0,
+                Some((id, (_, own))) if *key == own => id + 1,
+                Some((_, rank)) if (class.len, *key) > rank => 0,
+                Some(_) => continue,
+            };
             let max_coordinate = bbox.max_abs().max(class.extent.max_abs());
             let reach =
                 relation.margined_reach((length, length), (class.lo, class.hi), max_coordinate);

@@ -164,24 +164,19 @@ pub fn greedy_color_with_order(graph: &ConflictGraph, order: &[usize]) -> Colori
 
     const UNCOLORED: usize = usize::MAX;
     let mut colors = vec![UNCOLORED; n];
-    for &v in order {
-        let mut used: Vec<usize> = graph
-            .neighbors(v)
-            .iter()
-            .map(|&u| colors[u])
-            .filter(|&c| c != UNCOLORED)
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        let mut candidate = 0;
-        for c in used {
-            if c == candidate {
-                candidate += 1;
-            } else if c > candidate {
-                break;
+    // `taken[c] == k`: a neighbour of `order[k]` has color `c`. A vertex
+    // has fewer than `n` neighbours, so every color is below `n`.
+    let mut taken = vec![usize::MAX; n];
+    for (k, &v) in order.iter().enumerate() {
+        for &u in graph.neighbors(v) {
+            if colors[u] != UNCOLORED {
+                taken[colors[u]] = k;
             }
         }
-        colors[v] = candidate;
+        colors[v] = taken
+            .iter()
+            .position(|&t| t != k)
+            .expect("a vertex has fewer colored neighbours than vertices");
     }
     Coloring::from_colors(colors)
 }
@@ -304,7 +299,72 @@ mod tests {
         assert!(c.num_colors() <= g.max_degree() + 1);
     }
 
+    /// The greedy loop before the stamp array: collect the colored
+    /// neighbours' colors, sort and deduplicate them, take the first gap.
+    fn collect_sort_dedup_greedy(graph: &ConflictGraph, order: &[usize]) -> Coloring {
+        const UNCOLORED: usize = usize::MAX;
+        let mut colors = vec![UNCOLORED; graph.len()];
+        for &v in order {
+            let mut used: Vec<usize> = graph
+                .neighbors(v)
+                .iter()
+                .map(|&u| colors[u])
+                .filter(|&c| c != UNCOLORED)
+                .collect();
+            used.sort_unstable();
+            used.dedup();
+            let mut candidate = 0;
+            for c in used {
+                if c == candidate {
+                    candidate += 1;
+                } else if c > candidate {
+                    break;
+                }
+            }
+            colors[v] = candidate;
+        }
+        Coloring::from_colors(colors)
+    }
+
     proptest! {
+        /// The stamp-array greedy colors exactly as the collect-sort-dedup
+        /// loop did, on random link sets in a square (zero-length links
+        /// among them, which conflict with every link) under each relation,
+        /// in random orders and in the paper's length order.
+        #[test]
+        fn prop_greedy_matches_the_collect_sort_dedup_loop(
+            raw in proptest::collection::vec(
+                (0.0f64..60.0, 0.0f64..60.0, 0.0f64..std::f64::consts::TAU, 0.0f64..12.0, 0u64..u64::MAX),
+                1..150,
+            ),
+            which in 0u8..3,
+        ) {
+            let links: Vec<Link> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y, angle, len, _))| {
+                    // About one link in twelve has length zero.
+                    let len = if len < 1.0 { 0.0 } else { len };
+                    let s = Point::new(x, y);
+                    Link::new(i, s, Point::new(x + len * angle.cos(), y + len * angle.sin()))
+                })
+                .collect();
+            let relation = match which {
+                0 => ConflictRelation::unit_constant(),
+                1 => ConflictRelation::oblivious_default(),
+                _ => ConflictRelation::arbitrary_default(),
+            };
+            let g = ConflictGraph::build(&links, relation);
+            let mut random: Vec<usize> = (0..links.len()).collect();
+            random.sort_by_key(|&i| (raw[i].4, i));
+            let by_length = indices_by_decreasing_length(&links);
+            for order in [random, by_length] {
+                let c = greedy_color_with_order(&g, &order);
+                prop_assert_eq!(&c, &collect_sort_dedup_greedy(&g, &order));
+                prop_assert!(c.is_proper(&g));
+            }
+        }
+
         /// Greedy coloring is always proper and uses at most Δ + 1 colors, on random
         /// line instances under each of the three relations.
         #[test]

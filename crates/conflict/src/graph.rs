@@ -8,22 +8,29 @@
 //! index the caller laid out already; `wagg-engine` seeds its adjacency that
 //! way and keeps the index.
 //!
-//! **Each unordered pair is decided once, from its shorter side.** A link in
-//! class `c` queries its own class, keeping partners with a higher index, and
-//! every longer class, never a shorter one: the short link's small window
-//! meets the sparse grid of the long class, instead of the long link's wide
-//! window sweeping the dense grids of the short classes. For class `C` with
-//! member lengths within `lo..=hi`, a member `j` conflicting with link `i` has
-//! `d(i, j) ≤ l_min · f(l_max / l_min) ≤ L · f(R)`, with `L = min(l_i, hi)`
-//! and `R = max(l_i, hi) / min(l_i, lo)`, because `f` is non-decreasing
-//! ([`ConflictRelation::reach`]). So each (link, class) gets one
-//! `reach = L · f(R) · (1 + 1e-9) + 1e-12 · max |coordinate|`, the largest
-//! `|coordinate|` taken over the link's box and the class's extent
-//! ([`ConflictRelation::margined_reach`]). It sets the grid window and a
-//! box-gap test, `gap(box_i, box_j)² ≤ reach²`; a class whose whole extent
-//! fails the test is skipped. A member stored in several cells is visited
-//! once per cell, so the surviving candidates are sorted and deduplicated
-//! before [`ConflictRelation::conflicting`] runs once on each.
+//! **Each unordered pair is decided once, from the smaller of its two
+//! length classes.** Classes rank by (member count, class key); a link
+//! queries its own class, keeping partners with a higher index, and every
+//! class that ranks above its own ([`Scope::DecidedBy`]). The pairs of a
+//! sparse class of long links and a dense class of short ones are then
+//! decided by the few long links' queries, not by one query per short link;
+//! on the paper's clustered MSTs, whose longer classes hold a few members
+//! each, that is most of the build. Ties go to the shorter class, so a
+//! single class, or a chain with one member per class, decides from its
+//! shorter side. For class `C` with member lengths within `lo..=hi`, a
+//! member `j` conflicting with link `i` has `d(i, j) ≤ l_min · f(l_max /
+//! l_min) ≤ L · f(R)`, with `L = min(l_i, hi)` and `R = max(l_i, hi) /
+//! min(l_i, lo)`, whichever of the two is shorter, because `f` is
+//! non-decreasing ([`ConflictRelation::reach`]; the
+//! [`classes`](crate::classes) module docs give the two cases). So each
+//! (link, class) gets one `reach = L · f(R) · (1 + 1e-9) + 1e-12 · max
+//! |coordinate|`, the largest `|coordinate|` taken over the link's box and
+//! the class's extent ([`ConflictRelation::margined_reach`]). It sets the
+//! grid window and a box-gap test, `gap(box_i, box_j)² ≤ reach²`; a class
+//! whose whole extent fails the test is skipped. A member stored in several
+//! cells is visited once per cell, so each link's candidates are gathered
+//! in one reused buffer, sorted and deduplicated before
+//! [`ConflictRelation::conflicting`] runs once on each.
 //!
 //! **Why the box test cannot drop an edge.** The closest points of two
 //! segments lie in their boxes, so `gap ≤ d`. In floats, `segment_distance`
@@ -59,16 +66,18 @@
 //! `neighbors[offsets[v]..offsets[v + 1]]`. This makes [`ConflictGraph::neighbors`]
 //! a slice borrow, [`ConflictGraph::are_adjacent`] a binary search, and the
 //! independence checks allocation-free. A counting transpose mirrors each
-//! decided pair into both rows: count degrees, prefix-sum them into
-//! `offsets`, scatter every pair into both rows, sort each (short) row.
+//! decided pair into both rows: the decisions land in one flat list of
+//! pairs; count degrees, prefix-sum them into `offsets`, scatter every pair
+//! into both rows, sort each (short) row.
 //!
-//! With the (default-on) `parallel` feature the per-link decisions run
-//! across threads and the transpose serially; both builds produce identical
-//! graphs.
+//! With the (default-on) `parallel` feature the decisions run across
+//! threads, over chunks of consecutive links whose pair lists are joined in
+//! order, and the transpose serially; both builds produce identical graphs.
 
-use crate::classes::{class_key, is_classed, LengthClasses};
+use crate::classes::{is_classed, LengthClasses, Scope};
 use crate::relation::ConflictRelation;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use wagg_geometry::BoundingBox;
 use wagg_obs::{Recorder, Span};
 use wagg_sinr::Link;
@@ -79,8 +88,29 @@ use rayon::prelude::*;
 /// Below this size the all-pairs build is faster than building class grids.
 const GRID_BUILD_CUTOFF: usize = 64;
 
+/// Links per parallel task of the decisions.
+#[cfg(feature = "parallel")]
+const DECIDE_CHUNK: usize = 256;
+
 /// The recorder counter of exact predicate calls, one `add` per build.
 const PAIRS_CHECKED: &str = "conflict.pairs_checked";
+
+/// The recorder counter of candidates read before the exact predicate
+/// (class-grid entries, and the links a link of no class lists), one `add`
+/// per build.
+const CANDIDATES_VISITED: &str = "conflict.candidates_visited";
+
+/// The conflicting pairs some links decided, and the work it took.
+#[derive(Debug, Default)]
+struct Decided {
+    /// `(i, j)`: link `i` decided that it conflicts with link `j`; ordered
+    /// by `i`, then `j`.
+    pairs: Vec<(u32, u32)>,
+    /// Exact predicate calls.
+    checked: u64,
+    /// Candidates read.
+    visited: u64,
+}
 
 /// A conflict graph `G_f(L)` over a set of links.
 ///
@@ -132,14 +162,18 @@ impl ConflictGraph {
 
     /// [`ConflictGraph::build`] with phase instrumentation: records a
     /// `conflict` span with `layout` / `rows` / `csr` children on `rec` (see
-    /// `wagg-obs`), and adds the number of exact predicate calls to its
-    /// `conflict.pairs_checked` counter. With a disabled recorder, this is
-    /// exactly `build`.
+    /// `wagg-obs`), adds the number of exact predicate calls to its
+    /// `conflict.pairs_checked` counter and the candidates read before them
+    /// (class-grid entries, and the links a link of no class lists) to its
+    /// `conflict.candidates_visited` counter. With a disabled recorder, this
+    /// is exactly `build`.
     pub fn build_traced(links: &[Link], relation: ConflictRelation, rec: &Recorder) -> Self {
         let root = rec.span("conflict");
         let n = links.len();
         if n < GRID_BUILD_CUTOFF {
-            rec.add(PAIRS_CHECKED, (n * n.saturating_sub(1) / 2) as u64);
+            let pairs = (n * n.saturating_sub(1) / 2) as u64;
+            rec.add(PAIRS_CHECKED, pairs);
+            rec.add(CANDIDATES_VISITED, pairs);
             return Self::build_naive(links, relation);
         }
         let layout = root.child("layout");
@@ -149,8 +183,9 @@ impl ConflictGraph {
             .collect();
         let classes = LengthClasses::laid_out(0..n, |i| links[i].length(), &bboxes);
         layout.finish();
-        let (graph, checked) = Self::decided(links, relation, &bboxes, &classes, &root);
+        let (graph, checked, visited) = Self::decided(links, relation, &bboxes, &classes, &root);
         rec.add(PAIRS_CHECKED, checked);
+        rec.add(CANDIDATES_VISITED, visited);
         graph
     }
 
@@ -188,83 +223,109 @@ impl ConflictGraph {
         Self::from_rows(links, relation, rows)
     }
 
-    /// Decides every unordered pair once, from its shorter side (see the
-    /// [module docs](self)), and assembles the graph; also returns the
-    /// number of exact predicate calls. `parent` scopes the `rows` / `csr`
-    /// spans.
+    /// Decides every unordered pair once, from the smaller of its two length
+    /// classes (see the [module docs](self)), and assembles the graph; also
+    /// returns the exact predicate calls and the candidates read. `parent`
+    /// scopes the `rows` / `csr` spans.
     fn decided(
         links: &[Link],
         relation: ConflictRelation,
         bboxes: &[BoundingBox],
         classes: &LengthClasses,
         parent: &Span,
-    ) -> (Self, u64) {
+    ) -> (Self, u64, u64) {
         let rows_span = parent.child("rows");
         let n = links.len();
-        // Per link, the ascending partners it conflicts with among the pairs
-        // decided from its side, and its exact predicate calls.
-        let decide = |i: usize| -> (u64, Vec<u32>) {
+        let decide = |range| Self::decide(links, relation, bboxes, classes, range);
+        #[cfg(feature = "parallel")]
+        let decided = {
+            let parts: Vec<Decided> = (0..n.div_ceil(DECIDE_CHUNK))
+                .into_par_iter()
+                .map(|c| decide(c * DECIDE_CHUNK..((c + 1) * DECIDE_CHUNK).min(n)))
+                .collect();
+            let mut all = Decided::default();
+            for part in parts {
+                all.pairs.extend(part.pairs);
+                all.checked += part.checked;
+                all.visited += part.visited;
+            }
+            all
+        };
+        #[cfg(not(feature = "parallel"))]
+        let decided = decide(0..n);
+        rows_span.finish();
+        let csr = parent.child("csr");
+        let graph = Self::from_decided(links, relation, &decided.pairs);
+        csr.finish();
+        (graph, decided.checked, decided.visited)
+    }
+
+    /// The conflicting pairs the links of `range` decide, in order: each
+    /// link's candidates are gathered in one buffer, reused from link to
+    /// link, sorted and deduplicated, then put to the exact predicate.
+    fn decide(
+        links: &[Link],
+        relation: ConflictRelation,
+        bboxes: &[BoundingBox],
+        classes: &LengthClasses,
+        range: Range<usize>,
+    ) -> Decided {
+        let n = links.len();
+        let mut decided = Decided::default();
+        let mut candidates: Vec<u32> = Vec::new();
+        for i in range {
             let link = &links[i];
             let len = link.length();
-            let mut partners: Vec<u32> = Vec::new();
+            candidates.clear();
             if !is_classed(len) {
-                partners.extend(
+                candidates.extend(
                     (0..n)
                         .filter(|&j| is_classed(links[j].length()) || j > i)
                         .map(|j| j as u32),
                 );
+                decided.visited += candidates.len() as u64;
             } else {
-                let from = (class_key(len), i + 1);
-                classes.for_each_candidate(from, len, &bboxes[i], bboxes, relation, |j| {
-                    partners.push(j as u32);
-                });
+                let scope = Scope::DecidedBy(i);
+                decided.visited +=
+                    classes.for_each_candidate(scope, len, &bboxes[i], bboxes, relation, |j| {
+                        candidates.push(j as u32)
+                    }) as u64;
+                candidates.sort_unstable();
+                candidates.dedup();
             }
-            partners.sort_unstable();
-            partners.dedup();
-            let checked = partners.len() as u64;
-            partners.retain(|&j| relation.conflicting(link, &links[j as usize]));
-            (checked, partners)
-        };
-
-        #[cfg(feature = "parallel")]
-        let decided: Vec<(u64, Vec<u32>)> = (0..n).into_par_iter().map(decide).collect();
-        #[cfg(not(feature = "parallel"))]
-        let decided: Vec<(u64, Vec<u32>)> = (0..n).map(decide).collect();
-        rows_span.finish();
-        let checked = decided.iter().map(|(calls, _)| calls).sum();
-        let partners: Vec<Vec<u32>> = decided.into_iter().map(|(_, row)| row).collect();
-        let csr = parent.child("csr");
-        let graph = Self::from_decided(links, relation, &partners);
-        csr.finish();
-        (graph, checked)
+            decided.checked += candidates.len() as u64;
+            decided.pairs.extend(
+                candidates
+                    .iter()
+                    .filter(|&&j| relation.conflicting(link, &links[j as usize]))
+                    .map(|&j| (i as u32, j)),
+            );
+        }
+        decided
     }
 
     /// Assembles the CSR arrays from the pairs [`Self::decided`] decided, by
     /// a counting transpose: count each link's degree, prefix-sum the counts
     /// into `offsets`, scatter every pair into both rows, then sort each
     /// (short) row.
-    fn from_decided(links: &[Link], relation: ConflictRelation, partners: &[Vec<u32>]) -> Self {
+    fn from_decided(links: &[Link], relation: ConflictRelation, pairs: &[(u32, u32)]) -> Self {
         let n = links.len();
         let mut offsets = vec![0usize; n + 1];
-        for (i, row) in partners.iter().enumerate() {
-            offsets[i + 1] += row.len();
-            for &j in row {
-                offsets[j as usize + 1] += 1;
-            }
+        for &(i, j) in pairs {
+            offsets[i as usize + 1] += 1;
+            offsets[j as usize + 1] += 1;
         }
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
         let mut cursor = offsets[..n].to_vec();
         let mut neighbors = vec![0; offsets[n]];
-        for (i, row) in partners.iter().enumerate() {
-            for &j in row {
-                let j = j as usize;
-                neighbors[cursor[i]] = j;
-                cursor[i] += 1;
-                neighbors[cursor[j]] = i;
-                cursor[j] += 1;
-            }
+        for &(i, j) in pairs {
+            let (i, j) = (i as usize, j as usize);
+            neighbors[cursor[i]] = j;
+            cursor[i] += 1;
+            neighbors[cursor[j]] = i;
+            cursor[j] += 1;
         }
         for v in 0..n {
             neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
@@ -758,33 +819,80 @@ mod tests {
         assert_eq!(grid, ConflictGraph::build_naive(&links, relation));
     }
 
-    fn pairs_checked(links: &[Link], relation: ConflictRelation) -> (u64, usize) {
+    /// The build's `conflict.pairs_checked` and `conflict.candidates_visited`
+    /// counts, and its edge count.
+    fn pairs_checked(links: &[Link], relation: ConflictRelation) -> (u64, u64, usize) {
         let rec = Recorder::new();
         let graph = ConflictGraph::build_traced(links, relation, &rec);
-        let checked = rec
-            .metrics()
-            .counter("conflict.pairs_checked")
-            .expect("the build adds its count");
-        (checked, graph.edge_count())
+        let metrics = rec.metrics();
+        let count = |name| metrics.counter(name).expect("the build adds its count");
+        let (checked, visited) = (count(PAIRS_CHECKED), count(CANDIDATES_VISITED));
+        assert!(
+            checked <= visited,
+            "{checked} checks of {visited} candidates"
+        );
+        (checked, visited, graph.edge_count())
+    }
+
+    /// `clusters` square clusters of `per_cluster` sensors of half-width 10,
+    /// one per cell of a square grid over a `side` × `side` square, in the
+    /// cell's middle half: the shape of the benchmark's 10 000-sensor
+    /// service trees. Positions come from a seeded splitmix64.
+    fn clustered_on_grid(clusters: usize, per_cluster: usize, side: f64, seed: u64) -> Vec<Link> {
+        let mut state = seed;
+        let mut uniform = |lo: f64, hi: f64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            lo + (hi - lo) * ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let cols = (clusters as f64).sqrt().ceil() as usize;
+        let cell = side / cols as f64;
+        let mut points = Vec::with_capacity(clusters * per_cluster);
+        for c in 0..clusters {
+            let cx = (c % cols) as f64 * cell + uniform(0.25 * cell, 0.75 * cell);
+            let cy = (c / cols) as f64 * cell + uniform(0.25 * cell, 0.75 * cell);
+            for _ in 0..per_cluster {
+                points.push(Point::new(
+                    cx + uniform(-10.0, 10.0),
+                    cy + uniform(-10.0, 10.0),
+                ));
+            }
+        }
+        wagg_instances::Instance::new("clustered on a grid", points, 0)
+            .mst_links()
+            .expect("seeded sensors are distinct")
     }
 
     #[test]
     fn exact_checks_stay_within_twice_the_edges_on_clustered_msts() {
-        // The gate's static-path instance and two more seeds, under the
-        // relations of uniform, oblivious and global power.
-        for seed in [1, 2, 42] {
-            let links = wagg_instances::random::clustered(50, 20, 4000.0, 10.0, seed)
-                .mst_links()
-                .expect("clustered sensors are distinct");
+        // The gate's static-path instance and two more seeds, and two
+        // 10 000-sensor trees shaped like the benchmark's service trees,
+        // under the relations of uniform, oblivious and global power.
+        let mut instances: Vec<(String, Vec<Link>)> = [1, 2, 42]
+            .into_iter()
+            .map(|seed| {
+                let links = wagg_instances::random::clustered(50, 20, 4000.0, 10.0, seed)
+                    .mst_links()
+                    .expect("clustered sensors are distinct");
+                (format!("50 x 20, seed {seed}"), links)
+            })
+            .collect();
+        for seed in [1, 2] {
+            let links = clustered_on_grid(500, 20, 12_650.0, seed);
+            instances.push((format!("500 x 20 on a grid, seed {seed}"), links));
+        }
+        for (name, links) in &instances {
             for relation in [
                 ConflictRelation::constant(2.0),
                 ConflictRelation::polynomial(2.0, 0.5),
                 ConflictRelation::log_shaped(2.0, 3.0),
             ] {
-                let (checked, edges) = pairs_checked(&links, relation);
+                let (checked, _, edges) = pairs_checked(links, relation);
                 assert!(
                     checked <= 2 * edges as u64,
-                    "seed {seed}, {relation}: {checked} exact checks for {edges} edges"
+                    "{name}, {relation}: {checked} exact checks for {edges} edges"
                 );
             }
         }
@@ -803,9 +911,16 @@ mod tests {
             })
             .collect();
         let relation = ConflictRelation::unit_constant();
-        let (checked, edges) = pairs_checked(&links, relation);
+        let (checked, _, edges) = pairs_checked(&links, relation);
         assert_eq!(checked, (n * (n - 1) / 2) as u64);
         assert_eq!(edges, n * (n - 1) / 2);
+        // Below the grid cutoff every pair is a candidate and is checked.
+        let few = &links[..GRID_BUILD_CUTOFF - 1];
+        let pairs = (few.len() * (few.len() - 1) / 2) as u64;
+        assert_eq!(
+            pairs_checked(few, relation),
+            (pairs, pairs, few.len() * (few.len() - 1) / 2)
+        );
     }
 
     #[test]

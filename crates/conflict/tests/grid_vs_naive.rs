@@ -2,14 +2,16 @@
 //! **edge-identical** to the all-pairs reference build, for every relation in
 //! the family and for adversarially shaped instances (uniform squares, tight
 //! chains, mixed length scales, degenerate links, a collinear chain on a
-//! slanted line, far-translated inputs) and for the paper's clustered MSTs.
+//! slanted line, far-translated inputs, pairs of length classes of unequal
+//! and equal populations) and for the paper's clustered MSTs.
 
 mod families;
 
 use families::{diverse_chain, uniform_square, with_degenerate};
 use proptest::prelude::*;
-use wagg_conflict::{ConflictGraph, ConflictRelation};
-use wagg_geometry::Point;
+use std::f64::consts::TAU;
+use wagg_conflict::{class_key, ConflictGraph, ConflictRelation, LengthClasses, Scope};
+use wagg_geometry::{BoundingBox, Point};
 use wagg_sinr::Link;
 
 fn relation_for(which: u8) -> ConflictRelation {
@@ -135,5 +137,144 @@ proptest! {
             family, exponent, signs, &uniform, &gaps, &degenerate, &degenerate_at,
         );
         assert_grid_matches_naive(&moved, relation_for(which));
+    }
+}
+
+/// Links of lengths in `1.05·lo..1.9·lo` (one length class for a
+/// power-of-two `lo`, with room for rounding), at the drawn positions in
+/// `[0, 1)²` scaled by `side`, angles and length fractions, with ids from
+/// `first_id`.
+fn class_of(raw: &[(f64, f64, f64, f64)], lo: f64, side: f64, first_id: usize) -> Vec<Link> {
+    raw.iter()
+        .enumerate()
+        .map(|(k, &(x, y, angle, frac))| {
+            let len = lo * (1.05 + 0.85 * frac);
+            let s = Point::new(x * side, y * side);
+            let r = Point::new(s.x + len * angle.cos(), s.y + len * angle.sin());
+            Link::new(first_id + k, s, r)
+        })
+        .collect()
+}
+
+/// `links` with zero-length links at the senders of the links at `at`,
+/// inserted among them, and one link whose length overflows to infinity;
+/// all under fresh ids.
+fn with_unclassed(mut links: Vec<Link>, at: &[usize]) -> Vec<Link> {
+    let n = links.len();
+    for (k, &a) in at.iter().enumerate() {
+        let p = links[a % n].sender;
+        links.insert(a % links.len(), Link::new(n + k, p, p));
+    }
+    let y = links[0].sender.y;
+    let overflowing = Link::new(n + at.len(), Point::new(-1e308, y), Point::new(1e308, y));
+    assert!(overflowing.length().is_infinite());
+    links.insert(n / 2, overflowing);
+    links
+}
+
+/// `links` moved by `offset` on both axes.
+fn moved(links: &[Link], offset: f64) -> Vec<Link> {
+    let map = |p: Point| Point::new(p.x + offset, p.y + offset);
+    links
+        .iter()
+        .map(|l| Link::new(l.id.0, map(l.sender), map(l.receiver)))
+        .collect()
+}
+
+/// Asserts that no link outside class `decider` reads a member of another
+/// class in its query for the pairs it decides: the pairs across the
+/// classes of `links` are decided from class `decider`'s side.
+fn assert_decided_from(links: &[Link], decider: i32, relation: ConflictRelation) {
+    let bboxes: Vec<BoundingBox> = links
+        .iter()
+        .map(|l| BoundingBox::of_segment(l.sender, l.receiver))
+        .collect();
+    let classes = LengthClasses::laid_out(0..links.len(), |i| links[i].length(), &bboxes);
+    for (i, link) in links.iter().enumerate() {
+        let own = class_key(link.length());
+        if own == decider {
+            continue;
+        }
+        let scope = Scope::DecidedBy(i);
+        classes.for_each_candidate(scope, link.length(), &bboxes[i], &bboxes, relation, |j| {
+            assert_eq!(
+                class_key(links[j].length()),
+                own,
+                "link {i} (class {own}) read link {j} of class {decider}"
+            );
+        });
+    }
+}
+
+/// The two-class instance `links` against the all-pairs build: as drawn,
+/// with zero-length and overflowing links mixed in, and both again 1e12
+/// from the origin; the cross-class pairs are decided from class `decider`.
+fn assert_two_classes_match_naive(
+    links: Vec<Link>,
+    at: &[usize],
+    decider: i32,
+    relation: ConflictRelation,
+) {
+    assert_decided_from(&links, decider, relation);
+    let mixed = with_unclassed(links.clone(), at);
+    for links in [links, mixed] {
+        assert_grid_matches_naive(&links, relation);
+        assert_grid_matches_naive(&moved(&links, 1e12), relation);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `paper_cold`'s shape: a few long links (class 4) over a dense class
+    /// of short ones (class 0). The long class has fewer members, so it
+    /// decides their pairs.
+    #[test]
+    fn smaller_class_rule_sparse_long_over_dense_short(
+        short in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..TAU, 0.0f64..1.0), 150..220),
+        long in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..TAU, 0.0f64..1.0), 2..8),
+        at in proptest::collection::vec(0usize..1000, 1..4),
+        which in 0u8..3,
+    ) {
+        let mut links = class_of(&short, 1.0, 40.0, 0);
+        links.extend(class_of(&long, 16.0, 40.0, links.len()));
+        assert_two_classes_match_naive(links, &at, 4, relation_for(which));
+    }
+
+    /// A dense class of long links (class 3) over a few short ones
+    /// (class −1): the short class has fewer members and decides.
+    #[test]
+    fn smaller_class_rule_dense_long_over_sparse_short(
+        long in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..TAU, 0.0f64..1.0), 150..220),
+        short in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..TAU, 0.0f64..1.0), 2..8),
+        at in proptest::collection::vec(0usize..1000, 1..4),
+        which in 0u8..3,
+    ) {
+        let mut links = class_of(&long, 8.0, 60.0, 0);
+        links.extend(class_of(&short, 0.5, 60.0, links.len()));
+        assert_two_classes_match_naive(links, &at, -1, relation_for(which));
+    }
+
+    /// Two classes (0 and 2) with equal member counts, interleaved in input
+    /// order: the tie goes to the shorter class, which decides.
+    #[test]
+    fn smaller_class_rule_ties_go_to_the_shorter_class(
+        pairs in proptest::collection::vec(
+            ((0.0f64..1.0, 0.0f64..1.0, 0.0f64..TAU, 0.0f64..1.0), (0.0f64..1.0, 0.0f64..1.0, 0.0f64..TAU, 0.0f64..1.0)),
+            40..70,
+        ),
+        at in proptest::collection::vec(0usize..1000, 1..4),
+        which in 0u8..3,
+    ) {
+        let links: Vec<Link> = pairs
+            .iter()
+            .enumerate()
+            .flat_map(|(k, (short, long))| {
+                let short = class_of(&[*short], 1.0, 30.0, 2 * k);
+                let long = class_of(&[*long], 4.0, 30.0, 2 * k + 1);
+                short.into_iter().chain(long)
+            })
+            .collect();
+        assert_two_classes_match_naive(links, &at, 0, relation_for(which));
     }
 }

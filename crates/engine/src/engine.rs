@@ -2,7 +2,7 @@
 
 use crate::error::EngineError;
 use std::collections::HashMap;
-use wagg_conflict::{is_classed, ConflictGraph, ConflictRelation, LengthClasses};
+use wagg_conflict::{is_classed, ConflictGraph, ConflictRelation, LengthClasses, Scope};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_obs::{Counter, Recorder};
 use wagg_schedule::{schedule_prebuilt_traced, ScheduleReport, SchedulerConfig};
@@ -364,9 +364,8 @@ impl InterferenceEngine {
             self.candidates_counter.add(row.len() as u64);
         } else {
             let (len, relation) = (link.length(), self.relation);
-            let every_class = (i32::MIN, 0);
             let read = self.classes.for_each_candidate(
-                every_class,
+                Scope::EveryClass,
                 len,
                 bbox,
                 &self.bboxes,

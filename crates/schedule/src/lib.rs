@@ -29,7 +29,7 @@ pub mod report;
 pub mod schedule;
 pub mod scheduler;
 
-pub use power_mode::PowerMode;
+pub use power_mode::{InvalidTau, PowerMode};
 pub use repair::{
     capture_budgets, solve_repair, RepairDecision, RepairOutcome, RepairStats, SlotIndex,
 };

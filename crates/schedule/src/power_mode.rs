@@ -1,6 +1,7 @@
 //! The power-control modes of the paper and their slot-feasibility checks.
 
 use serde::{Deserialize, Serialize};
+use std::error::Error;
 use std::fmt;
 use wagg_conflict::ConflictRelation;
 use wagg_sinr::affectance::is_feasible_by_affectance;
@@ -40,6 +41,28 @@ impl PowerMode {
     /// The default oblivious mode `P_{1/2}` used throughout the experiments.
     pub fn mean_oblivious() -> Self {
         PowerMode::Oblivious { tau: 0.5 }
+    }
+
+    /// The one range rule of the mode's parameter: an oblivious `τ` must lie
+    /// strictly inside `(0, 1)`, the paper's range for `P_τ` (NaN fails both
+    /// comparisons). Every other mode passes. Sessions, the service and the
+    /// wire codec refuse a mode this rule refuses; at `τ` outside `[0, 1]`
+    /// the power scheme of a solve would panic.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wagg_schedule::{InvalidTau, PowerMode};
+    ///
+    /// assert_eq!(PowerMode::mean_oblivious().check_tau(), Ok(()));
+    /// assert_eq!(PowerMode::Oblivious { tau: 1.0 }.check_tau(), Err(InvalidTau { tau: 1.0 }));
+    /// assert!(PowerMode::Oblivious { tau: f64::NAN }.check_tau().is_err());
+    /// ```
+    pub fn check_tau(&self) -> Result<(), InvalidTau> {
+        match *self {
+            PowerMode::Oblivious { tau } if !(tau > 0.0 && tau < 1.0) => Err(InvalidTau { tau }),
+            _ => Ok(()),
+        }
     }
 
     /// The conflict relation the paper matches to this power mode, for a model with
@@ -114,6 +137,22 @@ impl PowerMode {
         }
     }
 }
+
+/// An oblivious power exponent outside `(0, 1)`, NaN included: what
+/// [`PowerMode::check_tau`] refuses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InvalidTau {
+    /// The refused exponent.
+    pub tau: f64,
+}
+
+impl fmt::Display for InvalidTau {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "oblivious power exponent {} outside (0, 1)", self.tau)
+    }
+}
+
+impl Error for InvalidTau {}
 
 impl fmt::Display for PowerMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

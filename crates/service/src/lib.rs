@@ -274,6 +274,14 @@ pub enum ServiceError {
         /// sender"`, `"insert receiver"` or `"move target"`.
         what: &'static str,
     },
+    /// A [`Request::OpenSession`]'s power mode is oblivious with a `τ`
+    /// outside `(0, 1)`, NaN included
+    /// ([`PowerMode::check_tau`](wagg_schedule::PowerMode::check_tau)). The
+    /// request was refused before any worker saw it.
+    InvalidTau {
+        /// The refused exponent.
+        tau: f64,
+    },
     /// The worker thread is gone (it should never be — workers survive
     /// session panics).
     WorkerLost,
@@ -302,6 +310,9 @@ impl fmt::Display for ServiceError {
             ServiceError::Session(e) => write!(f, "session rejected the request: {e}"),
             ServiceError::NonFinite { index, what } => {
                 write!(f, "the {what} of item {index} is NaN or infinite")
+            }
+            ServiceError::InvalidTau { tau } => {
+                write!(f, "oblivious power exponent {tau} outside (0, 1)")
             }
             ServiceError::WorkerLost => write!(f, "worker thread is gone"),
         }
@@ -403,9 +414,11 @@ impl SchedulerService {
     /// worker (minting a fresh id for [`Request::OpenSession`] and
     /// [`Request::Restore`]) and blocks for the reply. A request carrying a
     /// NaN or infinite coordinate is refused here with
-    /// [`ServiceError::NonFinite`], before any worker or session sees it.
+    /// [`ServiceError::NonFinite`], and a [`Request::OpenSession`] with an
+    /// oblivious `τ` outside `(0, 1)` with [`ServiceError::InvalidTau`],
+    /// before any worker or session sees it.
     pub fn request(&self, request: Request) -> Result<Response, ServiceError> {
-        check_finite(&request)?;
+        check_request(&request)?;
         let session = match &request {
             Request::OpenSession { .. } | Request::Restore { .. } => self.mint(),
             Request::SubmitEvents { session, .. }
@@ -609,12 +622,20 @@ fn worker_loop(rx: Receiver<Envelope>, depth: Arc<AtomicUsize>, ctx: WorkerCtx) 
 
 /// The first NaN or infinite coordinate of an opened link set or an event
 /// batch, as the typed error, found by the session's own point checks
-/// ([`check_point`], [`check_events`]). The engine asserts finite
-/// endpoints, so such a point would poison an engine-backed session; a
-/// static one would schedule it.
-fn check_finite(request: &Request) -> Result<(), ServiceError> {
+/// ([`check_point`], [`check_events`]), and an opened session's oblivious
+/// `τ` outside `(0, 1)`
+/// ([`PowerMode::check_tau`](wagg_schedule::PowerMode::check_tau)). The
+/// engine asserts finite endpoints, so such a point would poison an
+/// engine-backed session; a static one would schedule it. Such a `τ` would
+/// make the session's build panic.
+fn check_request(request: &Request) -> Result<(), ServiceError> {
     let checked = match request {
-        Request::OpenSession { links, .. } => {
+        Request::OpenSession { config, links } => {
+            config
+                .scheduler
+                .mode
+                .check_tau()
+                .map_err(|e| ServiceError::InvalidTau { tau: e.tau })?;
             links.iter().enumerate().try_for_each(|(index, link)| {
                 check_point(index, "link sender", link.sender)?;
                 check_point(index, "link receiver", link.receiver)

@@ -11,6 +11,7 @@
 
 use wagg_engine::EngineEvent;
 use wagg_geometry::{BoundingBox, Point};
+use wagg_schedule::PowerMode;
 use wagg_service::{SchedulerService, ServiceConfig, ServiceError, SessionId};
 use wagg_session::{Backend, PartitionHints, RepairPolicy, Session, SessionConfig, SessionError};
 use wagg_sinr::Link;
@@ -389,6 +390,36 @@ fn non_finite_geometry_is_refused_before_the_session_sees_it() {
                 what: "link receiver"
             })
         );
+    }
+    service.shutdown();
+}
+
+/// An oblivious `τ` outside `(0, 1)` in an `OpenSession` is refused with
+/// `ServiceError::InvalidTau` before any worker builds a session (whose
+/// build would panic on it), on every backend; the service keeps serving.
+#[test]
+fn out_of_range_tau_is_refused_before_a_worker_sees_it() {
+    let service = SchedulerService::start(ServiceConfig::default());
+    for config in configs() {
+        for tau in [1.5, -0.5, f64::NAN, 0.0, 1.0] {
+            let mut refused = config;
+            refused.scheduler.mode = PowerMode::Oblivious { tau };
+            let opened = std::panic::catch_unwind(|| service.open_session(refused, &links(40)));
+            match opened.expect("the request must not panic") {
+                Err(ServiceError::InvalidTau { tau: got }) => {
+                    assert_eq!(got.to_bits(), tau.to_bits(), "{:?}", config.backend)
+                }
+                other => panic!(
+                    "{:?}: tau {tau}: expected InvalidTau, got {other:?}",
+                    config.backend
+                ),
+            }
+        }
+        let mut valid = config;
+        valid.scheduler.mode = PowerMode::Oblivious { tau: 0.25 };
+        let hosted = service.open_session(valid, &links(40)).expect("opens");
+        assert!(service.solve(hosted).expect("solves").slots() > 0);
+        service.close_session(hosted).expect("closes");
     }
     service.shutdown();
 }

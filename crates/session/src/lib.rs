@@ -493,9 +493,15 @@ impl SessionBuilder {
     ///
     /// # Panics
     ///
-    /// With [`PartitionHints`] and a sharded backend, panics when a seeded
-    /// link's length falls outside the declared bounds.
+    /// Panics, before it builds anything, when the power mode is oblivious
+    /// with a `τ` outside `(0, 1)`, NaN included
+    /// ([`PowerMode::check_tau`](wagg_schedule::PowerMode::check_tau)). With
+    /// [`PartitionHints`] and a sharded backend, panics when a seeded link's
+    /// length falls outside the declared bounds.
     pub fn build(self) -> Session {
+        if let Err(e) = self.config.scheduler.mode.check_tau() {
+            panic!("{e}");
+        }
         let kind = self.config.resolved_backend(self.links.len());
         let universe = Universe::seeded(self.config.scheduler, self.links);
         let mut session =

@@ -35,7 +35,7 @@ use std::fmt;
 
 use wagg_geometry::Point;
 use wagg_obs::telemetry::TelemetryConfig;
-use wagg_schedule::{BackendKind, PowerMode, ScheduleReport};
+use wagg_schedule::{BackendKind, ScheduleReport};
 use wagg_sinr::Link;
 
 use crate::{PartitionHints, SessionConfig};
@@ -310,11 +310,12 @@ impl Error for RestoreError {}
 /// sharded session — hints that can size a tiling and links inside their
 /// length bounds.
 pub(crate) fn check(state: &SessionState) -> Result<(), RestoreError> {
-    if let PowerMode::Oblivious { tau } = state.config.scheduler.mode {
-        if !(tau > 0.0 && tau < 1.0) {
-            return Err(RestoreError::InvalidTau { tau });
-        }
-    }
+    state
+        .config
+        .scheduler
+        .mode
+        .check_tau()
+        .map_err(|e| RestoreError::InvalidTau { tau: e.tau })?;
     let links = &state.links;
     if state.backend == BackendKind::Engine {
         // Slot order: keys need not ascend.

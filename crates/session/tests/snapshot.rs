@@ -301,6 +301,36 @@ fn every_backend() -> Vec<(&'static str, SessionBuilder)> {
     ]
 }
 
+#[test]
+fn out_of_range_tau_panics_at_build_with_the_rule_message() {
+    // The rule is `PowerMode::check_tau`. Before `build` checked it, a
+    // session at τ = 1.5, −0.5 or NaN panicked inside its first solve
+    // (`PowerScheme::new`), and one at τ = 0 or 1 solved but could not be
+    // snapshotted over the wire.
+    for tau in [1.5, -0.5, f64::NAN, 0.0, 1.0] {
+        let mode = PowerMode::Oblivious { tau };
+        let message = mode.check_tau().expect_err("out of range").to_string();
+        for (name, builder) in every_backend() {
+            let built = std::panic::catch_unwind(|| {
+                builder.power_mode(mode).links(&links(40)).build();
+            });
+            let payload = built.expect_err("build must panic");
+            assert_eq!(
+                payload.downcast_ref::<String>(),
+                Some(&message),
+                "{name}: tau {tau}"
+            );
+        }
+    }
+    for (name, builder) in every_backend() {
+        let mut session = builder
+            .power_mode(PowerMode::Oblivious { tau: 0.25 })
+            .links(&links(40))
+            .build();
+        assert!(session.solve().slots() > 0, "{name}");
+    }
+}
+
 /// A small captured state to tamper with (engine backend, warm state).
 fn captured() -> SessionState {
     let mut session = Session::builder()

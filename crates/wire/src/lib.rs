@@ -595,20 +595,13 @@ fn get_model(r: &mut Reader<'_>) -> Result<SinrModel, DecodeError> {
     SinrModel::new(alpha, beta, noise).map_err(|e| DecodeError::InvalidModel(e.to_string()))
 }
 
-/// The oblivious exponents the codec carries: `τ ∈ (0, 1)`, the paper's
-/// range. NaN fails both comparisons.
-fn tau_in_range(tau: f64) -> bool {
-    tau > 0.0 && tau < 1.0
-}
-
 fn put_power_mode(buf: &mut Vec<u8>, mode: PowerMode) -> Result<(), EncodeError> {
     match mode {
         PowerMode::Uniform => buf.push(0),
         PowerMode::Linear => buf.push(1),
         PowerMode::Oblivious { tau } => {
-            if !tau_in_range(tau) {
-                return Err(EncodeError::InvalidTau { tau });
-            }
+            mode.check_tau()
+                .map_err(|e| EncodeError::InvalidTau { tau: e.tau })?;
             buf.push(2);
             put_f64(buf, tau);
         }
@@ -622,11 +615,10 @@ fn get_power_mode(r: &mut Reader<'_>) -> Result<PowerMode, DecodeError> {
         0 => Ok(PowerMode::Uniform),
         1 => Ok(PowerMode::Linear),
         2 => {
-            let tau = r.f64()?;
-            if !tau_in_range(tau) {
-                return Err(DecodeError::InvalidTau { tau });
-            }
-            Ok(PowerMode::Oblivious { tau })
+            let mode = PowerMode::Oblivious { tau: r.f64()? };
+            mode.check_tau()
+                .map_err(|e| DecodeError::InvalidTau { tau: e.tau })?;
+            Ok(mode)
         }
         3 => Ok(PowerMode::GlobalControl),
         tag => Err(DecodeError::UnknownTag {

@@ -568,23 +568,23 @@ fn bit_flipped_snapshots_restore_or_reject_without_panic() {
     );
 }
 
-/// The encoder refuses the oblivious exponents the decoder refuses: a
-/// static session at `τ = 0` or `τ = 1` solves, but its snapshot would not
-/// decode, so encoding it is a typed error (NaN and out-of-range values
-/// too), never a frame the service's own `Restore` rejects.
+/// The encoder refuses the oblivious exponents the decoder refuses: a state
+/// carrying `τ = 0`, `τ = 1`, NaN or a value outside `[0, 1]` is a typed
+/// error, never a frame the service's own `Restore` rejects. No session is
+/// built at such a `τ` (`SessionBuilder::build` panics on one), so the
+/// exponent is set on a captured state.
 #[test]
 fn out_of_range_tau_snapshots_do_not_encode() {
+    let state = Session::builder()
+        .backend(Backend::Static)
+        .power_mode(PowerMode::Oblivious { tau: 0.25 })
+        .links(&grid_links(12))
+        .build()
+        .capture_state();
     for tau in [0.0, 1.0, 1.5, -0.5, f64::NAN] {
-        let mut session = Session::builder()
-            .backend(Backend::Static)
-            .power_mode(PowerMode::Oblivious { tau })
-            .links(&grid_links(12))
-            .build();
-        if (0.0..=1.0).contains(&tau) {
-            session.solve();
-        }
-        let frame = Frame::Snapshot(session.capture_state());
-        match frame.encode() {
+        let mut tampered = state.clone();
+        tampered.config.scheduler.mode = PowerMode::Oblivious { tau };
+        match Frame::Snapshot(tampered).encode() {
             Err(EncodeError::InvalidTau { tau: got }) => {
                 assert_eq!(got.to_bits(), tau.to_bits(), "tau {tau}")
             }
@@ -592,12 +592,6 @@ fn out_of_range_tau_snapshots_do_not_encode() {
         }
     }
     // The range's interior still encodes and round-trips.
-    let state = Session::builder()
-        .backend(Backend::Static)
-        .power_mode(PowerMode::Oblivious { tau: 0.25 })
-        .links(&grid_links(12))
-        .build()
-        .capture_state();
     let bytes = Frame::Snapshot(state.clone())
         .encode()
         .expect("tau in range");
