@@ -73,7 +73,7 @@ use std::time::Instant;
 use wagg_engine::EngineEvent;
 use wagg_obs::telemetry::{FlightRecorder, HealthReport, TelemetryConfig};
 use wagg_obs::{Metrics, Recorder};
-use wagg_schedule::SolveReport;
+use wagg_schedule::{InvalidTau, SolveReport};
 use wagg_session::{
     check_events, check_point, RestoreError, Session, SessionConfig, SessionError, SessionStats,
 };
@@ -311,9 +311,7 @@ impl fmt::Display for ServiceError {
             ServiceError::NonFinite { index, what } => {
                 write!(f, "the {what} of item {index} is NaN or infinite")
             }
-            ServiceError::InvalidTau { tau } => {
-                write!(f, "oblivious power exponent {tau} outside (0, 1)")
-            }
+            ServiceError::InvalidTau { tau } => write!(f, "{}", InvalidTau { tau: *tau }),
             ServiceError::WorkerLost => write!(f, "worker thread is gone"),
         }
     }

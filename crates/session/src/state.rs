@@ -35,7 +35,7 @@ use std::fmt;
 
 use wagg_geometry::Point;
 use wagg_obs::telemetry::TelemetryConfig;
-use wagg_schedule::{BackendKind, ScheduleReport};
+use wagg_schedule::{BackendKind, InvalidTau, ScheduleReport};
 use wagg_sinr::Link;
 
 use crate::{PartitionHints, SessionConfig};
@@ -263,9 +263,7 @@ impl fmt::Display for RestoreError {
             RestoreError::NonFinite { key } => {
                 write!(f, "link under key {key} has a NaN or infinite coordinate")
             }
-            RestoreError::InvalidTau { tau } => {
-                write!(f, "oblivious power exponent {tau} outside (0, 1)")
-            }
+            RestoreError::InvalidTau { tau } => write!(f, "{}", InvalidTau { tau: *tau }),
             RestoreError::UnexpectedWarmState { backend } => write!(
                 f,
                 "warm repair state on a {backend} backend that keeps none"

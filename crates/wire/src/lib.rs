@@ -59,8 +59,8 @@ use wagg_obs::{
     SignalKind,
 };
 use wagg_schedule::{
-    BackendKind, PowerMode, RepairDecision, RepairStats, Schedule, ScheduleReport, SchedulerConfig,
-    ShardingStats, SolveReport,
+    BackendKind, InvalidTau, PowerMode, RepairDecision, RepairStats, Schedule, ScheduleReport,
+    SchedulerConfig, ShardingStats, SolveReport,
 };
 use wagg_session::state::{EventCounts, KeyedLink, TelemetryState, WarmState};
 use wagg_session::{Backend, PartitionHints, RepairPolicy, SessionConfig, SessionState};
@@ -210,9 +210,7 @@ impl fmt::Display for EncodeError {
                 write!(f, "{what} of length {len} exceeds the u32 length prefix")
             }
             EncodeError::NonFinite { what } => write!(f, "{what} is NaN or infinite"),
-            EncodeError::InvalidTau { tau } => {
-                write!(f, "oblivious power exponent {tau} outside (0, 1)")
-            }
+            EncodeError::InvalidTau { tau } => write!(f, "{}", InvalidTau { tau: *tau }),
         }
     }
 }
@@ -328,9 +326,7 @@ impl fmt::Display for DecodeError {
             ),
             DecodeError::InvalidUtf8 { what } => write!(f, "{what} is not valid UTF-8"),
             DecodeError::NonFinite { what } => write!(f, "{what} is NaN or infinite"),
-            DecodeError::InvalidTau { tau } => {
-                write!(f, "oblivious power exponent {tau} outside (0, 1)")
-            }
+            DecodeError::InvalidTau { tau } => write!(f, "{}", InvalidTau { tau: *tau }),
             DecodeError::InvalidModel(e) => write!(f, "invalid SINR model: {e}"),
             DecodeError::InvalidHistogram => {
                 write!(f, "histogram bucket index above 64 or counts overflow u64")
