@@ -71,8 +71,9 @@
 //! into both rows, sort each (short) row.
 //!
 //! With the (default-on) `parallel` feature the decisions run across
-//! threads, over chunks of consecutive links whose pair lists are joined in
-//! order, and the transpose serially; both builds produce identical graphs.
+//! threads, over eight ranges of consecutive links per pool thread whose
+//! pair lists are joined in order, and the transpose serially; both builds
+//! produce identical graphs.
 
 use crate::classes::{is_classed, LengthClasses, Scope};
 use crate::relation::ConflictRelation;
@@ -88,9 +89,11 @@ use rayon::prelude::*;
 /// Below this size the all-pairs build is faster than building class grids.
 const GRID_BUILD_CUTOFF: usize = 64;
 
-/// Links per parallel task of the decisions.
+/// Ranges of links per pool thread in a parallel build: as many blocks as
+/// the pool splits a parallel map into, so its cursor balances ranges of
+/// uneven cost.
 #[cfg(feature = "parallel")]
-const DECIDE_CHUNK: usize = 256;
+const RANGES_PER_THREAD: usize = 8;
 
 /// The recorder counter of exact predicate calls, one `add` per build.
 const PAIRS_CHECKED: &str = "conflict.pairs_checked";
@@ -239,9 +242,10 @@ impl ConflictGraph {
         let decide = |range| Self::decide(links, relation, bboxes, classes, range);
         #[cfg(feature = "parallel")]
         let decided = {
-            let parts: Vec<Decided> = (0..n.div_ceil(DECIDE_CHUNK))
+            let ranges = (rayon::current_num_threads() * RANGES_PER_THREAD).min(n);
+            let parts: Vec<Decided> = (0..ranges)
                 .into_par_iter()
-                .map(|c| decide(c * DECIDE_CHUNK..((c + 1) * DECIDE_CHUNK).min(n)))
+                .map(|r| decide(r * n / ranges..(r + 1) * n / ranges))
                 .collect();
             let mut all = Decided::default();
             for part in parts {
@@ -631,6 +635,7 @@ impl ConflictGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wagg_geometry::rng::{seeded_rng, uniform_in};
     use wagg_geometry::Point;
 
     fn line_link(id: usize, s: f64, r: f64) -> Link {
@@ -837,16 +842,10 @@ mod tests {
     /// `clusters` square clusters of `per_cluster` sensors of half-width 10,
     /// one per cell of a square grid over a `side` × `side` square, in the
     /// cell's middle half: the shape of the benchmark's 10 000-sensor
-    /// service trees. Positions come from a seeded splitmix64.
+    /// service trees.
     fn clustered_on_grid(clusters: usize, per_cluster: usize, side: f64, seed: u64) -> Vec<Link> {
-        let mut state = seed;
-        let mut uniform = |lo: f64, hi: f64| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            lo + (hi - lo) * ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = seeded_rng(seed);
+        let mut uniform = |lo, hi| uniform_in(&mut rng, lo, hi);
         let cols = (clusters as f64).sqrt().ceil() as usize;
         let cell = side / cols as f64;
         let mut points = Vec::with_capacity(clusters * per_cluster);

@@ -6,6 +6,7 @@
 //!
 //! * `slice.par_iter().map(f).sum::<f64>()` / `.collect::<Vec<_>>()` / `.all(p)`
 //! * `(0..n).into_par_iter().map(f).collect::<Vec<_>>()`
+//! * `current_num_threads()`
 //!
 //! Worker threads are spawned **once**, on the first parallel call, and reused
 //! by every subsequent call (they park between jobs), which amortises the
@@ -43,11 +44,17 @@ use std::sync::{Condvar, Mutex, OnceLock};
 /// Inputs shorter than this are mapped serially on the calling thread.
 pub const MIN_PARALLEL_LEN: usize = 16;
 
-/// Number of threads parallel operations fan out over (workers + caller).
-pub fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// Number of threads parallel operations fan out over (workers + caller),
+/// under rayon's name for it. Read once, as the pool is sized once: the
+/// standard library's query reads the process's CPU quota from files on
+/// every call (about 20 µs on Linux).
+pub fn current_num_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// A job pointer broadcast to the workers. The `'static` lifetime is a lie
@@ -105,7 +112,7 @@ fn in_pool_job() -> bool {
 fn pool() -> Option<&'static Pool> {
     let pool = POOL
         .get_or_init(|| {
-            let workers = num_threads().saturating_sub(1);
+            let workers = current_num_threads().saturating_sub(1);
             if workers == 0 {
                 return None;
             }
@@ -251,7 +258,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = num_threads();
+    let threads = current_num_threads();
     if n < MIN_PARALLEL_LEN || threads <= 1 || in_pool_job() {
         return (0..n).map(f).collect();
     }
@@ -287,7 +294,7 @@ fn par_all_indexed<F>(n: usize, f: F) -> bool
 where
     F: Fn(usize) -> bool + Sync,
 {
-    let threads = num_threads();
+    let threads = current_num_threads();
     if n < MIN_PARALLEL_LEN || threads <= 1 || in_pool_job() {
         return (0..n).all(f);
     }
@@ -586,7 +593,7 @@ mod tests {
         }
         let distinct = seen.lock().unwrap().len();
         assert!(
-            distinct <= super::num_threads() + 1,
+            distinct <= super::current_num_threads() + 1,
             "{distinct} distinct threads across 25 calls — workers were not reused"
         );
     }
