@@ -5,9 +5,9 @@
 #
 # The tier-1 contract is `cargo build --release && cargo test -q`; everything
 # else here is defence in depth (style, lints, the serial/no-default-features
-# configuration — parallel kernels off, the one perfbench measures — and the
-# full workspace test sweep including every crate's unit, doc and property
-# tests).
+# configuration — the same kernels with no worker pool started, the one
+# perfbench measures — and the full workspace test sweep including every
+# crate's unit, doc and property tests).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -22,11 +22,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> rustdoc (warnings are errors: broken or private intra-doc links fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> serial build (--no-default-features turns off only the parallel kernels; this is the configuration perfbench measures)"
+echo "==> serial build (--no-default-features: no worker starts, every kernel runs on the calling thread; this is the configuration perfbench measures)"
 cargo build --workspace --no-default-features
 
-echo "==> serial kernel tests, the configuration perfbench measures (incl. the cell grid under the length-class index, the static split's differential test, the sharded-scheduling sweep, the session differential + repair + telemetry suites, and the wagg-obs recorders)"
-cargo test -q --no-default-features -p wagg-geometry -p wagg-sinr -p wagg-conflict -p wagg-fading -p wagg-schedule -p wagg-engine -p wagg-partition -p wagg-session -p wagg-obs
+echo "==> serial kernel tests, the configuration perfbench measures, where no worker starts (incl. the cell grid under the length-class index, the static split's differential test, the sharded-scheduling sweep, the session differential + repair + telemetry suites, the wagg-obs recorders, and the rayon shim without its pool: one thread, every call on the caller)"
+cargo test -q --no-default-features -p wagg-geometry -p wagg-sinr -p wagg-conflict -p wagg-fading -p wagg-schedule -p wagg-engine -p wagg-partition -p wagg-session -p wagg-obs -p rayon
 
 echo "==> golden paper tables (E1-E20 at Quick scale, byte for byte), serial build"
 cargo test -q --no-default-features -p wagg-bench --test golden

@@ -211,11 +211,6 @@ impl LengthClasses {
         self.relayouts
     }
 
-    /// Number of populated classes.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Where class `key` is, or would be inserted, in `classes`.
     fn position(&self, key: i32) -> Result<usize, usize> {
         self.classes.binary_search_by_key(&key, |&(k, _)| k)

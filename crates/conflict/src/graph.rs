@@ -70,10 +70,11 @@
 //! pairs; count degrees, prefix-sum them into `offsets`, scatter every pair
 //! into both rows, sort each (short) row.
 //!
-//! With the (default-on) `parallel` feature the decisions run across
-//! threads, over eight ranges of consecutive links per pool thread whose
-//! pair lists are joined in order, and the transpose serially; both builds
-//! produce identical graphs.
+//! The decisions run over eight ranges of consecutive links per thread of
+//! the rayon shim's pool, whose pair lists are joined in order, and the
+//! transpose serially. Without the (default-on) `parallel` feature no
+//! worker starts and one range, `0..n`, is decided on the calling thread;
+//! both builds produce identical graphs.
 
 use crate::classes::{is_classed, LengthClasses, Scope};
 use crate::relation::ConflictRelation;
@@ -83,7 +84,6 @@ use wagg_geometry::BoundingBox;
 use wagg_obs::{Recorder, Span};
 use wagg_sinr::Link;
 
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// Below this size the all-pairs build is faster than building class grids.
@@ -92,7 +92,6 @@ const GRID_BUILD_CUTOFF: usize = 64;
 /// Ranges of links per pool thread in a parallel build: as many blocks as
 /// the pool splits a parallel map into, so its cursor balances ranges of
 /// uneven cost.
-#[cfg(feature = "parallel")]
 const RANGES_PER_THREAD: usize = 8;
 
 /// The recorder counter of exact predicate calls, one `add` per build.
@@ -214,16 +213,15 @@ impl ConflictGraph {
     /// speedup of [`ConflictGraph::build`] against it.
     pub fn build_naive(links: &[Link], relation: ConflictRelation) -> Self {
         let n = links.len();
-        let mut rows = vec![Vec::new(); n];
+        let mut pairs = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
                 if relation.conflicting(&links[i], &links[j]) {
-                    rows[i].push(j);
-                    rows[j].push(i);
+                    pairs.push((i as u32, j as u32));
                 }
             }
         }
-        Self::from_rows(links, relation, rows)
+        Self::from_decided(links, relation, &pairs)
     }
 
     /// Decides every unordered pair once, from the smaller of its two length
@@ -240,23 +238,22 @@ impl ConflictGraph {
         let rows_span = parent.child("rows");
         let n = links.len();
         let decide = |range| Self::decide(links, relation, bboxes, classes, range);
-        #[cfg(feature = "parallel")]
-        let decided = {
-            let ranges = (rayon::current_num_threads() * RANGES_PER_THREAD).min(n);
-            let parts: Vec<Decided> = (0..ranges)
-                .into_par_iter()
-                .map(|r| decide(r * n / ranges..(r + 1) * n / ranges))
-                .collect();
-            let mut all = Decided::default();
-            for part in parts {
-                all.pairs.extend(part.pairs);
-                all.checked += part.checked;
-                all.visited += part.visited;
-            }
-            all
+        // One thread decides `0..n` as one range, whose pair list is moved.
+        let ranges = match rayon::current_num_threads() {
+            1 => 1,
+            threads => (threads * RANGES_PER_THREAD).min(n),
         };
-        #[cfg(not(feature = "parallel"))]
-        let decided = decide(0..n);
+        let parts: Vec<Decided> = (0..ranges)
+            .into_par_iter()
+            .map(|r| decide(r * n / ranges..(r + 1) * n / ranges))
+            .collect();
+        let mut parts = parts.into_iter();
+        let mut decided = parts.next().unwrap_or_default();
+        for part in parts {
+            decided.pairs.extend(part.pairs);
+            decided.checked += part.checked;
+            decided.visited += part.visited;
+        }
         rows_span.finish();
         let csr = parent.child("csr");
         let graph = Self::from_decided(links, relation, &decided.pairs);
@@ -308,10 +305,11 @@ impl ConflictGraph {
         decided
     }
 
-    /// Assembles the CSR arrays from the pairs [`Self::decided`] decided, by
-    /// a counting transpose: count each link's degree, prefix-sum the counts
-    /// into `offsets`, scatter every pair into both rows, then sort each
-    /// (short) row.
+    /// Assembles the CSR arrays from conflicting pairs, each listed once
+    /// (those [`Self::decided`] decided, or all those the naive build
+    /// found), by a counting transpose: count each link's degree, prefix-sum
+    /// the counts into `offsets`, scatter every pair into both rows, then
+    /// sort each (short) row.
     fn from_decided(links: &[Link], relation: ConflictRelation, pairs: &[(u32, u32)]) -> Self {
         let n = links.len();
         let mut offsets = vec![0usize; n + 1];
@@ -333,28 +331,6 @@ impl ConflictGraph {
         }
         for v in 0..n {
             neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
-        ConflictGraph {
-            links: links.to_vec(),
-            relation,
-            offsets,
-            neighbors,
-        }
-    }
-
-    /// Assembles the CSR arrays from the naive build's per-vertex rows (each
-    /// sorted ascending by construction).
-    fn from_rows(links: &[Link], relation: ConflictRelation, rows: Vec<Vec<usize>>) -> Self {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        offsets.push(0);
-        let mut total = 0;
-        for row in &rows {
-            total += row.len();
-            offsets.push(total);
-        }
-        let mut neighbors = Vec::with_capacity(total);
-        for row in rows {
-            neighbors.extend(row);
         }
         ConflictGraph {
             links: links.to_vec(),
@@ -399,13 +375,6 @@ impl ConflictGraph {
             offsets,
             neighbors,
         }
-    }
-
-    /// The raw CSR arrays `(offsets, neighbors)` backing the adjacency — the
-    /// counterpart of [`ConflictGraph::from_parts`] for callers seeding an
-    /// incremental structure from a bulk build.
-    pub fn csr(&self) -> (&[usize], &[usize]) {
-        (&self.offsets, &self.neighbors)
     }
 
     /// The subgraph induced by `vertices` (strictly ascending indices into
@@ -614,21 +583,11 @@ impl ConflictGraph {
     /// The maximum inductive-independence estimate over all vertices
     /// (evaluated across threads under the `parallel` feature).
     pub fn inductive_independence(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            (0..self.len())
-                .into_par_iter()
-                .map(|v| self.inductive_independence_at(v))
-                .max()
-                .unwrap_or(0)
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            (0..self.len())
-                .map(|v| self.inductive_independence_at(v))
-                .max()
-                .unwrap_or(0)
-        }
+        (0..self.len())
+            .into_par_iter()
+            .map(|v| self.inductive_independence_at(v))
+            .max()
+            .unwrap_or(0)
     }
 }
 

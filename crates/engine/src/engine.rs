@@ -139,10 +139,8 @@ impl InterferenceEngine {
         let length = |slot: usize| relabeled[slot].length();
         let classes = LengthClasses::laid_out(0..relabeled.len(), length, &bboxes);
         let graph = ConflictGraph::build_indexed(&relabeled, engine.relation, &bboxes, &classes);
-        let (offsets, neighbors) = graph.csr();
-        engine.rows = offsets
-            .windows(2)
-            .map(|w| neighbors[w[0]..w[1]].to_vec())
+        engine.rows = (0..graph.len())
+            .map(|v| graph.neighbors(v).to_vec())
             .collect();
         engine.bboxes = bboxes;
         engine.classes = classes;

@@ -15,7 +15,6 @@ use wagg_geometry::rng::{derive_seed, seeded_rng};
 use wagg_schedule::{PowerMode, Schedule};
 use wagg_sinr::{Link, SinrModel};
 
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// The estimated effect of fading on a periodic schedule.
@@ -144,17 +143,9 @@ pub fn effective_rate(
             Ok((1.0 / slowest, probs))
         };
 
-    #[cfg(feature = "parallel")]
     let per_slot: Result<Vec<(f64, Vec<f64>)>, FadingError> = schedule
         .slots()
         .par_iter()
-        .enumerate()
-        .map(estimate_slot)
-        .collect();
-    #[cfg(not(feature = "parallel"))]
-    let per_slot: Result<Vec<(f64, Vec<f64>)>, FadingError> = schedule
-        .slots()
-        .iter()
         .enumerate()
         .map(estimate_slot)
         .collect();

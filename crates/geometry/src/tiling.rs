@@ -49,12 +49,16 @@ impl TileLayout {
     /// Covers `extent` with roughly `target_tiles` square tiles whose side is
     /// at least `min_tile`.
     ///
-    /// The tile side is chosen as `max(min_tile, sqrt(area / target_tiles))`,
-    /// then columns and rows are however many tiles of that side the extent
-    /// needs — so the realised tile count is close to (and never above the
-    /// order of) the target, and degenerate extents (collinear deployments,
-    /// single points) collapse to a single row, column or tile instead of
-    /// producing empty tiles.
+    /// The tile side is chosen as `max(min_tile, sqrt(area / target_tiles),
+    /// max(width, height) / target_tiles)`, then columns and rows are however
+    /// many tiles of that side the extent needs. The columns and the rows
+    /// then each number at most the target (up to rounding), so the realised
+    /// tile count is close to it on near-square extents and at most about
+    /// three times it on any extent, however thin. The longer-side term
+    /// takes over only where the aspect ratio exceeds the target (at a
+    /// target of 1, on every non-square extent, which then gets one tile).
+    /// Degenerate extents (collinear deployments, single points) collapse to
+    /// a single row, column or tile instead of producing empty tiles.
     ///
     /// # Panics
     ///
@@ -75,15 +79,11 @@ impl TileLayout {
         );
         let width = extent.width().max(0.0);
         let height = extent.height().max(0.0);
-        let area = width * height;
-        let nominal = if area > 0.0 {
-            (area / target_tiles as f64).sqrt()
-        } else {
-            // Degenerate extent (a line or a point): size tiles by the longer
-            // side so the tile count still approaches the target.
-            (width.max(height) / target_tiles as f64).max(min_tile)
-        };
-        let tile = nominal.max(min_tile);
+        let target = target_tiles as f64;
+        let tile = (width * height / target)
+            .sqrt()
+            .max(width.max(height) / target)
+            .max(min_tile);
         let cols = ((width / tile).ceil() as usize).max(1);
         let rows = ((height / tile).ceil() as usize).max(1);
         TileLayout {
@@ -236,6 +236,38 @@ mod tests {
         let dot = BoundingBox::new(3.0, 3.0, 3.0, 3.0);
         let layout = TileLayout::cover(&dot, 8, 2.0);
         assert_eq!(layout.tiles(), 1);
+    }
+
+    #[test]
+    fn thin_extents_stay_within_the_target() {
+        // Aspect ratios far past the target: the area alone would size
+        // 200 000 and 4e9 tiles of the minimum side in one row.
+        for (width, height) in [(1e6, 1e-6), (1e12, 1e-6), (1e-6, 1e6)] {
+            let thin = BoundingBox::new(0.0, 0.0, width, height);
+            let layout = TileLayout::cover(&thin, 16, 5.0);
+            assert_eq!(layout.tiles(), 16, "{width} x {height}");
+            assert_eq!(layout.tile_size(), width.max(height) / 16.0);
+        }
+        // At an aspect ratio equal to the target both terms agree.
+        let strip = BoundingBox::new(0.0, 0.0, 160.0, 10.0);
+        let layout = TileLayout::cover(&strip, 16, 1.0);
+        assert_eq!(
+            (layout.cols(), layout.rows(), layout.tile_size()),
+            (16, 1, 10.0)
+        );
+        // Every shape stays within a few times the target.
+        for target in [1, 4, 16, 64, 1000] {
+            for exp in -12..=12 {
+                let ratio = 10f64.powi(exp);
+                let extent = BoundingBox::new(0.0, 0.0, 100.0 * ratio, 100.0 / ratio);
+                let layout = TileLayout::cover(&extent, target, 1e-9);
+                assert!(layout.cols() <= target && layout.rows() <= target);
+                assert!(
+                    layout.tiles() <= 3 * target + 1,
+                    "{target} at ratio {ratio}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -51,7 +51,6 @@ use wagg_obs::Recorder;
 use wagg_schedule::{SchedulerConfig, SolveReport};
 use wagg_sinr::Link;
 
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// Configuration of a [`PartitionedEngine`].
@@ -77,7 +76,7 @@ impl PartitionedEngineConfig {
     /// # Panics
     ///
     /// Panics when the bounds are not `0 < min ≤ max < ∞`, the extent is not
-    /// finite, or `target_shards == 0`.
+    /// finite, or `target_shards` is 0 or above [`MAX_SHARDS`](crate::MAX_SHARDS).
     pub fn new(
         scheduler: SchedulerConfig,
         extent: BoundingBox,
@@ -89,7 +88,7 @@ impl PartitionedEngineConfig {
             lo > 0.0 && lo <= hi && hi.is_finite(),
             "length bounds must satisfy 0 < min <= max < inf"
         );
-        assert!(target_shards > 0, "need at least one shard");
+        crate::assert_shards(target_shards);
         assert!(
             extent.min_x.is_finite()
                 && extent.min_y.is_finite()
@@ -227,14 +226,7 @@ impl PartitionedEngine {
         let build = |shard_links: &Vec<Link>| -> InterferenceEngine {
             InterferenceEngine::with_links(config.scheduler, shard_links)
         };
-        #[cfg(feature = "parallel")]
-        {
-            engine.engines = staged.par_iter().map(build).collect();
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            engine.engines = staged.iter().map(build).collect();
-        }
+        engine.engines = staged.par_iter().map(build).collect();
         engine
     }
 
@@ -520,13 +512,10 @@ impl PartitionedEngine {
                 parity: self.tiles.parity(s),
             }
         };
-        #[cfg(feature = "parallel")]
         let pieces: Vec<ShardPieces> = (0..self.engines.len())
             .into_par_iter()
             .map(assemble)
             .collect();
-        #[cfg(not(feature = "parallel"))]
-        let pieces: Vec<ShardPieces> = (0..self.engines.len()).map(assemble).collect();
         assemble_phase.finish();
 
         let mut boundary = vec![false; links.len()];
@@ -611,6 +600,17 @@ mod tests {
         assert_eq!(e.len(), 1);
         let (sharded, _) = e.schedule();
         assert!(sharded.report.schedule.is_partition(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the bound")]
+    fn shard_counts_past_the_bound_are_rejected() {
+        let _ = PartitionedEngineConfig::new(
+            SchedulerConfig::new(PowerMode::mean_oblivious()),
+            BoundingBox::new(0.0, 0.0, 1e6, 1e6),
+            (1.0, 1.5),
+            1 << 40,
+        );
     }
 
     #[test]

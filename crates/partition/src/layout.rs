@@ -31,7 +31,6 @@ use wagg_geometry::tiling::TileLayout;
 use wagg_geometry::{BoundingBox, Point};
 use wagg_sinr::Link;
 
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// The maximum distance at which any two of `links` could conflict under
@@ -115,12 +114,13 @@ impl PartitionLayout {
     ///
     /// # Panics
     ///
-    /// Panics when `target_shards == 0` or a link has no class
+    /// Panics when `target_shards` is 0 or above [`MAX_SHARDS`](crate::MAX_SHARDS),
+    /// or a link has no class
     /// ([`is_classed`]: zero length, or a length that overflows to infinity).
     /// Callers split such degenerate links off first — they conflict with
     /// everything, so no finite halo can localise them.
     pub fn build(links: &[Link], relation: ConflictRelation, target_shards: usize) -> Self {
-        assert!(target_shards > 0, "need at least one shard");
+        crate::assert_shards(target_shards);
         assert!(
             links.iter().all(|l| is_classed(l.length())),
             "degenerate links cannot be spatially partitioned"
@@ -149,10 +149,7 @@ impl PartitionLayout {
         // Per-link ownership and ghost tiles: pure per-link work, assembled
         // in input order (parallel == serial).
         let site_of = |i: usize| site_tiles(&tiles, halo, links[i].sender, links[i].receiver);
-        #[cfg(feature = "parallel")]
         let sites: Vec<(u32, Vec<u32>)> = (0..links.len()).into_par_iter().map(site_of).collect();
-        #[cfg(not(feature = "parallel"))]
-        let sites: Vec<(u32, Vec<u32>)> = (0..links.len()).map(site_of).collect();
 
         let mut owner = Vec::with_capacity(links.len());
         let mut ghost_offsets = Vec::with_capacity(links.len() + 1);
@@ -359,6 +356,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the bound")]
+    fn shard_counts_past_the_bound_are_rejected() {
+        // No links: the layout would tile its default unit extent into 2⁴⁰
+        // tiles of the least positive side.
+        let config = wagg_schedule::SchedulerConfig::default();
+        let _ = crate::solve_sharded(&[], config, 1 << 40, &wagg_obs::Recorder::disabled());
     }
 
     #[test]

@@ -76,6 +76,22 @@ use wagg_obs::Recorder;
 use wagg_schedule::{SchedulerConfig, SolveReport};
 use wagg_sinr::Link;
 
+/// The most shards a tiling may be asked for. A tiling lays out at most
+/// about three times its target in tiles (`TileLayout::cover`), and the
+/// sharded engine keeps one `InterferenceEngine` per tile, so the bound caps
+/// what a shard count read from outside (a snapshot, a service request) can
+/// make the process allocate. The benchmarks ask for at most 64.
+pub const MAX_SHARDS: usize = 1 << 12;
+
+/// Asserts `1 <= target_shards <= MAX_SHARDS`.
+fn assert_shards(target_shards: usize) {
+    assert!(target_shards > 0, "need at least one shard");
+    assert!(
+        target_shards <= MAX_SHARDS,
+        "{target_shards} shards exceed the bound of {MAX_SHARDS}"
+    );
+}
+
 /// The sharded scheduling pipeline: tiles the link set by [`PartitionLayout`],
 /// schedules each shard independently (see the [crate docs](self)), stitches,
 /// and verifies the stitched schedule slot by slot with the certified
@@ -106,14 +122,14 @@ use wagg_sinr::Link;
 ///
 /// # Panics
 ///
-/// Panics when `target_shards == 0`.
+/// Panics when `target_shards` is 0 or above [`MAX_SHARDS`].
 pub fn solve_sharded(
     links: &[Link],
     config: SchedulerConfig,
     target_shards: usize,
     rec: &Recorder,
 ) -> SolveReport {
-    assert!(target_shards > 0, "need at least one shard");
+    assert_shards(target_shards);
     let root = rec.span("partition");
     let relation = config.mode.conflict_relation(config.model.alpha());
 

@@ -56,7 +56,6 @@ use wagg_schedule::{
 use wagg_sinr::link::link_diversity;
 use wagg_sinr::{Link, PathLossCache};
 
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// One shard's scheduling inputs.
@@ -200,10 +199,7 @@ pub(crate) fn build_pieces(
         shard_span.finish();
         pieces
     };
-    #[cfg(feature = "parallel")]
     let pieces: Vec<ShardPieces> = (0..layout.shards()).into_par_iter().map(build).collect();
-    #[cfg(not(feature = "parallel"))]
-    let pieces: Vec<ShardPieces> = (0..layout.shards()).map(build).collect();
     phase.finish();
     pieces
 }
@@ -277,10 +273,7 @@ pub(crate) fn schedule_pieces(
         shard_span.finish();
         colors
     };
-    #[cfg(feature = "parallel")]
     let per_shard: Vec<Vec<usize>> = pieces.par_iter().map(shard_colors).collect();
-    #[cfg(not(feature = "parallel"))]
-    let per_shard: Vec<Vec<usize>> = pieces.iter().map(shard_colors).collect();
 
     let mut colors = vec![0usize; links.len()];
     for (piece, piece_colors) in pieces.iter().zip(&per_shard) {

@@ -71,7 +71,6 @@ use wagg_sinr::link::LinkId;
 use wagg_sinr::pathloss::relative_interference_sum;
 use wagg_sinr::{AlphaPow, Link, SinrModel};
 
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// Below this member count the exact `O(s²)` scan beats building the grid.
@@ -271,14 +270,7 @@ impl<'a> AffectanceVerifier<'a> {
             SlotPyramid::build(self, members, depth)
         };
         let one = |k: usize| self.total(members, pyramid.as_ref(), k);
-        #[cfg(feature = "parallel")]
-        {
-            (0..members.len()).into_par_iter().map(one).collect()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            (0..members.len()).map(one).collect()
-        }
+        (0..members.len()).into_par_iter().map(one).collect()
     }
 
     /// The verdict on a target of this total: priced and within `1/β`. An

@@ -76,6 +76,7 @@ use wagg_obs::{Metrics, Recorder};
 use wagg_schedule::{InvalidTau, SolveReport};
 use wagg_session::{
     check_events, check_point, RestoreError, Session, SessionConfig, SessionError, SessionStats,
+    MAX_SHARDS,
 };
 use wagg_sinr::Link;
 use wagg_wire::{DecodeError, EncodeError, Frame, FrameKind};
@@ -282,6 +283,13 @@ pub enum ServiceError {
         /// The refused exponent.
         tau: f64,
     },
+    /// A [`Request::OpenSession`]'s `target_shards` exceeds [`MAX_SHARDS`],
+    /// past which a sharded session's tiling could ask for billions of shard
+    /// engines. The request was refused before any worker saw it.
+    TooManyShards {
+        /// The refused shard count.
+        shards: usize,
+    },
     /// The worker thread is gone (it should never be — workers survive
     /// session panics).
     WorkerLost,
@@ -312,6 +320,9 @@ impl fmt::Display for ServiceError {
                 write!(f, "the {what} of item {index} is NaN or infinite")
             }
             ServiceError::InvalidTau { tau } => write!(f, "{}", InvalidTau { tau: *tau }),
+            ServiceError::TooManyShards { shards } => {
+                write!(f, "{shards} shards exceed the bound of {MAX_SHARDS}")
+            }
             ServiceError::WorkerLost => write!(f, "worker thread is gone"),
         }
     }
@@ -413,7 +424,8 @@ impl SchedulerService {
     /// [`Request::Restore`]) and blocks for the reply. A request carrying a
     /// NaN or infinite coordinate is refused here with
     /// [`ServiceError::NonFinite`], and a [`Request::OpenSession`] with an
-    /// oblivious `τ` outside `(0, 1)` with [`ServiceError::InvalidTau`],
+    /// oblivious `τ` outside `(0, 1)` with [`ServiceError::InvalidTau`] or
+    /// more than [`MAX_SHARDS`] shards with [`ServiceError::TooManyShards`],
     /// before any worker or session sees it.
     pub fn request(&self, request: Request) -> Result<Response, ServiceError> {
         check_request(&request)?;
@@ -622,10 +634,11 @@ fn worker_loop(rx: Receiver<Envelope>, depth: Arc<AtomicUsize>, ctx: WorkerCtx) 
 /// batch, as the typed error, found by the session's own point checks
 /// ([`check_point`], [`check_events`]), and an opened session's oblivious
 /// `τ` outside `(0, 1)`
-/// ([`PowerMode::check_tau`](wagg_schedule::PowerMode::check_tau)). The
-/// engine asserts finite endpoints, so such a point would poison an
-/// engine-backed session; a static one would schedule it. Such a `τ` would
-/// make the session's build panic.
+/// ([`PowerMode::check_tau`](wagg_schedule::PowerMode::check_tau)) or shard
+/// count above [`MAX_SHARDS`]. The engine asserts finite endpoints, so such
+/// a point would poison an engine-backed session; a static one would
+/// schedule it. Such a `τ` would make the session's build panic, and such a
+/// shard count could abort the process allocating its tiles.
 fn check_request(request: &Request) -> Result<(), ServiceError> {
     let checked = match request {
         Request::OpenSession { config, links } => {
@@ -634,6 +647,11 @@ fn check_request(request: &Request) -> Result<(), ServiceError> {
                 .mode
                 .check_tau()
                 .map_err(|e| ServiceError::InvalidTau { tau: e.tau })?;
+            if config.target_shards > MAX_SHARDS {
+                return Err(ServiceError::TooManyShards {
+                    shards: config.target_shards,
+                });
+            }
             links.iter().enumerate().try_for_each(|(index, link)| {
                 check_point(index, "link sender", link.sender)?;
                 check_point(index, "link receiver", link.receiver)

@@ -13,8 +13,12 @@ use wagg_engine::EngineEvent;
 use wagg_geometry::{BoundingBox, Point};
 use wagg_schedule::PowerMode;
 use wagg_service::{SchedulerService, ServiceConfig, ServiceError, SessionId};
-use wagg_session::{Backend, PartitionHints, RepairPolicy, Session, SessionConfig, SessionError};
+use wagg_session::{
+    Backend, PartitionHints, RepairPolicy, RestoreError, Session, SessionConfig, SessionError,
+    MAX_SHARDS,
+};
 use wagg_sinr::Link;
+use wagg_wire::Frame;
 
 /// A deterministic mixed-length link set inside `[0, 90)²`.
 fn links(n: usize) -> Vec<Link> {
@@ -420,6 +424,61 @@ fn out_of_range_tau_is_refused_before_a_worker_sees_it() {
         let hosted = service.open_session(valid, &links(40)).expect("opens");
         assert!(service.solve(hosted).expect("solves").slots() > 0);
         service.close_session(hosted).expect("closes");
+    }
+    service.shutdown();
+}
+
+/// A shard count past `MAX_SHARDS` is refused with a typed error before
+/// any tile is laid out, on every backend: in an `OpenSession` before any
+/// worker sees it, and in a snapshot frame on restore. Over a 10⁶-wide
+/// hinted extent 2⁴⁰ shards would ask for about 4·10¹⁰ shard engines. A
+/// session opened at the bound solves, snapshots and restores.
+#[test]
+fn shard_counts_past_the_bound_are_refused_before_any_tile_is_laid_out() {
+    let service = SchedulerService::start(ServiceConfig::default());
+    let wide = BoundingBox::new(0.0, 0.0, 1e6, 1e6);
+    for config in configs() {
+        for shards in [MAX_SHARDS + 1, 1 << 40] {
+            let mut refused = config;
+            refused.target_shards = shards;
+            if let Some(hints) = &mut refused.partition {
+                hints.extent = wide;
+            }
+            assert_eq!(
+                service.open_session(refused, &links(40)),
+                Err(ServiceError::TooManyShards { shards }),
+                "{:?}",
+                config.backend
+            );
+        }
+        let mut bound = config;
+        bound.target_shards = MAX_SHARDS;
+        let hosted = service.open_session(bound, &links(40)).expect("opens");
+        service.solve(hosted).expect("solves");
+        let frame = service.snapshot(hosted).expect("snapshots");
+        let restored = service.restore(&frame).expect("restores at the bound");
+        assert_eq!(
+            service.solve(restored).expect("solves"),
+            service.solve(hosted).expect("solves")
+        );
+        let Ok(Frame::Snapshot(mut state)) = Frame::decode(&frame) else {
+            panic!("a snapshot frame decodes to a snapshot");
+        };
+        state.config.target_shards = 1 << 40;
+        if let Some(hints) = &mut state.config.partition {
+            hints.extent = wide;
+        }
+        let hostile = Frame::Snapshot(state).encode().expect("encodes");
+        assert_eq!(
+            service.restore(&hostile),
+            Err(ServiceError::Restore(RestoreError::TooManyShards {
+                shards: 1 << 40
+            })),
+            "{:?}",
+            config.backend
+        );
+        service.close_session(hosted).expect("closes");
+        service.close_session(restored).expect("closes");
     }
     service.shutdown();
 }

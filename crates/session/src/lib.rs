@@ -97,6 +97,7 @@ pub use wagg_obs::{
     FlightRecorder, HealthConfig, HealthReport, HealthSignal, Metrics, Recorder, SeriesKind,
     SignalKind, SolveSample, TelemetryConfig,
 };
+pub use wagg_partition::MAX_SHARDS;
 pub use wagg_schedule::{
     BackendKind, RepairDecision, RepairStats, SchedulerConfig, ShardingStats, SolveReport,
 };
@@ -219,7 +220,8 @@ pub struct SessionConfig {
     /// towards the incremental engine).
     pub expect_churn: bool,
     /// Target shard count for the sharded backend; `0` means
-    /// [`AUTO_DEFAULT_SHARDS`].
+    /// [`AUTO_DEFAULT_SHARDS`]. At most [`MAX_SHARDS`]: restore refuses a
+    /// state above it, and the sharded backend asserts it.
     pub target_shards: usize,
     /// Declared deployment bounds (see [`PartitionHints`]).
     pub partition: Option<PartitionHints>,
@@ -434,7 +436,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the sharded backend's target shard count.
+    /// Sets the sharded backend's target shard count (at most
+    /// [`MAX_SHARDS`]; see [`SessionConfig::target_shards`]).
     pub fn target_shards(mut self, shards: usize) -> Self {
         self.config.target_shards = shards;
         self

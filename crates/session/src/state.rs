@@ -229,8 +229,14 @@ pub enum RestoreError {
         /// Live links.
         links: usize,
     },
-    /// The partition hints cannot size a tiling (non-finite extent,
-    /// degenerate length bounds, zero shards).
+    /// The configured shard count exceeds [`MAX_SHARDS`](crate::MAX_SHARDS):
+    /// a tiling that large would allocate one shard engine per tile.
+    TooManyShards {
+        /// The configured `target_shards`.
+        shards: usize,
+    },
+    /// The partition hints cannot size a tiling (non-finite or inverted
+    /// extent, degenerate length bounds).
     InvalidPartitionHints {
         /// What is wrong with them.
         reason: &'static str,
@@ -287,6 +293,11 @@ impl fmt::Display for RestoreError {
                 f,
                 "warm baseline {baseline} exceeds the universe size {links}"
             ),
+            RestoreError::TooManyShards { shards } => write!(
+                f,
+                "{shards} shards exceed the bound of {}",
+                crate::MAX_SHARDS
+            ),
             RestoreError::InvalidPartitionHints { reason } => {
                 write!(f, "partition hints cannot size a tiling: {reason}")
             }
@@ -302,7 +313,7 @@ impl fmt::Display for RestoreError {
 impl Error for RestoreError {}
 
 /// Validates everything the rebuild relies on: an oblivious exponent inside
-/// `(0, 1)`, keys unique (and ascending where the backend orders by key),
+/// `(0, 1)`, a shard count within [`MAX_SHARDS`](crate::MAX_SHARDS), keys unique (and ascending where the backend orders by key),
 /// `next_key` past every live key, finite endpoints, warm state only where a
 /// backend keeps it and in lockstep with the universe, and — for a hinted
 /// sharded session — hints that can size a tiling and links inside their
@@ -314,6 +325,10 @@ pub(crate) fn check(state: &SessionState) -> Result<(), RestoreError> {
         .mode
         .check_tau()
         .map_err(|e| RestoreError::InvalidTau { tau: e.tau })?;
+    let shards = state.config.target_shards;
+    if shards > crate::MAX_SHARDS {
+        return Err(RestoreError::TooManyShards { shards });
+    }
     let links = &state.links;
     if state.backend == BackendKind::Engine {
         // Slot order: keys need not ascend.

@@ -13,6 +13,7 @@ use wagg_schedule::{BackendKind, PowerMode, RepairDecision};
 use wagg_session::state::{SessionState, TelemetryState, WarmState};
 use wagg_session::{
     Backend, FlightRecorder, RepairPolicy, RestoreError, Session, SessionBuilder, TelemetryConfig,
+    MAX_SHARDS,
 };
 use wagg_sinr::Link;
 
@@ -594,6 +595,46 @@ fn tampered_states_return_typed_errors_not_panics() {
 /// Moves `link`'s sender in place, the way a hand-built state can carry it:
 /// the endpoints then lie 1.9 apart (inside the hinted bounds), while the
 /// cached length keeps its old value.
+/// A captured shard count past `MAX_SHARDS` is refused on every backend
+/// before a tile is laid out: over a 10⁶-wide hinted extent 2⁴⁰ shards
+/// would ask for about 4·10¹⁰ shard engines. Sharded sessions captured at
+/// the bound restore and solve as their sources do, the hinted one over an
+/// extent that fills the bound with tiles.
+#[test]
+fn shard_counts_past_the_bound_are_refused_and_the_bound_restores() {
+    let wide = BoundingBox::new(0.0, 0.0, 1e6, 1e6);
+    for (name, builder) in every_backend() {
+        let state = builder.links(&links(40)).build().capture_state();
+        for shards in [MAX_SHARDS + 1, 1 << 40, usize::MAX] {
+            let mut tampered = state.clone();
+            tampered.config.target_shards = shards;
+            if let Some(hints) = &mut tampered.config.partition {
+                hints.extent = wide;
+            }
+            let restored = std::panic::catch_unwind(|| Session::restore_state(&tampered).err());
+            assert_eq!(
+                restored.expect("restore must not panic"),
+                Some(RestoreError::TooManyShards { shards }),
+                "{name}: {shards} shards"
+            );
+        }
+    }
+    let at_bound = [
+        Session::builder().backend(Backend::Sharded),
+        Session::builder()
+            .backend(Backend::Sharded)
+            .partition_hints(BoundingBox::new(0.0, 0.0, 1e4, 1e4), (1.0, 2.0))
+            .repair(RepairPolicy::enabled()),
+    ];
+    for builder in at_bound {
+        let mut original = builder.target_shards(MAX_SHARDS).links(&links(40)).build();
+        original.solve();
+        let mut restored =
+            Session::restore_state(&original.capture_state()).expect("restores at the bound");
+        assert_eq!(restored.solve(), original.solve());
+    }
+}
+
 fn move_sender_in_place(link: &mut Link) {
     link.sender = Point::new(link.receiver.x - 1.9, link.receiver.y);
 }

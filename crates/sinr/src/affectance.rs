@@ -15,7 +15,6 @@ use crate::pathloss::{AlphaPow, PathLossCache};
 use crate::power::PowerAssignment;
 use crate::SinrError;
 
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// Relative interference of link `source` on link `target` under power assignment
@@ -78,9 +77,10 @@ pub fn relative_interference(
 /// `I_P(S, i) = Σ_{j ∈ S} I_P(j, i)` (the term `j = i` contributes zero).
 ///
 /// The target-side quantities (`l_i^α`, `P(i)`) are computed once, and each
-/// pair costs one distance plus one [`AlphaPow`] evaluation. With the
-/// `parallel` feature the terms are computed across threads but summed in set
-/// order, so the total matches the serial sum bit for bit. (The in-order
+/// pair costs one distance plus one [`AlphaPow`] evaluation. The terms are
+/// computed on the rayon shim's pool but summed in set order, so the total is
+/// the same bit for bit whether the (default-on) `parallel` feature starts a
+/// pool or no worker starts and the calling thread computes them. (The in-order
 /// reduction — and with it the bitwise guarantee and the error-order
 /// guarantee below — is a documented property of the vendored `shims/rayon`
 /// engine; swapping in crates.io rayon would re-associate parallel sums and
@@ -135,14 +135,7 @@ pub fn relative_interference_on(
         }
         Ok(p_source * weight / (p_target * pow.pow(d)))
     };
-    #[cfg(feature = "parallel")]
-    {
-        set.par_iter().map(term).sum()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        set.iter().map(term).sum()
-    }
+    set.par_iter().map(term).sum()
 }
 
 /// Noise-free feasibility via relative interference: the set is `P`-feasible iff
@@ -208,44 +201,27 @@ pub fn additive_influence_pow(source: &Link, target: &Link, pow: AlphaPow) -> f6
 
 /// `I(S, i) = Σ_{j ∈ S} I(j, i)`: total additive influence of a set on a link.
 ///
-/// Terms are evaluated in parallel under the `parallel` feature and summed in
-/// set order — bit-identical to the serial sum under the vendored
+/// Terms are evaluated on the rayon shim's pool (without the `parallel`
+/// feature no worker starts and the calling thread evaluates them) and summed
+/// in set order — the same sum bit for bit either way under the vendored
 /// `shims/rayon` engine (crates.io rayon would only guarantee equality up to
 /// floating-point re-association).
 pub fn additive_influence_on(set: &[Link], target: &Link, alpha: f64) -> f64 {
     let pow = AlphaPow::new(alpha);
-    #[cfg(feature = "parallel")]
-    {
-        set.par_iter()
-            .map(|source| additive_influence_pow(source, target, pow))
-            .sum()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        set.iter()
-            .map(|source| additive_influence_pow(source, target, pow))
-            .sum()
-    }
+    set.par_iter()
+        .map(|source| additive_influence_pow(source, target, pow))
+        .sum()
 }
 
 /// `I(i, S) = Σ_{j ∈ S} I(i, j)`: total additive influence of a link on a set.
 ///
-/// Parallel and serial builds produce identical sums under the vendored
+/// Builds with and without a pool produce identical sums under the vendored
 /// engine (see [`additive_influence_on`]).
 pub fn additive_influence_of(source: &Link, set: &[Link], alpha: f64) -> f64 {
     let pow = AlphaPow::new(alpha);
-    #[cfg(feature = "parallel")]
-    {
-        set.par_iter()
-            .map(|target| additive_influence_pow(source, target, pow))
-            .sum()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        set.iter()
-            .map(|target| additive_influence_pow(source, target, pow))
-            .sum()
-    }
+    set.par_iter()
+        .map(|target| additive_influence_pow(source, target, pow))
+        .sum()
 }
 
 /// The "in-influence from longer links" quantity `I(i, S_i^+)` of Lemma 1:

@@ -40,7 +40,6 @@ use crate::model::SinrModel;
 use crate::power::PowerAssignment;
 use wagg_geometry::Point;
 
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// A fixed exponent, specialised at construction so the hot loops multiply
@@ -252,43 +251,30 @@ impl<'a> PathLossCache<'a> {
             self.subset_relative_interference_on(members, k)
                 .is_some_and(|total| total <= self.inv_beta)
         };
-        #[cfg(feature = "parallel")]
-        {
-            (0..members.len()).into_par_iter().all(check)
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            (0..members.len()).all(check)
-        }
+        (0..members.len()).into_par_iter().all(check)
     }
 
     /// Noise-free feasibility of the whole set by relative interference:
     /// every link's affectance sum must stay within `1/β`.
     ///
-    /// With the `parallel` feature (default) the per-target checks run across
-    /// threads and short-circuit cooperatively on the first infeasible target;
-    /// each target's sum is still accumulated serially in set order, so the
-    /// verdict is identical to the serial build.
+    /// The per-target checks run on the rayon shim's pool and short-circuit
+    /// cooperatively on the first infeasible target; each target's sum is
+    /// still accumulated in set order, so the verdict is the same with or
+    /// without a pool. Without the (default-on) `parallel` feature no worker
+    /// starts and the targets are checked in order on the calling thread.
     pub fn is_feasible(&self) -> bool {
         let check = |i: usize| {
             self.relative_interference_on(i)
                 .is_some_and(|total| total <= self.inv_beta)
         };
-        #[cfg(feature = "parallel")]
-        {
-            (0..self.links.len()).into_par_iter().all(check)
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            (0..self.links.len()).all(check)
-        }
+        (0..self.links.len()).into_par_iter().all(check)
     }
 }
 
-/// The one exact affectance-sum loop: this cache's sums, the slot-table
-/// views of `wagg-engine` (which store links non-contiguously and so cannot
-/// borrow a `PathLossCache`) and the hierarchical verifier's exact fallback
-/// all add their terms here.
+/// The one exact affectance-sum loop: this cache's sums, the exact
+/// fallback of `wagg-partition`'s `AffectanceVerifier` and the fresh probe
+/// of `wagg_schedule::repair::first_fit` (taken when `1/β` overflows or
+/// two links share an id) all add their terms here.
 ///
 /// `sources` are the interferers' caller indices in summing order (`0..n`
 /// for a whole set, `members.iter().copied()` for a subset), `target` the

@@ -27,7 +27,6 @@ use crate::pathloss::AlphaPow;
 use crate::power::PowerAssignment;
 use crate::SinrError;
 
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// Maximum number of iterations used by the spectral-radius and power iterations.
@@ -100,14 +99,7 @@ pub fn gain_matrix(model: &SinrModel, links: &[Link]) -> Result<Vec<Vec<f64>>, S
         }
         Ok(row)
     };
-    #[cfg(feature = "parallel")]
-    {
-        links.par_iter().enumerate().map(row).collect()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        links.iter().enumerate().map(row).collect()
-    }
+    links.par_iter().enumerate().map(row).collect()
 }
 
 /// Spectral radius of a non-negative square matrix, estimated by power iteration.

@@ -35,6 +35,10 @@
 //!
 //! Inputs shorter than [`MIN_PARALLEL_LEN`] are processed inline: below that
 //! size even a parked-thread wakeup dominates any speedup.
+//!
+//! The pool is the `pool` feature. Without it [`current_num_threads`] is 1,
+//! so every adapter maps inline on the calling thread and no worker ever
+//! starts: the same calls, run serially in input order.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -45,10 +49,13 @@ use std::sync::{Condvar, Mutex, OnceLock};
 pub const MIN_PARALLEL_LEN: usize = 16;
 
 /// Number of threads parallel operations fan out over (workers + caller),
-/// under rayon's name for it. Read once, as the pool is sized once: the
-/// standard library's query reads the process's CPU quota from files on
-/// every call (about 20 µs on Linux).
+/// under rayon's name for it: 1 without the `pool` feature. Read once, as
+/// the pool is sized once: the standard library's query reads the process's
+/// CPU quota from files on every call (about 20 µs on Linux).
 pub fn current_num_threads() -> usize {
+    if !cfg!(feature = "pool") {
+        return 1;
+    }
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         std::thread::available_parallelism()
@@ -107,8 +114,8 @@ fn in_pool_job() -> bool {
     IN_POOL_JOB.with(|f| f.get())
 }
 
-/// The process-wide pool, spawning its workers on first use. `None` when the
-/// machine has a single hardware thread (everything runs serially then).
+/// The process-wide pool, spawning its workers on first use. `None` when
+/// there is one thread to run on (everything runs serially then).
 fn pool() -> Option<&'static Pool> {
     let pool = POOL
         .get_or_init(|| {
@@ -610,6 +617,27 @@ mod tests {
             .map(|i| (0..64usize).map(|j| i + j).sum::<usize>())
             .collect();
         assert_eq!(outer, expect);
+    }
+
+    #[cfg(not(feature = "pool"))]
+    #[test]
+    fn without_the_pool_every_call_runs_on_the_calling_thread() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        assert_eq!(super::current_num_threads(), 1);
+        let caller = std::thread::current().id();
+        let n = 64 * super::MIN_PARALLEL_LEN;
+        let elsewhere = AtomicUsize::new(0);
+        let on_caller = |x: usize| {
+            if std::thread::current().id() != caller {
+                elsewhere.fetch_add(1, Ordering::Relaxed);
+            }
+            x
+        };
+        let xs: Vec<usize> = (0..n).collect();
+        let mapped: Vec<usize> = xs.par_iter().map(|&x| on_caller(x)).collect();
+        assert_eq!(mapped, xs);
+        assert!((0..n).into_par_iter().all(|i| on_caller(i) < n));
+        assert_eq!(elsewhere.load(Ordering::Relaxed), 0);
     }
 
     #[test]
