@@ -56,7 +56,8 @@ if [[ "$MODE" != "quick" ]]; then
   echo "==> release build (tier-1)"
   cargo build --release
 
-  echo "==> chunked-kernel and engine suites in the configuration perfbench measures (release, serial): wagg-conflict's unit and property suites (the static build, which decides each length-class pair from its smaller class, edge for edge against the all-pairs build, and the stamp-array greedy colouring against the collect-sort-dedup loop), wagg-engine's unit and property suites (the per-slot conflict rows every churn event edits, against ConflictGraph::build under the relation of each power mode), wagg-schedule's unit tests (the chunked slot index, admission kernel and first fit against their references, optimised), wagg-partition's unit tests (the sharded repack on that first fit against a fresh first fit, the verifier's verdicts on slots of 8 191 and 8 192 links), the session's unit tests (the carried slot index against a rebuild on both engine backends, the anchor's handed-over budgets and its exact work), the warm-repair suite with its pin, the session differential suite (hinted and re-tiling sessions against PartitionedEngine::schedule and solve_sharded), the session snapshot suite (restore on every backend: round trips, links rebuilt from their endpoints, typed errors for hostile states), and wagg-mst's unit tests with the ignored ones (euclidean_mst against the O(n²) Prim reference on two 10 000-sensor deployments)"
+  echo "==> chunked-kernel and engine suites in the configuration perfbench measures (release, serial): wagg-sinr's unit and property suites (the blocked whole-set affectance sums against the per-target loop), wagg-conflict's unit and property suites (the static build, which decides each length-class pair from its smaller class, edge for edge against the all-pairs build, the batch conflict predicate against the scalar one, and the stamp-array greedy colouring against the collect-sort-dedup loop), wagg-engine's unit and property suites (the per-slot conflict rows every churn event edits, against ConflictGraph::build under the relation of each power mode), wagg-schedule's unit tests (the chunked slot index, admission kernel and first fit against their references, optimised), wagg-partition's unit tests (the sharded repack on that first fit against a fresh first fit, the verifier's verdicts on slots of 8 191 and 8 192 links), the session's unit tests (the carried slot index against a rebuild on both engine backends, the anchor's handed-over budgets and its exact work), the warm-repair suite with its pin, the session differential suite (hinted and re-tiling sessions against PartitionedEngine::schedule and solve_sharded), the session snapshot suite (restore on every backend: round trips, links rebuilt from their endpoints, typed errors for hostile states), and wagg-mst's unit tests with the ignored ones (euclidean_mst against the O(n²) Prim reference on two 10 000-sensor deployments)"
+  cargo test -q --release --no-default-features -p wagg-sinr
   cargo test -q --release --no-default-features -p wagg-conflict
   cargo test -q --release --no-default-features -p wagg-engine
   cargo test -q --release --no-default-features -p wagg-schedule --lib

@@ -28,9 +28,24 @@
 //! the class's extent ([`ConflictRelation::margined_reach`]). It sets the
 //! grid window and a box-gap test, `gap(box_i, box_j)² ≤ reach²`; a class
 //! whose whole extent fails the test is skipped. A member stored in several
-//! cells is visited once per cell, so each link's candidates are gathered
-//! in one reused buffer, sorted and deduplicated before
-//! [`ConflictRelation::conflicting`] runs once on each.
+//! cells is visited once per cell, so each link's candidates are queued in
+//! one reused [`Candidates`] scratch, which drops repeats with a stamp array,
+//! and [`ConflictRelation::conflicting_batch`] decides them all at once
+//! (`from_decided` sorts every row, so the queue order does not matter).
+//!
+//! **Why the batched verdicts are exact.** The batch gives
+//! [`ConflictRelation::conflicting`]'s verdict on every pair, bit for bit,
+//! and [`ConflictGraph::build_naive`] keeps the scalar predicate as the
+//! reference. One loop without branches computes every candidate's
+//! `d / l_min`, taking one square root of the least of the four squared
+//! point-to-segment distances, where `segment_distance` takes the least of
+//! four roots. The two are equal: `sqrt` is correctly rounded and
+//! monotone, and `f64::min` skips NaN in both forms. A quotient
+//! `d / l_min ≤ γ` decides a conflict before `f` is evaluated, because the
+//! computed `f(x)` is never below `γ` for `x ≥ 1` in any of the three
+//! shapes. Rust never fuses a multiply and an add, so the vector lanes round
+//! as the scalar code does. The [`relation`](crate::relation) module docs
+//! give the details.
 //!
 //! **Why the box test cannot drop an edge.** The closest points of two
 //! segments lie in their boxes, so `gap ≤ d`. In floats, `segment_distance`
@@ -77,7 +92,7 @@
 //! both builds produce identical graphs.
 
 use crate::classes::{is_classed, LengthClasses, Scope};
-use crate::relation::ConflictRelation;
+use crate::relation::{Candidates, ConflictRelation};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use wagg_geometry::BoundingBox;
@@ -106,7 +121,7 @@ const CANDIDATES_VISITED: &str = "conflict.candidates_visited";
 #[derive(Debug, Default)]
 struct Decided {
     /// `(i, j)`: link `i` decided that it conflicts with link `j`; ordered
-    /// by `i`, then `j`.
+    /// by `i`, then by the order `i`'s candidates were first visited.
     pairs: Vec<(u32, u32)>,
     /// Exact predicate calls.
     checked: u64,
@@ -261,9 +276,9 @@ impl ConflictGraph {
         (graph, decided.checked, decided.visited)
     }
 
-    /// The conflicting pairs the links of `range` decide, in order: each
-    /// link's candidates are gathered in one buffer, reused from link to
-    /// link, sorted and deduplicated, then put to the exact predicate.
+    /// The conflicting pairs the links of `range` decide: each link's
+    /// candidates are queued in one [`Candidates`] scratch, reused from link
+    /// to link, and decided by [`ConflictRelation::conflicting_batch`].
     fn decide(
         links: &[Link],
         relation: ConflictRelation,
@@ -273,33 +288,29 @@ impl ConflictGraph {
     ) -> Decided {
         let n = links.len();
         let mut decided = Decided::default();
-        let mut candidates: Vec<u32> = Vec::new();
+        let mut candidates = Candidates::default();
         for i in range {
             let link = &links[i];
             let len = link.length();
-            candidates.clear();
+            candidates.start(n);
             if !is_classed(len) {
-                candidates.extend(
-                    (0..n)
-                        .filter(|&j| is_classed(links[j].length()) || j > i)
-                        .map(|j| j as u32),
-                );
+                for j in (0..n).filter(|&j| is_classed(links[j].length()) || j > i) {
+                    candidates.push(j);
+                }
                 decided.visited += candidates.len() as u64;
             } else {
                 let scope = Scope::DecidedBy(i);
                 decided.visited +=
                     classes.for_each_candidate(scope, len, &bboxes[i], bboxes, relation, |j| {
-                        candidates.push(j as u32)
+                        candidates.push(j)
                     }) as u64;
-                candidates.sort_unstable();
-                candidates.dedup();
             }
             decided.checked += candidates.len() as u64;
-            decided.pairs.extend(
-                candidates
-                    .iter()
-                    .filter(|&&j| relation.conflicting(link, &links[j as usize]))
-                    .map(|&j| (i as u32, j)),
+            relation.conflicting_batch(
+                link,
+                &mut candidates,
+                |j| &links[j],
+                |j| decided.pairs.push((i as u32, j as u32)),
             );
         }
         decided
@@ -853,6 +864,30 @@ mod tests {
                     "{name}, {relation}: {checked} exact checks for {edges} edges"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn exact_work_is_pinned_on_the_kernel_benchmarks_clustered_mst() {
+        // `(conflict.pairs_checked, conflict.candidates_visited, edges)` of
+        // the kernel bench's clustered 1 000-sensor MST: how the candidates
+        // are decided may change, which candidates reach the exact
+        // predicate may not.
+        let links = wagg_instances::random::clustered(50, 20, 4000.0, 10.0, 42)
+            .mst_links()
+            .expect("clustered sensors are distinct");
+        for (relation, pinned) in [
+            (ConflictRelation::constant(2.0), (4_565, 17_888, 3_374)),
+            (
+                ConflictRelation::polynomial(2.0, 0.5),
+                (7_525, 18_727, 5_646),
+            ),
+            (
+                ConflictRelation::log_shaped(2.0, 3.0),
+                (10_333, 22_291, 6_482),
+            ),
+        ] {
+            assert_eq!(pairs_checked(&links, relation), pinned, "{relation}");
         }
     }
 

@@ -33,8 +33,9 @@
 //! by member count, ties to the shorter; within a class, the lower index
 //! decides): a link queries its own class and the classes that rank above
 //! it, a box-gap test against one reach per (link, class) rejects far
-//! candidates, and the survivors are deduplicated before the exact
-//! predicate runs. Adjacency is stored in a flat CSR layout (`offsets` +
+//! candidates, and the survivors are deduplicated and decided by the batch
+//! form of the exact predicate ([`ConflictRelation::conflicting_batch`]),
+//! whose verdicts equal the scalar ones bit for bit. Adjacency is stored in a flat CSR layout (`offsets` +
 //! sorted `neighbors` arrays), filled by a counting transpose of the flat
 //! list of decided pairs: neighbour rows are slice borrows, adjacency
 //! queries are binary searches, and independence checks allocate nothing.
@@ -74,4 +75,4 @@ pub mod relation;
 pub use classes::{class_key, is_classed, LengthClasses, Scope};
 pub use coloring::{greedy_color, greedy_color_with_order, Coloring};
 pub use graph::ConflictGraph;
-pub use relation::ConflictRelation;
+pub use relation::{Candidates, ConflictRelation};

@@ -1,4 +1,36 @@
 //! The conflict relation family `G_f` of the paper's Appendix A.
+//!
+//! # Batched verdicts
+//!
+//! [`ConflictRelation::conflicting`] decides one pair at a time and stays
+//! the reference. [`ConflictRelation::conflicting_batch`] decides one link
+//! against the candidates queued in a reused [`Candidates`] scratch and
+//! returns the same verdict on every pair, bit for bit. It copies the
+//! candidates' endpoints and lengths into one record each and runs in two
+//! passes. The first computes every candidate's `d / l_min` in one loop
+//! without branches, which the compiler vectorises. The second applies the
+//! id check and `f`. Three facts make its verdicts exact:
+//!
+//! * **One square root of the least square.** `segment_distance` takes the
+//!   least of four rooted point-to-segment distances. The first pass takes
+//!   one root of the least of the four squares. `sqrt` is correctly rounded
+//!   and monotone, so the root of the least square is the least of the four
+//!   roots. `f64::min` skips NaN in both forms, so a NaN square drops out
+//!   exactly where its NaN root does. The crossing test and every clamped
+//!   projection are the scalar expressions, combined with selects instead of
+//!   branches; a point-to-segment distance to a segment of zero squared
+//!   length projects onto its start, as the scalar early return does.
+//! * **`d / l_min ≤ γ` decides a conflict without `f`.** For `x ≥ 1` the
+//!   computed `f(x)` is never below `γ` in any of the three shapes: the
+//!   constant is `γ`, `x^δ` rounds to at least 1 for `x ≥ 1` and `δ ≥ 0`
+//!   (`powf` is faithful, and 1 is a float), and the log shape clamps its
+//!   factor to at least 1. Multiplying `γ ≥ 0` by a factor of at least 1
+//!   rounds to at least `γ`. So `d / l_min ≤ γ` already fails
+//!   `d / l_min > f(l_max / l_min)`. A relation built from other parameters
+//!   (the fields are public) takes no shortcut.
+//! * **The vector lanes round as the scalar code does.** Rust never fuses a
+//!   multiply and an add, and every lane evaluates the scalar expressions
+//!   in the scalar order, so each lane's value is the scalar value.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -186,6 +218,82 @@ impl ConflictRelation {
         hi_a.min(hi_b) * self.f(hi_a.max(hi_b) / lo_a.min(lo_b))
     }
 
+    /// A value no computed `f(x)`, `x ≥ 1`, falls below: `γ` when the
+    /// parameters make `f ≥ γ` (every relation the constructors build), and
+    /// `-∞` otherwise (see the [module docs](self)).
+    fn floor(&self) -> f64 {
+        match *self {
+            ConflictRelation::Constant { gamma } => gamma,
+            ConflictRelation::Polynomial { gamma, delta } if gamma >= 0.0 && delta >= 0.0 => gamma,
+            ConflictRelation::LogShaped { gamma, .. } if gamma >= 0.0 => gamma,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// Calls `conflict(j)` for every candidate `j` queued in `candidates`
+    /// that conflicts with `link`, in queue order, where `link_of(j)` is
+    /// candidate `j`'s link: the verdicts of
+    /// [`ConflictRelation::conflicting`]`(link, link_of(j))`, bit for bit
+    /// (see the [module docs](self)). A candidate with `link`'s id never
+    /// conflicts. A lone candidate goes to `conflicting` itself, which is
+    /// cheaper than a batch of one. The queue stays as it is until the next
+    /// [`Candidates::start`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wagg_geometry::Point;
+    /// use wagg_sinr::Link;
+    /// use wagg_conflict::{Candidates, ConflictRelation};
+    ///
+    /// let rel = ConflictRelation::unit_constant();
+    /// let links = [
+    ///     Link::new(0, Point::new(0.0, 0.0), Point::new(1.0, 0.0)),
+    ///     Link::new(1, Point::new(3.0, 0.0), Point::new(4.0, 0.0)),
+    ///     Link::new(2, Point::new(1.5, 0.0), Point::new(2.5, 0.0)),
+    /// ];
+    /// let mut candidates = Candidates::default();
+    /// candidates.start(links.len());
+    /// for j in 0..links.len() {
+    ///     candidates.push(j);
+    /// }
+    /// let mut row = Vec::new();
+    /// rel.conflicting_batch(&links[0], &mut candidates, |j| &links[j], |j| row.push(j));
+    /// assert_eq!(row, [2]); // link 0 is itself, link 1 lies 2 away
+    /// ```
+    pub fn conflicting_batch<'a>(
+        &self,
+        link: &Link,
+        candidates: &mut Candidates,
+        link_of: impl Fn(usize) -> &'a Link,
+        mut conflict: impl FnMut(usize),
+    ) {
+        if let [j] = candidates.index[..] {
+            // One candidate has nothing to batch with.
+            if self.conflicting(link, link_of(j as usize)) {
+                conflict(j as usize);
+            }
+            return;
+        }
+        candidates.quotients(link, &link_of);
+        let floor = self.floor();
+        let li = link.length();
+        let c = &*candidates;
+        for (&j, &q) in c.index.iter().zip(&c.quotient) {
+            let other = link_of(j as usize);
+            if other.id == link.id {
+                continue;
+            }
+            let lj = other.length();
+            let l_min = li.min(lj);
+            // `independent`'s test; NaN fails each comparison as it does there.
+            let independent = l_min > 0.0 && q > floor && q > self.f(li.max(lj) / l_min);
+            if !independent {
+                conflict(j as usize);
+            }
+        }
+    }
+
     /// [`ConflictRelation::reach`] widened by two rounding margins, for a
     /// pair of links whose coordinates are at most `max_coordinate` in
     /// absolute value: `1e-9` relative and `1e-12 · max_coordinate`
@@ -195,6 +303,162 @@ impl ConflictRelation {
     pub fn margined_reach(&self, a: (f64, f64), b: (f64, f64), max_coordinate: f64) -> f64 {
         self.reach(a, b) * (1.0 + REACH_REL_MARGIN) + REACH_ABS_MARGIN * max_coordinate
     }
+}
+
+/// The reused scratch of [`ConflictRelation::conflicting_batch`]: one query's
+/// candidates, deduplicated by a stamp array, and the copies of their
+/// geometry the batch computes on.
+///
+/// Candidates are named by caller indices (the static build's positions,
+/// the engine's slots) below the `universe` of [`Candidates::start`]. A
+/// candidate pushed twice in one query is queued once, at its first push, so
+/// the callers need not sort and deduplicate the entries a cell grid visits
+/// once per cell. The buffers and the stamp array only grow, so a caller
+/// that keeps one scratch allocates nothing per query once they have grown.
+#[derive(Debug, Clone, Default)]
+pub struct Candidates {
+    /// `stamp[j] == epoch`: index `j` was pushed or skipped this query.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The queued candidates' caller indices.
+    index: Vec<u32>,
+    /// Per queued candidate: its link's sender and receiver coordinates and
+    /// length.
+    geometry: Vec<[f64; 5]>,
+    /// `d / l_min` against the query link, the first pass's output.
+    quotient: Vec<f64>,
+}
+
+impl Candidates {
+    /// Starts a query over caller indices `0..universe`: the queue empties
+    /// and every index is unseen again.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `universe` exceeds `2^32`.
+    pub fn start(&mut self, universe: usize) {
+        assert!(
+            universe as u64 <= 1 << 32,
+            "candidate indices must fit in 32 bits"
+        );
+        self.index.clear();
+        if self.stamp.len() < universe {
+            self.stamp.resize(universe, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Marks index `j` seen without queuing it, so later pushes of `j` in
+    /// this query are dropped (the engine's own slot).
+    pub fn skip(&mut self, j: usize) {
+        self.stamp[j] = self.epoch;
+    }
+
+    /// Queues candidate `j` unless `j` was pushed or skipped earlier in this
+    /// query.
+    #[inline]
+    pub fn push(&mut self, j: usize) {
+        if self.stamp[j] == self.epoch {
+            return;
+        }
+        self.stamp[j] = self.epoch;
+        self.index.push(j as u32);
+    }
+
+    /// Number of candidates queued in this query.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether no candidate is queued.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// The first pass of [`ConflictRelation::conflicting_batch`]: copies the
+    /// queued candidates' links (`link_of(j)`) into the geometry records,
+    /// then computes every candidate's `d / l_min` against `link`.
+    fn quotients<'a>(&mut self, link: &Link, link_of: &impl Fn(usize) -> &'a Link) {
+        self.geometry.clear();
+        self.geometry.extend(self.index.iter().map(|&j| {
+            let l = link_of(j as usize);
+            [
+                l.sender.x,
+                l.sender.y,
+                l.receiver.x,
+                l.receiver.y,
+                l.length(),
+            ]
+        }));
+        self.quotient.resize(self.index.len(), 0.0);
+        quotients(link, &self.geometry, &mut self.quotient);
+    }
+}
+
+/// Every candidate's `segment_distance(link, candidate) / l_min`, from the
+/// candidates' `[sender x, sender y, receiver x, receiver y, length]`,
+/// computed as the scalar code computes it up to the one square root (see
+/// the [module docs](self)), in one loop without branches.
+fn quotients(link: &Link, geometry: &[[f64; 5]], quotient: &mut [f64]) {
+    let (p1, q1, li) = (link.sender, link.receiver, link.length());
+    // `segments_intersect`'s box extents and orientation edge, and
+    // `distance_to_segment`'s squared length and edge, of the query.
+    let (max1x, min1x) = (p1.x.max(q1.x), p1.x.min(q1.x));
+    let (max1y, min1y) = (p1.y.max(q1.y), p1.y.min(q1.y));
+    let (e1x, e1y) = (q1.x - p1.x, q1.y - p1.y);
+    let len1_sq = p1.distance_squared(q1);
+    for (&[p2x, p2y, q2x, q2y, lj], quotient) in geometry.iter().zip(quotient) {
+        let (max2x, min2x) = (p2x.max(q2x), p2x.min(q2x));
+        let (max2y, min2y) = (p2y.max(q2y), p2y.min(q2y));
+        let (e2x, e2y) = (q2x - p2x, q2y - p2y);
+        // `segments_intersect(p1, q1, p2, q2)`.
+        let apart = (max1x < min2x) | (max2x < min1x) | (max1y < min2y) | (max2y < min1y);
+        let o1 = e1x * (p2y - p1.y) - e1y * (p2x - p1.x);
+        let o2 = e1x * (q2y - p1.y) - e1y * (q2x - p1.x);
+        let o3 = e2x * (p1.y - p2y) - e2y * (p1.x - p2x);
+        let o4 = e2x * (q1.y - p2y) - e2y * (q1.x - p2x);
+        let proper = ((o1 > 0.0) != (o2 > 0.0))
+            & ((o3 > 0.0) != (o4 > 0.0))
+            & (o1 != 0.0)
+            & (o2 != 0.0)
+            & (o3 != 0.0)
+            & (o4 != 0.0);
+        let in1 = |x: f64, y: f64| (x <= max1x) & (x >= min1x) & (y <= max1y) & (y >= min1y);
+        let in2 = |x: f64, y: f64| (x <= max2x) & (x >= min2x) & (y <= max2y) & (y >= min2y);
+        let collinear = ((o1 == 0.0) & in1(p2x, p2y))
+            | ((o2 == 0.0) & in1(q2x, q2y))
+            | ((o3 == 0.0) & in2(p1.x, p1.y))
+            | ((o4 == 0.0) & in2(q1.x, q1.y));
+        let crossing = !apart & (proper | collinear);
+        // The four point-to-segment distances, squared.
+        let len2_sq = {
+            let (dx, dy) = (p2x - q2x, p2y - q2y);
+            dx * dx + dy * dy
+        };
+        let d1 = segment_sq(p1.x, p1.y, p2x, p2y, e2x, e2y, len2_sq);
+        let d2 = segment_sq(q1.x, q1.y, p2x, p2y, e2x, e2y, len2_sq);
+        let d3 = segment_sq(p2x, p2y, p1.x, p1.y, e1x, e1y, len1_sq);
+        let d4 = segment_sq(q2x, q2y, p1.x, p1.y, e1x, e1y, len1_sq);
+        let least = d1.min(d2).min(d3).min(d4);
+        let d_sq = if crossing { 0.0 } else { least };
+        *quotient = d_sq.sqrt() / li.min(lj);
+    }
+}
+
+/// `distance_to_segment`'s squared distance from `(px, py)` to the segment
+/// from `(ax, ay)` along `(ex, ey)` of squared length `len_sq`: the point's
+/// distance to its clamped projection, or to the start when `len_sq` is 0
+/// (the projection is then the start, up to the sign of a zero).
+#[inline(always)]
+fn segment_sq(px: f64, py: f64, ax: f64, ay: f64, ex: f64, ey: f64, len_sq: f64) -> f64 {
+    let t = (((px - ax) * ex + (py - ay) * ey) / len_sq).clamp(0.0, 1.0);
+    let t = if len_sq == 0.0 { 0.0 } else { t };
+    let (hx, hy) = (px - (ax + t * ex), py - (ay + t * ey));
+    hx * hx + hy * hy
 }
 
 impl fmt::Display for ConflictRelation {

@@ -2,7 +2,9 @@
 
 use crate::error::EngineError;
 use std::collections::HashMap;
-use wagg_conflict::{is_classed, ConflictGraph, ConflictRelation, LengthClasses, Scope};
+use wagg_conflict::{
+    is_classed, Candidates, ConflictGraph, ConflictRelation, LengthClasses, Scope,
+};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_obs::{Counter, Recorder};
 use wagg_schedule::{schedule_prebuilt_traced, ScheduleReport, SchedulerConfig};
@@ -62,6 +64,8 @@ pub struct InterferenceEngine {
     /// Conflict adjacency: `rows[s]` is the sorted conflict row of slot `s`
     /// (empty while the slot is free), edited in place per event.
     rows: Vec<Vec<usize>>,
+    /// The exact predicate's scratch, reused by every row recompute.
+    candidates: Candidates,
     /// Node index → slots of live links touching that node (for `move_node`).
     node_links: HashMap<usize, Vec<usize>>,
     /// Instrumentation sink (disabled by default — see `wagg-obs`).
@@ -88,6 +92,7 @@ impl InterferenceEngine {
             classes: LengthClasses::default(),
             unclassed: Vec::new(),
             rows: Vec::new(),
+            candidates: Candidates::default(),
             node_links: HashMap::new(),
             recorder: Recorder::disabled(),
             rows_counter: Counter::default(),
@@ -316,7 +321,9 @@ impl InterferenceEngine {
         self.rows_counter.add(1);
         let link = self.links[slot].expect("linking a live slot");
         let bbox = self.bboxes[slot];
-        let row = self.conflict_row(&link, &bbox, slot);
+        let mut candidates = std::mem::take(&mut self.candidates);
+        let row = self.conflict_row(&link, &bbox, slot, &mut candidates);
+        self.candidates = candidates;
         debug_assert!(self.rows[slot].is_empty(), "linking a slot with edges");
         for &w in &row {
             let partner = &mut self.rows[w];
@@ -349,17 +356,28 @@ impl InterferenceEngine {
     }
 
     /// The sorted conflict row of `link` against every live link except
-    /// `exclude` (the slot the link is being attached to). The candidates
-    /// it reads — class-grid entries, plus every live link or every link of
-    /// no class — are added to `engine.candidates_visited`. They are
-    /// deduplicated first, so the exact predicate runs once per candidate;
-    /// the calls are added to `engine.pairs_checked`.
-    fn conflict_row(&self, link: &Link, bbox: &BoundingBox, exclude: usize) -> Vec<usize> {
-        let mut row: Vec<usize> = Vec::new();
+    /// `exclude` (the slot the link is being attached to), decided by
+    /// [`ConflictRelation::conflicting_batch`] as the static build decides
+    /// its pairs, over the reused `candidates` scratch. The candidates it
+    /// reads — class-grid entries, plus every live link or every link of no
+    /// class — are added to `engine.candidates_visited`. The scratch queues
+    /// each once, so the exact predicate runs once per candidate; the calls
+    /// are added to `engine.pairs_checked`.
+    fn conflict_row(
+        &self,
+        link: &Link,
+        bbox: &BoundingBox,
+        exclude: usize,
+        candidates: &mut Candidates,
+    ) -> Vec<usize> {
+        candidates.start(self.links.len());
+        candidates.skip(exclude);
         if !is_classed(link.length()) {
             // A link of no class is checked against every distinct live link.
-            row.extend((0..self.links.len()).filter(|&j| self.links[j].is_some()));
-            self.candidates_counter.add(row.len() as u64);
+            for j in (0..self.links.len()).filter(|&j| self.links[j].is_some()) {
+                candidates.push(j);
+            }
+            self.candidates_counter.add(self.live as u64);
         } else {
             let (len, relation) = (link.length(), self.relation);
             let read = self.classes.for_each_candidate(
@@ -368,20 +386,20 @@ impl InterferenceEngine {
                 bbox,
                 &self.bboxes,
                 relation,
-                |j| row.push(j),
+                |j| candidates.push(j),
             );
-            row.extend_from_slice(&self.unclassed);
+            for &j in &self.unclassed {
+                candidates.push(j);
+            }
             self.candidates_counter
                 .add((read + self.unclassed.len()) as u64);
-            row.sort_unstable();
-            row.dedup();
         }
-        row.retain(|&j| j != exclude);
-        self.pairs_counter.add(row.len() as u64);
-        row.retain(|&j| {
-            let other = self.links[j].as_ref().expect("candidates are live");
-            self.relation.conflicting(link, other)
-        });
+        self.pairs_counter.add(candidates.len() as u64);
+        let live = |j: usize| self.links[j].as_ref().expect("candidates are live");
+        let mut row = Vec::new();
+        self.relation
+            .conflicting_batch(link, candidates, live, |j| row.push(j));
+        row.sort_unstable();
         row
     }
 

@@ -83,12 +83,29 @@ impl PartitionedEngineConfig {
         length_bounds: (f64, f64),
         target_shards: usize,
     ) -> Self {
-        let (lo, hi) = length_bounds;
+        let config = PartitionedEngineConfig {
+            scheduler,
+            extent,
+            length_bounds,
+            target_shards,
+        };
+        config.check();
+        config
+    }
+
+    /// Asserts what [`PartitionedEngineConfig::new`] documents: bounds with
+    /// `0 < min ≤ max < ∞`, a finite extent, and `1 ≤ target_shards ≤`
+    /// [`MAX_SHARDS`](crate::MAX_SHARDS). The fields are public, so
+    /// [`PartitionedEngine::new`] checks a configuration again before it
+    /// lays out a tile.
+    fn check(&self) {
+        let (lo, hi) = self.length_bounds;
         assert!(
             lo > 0.0 && lo <= hi && hi.is_finite(),
             "length bounds must satisfy 0 < min <= max < inf"
         );
-        crate::assert_shards(target_shards);
+        crate::assert_shards(self.target_shards);
+        let extent = &self.extent;
         assert!(
             extent.min_x.is_finite()
                 && extent.min_y.is_finite()
@@ -96,12 +113,6 @@ impl PartitionedEngineConfig {
                 && extent.max_y.is_finite(),
             "extent must be finite"
         );
-        PartitionedEngineConfig {
-            scheduler,
-            extent,
-            length_bounds,
-            target_shards,
-        }
     }
 }
 
@@ -144,7 +155,13 @@ pub struct PartitionedEngine {
 
 impl PartitionedEngine {
     /// An empty engine over the configured tiling.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a configuration [`PartitionedEngineConfig::new`] refuses
+    /// (a struct literal skips that constructor).
     pub fn new(config: PartitionedEngineConfig) -> Self {
+        config.check();
         let relation = config
             .scheduler
             .mode
@@ -546,6 +563,7 @@ impl PartitionedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_SHARDS;
     use wagg_schedule::PowerMode;
 
     fn engine(shards: usize) -> PartitionedEngine {
@@ -611,6 +629,49 @@ mod tests {
             (1.0, 1.5),
             1 << 40,
         );
+    }
+
+    /// A configuration built as a struct literal, past
+    /// `PartitionedEngineConfig::new`'s checks.
+    fn literal(
+        extent: BoundingBox,
+        length_bounds: (f64, f64),
+        target_shards: usize,
+    ) -> PartitionedEngineConfig {
+        PartitionedEngineConfig {
+            scheduler: SchedulerConfig::new(PowerMode::mean_oblivious()),
+            extent,
+            length_bounds,
+            target_shards,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one shard")]
+    fn literal_configs_with_no_shards_are_rejected() {
+        let square = BoundingBox::new(0.0, 0.0, 100.0, 100.0);
+        let _ = PartitionedEngine::new(literal(square, (1.0, 1.5), 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "4097 shards exceed the bound of 4096")]
+    fn literal_configs_past_the_shard_bound_are_rejected() {
+        let square = BoundingBox::new(0.0, 0.0, 100.0, 100.0);
+        let _ = PartitionedEngine::new(literal(square, (1.0, 1.5), MAX_SHARDS + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "extent must be finite")]
+    fn literal_configs_with_an_infinite_extent_are_rejected() {
+        let unbounded = BoundingBox::new(0.0, 0.0, f64::INFINITY, 100.0);
+        let _ = PartitionedEngine::with_links(literal(unbounded, (1.0, 1.5), 4), &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length bounds must satisfy")]
+    fn literal_configs_with_inverted_bounds_are_rejected() {
+        let square = BoundingBox::new(0.0, 0.0, 100.0, 100.0);
+        let _ = PartitionedEngine::new(literal(square, (2.0, 1.0), 4));
     }
 
     #[test]

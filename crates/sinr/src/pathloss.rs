@@ -24,6 +24,20 @@
 //! their sums agree bit for bit where they add the same terms in the same
 //! order.
 //!
+//! Two routines add those terms. [`relative_interference_sum`] is the one
+//! exact loop for a single target, and the reference. The whole-set
+//! verdicts ([`PathLossCache::subset_feasible`], [`PathLossCache::is_feasible`])
+//! run on a blocked routine beside it: it copies the set's senders, powers
+//! and ids into columns once, then prices four targets per pass over the
+//! sources, one add chain per target, each still in set order. A lane skips
+//! the sources with its target's id and sums to `∞` once a source sits on
+//! its receiver, where the one-target loop returns `∞`. A block in which a
+//! power or a target weight is missing runs that loop instead, which keeps
+//! the order in which a missing part (`None`) and a collocated sender meet.
+//! The verdicts are therefore the per-target loop's in every case, NaN and
+//! `1/β = ∞` included. Rust never fuses a multiply and an add, so the lanes
+//! round as the scalar loop does.
+//!
 //! This module prices and sums; it packs nothing. The first fit under `1/β`
 //! (a colour class's split, the sharded verifier's repack) runs on
 //! `wagg_schedule::repair`'s chunked admission kernel, which borrows the
@@ -247,28 +261,145 @@ impl<'a> PathLossCache<'a> {
     /// [`PathLossCache::is_feasible`], with the same verdict a fresh
     /// subset-only cache would give.
     pub fn subset_feasible(&self, members: &[usize]) -> bool {
-        let check = |k: usize| {
-            self.subset_relative_interference_on(members, k)
-                .is_some_and(|total| total <= self.inv_beta)
-        };
-        (0..members.len()).into_par_iter().all(check)
+        self.all_within(members.len(), |k| members[k])
     }
 
     /// Noise-free feasibility of the whole set by relative interference:
     /// every link's affectance sum must stay within `1/β`.
     ///
-    /// The per-target checks run on the rayon shim's pool and short-circuit
-    /// cooperatively on the first infeasible target; each target's sum is
+    /// The blocks of targets run on the rayon shim's pool and short-circuit
+    /// cooperatively on the first infeasible one; each target's sum is
     /// still accumulated in set order, so the verdict is the same with or
     /// without a pool. Without the (default-on) `parallel` feature no worker
-    /// starts and the targets are checked in order on the calling thread.
+    /// starts and the blocks are checked in order on the calling thread.
     pub fn is_feasible(&self) -> bool {
-        let check = |i: usize| {
-            self.relative_interference_on(i)
-                .is_some_and(|total| total <= self.inv_beta)
-        };
-        (0..self.links.len()).into_par_iter().all(check)
+        self.all_within(self.links.len(), |k| k)
     }
+
+    /// Whether every member of the set `position(0..m)` (positions into the
+    /// cached link set, in set order) keeps its relative-interference sum
+    /// from the others within `1/β`: the verdict of
+    /// [`relative_interference_sum`] per target, priced [`BLOCK`] targets
+    /// per pass (see the [module docs](self)).
+    fn all_within(&self, m: usize, position: impl Fn(usize) -> usize + Sync) -> bool {
+        let link = |k: usize| &self.links[position(k)];
+        let sources = Sources {
+            sx: (0..m).map(|k| link(k).sender.x).collect(),
+            sy: (0..m).map(|k| link(k).sender.y).collect(),
+            power: (0..m)
+                .map(|k| self.powers[position(k)].unwrap_or(f64::NAN))
+                .collect(),
+            id: (0..m).map(|k| link(k).id.0).collect(),
+        };
+        let priced = (0..m).all(|k| self.powers[position(k)].is_some());
+        let within = |total: Option<f64>| total.is_some_and(|total| total <= self.inv_beta);
+        let block = |b: usize| {
+            let lanes = b * BLOCK..((b + 1) * BLOCK).min(m);
+            if !priced || lanes.clone().any(|k| self.weights[position(k)].is_none()) {
+                // A missing part ends a sum early (`None`); the one-target
+                // loop keeps the order in which that meets a collocation.
+                return lanes.clone().all(|k| {
+                    let target = position(k);
+                    within(relative_interference_sum(
+                        self.pow,
+                        0..m,
+                        k,
+                        self.weights[target],
+                        |j| &self.links[position(j)],
+                        |j| self.powers[position(j)],
+                    ))
+                });
+            }
+            let target = |l: usize| {
+                let i = position(lanes.start + l.min(lanes.len() - 1));
+                let link = &self.links[i];
+                (
+                    link.receiver,
+                    self.weights[i].unwrap_or(f64::NAN),
+                    link.id.0,
+                )
+            };
+            let targets: [(Point, f64, usize); BLOCK] = std::array::from_fn(target);
+            // Dispatch once per block: with the exponent a constant, the
+            // lanes have no branch left.
+            let totals = match self.pow {
+                AlphaPow::Square => price_block(&sources, &targets, AlphaPow::Square),
+                AlphaPow::Cube => price_block(&sources, &targets, AlphaPow::Cube),
+                AlphaPow::Quartic => price_block(&sources, &targets, AlphaPow::Quartic),
+                other => price_block(&sources, &targets, other),
+            };
+            totals[..lanes.len()]
+                .iter()
+                .all(|&total| within(Some(total)))
+        };
+        (0..m.div_ceil(BLOCK)).into_par_iter().all(block)
+    }
+}
+
+/// Targets priced per pass of the blocked whole-set routine.
+const BLOCK: usize = 4;
+
+/// A set's sources in set order, as columns: sender coordinates, power
+/// (NaN where missing) and link id.
+#[derive(Debug)]
+struct Sources {
+    sx: Vec<f64>,
+    sy: Vec<f64>,
+    power: Vec<f64>,
+    id: Vec<usize>,
+}
+
+/// The relative-interference sums of [`BLOCK`] targets (`(receiver,
+/// weight, id)`) from every source, each as [`relative_interference_sum`]
+/// gives it when no part is missing: a lane skips sources with its id, adds
+/// its terms in set order, and sums to `∞` once a source sits on its
+/// receiver (that loop returns there; the terms the lane adds after it do
+/// not matter).
+#[inline(always)]
+fn price_block(
+    sources: &Sources,
+    targets: &[(Point, f64, usize); BLOCK],
+    pow: AlphaPow,
+) -> [f64; BLOCK] {
+    let rx: [f64; BLOCK] = std::array::from_fn(|l| targets[l].0.x);
+    let ry: [f64; BLOCK] = std::array::from_fn(|l| targets[l].0.y);
+    let weight: [f64; BLOCK] = std::array::from_fn(|l| targets[l].1);
+    let id: [usize; BLOCK] = std::array::from_fn(|l| targets[l].2);
+    let mut total = [0.0f64; BLOCK];
+    // The least distance of a counted source: 0 once one is collocated.
+    let mut least = [f64::INFINITY; BLOCK];
+    let m = sources.id.len();
+    let (sx, sy, power, ids) = (
+        &sources.sx[..m],
+        &sources.sy[..m],
+        &sources.power[..m],
+        &sources.id[..m],
+    );
+    for j in 0..m {
+        let (x, y, p, i) = (sx[j], sy[j], power[j], ids[j]);
+        let counts: [bool; BLOCK] = std::array::from_fn(|l| i != id[l]);
+        for l in 0..BLOCK {
+            let (dx, dy) = (x - rx[l], y - ry[l]);
+            let d = (dx * dx + dy * dy).sqrt();
+            let term = p * weight[l] / pow.pow(d);
+            // A skipped source adds +0, which leaves every sum as it is:
+            // a sum that starts at +0 is never -0.
+            let (d, term) = if counts[l] {
+                (d, term)
+            } else {
+                (f64::INFINITY, 0.0)
+            };
+            least[l] = least[l].min(d);
+            total[l] += term;
+        }
+    }
+    std::array::from_fn(|l| {
+        if least[l] <= 0.0 {
+            f64::INFINITY
+        } else {
+            total[l]
+        }
+    })
 }
 
 /// The one exact affectance-sum loop: this cache's sums, the exact
@@ -557,6 +688,109 @@ mod tests {
         let (far_left, far_right) = (at(-1e200, -1e200 + 1e190), at(1e200, 1e200 - 1e190));
         assert_eq!(far_left.term_on(&far_right, pow), 0.0);
         assert_eq!(far_right.term_on(&far_left, pow), 0.0);
+    }
+
+    /// The per-target loop's verdict on `members`: every target's sum
+    /// from [`relative_interference_sum`] within `inv_beta`.
+    fn per_target(cache: &PathLossCache<'_>, members: &[usize], inv_beta: f64) -> bool {
+        (0..members.len()).all(|k| {
+            cache
+                .subset_relative_interference_on(members, k)
+                .is_some_and(|total| total <= inv_beta)
+        })
+    }
+
+    #[test]
+    fn blocked_verdicts_match_the_per_target_loop() {
+        use std::collections::HashMap;
+        use wagg_geometry::rng::{seeded_rng, uniform_in};
+        let mut rng = seeded_rng(11);
+        let mut u = |lo: f64, hi: f64| uniform_in(&mut rng, lo, hi);
+        let (mut feasible, mut rounds) = (0, 0);
+        for round in 0..400 {
+            let n = 1 + round % 23;
+            let side = 20.0 * (n as f64).sqrt() * u(0.5, 4.0);
+            let mut links: Vec<Link> = (0..n)
+                .map(|i| {
+                    let (x, y) = (u(0.0, side), u(0.0, side));
+                    let len = u(0.5, 3.0);
+                    Link::new(i, Point::new(x, y), Point::new(x + len, y))
+                })
+                .collect();
+            // Hazards, each in some rounds: a sender on another's receiver,
+            // a shared id, a zero-length link (no weight).
+            if n > 2 && round % 3 == 0 {
+                let (a, b) = (round % n, (round / 3) % n);
+                if a != b {
+                    let r = links[b].receiver;
+                    links[a] = Link::new(a, r, Point::new(r.x + 1.0, r.y));
+                }
+            }
+            if n > 2 && round % 5 == 0 {
+                links[n - 1].id = links[0].id;
+            }
+            if n > 2 && round % 7 == 0 {
+                let s = links[1].sender;
+                links[1] = Link::new(1, s, s);
+            }
+            // Explicit powers; some rounds leave one out, or give one 0
+            // (a power, but no weight).
+            let mut table: HashMap<usize, f64> =
+                links.iter().map(|l| (l.id.0, u(0.5, 2.0))).collect();
+            if round % 4 == 1 {
+                table.remove(&links[round % n].id.0);
+            }
+            if round % 9 == 2 {
+                table.insert(links[(round / 9) % n].id.0, 0.0);
+            }
+            let beta = [1.0, 0.05, 1e-310][round % 3];
+            let model = SinrModel::new(3.0, beta, 0.0).unwrap();
+            let inv_beta = 1.0 / beta;
+            let cache = PathLossCache::new(&model, &links, &PowerAssignment::explicit(table));
+            let all: Vec<usize> = (0..n).collect();
+            assert_eq!(cache.is_feasible(), per_target(&cache, &all, inv_beta));
+            for _ in 0..4 {
+                let mut members: Vec<usize> = (0..n).filter(|_| u(0.0, 1.0) < 0.6).collect();
+                if u(0.0, 1.0) < 0.5 {
+                    members.reverse();
+                }
+                let verdict = cache.subset_feasible(&members);
+                assert_eq!(
+                    verdict,
+                    per_target(&cache, &members, inv_beta),
+                    "round {round}, β = {beta}, members {members:?}"
+                );
+                feasible += usize::from(verdict);
+                rounds += 1;
+            }
+        }
+        // Both verdicts occur often.
+        assert!(
+            feasible > rounds / 5 && feasible < rounds * 4 / 5,
+            "{feasible} of {rounds}"
+        );
+    }
+
+    #[test]
+    fn the_last_partial_block_of_targets_is_priced() {
+        // Eight well-separated unit links pass; a ninth fails, as its
+        // receiver sits on the first one's sender. It is the one target of
+        // the whole set's last block, and the last of subsets of 6 to 9
+        // members, whose last blocks hold 2, 3, 4 and 1 targets.
+        let mut links: Vec<Link> = (0..8)
+            .map(|i| line_link(i, 100.0 * i as f64, 100.0 * i as f64 + 1.0))
+            .collect();
+        links.push(Link::new(8, Point::new(0.0, 50.0), links[0].sender));
+        let model = SinrModel::default();
+        let cache = PathLossCache::new(&model, &links, &PowerAssignment::uniform(1.0));
+        assert!(!cache.is_feasible());
+        assert!(cache.subset_feasible(&[0, 1, 2, 3, 4, 5, 6, 7]));
+        for m in 5..=8 {
+            let mut members: Vec<usize> = (1..m).collect();
+            members.push(8);
+            members.insert(0, 0);
+            assert!(!cache.subset_feasible(&members), "{members:?}");
+        }
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //! on every kernel invocation — a visible win for the fine-grained calls the
 //! incremental engine makes per churn event. Work is distributed over the
 //! workers through a block-stealing atomic cursor (so irregular per-item costs
-//! balance), and **results are always reassembled in input order**. Adapters
-//! are *eager*: `map` runs the closure in parallel immediately and hands back
-//! a [`ParResults`] holding the mapped values, whose `sum`/`collect`/`reduce`
-//! then fold **serially in input order**. Parallel sums are therefore
+//! balance), and **results are always reassembled in input order**. `map`
+//! hands back a [`ParMap`], which runs nothing until a fold or `collect`
+//! consumes it. On the pool, the closure runs in parallel, the mapped values
+//! are reassembled, and `sum`/`reduce`/`max`/`all` then fold them **serially
+//! in input order**. Where a call runs inline (no pool, a short input, or a
+//! call inside a pool job), each fold consumes every value as the closure
+//! returns it, in input order, with no buffer in between, and `all` stops
+//! at the first failure, as `Iterator::all` does. Either way, sums are
 //! bit-identical to their serial counterparts — a stronger guarantee than
 //! crates.io rayon's tree reduction, and the property the SINR kernels'
 //! "parallel equals serial" tests rely on.
@@ -258,6 +262,12 @@ fn run_on_pool(f: &(dyn Fn() + Sync)) {
     }
 }
 
+/// Whether a call over `n` items runs inline on the calling thread: a short
+/// input, one thread, or a call from inside a pool job.
+fn runs_inline(n: usize) -> bool {
+    n < MIN_PARALLEL_LEN || current_num_threads() <= 1 || in_pool_job()
+}
+
 /// Runs `f(i)` for every `i in 0..n` in parallel, returning results in index
 /// order. The core primitive behind every adapter in this crate.
 fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
@@ -265,10 +275,10 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = current_num_threads();
-    if n < MIN_PARALLEL_LEN || threads <= 1 || in_pool_job() {
+    if runs_inline(n) {
         return (0..n).map(f).collect();
     }
+    let threads = current_num_threads();
     // Block-stealing: participants pull fixed-size index blocks from a shared
     // cursor, so a few expensive items cannot serialise the whole call.
     let block = (n / (threads * 8)).max(1);
@@ -301,10 +311,10 @@ fn par_all_indexed<F>(n: usize, f: F) -> bool
 where
     F: Fn(usize) -> bool + Sync,
 {
-    let threads = current_num_threads();
-    if n < MIN_PARALLEL_LEN || threads <= 1 || in_pool_job() {
+    if runs_inline(n) {
         return (0..n).all(f);
     }
+    let threads = current_num_threads();
     let block = (n / (threads * 8)).max(1);
     let cursor = AtomicUsize::new(0);
     let failed = std::sync::atomic::AtomicBool::new(false);
@@ -329,31 +339,73 @@ where
     !failed.load(Ordering::Relaxed)
 }
 
-/// The values produced by a parallel `map`, consumed by order-preserving folds.
-#[derive(Debug)]
-pub struct ParResults<R> {
-    items: Vec<R>,
+/// An indexed input of a parallel `map`: a slice, an enumerated slice or a
+/// range of indices.
+pub trait ParSource: Sync {
+    /// What the mapped closure receives.
+    type Item;
+
+    /// Number of items.
+    fn count(&self) -> usize;
+
+    /// The item at `i < count()`.
+    fn get(&self, i: usize) -> Self::Item;
+
+    /// The items in order, as the serial iterator gives them.
+    fn items(&self) -> impl Iterator<Item = Self::Item>;
 }
 
-impl<R: Send> ParResults<R> {
-    /// Serial, input-order sum of the mapped values.
-    #[allow(clippy::should_implement_trait)]
-    pub fn sum<S: std::iter::Sum<R>>(self) -> S {
-        self.items.into_iter().sum()
+/// A parallel `map`, run by the fold or `collect` that consumes it.
+#[derive(Debug)]
+pub struct ParMap<S, F> {
+    source: S,
+    f: F,
+}
+
+impl<S, R, F> ParMap<S, F>
+where
+    S: ParSource,
+    R: Send,
+    F: Fn(S::Item) -> R + Sync,
+{
+    /// The mapped values, materialised by the pool in input order.
+    fn mapped(&self) -> Vec<R> {
+        par_map_indexed(self.source.count(), |i| (self.f)(self.source.get(i)))
     }
 
-    /// Collects the mapped values (already in input order).
+    /// The mapped values, computed on the calling thread one by one.
+    fn inline(&self) -> impl Iterator<Item = R> + '_ {
+        self.source.items().map(&self.f)
+    }
+
+    /// Serial, input-order sum of the mapped values.
+    #[allow(clippy::should_implement_trait)]
+    pub fn sum<Sum: std::iter::Sum<R>>(self) -> Sum {
+        let n = self.source.count();
+        if runs_inline(n) {
+            self.inline().sum()
+        } else {
+            self.mapped().into_iter().sum()
+        }
+    }
+
+    /// Collects the mapped values, in input order.
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        self.items.into_iter().collect()
+        self.mapped().into_iter().collect()
     }
 
     /// Serial, input-order fold with `identity` as the empty value.
-    pub fn reduce<Id, F>(self, identity: Id, op: F) -> R
+    pub fn reduce<Id, Op>(self, identity: Id, op: Op) -> R
     where
         Id: Fn() -> R,
-        F: Fn(R, R) -> R,
+        Op: Fn(R, R) -> R,
     {
-        self.items.into_iter().fold(identity(), op)
+        let n = self.source.count();
+        if runs_inline(n) {
+            self.inline().fold(identity(), op)
+        } else {
+            self.mapped().into_iter().fold(identity(), op)
+        }
     }
 
     /// Maximum of the mapped values.
@@ -361,12 +413,23 @@ impl<R: Send> ParResults<R> {
     where
         R: Ord,
     {
-        self.items.into_iter().max()
+        let n = self.source.count();
+        if runs_inline(n) {
+            self.inline().max()
+        } else {
+            self.mapped().into_iter().max()
+        }
     }
 
-    /// Whether all mapped values satisfy `p` (evaluated after the parallel map).
+    /// Whether all mapped values satisfy `p`; inline, the first failure
+    /// stops the map.
     pub fn all<P: Fn(R) -> bool>(self, p: P) -> bool {
-        self.items.into_iter().all(p)
+        let n = self.source.count();
+        if runs_inline(n) {
+            self.inline().all(p)
+        } else {
+            self.mapped().into_iter().all(p)
+        }
     }
 }
 
@@ -378,14 +441,12 @@ pub struct ParSliceIter<'a, T> {
 
 impl<'a, T: Sync> ParSliceIter<'a, T> {
     /// Applies `f` to every element in parallel.
-    pub fn map<R, F>(self, f: F) -> ParResults<R>
+    pub fn map<R, F>(self, f: F) -> ParMap<Self, F>
     where
         R: Send,
         F: Fn(&'a T) -> R + Sync,
     {
-        ParResults {
-            items: par_map_indexed(self.slice.len(), |i| f(&self.slice[i])),
-        }
+        ParMap { source: self, f }
     }
 
     /// Pairs every element with its index, as rayon's `enumerate` does.
@@ -419,14 +480,12 @@ pub struct ParSliceEnumerate<'a, T> {
 
 impl<'a, T: Sync> ParSliceEnumerate<'a, T> {
     /// Applies `f` to every `(index, element)` pair in parallel.
-    pub fn map<R, F>(self, f: F) -> ParResults<R>
+    pub fn map<R, F>(self, f: F) -> ParMap<Self, F>
     where
         R: Send,
         F: Fn((usize, &'a T)) -> R + Sync,
     {
-        ParResults {
-            items: par_map_indexed(self.slice.len(), |i| f((i, &self.slice[i]))),
-        }
+        ParMap { source: self, f }
     }
 }
 
@@ -440,15 +499,12 @@ pub struct ParRangeIter {
 
 impl ParRangeIter {
     /// Applies `f` to every index in parallel.
-    pub fn map<R, F>(self, f: F) -> ParResults<R>
+    pub fn map<R, F>(self, f: F) -> ParMap<Self, F>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let start = self.start;
-        ParResults {
-            items: par_map_indexed(self.end.saturating_sub(start), |i| f(start + i)),
-        }
+        ParMap { source: self, f }
     }
 
     /// Runs `f` on every index in parallel, for side effects.
@@ -468,6 +524,54 @@ impl ParRangeIter {
     {
         let start = self.start;
         par_all_indexed(self.end.saturating_sub(start), |i| p(start + i))
+    }
+}
+
+impl<'a, T: Sync> ParSource for ParSliceIter<'a, T> {
+    type Item = &'a T;
+
+    fn count(&self) -> usize {
+        self.slice.len()
+    }
+
+    fn get(&self, i: usize) -> &'a T {
+        &self.slice[i]
+    }
+
+    fn items(&self) -> impl Iterator<Item = &'a T> {
+        self.slice.iter()
+    }
+}
+
+impl<'a, T: Sync> ParSource for ParSliceEnumerate<'a, T> {
+    type Item = (usize, &'a T);
+
+    fn count(&self) -> usize {
+        self.slice.len()
+    }
+
+    fn get(&self, i: usize) -> (usize, &'a T) {
+        (i, &self.slice[i])
+    }
+
+    fn items(&self) -> impl Iterator<Item = (usize, &'a T)> {
+        self.slice.iter().enumerate()
+    }
+}
+
+impl ParSource for ParRangeIter {
+    type Item = usize;
+
+    fn count(&self) -> usize {
+        self.end.saturating_sub(self.start)
+    }
+
+    fn get(&self, i: usize) -> usize {
+        self.start + i
+    }
+
+    fn items(&self) -> impl Iterator<Item = usize> {
+        self.start..self.end
     }
 }
 
@@ -638,6 +742,69 @@ mod tests {
         assert_eq!(mapped, xs);
         assert!((0..n).into_par_iter().all(|i| on_caller(i) < n));
         assert_eq!(elsewhere.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn inline_all_stops_the_map_at_the_first_failure() {
+        // A short input runs inline in every build; without the pool a long
+        // one does too.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let lens: &[usize] = if cfg!(feature = "pool") {
+            &[super::MIN_PARALLEL_LEN - 1]
+        } else {
+            &[super::MIN_PARALLEL_LEN - 1, 1000]
+        };
+        for &n in lens {
+            let calls = AtomicUsize::new(0);
+            let xs: Vec<usize> = (0..n).collect();
+            let ok = xs
+                .par_iter()
+                .map(|&x| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    x
+                })
+                .all(|x| x != 3);
+            assert!(!ok);
+            assert_eq!(calls.load(Ordering::Relaxed), 4, "{n} items");
+            calls.store(0, Ordering::Relaxed);
+            let ok = (0..n)
+                .into_par_iter()
+                .map(|x| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    x
+                })
+                .all(|x| x != 3);
+            assert!(!ok);
+            assert_eq!(calls.load(Ordering::Relaxed), 4, "{n} items");
+        }
+    }
+
+    #[test]
+    fn folds_equal_serial_folds_bit_for_bit() {
+        for n in [
+            0,
+            3,
+            super::MIN_PARALLEL_LEN - 1,
+            super::MIN_PARALLEL_LEN,
+            5000,
+        ] {
+            let xs: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+            let serial: f64 = xs.iter().map(|x| x.sin()).sum();
+            let parallel: f64 = xs.par_iter().map(|x| x.sin()).sum();
+            assert_eq!(serial.to_bits(), parallel.to_bits(), "{n} items");
+            let by_index: f64 = (0..n).into_par_iter().map(|i| xs[i].sin()).sum();
+            assert_eq!(serial.to_bits(), by_index.to_bits(), "{n} items");
+            let enumerated: f64 = xs.par_iter().enumerate().map(|(_, x)| x.sin()).sum();
+            assert_eq!(serial.to_bits(), enumerated.to_bits(), "{n} items");
+            let folded = xs
+                .par_iter()
+                .map(|x| x.cos())
+                .reduce(|| 0.5, |a, b| a * 0.75 + b);
+            let expected = xs.iter().map(|x| x.cos()).fold(0.5, |a, b| a * 0.75 + b);
+            assert_eq!(folded.to_bits(), expected.to_bits(), "{n} items");
+            let max = (0..n).into_par_iter().map(|i| (i * 7919) % 1009).max();
+            assert_eq!(max, (0..n).map(|i| (i * 7919) % 1009).max(), "{n} items");
+        }
     }
 
     #[test]
